@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race smoke check bench clean
+.PHONY: all build vet test race stress smoke check bench clean
 
 all: check
 
@@ -15,6 +15,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# stress repeats the read-vs-migration race tests under the race detector.
+# They are timing-dependent: a single pass hides a failure that shows up
+# in a few runs out of twenty, so they run twenty times in a row.
+stress:
+	$(GO) test -race -count=20 -run 'TestReadFastPathRacesMigration|TestRoutedReadsVsMigration|TestConcurrentMigrationStorm' ./internal/core
 
 # smoke runs the E6 fault drill, the E7 fan-out comparison, the E8
 # metadata-scaling sweep, the E9 telemetry-overhead gate, and the E10
@@ -62,8 +68,9 @@ smoke:
 
 # check is the CI gate: compile everything, vet, the full test suite under
 # the race detector (the migration and fan-out engines are concurrent;
-# -race is load-bearing, not optional), then the smoke experiments.
-check: build vet race smoke
+# -race is load-bearing, not optional), the race stress, then the smoke
+# experiments.
+check: build vet race stress smoke
 
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$'

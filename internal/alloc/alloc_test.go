@@ -229,6 +229,22 @@ func TestExtentAllocFirstFit(t *testing.T) {
 	}
 }
 
+// Reserving inside a free run that is not the last one splits it in two;
+// the runs after it must survive (recovery's MarkUsed replays extents in
+// arbitrary order, so this is the common case).
+func TestExtentAllocReserveSplitsMiddleRun(t *testing.T) {
+	e := NewExtentAlloc(100)
+	e.Reserve(10, 10)
+	e.Reserve(50, 10) // free: [0,10) [20,50) [60,100)
+	e.Reserve(30, 5)  // free: [0,10) [20,30) [35,50) [60,100)
+	if e.FreeBytes() != 75 || e.FragmentCount() != 4 {
+		t.Fatalf("after a middle split: %d bytes free in %d runs, want 75 in 4", e.FreeBytes(), e.FragmentCount())
+	}
+	if off, got, err := e.Alloc(40); err != nil || off != 60 || got != 40 {
+		t.Fatalf("Alloc(40) = %d,%d,%v; want the tail run 60,40", off, got, err)
+	}
+}
+
 func TestExtentAllocCoalesce(t *testing.T) {
 	e := NewExtentAlloc(100)
 	e.Reserve(0, 100)

@@ -115,7 +115,9 @@ func (e *ExtentAlloc) Reserve(off, n int64) {
 		return
 	}
 	end := off + n
-	out := e.free[:0]
+	// Not filtered in place: a reserve inside one run splits it in two,
+	// which would overwrite the next run before the loop reads it.
+	out := make([]run, 0, len(e.free)+1)
 	for _, r := range e.free {
 		rEnd := r.off + r.n
 		if rEnd <= off || r.off >= end {

@@ -1,0 +1,101 @@
+package core
+
+import (
+	"bytes"
+	"testing"
+
+	"muxfs/internal/fstest"
+	"muxfs/internal/policy"
+	"muxfs/internal/vfs"
+)
+
+// raceEnabled reports a -race build (race_test.go). The race runtime drops
+// a random share of sync.Pool puts, so pool-based budgets cannot hold.
+var raceEnabled bool
+
+// quarantine opens tier id's breaker directly (the breaker's transitions
+// are covered in health_test.go).
+func quarantine(m *Mux, id int) {
+	h := m.healthOf(id)
+	h.mu.Lock()
+	h.state = tierQuarantined
+	h.openedAt = m.now()
+	h.mu.Unlock()
+}
+
+// filterHealthy runs on every placement query: with nothing quarantined it
+// must hand back its input without copying it.
+func TestFilterHealthy(t *testing.T) {
+	r := newRig(t, policy.Pinned{}, false)
+	infos := r.m.tierInfos()
+	if len(infos) != 3 {
+		t.Fatalf("%d tiers, want 3", len(infos))
+	}
+	ids := func(tis []policy.TierInfo) []int {
+		var out []int
+		for _, ti := range tis {
+			out = append(out, ti.ID)
+		}
+		return out
+	}
+
+	if got := r.m.filterHealthy(infos); len(got) != 3 || &got[0] != &infos[0] {
+		t.Fatalf("no tier quarantined: got tiers %v, want the input slice itself", ids(got))
+	}
+	if a := testing.AllocsPerRun(100, func() { r.m.filterHealthy(infos) }); a != 0 {
+		t.Fatalf("no tier quarantined: %.1f allocations per call, want 0", a)
+	}
+
+	quarantine(r.m, r.ids.ssd)
+	got := r.m.filterHealthy(infos)
+	if len(got) != 2 || got[0].ID != r.ids.pm || got[1].ID != r.ids.hdd {
+		t.Fatalf("SSD quarantined: got tiers %v, want [%d %d]", ids(got), r.ids.pm, r.ids.hdd)
+	}
+	if infos[1].ID != r.ids.ssd {
+		t.Fatal("filtering rewrote the input slice")
+	}
+
+	quarantine(r.m, r.ids.pm)
+	quarantine(r.m, r.ids.hdd)
+	if got := r.m.filterHealthy(infos); len(got) != 3 || &got[0] != &infos[0] {
+		t.Fatalf("all tiers quarantined: got tiers %v, want the input slice itself", ids(got))
+	}
+}
+
+// The pipelined copier (more than one migration worker) draws its
+// double buffers from copyBufPool instead of allocating 2 × migrateChunk
+// per call.
+func TestPipelinedCopyAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	r := newRig(t, policy.Pinned{}, false)
+	r.m.SetMigrationWorkers(2)
+	const size = 4 * migrateChunk
+	fh := writeFile(t, r.m, "/copy", bytes.Repeat([]byte{0x3D}, size))
+	defer fh.Close()
+	f, err := r.m.lookupFile("/copy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srcH, err := r.m.ensureHandle(f, r.ids.pm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dstH, err := r.m.ensureHandle(f, r.ids.ssd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ranges := []vfs.Extent{{Off: 0, Len: size}}
+	copyOnce := func() {
+		if err := r.m.copyRanges(srcH, dstH, r.ids.pm, r.ids.ssd, ranges); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if b := fstest.AllocBytesPerRun(20, copyOnce); b >= migrateChunk/4 {
+		t.Fatalf("pipelined copy of %d KiB allocates %.0f B per call, want < %d", size>>10, b, migrateChunk/4)
+	}
+	if a := testing.AllocsPerRun(20, copyOnce); a > 32 {
+		t.Fatalf("pipelined copy allocates %.1f objects per call, want <= 32", a)
+	}
+}

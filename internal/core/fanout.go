@@ -120,10 +120,12 @@ func (m *Mux) acquireIOSlot(id int) func() {
 // When mirror-read routing is on and the file has a routable mirror, the
 // segment is first scored against both copies (route.go); a winning mirror
 // serves it outright, and any mirror miss falls through to the unchanged
-// primary path below. All readSegment callers run without f.mu held, which
-// readRoutedMirror relies on to resolve an uncached mirror handle.
-func (m *Mux) readSegment(f *muxFile, scm *cacheCtl, dh vfs.File, tier int, dst []byte, off int64) error {
-	if rt, routed := m.routeTarget(f, tier); routed {
+// primary path below. held reports that the caller holds f.mu (the final
+// locked read attempt): routing is skipped then, because readRoutedMirror
+// may take f.mu to resolve an uncached mirror handle, and the replica
+// fallback runs under the caller's lock.
+func (m *Mux) readSegment(f *muxFile, scm *cacheCtl, dh vfs.File, tier int, dst []byte, off int64, held bool) error {
+	if rt, routed := m.routeTarget(f, tier); routed && !held {
 		if rt != tier && m.readRoutedMirror(f, rt, dst, off) {
 			f.noteRoute(rt, true)
 			m.telRouted(rt, true)
@@ -154,7 +156,7 @@ func (m *Mux) readSegment(f *muxFile, scm *cacheCtl, dh vfs.File, tier int, dst 
 	release()
 	m.telIO("read", tier, f.loadPath(), int64(len(dst)), t0, err)
 	if err != nil {
-		return m.readWithReplicaFallback(f, dst, off, err)
+		return m.readWithReplicaFallback(f, dst, off, err, held)
 	}
 	return nil
 }
@@ -195,14 +197,15 @@ func planTiers(plan []ioSeg) []int {
 // fanoutRead dispatches a read plan. A single-tier plan (or fan-out width
 // 1) runs serially on the calling goroutine; otherwise each tier's segment
 // group runs concurrently, bounded by the fan-out width and the per-tier
-// data-path semaphores. The caller must not hold f.mu.
-func (m *Mux) fanoutRead(f *muxFile, scm *cacheCtl, p []byte, off int64, plan []ioSeg) error {
+// data-path semaphores. held reports that the caller holds f.mu; the
+// spawned goroutines never take it (readSegment).
+func (m *Mux) fanoutRead(f *muxFile, scm *cacheCtl, p []byte, off int64, plan []ioSeg, held bool) error {
 	tiers := planTiers(plan)
 	if len(tiers) <= 1 || m.DataFanout() <= 1 {
 		for i := range plan {
 			s := &plan[i]
 			dst := p[s.bufStart : s.bufStart+s.ln]
-			if err := m.readSegment(f, scm, s.h, s.tier, dst, s.off); err != nil {
+			if err := m.readSegment(f, scm, s.h, s.tier, dst, s.off, held); err != nil {
 				return err
 			}
 		}
@@ -225,7 +228,7 @@ func (m *Mux) fanoutRead(f *muxFile, scm *cacheCtl, p []byte, off int64, plan []
 					continue
 				}
 				dst := p[s.bufStart : s.bufStart+s.ln]
-				if err := m.readSegment(f, scm, s.h, s.tier, dst, s.off); err != nil {
+				if err := m.readSegment(f, scm, s.h, s.tier, dst, s.off, held); err != nil {
 					errs[gi] = err
 					return
 				}

@@ -406,7 +406,7 @@ func (h *handle) readAt(p []byte, off int64) (int, error) {
 		if dh == nil {
 			break // no cached downward handle yet: locked path opens one
 		}
-		err := m.readSegment(f, m.scm(), dh, tid, p[:n], off)
+		err := m.readSegment(f, m.scm(), dh, tid, p[:n], off, false)
 		if f.mapVer.Load() != ver {
 			continue // mapping moved mid-read; bytes may be stale — retry
 		}
@@ -420,87 +420,113 @@ func (h *handle) readAt(p []byte, off int64) (int, error) {
 		return int(n), nil
 	}
 
+	// Locked paths: same OCC recheck, bounded. The last attempt reads with
+	// f.mu held, which no migration can race: its commit needs f.mu and
+	// reclaimSource punches only after the commit.
+	for attempt := 0; ; attempt++ {
+		n, stale, err := m.readLocked(f, p, off, attempt == lockedReadRetries)
+		if stale {
+			continue
+		}
+		if err != nil && err != io.EOF {
+			return 0, vfs.Errf("read", m.name, f.loadPath(), err)
+		}
+		return n, err
+	}
+}
+
+// lockedReadRetries is how many locked read attempts run their downward
+// reads without f.mu before the final attempt holds it throughout.
+const lockedReadRetries = 2
+
+// readLocked is one attempt of the locked read paths. Under f.mu it clamps
+// the request to the file size, resolves it in the BLT, and captures
+// mapVer; the downward reads then run without f.mu unless hold is set. A
+// migration can commit in that window and reclaimSource punch the source,
+// so the read may return punched zeros: stale reports that mapVer moved and
+// the bytes in p must be discarded. io.EOF marks a read short of len(p) (n
+// bytes valid); other errors come from the tiers, unwrapped.
+func (m *Mux) readLocked(f *muxFile, p []byte, off int64, hold bool) (n int, stale bool, err error) {
 	f.mu.Lock()
 	if off >= f.meta.Size {
 		f.mu.Unlock()
-		return 0, io.EOF
+		return 0, false, io.EOF
 	}
-	n := int64(len(p))
-	short := false
-	if off+n > f.meta.Size {
-		n = f.meta.Size - off
-		short = true
+	ln := int64(len(p))
+	var eof error
+	if off+ln > f.meta.Size {
+		ln = f.meta.Size - off
+		eof = io.EOF
 	}
+	ver, scm := f.mapVer.Load(), m.scm()
+	var now time.Duration // read time for atime/heat, taken before dispatch
+	var lastTier int
 
-	// Locked fast path: one mapped extent, but the lock-free attempt could
+	// Single-extent path: one mapped extent, but the lock-free attempt could
 	// not run (no cached handle, or it kept losing the OCC race).
-	if tid, seg, ok := f.blt.Lookup(off); ok && seg.End() >= off+n {
-		t, err := m.tier(tid)
-		if err != nil {
+	if tid, seg, ok := f.blt.Lookup(off); ok && seg.End() >= off+ln {
+		dh, herr := m.handleLocked(f, tid)
+		if herr != nil {
 			f.mu.Unlock()
-			return 0, vfs.Errf("read", m.name, f.path, err)
+			return 0, false, herr
 		}
-		dh, err := m.ensureHandleLocked(f, t)
-		if err != nil {
+		now = m.now()
+		if !hold {
 			f.mu.Unlock()
-			return 0, vfs.Errf("read", m.name, f.path, err)
 		}
-		f.touchRead(m.now(), tid)
-		scm := m.scm()
+		err = m.readSegment(f, scm, dh, tid, p[:ln], off, hold)
+		lastTier = tid
+	} else {
+		pp := getPlan()
+		plan := *pp
+		lastTier = -1
+		for _, seg := range f.blt.Segments(off, ln) {
+			if seg.Hole {
+				clear(p[seg.Off-off : seg.Off-off+seg.Len])
+				continue
+			}
+			dh, herr := m.handleLocked(f, seg.Val)
+			if herr != nil {
+				f.mu.Unlock()
+				putPlan(pp)
+				return 0, false, herr
+			}
+			plan = append(plan, ioSeg{h: dh, tier: seg.Val, off: seg.Off, ln: seg.Len, bufStart: seg.Off - off})
+			lastTier = seg.Val
+		}
+		now = m.now()
+		if !hold {
+			f.mu.Unlock()
+		}
+		// Downward reads go through each tier's health tracker (health.go):
+		// transient faults retry with backoff, a quarantined tier fails
+		// fast, and a failed segment read retries against the replica, if
+		// one exists (§4). Segment groups on distinct tiers dispatch
+		// concurrently (fanout.go).
+		err = m.fanoutRead(f, scm, p, off, plan, hold)
+		*pp = plan
+		putPlan(pp)
+	}
+	if hold {
 		f.mu.Unlock()
-		if err := m.readSegment(f, scm, dh, tid, p[:n], off); err != nil {
-			return 0, vfs.Errf("read", m.name, f.loadPath(), err)
-		}
-		if short {
-			return int(n), io.EOF
-		}
-		return int(n), nil
+	} else if f.mapVer.Load() != ver {
+		return 0, true, nil
 	}
-
-	segs := f.blt.Segments(off, n)
-	lastTier := -1
-	pp := getPlan()
-	plan := *pp
-	for _, seg := range segs {
-		if seg.Hole {
-			clear(p[seg.Off-off : seg.Off-off+seg.Len])
-			continue
-		}
-		t, err := m.tier(seg.Val)
-		if err != nil {
-			f.mu.Unlock()
-			putPlan(pp)
-			return 0, vfs.Errf("read", m.name, f.path, err)
-		}
-		dh, err := m.ensureHandleLocked(f, t)
-		if err != nil {
-			f.mu.Unlock()
-			putPlan(pp)
-			return 0, vfs.Errf("read", m.name, f.path, err)
-		}
-		plan = append(plan, ioSeg{h: dh, tier: seg.Val, off: seg.Off, ln: seg.Len, bufStart: seg.Off - off})
-		lastTier = seg.Val
-	}
-	f.touchRead(m.now(), lastTier)
-	scm := m.scm()
-	f.mu.Unlock()
-
-	// Downward reads happen outside the bookkeeping lock, each through the
-	// tier's health tracker (health.go): transient faults retry with
-	// backoff, a quarantined tier fails fast, and a failed segment read
-	// retries against the replica, if one exists (§4). Segment groups on
-	// distinct tiers dispatch concurrently (fanout.go).
-	err := m.fanoutRead(f, scm, p, off, plan)
-	*pp = plan
-	putPlan(pp)
+	f.touchRead(now, lastTier)
 	if err != nil {
-		return 0, vfs.Errf("read", m.name, f.loadPath(), err)
+		return 0, false, err
 	}
+	return int(ln), false, eof
+}
 
-	if short {
-		return int(n), io.EOF
+// handleLocked returns the open downward handle of file f on tier id.
+// Caller holds f.mu.
+func (m *Mux) handleLocked(f *muxFile, id int) (vfs.File, error) {
+	t, err := m.tier(id)
+	if err != nil {
+		return nil, err
 	}
-	return int(n), nil
+	return m.ensureHandleLocked(f, t)
 }
 
 // WriteAt books per-tenant attribution around the multiplexed write path,

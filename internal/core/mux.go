@@ -580,20 +580,28 @@ func (m *Mux) placeWritable(target int, n int64) int {
 	return target
 }
 
-// filterHealthy drops quarantined tiers from a policy snapshot. If every
-// tier is quarantined the unfiltered list is returned — writes must land
-// somewhere, and a fully-quarantined hierarchy has no better option.
+// filterHealthy drops quarantined tiers from a policy snapshot. With none
+// quarantined — the steady state — infos itself is returned, so placement
+// queries allocate nothing here. If every tier is quarantined the
+// unfiltered list is returned too — writes must land somewhere, and a
+// fully-quarantined hierarchy has no better option.
 func (m *Mux) filterHealthy(infos []policy.TierInfo) []policy.TierInfo {
-	out := infos[:0:0]
-	for _, ti := range infos {
-		if !m.tierQuarantined(ti.ID) {
-			out = append(out, ti)
+	for i := range infos {
+		if !m.tierQuarantined(infos[i].ID) {
+			continue
 		}
+		out := append(make([]policy.TierInfo, 0, len(infos)-1), infos[:i]...)
+		for _, ti := range infos[i+1:] {
+			if !m.tierQuarantined(ti.ID) {
+				out = append(out, ti)
+			}
+		}
+		if len(out) == 0 {
+			return infos
+		}
+		return out
 	}
-	if len(out) == 0 {
-		return infos
-	}
-	return out
+	return infos
 }
 
 // TierUsage reports Mux's own accounting of allocated bytes per tier id.

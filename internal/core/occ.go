@@ -396,13 +396,22 @@ type pipeChunk struct {
 // previous one, so source and destination device time overlap instead of
 // summing. Short reads are clamped, never zero-filled. The first error from
 // either side tears the pipeline down and is returned once both sides have
-// quiesced; the reader goroutine never outlives the call.
+// quiesced; the reader goroutine never outlives the call. The buffers come
+// from copyBufPool (so chunkSize is at most migrateChunk) and go back only
+// then, when nothing references them.
 func pipeCopy(ranges []vfs.Extent, chunkSize int64,
 	read func([]byte, int64) (int, error), write func([]byte, int64) error) error {
+	var bufs [pipeDepth]*[]byte
 	free := make(chan []byte, pipeDepth)
-	for i := 0; i < pipeDepth; i++ {
-		free <- make([]byte, chunkSize)
+	for i := range bufs {
+		bufs[i] = copyBufPool.Get().(*[]byte)
+		free <- (*bufs[i])[:chunkSize]
 	}
+	defer func() {
+		for _, bp := range bufs {
+			copyBufPool.Put(bp)
+		}
+	}()
 	work := make(chan pipeChunk, pipeDepth)
 	stop := make(chan struct{})
 	go func() {

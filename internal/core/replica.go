@@ -261,9 +261,12 @@ func (m *Mux) mirrorWriteLocked(f *muxFile, p []byte, off int64) error {
 //
 // A successful fallback is recorded distinctly from a *routed* mirror read
 // (telFallback vs telRouted): the mirror-hit ratio measures deliberate
-// routing decisions, not error-path rescues.
-func (m *Mux) readWithReplicaFallback(f *muxFile, dst []byte, off int64, orig error) error {
-	f.mu.Lock()
+// routing decisions, not error-path rescues. held reports that the caller
+// already holds f.mu.
+func (m *Mux) readWithReplicaFallback(f *muxFile, dst []byte, off int64, orig error, held bool) error {
+	if !held {
+		f.mu.Lock()
+	}
 	replica := f.replica
 	degraded := f.replicaDegraded
 	var rh vfs.File
@@ -274,7 +277,9 @@ func (m *Mux) readWithReplicaFallback(f *muxFile, dst []byte, off int64, orig er
 			rh, err = m.ensureHandleLocked(f, t)
 		}
 	}
-	f.mu.Unlock()
+	if !held {
+		f.mu.Unlock()
+	}
 	if replica < 0 || degraded || err != nil || rh == nil {
 		return orig
 	}

@@ -59,6 +59,12 @@ type FaultPlan struct {
 
 const pageSize = 4096 // internal storage granule, independent of Profile.BlockSize
 
+// maxSparePages bounds a device's free list of recycled page buffers
+// (256 KiB). Spare pages are live heap: on the repository benchmark 64
+// pages recycle as much as 4096 do on tier-churn and hot-local, while 256
+// already raised stripe-cold's peak RSS by a few MiB and 4096 by ~25 MiB.
+const maxSparePages = 64
+
 // Device is a simulated block device. Contents live in sparsely allocated
 // in-memory pages. Every access charges its modeled cost to the shared
 // virtual clock and updates the device statistics.
@@ -73,6 +79,7 @@ type Device struct {
 	mu      sync.Mutex
 	pages   map[int64][]byte // pageNo -> 4 KiB page (current contents)
 	shadow  map[int64][]byte // pageNo -> durable copy for pages dirtied since last persist; nil entry = page did not exist
+	spare   [][]byte         // recycled page buffers no map references, at most maxSparePages
 	lastEnd int64            // end offset of the previous access, for seek detection
 	failed  bool             // set by InjectFailure (or a sticky fault): all ops error
 	plan    FaultPlan        // probabilistic fault injection; zero = disabled
@@ -138,10 +145,22 @@ func (d *Device) ReadAt(p []byte, off int64) (int, error) {
 // WriteAt writes len(p) bytes at off. The data is volatile until Persist
 // covers it.
 func (d *Device) WriteAt(p []byte, off int64) (int, error) {
-	if len(p) == 0 {
+	return d.WriteVecAt([][]byte{p}, off)
+}
+
+// WriteVecAt writes the concatenation of bufs at off as one request: the
+// same range check, fault roll, charge and statistics as a WriteAt of the
+// joined bytes, without joining them. The device copies from bufs and keeps
+// no reference.
+func (d *Device) WriteVecAt(bufs [][]byte, off int64) (int, error) {
+	n := 0
+	for _, b := range bufs {
+		n += len(b)
+	}
+	if n == 0 {
 		return 0, ErrShortBuffer
 	}
-	if err := d.checkRange(off, len(p)); err != nil {
+	if err := d.checkRange(off, n); err != nil {
 		return 0, err
 	}
 	d.mu.Lock()
@@ -155,10 +174,13 @@ func (d *Device) WriteAt(p []byte, off int64) (int, error) {
 	if d.cp != nil && d.cp.blocked() {
 		return 0, d.crashPointErr()
 	}
-	d.charge(off, len(p), true)
-	d.copyIn(p, off)
-	d.stats.addWrite(int64(len(p)))
-	return len(p), nil
+	d.charge(off, n, true)
+	for _, b := range bufs {
+		d.copyIn(b, off)
+		off += int64(len(b))
+	}
+	d.stats.addWrite(int64(n))
+	return n, nil
 }
 
 // Persist makes the byte range [off, off+n) durable and charges the
@@ -186,7 +208,10 @@ func (d *Device) Persist(off, n int64) error {
 	}
 	if d.cp == nil {
 		for pg := first; pg <= last; pg++ {
-			delete(d.shadow, pg)
+			if dup, ok := d.shadow[pg]; ok {
+				d.recyclePage(dup)
+				delete(d.shadow, pg)
+			}
 		}
 		return nil
 	}
@@ -211,7 +236,10 @@ func (d *Device) PersistAll() error {
 	d.clk.Advance(d.prof.PersistLatency)
 	d.stats.addPersist()
 	if d.cp == nil {
-		d.shadow = make(map[int64][]byte)
+		for _, dup := range d.shadow {
+			d.recyclePage(dup)
+		}
+		clear(d.shadow)
 		return nil
 	}
 	dirty := make([]int64, 0, len(d.shadow))
@@ -278,11 +306,18 @@ func (d *Device) discardPage(pg, off, end int64) {
 		return
 	}
 	pstart, pend := pg*pageSize, (pg+1)*pageSize
-	d.snapshotPage(pg)
 	if off <= pstart && end >= pend {
+		// An unshadowed page holds durable contents, so the dropped page
+		// itself becomes the shadow; otherwise nothing references it.
+		if _, ok := d.shadow[pg]; ok {
+			d.recyclePage(page)
+		} else {
+			d.shadow[pg] = page
+		}
 		delete(d.pages, pg)
 		return
 	}
+	d.snapshotPage(pg)
 	lo := max64(off, pstart) - pstart
 	hi := min64(end, pend) - pstart
 	for i := lo; i < hi; i++ {
@@ -405,11 +440,33 @@ func (d *Device) snapshotPage(pg int64) {
 		return
 	}
 	if page, ok := d.pages[pg]; ok {
-		dup := make([]byte, pageSize)
+		dup := d.takePage()
 		copy(dup, page)
 		d.shadow[pg] = dup
 	} else {
 		d.shadow[pg] = nil
+	}
+}
+
+// takePage returns a page buffer for the caller to fill, recycled from the
+// free list when one is spare — so its contents are arbitrary. Caller holds
+// d.mu.
+func (d *Device) takePage() []byte {
+	n := len(d.spare)
+	if n == 0 {
+		return make([]byte, pageSize)
+	}
+	page := d.spare[n-1]
+	d.spare[n-1] = nil
+	d.spare = d.spare[:n-1]
+	return page
+}
+
+// recyclePage puts a page buffer that no map references any more on the
+// free list, unless the list is full. Caller holds d.mu.
+func (d *Device) recyclePage(page []byte) {
+	if page != nil && len(d.spare) < maxSparePages {
+		d.spare = append(d.spare, page)
 	}
 }
 
@@ -424,7 +481,10 @@ func (d *Device) copyIn(p []byte, off int64) {
 		d.snapshotPage(pg)
 		page, ok := d.pages[pg]
 		if !ok {
-			page = make([]byte, pageSize)
+			page = d.takePage()
+			if n < pageSize {
+				clear(page) // a new page reads as zeros outside the write
+			}
 			d.pages[pg] = page
 		}
 		copy(page[pgOff:pgOff+n], p[:n])

@@ -98,6 +98,10 @@ type FS struct {
 	pendingFrees []Run
 	cache        *pagecache.Cache
 	recovering   bool // replay must not touch device data (pages may have been reused)
+	// Writeback scratch reused across flushCache calls: the sorted dirty
+	// keys and the cached pages of the run being merged.
+	dirty []pagecache.Key
+	run   [][]byte
 
 	dataStart int64
 }
@@ -209,32 +213,32 @@ func (fs *FS) writeback(ev pagecache.Evicted) error {
 	return err
 }
 
+// maxRun bounds a merged writeback request (a typical max I/O size).
+const maxRun = 4 << 20
+
 // flushCache writes back dirty pages — of one file, or all — in sorted
 // order, coalescing device-contiguous pages into large single writes. This
 // models the real page-cache writeback path (elevator sorting + request
 // merging) that gives the native file systems their "device-friendly"
 // batched I/O: one op-latency charge per merged run instead of per block.
-// Caller holds fs.mu.
+// A run is handed to the device as the list of its cached pages, so
+// nothing is copied into a merge buffer; the key and page lists (fs.dirty,
+// fs.run) are reused across calls. Caller holds fs.mu.
 func (fs *FS) flushCache(file uint64, all bool) error {
-	// maxRun bounds a merged writeback request (a typical max I/O size).
-	const maxRun = 4 << 20
-
-	keys := fs.cache.DirtyPages(file, all)
-	run := make([]byte, 0, maxRun)
-	var runDev int64 // device offset of the run start
+	fs.dirty = fs.cache.AppendDirtyPages(fs.dirty[:0], file, all)
+	var runDev, runLen int64 // device offset and length of the run
 
 	flushRun := func() error {
-		if len(run) == 0 {
+		if runLen == 0 {
 			return nil
 		}
-		if _, err := fs.dev.WriteAt(run, runDev); err != nil {
-			return err
-		}
-		run = run[:0]
-		return nil
+		_, err := fs.dev.WriteVecAt(fs.run, runDev)
+		clear(fs.run) // keep no cache pages reachable between calls
+		fs.run, runLen = fs.run[:0], 0
+		return err
 	}
 
-	for _, k := range keys {
+	for _, k := range fs.dirty {
 		data, ok := fs.cache.Peek(k)
 		if !ok {
 			continue
@@ -250,15 +254,16 @@ func (fs *FS) flushCache(file uint64, all bool) error {
 			continue
 		}
 		dev := k.Page*PageSize + v
-		if len(run) > 0 && (runDev+int64(len(run)) != dev || len(run)+PageSize > maxRun) {
+		if runLen > 0 && (runDev+runLen != dev || runLen+PageSize > maxRun) {
 			if err := flushRun(); err != nil {
 				return err
 			}
 		}
-		if len(run) == 0 {
+		if runLen == 0 {
 			runDev = dev
 		}
-		run = append(run, data...)
+		fs.run = append(fs.run, data)
+		runLen += int64(len(data))
 		fs.cache.MarkClean(k)
 	}
 	return flushRun()

@@ -303,3 +303,33 @@ func TestCrashSweep(t *testing.T) {
 func TestCrashStorm(t *testing.T) {
 	fstest.RunCrashStorm(t, newSweepTarget)
 }
+
+// Sync reuses its writeback key and page lists, and the device recycles
+// the pages it persists, so a steady-state write + fsync cycle costs a few
+// small objects (mostly the write's journal record) whatever the number of
+// dirty pages — not a fresh 4 MiB merge buffer per flush.
+func TestSyncAllocationBudget(t *testing.T) {
+	for _, pages := range []int{1, 64} {
+		fs, _ := newSmallCacheFS(t, 1024)
+		f, err := fs.Create("/f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload := bytes.Repeat([]byte{0x7E}, pages*PageSize)
+		cycle := func() {
+			if _, err := f.WriteAt(payload, 0); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Sync(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if b := fstest.AllocBytesPerRun(50, cycle); b >= 64<<10 {
+			t.Errorf("%d dirty pages: write + Sync allocates %.0f B per cycle, want < 64 KiB", pages, b)
+		}
+		if a := testing.AllocsPerRun(50, cycle); a > 16 {
+			t.Errorf("%d dirty pages: write + Sync allocates %.1f objects per cycle, want <= 16", pages, a)
+		}
+		f.Close()
+	}
+}

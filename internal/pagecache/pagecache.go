@@ -10,8 +10,9 @@
 package pagecache
 
 import (
+	"cmp"
 	"container/list"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -193,25 +194,27 @@ func (c *Cache) FlushAll(write func(Key, []byte) error) error {
 	return nil
 }
 
-// DirtyPages returns the keys of all dirty pages — of one file, or of every
-// file when all is true — sorted by (file, page). Write-back uses the
-// sorted order so device writes sequentialize (the elevator effect).
-func (c *Cache) DirtyPages(file uint64, all bool) []Key {
+// AppendDirtyPages appends the keys of all dirty pages — of one file, or of
+// every file when all is true — to dst, sorted by (file, page), and returns
+// the extended slice. Write-back uses the sorted order so device writes
+// sequentialize (the elevator effect), and passes its previous result back
+// as dst[:0] so steady-state flushes allocate nothing.
+func (c *Cache) AppendDirtyPages(dst []Key, file uint64, all bool) []Key {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var out []Key
+	n := len(dst)
 	for k, el := range c.pages {
 		if el.Value.(*page).dirty && (all || k.File == file) {
-			out = append(out, k)
+			dst = append(dst, k)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].File != out[j].File {
-			return out[i].File < out[j].File
+	slices.SortFunc(dst[n:], func(a, b Key) int {
+		if a.File != b.File {
+			return cmp.Compare(a.File, b.File)
 		}
-		return out[i].Page < out[j].Page
+		return cmp.Compare(a.Page, b.Page)
 	})
-	return out
+	return dst
 }
 
 // Peek returns the page data for k without touching LRU order, hit/miss

@@ -84,7 +84,7 @@ func (p *LRU) lowWM() float64 {
 	// same moves forever. Only a crossing is corrected — a hand-configured
 	// small gap is legitimate and stays untouched.
 	if high := p.highWM(); low >= high {
-		low = high - 0.02
+		low = high - lruWMGap
 		if low < 0 {
 			low = 0
 		}
@@ -102,13 +102,17 @@ func (p *LRU) promoteWin() time.Duration {
 
 // LRU knob clamps. The watermark floor keeps demotion from draining the
 // fast tier outright; the ceiling keeps placement from wedging a tier at
-// 100%. The promote window spans "only the last instant" to "everything
-// this epoch".
+// 100%. The high watermark's floor leaves lowWM's crossing gap above the
+// low watermark's, so the corrected low watermark stays in its own range.
+// The promote window spans "only the last instant" to "everything this
+// epoch".
 const (
-	lruWMMin  = 0.30
-	lruWMMax  = 0.98
-	lruWinMin = float64(50 * time.Microsecond)
-	lruWinMax = float64(100 * time.Millisecond)
+	lruWMMin   = 0.30
+	lruWMMax   = 0.98
+	lruWMGap   = 0.02
+	lruHighMin = lruWMMin + lruWMGap
+	lruWinMin  = float64(50 * time.Microsecond)
+	lruWinMax  = float64(100 * time.Millisecond)
 )
 
 // demoteSlack is the headroom under the high watermark at which demotion
@@ -128,7 +132,7 @@ func (p *LRU) Params() []Param {
 		// Step 0.08: a probe must move the objective past interval noise
 		// (sampling jitter on the fast-read fraction is a few percent), and
 		// a 4% watermark nudge on a small fast tier does not.
-		{Name: "high_watermark", Kind: KindFraction, Value: p.highWM(), Min: lruWMMin, Max: lruWMMax, Step: 0.08},
+		{Name: "high_watermark", Kind: KindFraction, Value: p.highWM(), Min: lruHighMin, Max: lruWMMax, Step: 0.08},
 		{Name: "low_watermark", Kind: KindFraction, Value: p.lowWM(), Min: lruWMMin, Max: lruWMMax, Step: 0.08},
 		{Name: "promote_window_ns", Kind: KindDuration, Value: float64(p.promoteWin()), Min: lruWinMin, Max: lruWinMax, Step: float64(250 * time.Microsecond)},
 	}
@@ -139,7 +143,7 @@ func (p *LRU) Params() []Param {
 func (p *LRU) SetParam(name string, v float64) error {
 	switch name {
 	case "high_watermark":
-		p.highK.store(clampTo(v, lruWMMin, lruWMMax))
+		p.highK.store(clampTo(v, lruHighMin, lruWMMax))
 	case "low_watermark":
 		p.lowK.store(clampTo(v, lruWMMin, lruWMMax))
 	case "promote_window_ns":

@@ -59,8 +59,8 @@ func TestLRUParamsEnumerateAndSet(t *testing.T) {
 	if err := p.SetParam("high_watermark", 0.0); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.highWM(); got != lruWMMin {
-		t.Fatalf("clamped highWM = %v, want %v", got, lruWMMin)
+	if got := p.highWM(); got != lruHighMin {
+		t.Fatalf("clamped highWM = %v, want %v", got, lruHighMin)
 	}
 	if err := p.SetParam("promote_window_ns", float64(time.Hour)); err != nil {
 		t.Fatal(err)
@@ -84,6 +84,26 @@ func TestLRULowWatermarkNeverExceedsHigh(t *testing.T) {
 	}
 	if low, high := p.lowWM(), p.highWM(); low > high-0.02+1e-9 {
 		t.Fatalf("low %v not held below high %v", low, high)
+	}
+}
+
+// No sequence of SetParam calls — extremes included — may make Params
+// report a value outside its own [Min, Max]: lowWM's crossing correction
+// once pushed low_watermark to 0.28 with high_watermark at its floor.
+func TestLRUParamsStayInRange(t *testing.T) {
+	p := DefaultLRU()
+	params := p.Params()
+	for i := 0; i < 1000; i++ {
+		pr := params[i%len(params)]
+		v := pr.Min - pr.Step + float64(i*7%23)/22*(pr.Max-pr.Min+2*pr.Step)
+		if err := p.SetParam(pr.Name, v); err != nil {
+			t.Fatal(err)
+		}
+		for _, got := range p.Params() {
+			if got.Value < got.Min || got.Value > got.Max {
+				t.Fatalf("after %s=%v: %s = %v outside [%v, %v]", pr.Name, v, got.Name, got.Value, got.Min, got.Max)
+			}
+		}
 	}
 }
 
