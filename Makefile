@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race stress smoke check bench clean
+.PHONY: all build vet test race stress fuzz smoke check bench clean
 
 all: check
 
@@ -21,6 +21,13 @@ race:
 # in a few runs out of twenty, so they run twenty times in a row.
 stress:
 	$(GO) test -race -count=20 -run 'TestReadFastPathRacesMigration|TestRoutedReadsVsMigration|TestConcurrentMigrationStorm' ./internal/core
+
+# fuzz runs each muxns frame-decoder fuzz target for 10 seconds: no input
+# may panic a decoder, allocate past a fixed multiple of the frame's
+# length, or decode to a value that re-encodes to different bytes.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzNSRequestDecode$$' -fuzztime=10s ./internal/muxrpc
+	$(GO) test -run '^$$' -fuzz '^FuzzNSResponseDecode$$' -fuzztime=10s ./internal/muxrpc
 
 # smoke runs the E6 fault drill, the E7 fan-out comparison, the E8
 # metadata-scaling sweep, the E9 telemetry-overhead gate, and the E10

@@ -24,7 +24,7 @@ import (
 //   - Batching: wire-level batching + server-side coalescing of adjacent
 //     small reads must beat naive one-op-per-frame by ≥2× aggregate
 //     throughput at 64 clients (1.5× in the CI smoke) — the per-frame
-//     round trip and gob cost amortize across sub-ops, and adjacent
+//     round trip and codec cost amortize across sub-ops, and adjacent
 //     sub-ops collapse into single dispatches.
 //   - Fairness: with per-client token buckets + DRR, adding one aggressor
 //     (huge pipelined batches) to a population of well-behaved clients

@@ -7,7 +7,10 @@
 // everything one generation older. Eviction scans from the oldest
 // generation, so a page must survive several aging cycles untouched before
 // it becomes a victim — cheap scan cost, better scan resistance than plain
-// LRU.
+// LRU. As in Linux, each generation is an ordered list: pages enter at the
+// tail, aging appends a generation behind the older one it merges into,
+// and eviction takes the head, so the victim is always the same page for
+// the same access history.
 package cache
 
 import "sync"
@@ -36,12 +39,56 @@ type Stats struct {
 type MGLRU struct {
 	mu       sync.Mutex
 	capacity int
-	gens     [NumGens]map[Key]struct{} // gens[0] = youngest
-	where    map[Key]int               // key -> generation index
-	accesses int                       // accesses since last automatic aging
+	gens     [NumGens]*genList // gens[0] = youngest
+	where    map[Key]*entry
+	accesses int // accesses since last automatic aging
 	ageEvery int
 
 	hits, misses, evictions, ages int64
+}
+
+// entry is one resident key, linked into its generation's list.
+type entry struct {
+	key        Key
+	gen        *genList
+	prev, next *entry
+}
+
+// genList is one generation: a circular doubly linked list, oldest entry
+// first, around a sentinel.
+type genList struct {
+	root entry
+}
+
+func newGenList() *genList {
+	l := &genList{}
+	l.root.prev, l.root.next = &l.root, &l.root
+	return l
+}
+
+func (l *genList) empty() bool { return l.root.next == &l.root }
+
+// pushBack appends e as the list's newest entry.
+func (l *genList) pushBack(e *entry) {
+	e.gen = l
+	e.prev, e.next = l.root.prev, &l.root
+	l.root.prev.next = e
+	l.root.prev = e
+}
+
+func (l *genList) remove(e *entry) {
+	e.prev.next = e.next
+	e.next.prev = e.prev
+	e.prev, e.next, e.gen = nil, nil, nil
+}
+
+// appendList moves every entry of src, in order, behind l's entries.
+func (l *genList) appendList(src *genList) {
+	for !src.empty() {
+		e := src.root.next
+		src.remove(e)
+		l.pushBack(e)
+	}
 }
 
 // New creates an MGLRU tracking at most capacity entries. Aging runs
@@ -53,11 +100,11 @@ func New(capacity int) *MGLRU {
 	}
 	m := &MGLRU{
 		capacity: capacity,
-		where:    make(map[Key]int),
+		where:    make(map[Key]*entry),
 		ageEvery: capacity/NumGens + 1,
 	}
 	for i := range m.gens {
-		m.gens[i] = make(map[Key]struct{})
+		m.gens[i] = newGenList()
 	}
 	return m
 }
@@ -67,19 +114,24 @@ func New(capacity int) *MGLRU {
 func (m *MGLRU) Lookup(k Key) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	gen, ok := m.where[k]
+	e, ok := m.where[k]
 	if !ok {
 		m.misses++
 		return false
 	}
 	m.hits++
-	if gen != 0 {
-		delete(m.gens[gen], k)
-		m.gens[0][k] = struct{}{}
-		m.where[k] = 0
-	}
+	m.promote(e)
 	m.tick()
 	return true
+}
+
+// promote moves e to the tail of the youngest generation, unless it is
+// already there. Caller holds m.mu.
+func (m *MGLRU) promote(e *entry) {
+	if e.gen != m.gens[0] {
+		e.gen.remove(e)
+		m.gens[0].pushBack(e)
+	}
 }
 
 // Contains reports residency without promotion or stats impact.
@@ -96,19 +148,16 @@ func (m *MGLRU) Contains(k Key) bool {
 func (m *MGLRU) Insert(k Key) (victim Key, evicted bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if gen, ok := m.where[k]; ok {
-		if gen != 0 {
-			delete(m.gens[gen], k)
-			m.gens[0][k] = struct{}{}
-			m.where[k] = 0
-		}
+	if e, ok := m.where[k]; ok {
+		m.promote(e)
 		return Key{}, false
 	}
 	if len(m.where) >= m.capacity {
 		victim, evicted = m.evictLocked()
 	}
-	m.gens[0][k] = struct{}{}
-	m.where[k] = 0
+	e := &entry{key: k}
+	m.gens[0].pushBack(e)
+	m.where[k] = e
 	m.tick()
 	return victim, evicted
 }
@@ -117,8 +166,8 @@ func (m *MGLRU) Insert(k Key) (victim Key, evicted bool) {
 func (m *MGLRU) Remove(k Key) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if gen, ok := m.where[k]; ok {
-		delete(m.gens[gen], k)
+	if e, ok := m.where[k]; ok {
+		e.gen.remove(e)
 		delete(m.where, k)
 	}
 }
@@ -127,9 +176,9 @@ func (m *MGLRU) Remove(k Key) {
 func (m *MGLRU) RemoveFile(file uint64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for k, gen := range m.where {
+	for k, e := range m.where {
 		if k.File == file {
-			delete(m.gens[gen], k)
+			e.gen.remove(e)
 			delete(m.where, k)
 		}
 	}
@@ -145,18 +194,14 @@ func (m *MGLRU) Age() {
 func (m *MGLRU) ageLocked() {
 	m.ages++
 	last := NumGens - 1
-	// Merge the two oldest, then shift.
-	for k := range m.gens[last-1] {
-		m.gens[last][k] = struct{}{}
-		m.where[k] = last
-	}
+	// Merge the two oldest — the younger queues behind the oldest — then
+	// shift; the emptied list becomes the new youngest generation.
+	m.gens[last].appendList(m.gens[last-1])
+	emptied := m.gens[last-1]
 	for i := last - 1; i > 0; i-- {
 		m.gens[i] = m.gens[i-1]
-		for k := range m.gens[i] {
-			m.where[k] = i
-		}
 	}
-	m.gens[0] = make(map[Key]struct{})
+	m.gens[0] = emptied
 }
 
 // tick runs automatic aging. Caller holds m.mu.
@@ -168,14 +213,16 @@ func (m *MGLRU) tick() {
 	}
 }
 
-// evictLocked removes one entry from the oldest non-empty generation.
+// evictLocked removes the head (oldest entry) of the oldest non-empty
+// generation.
 func (m *MGLRU) evictLocked() (Key, bool) {
 	for i := NumGens - 1; i >= 0; i-- {
-		for k := range m.gens[i] {
-			delete(m.gens[i], k)
-			delete(m.where, k)
+		if l := m.gens[i]; !l.empty() {
+			e := l.root.next
+			l.remove(e)
+			delete(m.where, e.key)
 			m.evictions++
-			return k, true
+			return e.key, true
 		}
 	}
 	return Key{}, false

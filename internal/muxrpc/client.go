@@ -353,23 +353,47 @@ func (f *remoteFile) check() error {
 	return nil
 }
 
-// ReadAt reads from the remote file.
+// ReadAt reads from the remote file, in wire reads of at most tierMaxRead
+// bytes.
 func (f *remoteFile) ReadAt(p []byte, off int64) (int, error) {
 	if err := f.check(); err != nil {
 		return 0, err
 	}
-	var reply ReadReply
-	if err := f.c.call("MuxTier.ReadAt", ReadArgs{Handle: f.handle, Off: off, N: len(p)}, &reply, true); err != nil {
-		return 0, err
+	return readChunked(p, off, tierMaxRead, func(chunk []byte, off int64) (int, bool, error) {
+		var reply ReadReply
+		if err := f.c.call("MuxTier.ReadAt", ReadArgs{Handle: f.handle, Off: off, N: len(chunk)}, &reply, true); err != nil {
+			return 0, false, err
+		}
+		if err := reply.Err(); err != nil {
+			return 0, false, err
+		}
+		return copy(chunk, reply.Data), reply.EOF, nil
+	})
+}
+
+// readChunked reads p at off in wire reads of at most max bytes. read
+// fills one chunk read from off and reports how many bytes landed and
+// whether the file ended there. readChunked stops at an error, at the end
+// of the file (reported as io.EOF), at a short read, or with p full.
+func readChunked(p []byte, off, max int64, read func(chunk []byte, off int64) (n int, eof bool, err error)) (int, error) {
+	total := 0
+	for {
+		chunk := p[total:]
+		if int64(len(chunk)) > max {
+			chunk = chunk[:max]
+		}
+		n, eof, err := read(chunk, off+int64(total))
+		if err != nil {
+			return total, err
+		}
+		total += n
+		if eof {
+			return total, io.EOF
+		}
+		if n < len(chunk) || total == len(p) {
+			return total, nil
+		}
 	}
-	if err := reply.Err(); err != nil {
-		return 0, err
-	}
-	n := copy(p, reply.Data)
-	if reply.EOF {
-		return n, io.EOF
-	}
-	return n, nil
 }
 
 // WriteAt writes to the remote file. An absolute-offset write of the same

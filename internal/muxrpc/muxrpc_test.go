@@ -1,7 +1,10 @@
 package muxrpc
 
 import (
+	"errors"
+	"io"
 	"net"
+	"net/rpc"
 	"testing"
 
 	"muxfs/internal/device"
@@ -85,4 +88,52 @@ func TestRemoteCrashRecovery(t *testing.T) {
 			return c
 		}
 	})
+}
+
+// TestReadArgsValidated ships hostile ReadArgs straight over net/rpc: a
+// negative or over-cap length must come back as ErrInvalid, not size an
+// allocation (which would panic the server).
+func TestReadArgsValidated(t *testing.T) {
+	c := newRemoteFS(t)
+	f, err := c.Create("/x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := f.(*remoteFile).handle
+	rc, err := rpc.Dial("tcp", c.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	for _, n := range []int{-1, tierMaxRead + 1, 1 << 50} {
+		var reply ReadReply
+		if err := rc.Call("MuxTier.ReadAt", ReadArgs{Handle: h, N: n}, &reply); err != nil {
+			t.Fatalf("N=%d: %v", n, err)
+		}
+		if !errors.Is(reply.Err(), vfs.ErrInvalid) {
+			t.Fatalf("N=%d: status %v, want ErrInvalid", n, reply.Err())
+		}
+	}
+}
+
+// TestReadPastWireCap reads more than tierMaxRead in one ReadAt: the
+// client splits it, and the bytes past the first wire read arrive intact.
+func TestReadPastWireCap(t *testing.T) {
+	c := newRemoteFS(t)
+	f, err := c.Create("/big")
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := tierMaxRead + 4096
+	if _, err := f.WriteAt([]byte("tail"), int64(size-4)); err != nil {
+		t.Fatal(err)
+	}
+	p := make([]byte, size)
+	n, err := f.ReadAt(p, 0)
+	if n != size || (err != nil && !errors.Is(err, io.EOF)) {
+		t.Fatalf("ReadAt = %d, %v; want %d", n, err, size)
+	}
+	if string(p[size-4:]) != "tail" {
+		t.Fatalf("tail = %q", p[size-4:])
+	}
 }

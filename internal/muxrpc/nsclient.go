@@ -1,7 +1,6 @@
 package muxrpc
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -169,28 +168,41 @@ type nsSlot struct {
 	inflight atomic.Int64
 }
 
-// nsConn is one live connection: a framed gob stream with a reader
-// goroutine routing responses to pending calls by sequence number.
+// nsConn is one live connection: a frame stream with a reader goroutine
+// routing responses to pending calls by sequence number.
 type nsConn struct {
 	nc net.Conn
-	fw *NSFrameWriter
-	fr *NSFrameReader
+	fr *NSFrameReader // read loop only (after the handshake)
 
-	encMu sync.Mutex // serializes frame encoding + flush
-	enc   *gob.Encoder
-	dec   *gob.Decoder
+	wmu sync.Mutex // serializes frame writes
+	fw  *NSFrameWriter
 
 	mu      sync.Mutex
 	seq     uint64
-	pending map[uint64]chan nsCallRes
+	pending map[uint64]*nsCall
 	dead    bool
 	err     error
 }
 
-// nsCallRes is a routed response or the connection failure that ended it.
-type nsCallRes struct {
-	resp *NSResponse
+// nsCall is one request in flight. Calls are pooled and keep their
+// one-slot done channel across uses; the read loop decodes the reply into
+// resp — a read's data straight into dst — or sets err, then signals done
+// exactly once. The caller owns the call from done until release.
+type nsCall struct {
+	op   NSOp
+	dst  []byte
+	resp NSResponse
 	err  error
+	done chan struct{}
+}
+
+var nsCallPool = sync.Pool{New: func() any { return &nsCall{done: make(chan struct{}, 1)} }}
+
+// release returns the call to the pool, dropping its references to the
+// caller's buffer and the reply's fields.
+func (cl *nsCall) release() {
+	*cl = nsCall{done: cl.done}
+	nsCallPool.Put(cl)
 }
 
 // get returns the slot's live connection, dialing (and handshaking) a new
@@ -212,32 +224,24 @@ func (s *nsSlot) get() (*nsConn, error) {
 	}
 	// The frame cap starts at the default payload budget (the hello reply
 	// is tiny) and widens to the server's negotiated MaxData below.
-	fw := NewNSFrameWriter(nc)
-	fr := NewNSFrameReader(nc, NSDefaultMaxData+nsFrameSlack)
 	conn := &nsConn{
 		nc:      nc,
-		fw:      fw,
-		fr:      fr,
-		enc:     gob.NewEncoder(fw),
-		dec:     gob.NewDecoder(fr),
-		pending: map[uint64]chan nsCallRes{},
+		fw:      NewNSFrameWriter(nc),
+		fr:      NewNSFrameReader(nc, NSDefaultMaxData+nsFrameSlack),
+		pending: map[uint64]*nsCall{},
 	}
 	// Hello handshake, synchronous on the fresh stream: a peer that is
-	// reachable but not speaking muxns fails here with ErrHandshake.
-	hello := &NSRequest{Seq: 1, Op: NSHello, N: NSProtoVersion}
+	// reachable but not speaking muxns v3 fails here with ErrHandshake.
 	conn.seq = 1
-	if err := conn.send(hello); err != nil {
-		nc.Close()
-		tierHandshakeFails.Add(1)
-		return nil, fmt.Errorf("%w: %s %s: %v", ErrHandshake, s.c.network, s.c.addr, err)
-	}
 	var hr NSResponse
-	if err := conn.dec.Decode(&hr); err != nil {
-		nc.Close()
-		tierHandshakeFails.Add(1)
-		return nil, fmt.Errorf("%w: %s %s: %v", ErrHandshake, s.c.network, s.c.addr, err)
+	err = conn.send(&NSRequest{Seq: 1, Op: NSHello, N: NSProtoVersion})
+	if err == nil {
+		err = conn.fr.ReadResponse(&hr)
 	}
-	if err := hr.Err(); err != nil {
+	if err == nil {
+		err = hr.Err()
+	}
+	if err != nil {
 		nc.Close()
 		tierHandshakeFails.Add(1)
 		return nil, fmt.Errorf("%w: %s %s: %v", ErrHandshake, s.c.network, s.c.addr, err)
@@ -256,7 +260,7 @@ func (s *nsSlot) get() (*nsConn, error) {
 		// Response frames carry at most one request's payload; widen the
 		// cap before the first pipelined frame (readLoop is not running
 		// yet, so this cannot race a read).
-		fr.SetMax(hr.MaxData + nsFrameSlack)
+		conn.fr.SetMax(hr.MaxData + nsFrameSlack)
 	}
 	s.cur = conn
 	go s.readLoop(conn)
@@ -282,60 +286,97 @@ func (s *nsSlot) close() {
 	}
 }
 
-// readLoop decodes response frames and routes them by Seq until the stream
-// dies, then fails every pending call.
+// readLoop routes response frames to their calls until the stream dies or
+// a frame fails to parse, then fails every pending call. The call whose
+// reply broke the stream is told last, once the connection is dead and
+// dropped, so nothing its caller does next can land on it.
 func (s *nsSlot) readLoop(conn *nsConn) {
 	for {
-		resp := &NSResponse{}
-		if err := conn.dec.Decode(resp); err != nil {
+		cl, err := conn.readOne()
+		if err != nil {
 			conn.fail(err)
 			s.drop(conn)
 			conn.nc.Close()
+			if cl != nil {
+				cl.err = err
+				cl.done <- struct{}{}
+			}
 			return
 		}
-		conn.route(resp)
 	}
 }
 
-// send encodes one frame and flushes it. Callers hold no conn locks.
-func (c *nsConn) send(req *NSRequest) error {
-	c.encMu.Lock()
-	defer c.encMu.Unlock()
-	if err := c.enc.Encode(req); err != nil {
-		return err
+// readOne reads one response frame and delivers it to the call waiting on
+// its Seq. A reply no call waits for, one that does not match its call's
+// op, or one carrying more read data than the call's destination holds is
+// a protocol error: it is returned (with the call, undelivered) and the
+// connection dies.
+func (c *nsConn) readOne() (*nsCall, error) {
+	d, err := c.fr.next()
+	if err != nil {
+		return nil, err
 	}
-	return c.fw.Flush()
-}
-
-// register allocates a sequence number and parks a result channel for it.
-func (c *nsConn) register() (uint64, chan nsCallRes, error) {
+	seq, op, code := decodeRespHeader(d)
+	if d.err != nil {
+		return nil, d.err
+	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	cl := c.pending[seq]
+	delete(c.pending, seq)
+	c.mu.Unlock()
+	if cl == nil {
+		d.fail("reply to unknown seq %d", seq)
+		return nil, d.err
+	}
+	if op != cl.op {
+		d.fail("reply op %s for a %s call", op, cl.op)
+	} else {
+		cl.resp.Seq, cl.resp.Op, cl.resp.Code = seq, op, code
+		cl.resp.decodeBody(d, cl.dst, op == NSRead)
+	}
+	if err := d.end(); err != nil {
+		return cl, err
+	}
+	cl.done <- struct{}{}
+	return nil, nil
+}
+
+// send writes one frame and flushes it. Callers hold no conn locks.
+func (c *nsConn) send(req *NSRequest) error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	return c.fw.WriteRequest(req)
+}
+
+// register allocates a sequence number and parks a pooled call for it.
+func (c *nsConn) register(op NSOp, dst []byte) (uint64, *nsCall, error) {
+	cl := nsCallPool.Get().(*nsCall)
+	cl.op, cl.dst = op, dst
+	c.mu.Lock()
 	if c.dead {
-		return 0, nil, c.err
+		err := c.err
+		c.mu.Unlock()
+		cl.release()
+		return 0, nil, err
 	}
 	c.seq++
 	seq := c.seq
-	ch := make(chan nsCallRes, 1)
-	c.pending[seq] = ch
-	return seq, ch, nil
+	c.pending[seq] = cl
+	c.mu.Unlock()
+	return seq, cl, nil
 }
 
-func (c *nsConn) unregister(seq uint64) {
+// unregister withdraws a call whose request never went out. It reports
+// false when the read loop (or fail) already claimed the call, which is
+// then signaled and must be waited for before release.
+func (c *nsConn) unregister(seq uint64) bool {
 	c.mu.Lock()
-	delete(c.pending, seq)
-	c.mu.Unlock()
-}
-
-// route delivers one response to its waiting call.
-func (c *nsConn) route(resp *NSResponse) {
-	c.mu.Lock()
-	ch := c.pending[resp.Seq]
-	delete(c.pending, resp.Seq)
-	c.mu.Unlock()
-	if ch != nil {
-		ch <- nsCallRes{resp: resp}
+	defer c.mu.Unlock()
+	if _, ok := c.pending[seq]; !ok {
+		return false
 	}
+	delete(c.pending, seq)
+	return true
 }
 
 // fail marks the connection dead and errors out every pending call.
@@ -348,18 +389,20 @@ func (c *nsConn) fail(err error) {
 	c.dead = true
 	c.err = err
 	pend := c.pending
-	c.pending = map[uint64]chan nsCallRes{}
+	c.pending = map[uint64]*nsCall{}
 	c.mu.Unlock()
-	for _, ch := range pend {
-		ch <- nsCallRes{err: err}
+	for _, cl := range pend {
+		cl.err = err
+		cl.done <- struct{}{}
 	}
 }
 
-// do issues one request over conn and waits for its routed response. A
+// do issues one request over conn and waits for its routed response; a
+// read's data lands in dst. The caller releases the returned call. A
 // connection-level failure is returned as-is (callers classify it with
 // isConnErr).
-func (c *NSClient) do(s *nsSlot, conn *nsConn, req *NSRequest) (*NSResponse, error) {
-	seq, ch, err := conn.register()
+func (c *NSClient) do(s *nsSlot, conn *nsConn, req *NSRequest, dst []byte) (*nsCall, error) {
+	seq, cl, err := conn.register(req.Op, dst)
 	if err != nil {
 		return nil, err
 	}
@@ -368,33 +411,39 @@ func (c *NSClient) do(s *nsSlot, conn *nsConn, req *NSRequest) (*NSResponse, err
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
 	if err := conn.send(req); err != nil {
-		conn.unregister(seq)
+		if !conn.unregister(seq) {
+			<-cl.done
+		}
+		cl.release()
 		conn.nc.Close() // stream state unknown; kill it so the reader redials
 		c.connErrs.Add(1)
 		return nil, err
 	}
-	res := <-ch
-	if res.err != nil {
+	<-cl.done
+	if err := cl.err; err != nil {
+		cl.release()
 		c.connErrs.Add(1)
-		return nil, res.err
+		return nil, err
 	}
-	return res.resp, nil
+	return cl, nil
 }
 
 // doBusy runs do plus the busy-retry loop: a codeBusy response sleeps the
 // server's retry-after hint and re-issues the request, bounded by
 // BusyRetries. Connection errors pass through untouched.
-func (c *NSClient) doBusy(s *nsSlot, conn *nsConn, req *NSRequest) (*NSResponse, error) {
+func (c *NSClient) doBusy(s *nsSlot, conn *nsConn, req *NSRequest, dst []byte) (*nsCall, error) {
 	for attempt := 0; ; attempt++ {
-		resp, err := c.do(s, conn, req)
+		cl, err := c.do(s, conn, req, dst)
 		if err != nil {
 			return nil, err
 		}
-		if resp.Code != codeBusy || attempt >= c.opts.BusyRetries || c.opts.BusyRetries < 0 {
-			return resp, nil
+		if cl.resp.Code != codeBusy || attempt >= c.opts.BusyRetries || c.opts.BusyRetries < 0 {
+			return cl, nil
 		}
+		wait := c.busyBackoff(&cl.resp, attempt)
+		cl.release()
 		c.busyWaits.Add(1)
-		time.Sleep(c.busyBackoff(resp, attempt))
+		time.Sleep(wait)
 	}
 }
 
@@ -418,51 +467,36 @@ func (c *NSClient) busyBackoff(resp *NSResponse, attempt int) time.Duration {
 	return wait
 }
 
-// call issues a path-level request over the next pooled slot, redialing
-// and retrying once on connection failure when the op is idempotent.
-func (c *NSClient) call(req *NSRequest, idempotent bool) (*NSResponse, error) {
-	s := c.slots[c.next.Add(1)%uint64(len(c.slots))]
+// pick chooses the pool slot for a path-level request.
+func (c *NSClient) pick() *nsSlot { return c.slots[c.next.Add(1)%uint64(len(c.slots))] }
+
+// call issues a path-level request over slot s, redialing and retrying
+// once on connection failure when the op is idempotent. It returns the
+// call (for the caller to release) and the connection that served it.
+func (c *NSClient) call(s *nsSlot, req *NSRequest, idempotent bool) (*nsCall, *nsConn, error) {
 	var lastErr error
 	for attempt := 0; attempt < 2; attempt++ {
 		conn, err := s.get()
 		if err != nil {
 			if lastErr != nil {
-				return nil, lastErr
+				return nil, nil, lastErr
 			}
-			return nil, err
+			return nil, nil, err
 		}
-		resp, err := c.do(s, conn, req)
+		cl, err := c.doBusy(s, conn, req, nil)
 		if err == nil {
-			resp2, err2 := c.busyTail(s, conn, req, resp)
-			if err2 != nil && isConnErr(err2) && !idempotent {
-				return nil, &NonIdempotentError{Method: "muxns." + req.Op.String(), Cause: err2}
-			}
-			return resp2, err2
+			return cl, conn, nil
 		}
 		if !isConnErr(err) {
-			return nil, err
+			return nil, nil, err
 		}
 		if !idempotent {
-			return nil, &NonIdempotentError{Method: "muxns." + req.Op.String(), Cause: err}
+			return nil, nil, &NonIdempotentError{Method: "muxns." + req.Op.String(), Cause: err}
 		}
 		lastErr = err
 		c.retries.Add(1)
 	}
-	return nil, lastErr
-}
-
-// busyTail finishes the busy-retry loop for a response already in hand.
-func (c *NSClient) busyTail(s *nsSlot, conn *nsConn, req *NSRequest, resp *NSResponse) (*NSResponse, error) {
-	for attempt := 0; resp.Code == codeBusy && attempt < c.opts.BusyRetries && c.opts.BusyRetries >= 0; attempt++ {
-		c.busyWaits.Add(1)
-		time.Sleep(c.busyBackoff(resp, attempt))
-		var err error
-		resp, err = c.do(s, conn, req)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return resp, nil
+	return nil, nil, lastErr
 }
 
 // Name identifies the remote namespace.
@@ -485,41 +519,25 @@ func (c *NSClient) Open(path string) (vfs.File, error) {
 }
 
 func (c *NSClient) openOrCreate(path string, op NSOp, idempotent bool) (vfs.File, error) {
-	s := c.slots[c.next.Add(1)%uint64(len(c.slots))]
-	var lastErr error
-	for attempt := 0; attempt < 2; attempt++ {
-		conn, err := s.get()
-		if err != nil {
-			if lastErr != nil {
-				return nil, lastErr
-			}
-			return nil, err
-		}
-		resp, err := c.doBusy(s, conn, &NSRequest{Op: op, Path: path})
-		if err == nil {
-			if rerr := resp.Err(); rerr != nil {
-				return nil, rerr
-			}
-			return &NSFile{c: c, slot: s, conn: conn, handle: resp.Handle, path: vfs.CleanPath(path)}, nil
-		}
-		if !isConnErr(err) {
-			return nil, err
-		}
-		if !idempotent {
-			return nil, &NonIdempotentError{Method: "muxns." + op.String(), Cause: err}
-		}
-		lastErr = err
-		c.retries.Add(1)
+	s := c.pick()
+	cl, conn, err := c.call(s, &NSRequest{Op: op, Path: path}, idempotent)
+	if err != nil {
+		return nil, err
 	}
-	return nil, lastErr
+	defer cl.release()
+	if err := cl.resp.Err(); err != nil {
+		return nil, err
+	}
+	return &NSFile{c: c, slot: s, conn: conn, handle: cl.resp.Handle, path: vfs.CleanPath(path)}, nil
 }
 
 func (c *NSClient) callOK(req *NSRequest, idempotent bool) error {
-	resp, err := c.call(req, idempotent)
+	cl, _, err := c.call(c.pick(), req, idempotent)
 	if err != nil {
 		return err
 	}
-	return resp.Err()
+	defer cl.release()
+	return cl.resp.Err()
 }
 
 // Remove deletes a remote file or empty directory (not idempotent).
@@ -539,20 +557,22 @@ func (c *NSClient) Mkdir(path string) error {
 
 // ReadDir lists a remote directory.
 func (c *NSClient) ReadDir(path string) ([]vfs.DirEntry, error) {
-	resp, err := c.call(&NSRequest{Op: NSReadDir, Path: path}, true)
+	cl, _, err := c.call(c.pick(), &NSRequest{Op: NSReadDir, Path: path}, true)
 	if err != nil {
 		return nil, err
 	}
-	return resp.Entries, resp.Err()
+	defer cl.release()
+	return cl.resp.Entries, cl.resp.Err()
 }
 
 // Stat returns remote path metadata.
 func (c *NSClient) Stat(path string) (vfs.FileInfo, error) {
-	resp, err := c.call(&NSRequest{Op: NSStat, Path: path}, true)
+	cl, _, err := c.call(c.pick(), &NSRequest{Op: NSStat, Path: path}, true)
 	if err != nil {
 		return vfs.FileInfo{}, err
 	}
-	return resp.Info, resp.Err()
+	defer cl.release()
+	return cl.resp.Info, cl.resp.Err()
 }
 
 // SetAttr applies a partial metadata update (absolute values; idempotent).
@@ -580,11 +600,12 @@ func (c *NSClient) Truncate(path string, size int64) error {
 
 // Statfs reports remote capacity.
 func (c *NSClient) Statfs() (vfs.StatFS, error) {
-	resp, err := c.call(&NSRequest{Op: NSStatfs}, true)
+	cl, _, err := c.call(c.pick(), &NSRequest{Op: NSStatfs}, true)
 	if err != nil {
 		return vfs.StatFS{}, err
 	}
-	return resp.Stat, resp.Err()
+	defer cl.release()
+	return cl.resp.Stat, cl.resp.Err()
 }
 
 // Sync persists the remote namespace.
@@ -624,14 +645,16 @@ func (f *NSFile) ensure() (*nsConn, uint64, error) {
 		return nil, 0, err
 	}
 	if conn != f.conn {
-		resp, err := f.c.doBusy(f.slot, conn, &NSRequest{Op: NSOpen, Path: f.path})
+		cl, err := f.c.doBusy(f.slot, conn, &NSRequest{Op: NSOpen, Path: f.path}, nil)
 		if err != nil {
 			return nil, 0, err
 		}
-		if rerr := resp.Err(); rerr != nil {
+		handle, rerr := cl.resp.Handle, cl.resp.Err()
+		cl.release()
+		if rerr != nil {
 			return nil, 0, rerr
 		}
-		f.conn, f.handle = conn, resp.Handle
+		f.conn, f.handle = conn, handle
 		f.c.reopens.Add(1)
 	}
 	return f.conn, f.handle, nil
@@ -639,7 +662,8 @@ func (f *NSFile) ensure() (*nsConn, uint64, error) {
 
 // rw issues one handle op with a single reconnect-reopen-retry; every
 // handle op except Close is idempotent (absolute offsets, absolute sizes).
-func (f *NSFile) rw(req *NSRequest) (*NSResponse, error) {
+// A read's data lands in dst. The caller releases the returned call.
+func (f *NSFile) rw(req *NSRequest, dst []byte) (*nsCall, error) {
 	var lastErr error
 	for attempt := 0; attempt < 2; attempt++ {
 		conn, handle, err := f.ensure()
@@ -650,9 +674,9 @@ func (f *NSFile) rw(req *NSRequest) (*NSResponse, error) {
 			return nil, err
 		}
 		req.Handle = handle
-		resp, err := f.c.doBusy(f.slot, conn, req)
+		cl, err := f.c.doBusy(f.slot, conn, req, dst)
 		if err == nil {
-			return resp, nil
+			return cl, nil
 		}
 		if !isConnErr(err) {
 			return nil, err
@@ -663,32 +687,29 @@ func (f *NSFile) rw(req *NSRequest) (*NSResponse, error) {
 	return nil, lastErr
 }
 
-// ReadAt reads from the remote file. Requests larger than the server's
-// negotiated payload cap are chunked into several wire reads.
-func (f *NSFile) ReadAt(p []byte, off int64) (int, error) {
-	max := f.c.MaxData()
-	total := 0
-	for {
-		chunk := p[total:]
-		if int64(len(chunk)) > max {
-			chunk = chunk[:max]
-		}
-		resp, err := f.rw(&NSRequest{Op: NSRead, Off: off + int64(total), N: int64(len(chunk))})
-		if err != nil {
-			return total, err
-		}
-		if rerr := resp.Err(); rerr != nil {
-			return total, rerr
-		}
-		n := copy(chunk, resp.Data)
-		total += n
-		if resp.EOF {
-			return total, io.EOF
-		}
-		if n < len(chunk) || total == len(p) {
-			return total, nil
-		}
+// rwOK issues a handle op that returns only a status.
+func (f *NSFile) rwOK(req *NSRequest) error {
+	cl, err := f.rw(req, nil)
+	if err != nil {
+		return err
 	}
+	defer cl.release()
+	return cl.resp.Err()
+}
+
+// ReadAt reads from the remote file. The reply's data is read off the
+// wire straight into p. Requests larger than the server's negotiated
+// payload cap are chunked into several wire reads.
+func (f *NSFile) ReadAt(p []byte, off int64) (int, error) {
+	return readChunked(p, off, f.c.MaxData(), func(chunk []byte, off int64) (int, bool, error) {
+		cl, err := f.rw(&NSRequest{Op: NSRead, Off: off, N: int64(len(chunk))}, chunk)
+		if err != nil {
+			return 0, false, err
+		}
+		n, eof, err := len(cl.resp.Data), cl.resp.EOF, cl.resp.Err()
+		cl.release()
+		return n, eof, err
+	})
 }
 
 // WriteAt writes to the remote file (absolute offset; idempotent).
@@ -702,13 +723,14 @@ func (f *NSFile) WriteAt(p []byte, off int64) (int, error) {
 		if int64(len(chunk)) > max {
 			chunk = chunk[:max]
 		}
-		resp, err := f.rw(&NSRequest{Op: NSWrite, Off: off + int64(total), Data: chunk})
+		cl, err := f.rw(&NSRequest{Op: NSWrite, Off: off + int64(total), Data: chunk}, nil)
 		if err != nil {
 			return total, err
 		}
-		n := int(resp.N)
+		n, rerr := int(cl.resp.N), cl.resp.Err()
+		cl.release()
 		total += n
-		if rerr := resp.Err(); rerr != nil {
+		if rerr != nil {
 			return total, rerr
 		}
 		if n < len(chunk) {
@@ -722,47 +744,37 @@ func (f *NSFile) WriteAt(p []byte, off int64) (int, error) {
 
 // Truncate sets the remote file's size.
 func (f *NSFile) Truncate(size int64) error {
-	resp, err := f.rw(&NSRequest{Op: NSTruncateHandle, N: size})
-	if err != nil {
-		return err
-	}
-	return resp.Err()
+	return f.rwOK(&NSRequest{Op: NSTruncateHandle, N: size})
 }
 
 // PunchHole deallocates a remote range.
 func (f *NSFile) PunchHole(off, n int64) error {
-	resp, err := f.rw(&NSRequest{Op: NSPunch, Off: off, N: n})
-	if err != nil {
-		return err
-	}
-	return resp.Err()
+	return f.rwOK(&NSRequest{Op: NSPunch, Off: off, N: n})
 }
 
 // Sync fsyncs the remote file.
 func (f *NSFile) Sync() error {
-	resp, err := f.rw(&NSRequest{Op: NSSyncHandle})
-	if err != nil {
-		return err
-	}
-	return resp.Err()
+	return f.rwOK(&NSRequest{Op: NSSyncHandle})
 }
 
 // Stat returns the remote file's metadata.
 func (f *NSFile) Stat() (vfs.FileInfo, error) {
-	resp, err := f.rw(&NSRequest{Op: NSStatHandle})
+	cl, err := f.rw(&NSRequest{Op: NSStatHandle}, nil)
 	if err != nil {
 		return vfs.FileInfo{}, err
 	}
-	return resp.Info, resp.Err()
+	defer cl.release()
+	return cl.resp.Info, cl.resp.Err()
 }
 
 // Extents lists the remote file's allocated runs.
 func (f *NSFile) Extents() ([]vfs.Extent, error) {
-	resp, err := f.rw(&NSRequest{Op: NSExtents})
+	cl, err := f.rw(&NSRequest{Op: NSExtents}, nil)
 	if err != nil {
 		return nil, err
 	}
-	return resp.Extents, resp.Err()
+	defer cl.release()
+	return cl.resp.Extents, cl.resp.Err()
 }
 
 // Close releases the remote handle. If the connection already died, the
@@ -782,14 +794,15 @@ func (f *NSFile) Close() error {
 	if !live {
 		return nil
 	}
-	resp, err := f.c.do(f.slot, conn, &NSRequest{Op: NSClose, Handle: handle})
+	cl, err := f.c.do(f.slot, conn, &NSRequest{Op: NSClose, Handle: handle}, nil)
 	if err != nil {
 		if isConnErr(err) {
 			return nil // the connection's death closed the handle server-side
 		}
 		return err
 	}
-	return resp.Err()
+	defer cl.release()
+	return cl.resp.Err()
 }
 
 // NSBatchOp is one sub-operation for Batch: a read (Read=true, N bytes at
@@ -890,7 +903,7 @@ func (c *NSClient) batchGroup(slot *nsSlot, ops []NSBatchOp, idxs []int, results
 			}
 			subs = append(subs, sub)
 		}
-		resp, err := c.doBusy(slot, conn, &NSRequest{Op: NSBatch, Batch: subs})
+		cl, err := c.doBusy(slot, conn, &NSRequest{Op: NSBatch, Batch: subs}, nil)
 		if err != nil {
 			if !isConnErr(err) {
 				return err
@@ -899,20 +912,21 @@ func (c *NSClient) batchGroup(slot *nsSlot, ops []NSBatchOp, idxs []int, results
 			c.retries.Add(1)
 			continue
 		}
-		if rerr := resp.Err(); rerr != nil {
-			return rerr
-		}
-		for _, sr := range resp.Batch {
-			i := int(sr.ID)
-			if i < 0 || i >= len(results) {
-				continue
+		err = cl.resp.Err()
+		if err == nil {
+			for _, sr := range cl.resp.Batch {
+				i := int(sr.ID)
+				if i < 0 || i >= len(results) {
+					continue
+				}
+				results[i] = NSBatchResult{
+					N: int(sr.N), EOF: sr.EOF, Data: sr.Data,
+					Err: sr.Err(), Coalesced: sr.Coalesced,
+				}
 			}
-			results[i] = NSBatchResult{
-				N: int(sr.N), EOF: sr.EOF, Data: sr.Data,
-				Err: sr.Err(), Coalesced: sr.Coalesced,
-			}
 		}
-		return nil
+		cl.release()
+		return err
 	}
 	return lastErr
 }

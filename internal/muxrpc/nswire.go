@@ -11,13 +11,14 @@ import (
 // remote Mux; muxns exports a whole Mux *namespace* to many clients, and is
 // shaped for a production front end rather than a point-to-point proxy:
 //
-//   - One gob stream per connection carries NSRequest/NSResponse pairs
-//     matched by Seq, each inside a length-prefixed frame (nsframe.go) so
-//     either side can reject an oversized frame from its 4-byte header —
-//     before the decoder allocates anything for it. Responses may return
-//     in any order — the server pipelines them as workers finish — so a
-//     slow readdir never head-of-line blocks a fast stat on the same
-//     socket.
+//   - Each connection carries NSRequest/NSResponse pairs matched by Seq,
+//     each one length-prefixed frame (nsframe.go) in a hand-written binary
+//     layout (nscodec.go): a fixed header, then only the fields the op
+//     uses. Either side rejects an oversized frame from its 4-byte header,
+//     and every length inside a frame is checked against the bytes left in
+//     it before anything is allocated. Responses may return in any order —
+//     the server pipelines them as workers finish — so a slow readdir
+//     never head-of-line blocks a fast stat on the same socket.
 //   - A request may carry a *batch* of sub-operations (reads/writes tagged
 //     with caller-chosen ids). The server coalesces adjacent sub-ops per
 //     handle into single downward dispatches and replies per sub-op.
@@ -76,8 +77,9 @@ func (op NSOp) String() string {
 
 // NSProtoVersion is the muxns protocol version; the hello frame carries it
 // and the server rejects mismatches. Version 2 added the length-prefixed
-// frame layer and the negotiated MaxData payload cap.
-const NSProtoVersion = 2
+// frame layer and the negotiated MaxData payload cap; version 3 replaced
+// the gob frame bodies with the binary layout in nscodec.go.
+const NSProtoVersion = 3
 
 // NSOpCount reports the size of the op space, for per-op instrument
 // tables indexed by NSOp.
@@ -87,12 +89,6 @@ func NSOpCount() int { return int(nsOpCount) }
 // nil — so the namespace server can fill responses without re-implementing
 // the sentinel table.
 func EncodeStatus(err error) (int, string) { return encodeErr(err) }
-
-// NSBusy builds a busy rejection (admission control) with a retry-after
-// hint in milliseconds.
-func NSBusy(seq uint64, retryAfterMs int64) *NSResponse {
-	return &NSResponse{Seq: seq, Code: codeBusy, Msg: ErrBusy.Error(), RetryAfterMs: retryAfterMs}
-}
 
 // ToSetAttr unflattens the wire form back to the vfs partial update.
 func (a SetAttrArgs) ToSetAttr() vfs.SetAttr {
@@ -116,7 +112,7 @@ func (a SetAttrArgs) ToSetAttr() vfs.SetAttr {
 }
 
 // NSRequest is one framed namespace request. Fields are a union over the
-// op set; unused fields stay zero (gob encodes them compactly).
+// op set; the wire carries only the ones its op uses (nscodec.go).
 type NSRequest struct {
 	Seq uint64
 	Op  NSOp
@@ -146,9 +142,11 @@ type NSSubOp struct {
 	Data   []byte // write payload
 }
 
-// NSResponse is one framed reply, matched to its request by Seq.
+// NSResponse is one framed reply, matched to its request by Seq. Op echoes
+// the request's op, which selects the fields the wire carries.
 type NSResponse struct {
 	Seq  uint64
+	Op   NSOp
 	Code int
 	Msg  string
 

@@ -2,6 +2,7 @@ package muxrpc
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/rpc"
@@ -229,9 +230,14 @@ func (s *Server) Sync(_ struct{}, reply *OKReply) error {
 	return nil
 }
 
-// ReadAt serves a handle read.
+// ReadAt serves a handle read. The length is a wire integer, so it is
+// checked against tierMaxRead before it sizes the read buffer.
 func (s *Server) ReadAt(args ReadArgs, reply *ReadReply) error {
 	defer s.begin()()
+	if args.N < 0 || args.N > tierMaxRead {
+		reply.Status = status(fmt.Errorf("%w: read of %d bytes (cap %d)", vfs.ErrInvalid, args.N, tierMaxRead))
+		return nil
+	}
 	f, err := s.handle(args.Handle)
 	if err != nil {
 		reply.Status = status(err)

@@ -213,6 +213,13 @@ type OKReply struct{ Status }
 // HandleArgs addresses an open handle.
 type HandleArgs struct{ Handle uint64 }
 
+// tierMaxRead caps one MuxTier ReadAt: the server answers a negative or
+// longer length with vfs.ErrInvalid before allocating anything, and
+// Client splits longer reads. The cap sits well above the largest reads
+// the stripe layer sends a node (a batch of at most 4 MiB across the
+// data shards) and migration's 256 KiB copy chunks, so neither is split.
+const tierMaxRead = 16 << 20
+
 // ReadArgs requests a read.
 type ReadArgs struct {
 	Handle uint64

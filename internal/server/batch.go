@@ -21,7 +21,8 @@ const maxCoalesceSpan = 1 << 20
 // merge only exactly-abutting ranges — overlapping writes have an
 // order-dependent outcome the wire format does not define, so they stay
 // separate dispatches in offset order.
-func (s *Server) serveBatch(c *conn, subs []muxrpc.NSSubOp) []muxrpc.NSSubResult {
+func (s *Server) serveBatch(t *task) []muxrpc.NSSubResult {
+	subs := t.req.Batch
 	s.batchSubOps.Add(int64(len(subs)))
 	results := make([]muxrpc.NSSubResult, len(subs))
 	type groupKey struct {
@@ -47,7 +48,7 @@ func (s *Server) serveBatch(c *conn, subs []muxrpc.NSSubOp) []muxrpc.NSSubResult
 	}
 	for _, k := range order {
 		idxs := groups[k]
-		h, err := c.handle(k.handle)
+		h, err := t.c.handle(k.handle)
 		if err != nil {
 			code, msg := muxrpc.EncodeStatus(err)
 			for _, i := range idxs {
@@ -57,9 +58,9 @@ func (s *Server) serveBatch(c *conn, subs []muxrpc.NSSubOp) []muxrpc.NSSubResult
 		}
 		sort.SliceStable(idxs, func(a, b int) bool { return subs[idxs[a]].Off < subs[idxs[b]].Off })
 		if k.write {
-			s.batchWrites(h, subs, idxs, results)
+			s.batchWrites(t, h, subs, idxs, results)
 		} else {
-			s.batchReads(h.f, subs, idxs, results)
+			s.batchReads(t, h.f, subs, idxs, results)
 		}
 	}
 	return results
@@ -67,7 +68,7 @@ func (s *Server) serveBatch(c *conn, subs []muxrpc.NSSubOp) []muxrpc.NSSubResult
 
 // batchReads serves one handle's read sub-ops (sorted by offset), merging
 // runs whose ranges touch or overlap into one ReadAt.
-func (s *Server) batchReads(f vfs.File, subs []muxrpc.NSSubOp, idxs []int, results []muxrpc.NSSubResult) {
+func (s *Server) batchReads(t *task, f vfs.File, subs []muxrpc.NSSubOp, idxs []int, results []muxrpc.NSSubResult) {
 	for start := 0; start < len(idxs); {
 		first := subs[idxs[start]]
 		runStart := first.Off
@@ -92,7 +93,7 @@ func (s *Server) batchReads(f vfs.File, subs []muxrpc.NSSubOp, idxs []int, resul
 		s.batchDisp.Add(1)
 		s.batchSaved.Add(int64(len(run) - 1))
 
-		buf := make([]byte, runEnd-runStart)
+		buf := t.buf(int(runEnd - runStart))
 		n, err := f.ReadAt(buf, runStart)
 		s.bytesRead.Add(int64(n))
 		eof := errors.Is(err, io.EOF)
@@ -118,9 +119,9 @@ func (s *Server) batchReads(f vfs.File, subs []muxrpc.NSSubOp, idxs []int, resul
 				// sub-op's EOF even though siblings were fully served.
 				r.EOF = eof
 			}
-			// buf is private to this dispatch, so results may alias it
-			// rather than paying a per-sub-op copy; the encoder reads it
-			// before the next frame is served.
+			// buf is the task's own pooled buffer, so results may alias it
+			// rather than paying a per-sub-op copy: it is not recycled
+			// until the reply frame carrying them has been flushed.
 			r.Data = buf[lo-runStart : hi-runStart : hi-runStart]
 			r.N = hi - lo
 		}
@@ -130,7 +131,7 @@ func (s *Server) batchReads(f vfs.File, subs []muxrpc.NSSubOp, idxs []int, resul
 
 // batchWrites serves one handle's write sub-ops (sorted by offset),
 // merging exactly-abutting ranges into one WriteAt.
-func (s *Server) batchWrites(h nsHandle, subs []muxrpc.NSSubOp, idxs []int, results []muxrpc.NSSubResult) {
+func (s *Server) batchWrites(t *task, h nsHandle, subs []muxrpc.NSSubOp, idxs []int, results []muxrpc.NSSubResult) {
 	defer s.invalidate(h.path)
 	for start := 0; start < len(idxs); {
 		first := subs[idxs[start]]
@@ -154,9 +155,10 @@ func (s *Server) batchWrites(h nsHandle, subs []muxrpc.NSSubOp, idxs []int, resu
 		if len(run) == 1 {
 			n, err = h.f.WriteAt(first.Data, runStart)
 		} else {
-			buf := make([]byte, 0, runEnd-runStart)
+			buf := t.buf(int(runEnd - runStart))
+			pos := 0
 			for _, i := range run {
-				buf = append(buf, subs[i].Data...)
+				pos += copy(buf[pos:], subs[i].Data)
 			}
 			n, err = h.f.WriteAt(buf, runStart)
 		}

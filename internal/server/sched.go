@@ -22,8 +22,6 @@ package server
 import (
 	"sync"
 	"time"
-
-	"muxfs/internal/muxrpc"
 )
 
 // costUnitBytes is the payload size worth one extra cost unit: every
@@ -36,13 +34,6 @@ const costUnitBytes = 32 * 1024
 // drrQuantum is the deficit added per round-robin visit, in cost units
 // (about 1MiB of payload per turn).
 const drrQuantum = 32
-
-// task is one admitted request waiting for a worker.
-type task struct {
-	c    *conn
-	req  *muxrpc.NSRequest
-	cost int64
-}
 
 // clientQ is one client's FIFO plus its fairness state. A client is one
 // connection; the queue lives as long as the connection.

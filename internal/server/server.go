@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -49,7 +48,7 @@ type Options struct {
 	// reply and NSClient chunks larger transfers transparently.
 	MaxData int64
 	// MaxFrame caps one wire frame's encoded size, enforced from the
-	// length prefix before the gob decoder allocates anything (default
+	// length prefix before anything is decoded or allocated (default
 	// MaxData plus 1MiB of encoding slack, and never below that floor).
 	// An oversized frame kills its connection: the stream cannot be
 	// resynchronized past a frame that was never read.
@@ -169,9 +168,7 @@ func (s *Server) Serve(l net.Listener) error {
 			nc.Close()
 			return nil
 		}
-		c := &conn{srv: s, nc: nc, handles: map[uint64]nsHandle{}, cq: &clientQ{}}
-		c.fw = muxrpc.NewNSFrameWriter(nc)
-		c.enc = gob.NewEncoder(c.fw)
+		c := &conn{srv: s, nc: nc, fw: muxrpc.NewNSFrameWriter(nc), handles: map[uint64]nsHandle{}, cq: &clientQ{}}
 		s.connMu.Lock()
 		s.conns[c] = struct{}{}
 		s.connMu.Unlock()
@@ -228,11 +225,11 @@ func (s *Server) worker() {
 			return
 		}
 		s.executing.Add(1)
-		resp := s.serve(t.c, t.req)
-		resp.Seq = t.req.Seq
-		t.c.reply(resp)
+		c := t.c
+		s.serve(t)
+		c.reply(t) // releases t
 		s.executing.Add(-1)
-		t.c.executing.Add(-1)
+		c.executing.Add(-1)
 	}
 }
 
@@ -264,10 +261,7 @@ func (s *Server) validate(req *muxrpc.NSRequest) error {
 			return fmt.Errorf("%w: punch of %d bytes at offset %d", vfs.ErrInvalid, req.N, req.Off)
 		}
 	case muxrpc.NSBatch:
-		if len(req.Batch) > s.opts.MaxBatch {
-			return fmt.Errorf("%w: batch of %d exceeds limit %d",
-				vfs.ErrInvalid, len(req.Batch), s.opts.MaxBatch)
-		}
+		// The frame reader has already refused a batch over MaxBatch.
 		var total int64
 		for i := range req.Batch {
 			b := &req.Batch[i]
@@ -325,16 +319,15 @@ type nsHandle struct {
 	path string
 }
 
-// conn is one client connection: its gob stream, its open handles, and
+// conn is one client connection: its frame stream, its open handles, and
 // its scheduler queue. Handles die with the connection — the read loop's
 // teardown closes them — so a vanished client cannot leak server state.
 type conn struct {
 	srv *Server
 	nc  net.Conn
 
-	encMu sync.Mutex
-	fw    *muxrpc.NSFrameWriter
-	enc   *gob.Encoder
+	wmu sync.Mutex // serializes reply frames
+	fw  *muxrpc.NSFrameWriter
 
 	cq *clientQ
 
@@ -347,64 +340,55 @@ type conn struct {
 	nextH   uint64
 }
 
-// reply encodes one response frame; an encode failure kills the
-// connection (the gob stream is unrecoverable mid-frame).
-func (c *conn) reply(resp *muxrpc.NSResponse) {
-	c.encMu.Lock()
-	defer c.encMu.Unlock()
-	if err := c.enc.Encode(resp); err != nil {
+// reply sends t's response frame, then releases t and the pooled buffers
+// it holds — only now, with the frame flushed, can they be reused. A write
+// failure kills the connection (the stream is unrecoverable mid-frame).
+func (c *conn) reply(t *task) {
+	t.resp.Seq, t.resp.Op = t.req.Seq, t.req.Op
+	c.wmu.Lock()
+	err := c.fw.WriteResponse(&t.resp)
+	c.wmu.Unlock()
+	if err != nil {
 		c.nc.Close()
-		return
 	}
-	if err := c.fw.Flush(); err != nil {
-		c.nc.Close()
-	}
+	t.release()
 }
 
 // readLoop decodes frames, runs admission, and hands tasks to the worker
-// pool. It exits (and tears the connection down) on the first stream
-// error — including a frame whose declared length exceeds MaxFrame,
-// which the frame layer rejects before the decoder allocates for it.
+// pool. Write payloads are read off the wire straight into pooled buffers
+// owned by the task. The loop exits (and tears the connection down) on the
+// first stream or frame error — including a frame whose declared length
+// exceeds MaxFrame, which the frame layer rejects before reading it. A
+// batch over MaxBatch is the one decode error the loop survives: the frame
+// layer refuses it from its count and skips its body, and it is answered
+// ErrInvalid like any request validate rejects.
 func (c *conn) readLoop() {
 	defer c.teardown()
-	dec := gob.NewDecoder(muxrpc.NewNSFrameReader(c.nc, c.srv.opts.MaxFrame))
-
-	// The hello handshake runs inline, before admission control: it is
-	// the one frame a client may always send.
-	var hello muxrpc.NSRequest
-	if err := dec.Decode(&hello); err != nil {
-		if errors.Is(err, muxrpc.ErrFrameTooBig) {
-			c.srv.rejectedFrame.Add(1)
-		}
+	fr := muxrpc.NewNSFrameReader(c.nc, c.srv.opts.MaxFrame)
+	fr.SetMaxBatch(c.srv.opts.MaxBatch)
+	if !c.hello(fr) {
 		return
 	}
-	if hello.Op != muxrpc.NSHello || hello.N != muxrpc.NSProtoVersion {
-		c.reply(errResp(hello.Seq,
-			fmt.Errorf("muxns: protocol version mismatch (server speaks %d)", muxrpc.NSProtoVersion)))
-		return
-	}
-	c.reply(&muxrpc.NSResponse{
-		Seq:        hello.Seq,
-		ServerName: c.srv.fs.Name(),
-		MaxBatch:   c.srv.opts.MaxBatch,
-		MaxData:    c.srv.opts.MaxData,
-	})
-
 	for {
-		req := &muxrpc.NSRequest{}
-		if err := dec.Decode(req); err != nil {
+		t := newTask(c)
+		err := fr.ReadRequest(&t.req, t.buf)
+		if err != nil && !errors.Is(err, muxrpc.ErrBatchTooBig) {
 			if errors.Is(err, muxrpc.ErrFrameTooBig) {
 				c.srv.rejectedFrame.Add(1)
 			}
 			return
 		}
 		c.srv.requests.Add(1)
-		if err := c.srv.validate(req); err != nil {
+		if err == nil {
+			err = c.srv.validate(&t.req)
+		}
+		if err != nil {
 			c.srv.rejectedInvalid.Add(1)
-			c.reply(errResp(req.Seq, err))
+			t.fail(err)
+			c.reply(t)
 			continue
 		}
-		t := &task{c: c, req: req, cost: costOf(req)}
+		t.cost = costOf(&t.req)
 		if retry, rated, ok := c.srv.sched.submit(c.cq, t); !ok {
 			if rated {
 				c.srv.rejectedRate.Add(1)
@@ -415,9 +399,39 @@ func (c *conn) readLoop() {
 			if ms < 1 {
 				ms = 1
 			}
-			c.reply(muxrpc.NSBusy(req.Seq, ms))
+			t.fail(muxrpc.ErrBusy)
+			t.resp.RetryAfterMs = ms
+			c.reply(t)
 		}
 	}
+}
+
+// hello runs the handshake inline, before admission control: it is the one
+// frame a client may always send. A first frame that is not a hello of
+// this protocol version — a v2 peer's gob frame does not even parse as one
+// — gets the version-mismatch error, and the connection closes.
+func (c *conn) hello(fr *muxrpc.NSFrameReader) bool {
+	t := newTask(c)
+	err := fr.ReadRequest(&t.req, nil)
+	switch {
+	case errors.Is(err, muxrpc.ErrFrameTooBig):
+		c.srv.rejectedFrame.Add(1)
+		return false
+	case err != nil && !errors.Is(err, muxrpc.ErrBadFrame) && !errors.Is(err, muxrpc.ErrBatchTooBig):
+		return false // the stream died
+	case err != nil || t.req.Op != muxrpc.NSHello || t.req.N != muxrpc.NSProtoVersion:
+		t.req.Op = muxrpc.NSHello
+		t.fail(fmt.Errorf("muxns: protocol version mismatch (server speaks %d)", muxrpc.NSProtoVersion))
+		c.reply(t)
+		return false
+	}
+	t.resp = muxrpc.NSResponse{
+		ServerName: c.srv.fs.Name(),
+		MaxBatch:   c.srv.opts.MaxBatch,
+		MaxData:    c.srv.opts.MaxData,
+	}
+	c.reply(t)
+	return true
 }
 
 // teardown reaps everything the connection owned: queued tasks, open
@@ -466,40 +480,36 @@ func (c *conn) handle(id uint64) (nsHandle, error) {
 
 func isNotExist(err error) bool { return errors.Is(err, vfs.ErrNotExist) }
 
-// errResp builds a status-only response.
-func errResp(seq uint64, err error) *muxrpc.NSResponse {
-	resp := &muxrpc.NSResponse{Seq: seq}
-	resp.Code, resp.Msg = muxrpc.EncodeStatus(err)
-	return resp
-}
-
-// serve executes one admitted request against the file system.
-func (s *Server) serve(c *conn, req *muxrpc.NSRequest) *muxrpc.NSResponse {
+// serve executes one admitted request against the file system, filling
+// t's reply.
+func (s *Server) serve(t *task) {
 	var start time.Time
-	timed := s.tel != nil && s.tel.Enabled() && int(req.Op) < len(s.opNs)
+	op := t.req.Op
+	timed := s.tel != nil && s.tel.Enabled() && int(op) < len(s.opNs)
 	if timed {
 		start = time.Now()
 	}
-	resp := s.dispatch(c, req)
-	if timed {
-		s.opNs[req.Op].Record(time.Since(start).Nanoseconds())
+	if err := s.dispatch(t); err != nil {
+		t.fail(err)
 	}
-	return resp
+	if timed {
+		s.opNs[op].Record(time.Since(start).Nanoseconds())
+	}
 }
 
-func (s *Server) dispatch(c *conn, req *muxrpc.NSRequest) *muxrpc.NSResponse {
-	resp := &muxrpc.NSResponse{}
+func (s *Server) dispatch(t *task) error {
+	c, req, resp := t.c, &t.req, &t.resp
 	switch req.Op {
 	case muxrpc.NSOpen:
 		f, err := s.fs.Open(req.Path)
 		if err != nil {
-			return errResp(req.Seq, err)
+			return err
 		}
 		resp.Handle = c.track(f, vfs.CleanPath(req.Path))
 	case muxrpc.NSCreate:
 		f, err := s.fs.Create(req.Path)
 		if err != nil {
-			return errResp(req.Seq, err)
+			return err
 		}
 		s.invalidate(req.Path)
 		resp.Handle = c.track(f, vfs.CleanPath(req.Path))
@@ -509,18 +519,18 @@ func (s *Server) dispatch(c *conn, req *muxrpc.NSRequest) *muxrpc.NSResponse {
 		delete(c.handles, req.Handle)
 		c.mu.Unlock()
 		if !ok {
-			return errResp(req.Seq, vfs.ErrClosed)
+			return vfs.ErrClosed
 		}
 		s.handles.Add(-1)
 		if err := h.f.Close(); err != nil {
-			return errResp(req.Seq, err)
+			return err
 		}
 	case muxrpc.NSRead:
 		h, err := c.handle(req.Handle)
 		if err != nil {
-			return errResp(req.Seq, err)
+			return err
 		}
-		buf := make([]byte, req.N)
+		buf := t.buf(int(req.N))
 		n, err := h.f.ReadAt(buf, req.Off)
 		resp.Data = buf[:n]
 		s.bytesRead.Add(int64(n))
@@ -529,24 +539,24 @@ func (s *Server) dispatch(c *conn, req *muxrpc.NSRequest) *muxrpc.NSResponse {
 			err = nil
 		}
 		if err != nil {
-			return errResp(req.Seq, err)
+			return err
 		}
 	case muxrpc.NSWrite:
 		h, err := c.handle(req.Handle)
 		if err != nil {
-			return errResp(req.Seq, err)
+			return err
 		}
 		n, err := h.f.WriteAt(req.Data, req.Off)
 		resp.N = int64(n)
 		s.bytesWritten.Add(int64(n))
 		s.invalidate(h.path)
 		if err != nil {
-			return errResp(req.Seq, err)
+			return err
 		}
 	case muxrpc.NSTruncateHandle:
 		h, err := c.handle(req.Handle)
 		if err != nil {
-			return errResp(req.Seq, err)
+			return err
 		}
 		// Mutations invalidate AFTER executing (here and below): an
 		// invalidate-then-mutate order would let a concurrent stat re-cache
@@ -556,44 +566,44 @@ func (s *Server) dispatch(c *conn, req *muxrpc.NSRequest) *muxrpc.NSResponse {
 		terr := h.f.Truncate(req.N)
 		s.invalidate(h.path)
 		if terr != nil {
-			return errResp(req.Seq, terr)
+			return terr
 		}
 	case muxrpc.NSPunch:
 		h, err := c.handle(req.Handle)
 		if err != nil {
-			return errResp(req.Seq, err)
+			return err
 		}
 		perr := h.f.PunchHole(req.Off, req.N)
 		s.invalidate(h.path)
 		if perr != nil {
-			return errResp(req.Seq, perr)
+			return perr
 		}
 	case muxrpc.NSSyncHandle:
 		h, err := c.handle(req.Handle)
 		if err != nil {
-			return errResp(req.Seq, err)
+			return err
 		}
 		if err := h.f.Sync(); err != nil {
-			return errResp(req.Seq, err)
+			return err
 		}
 	case muxrpc.NSStatHandle:
 		h, err := c.handle(req.Handle)
 		if err != nil {
-			return errResp(req.Seq, err)
+			return err
 		}
 		fi, err := h.f.Stat()
 		if err != nil {
-			return errResp(req.Seq, err)
+			return err
 		}
 		resp.Info = fi
 	case muxrpc.NSExtents:
 		h, err := c.handle(req.Handle)
 		if err != nil {
-			return errResp(req.Seq, err)
+			return err
 		}
 		exts, err := h.f.Extents()
 		if err != nil {
-			return errResp(req.Seq, err)
+			return err
 		}
 		resp.Extents = exts
 	case muxrpc.NSStat:
@@ -601,10 +611,10 @@ func (s *Server) dispatch(c *conn, req *muxrpc.NSRequest) *muxrpc.NSResponse {
 		if s.cache != nil {
 			if fi, cerr, ok := s.cache.getStat(path); ok {
 				if cerr != nil {
-					return errResp(req.Seq, cerr)
+					return cerr
 				}
 				resp.Info = fi
-				return resp
+				return nil
 			}
 		}
 		var gen uint64
@@ -616,7 +626,7 @@ func (s *Server) dispatch(c *conn, req *muxrpc.NSRequest) *muxrpc.NSResponse {
 			s.cache.putStat(path, fi, err, gen)
 		}
 		if err != nil {
-			return errResp(req.Seq, err)
+			return err
 		}
 		resp.Info = fi
 	case muxrpc.NSReadDir:
@@ -624,10 +634,10 @@ func (s *Server) dispatch(c *conn, req *muxrpc.NSRequest) *muxrpc.NSResponse {
 		if s.cache != nil {
 			if ents, cerr, ok := s.cache.getDir(path); ok {
 				if cerr != nil {
-					return errResp(req.Seq, cerr)
+					return cerr
 				}
 				resp.Entries = ents
-				return resp
+				return nil
 			}
 		}
 		var gen uint64
@@ -639,56 +649,56 @@ func (s *Server) dispatch(c *conn, req *muxrpc.NSRequest) *muxrpc.NSResponse {
 			s.cache.putDir(path, ents, err, gen)
 		}
 		if err != nil {
-			return errResp(req.Seq, err)
+			return err
 		}
 		resp.Entries = ents
 	case muxrpc.NSSetAttr:
 		err := s.fs.SetAttr(req.Path, req.Attr.ToSetAttr())
 		s.invalidate(req.Path)
 		if err != nil {
-			return errResp(req.Seq, err)
+			return err
 		}
 	case muxrpc.NSTruncate:
 		err := s.fs.Truncate(req.Path, req.N)
 		s.invalidate(req.Path)
 		if err != nil {
-			return errResp(req.Seq, err)
+			return err
 		}
 	case muxrpc.NSRename:
 		err := s.fs.Rename(req.Path, req.Path2)
 		s.invalidateTree(req.Path)
 		s.invalidateTree(req.Path2)
 		if err != nil {
-			return errResp(req.Seq, err)
+			return err
 		}
 	case muxrpc.NSRemove:
 		err := s.fs.Remove(req.Path)
 		s.invalidateTree(req.Path)
 		if err != nil {
-			return errResp(req.Seq, err)
+			return err
 		}
 	case muxrpc.NSMkdir:
 		err := s.fs.Mkdir(req.Path)
 		s.invalidate(req.Path)
 		if err != nil {
-			return errResp(req.Seq, err)
+			return err
 		}
 	case muxrpc.NSStatfs:
 		st, err := s.fs.Statfs()
 		if err != nil {
-			return errResp(req.Seq, err)
+			return err
 		}
 		resp.Stat = st
 	case muxrpc.NSSync:
 		if err := s.fs.Sync(); err != nil {
-			return errResp(req.Seq, err)
+			return err
 		}
 	case muxrpc.NSBatch:
-		resp.Batch = s.serveBatch(c, req.Batch)
+		resp.Batch = s.serveBatch(t)
 	default:
-		return errResp(req.Seq, fmt.Errorf("%w: muxns op %d", vfs.ErrInvalid, req.Op))
+		return fmt.Errorf("%w: muxns op %d", vfs.ErrInvalid, req.Op)
 	}
-	return resp
+	return nil
 }
 
 func (s *Server) invalidate(path string) {

@@ -3,11 +3,12 @@ package server
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -91,10 +92,9 @@ func TestHello(t *testing.T) {
 // rawConn speaks the muxns wire by hand, so tests can ship frames NSClient
 // would never produce — negative lengths, over-cap payloads.
 type rawConn struct {
-	nc  net.Conn
-	fw  *muxrpc.NSFrameWriter
-	enc *gob.Encoder
-	dec *gob.Decoder
+	nc net.Conn
+	fw *muxrpc.NSFrameWriter
+	fr *muxrpc.NSFrameReader
 }
 
 func rawDial(t *testing.T, addr string) *rawConn {
@@ -104,12 +104,10 @@ func rawDial(t *testing.T, addr string) *rawConn {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { nc.Close() })
-	fw := muxrpc.NewNSFrameWriter(nc)
 	rc := &rawConn{
-		nc:  nc,
-		fw:  fw,
-		enc: gob.NewEncoder(fw),
-		dec: gob.NewDecoder(muxrpc.NewNSFrameReader(nc, 64<<20)),
+		nc: nc,
+		fw: muxrpc.NewNSFrameWriter(nc),
+		fr: muxrpc.NewNSFrameReader(nc, 64<<20),
 	}
 	if resp := rc.call(t, &muxrpc.NSRequest{Seq: 1, Op: muxrpc.NSHello, N: muxrpc.NSProtoVersion}); resp.Err() != nil {
 		t.Fatalf("hello: %v", resp.Err())
@@ -119,14 +117,11 @@ func rawDial(t *testing.T, addr string) *rawConn {
 
 func (rc *rawConn) call(t *testing.T, req *muxrpc.NSRequest) *muxrpc.NSResponse {
 	t.Helper()
-	if err := rc.enc.Encode(req); err != nil {
+	if err := rc.fw.WriteRequest(req); err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	if err := rc.fw.Flush(); err != nil {
-		t.Fatalf("flush: %v", err)
-	}
 	resp := &muxrpc.NSResponse{}
-	if err := rc.dec.Decode(resp); err != nil {
+	if err := rc.fr.ReadResponse(resp); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
 	return resp
@@ -961,4 +956,46 @@ func min64(a, b int64) int64 {
 		return a
 	}
 	return b
+}
+
+// v2Hello is a protocol-version-2 client's hello frame (a gob-encoded
+// NSRequest{Seq: 1, Op: NSHello, N: 2} behind the 4-byte length prefix),
+// captured from the last v2 build.
+const v2Hello = "0000015f6f7f030101094e535265717565737401ff8000010a010353657101060001024f70010600010450617468010c0001055061746832010c00010648616e646c6501060001034f666601040001014e010400010444617461010a0001044174747201ff82000105426174636801ff860000007eff810301010b536574417474724172677301ff82000109010450617468010c00010748617353697a65010200010453697a6501040001074861734d6f646501020001044d6f6465010600010a4861734d6f6454696d6501020001074d6f6454696d6501040001084861734154696d6501020001054154696d6501040000001fff85020101105b5d6d75787270632e4e535375624f7001ff860001ff84000045ff83030101074e535375624f7001ff840001060102494401060001024f70010600010648616e646c6501060001034f666601040001014e010400010444617461010a00000009ff8001010604020000"
+
+// TestHelloRejectsOtherVersions checks the handshake answers a v2 peer's
+// gob hello and a v3-encoded hello carrying another version with the
+// version-mismatch error, then closes the connection.
+func TestHelloRejectsOtherVersions(t *testing.T) {
+	addr, _, _ := start(t, newBackFS(t), Options{})
+	v2, err := hex.DecodeString(v2Hello)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v3 bytes.Buffer
+	if err := muxrpc.NewNSFrameWriter(&v3).WriteRequest(&muxrpc.NSRequest{Seq: 1, Op: muxrpc.NSHello, N: 2}); err != nil {
+		t.Fatal(err)
+	}
+	for name, hello := range map[string][]byte{"v2 gob hello": v2, "v3 hello for v2": v3.Bytes()} {
+		nc, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { nc.Close() })
+		nc.SetDeadline(time.Now().Add(5 * time.Second))
+		if _, err := nc.Write(hello); err != nil {
+			t.Fatal(err)
+		}
+		fr := muxrpc.NewNSFrameReader(nc, 1<<20)
+		var resp muxrpc.NSResponse
+		if err := fr.ReadResponse(&resp); err != nil {
+			t.Fatalf("%s: reading the reply: %v", name, err)
+		}
+		if err := resp.Err(); err == nil || !strings.Contains(err.Error(), "protocol version mismatch") {
+			t.Fatalf("%s: reply %v, want the version-mismatch error", name, err)
+		}
+		if err := fr.ReadResponse(&resp); err == nil {
+			t.Fatalf("%s: connection still open after the mismatch", name)
+		}
+	}
 }
