@@ -22,12 +22,17 @@ race:
 stress:
 	$(GO) test -race -count=20 -run 'TestReadFastPathRacesMigration|TestRoutedReadsVsMigration|TestConcurrentMigrationStorm' ./internal/core
 
-# fuzz runs each muxns frame-decoder fuzz target for 10 seconds: no input
-# may panic a decoder, allocate past a fixed multiple of the frame's
-# length, or decode to a value that re-encodes to different bytes.
+# fuzz runs each decoder fuzz target for 10 seconds. The muxns frame
+# decoders (internal/muxns; the targets sit with its client in
+# internal/muxrpc): no input may panic a decoder, allocate past a fixed
+# multiple of the frame's length, or decode to a value that re-encodes to
+# different bytes. The journal record parser (fsrec.Parse): no record may
+# panic it, and every accepted record must re-encode and parse back to
+# the same op.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzNSRequestDecode$$' -fuzztime=10s ./internal/muxrpc
 	$(GO) test -run '^$$' -fuzz '^FuzzNSResponseDecode$$' -fuzztime=10s ./internal/muxrpc
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime=10s ./internal/fs/fsrec
 
 # smoke runs the E6 fault drill, the E7 fan-out comparison, the E8
 # metadata-scaling sweep, the E9 telemetry-overhead gate, and the E10
@@ -46,7 +51,7 @@ fuzz:
 # every durability step, remounted, and held to the consistency contract
 # (muxbench exits nonzero on any violation), plus smoke-size recovery and
 # checkpoint timings (BENCH_e11.json). E12 runs the bounded scale-out
-# stripe drill over real loopback RPC: throughput must grow with node
+# stripe drill over real loopback muxns RPC: throughput must grow with node
 # count, a 3+1 set loses a node mid-read with zero user-visible errors,
 # rebuild restores redundancy (scrub clean), and 4+1 raw usage stays
 # within the 1.3x gate (muxbench exits nonzero on any violation;

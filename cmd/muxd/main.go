@@ -1,4 +1,6 @@
-// Command muxd serves Mux storage over the network. Three modes:
+// Command muxd serves Mux storage over the network. Every mode speaks the
+// one muxns protocol through the same server; they differ in what is
+// served:
 //
 //   - tier export (default): a single native file system served as a
 //     remote Mux tier; a Mux on another machine attaches it with
@@ -7,9 +9,9 @@
 //     the backing store of a striped capacity tier
 //     (System.AddRemoteStripeTier).
 //   - -serve: the namespace front end — a whole three-tier Mux exported
-//     over the muxns protocol to many concurrent clients, with a bounded
-//     worker pool, per-client fairness, server-side attr/readdir caching,
-//     and wire-level batching (tune with -workers, -queue, -rate).
+//     to many concurrent clients, with a bounded worker pool, per-client
+//     fairness, server-side attr/readdir caching, and wire-level batching
+//     (tune with -workers, -queue, -rate).
 //
 // Usage:
 //
@@ -160,29 +162,23 @@ func main() {
 		l.Close()
 	}()
 
+	var srv *muxfs.NamespaceServer
 	if *serve {
-		srv := sys.NewServer(muxfs.ServerOptions{
+		srv = sys.NewServer(muxfs.ServerOptions{
 			Workers:       *workers,
 			MaxQueue:      *queueMax,
 			RatePerClient: *rate,
 		})
-		fmt.Printf("muxd: serving namespace %s (muxns) on %s\n", served.Name(), l.Addr())
-		if err := srv.Serve(l); err != nil {
-			log.Fatalf("muxd: %v", err)
-		}
-		if cut := srv.Drain(*drainTimeout); cut != 0 {
-			log.Printf("muxd: drain timeout: cut %d in-flight calls", cut)
-		}
-		srv.Close()
+		fmt.Printf("muxd: serving namespace %s on %s\n", served.Name(), l.Addr())
 	} else {
-		srv := muxfs.NewTierServer(served)
+		srv = muxfs.NewTierServer(served)
 		fmt.Printf("muxd: serving %s (%s) on %s\n", served.Name(), *kind, l.Addr())
-		if err := srv.Serve(l); err != nil {
-			log.Fatalf("muxd: %v", err)
-		}
-		if cut := srv.Drain(*drainTimeout); cut != 0 {
-			log.Printf("muxd: drain timeout: cut %d in-flight calls", cut)
-		}
+	}
+	if err := srv.Serve(l); err != nil {
+		log.Fatalf("muxd: %v", err)
+	}
+	if cut := srv.Drain(*drainTimeout); cut != 0 {
+		log.Printf("muxd: drain timeout: cut %d in-flight calls", cut)
 	}
 
 	close(policyStop)
@@ -214,7 +210,7 @@ func serveNodes(baseAddr string, n int, dk muxfs.DeviceKind, capacity int64, dra
 
 	listeners := make([]net.Listener, n)
 	systems := make([]*muxfs.System, n)
-	servers := make([]*muxfs.TierServer, n)
+	servers := make([]*muxfs.NamespaceServer, n)
 	for i := 0; i < n; i++ {
 		sys, err := muxfs.New(muxfs.Config{
 			Name:   fmt.Sprintf("muxd-node%d", i),

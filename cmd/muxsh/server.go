@@ -55,7 +55,6 @@ func (s *shell) server(rest []string) error {
 		if cut := ctl.srv.Drain(5 * time.Second); cut != 0 {
 			fmt.Fprintf(s.out, "drain timeout: cut %d in-flight calls\n", cut)
 		}
-		ctl.srv.Close()
 		s.nssrv = nil
 		fmt.Fprintln(s.out, "server down")
 		return nil

@@ -24,54 +24,31 @@ type stripeNode struct {
 	addr string
 	fs   muxfs.FileSystem
 
-	mu    sync.Mutex
-	l     net.Listener
-	conns []net.Conn
+	mu  sync.Mutex
+	l   net.Listener // nil while the node is down
+	srv *muxfs.NamespaceServer
 }
 
-// serve runs the muxrpc server on the node's listener, tracking accepted
-// sockets so kill can sever established connections too.
-func (n *stripeNode) serve() {
-	l := func() net.Listener {
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		return n.l
-	}()
-	if l == nil {
-		return
-	}
-	go muxfs.ServeTier(&trackingListener{node: n, Listener: l}, n.fs)
+// serve exports the node's file system as a tier on l. Callers hold mu
+// or own the node exclusively.
+func (n *stripeNode) serve(l net.Listener) {
+	n.l, n.srv = l, muxfs.NewTierServer(n.fs)
+	go n.srv.Serve(l)
 }
 
-type trackingListener struct {
-	net.Listener
-	node *stripeNode
-}
-
-func (tl *trackingListener) Accept() (net.Conn, error) {
-	c, err := tl.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	tl.node.mu.Lock()
-	tl.node.conns = append(tl.node.conns, c)
-	tl.node.mu.Unlock()
-	return c, nil
-}
-
+// kill severs the node: the listener closes and the server shuts down,
+// cutting every established connection.
 func (n *stripeNode) kill() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.l != nil {
 		n.l.Close()
-		n.l = nil
+		n.srv.Close()
+		n.l, n.srv = nil, nil
 	}
-	for _, c := range n.conns {
-		c.Close()
-	}
-	n.conns = nil
 }
 
+// revive serves the node again on its old address.
 func (n *stripeNode) revive() error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -82,7 +59,7 @@ func (n *stripeNode) revive() error {
 	if err != nil {
 		return err
 	}
-	n.l = l
+	n.serve(l)
 	return nil
 }
 
@@ -152,7 +129,6 @@ func (s *shell) stripe(rest []string) error {
 		if err := ctl.nodes[i].revive(); err != nil {
 			return err
 		}
-		ctl.nodes[i].serve()
 		ctl.set.Reinstate(i)
 		fmt.Fprintf(s.out, "node %d back on %s (run 'stripe rebuild %d' if it missed writes)\n", i, ctl.nodes[i].addr, i)
 		return nil
@@ -232,8 +208,8 @@ func (s *shell) stripeUp(k, m int) error {
 		if err != nil {
 			return err
 		}
-		n := &stripeNode{addr: l.Addr().String(), fs: nsys.Tiers[0].FS, l: l}
-		n.serve()
+		n := &stripeNode{addr: l.Addr().String(), fs: nsys.Tiers[0].FS}
+		n.serve(l)
 		nodes = append(nodes, n)
 		addrs = append(addrs, n.addr)
 	}

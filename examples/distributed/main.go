@@ -1,7 +1,7 @@
 // Distributed Mux (paper §4): a remote machine's file system — served over
-// net/rpc by the muxd protocol — registers with a local Mux as one more
-// tier. Data then migrates to and from the remote exactly like any local
-// tier.
+// the muxns protocol, the same one a muxd -serve namespace speaks —
+// registers with a local Mux as one more tier. Data then migrates to and
+// from the remote exactly like any local tier.
 //
 // Act two scales that out: four in-process muxd nodes combine into ONE
 // erasure-coded tier (3 data + 1 parity, see System.AddRemoteStripeTier).

@@ -5,13 +5,13 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sync"
 	"time"
 
 	"muxfs/internal/device"
 	"muxfs/internal/ec"
 	"muxfs/internal/fs/xfslite"
 	"muxfs/internal/muxrpc"
+	"muxfs/internal/server"
 	"muxfs/internal/simclock"
 	"muxfs/internal/vfs"
 )
@@ -22,7 +22,7 @@ import (
 // The scale-out tier (internal/ec) stripes file bytes across K remote
 // muxd nodes with M Reed–Solomon parity nodes, so one tier's bandwidth
 // and capacity grow with node count while surviving M node losses. This
-// experiment measures all four claims over real loopback muxrpc — every
+// experiment measures all four claims over real loopback muxns — every
 // byte crosses a TCP connection from the pooled client — with each node
 // behind the same wall-clock service-time governor E5/E7/E10 use, so
 // single-host CPU contention cannot fake or hide scaling:
@@ -44,8 +44,8 @@ import (
 const (
 	// e12ServiceRate is each node's governed service time per MiB
 	// (~21 MiB/s per node): large enough that sleeps dominate the RPC
-	// encode/decode CPU cost (~a few ms/MiB of gob) even on a single
-	// core, so scaling reflects fan-out, not scheduling luck.
+	// encode/decode CPU cost even on a single core, so scaling reflects
+	// fan-out, not scheduling luck.
 	e12ServiceRate = int64(48 * time.Millisecond)
 	e12Chunk       = 1 << 20 // I/O unit: stripe-aligned for k ∈ {1,2,4,8} at 64 KiB shards
 )
@@ -107,40 +107,19 @@ type E12Result struct {
 	Overhead E12Overhead
 }
 
-// e12Listener tracks accepted sockets so the drill can sever a live node
-// (listener and established connections), not just stop new dials.
-type e12Listener struct {
-	net.Listener
-	mu    sync.Mutex
-	conns []net.Conn
-}
-
-func (l *e12Listener) Accept() (net.Conn, error) {
-	c, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	l.mu.Lock()
-	l.conns = append(l.conns, c)
-	l.mu.Unlock()
-	return c, nil
-}
-
-func (l *e12Listener) kill() {
-	l.Close()
-	l.mu.Lock()
-	for _, c := range l.conns {
-		c.Close()
-	}
-	l.conns = nil
-	l.mu.Unlock()
-}
-
 // e12Node is one served stripe node: governed native FS behind a real
-// muxrpc listener.
+// loopback listener.
 type e12Node struct {
 	gov *slowFS
-	lis *e12Listener
+	lis net.Listener
+	srv *server.Server
+}
+
+// kill severs the node: the listener and every established connection
+// go away, and the server stops.
+func (n *e12Node) kill() {
+	n.lis.Close()
+	n.srv.Close()
 }
 
 func newE12Node(name string) (*e12Node, error) {
@@ -155,15 +134,15 @@ func newE12Node(name string) (*e12Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	el := &e12Listener{Listener: l}
-	go muxrpc.NewServer(gov).Serve(el)
-	return &e12Node{gov: gov, lis: el}, nil
+	n := &e12Node{gov: gov, lis: l, srv: muxrpc.NewServer(gov)}
+	go n.srv.Serve(l)
+	return n, nil
 }
 
 // e12Cluster is a striped set over served nodes plus its dialed clients.
 type e12Cluster struct {
 	nodes   []*e12Node
-	clients []*muxrpc.Client
+	clients []*muxrpc.NSClient
 	set     *ec.StripeSet
 }
 
@@ -205,7 +184,7 @@ func (c *e12Cluster) close() {
 		cl.Close()
 	}
 	for _, n := range c.nodes {
-		n.lis.kill()
+		n.kill()
 	}
 }
 
@@ -327,7 +306,7 @@ func RunE12(opts E12Options) (E12Result, error) {
 	start := time.Now()
 	for off := int64(0); off < total; off += int64(len(buf)) {
 		if off == 2*e12Chunk {
-			c.nodes[victim].lis.kill()
+			c.nodes[victim].kill()
 		}
 		if _, err := f.ReadAt(buf, off); err != nil && err != io.EOF {
 			d.UserErrors++
@@ -355,7 +334,7 @@ func RunE12(opts E12Options) (E12Result, error) {
 		return r, err
 	}
 	repl.gov.armed.Store(true)
-	defer repl.lis.kill()
+	defer repl.kill()
 	rcl, err := muxrpc.DialPool("tcp", repl.lis.Addr().String(), dk)
 	if err != nil {
 		return r, err

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"muxfs/internal/muxns"
 	"muxfs/internal/muxrpc"
 	"muxfs/internal/server"
 	"muxfs/internal/vfs"
@@ -196,7 +197,6 @@ func (e *e13Env) addr() string { return e.lis.Addr().String() }
 func (e *e13Env) close() {
 	e.lis.Close()
 	e.srv.Drain(2 * time.Second)
-	e.srv.Close()
 }
 
 func e13Path(i int) string { return fmt.Sprintf("/data/f%d", i) }
@@ -359,7 +359,7 @@ func e13Aggressor(addr string, stop chan struct{}) (int64, error) {
 			ops[j] = muxrpc.NSBatchOp{File: f, Read: true, Off: base + int64(j*e13AggrSub), N: e13AggrSub}
 		}
 		if _, err := c.Batch(ops); err != nil {
-			if errors.Is(err, muxrpc.ErrBusy) {
+			if errors.Is(err, muxns.ErrBusy) {
 				continue // throttled; back off happened client-side already
 			}
 			return frames, err

@@ -489,7 +489,7 @@ func TestE11Shape(t *testing.T) {
 func TestE12Shape(t *testing.T) {
 	// Smoke-size run over real loopback RPC. No wall-clock speedup
 	// assertion here: under the race detector (make race runs this) the
-	// instrumented gob encode/decode dwarfs the governed service sleeps, so
+	// instrumented wire encode/decode dwarfs the governed service sleeps, so
 	// fan-out overlap cannot show. The scaling gate is enforced where the
 	// measurement is honest — `muxbench -exp e12 -e12smoke` in make
 	// smoke/CI runs CheckE12 uninstrumented and exits nonzero below 1.5×.

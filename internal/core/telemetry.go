@@ -361,8 +361,8 @@ type TelemetrySnapshot struct {
 	Stripes []ec.SetStatus `json:"stripes,omitempty"`
 
 	// Pools reports connection-pool counters for every RPC-backed tier
-	// (remote tiers are muxrpc clients; stripe tiers aggregate their node
-	// clients). PoolTotals covers connection attempts that never produced
+	// (remote tiers are muxrpc.NSClients; stripe tiers aggregate their
+	// node clients). PoolTotals covers connection attempts that never produced
 	// a live client — failed dials and handshake failures tear the client
 	// down before anything could snapshot it.
 	Pools      []muxrpc.PoolStats `json:"pools,omitempty"`
@@ -392,7 +392,7 @@ type PoolTotals struct {
 }
 
 // rpcPoolStatser is implemented by tier backends that expose pooled-RPC
-// counters (muxrpc.Client, muxrpc.NSClient, ec.StripeSet).
+// counters (muxrpc.NSClient, ec.StripeSet).
 type rpcPoolStatser interface {
 	RPCPoolStats() []muxrpc.PoolStats
 }

@@ -3,7 +3,7 @@ package ec
 import "muxfs/internal/muxrpc"
 
 // RPCPoolStats aggregates the connection-pool counters of every node
-// backed by a pooled RPC client (muxrpc.Client or NSClient), so the core
+// backed by a pooled RPC client (muxrpc.NSClient), so the core
 // telemetry snapshot sees through the stripe composite to its remote
 // transports. Nodes backed by local file systems contribute nothing.
 func (s *StripeSet) RPCPoolStats() []muxrpc.PoolStats {

@@ -81,7 +81,7 @@ func (s nodeState) String() string {
 }
 
 // node is one member of the stripe set: a vfs.FileSystem (usually a
-// muxrpc.Client, but any FileSystem works), its in-flight gate, and a
+// muxrpc.NSClient, but any FileSystem works), its in-flight gate, and a
 // small circuit breaker in the style of the core health tracker.
 type node struct {
 	fsMu sync.RWMutex

@@ -20,19 +20,21 @@ func roundTrip(t *testing.T, op Op) Op {
 	return got
 }
 
+// sampleOps holds one op of every type.
+var sampleOps = []Op{
+	{Type: OpCreate, Ino: 42, Path: "/a/b", Mode: 0o640},
+	{Type: OpMkdir, Ino: 7, Path: "/dir", Mode: vfs.ModeDir | 0o755},
+	{Type: OpRemove, Path: "/gone"},
+	{Type: OpRename, Path: "/old", Path2: "/new"},
+	{Type: OpExtent, Ino: 9, Off: 8192, Delta: 1 << 20, N: 4096, Size: 123456, MTime: 99 * time.Microsecond},
+	{Type: OpSetAttr, Ino: 3, Size: 77, Mode: 0o600, MTime: time.Second, ATime: 2 * time.Second, CTime: 3 * time.Second},
+	{Type: OpSizeTime, Ino: 5, Size: 1 << 40, MTime: time.Hour},
+	{Type: OpPunch, Ino: 6, Off: 4096, N: 8192, MTime: time.Minute},
+	{Type: OpTruncate, Ino: 8, Size: 0, MTime: time.Millisecond},
+}
+
 func TestRoundTripAllTypes(t *testing.T) {
-	cases := []Op{
-		{Type: OpCreate, Ino: 42, Path: "/a/b", Mode: 0o640},
-		{Type: OpMkdir, Ino: 7, Path: "/dir", Mode: vfs.ModeDir | 0o755},
-		{Type: OpRemove, Path: "/gone"},
-		{Type: OpRename, Path: "/old", Path2: "/new"},
-		{Type: OpExtent, Ino: 9, Off: 8192, Delta: 1 << 20, N: 4096, Size: 123456, MTime: 99 * time.Microsecond},
-		{Type: OpSetAttr, Ino: 3, Size: 77, Mode: 0o600, MTime: time.Second, ATime: 2 * time.Second, CTime: 3 * time.Second},
-		{Type: OpSizeTime, Ino: 5, Size: 1 << 40, MTime: time.Hour},
-		{Type: OpPunch, Ino: 6, Off: 4096, N: 8192, MTime: time.Minute},
-		{Type: OpTruncate, Ino: 8, Size: 0, MTime: time.Millisecond},
-	}
-	for _, op := range cases {
+	for _, op := range sampleOps {
 		if got := roundTrip(t, op); !reflect.DeepEqual(got, op) {
 			t.Errorf("round trip changed op:\n in: %+v\nout: %+v", op, got)
 		}
@@ -93,4 +95,30 @@ func TestQuickRoundTrip(t *testing.T) {
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzParse feeds arbitrary records to Parse, the decoder every journal
+// replay runs: no record may panic it, and every record it accepts must
+// re-encode to one that parses back to the same op.
+func FuzzParse(f *testing.F) {
+	for _, op := range sampleOps {
+		r := op.Record()
+		f.Add(r.Type, r.A, r.B, r.Payload)
+	}
+	f.Add(uint8(OpRename), int64(0), int64(0), []byte("no separator"))
+	f.Add(uint8(OpExtent), int64(1), int64(-1), []byte("short"))
+	f.Add(uint8(0), int64(0), int64(0), []byte(nil))
+	f.Fuzz(func(t *testing.T, typ uint8, a, b int64, payload []byte) {
+		op, err := Parse(journal.Record{Type: typ, A: a, B: b, Payload: payload})
+		if err != nil {
+			return
+		}
+		again, err := Parse(op.Record())
+		if err != nil {
+			t.Fatalf("re-encoded %+v does not parse: %v", op, err)
+		}
+		if !reflect.DeepEqual(again, op) {
+			t.Fatalf("round trip changed op:\n in: %+v\nout: %+v", op, again)
+		}
+	})
 }

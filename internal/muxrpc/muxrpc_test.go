@@ -2,35 +2,47 @@ package muxrpc
 
 import (
 	"errors"
-	"io"
 	"net"
-	"net/rpc"
 	"testing"
 
 	"muxfs/internal/device"
+	"muxfs/internal/fs/blockfs"
 	"muxfs/internal/fs/xfslite"
 	"muxfs/internal/fstest"
 	"muxfs/internal/simclock"
 	"muxfs/internal/vfs"
 )
 
-// newRemoteFS serves a fresh xfslite over a loopback TCP connection and
-// returns the dialed client.
-func newRemoteFS(t *testing.T) *Client {
+// newNodeFS builds the xfslite a test node serves.
+func newNodeFS(t *testing.T) *blockfs.FS {
 	t.Helper()
-	dev := device.New(device.SSDProfile("ssd0"), simclock.New())
-	fs, err := xfslite.New("xfs@remote", dev)
+	fs, err := xfslite.New("xfs@remote", device.New(device.SSDProfile("ssd0"), simclock.New()))
 	if err != nil {
 		t.Fatal(err)
 	}
+	return fs
+}
+
+// serve exports fs as a tier on a loopback listener until the test ends.
+func serve(t *testing.T, fs vfs.FileSystem, l net.Listener) {
+	t.Helper()
+	srv := NewServer(fs)
+	go srv.Serve(l)
+	t.Cleanup(func() {
+		l.Close()
+		srv.Close()
+	})
+}
+
+// newRemoteFS serves fs over a loopback TCP connection and returns the
+// dialed client.
+func newRemoteFS(t *testing.T, fs vfs.FileSystem) *NSClient {
+	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { l.Close() })
-	srv := NewServer(fs)
-	go srv.Serve(l)
-
+	serve(t, fs, l)
 	c, err := Dial("tcp", l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -43,18 +55,18 @@ func newRemoteFS(t *testing.T) *Client {
 // the property Distributed Mux (§4) depends on: a remote file system is
 // indistinguishable from a local one at the interface.
 func TestConformance(t *testing.T) {
-	fstest.RunConformance(t, func(t *testing.T) vfs.FileSystem { return newRemoteFS(t) })
+	fstest.RunConformance(t, func(t *testing.T) vfs.FileSystem { return newRemoteFS(t, newNodeFS(t)) })
 }
 
 func TestRemoteName(t *testing.T) {
-	c := newRemoteFS(t)
-	if c.Name() != "remote:xfs@remote" {
+	c := newRemoteFS(t, newNodeFS(t))
+	if c.Name() != "muxns:xfs@remote" {
 		t.Fatalf("Name = %q", c.Name())
 	}
 }
 
 func TestClosedRemoteHandle(t *testing.T) {
-	c := newRemoteFS(t)
+	c := newRemoteFS(t, newNodeFS(t))
 	f, err := c.Create("/x")
 	if err != nil {
 		t.Fatal(err)
@@ -65,6 +77,9 @@ func TestClosedRemoteHandle(t *testing.T) {
 	if err := f.Close(); err != nil { // double close is a no-op
 		t.Fatal(err)
 	}
+	if _, err := f.ReadAt(make([]byte, 1), 0); !errors.Is(err, vfs.ErrClosed) {
+		t.Fatalf("read on a closed handle: %v, want ErrClosed", err)
+	}
 }
 
 func TestDialFailure(t *testing.T) {
@@ -74,66 +89,22 @@ func TestDialFailure(t *testing.T) {
 }
 
 func TestConcurrency(t *testing.T) {
-	fstest.RunConcurrency(t, func(t *testing.T) vfs.FileSystem { return newRemoteFS(t) })
+	fstest.RunConcurrency(t, func(t *testing.T) vfs.FileSystem { return newRemoteFS(t, newNodeFS(t)) })
 }
 
+// TestRemoteCrashRecovery holds a remote tier to the crash contract. The
+// wire carries no crash op, so the drill crashes the served file system
+// in-process, on the node, while the client stays connected.
 func TestRemoteCrashRecovery(t *testing.T) {
 	fstest.RunCrashRecovery(t, func(t *testing.T) (vfs.FileSystem, func() vfs.FileSystem) {
-		c := newRemoteFS(t)
+		fs := newNodeFS(t)
+		c := newRemoteFS(t, fs)
 		return c, func() vfs.FileSystem {
-			c.Crash()
-			if err := c.Recover(); err != nil {
-				t.Fatalf("remote recover: %v", err)
+			fs.Crash()
+			if err := fs.Recover(); err != nil {
+				t.Fatalf("node recover: %v", err)
 			}
 			return c
 		}
 	})
-}
-
-// TestReadArgsValidated ships hostile ReadArgs straight over net/rpc: a
-// negative or over-cap length must come back as ErrInvalid, not size an
-// allocation (which would panic the server).
-func TestReadArgsValidated(t *testing.T) {
-	c := newRemoteFS(t)
-	f, err := c.Create("/x")
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := f.(*remoteFile).handle
-	rc, err := rpc.Dial("tcp", c.addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rc.Close()
-	for _, n := range []int{-1, tierMaxRead + 1, 1 << 50} {
-		var reply ReadReply
-		if err := rc.Call("MuxTier.ReadAt", ReadArgs{Handle: h, N: n}, &reply); err != nil {
-			t.Fatalf("N=%d: %v", n, err)
-		}
-		if !errors.Is(reply.Err(), vfs.ErrInvalid) {
-			t.Fatalf("N=%d: status %v, want ErrInvalid", n, reply.Err())
-		}
-	}
-}
-
-// TestReadPastWireCap reads more than tierMaxRead in one ReadAt: the
-// client splits it, and the bytes past the first wire read arrive intact.
-func TestReadPastWireCap(t *testing.T) {
-	c := newRemoteFS(t)
-	f, err := c.Create("/big")
-	if err != nil {
-		t.Fatal(err)
-	}
-	size := tierMaxRead + 4096
-	if _, err := f.WriteAt([]byte("tail"), int64(size-4)); err != nil {
-		t.Fatal(err)
-	}
-	p := make([]byte, size)
-	n, err := f.ReadAt(p, 0)
-	if n != size || (err != nil && !errors.Is(err, io.EOF)) {
-		t.Fatalf("ReadAt = %d, %v; want %d", n, err, size)
-	}
-	if string(p[size-4:]) != "tail" {
-		t.Fatalf("tail = %q", p[size-4:])
-	}
 }

@@ -5,17 +5,19 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"muxfs/internal/muxns"
 	"muxfs/internal/vfs"
 )
 
-// NSClient speaks the muxns namespace protocol (nswire.go) to an
-// internal/server front end. It implements vfs.FileSystem, so a remote Mux
-// namespace mounts like any local file system, and adds the Batch call for
-// wire-level request coalescing.
+// NSClient speaks the muxns protocol (internal/muxns) to an
+// internal/server. It implements vfs.FileSystem, so a remote Mux
+// namespace, tier or stripe node mounts like any local file system, and
+// adds the Batch call for wire-level request coalescing.
 //
 // Calls pipeline: many goroutines may issue requests concurrently over one
 // connection, and the server replies out of order as its workers finish;
@@ -33,7 +35,7 @@ import (
 // range the outcome is last-writer-wins, exactly the contract local
 // WriteAt already has. Only namespace ops whose replay could observe a
 // different world (Create, Remove, Rename, Mkdir) never retry: a
-// connection failure mid-call surfaces as NonIdempotentError and the
+// connection failure mid-call surfaces as muxns.NonIdempotentError and the
 // caller owns the ambiguity.
 type NSClient struct {
 	network string
@@ -71,7 +73,7 @@ type NSDialOptions struct {
 	PoolSize int
 	// BusyRetries bounds automatic retries after a server busy rejection
 	// (admission control). Default 8; negative disables retries so
-	// BusyError surfaces to the caller immediately.
+	// muxns.BusyError surfaces to the caller immediately.
 	BusyRetries int
 	// BusyWait is the backoff used when the server's busy reply carried no
 	// retry-after hint (default 2ms).
@@ -121,7 +123,7 @@ func (c *NSClient) MaxData() int64 {
 	if m := c.maxData.Load(); m > 0 {
 		return m
 	}
-	return NSDefaultMaxData
+	return muxns.NSDefaultMaxData
 }
 
 // PoolSize reports the connection-pool width.
@@ -172,10 +174,10 @@ type nsSlot struct {
 // routing responses to pending calls by sequence number.
 type nsConn struct {
 	nc net.Conn
-	fr *NSFrameReader // read loop only (after the handshake)
+	fr *muxns.NSFrameReader // read loop only (after the handshake)
 
 	wmu sync.Mutex // serializes frame writes
-	fw  *NSFrameWriter
+	fw  *muxns.NSFrameWriter
 
 	mu      sync.Mutex
 	seq     uint64
@@ -189,9 +191,9 @@ type nsConn struct {
 // resp — a read's data straight into dst — or sets err, then signals done
 // exactly once. The caller owns the call from done until release.
 type nsCall struct {
-	op   NSOp
+	op   muxns.NSOp
 	dst  []byte
-	resp NSResponse
+	resp muxns.NSResponse
 	err  error
 	done chan struct{}
 }
@@ -218,7 +220,7 @@ func (s *nsSlot) get() (*nsConn, error) {
 	}
 	nc, err := net.Dial(s.c.network, s.c.addr)
 	if err != nil {
-		tierDialErrors.Add(1)
+		totalDialErrors.Add(1)
 		s.c.dialErrs.Add(1)
 		return nil, err
 	}
@@ -226,15 +228,15 @@ func (s *nsSlot) get() (*nsConn, error) {
 	// is tiny) and widens to the server's negotiated MaxData below.
 	conn := &nsConn{
 		nc:      nc,
-		fw:      NewNSFrameWriter(nc),
-		fr:      NewNSFrameReader(nc, NSDefaultMaxData+nsFrameSlack),
+		fw:      muxns.NewNSFrameWriter(nc),
+		fr:      muxns.NewNSFrameReader(nc, muxns.NSDefaultMaxData+muxns.NSFrameSlack),
 		pending: map[uint64]*nsCall{},
 	}
 	// Hello handshake, synchronous on the fresh stream: a peer that is
 	// reachable but not speaking muxns v3 fails here with ErrHandshake.
 	conn.seq = 1
-	var hr NSResponse
-	err = conn.send(&NSRequest{Seq: 1, Op: NSHello, N: NSProtoVersion})
+	var hr muxns.NSResponse
+	err = conn.send(&muxns.NSRequest{Seq: 1, Op: muxns.NSHello, N: muxns.NSProtoVersion})
 	if err == nil {
 		err = conn.fr.ReadResponse(&hr)
 	}
@@ -243,10 +245,10 @@ func (s *nsSlot) get() (*nsConn, error) {
 	}
 	if err != nil {
 		nc.Close()
-		tierHandshakeFails.Add(1)
-		return nil, fmt.Errorf("%w: %s %s: %v", ErrHandshake, s.c.network, s.c.addr, err)
+		totalHandshakeFails.Add(1)
+		return nil, fmt.Errorf("%w: %s %s: %v", muxns.ErrHandshake, s.c.network, s.c.addr, err)
 	}
-	tierDials.Add(1)
+	totalDials.Add(1)
 	if s.c.dials.Add(1) > int64(len(s.c.slots)) {
 		s.c.reconnects.Add(1)
 	}
@@ -260,7 +262,7 @@ func (s *nsSlot) get() (*nsConn, error) {
 		// Response frames carry at most one request's payload; widen the
 		// cap before the first pipelined frame (readLoop is not running
 		// yet, so this cannot race a read).
-		conn.fr.SetMax(hr.MaxData + nsFrameSlack)
+		conn.fr.SetMax(hr.MaxData + muxns.NSFrameSlack)
 	}
 	s.cur = conn
 	go s.readLoop(conn)
@@ -294,8 +296,13 @@ func (s *nsSlot) readLoop(conn *nsConn) {
 	for {
 		cl, err := conn.readOne()
 		if err != nil {
+			// A hang-up is never end of file to a caller: a ReadAt failed
+			// with io.EOF would read as a short file, not a lost peer.
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			s.drop(conn) // before fail: a failed call's retry must redial
 			conn.fail(err)
-			s.drop(conn)
 			conn.nc.Close()
 			if cl != nil {
 				cl.err = err
@@ -312,29 +319,21 @@ func (s *nsSlot) readLoop(conn *nsConn) {
 // a protocol error: it is returned (with the call, undelivered) and the
 // connection dies.
 func (c *nsConn) readOne() (*nsCall, error) {
-	d, err := c.fr.next()
+	var cl *nsCall
+	err := c.fr.ReadResponseFor(func(seq uint64, op muxns.NSOp) (*muxns.NSResponse, []byte, error) {
+		c.mu.Lock()
+		cl = c.pending[seq]
+		delete(c.pending, seq)
+		c.mu.Unlock()
+		if cl == nil {
+			return nil, nil, fmt.Errorf("reply to unknown seq %d", seq)
+		}
+		if op != cl.op {
+			return nil, nil, fmt.Errorf("reply op %s for a %s call", op, cl.op)
+		}
+		return &cl.resp, cl.dst, nil
+	})
 	if err != nil {
-		return nil, err
-	}
-	seq, op, code := decodeRespHeader(d)
-	if d.err != nil {
-		return nil, d.err
-	}
-	c.mu.Lock()
-	cl := c.pending[seq]
-	delete(c.pending, seq)
-	c.mu.Unlock()
-	if cl == nil {
-		d.fail("reply to unknown seq %d", seq)
-		return nil, d.err
-	}
-	if op != cl.op {
-		d.fail("reply op %s for a %s call", op, cl.op)
-	} else {
-		cl.resp.Seq, cl.resp.Op, cl.resp.Code = seq, op, code
-		cl.resp.decodeBody(d, cl.dst, op == NSRead)
-	}
-	if err := d.end(); err != nil {
 		return cl, err
 	}
 	cl.done <- struct{}{}
@@ -342,14 +341,14 @@ func (c *nsConn) readOne() (*nsCall, error) {
 }
 
 // send writes one frame and flushes it. Callers hold no conn locks.
-func (c *nsConn) send(req *NSRequest) error {
+func (c *nsConn) send(req *muxns.NSRequest) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	return c.fw.WriteRequest(req)
 }
 
 // register allocates a sequence number and parks a pooled call for it.
-func (c *nsConn) register(op NSOp, dst []byte) (uint64, *nsCall, error) {
+func (c *nsConn) register(op muxns.NSOp, dst []byte) (uint64, *nsCall, error) {
 	cl := nsCallPool.Get().(*nsCall)
 	cl.op, cl.dst = op, dst
 	c.mu.Lock()
@@ -401,7 +400,7 @@ func (c *nsConn) fail(err error) {
 // read's data lands in dst. The caller releases the returned call. A
 // connection-level failure is returned as-is (callers classify it with
 // isConnErr).
-func (c *NSClient) do(s *nsSlot, conn *nsConn, req *NSRequest, dst []byte) (*nsCall, error) {
+func (c *NSClient) do(s *nsSlot, conn *nsConn, req *muxns.NSRequest, dst []byte) (*nsCall, error) {
 	seq, cl, err := conn.register(req.Op, dst)
 	if err != nil {
 		return nil, err
@@ -415,7 +414,9 @@ func (c *NSClient) do(s *nsSlot, conn *nsConn, req *NSRequest, dst []byte) (*nsC
 			<-cl.done
 		}
 		cl.release()
-		conn.nc.Close() // stream state unknown; kill it so the reader redials
+		// Stream state unknown: kill it, and let the next call redial.
+		s.drop(conn)
+		conn.nc.Close()
 		c.connErrs.Add(1)
 		return nil, err
 	}
@@ -428,16 +429,16 @@ func (c *NSClient) do(s *nsSlot, conn *nsConn, req *NSRequest, dst []byte) (*nsC
 	return cl, nil
 }
 
-// doBusy runs do plus the busy-retry loop: a codeBusy response sleeps the
+// doBusy runs do plus the busy-retry loop: a busy response sleeps the
 // server's retry-after hint and re-issues the request, bounded by
 // BusyRetries. Connection errors pass through untouched.
-func (c *NSClient) doBusy(s *nsSlot, conn *nsConn, req *NSRequest, dst []byte) (*nsCall, error) {
+func (c *NSClient) doBusy(s *nsSlot, conn *nsConn, req *muxns.NSRequest, dst []byte) (*nsCall, error) {
 	for attempt := 0; ; attempt++ {
 		cl, err := c.do(s, conn, req, dst)
 		if err != nil {
 			return nil, err
 		}
-		if cl.resp.Code != codeBusy || attempt >= c.opts.BusyRetries || c.opts.BusyRetries < 0 {
+		if !cl.resp.Busy() || attempt >= c.opts.BusyRetries || c.opts.BusyRetries < 0 {
 			return cl, nil
 		}
 		wait := c.busyBackoff(&cl.resp, attempt)
@@ -452,7 +453,7 @@ func (c *NSClient) doBusy(s *nsSlot, conn *nsConn, req *NSRequest, dst []byte) (
 // whose token bucket hovers just under the cost would otherwise hammer
 // at the hint floor; consecutive rejections grow the wait exponentially
 // until the client converges on the limiter's actual admission period.
-func (c *NSClient) busyBackoff(resp *NSResponse, attempt int) time.Duration {
+func (c *NSClient) busyBackoff(resp *muxns.NSResponse, attempt int) time.Duration {
 	wait := time.Duration(resp.RetryAfterMs) * time.Millisecond
 	if wait <= 0 {
 		wait = c.opts.BusyWait
@@ -467,13 +468,34 @@ func (c *NSClient) busyBackoff(resp *NSResponse, attempt int) time.Duration {
 	return wait
 }
 
+// isConnErr reports whether err is a connection-level failure (socket
+// died, stream desynchronized) rather than an application error returned
+// by the server.
+func isConnErr(err error) bool {
+	if err == nil {
+		return false
+	}
+	if errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, io.EOF) {
+		return true
+	}
+	var ne net.Error
+	if errors.As(err, &ne) {
+		return true
+	}
+	s := err.Error()
+	return strings.Contains(s, "unexpected EOF") ||
+		strings.Contains(s, "connection reset") ||
+		strings.Contains(s, "broken pipe") ||
+		strings.Contains(s, "use of closed network connection")
+}
+
 // pick chooses the pool slot for a path-level request.
 func (c *NSClient) pick() *nsSlot { return c.slots[c.next.Add(1)%uint64(len(c.slots))] }
 
 // call issues a path-level request over slot s, redialing and retrying
 // once on connection failure when the op is idempotent. It returns the
 // call (for the caller to release) and the connection that served it.
-func (c *NSClient) call(s *nsSlot, req *NSRequest, idempotent bool) (*nsCall, *nsConn, error) {
+func (c *NSClient) call(s *nsSlot, req *muxns.NSRequest, idempotent bool) (*nsCall, *nsConn, error) {
 	var lastErr error
 	for attempt := 0; attempt < 2; attempt++ {
 		conn, err := s.get()
@@ -491,7 +513,7 @@ func (c *NSClient) call(s *nsSlot, req *NSRequest, idempotent bool) (*nsCall, *n
 			return nil, nil, err
 		}
 		if !idempotent {
-			return nil, nil, &NonIdempotentError{Method: "muxns." + req.Op.String(), Cause: err}
+			return nil, nil, &muxns.NonIdempotentError{Method: "muxns." + req.Op.String(), Cause: err}
 		}
 		lastErr = err
 		c.retries.Add(1)
@@ -508,19 +530,19 @@ func (c *NSClient) Name() string {
 }
 
 // Create makes and opens a remote file. Not idempotent: a connection
-// failure mid-call surfaces NonIdempotentError.
+// failure mid-call surfaces muxns.NonIdempotentError.
 func (c *NSClient) Create(path string) (vfs.File, error) {
-	return c.openOrCreate(path, NSCreate, false)
+	return c.openOrCreate(path, muxns.NSCreate, false)
 }
 
 // Open opens an existing remote file; safe to retry.
 func (c *NSClient) Open(path string) (vfs.File, error) {
-	return c.openOrCreate(path, NSOpen, true)
+	return c.openOrCreate(path, muxns.NSOpen, true)
 }
 
-func (c *NSClient) openOrCreate(path string, op NSOp, idempotent bool) (vfs.File, error) {
+func (c *NSClient) openOrCreate(path string, op muxns.NSOp, idempotent bool) (vfs.File, error) {
 	s := c.pick()
-	cl, conn, err := c.call(s, &NSRequest{Op: op, Path: path}, idempotent)
+	cl, conn, err := c.call(s, &muxns.NSRequest{Op: op, Path: path}, idempotent)
 	if err != nil {
 		return nil, err
 	}
@@ -531,7 +553,7 @@ func (c *NSClient) openOrCreate(path string, op NSOp, idempotent bool) (vfs.File
 	return &NSFile{c: c, slot: s, conn: conn, handle: cl.resp.Handle, path: vfs.CleanPath(path)}, nil
 }
 
-func (c *NSClient) callOK(req *NSRequest, idempotent bool) error {
+func (c *NSClient) callOK(req *muxns.NSRequest, idempotent bool) error {
 	cl, _, err := c.call(c.pick(), req, idempotent)
 	if err != nil {
 		return err
@@ -542,22 +564,22 @@ func (c *NSClient) callOK(req *NSRequest, idempotent bool) error {
 
 // Remove deletes a remote file or empty directory (not idempotent).
 func (c *NSClient) Remove(path string) error {
-	return c.callOK(&NSRequest{Op: NSRemove, Path: path}, false)
+	return c.callOK(&muxns.NSRequest{Op: muxns.NSRemove, Path: path}, false)
 }
 
 // Rename moves a remote file (not idempotent).
 func (c *NSClient) Rename(oldPath, newPath string) error {
-	return c.callOK(&NSRequest{Op: NSRename, Path: oldPath, Path2: newPath}, false)
+	return c.callOK(&muxns.NSRequest{Op: muxns.NSRename, Path: oldPath, Path2: newPath}, false)
 }
 
 // Mkdir creates a remote directory (not idempotent).
 func (c *NSClient) Mkdir(path string) error {
-	return c.callOK(&NSRequest{Op: NSMkdir, Path: path}, false)
+	return c.callOK(&muxns.NSRequest{Op: muxns.NSMkdir, Path: path}, false)
 }
 
 // ReadDir lists a remote directory.
 func (c *NSClient) ReadDir(path string) ([]vfs.DirEntry, error) {
-	cl, _, err := c.call(c.pick(), &NSRequest{Op: NSReadDir, Path: path}, true)
+	cl, _, err := c.call(c.pick(), &muxns.NSRequest{Op: muxns.NSReadDir, Path: path}, true)
 	if err != nil {
 		return nil, err
 	}
@@ -567,7 +589,7 @@ func (c *NSClient) ReadDir(path string) ([]vfs.DirEntry, error) {
 
 // Stat returns remote path metadata.
 func (c *NSClient) Stat(path string) (vfs.FileInfo, error) {
-	cl, _, err := c.call(c.pick(), &NSRequest{Op: NSStat, Path: path}, true)
+	cl, _, err := c.call(c.pick(), &muxns.NSRequest{Op: muxns.NSStat, Path: path}, true)
 	if err != nil {
 		return vfs.FileInfo{}, err
 	}
@@ -577,30 +599,17 @@ func (c *NSClient) Stat(path string) (vfs.FileInfo, error) {
 
 // SetAttr applies a partial metadata update (absolute values; idempotent).
 func (c *NSClient) SetAttr(path string, attr vfs.SetAttr) error {
-	args := SetAttrArgs{}
-	if attr.Size != nil {
-		args.HasSize, args.Size = true, *attr.Size
-	}
-	if attr.Mode != nil {
-		args.HasMode, args.Mode = true, uint32(*attr.Mode)
-	}
-	if attr.ModTime != nil {
-		args.HasModTime, args.ModTime = true, int64(*attr.ModTime)
-	}
-	if attr.ATime != nil {
-		args.HasATime, args.ATime = true, int64(*attr.ATime)
-	}
-	return c.callOK(&NSRequest{Op: NSSetAttr, Path: path, Attr: args}, true)
+	return c.callOK(&muxns.NSRequest{Op: muxns.NSSetAttr, Path: path, Attr: muxns.FromSetAttr(attr)}, true)
 }
 
 // Truncate sets a remote file's size by path (idempotent).
 func (c *NSClient) Truncate(path string, size int64) error {
-	return c.callOK(&NSRequest{Op: NSTruncate, Path: path, N: size}, true)
+	return c.callOK(&muxns.NSRequest{Op: muxns.NSTruncate, Path: path, N: size}, true)
 }
 
 // Statfs reports remote capacity.
 func (c *NSClient) Statfs() (vfs.StatFS, error) {
-	cl, _, err := c.call(c.pick(), &NSRequest{Op: NSStatfs}, true)
+	cl, _, err := c.call(c.pick(), &muxns.NSRequest{Op: muxns.NSStatfs}, true)
 	if err != nil {
 		return vfs.StatFS{}, err
 	}
@@ -610,7 +619,7 @@ func (c *NSClient) Statfs() (vfs.StatFS, error) {
 
 // Sync persists the remote namespace.
 func (c *NSClient) Sync() error {
-	return c.callOK(&NSRequest{Op: NSSync}, true)
+	return c.callOK(&muxns.NSRequest{Op: muxns.NSSync}, true)
 }
 
 // NSFile is an open remote file, pinned to the pool slot whose connection
@@ -645,7 +654,7 @@ func (f *NSFile) ensure() (*nsConn, uint64, error) {
 		return nil, 0, err
 	}
 	if conn != f.conn {
-		cl, err := f.c.doBusy(f.slot, conn, &NSRequest{Op: NSOpen, Path: f.path}, nil)
+		cl, err := f.c.doBusy(f.slot, conn, &muxns.NSRequest{Op: muxns.NSOpen, Path: f.path}, nil)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -663,7 +672,7 @@ func (f *NSFile) ensure() (*nsConn, uint64, error) {
 // rw issues one handle op with a single reconnect-reopen-retry; every
 // handle op except Close is idempotent (absolute offsets, absolute sizes).
 // A read's data lands in dst. The caller releases the returned call.
-func (f *NSFile) rw(req *NSRequest, dst []byte) (*nsCall, error) {
+func (f *NSFile) rw(req *muxns.NSRequest, dst []byte) (*nsCall, error) {
 	var lastErr error
 	for attempt := 0; attempt < 2; attempt++ {
 		conn, handle, err := f.ensure()
@@ -688,7 +697,7 @@ func (f *NSFile) rw(req *NSRequest, dst []byte) (*nsCall, error) {
 }
 
 // rwOK issues a handle op that returns only a status.
-func (f *NSFile) rwOK(req *NSRequest) error {
+func (f *NSFile) rwOK(req *muxns.NSRequest) error {
 	cl, err := f.rw(req, nil)
 	if err != nil {
 		return err
@@ -697,12 +706,37 @@ func (f *NSFile) rwOK(req *NSRequest) error {
 	return cl.resp.Err()
 }
 
+// readChunked reads p at off in wire reads of at most max bytes. read
+// fills one chunk read from off and reports how many bytes landed and
+// whether the file ended there. readChunked stops at an error, at the end
+// of the file (reported as io.EOF), at a short read, or with p full.
+func readChunked(p []byte, off, max int64, read func(chunk []byte, off int64) (n int, eof bool, err error)) (int, error) {
+	total := 0
+	for {
+		chunk := p[total:]
+		if int64(len(chunk)) > max {
+			chunk = chunk[:max]
+		}
+		n, eof, err := read(chunk, off+int64(total))
+		if err != nil {
+			return total, err
+		}
+		total += n
+		if eof {
+			return total, io.EOF
+		}
+		if n < len(chunk) || total == len(p) {
+			return total, nil
+		}
+	}
+}
+
 // ReadAt reads from the remote file. The reply's data is read off the
 // wire straight into p. Requests larger than the server's negotiated
 // payload cap are chunked into several wire reads.
 func (f *NSFile) ReadAt(p []byte, off int64) (int, error) {
 	return readChunked(p, off, f.c.MaxData(), func(chunk []byte, off int64) (int, bool, error) {
-		cl, err := f.rw(&NSRequest{Op: NSRead, Off: off, N: int64(len(chunk))}, chunk)
+		cl, err := f.rw(&muxns.NSRequest{Op: muxns.NSRead, Off: off, N: int64(len(chunk))}, chunk)
 		if err != nil {
 			return 0, false, err
 		}
@@ -723,7 +757,7 @@ func (f *NSFile) WriteAt(p []byte, off int64) (int, error) {
 		if int64(len(chunk)) > max {
 			chunk = chunk[:max]
 		}
-		cl, err := f.rw(&NSRequest{Op: NSWrite, Off: off + int64(total), Data: chunk}, nil)
+		cl, err := f.rw(&muxns.NSRequest{Op: muxns.NSWrite, Off: off + int64(total), Data: chunk}, nil)
 		if err != nil {
 			return total, err
 		}
@@ -744,22 +778,22 @@ func (f *NSFile) WriteAt(p []byte, off int64) (int, error) {
 
 // Truncate sets the remote file's size.
 func (f *NSFile) Truncate(size int64) error {
-	return f.rwOK(&NSRequest{Op: NSTruncateHandle, N: size})
+	return f.rwOK(&muxns.NSRequest{Op: muxns.NSTruncateHandle, N: size})
 }
 
 // PunchHole deallocates a remote range.
 func (f *NSFile) PunchHole(off, n int64) error {
-	return f.rwOK(&NSRequest{Op: NSPunch, Off: off, N: n})
+	return f.rwOK(&muxns.NSRequest{Op: muxns.NSPunch, Off: off, N: n})
 }
 
 // Sync fsyncs the remote file.
 func (f *NSFile) Sync() error {
-	return f.rwOK(&NSRequest{Op: NSSyncHandle})
+	return f.rwOK(&muxns.NSRequest{Op: muxns.NSSyncHandle})
 }
 
 // Stat returns the remote file's metadata.
 func (f *NSFile) Stat() (vfs.FileInfo, error) {
-	cl, err := f.rw(&NSRequest{Op: NSStatHandle}, nil)
+	cl, err := f.rw(&muxns.NSRequest{Op: muxns.NSStatHandle}, nil)
 	if err != nil {
 		return vfs.FileInfo{}, err
 	}
@@ -769,7 +803,7 @@ func (f *NSFile) Stat() (vfs.FileInfo, error) {
 
 // Extents lists the remote file's allocated runs.
 func (f *NSFile) Extents() ([]vfs.Extent, error) {
-	cl, err := f.rw(&NSRequest{Op: NSExtents}, nil)
+	cl, err := f.rw(&muxns.NSRequest{Op: muxns.NSExtents}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -794,7 +828,7 @@ func (f *NSFile) Close() error {
 	if !live {
 		return nil
 	}
-	cl, err := f.c.do(f.slot, conn, &NSRequest{Op: NSClose, Handle: handle}, nil)
+	cl, err := f.c.do(f.slot, conn, &muxns.NSRequest{Op: muxns.NSClose, Handle: handle}, nil)
 	if err != nil {
 		if isConnErr(err) {
 			return nil // the connection's death closed the handle server-side
@@ -879,13 +913,13 @@ func (c *NSClient) Batch(ops []NSBatchOp) ([]NSBatchResult, error) {
 	return results, nil
 }
 
-// batchGroup issues one NSBatch frame for the given op indexes, with a
+// batchGroup issues one batch frame for the given op indexes, with a
 // single reconnect-reopen-retry (batched reads and absolute-offset writes
 // are idempotent).
 func (c *NSClient) batchGroup(slot *nsSlot, ops []NSBatchOp, idxs []int, results []NSBatchResult) error {
 	var lastErr error
 	for attempt := 0; attempt < 2; attempt++ {
-		subs := make([]NSSubOp, 0, len(idxs))
+		subs := make([]muxns.NSSubOp, 0, len(idxs))
 		var conn *nsConn
 		for _, i := range idxs {
 			fconn, handle, err := ops[i].File.ensure()
@@ -893,17 +927,17 @@ func (c *NSClient) batchGroup(slot *nsSlot, ops []NSBatchOp, idxs []int, results
 				return err
 			}
 			conn = fconn
-			sub := NSSubOp{ID: uint32(i), Handle: handle, Off: ops[i].Off}
+			sub := muxns.NSSubOp{ID: uint32(i), Handle: handle, Off: ops[i].Off}
 			if ops[i].Read {
-				sub.Op = NSRead
+				sub.Op = muxns.NSRead
 				sub.N = int64(ops[i].N)
 			} else {
-				sub.Op = NSWrite
+				sub.Op = muxns.NSWrite
 				sub.Data = ops[i].Data
 			}
 			subs = append(subs, sub)
 		}
-		cl, err := c.doBusy(slot, conn, &NSRequest{Op: NSBatch, Batch: subs}, nil)
+		cl, err := c.doBusy(slot, conn, &muxns.NSRequest{Op: muxns.NSBatch, Batch: subs}, nil)
 		if err != nil {
 			if !isConnErr(err) {
 				return err

@@ -5,6 +5,7 @@ import (
 	"net"
 	"testing"
 
+	"muxfs/internal/muxns"
 	"muxfs/internal/vfs"
 )
 
@@ -18,20 +19,20 @@ func serveLongReads(l net.Listener) {
 		}
 		go func() {
 			defer nc.Close()
-			fr := NewNSFrameReader(nc, 1<<20)
-			fw := NewNSFrameWriter(nc)
+			fr := muxns.NewNSFrameReader(nc, 1<<20)
+			fw := muxns.NewNSFrameWriter(nc)
 			for {
-				var req NSRequest
+				var req muxns.NSRequest
 				if err := fr.ReadRequest(&req, nil); err != nil {
 					return
 				}
-				resp := NSResponse{Seq: req.Seq, Op: req.Op, Handle: 1}
+				resp := muxns.NSResponse{Seq: req.Seq, Op: req.Op, Handle: 1}
 				switch req.Op {
-				case NSHello:
+				case muxns.NSHello:
 					resp.ServerName, resp.MaxData = "liar", 1<<20
-				case NSRead:
+				case muxns.NSRead:
 					resp.Data = make([]byte, req.N+8)
-				case NSStat:
+				case muxns.NSStat:
 					resp.Info = vfs.FileInfo{Path: req.Path, Size: 1}
 				}
 				if err := fw.WriteResponse(&resp); err != nil {
@@ -63,7 +64,7 @@ func TestNSReadReplyLongerThanBuffer(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 16)
-	if _, err := f.ReadAt(buf, 0); !errors.Is(err, ErrBadFrame) {
+	if _, err := f.ReadAt(buf, 0); !errors.Is(err, muxns.ErrBadFrame) {
 		t.Fatalf("ReadAt: err = %v, want ErrBadFrame", err)
 	}
 	if fi, err := c.Stat("/x"); err != nil || fi.Path != "/x" {

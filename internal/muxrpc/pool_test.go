@@ -4,13 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"testing"
 
-	"muxfs/internal/device"
-	"muxfs/internal/fs/xfslite"
-	"muxfs/internal/simclock"
+	"muxfs/internal/muxns"
+	"muxfs/internal/vfs"
 )
 
 // trackedListener records accepted connections so tests can kill the
@@ -42,23 +42,15 @@ func (tl *trackedListener) killConns() {
 	tl.mu.Unlock()
 }
 
-// serveNode starts a muxrpc server over a fresh xfslite on a loopback
-// listener and returns the tracked listener.
+// serveNode serves a fresh xfslite on a tracked loopback listener.
 func serveNode(t *testing.T) *trackedListener {
 	t.Helper()
-	dev := device.New(device.SSDProfile("ssd0"), simclock.New())
-	fs, err := xfslite.New("xfs@remote", dev)
-	if err != nil {
-		t.Fatal(err)
-	}
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	tl := &trackedListener{Listener: l}
-	t.Cleanup(func() { tl.Close() })
-	srv := NewServer(fs)
-	go srv.Serve(tl)
+	serve(t, newNodeFS(t), tl)
 	return tl
 }
 
@@ -72,17 +64,21 @@ func TestDialPoolSize(t *testing.T) {
 	if c.PoolSize() != 4 {
 		t.Fatalf("PoolSize = %d, want 4", c.PoolSize())
 	}
-	// Round-robin must route calls on every slot without error.
+	// Round-robin must route calls on every slot without error, each
+	// slot over its own connection.
 	for i := 0; i < 16; i++ {
 		if _, err := c.Statfs(); err != nil {
 			t.Fatalf("call %d: %v", i, err)
 		}
 	}
+	if st := c.PoolStats(); st.Dials != 4 {
+		t.Fatalf("Dials = %d, want one per slot", st.Dials)
+	}
 }
 
-// TestHandshakeFailure dials a TCP server that is not speaking muxrpc:
-// the dial succeeds, the handshake must fail with the typed sentinel and
-// every pooled connection must be torn down.
+// TestHandshakeFailure dials a TCP server that is not speaking muxns: the
+// dial succeeds, the handshake must fail with the typed sentinel and the
+// connection must be torn down.
 func TestHandshakeFailure(t *testing.T) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -95,73 +91,39 @@ func TestHandshakeFailure(t *testing.T) {
 			if err != nil {
 				return
 			}
-			// Corrupt frame: bytes that are not a gob rpc response.
-			conn.Write([]byte("HTTP/1.0 400 Bad Request\r\n\r\nnot muxrpc"))
+			// Its first four bytes read as a frame length past any cap.
+			conn.Write([]byte("HTTP/1.0 400 Bad Request\r\n\r\nnot muxns"))
 			conn.Close()
 		}
 	}()
+	_, _, hsBefore := Totals()
 	_, err = DialPool("tcp", l.Addr().String(), 3)
 	if err == nil {
-		t.Fatal("handshake against non-muxrpc server succeeded")
+		t.Fatal("handshake against a non-muxns server succeeded")
 	}
-	if !errors.Is(err, ErrHandshake) {
+	if !errors.Is(err, muxns.ErrHandshake) {
 		t.Fatalf("error %v is not ErrHandshake", err)
 	}
-}
-
-// TestShortFrameMidCall kills the established sockets while calls are
-// outstanding: in-flight calls may fail, but the client must recover on
-// its own for idempotent calls (reconnect + one retry) without the caller
-// seeing an error on the next operation.
-func TestShortFrameMidCall(t *testing.T) {
-	tl := serveNode(t)
-	c, err := DialPool("tcp", tl.Addr().String(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	f, err := c.Create("/f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := bytes.Repeat([]byte{0x5a}, 8192)
-	if _, err := f.WriteAt(data, 0); err != nil {
-		t.Fatal(err)
-	}
-	// Sever every established connection. The server stays up, so handles
-	// survive; the idempotent retry must redial and complete.
-	tl.killConns()
-	buf := make([]byte, len(data))
-	n, err := f.ReadAt(buf, 0)
-	if err != nil {
-		t.Fatalf("ReadAt after connection kill: %v", err)
-	}
-	if n != len(data) || !bytes.Equal(buf, data) {
-		t.Fatalf("ReadAt after reconnect returned wrong bytes (n=%d)", n)
-	}
-	if _, err := f.WriteAt(data, 8192); err != nil {
-		t.Fatalf("WriteAt after connection kill: %v", err)
+	if _, _, hs := Totals(); hs <= hsBefore {
+		t.Fatal("handshake failure not counted in Totals")
 	}
 }
 
-// TestServerRestartMidCall restarts the whole server (listener + conns)
-// on the same address. Handles are lost with the server's handle table;
-// path-level idempotent calls must succeed after the restart via
-// reconnect, and stale handles must fail with a decoded vfs error rather
-// than a transport error.
+// TestServerRestartMidCall restarts the whole server (listener, conns,
+// worker pool) on the same address over the same file system. Path-level
+// idempotent calls must succeed after the restart via reconnect; an open
+// handle re-opens by path and reads the persisted bytes; and a handle
+// whose file vanished while the server was down must fail with a decoded
+// vfs error rather than a transport error.
 func TestServerRestartMidCall(t *testing.T) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	addr := l.Addr().String()
-	tl := &trackedListener{Listener: l}
-	dev := device.New(device.SSDProfile("ssd0"), simclock.New())
-	fs1, err := xfslite.New("xfs@remote", dev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	go NewServer(fs1).Serve(tl)
+	fs := newNodeFS(t)
+	srv1 := NewServer(fs)
+	go srv1.Serve(l)
 
 	c, err := DialPool("tcp", addr, 2)
 	if err != nil {
@@ -175,42 +137,37 @@ func TestServerRestartMidCall(t *testing.T) {
 	if _, err := f.WriteAt([]byte("abc"), 0); err != nil {
 		t.Fatal(err)
 	}
+	gone, err := c.Create("/gone")
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	// Restart: kill listener and conns, bring up a new server on the same
-	// address backed by the same FS (state persisted, handles lost).
-	tl.Close()
-	tl.killConns()
+	// Restart: stop the first server, remove a file behind its back, and
+	// bring up a new server on the same address over the same FS.
+	l.Close()
+	srv1.Close()
+	if err := fs.Remove("/gone"); err != nil {
+		t.Fatal(err)
+	}
 	l2, err := net.Listen("tcp", addr)
 	if err != nil {
 		t.Skipf("could not rebind %s: %v", addr, err)
 	}
-	defer l2.Close()
-	go NewServer(fs1).Serve(l2)
+	serve(t, fs, l2)
 
-	// Path-level idempotent call reconnects transparently.
 	if _, err := c.Stat("/keep"); err != nil {
 		t.Fatalf("Stat after server restart: %v", err)
 	}
-	// The old handle is gone server-side: the retry reconnects and the
-	// server answers with a logical error, not a transport failure.
-	_, err = f.ReadAt(make([]byte, 3), 0)
-	if err == nil {
-		t.Fatal("read on a handle lost by restart succeeded")
-	}
-	if isConnErr(err) {
-		t.Fatalf("handle-lost error %v leaked as a transport error", err)
-	}
-	// Fresh open works and reads the persisted bytes.
-	f2, err := c.Open("/keep")
-	if err != nil {
-		t.Fatal(err)
-	}
 	buf := make([]byte, 3)
-	if _, err := f2.ReadAt(buf, 0); err != nil && err.Error() != "EOF" {
-		t.Fatalf("ReadAt on reopened file: %v", err)
+	if _, err := f.ReadAt(buf, 0); err != nil && !errors.Is(err, io.EOF) {
+		t.Fatalf("ReadAt on a handle across the restart: %v", err)
 	}
 	if string(buf) != "abc" {
-		t.Fatalf("reopened read = %q", buf)
+		t.Fatalf("read across the restart = %q", buf)
+	}
+	_, err = gone.ReadAt(buf, 0)
+	if !errors.Is(err, vfs.ErrNotExist) || isConnErr(err) {
+		t.Fatalf("read of a file removed during the restart: %v, want a decoded ErrNotExist", err)
 	}
 }
 
@@ -266,5 +223,47 @@ func TestConcurrentPoolCalls(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// TestPoolStatsCounting exercises the dial/call counters end to end:
+// slots dial on first use, a severed connection is redialed and counted
+// as a reconnect, and the package totals never trail a client.
+func TestPoolStatsCounting(t *testing.T) {
+	tl := serveNode(t)
+	c, err := DialPool("tcp", tl.Addr().String(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i := 0; i < 3; i++ {
+		if _, err := c.Stat("/"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := c.PoolStats()
+	if st.Slots != 3 || st.Dials != 3 || st.Reconnects != 0 {
+		t.Fatalf("fresh pool stats: %+v", st)
+	}
+	if st.Calls != 3 {
+		t.Fatalf("Calls = %d, want 3", st.Calls)
+	}
+	if got := len(st.InFlight); got != 3 || st.InFlightTotal() != 0 {
+		t.Fatalf("in-flight slots = %v", st.InFlight)
+	}
+
+	tl.killConns() // sever; the next call on each slot redials
+	for i := 0; i < 3; i++ {
+		if _, err := c.Stat("/"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st = c.PoolStats()
+	if st.Reconnects != 3 || st.Dials != 6 {
+		t.Fatalf("reconnects not counted: %+v", st)
+	}
+
+	if dials, _, _ := Totals(); dials < st.Dials {
+		t.Fatalf("package totals behind client: %d < %d", dials, st.Dials)
 	}
 }

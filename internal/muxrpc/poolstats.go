@@ -8,24 +8,24 @@ import "sync/atomic"
 // them. Two views exist:
 //
 //   - Per-client PoolStats, reached through the RPCPoolStats interface the
-//     core snapshot walks (a remote tier is its muxrpc.Client; a stripe
-//     tier aggregates its node clients).
-//   - Package-wide Totals covering dials that never produced a live Client
+//     core snapshot walks (a remote tier is its NSClient; a stripe tier
+//     aggregates its node clients).
+//   - Package-wide Totals covering dials that never produced a live client
 //     (failed dials and handshake failures tear the client down before
 //     anything could snapshot it).
 
-// tier-protocol package totals; see Totals.
+// Package totals; see Totals.
 var (
-	tierDials          atomic.Int64
-	tierDialErrors     atomic.Int64
-	tierHandshakeFails atomic.Int64
+	totalDials          atomic.Int64
+	totalDialErrors     atomic.Int64
+	totalHandshakeFails atomic.Int64
 )
 
 // Totals reports package-wide connection-establishment counters across all
 // clients, living and dead: successful socket dials, failed dials, and
 // post-dial handshake failures.
 func Totals() (dials, dialErrors, handshakeFailures int64) {
-	return tierDials.Load(), tierDialErrors.Load(), tierHandshakeFails.Load()
+	return totalDials.Load(), totalDialErrors.Load(), totalHandshakeFails.Load()
 }
 
 // PoolStats is one pooled client's connection-level counters.
@@ -59,30 +59,3 @@ func (s PoolStats) InFlightTotal() int64 {
 	}
 	return t
 }
-
-// PoolStats snapshots the client's pool counters.
-func (c *Client) PoolStats() PoolStats {
-	st := PoolStats{
-		Addr:       c.addr,
-		Slots:      len(c.conns),
-		Dials:      c.dials.Load(),
-		Reconnects: c.reconnects.Load(),
-		DialErrors: c.dialErrs.Load(),
-		Calls:      c.calls.Load(),
-		ConnErrors: c.connErrs.Load(),
-		Retries:    c.retries.Load(),
-		InFlight:   make([]int64, 0, len(c.conns)),
-	}
-	for _, pc := range c.conns {
-		if pc == nil {
-			st.InFlight = append(st.InFlight, 0)
-			continue
-		}
-		st.InFlight = append(st.InFlight, pc.inflight.Load())
-	}
-	return st
-}
-
-// RPCPoolStats satisfies the pool-stats interface the core telemetry
-// snapshot discovers structurally on tier backends.
-func (c *Client) RPCPoolStats() []PoolStats { return []PoolStats{c.PoolStats()} }

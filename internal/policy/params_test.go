@@ -87,11 +87,15 @@ func TestLRULowWatermarkNeverExceedsHigh(t *testing.T) {
 	}
 }
 
-// No sequence of SetParam calls — extremes included — may make Params
-// report a value outside its own [Min, Max]: lowWM's crossing correction
-// once pushed low_watermark to 0.28 with high_watermark at its floor.
-func TestLRUParamsStayInRange(t *testing.T) {
-	p := DefaultLRU()
+// checkParamsStayInRange holds p to the rule that no sequence of SetParam
+// calls — extremes included — may make Params report a value outside its
+// own [Min, Max]. It sweeps every knob from one Step below its Min to one
+// Step above its Max and checks all knobs after each set. Two breaches it
+// caught: LRU's lowWM crossing correction pushed low_watermark to 0.28
+// with high_watermark at its floor, and a quota configured under the
+// 1 MiB clamp floor reported a cap below its own Min.
+func checkParamsStayInRange(t *testing.T, p Tunable) {
+	t.Helper()
 	params := p.Params()
 	for i := 0; i < 1000; i++ {
 		pr := params[i%len(params)]
@@ -105,6 +109,21 @@ func TestLRUParamsStayInRange(t *testing.T) {
 			}
 		}
 	}
+}
+
+func TestLRUParamsStayInRange(t *testing.T) { checkParamsStayInRange(t, DefaultLRU()) }
+
+func TestTPFSParamsStayInRange(t *testing.T) { checkParamsStayInRange(t, DefaultTPFS()) }
+
+func TestHotColdParamsStayInRange(t *testing.T) { checkParamsStayInRange(t, DefaultHotCold()) }
+
+// The quota policy's knobs are its base policy's plus one byte cap per
+// quota.
+func TestQuotaParamsStayInRange(t *testing.T) {
+	checkParamsStayInRange(t, &QuotaPolicy{Base: DefaultLRU(), Quotas: []Quota{
+		{Prefix: "/a", Tier: 0, Bytes: 64 << 20},
+		{Prefix: "/b", Tier: 1, Bytes: 512 << 10}, // below the 1 MiB clamp floor
+	}})
 }
 
 func TestTPFSAndHotColdTunable(t *testing.T) {

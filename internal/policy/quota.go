@@ -2,6 +2,7 @@ package policy
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -77,12 +78,14 @@ func quotaParamName(q Quota) string {
 }
 
 // Quota byte caps may be tuned within [1/8×, 8×] of the configured value
-// (floor 1 MiB): wide enough for a controller to matter, bounded so it can
-// never zero a tenant's budget and demote its entire working set.
+// (floor 1 MiB, or the configured value if that is smaller, so a cap
+// always lies inside its own range): wide enough for a controller to
+// matter, bounded so it can never zero a tenant's budget and demote its
+// entire working set.
 func quotaClamp(configured int64) (min, max float64) {
 	min = float64(configured) / 8
-	if min < float64(1<<20) {
-		min = float64(1 << 20)
+	if floor := math.Min(1<<20, float64(configured)); min < floor {
+		min = floor
 	}
 	max = float64(configured) * 8
 	if max < min {

@@ -1,4 +1,4 @@
-package server
+package server_test
 
 import (
 	"bytes"
@@ -9,7 +9,9 @@ import (
 	"testing"
 
 	"muxfs/internal/fstest"
+	"muxfs/internal/muxns"
 	"muxfs/internal/muxrpc"
+	"muxfs/internal/server"
 	"muxfs/internal/vfs"
 )
 
@@ -66,7 +68,7 @@ func TestWireAllocBudget(t *testing.T) {
 		t.Skip("sync.Pool drops items at random under -race")
 	}
 	const size = 4096
-	addr, _, _ := start(t, newMemFS("/f", 64*size), Options{})
+	addr, _, _ := start(t, newMemFS("/f", 64*size), server.Options{})
 	c := dial(t, addr, muxrpc.NSDialOptions{})
 	f, err := c.Open("/f")
 	if err != nil {
@@ -110,12 +112,12 @@ func TestWireAllocBudget(t *testing.T) {
 // fuzz targets use: 16× the frame's length plus 1 KiB.
 func TestTinyBatchDecodeHeap(t *testing.T) {
 	tinyBatch := func(n int) []byte {
-		req := &muxrpc.NSRequest{Seq: 2, Op: muxrpc.NSBatch, Batch: make([]muxrpc.NSSubOp, n)}
+		req := &muxns.NSRequest{Seq: 2, Op: muxns.NSBatch, Batch: make([]muxns.NSSubOp, n)}
 		for i := range req.Batch {
-			req.Batch[i] = muxrpc.NSSubOp{Op: muxrpc.NSWrite, Handle: 1, Data: []byte{1}}
+			req.Batch[i] = muxns.NSSubOp{Op: muxns.NSWrite, Handle: 1, Data: []byte{1}}
 		}
 		var b bytes.Buffer
-		if err := muxrpc.NewNSFrameWriter(&b).WriteRequest(req); err != nil {
+		if err := muxns.NewNSFrameWriter(&b).WriteRequest(req); err != nil {
 			t.Fatal(err)
 		}
 		return b.Bytes()
@@ -144,10 +146,10 @@ func TestTinyBatchDecodeHeap(t *testing.T) {
 	// A batch past MaxBatch is refused from its count before any sub-op is
 	// decoded, and the connection lives on.
 	t.Run("over MaxBatch", func(t *testing.T) {
-		addr, srv, _ := start(t, newBackFS(t), Options{})
+		addr, srv, _ := start(t, newBackFS(t), server.Options{})
 		rc := rawDial(t, addr)
 		frame := tinyBatch(100_000)
-		var resp muxrpc.NSResponse
+		var resp muxns.NSResponse
 		var err error
 		heap := coldHeap(func() {
 			if _, err = rc.nc.Write(frame); err == nil {
@@ -164,7 +166,7 @@ func TestTinyBatchDecodeHeap(t *testing.T) {
 			t.Fatalf("RejectedInvalid = %d, want 1", got)
 		}
 		check(t, heap, frame)
-		if resp := rc.call(t, &muxrpc.NSRequest{Seq: 3, Op: muxrpc.NSStat, Path: "/"}); resp.Err() != nil {
+		if resp := rc.call(t, &muxns.NSRequest{Seq: 3, Op: muxns.NSStat, Path: "/"}); resp.Err() != nil {
 			t.Fatalf("stat after the refused batch: %v", resp.Err())
 		}
 	})
@@ -174,15 +176,16 @@ func TestTinyBatchDecodeHeap(t *testing.T) {
 	t.Run("within MaxBatch", func(t *testing.T) {
 		const n = 20_000
 		frame := tinyBatch(n)
-		fr := muxrpc.NewNSFrameReader(bytes.NewReader(frame), int64(len(frame)))
+		fr := muxns.NewNSFrameReader(bytes.NewReader(frame), int64(len(frame)))
 		fr.SetMaxBatch(n)
-		tk := newTask(nil)
+		var req *muxns.NSRequest
+		var release func()
 		var err error
-		heap := coldHeap(func() { err = fr.ReadRequest(&tk.req, tk.buf) })
-		if err == nil && len(tk.req.Batch) != n {
-			err = fmt.Errorf("decoded %d sub-ops, want %d", len(tk.req.Batch), n)
+		heap := coldHeap(func() { req, release, err = server.DecodeRequest(fr) })
+		if err == nil && len(req.Batch) != n {
+			err = fmt.Errorf("decoded %d sub-ops, want %d", len(req.Batch), n)
 		}
-		tk.release()
+		release()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,7 +5,7 @@ import (
 	"io"
 	"sort"
 
-	"muxfs/internal/muxrpc"
+	"muxfs/internal/muxns"
 	"muxfs/internal/vfs"
 )
 
@@ -21,10 +21,10 @@ const maxCoalesceSpan = 1 << 20
 // merge only exactly-abutting ranges — overlapping writes have an
 // order-dependent outcome the wire format does not define, so they stay
 // separate dispatches in offset order.
-func (s *Server) serveBatch(t *task) []muxrpc.NSSubResult {
+func (s *Server) serveBatch(t *task) []muxns.NSSubResult {
 	subs := t.req.Batch
 	s.batchSubOps.Add(int64(len(subs)))
-	results := make([]muxrpc.NSSubResult, len(subs))
+	results := make([]muxns.NSSubResult, len(subs))
 	type groupKey struct {
 		handle uint64
 		write  bool
@@ -34,13 +34,13 @@ func (s *Server) serveBatch(t *task) []muxrpc.NSSubResult {
 	for i := range subs {
 		results[i].ID = subs[i].ID
 		switch subs[i].Op {
-		case muxrpc.NSRead, muxrpc.NSWrite:
+		case muxns.NSRead, muxns.NSWrite:
 		default:
-			results[i].Code, results[i].Msg = muxrpc.EncodeStatus(
+			results[i].Code, results[i].Msg = muxns.EncodeStatus(
 				errors.New("muxns: batch sub-op must be read or write"))
 			continue
 		}
-		k := groupKey{handle: subs[i].Handle, write: subs[i].Op == muxrpc.NSWrite}
+		k := groupKey{handle: subs[i].Handle, write: subs[i].Op == muxns.NSWrite}
 		if _, ok := groups[k]; !ok {
 			order = append(order, k)
 		}
@@ -50,7 +50,7 @@ func (s *Server) serveBatch(t *task) []muxrpc.NSSubResult {
 		idxs := groups[k]
 		h, err := t.c.handle(k.handle)
 		if err != nil {
-			code, msg := muxrpc.EncodeStatus(err)
+			code, msg := muxns.EncodeStatus(err)
 			for _, i := range idxs {
 				results[i].Code, results[i].Msg = code, msg
 			}
@@ -68,7 +68,7 @@ func (s *Server) serveBatch(t *task) []muxrpc.NSSubResult {
 
 // batchReads serves one handle's read sub-ops (sorted by offset), merging
 // runs whose ranges touch or overlap into one ReadAt.
-func (s *Server) batchReads(t *task, f vfs.File, subs []muxrpc.NSSubOp, idxs []int, results []muxrpc.NSSubResult) {
+func (s *Server) batchReads(t *task, f vfs.File, subs []muxns.NSSubOp, idxs []int, results []muxns.NSSubResult) {
 	for start := 0; start < len(idxs); {
 		first := subs[idxs[start]]
 		runStart := first.Off
@@ -106,7 +106,7 @@ func (s *Server) batchReads(t *task, f vfs.File, subs []muxrpc.NSSubOp, idxs []i
 			r := &results[i]
 			r.Coalesced = len(run) > 1
 			if err != nil {
-				r.Code, r.Msg = muxrpc.EncodeStatus(err)
+				r.Code, r.Msg = muxns.EncodeStatus(err)
 				continue
 			}
 			lo, hi := sub.Off, sub.Off+sub.N
@@ -131,7 +131,7 @@ func (s *Server) batchReads(t *task, f vfs.File, subs []muxrpc.NSSubOp, idxs []i
 
 // batchWrites serves one handle's write sub-ops (sorted by offset),
 // merging exactly-abutting ranges into one WriteAt.
-func (s *Server) batchWrites(t *task, h nsHandle, subs []muxrpc.NSSubOp, idxs []int, results []muxrpc.NSSubResult) {
+func (s *Server) batchWrites(t *task, h nsHandle, subs []muxns.NSSubOp, idxs []int, results []muxns.NSSubResult) {
 	defer s.invalidate(h.path)
 	for start := 0; start < len(idxs); {
 		first := subs[idxs[start]]
@@ -179,9 +179,9 @@ func (s *Server) batchWrites(t *task, h nsHandle, subs []muxrpc.NSSubOp, idxs []
 			r.N = got - lo
 			// A short merged write errors every sub-op that lost bytes.
 			if err != nil && r.N < hi-lo {
-				r.Code, r.Msg = muxrpc.EncodeStatus(err)
+				r.Code, r.Msg = muxns.EncodeStatus(err)
 			} else if err != nil && n == 0 {
-				r.Code, r.Msg = muxrpc.EncodeStatus(err)
+				r.Code, r.Msg = muxns.EncodeStatus(err)
 			}
 		}
 		start = end

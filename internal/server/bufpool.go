@@ -4,7 +4,7 @@ import (
 	"math/bits"
 	"sync"
 
-	"muxfs/internal/muxrpc"
+	"muxfs/internal/muxns"
 )
 
 // Payload buffers — write and batch-write payloads read off the wire,
@@ -68,8 +68,8 @@ func putBuf(p *[]byte) {
 // release.
 type task struct {
 	c    *conn
-	req  muxrpc.NSRequest
-	resp muxrpc.NSResponse
+	req  muxns.NSRequest
+	resp muxns.NSResponse
 	cost int64
 	bufs []*[]byte
 }
@@ -98,8 +98,8 @@ func (t *task) buf(n int) []byte {
 
 // fail replaces the reply with an error status.
 func (t *task) fail(err error) {
-	t.resp = muxrpc.NSResponse{}
-	t.resp.Code, t.resp.Msg = muxrpc.EncodeStatus(err)
+	t.resp = muxns.NSResponse{}
+	t.resp.Code, t.resp.Msg = muxns.EncodeStatus(err)
 }
 
 // release returns the task's buffers, then the task, to their pools. Only

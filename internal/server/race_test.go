@@ -1,5 +1,5 @@
 //go:build race
 
-package server
+package server_test
 
 func init() { raceEnabled = true }

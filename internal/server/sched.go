@@ -15,8 +15,11 @@
 //     metadata-heavy workloads (stat storms, ls loops) short-circuit
 //     before touching the Mux.
 //
-// The wire protocol and client live in internal/muxrpc (nswire.go,
-// nsclient.go); cmd/muxd -serve hosts this server.
+// The same server exports a single native file system as a remote tier or
+// stripe node (muxrpc.NewServer: the attr cache off, since the file
+// system may change underneath the export). The wire protocol is
+// internal/muxns and the client is internal/muxrpc; cmd/muxd hosts the
+// server.
 package server
 
 import (

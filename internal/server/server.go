@@ -11,7 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"muxfs/internal/muxrpc"
+	"muxfs/internal/muxns"
 	"muxfs/internal/telemetry"
 	"muxfs/internal/vfs"
 )
@@ -42,7 +42,7 @@ type Options struct {
 	MaxBatch int
 	// MaxData caps one request's payload — a read's length, a write's
 	// data, a batch frame's payload sum — so no admitted frame can demand
-	// an unbounded allocation (default muxrpc.NSDefaultMaxData, 8MiB).
+	// an unbounded allocation (default muxns.NSDefaultMaxData, 8MiB).
 	// Violations are rejected with vfs.ErrInvalid at admission, before
 	// any allocation; the cap is negotiated down to clients in the hello
 	// reply and NSClient chunks larger transfers transparently.
@@ -83,9 +83,9 @@ func (o Options) fill() Options {
 		o.MaxBatch = 256
 	}
 	if o.MaxData <= 0 {
-		o.MaxData = muxrpc.NSDefaultMaxData
+		o.MaxData = muxns.NSDefaultMaxData
 	}
-	if min := o.MaxData + 1<<20; o.MaxFrame < min {
+	if min := o.MaxData + muxns.NSFrameSlack; o.MaxFrame < min {
 		o.MaxFrame = min
 	}
 	return o
@@ -139,11 +139,11 @@ func New(fs vfs.FileSystem, opts Options) *Server {
 		s.cache = newAttrCache(opts.CacheSize, opts.CacheTTL)
 	}
 	if s.tel != nil {
-		s.opNs = make([]*telemetry.Histogram, muxrpc.NSOpCount())
-		for op := 0; op < muxrpc.NSOpCount(); op++ {
+		s.opNs = make([]*telemetry.Histogram, muxns.NSOpCount())
+		for op := 0; op < muxns.NSOpCount(); op++ {
 			s.opNs[op] = s.tel.Histogram("mux_server_op_ns",
 				"namespace-server op service time (ns)",
-				telemetry.Label{Key: "op", Value: muxrpc.NSOp(op).String()})
+				telemetry.Label{Key: "op", Value: muxns.NSOp(op).String()})
 		}
 	}
 	for i := 0; i < opts.Workers; i++ {
@@ -164,12 +164,15 @@ func (s *Server) Serve(l net.Listener) error {
 			}
 			return err
 		}
+		c := &conn{srv: s, nc: nc, fw: muxns.NewNSFrameWriter(nc), handles: map[uint64]nsHandle{}, cq: &clientQ{}}
+		// Checked under connMu, which sever holds: a connection is either
+		// registered before Drain severs the table or refused here.
+		s.connMu.Lock()
 		if s.closed.Load() {
+			s.connMu.Unlock()
 			nc.Close()
 			return nil
 		}
-		c := &conn{srv: s, nc: nc, fw: muxrpc.NewNSFrameWriter(nc), handles: map[uint64]nsHandle{}, cq: &clientQ{}}
-		s.connMu.Lock()
 		s.conns[c] = struct{}{}
 		s.connMu.Unlock()
 		s.accepted.Add(1)
@@ -182,38 +185,42 @@ func (s *Server) InFlight() int64 {
 	return int64(s.sched.depth()) + s.executing.Load()
 }
 
-// Drain waits up to timeout for queued and executing requests to finish,
-// then severs every connection. The caller closes its listeners first so
-// no new connections arrive. Returns the number of requests still in
-// flight when connections were cut (0 for a clean drain).
+// Drain is the server's terminal shutdown. It waits up to timeout for
+// queued and executing requests to finish, severs every connection, then
+// stops the worker pool, so nothing the server started outlives it. The
+// caller closes its listeners first so no new connections arrive; Serve
+// goroutines exit when their listeners close. Returns the number of
+// requests still in flight when connections were cut (0 for a clean
+// drain). Only the first Drain or Close does anything.
 func (s *Server) Drain(timeout time.Duration) int64 {
+	if s.closed.Swap(true) {
+		return 0
+	}
 	deadline := time.Now().Add(timeout)
 	for s.InFlight() > 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	cut := s.InFlight()
-	s.connMu.Lock()
-	for c := range s.conns {
-		c.nc.Close()
-	}
-	s.connMu.Unlock()
+	s.sever()
+	s.sched.close()
+	s.wg.Wait()
 	return cut
 }
 
-// Close stops the worker pool after the queue drains and severs any
-// remaining connections. Serve goroutines exit when their listeners close.
+// Close is Drain without a grace period.
 func (s *Server) Close() error {
-	if s.closed.Swap(true) {
-		return nil
-	}
-	s.sched.close()
-	s.wg.Wait()
+	s.Drain(0)
+	return nil
+}
+
+// sever closes every connection; each read loop then tears its
+// connection down.
+func (s *Server) sever() {
 	s.connMu.Lock()
 	for c := range s.conns {
 		c.nc.Close()
 	}
 	s.connMu.Unlock()
-	return nil
 }
 
 // worker executes admitted tasks until the scheduler closes.
@@ -239,40 +246,40 @@ func (s *Server) worker() {
 // panic make([]byte, N) inside a worker. Violations answer vfs.ErrInvalid
 // and the connection lives on — unlike a frame-cap breach, nothing was
 // half-read.
-func (s *Server) validate(req *muxrpc.NSRequest) error {
+func (s *Server) validate(req *muxns.NSRequest) error {
 	maxData := s.opts.MaxData
 	switch req.Op {
-	case muxrpc.NSRead:
+	case muxns.NSRead:
 		if req.Off < 0 || req.N < 0 || req.N > maxData {
 			return fmt.Errorf("%w: read of %d bytes at offset %d (payload cap %d)",
 				vfs.ErrInvalid, req.N, req.Off, maxData)
 		}
-	case muxrpc.NSWrite:
+	case muxns.NSWrite:
 		if req.Off < 0 || int64(len(req.Data)) > maxData {
 			return fmt.Errorf("%w: write of %d bytes at offset %d (payload cap %d)",
 				vfs.ErrInvalid, len(req.Data), req.Off, maxData)
 		}
-	case muxrpc.NSTruncate, muxrpc.NSTruncateHandle:
+	case muxns.NSTruncate, muxns.NSTruncateHandle:
 		if req.N < 0 {
 			return fmt.Errorf("%w: truncate to negative size %d", vfs.ErrInvalid, req.N)
 		}
-	case muxrpc.NSPunch:
+	case muxns.NSPunch:
 		if req.Off < 0 || req.N < 0 {
 			return fmt.Errorf("%w: punch of %d bytes at offset %d", vfs.ErrInvalid, req.N, req.Off)
 		}
-	case muxrpc.NSBatch:
+	case muxns.NSBatch:
 		// The frame reader has already refused a batch over MaxBatch.
 		var total int64
 		for i := range req.Batch {
 			b := &req.Batch[i]
 			switch b.Op {
-			case muxrpc.NSRead:
+			case muxns.NSRead:
 				if b.Off < 0 || b.N < 0 || b.N > maxData {
 					return fmt.Errorf("%w: batch read sub-op of %d bytes at offset %d (payload cap %d)",
 						vfs.ErrInvalid, b.N, b.Off, maxData)
 				}
 				total += b.N
-			case muxrpc.NSWrite:
+			case muxns.NSWrite:
 				if b.Off < 0 || int64(len(b.Data)) > maxData {
 					return fmt.Errorf("%w: batch write sub-op of %d bytes at offset %d (payload cap %d)",
 						vfs.ErrInvalid, len(b.Data), b.Off, maxData)
@@ -290,16 +297,16 @@ func (s *Server) validate(req *muxrpc.NSRequest) error {
 }
 
 // costOf charges a request by frame plus payload volume.
-func costOf(req *muxrpc.NSRequest) int64 {
+func costOf(req *muxns.NSRequest) int64 {
 	var payload int64
 	switch req.Op {
-	case muxrpc.NSRead:
+	case muxns.NSRead:
 		payload = req.N
-	case muxrpc.NSWrite:
+	case muxns.NSWrite:
 		payload = int64(len(req.Data))
-	case muxrpc.NSBatch:
+	case muxns.NSBatch:
 		for i := range req.Batch {
-			if req.Batch[i].Op == muxrpc.NSRead {
+			if req.Batch[i].Op == muxns.NSRead {
 				payload += req.Batch[i].N
 			} else {
 				payload += int64(len(req.Batch[i].Data))
@@ -327,7 +334,7 @@ type conn struct {
 	nc  net.Conn
 
 	wmu sync.Mutex // serializes reply frames
-	fw  *muxrpc.NSFrameWriter
+	fw  *muxns.NSFrameWriter
 
 	cq *clientQ
 
@@ -364,7 +371,7 @@ func (c *conn) reply(t *task) {
 // ErrInvalid like any request validate rejects.
 func (c *conn) readLoop() {
 	defer c.teardown()
-	fr := muxrpc.NewNSFrameReader(c.nc, c.srv.opts.MaxFrame)
+	fr := muxns.NewNSFrameReader(c.nc, c.srv.opts.MaxFrame)
 	fr.SetMaxBatch(c.srv.opts.MaxBatch)
 	if !c.hello(fr) {
 		return
@@ -372,8 +379,8 @@ func (c *conn) readLoop() {
 	for {
 		t := newTask(c)
 		err := fr.ReadRequest(&t.req, t.buf)
-		if err != nil && !errors.Is(err, muxrpc.ErrBatchTooBig) {
-			if errors.Is(err, muxrpc.ErrFrameTooBig) {
+		if err != nil && !errors.Is(err, muxns.ErrBatchTooBig) {
+			if errors.Is(err, muxns.ErrFrameTooBig) {
 				c.srv.rejectedFrame.Add(1)
 			}
 			return
@@ -399,7 +406,7 @@ func (c *conn) readLoop() {
 			if ms < 1 {
 				ms = 1
 			}
-			t.fail(muxrpc.ErrBusy)
+			t.fail(muxns.ErrBusy)
 			t.resp.RetryAfterMs = ms
 			c.reply(t)
 		}
@@ -410,22 +417,22 @@ func (c *conn) readLoop() {
 // frame a client may always send. A first frame that is not a hello of
 // this protocol version — a v2 peer's gob frame does not even parse as one
 // — gets the version-mismatch error, and the connection closes.
-func (c *conn) hello(fr *muxrpc.NSFrameReader) bool {
+func (c *conn) hello(fr *muxns.NSFrameReader) bool {
 	t := newTask(c)
 	err := fr.ReadRequest(&t.req, nil)
 	switch {
-	case errors.Is(err, muxrpc.ErrFrameTooBig):
+	case errors.Is(err, muxns.ErrFrameTooBig):
 		c.srv.rejectedFrame.Add(1)
 		return false
-	case err != nil && !errors.Is(err, muxrpc.ErrBadFrame) && !errors.Is(err, muxrpc.ErrBatchTooBig):
+	case err != nil && !errors.Is(err, muxns.ErrBadFrame) && !errors.Is(err, muxns.ErrBatchTooBig):
 		return false // the stream died
-	case err != nil || t.req.Op != muxrpc.NSHello || t.req.N != muxrpc.NSProtoVersion:
-		t.req.Op = muxrpc.NSHello
-		t.fail(fmt.Errorf("muxns: protocol version mismatch (server speaks %d)", muxrpc.NSProtoVersion))
+	case err != nil || t.req.Op != muxns.NSHello || t.req.N != muxns.NSProtoVersion:
+		t.req.Op = muxns.NSHello
+		t.fail(fmt.Errorf("muxns: protocol version mismatch (server speaks %d)", muxns.NSProtoVersion))
 		c.reply(t)
 		return false
 	}
-	t.resp = muxrpc.NSResponse{
+	t.resp = muxns.NSResponse{
 		ServerName: c.srv.fs.Name(),
 		MaxBatch:   c.srv.opts.MaxBatch,
 		MaxData:    c.srv.opts.MaxData,
@@ -500,20 +507,20 @@ func (s *Server) serve(t *task) {
 func (s *Server) dispatch(t *task) error {
 	c, req, resp := t.c, &t.req, &t.resp
 	switch req.Op {
-	case muxrpc.NSOpen:
+	case muxns.NSOpen:
 		f, err := s.fs.Open(req.Path)
 		if err != nil {
 			return err
 		}
 		resp.Handle = c.track(f, vfs.CleanPath(req.Path))
-	case muxrpc.NSCreate:
+	case muxns.NSCreate:
 		f, err := s.fs.Create(req.Path)
 		if err != nil {
 			return err
 		}
 		s.invalidate(req.Path)
 		resp.Handle = c.track(f, vfs.CleanPath(req.Path))
-	case muxrpc.NSClose:
+	case muxns.NSClose:
 		c.mu.Lock()
 		h, ok := c.handles[req.Handle]
 		delete(c.handles, req.Handle)
@@ -525,7 +532,7 @@ func (s *Server) dispatch(t *task) error {
 		if err := h.f.Close(); err != nil {
 			return err
 		}
-	case muxrpc.NSRead:
+	case muxns.NSRead:
 		h, err := c.handle(req.Handle)
 		if err != nil {
 			return err
@@ -541,7 +548,7 @@ func (s *Server) dispatch(t *task) error {
 		if err != nil {
 			return err
 		}
-	case muxrpc.NSWrite:
+	case muxns.NSWrite:
 		h, err := c.handle(req.Handle)
 		if err != nil {
 			return err
@@ -553,7 +560,7 @@ func (s *Server) dispatch(t *task) error {
 		if err != nil {
 			return err
 		}
-	case muxrpc.NSTruncateHandle:
+	case muxns.NSTruncateHandle:
 		h, err := c.handle(req.Handle)
 		if err != nil {
 			return err
@@ -568,7 +575,7 @@ func (s *Server) dispatch(t *task) error {
 		if terr != nil {
 			return terr
 		}
-	case muxrpc.NSPunch:
+	case muxns.NSPunch:
 		h, err := c.handle(req.Handle)
 		if err != nil {
 			return err
@@ -578,7 +585,7 @@ func (s *Server) dispatch(t *task) error {
 		if perr != nil {
 			return perr
 		}
-	case muxrpc.NSSyncHandle:
+	case muxns.NSSyncHandle:
 		h, err := c.handle(req.Handle)
 		if err != nil {
 			return err
@@ -586,7 +593,7 @@ func (s *Server) dispatch(t *task) error {
 		if err := h.f.Sync(); err != nil {
 			return err
 		}
-	case muxrpc.NSStatHandle:
+	case muxns.NSStatHandle:
 		h, err := c.handle(req.Handle)
 		if err != nil {
 			return err
@@ -596,7 +603,7 @@ func (s *Server) dispatch(t *task) error {
 			return err
 		}
 		resp.Info = fi
-	case muxrpc.NSExtents:
+	case muxns.NSExtents:
 		h, err := c.handle(req.Handle)
 		if err != nil {
 			return err
@@ -606,7 +613,7 @@ func (s *Server) dispatch(t *task) error {
 			return err
 		}
 		resp.Extents = exts
-	case muxrpc.NSStat:
+	case muxns.NSStat:
 		path := vfs.CleanPath(req.Path)
 		if s.cache != nil {
 			if fi, cerr, ok := s.cache.getStat(path); ok {
@@ -629,7 +636,7 @@ func (s *Server) dispatch(t *task) error {
 			return err
 		}
 		resp.Info = fi
-	case muxrpc.NSReadDir:
+	case muxns.NSReadDir:
 		path := vfs.CleanPath(req.Path)
 		if s.cache != nil {
 			if ents, cerr, ok := s.cache.getDir(path); ok {
@@ -652,48 +659,48 @@ func (s *Server) dispatch(t *task) error {
 			return err
 		}
 		resp.Entries = ents
-	case muxrpc.NSSetAttr:
+	case muxns.NSSetAttr:
 		err := s.fs.SetAttr(req.Path, req.Attr.ToSetAttr())
 		s.invalidate(req.Path)
 		if err != nil {
 			return err
 		}
-	case muxrpc.NSTruncate:
+	case muxns.NSTruncate:
 		err := s.fs.Truncate(req.Path, req.N)
 		s.invalidate(req.Path)
 		if err != nil {
 			return err
 		}
-	case muxrpc.NSRename:
+	case muxns.NSRename:
 		err := s.fs.Rename(req.Path, req.Path2)
 		s.invalidateTree(req.Path)
 		s.invalidateTree(req.Path2)
 		if err != nil {
 			return err
 		}
-	case muxrpc.NSRemove:
+	case muxns.NSRemove:
 		err := s.fs.Remove(req.Path)
 		s.invalidateTree(req.Path)
 		if err != nil {
 			return err
 		}
-	case muxrpc.NSMkdir:
+	case muxns.NSMkdir:
 		err := s.fs.Mkdir(req.Path)
 		s.invalidate(req.Path)
 		if err != nil {
 			return err
 		}
-	case muxrpc.NSStatfs:
+	case muxns.NSStatfs:
 		st, err := s.fs.Statfs()
 		if err != nil {
 			return err
 		}
 		resp.Stat = st
-	case muxrpc.NSSync:
+	case muxns.NSSync:
 		if err := s.fs.Sync(); err != nil {
 			return err
 		}
-	case muxrpc.NSBatch:
+	case muxns.NSBatch:
 		resp.Batch = s.serveBatch(t)
 	default:
 		return fmt.Errorf("%w: muxns op %d", vfs.ErrInvalid, req.Op)

@@ -1,4 +1,4 @@
-package server
+package server_test
 
 import (
 	"bytes"
@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -16,7 +17,9 @@ import (
 	"muxfs/internal/device"
 	"muxfs/internal/fs/xfslite"
 	"muxfs/internal/fstest"
+	"muxfs/internal/muxns"
 	"muxfs/internal/muxrpc"
+	"muxfs/internal/server"
 	"muxfs/internal/simclock"
 	"muxfs/internal/vfs"
 )
@@ -33,13 +36,13 @@ func newBackFS(t *testing.T) vfs.FileSystem {
 
 // start serves fs on a loopback listener and returns the address, server,
 // and listener (for tests that sever it).
-func start(t *testing.T, fs vfs.FileSystem, opts Options) (string, *Server, net.Listener) {
+func start(t *testing.T, fs vfs.FileSystem, opts server.Options) (string, *server.Server, net.Listener) {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(fs, opts)
+	srv := server.New(fs, opts)
 	go srv.Serve(l)
 	t.Cleanup(func() {
 		l.Close()
@@ -63,20 +66,20 @@ func dial(t *testing.T, addr string, opts muxrpc.NSDialOptions) *muxrpc.NSClient
 // remote namespace must be indistinguishable from a local file system.
 func TestConformance(t *testing.T) {
 	fstest.RunConformance(t, func(t *testing.T) vfs.FileSystem {
-		addr, _, _ := start(t, newBackFS(t), Options{})
+		addr, _, _ := start(t, newBackFS(t), server.Options{})
 		return dial(t, addr, muxrpc.NSDialOptions{})
 	})
 }
 
 func TestConcurrency(t *testing.T) {
 	fstest.RunConcurrency(t, func(t *testing.T) vfs.FileSystem {
-		addr, _, _ := start(t, newBackFS(t), Options{})
+		addr, _, _ := start(t, newBackFS(t), server.Options{})
 		return dial(t, addr, muxrpc.NSDialOptions{PoolSize: 2})
 	})
 }
 
 func TestHello(t *testing.T) {
-	addr, _, _ := start(t, newBackFS(t), Options{MaxBatch: 99, MaxData: 128 << 10})
+	addr, _, _ := start(t, newBackFS(t), server.Options{MaxBatch: 99, MaxData: 128 << 10})
 	c := dial(t, addr, muxrpc.NSDialOptions{})
 	if c.Name() != "muxns:xfs@srv" {
 		t.Fatalf("Name = %q", c.Name())
@@ -93,8 +96,8 @@ func TestHello(t *testing.T) {
 // would never produce — negative lengths, over-cap payloads.
 type rawConn struct {
 	nc net.Conn
-	fw *muxrpc.NSFrameWriter
-	fr *muxrpc.NSFrameReader
+	fw *muxns.NSFrameWriter
+	fr *muxns.NSFrameReader
 }
 
 func rawDial(t *testing.T, addr string) *rawConn {
@@ -106,21 +109,21 @@ func rawDial(t *testing.T, addr string) *rawConn {
 	t.Cleanup(func() { nc.Close() })
 	rc := &rawConn{
 		nc: nc,
-		fw: muxrpc.NewNSFrameWriter(nc),
-		fr: muxrpc.NewNSFrameReader(nc, 64<<20),
+		fw: muxns.NewNSFrameWriter(nc),
+		fr: muxns.NewNSFrameReader(nc, 64<<20),
 	}
-	if resp := rc.call(t, &muxrpc.NSRequest{Seq: 1, Op: muxrpc.NSHello, N: muxrpc.NSProtoVersion}); resp.Err() != nil {
+	if resp := rc.call(t, &muxns.NSRequest{Seq: 1, Op: muxns.NSHello, N: muxns.NSProtoVersion}); resp.Err() != nil {
 		t.Fatalf("hello: %v", resp.Err())
 	}
 	return rc
 }
 
-func (rc *rawConn) call(t *testing.T, req *muxrpc.NSRequest) *muxrpc.NSResponse {
+func (rc *rawConn) call(t *testing.T, req *muxns.NSRequest) *muxns.NSResponse {
 	t.Helper()
 	if err := rc.fw.WriteRequest(req); err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	resp := &muxrpc.NSResponse{}
+	resp := &muxns.NSResponse{}
 	if err := rc.fr.ReadResponse(resp); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -132,21 +135,21 @@ func (rc *rawConn) call(t *testing.T, req *muxrpc.NSRequest) *muxrpc.NSResponse 
 // with ErrInvalid at admission instead of panicking a worker, with the
 // connection (and server) alive afterwards.
 func TestWireValidation(t *testing.T) {
-	addr, srv, _ := start(t, newBackFS(t), Options{})
+	addr, srv, _ := start(t, newBackFS(t), server.Options{})
 	rc := rawDial(t, addr)
 
-	hostile := []*muxrpc.NSRequest{
-		{Seq: 2, Op: muxrpc.NSRead, Handle: 1, N: -1},
-		{Seq: 3, Op: muxrpc.NSRead, Handle: 1, N: 1 << 50},
-		{Seq: 4, Op: muxrpc.NSRead, Handle: 1, Off: -8, N: 16},
-		{Seq: 5, Op: muxrpc.NSWrite, Handle: 1, Off: -8, Data: []byte("x")},
-		{Seq: 6, Op: muxrpc.NSTruncate, Path: "/x", N: -2},
-		{Seq: 7, Op: muxrpc.NSPunch, Handle: 1, Off: 0, N: -4096},
-		{Seq: 8, Op: muxrpc.NSBatch, Batch: []muxrpc.NSSubOp{
-			{ID: 0, Op: muxrpc.NSRead, Handle: 1, N: -5},
+	hostile := []*muxns.NSRequest{
+		{Seq: 2, Op: muxns.NSRead, Handle: 1, N: -1},
+		{Seq: 3, Op: muxns.NSRead, Handle: 1, N: 1 << 50},
+		{Seq: 4, Op: muxns.NSRead, Handle: 1, Off: -8, N: 16},
+		{Seq: 5, Op: muxns.NSWrite, Handle: 1, Off: -8, Data: []byte("x")},
+		{Seq: 6, Op: muxns.NSTruncate, Path: "/x", N: -2},
+		{Seq: 7, Op: muxns.NSPunch, Handle: 1, Off: 0, N: -4096},
+		{Seq: 8, Op: muxns.NSBatch, Batch: []muxns.NSSubOp{
+			{ID: 0, Op: muxns.NSRead, Handle: 1, N: -5},
 		}},
-		{Seq: 9, Op: muxrpc.NSBatch, Batch: []muxrpc.NSSubOp{
-			{ID: 0, Op: muxrpc.NSRead, Handle: 1, N: 1 << 40},
+		{Seq: 9, Op: muxns.NSBatch, Batch: []muxns.NSSubOp{
+			{ID: 0, Op: muxns.NSRead, Handle: 1, N: 1 << 40},
 		}},
 	}
 	for _, req := range hostile {
@@ -159,7 +162,7 @@ func TestWireValidation(t *testing.T) {
 		t.Fatalf("RejectedInvalid = %d, want %d", got, len(hostile))
 	}
 	// The connection survived every rejection: a well-formed op still works.
-	if resp := rc.call(t, &muxrpc.NSRequest{Seq: 10, Op: muxrpc.NSStat, Path: "/"}); resp.Err() != nil {
+	if resp := rc.call(t, &muxns.NSRequest{Seq: 10, Op: muxns.NSStat, Path: "/"}); resp.Err() != nil {
 		t.Fatalf("stat after rejections: %v", resp.Err())
 	}
 }
@@ -168,7 +171,7 @@ func TestWireValidation(t *testing.T) {
 // cap and checks the connection dies from the 4-byte header alone — the
 // payload is never read into memory.
 func TestFrameCapKillsConnection(t *testing.T) {
-	addr, srv, _ := start(t, newBackFS(t), Options{})
+	addr, srv, _ := start(t, newBackFS(t), server.Options{})
 	rc := rawDial(t, addr)
 
 	var hdr [4]byte
@@ -192,7 +195,7 @@ func TestFrameCapKillsConnection(t *testing.T) {
 // TestLargeIOChunked checks reads and writes past the negotiated payload
 // cap chunk transparently client-side instead of being rejected.
 func TestLargeIOChunked(t *testing.T) {
-	addr, _, _ := start(t, newBackFS(t), Options{MaxData: 64 << 10})
+	addr, _, _ := start(t, newBackFS(t), server.Options{MaxData: 64 << 10})
 	c := dial(t, addr, muxrpc.NSDialOptions{})
 
 	data := make([]byte, 300<<10) // 4 full chunks + a partial one
@@ -292,7 +295,7 @@ func (f *gateFile) WriteAt(p []byte, off int64) (int, error) {
 // instead of queueing without bound.
 func TestQueueBackpressure(t *testing.T) {
 	g := &gateFS{FileSystem: newBackFS(t)}
-	addr, _, _ := start(t, g, Options{Workers: 2, MaxQueue: 4})
+	addr, _, _ := start(t, g, server.Options{Workers: 2, MaxQueue: 4})
 	c := dial(t, addr, muxrpc.NSDialOptions{BusyRetries: -1})
 
 	f, err := c.Create("/big")
@@ -323,10 +326,10 @@ func TestQueueBackpressure(t *testing.T) {
 	for busy == 0 {
 		select {
 		case err := <-errs:
-			if !errors.Is(err, muxrpc.ErrBusy) {
+			if !errors.Is(err, muxns.ErrBusy) {
 				t.Fatalf("expected ErrBusy, got %v", err)
 			}
-			var be *muxrpc.BusyError
+			var be *muxns.BusyError
 			if !errors.As(err, &be) || be.RetryAfter <= 0 {
 				t.Fatalf("busy error carries no retry hint: %v", err)
 			}
@@ -345,7 +348,7 @@ func TestQueueBackpressure(t *testing.T) {
 func TestRateLimitAndRecovery(t *testing.T) {
 	fs := newBackFS(t)
 	// 64 units/s, burst 64: ~2MiB of payload then hard throttle.
-	addr, srv, _ := start(t, fs, Options{RatePerClient: 64, Burst: 64})
+	addr, srv, _ := start(t, fs, server.Options{RatePerClient: 64, Burst: 64})
 
 	c := dial(t, addr, muxrpc.NSDialOptions{BusyRetries: -1})
 	f, err := c.Create("/r")
@@ -356,7 +359,7 @@ func TestRateLimitAndRecovery(t *testing.T) {
 	var sawBusy bool
 	for i := 0; i < 32; i++ {
 		if _, err := f.WriteAt(payload, 0); err != nil {
-			if !errors.Is(err, muxrpc.ErrBusy) {
+			if !errors.Is(err, muxns.ErrBusy) {
 				t.Fatalf("expected ErrBusy, got %v", err)
 			}
 			sawBusy = true
@@ -387,7 +390,7 @@ func TestRateLimitAndRecovery(t *testing.T) {
 // on server-served mutations.
 func TestAttrCache(t *testing.T) {
 	fs := newBackFS(t)
-	addr, srv, _ := start(t, fs, Options{CacheTTL: time.Hour}) // TTL out of the picture
+	addr, srv, _ := start(t, fs, server.Options{CacheTTL: time.Hour}) // TTL out of the picture
 	c := dial(t, addr, muxrpc.NSDialOptions{})
 
 	f, err := c.Create("/a")
@@ -513,7 +516,7 @@ func (g *statGate) Stat(path string) (vfs.FileInfo, error) {
 // write-through consistency.
 func TestStatFillRaceInvalidation(t *testing.T) {
 	g := &statGate{FileSystem: newBackFS(t)}
-	addr, _, _ := start(t, g, Options{CacheTTL: time.Hour})
+	addr, _, _ := start(t, g, server.Options{CacheTTL: time.Hour})
 	c := dial(t, addr, muxrpc.NSDialOptions{})
 
 	f, err := c.Create("/f")
@@ -555,7 +558,7 @@ func TestStatFillRaceInvalidation(t *testing.T) {
 // reader goroutines while lazy pool slots dial and write it; -race is the
 // assertion.
 func TestClientMetaRace(t *testing.T) {
-	addr, _, _ := start(t, newBackFS(t), Options{})
+	addr, _, _ := start(t, newBackFS(t), server.Options{})
 	c := dial(t, addr, muxrpc.NSDialOptions{PoolSize: 4})
 	if _, err := c.Create("/meta"); err != nil {
 		t.Fatal(err)
@@ -596,7 +599,7 @@ func TestClientMetaRace(t *testing.T) {
 // descendants go stale with it.
 func TestCacheTreeInvalidation(t *testing.T) {
 	fs := newBackFS(t)
-	addr, _, _ := start(t, fs, Options{CacheTTL: time.Hour})
+	addr, _, _ := start(t, fs, server.Options{CacheTTL: time.Hour})
 	c := dial(t, addr, muxrpc.NSDialOptions{})
 
 	if err := c.Mkdir("/d"); err != nil {
@@ -626,7 +629,7 @@ func TestCacheTreeInvalidation(t *testing.T) {
 // its bytes, and reads past EOF report EOF per sub-op.
 func TestBatchReads(t *testing.T) {
 	fs := newBackFS(t)
-	addr, srv, _ := start(t, fs, Options{})
+	addr, srv, _ := start(t, fs, server.Options{})
 	c := dial(t, addr, muxrpc.NSDialOptions{})
 
 	data := make([]byte, 64<<10)
@@ -684,7 +687,7 @@ func TestBatchReads(t *testing.T) {
 // and land correctly.
 func TestBatchWrites(t *testing.T) {
 	fs := newBackFS(t)
-	addr, srv, _ := start(t, fs, Options{})
+	addr, srv, _ := start(t, fs, server.Options{})
 	c := dial(t, addr, muxrpc.NSDialOptions{})
 
 	f0, err := c.Create("/w")
@@ -733,7 +736,7 @@ func TestBatchWrites(t *testing.T) {
 // checks Drain waits for them rather than cutting mid-call.
 func TestDrainUnderLoad(t *testing.T) {
 	g := &gateFS{FileSystem: newBackFS(t)}
-	addr, srv, l := start(t, g, Options{Workers: 4})
+	addr, srv, l := start(t, g, server.Options{Workers: 4})
 	c := dial(t, addr, muxrpc.NSDialOptions{})
 
 	f, err := c.Create("/d")
@@ -777,12 +780,57 @@ func TestDrainUnderLoad(t *testing.T) {
 	}
 }
 
+// TestDrainReleasesServer checks Drain is terminal: once it returns and
+// the client hangs up, every goroutine the server started — the worker
+// pool and the connection read loops — has exited, so nothing still pins
+// the served file system.
+func TestDrainReleasesServer(t *testing.T) {
+	fs := newBackFS(t)
+	before := runtime.NumGoroutine()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := server.New(fs, server.Options{Workers: 4})
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		srv.Serve(l)
+	}()
+	c, err := muxrpc.NSDialOpts("tcp", l.Addr().String(), muxrpc.NSDialOptions{PoolSize: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := c.Create("/g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte("x"), 0); err != nil {
+		t.Fatal(err)
+	}
+
+	l.Close()
+	<-served
+	if cut := srv.Drain(time.Second); cut != 0 {
+		t.Fatalf("drain cut %d in-flight calls", cut)
+	}
+	c.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		buf := make([]byte, 1<<16)
+		t.Fatalf("%d goroutines outlive Drain (%d before New):\n%s", n-before, before, buf[:runtime.Stack(buf, true)])
+	}
+}
+
 // TestReconnectReopensHandles severs every connection mid-session and
 // checks an idempotent read transparently redials, re-opens its handle by
 // path, and succeeds.
 func TestReconnectReopensHandles(t *testing.T) {
 	fs := newBackFS(t)
-	addr, srv, _ := start(t, fs, Options{})
+	addr, srv, _ := start(t, fs, server.Options{})
 	c := dial(t, addr, muxrpc.NSDialOptions{})
 
 	f, err := c.Create("/p")
@@ -793,7 +841,7 @@ func TestReconnectReopensHandles(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv.Drain(time.Second) // severs all connections
+	srv.Sever()
 
 	buf := make([]byte, 7)
 	n, err := f.ReadAt(buf, 0)
@@ -814,7 +862,7 @@ func TestReconnectReopensHandles(t *testing.T) {
 // mid-call path for safe ops.
 func TestSeverMidCallIdempotent(t *testing.T) {
 	g := &gateFS{FileSystem: newBackFS(t)}
-	addr, srv, _ := start(t, g, Options{})
+	addr, srv, _ := start(t, g, server.Options{})
 	c := dial(t, addr, muxrpc.NSDialOptions{})
 
 	f, err := c.Create("/mid")
@@ -835,7 +883,7 @@ func TestSeverMidCallIdempotent(t *testing.T) {
 		done <- err
 	}()
 	waitInFlight(t, srv, 1)
-	srv.Drain(0) // cuts the connection with the read still gated
+	srv.Sever() // cuts the connection with the read still gated
 	g.release()
 	if err := <-done; err != nil {
 		t.Fatalf("idempotent read did not survive a severed connection: %v", err)
@@ -850,7 +898,7 @@ func TestSeverMidCallIdempotent(t *testing.T) {
 // error instead of silently replaying.
 func TestSeverMidCallNonIdempotent(t *testing.T) {
 	g := &gateFS{FileSystem: newBackFS(t)}
-	addr, srv, _ := start(t, g, Options{})
+	addr, srv, _ := start(t, g, server.Options{})
 	c := dial(t, addr, muxrpc.NSDialOptions{})
 
 	f, err := c.Create("/n1")
@@ -863,13 +911,13 @@ func TestSeverMidCallNonIdempotent(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- c.Rename("/n1", "/n2") }()
 	waitInFlight(t, srv, 1)
-	srv.Drain(0)
+	srv.Sever()
 	g.release()
 	err = <-done
-	if !errors.Is(err, muxrpc.ErrNonIdempotent) {
+	if !errors.Is(err, muxns.ErrNonIdempotent) {
 		t.Fatalf("rename cut mid-call: got %v, want ErrNonIdempotent", err)
 	}
-	var ne *muxrpc.NonIdempotentError
+	var ne *muxns.NonIdempotentError
 	if !errors.As(err, &ne) || ne.Method != "muxns.rename" {
 		t.Fatalf("typed error missing method: %v", err)
 	}
@@ -879,7 +927,7 @@ func TestSeverMidCallNonIdempotent(t *testing.T) {
 // checks the whole batch retries to success on the new connection.
 func TestBatchSeverMidCall(t *testing.T) {
 	g := &gateFS{FileSystem: newBackFS(t)}
-	addr, srv, _ := start(t, g, Options{})
+	addr, srv, _ := start(t, g, server.Options{})
 	c := dial(t, addr, muxrpc.NSDialOptions{})
 
 	f0, err := c.Create("/bm")
@@ -903,7 +951,7 @@ func TestBatchSeverMidCall(t *testing.T) {
 		done <- err
 	}()
 	waitInFlight(t, srv, 1)
-	srv.Drain(0)
+	srv.Sever()
 	g.release()
 	if err := <-done; err != nil {
 		t.Fatalf("batch did not survive severed connection: %v", err)
@@ -919,7 +967,7 @@ func TestBatchSeverMidCall(t *testing.T) {
 // server-side.
 func TestHandleReapOnDisconnect(t *testing.T) {
 	fs := newBackFS(t)
-	addr, srv, _ := start(t, fs, Options{})
+	addr, srv, _ := start(t, fs, server.Options{})
 	c := dial(t, addr, muxrpc.NSDialOptions{})
 
 	for i := 0; i < 4; i++ {
@@ -940,7 +988,7 @@ func TestHandleReapOnDisconnect(t *testing.T) {
 	}
 }
 
-func waitInFlight(t *testing.T, srv *Server, n int64) {
+func waitInFlight(t *testing.T, srv *server.Server, n int64) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for srv.InFlight() < n && time.Now().Before(deadline) {
@@ -967,13 +1015,13 @@ const v2Hello = "0000015f6f7f030101094e535265717565737401ff8000010a0103536571010
 // gob hello and a v3-encoded hello carrying another version with the
 // version-mismatch error, then closes the connection.
 func TestHelloRejectsOtherVersions(t *testing.T) {
-	addr, _, _ := start(t, newBackFS(t), Options{})
+	addr, _, _ := start(t, newBackFS(t), server.Options{})
 	v2, err := hex.DecodeString(v2Hello)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var v3 bytes.Buffer
-	if err := muxrpc.NewNSFrameWriter(&v3).WriteRequest(&muxrpc.NSRequest{Seq: 1, Op: muxrpc.NSHello, N: 2}); err != nil {
+	if err := muxns.NewNSFrameWriter(&v3).WriteRequest(&muxns.NSRequest{Seq: 1, Op: muxns.NSHello, N: 2}); err != nil {
 		t.Fatal(err)
 	}
 	for name, hello := range map[string][]byte{"v2 gob hello": v2, "v3 hello for v2": v3.Bytes()} {
@@ -986,8 +1034,8 @@ func TestHelloRejectsOtherVersions(t *testing.T) {
 		if _, err := nc.Write(hello); err != nil {
 			t.Fatal(err)
 		}
-		fr := muxrpc.NewNSFrameReader(nc, 1<<20)
-		var resp muxrpc.NSResponse
+		fr := muxns.NewNSFrameReader(nc, 1<<20)
+		var resp muxns.NSResponse
 		if err := fr.ReadResponse(&resp); err != nil {
 			t.Fatalf("%s: reading the reply: %v", name, err)
 		}

@@ -7,13 +7,42 @@ import "strings"
 
 // CleanPath canonicalizes p: ensures a leading slash, removes duplicate
 // slashes, trailing slashes, and "."/".." segments (".." clamps at the
-// root). An empty path cleans to "/".
+// root). An empty path cleans to "/". A path that is already clean — the
+// common case on every data-path call — is returned as is, without
+// allocating.
 func CleanPath(p string) string {
+	if isClean(p) {
+		return p
+	}
 	segs := SplitPath(p)
 	if len(segs) == 0 {
 		return "/"
 	}
 	return "/" + strings.Join(segs, "/")
+}
+
+// isClean reports whether p is already in CleanPath's form, in one scan:
+// "/" itself, or a leading slash followed by segments that are neither
+// empty (a doubled or trailing slash), ".", nor "..".
+func isClean(p string) bool {
+	if p == "/" {
+		return true
+	}
+	if len(p) < 2 || p[0] != '/' {
+		return false
+	}
+	start := 1
+	for i := 1; i <= len(p); i++ {
+		if i < len(p) && p[i] != '/' {
+			continue
+		}
+		switch p[start:i] {
+		case "", ".", "..":
+			return false
+		}
+		start = i + 1
+	}
+	return true
 }
 
 // SplitPath returns the cleaned path segments of p. The root splits to nil.

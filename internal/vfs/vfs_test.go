@@ -2,6 +2,7 @@ package vfs
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -23,6 +24,28 @@ func TestCleanPath(t *testing.T) {
 		if got := CleanPath(in); got != want {
 			t.Errorf("CleanPath(%q) = %q, want %q", in, got, want)
 		}
+	}
+}
+
+// TestCleanPathFastPath holds CleanPath's single-scan fast path to the
+// split+join definition on clean and unclean inputs alike, and checks a
+// clean path comes back without allocating.
+func TestCleanPathFastPath(t *testing.T) {
+	splitJoin := func(p string) string { return "/" + strings.Join(SplitPath(p), "/") }
+	for _, p := range []string{
+		"/", "/a", "/a/b", "/abc/de/f", "/a.b/c..d/...", "/.a/..b", "/a b/ñ",
+		"", "a", "a/b", "//", "/a/", "/a//b", "//a", "/a/b/", "/.", "/..",
+		"/a/.", "/a/..", "/./a", "/../a", "/a/./b", "/a/../b", "/a/b/..", ".", "..",
+	} {
+		if got, want := CleanPath(p), splitJoin(p); got != want {
+			t.Errorf("CleanPath(%q) = %q, want %q", p, got, want)
+		}
+		if clean := splitJoin(p); isClean(p) != (p == clean) {
+			t.Errorf("isClean(%q) = %v, but split+join gives %q", p, isClean(p), clean)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { CleanPath("/dir/sub/file.dat") }); n != 0 {
+		t.Errorf("CleanPath of a clean path allocates %v times", n)
 	}
 }
 

@@ -199,10 +199,11 @@ func New(cfg Config) (*System, error) {
 	return sys, nil
 }
 
-// AddRemoteTier dials a muxfs tier server (cmd/muxd) and registers the
-// remote file system as a tier — Distributed Mux (paper §4). kind declares
-// the remote device class so policies can reason about its speed; netLat is
-// added to the profile's access latencies to model the network hop.
+// AddRemoteTier dials a muxd tier export (or any NamespaceServer) and
+// registers the remote file system as a tier — Distributed Mux (paper §4).
+// kind declares the remote device class so policies can reason about its
+// speed; netLat is added to the profile's access latencies to model the
+// network hop.
 func (s *System) AddRemoteTier(network, addr string, kind DeviceKind, netLat time.Duration) (int, error) {
 	client, err := muxrpc.Dial(network, addr)
 	if err != nil {
@@ -227,30 +228,32 @@ func (s *System) AddRemoteTier(network, addr string, kind DeviceKind, netLat tim
 	return id, nil
 }
 
-// TierServer is the server half of Distributed Mux with an explicit
-// lifecycle: Serve on a listener, then Drain before exit so in-flight
-// calls finish instead of being cut.
-type TierServer = muxrpc.Server
+// NamespaceServer is the network front end and the server half of
+// Distributed Mux: it serves one file system — a whole Mux namespace, or
+// a native file system exported as a remote tier or stripe node — to
+// many concurrent clients over the muxns protocol, with a bounded worker
+// pool, per-client fairness, an attr/readdir cache, and wire-level
+// batching. See internal/server for the design. Its lifecycle: go
+// Serve(l); on shutdown close l, then Drain(timeout), which stops it.
+type NamespaceServer = server.Server
 
-// NewTierServer wraps fs in a tier RPC server whose shutdown the caller
-// controls. The fire-and-forget form is ServeTier.
-func NewTierServer(fs FileSystem) *TierServer {
+// NewTierServer wraps fs in a server that exports it as a remote tier or
+// stripe node, with the attr cache off because the file system may change
+// underneath the export. The caller owns its shutdown; the
+// fire-and-forget form is ServeTier.
+func NewTierServer(fs FileSystem) *NamespaceServer {
 	return muxrpc.NewServer(fs)
 }
 
 // ServeTier exposes a local file system as a remote tier on l, blocking
-// until the listener closes — the server half of Distributed Mux. Most
-// callers use cmd/muxd instead; callers that need a drained shutdown use
-// NewTierServer.
+// until the listener closes, then shuts the server down, severing its
+// connections. Most callers use cmd/muxd instead; callers that need a
+// graceful drain use NewTierServer.
 func ServeTier(l net.Listener, fs FileSystem) error {
-	return muxrpc.NewServer(fs).Serve(l)
+	srv := muxrpc.NewServer(fs)
+	defer srv.Close()
+	return srv.Serve(l)
 }
-
-// NamespaceServer is the production network front end: it serves the
-// whole Mux namespace (not a single tier) to many concurrent clients,
-// with a bounded worker pool, per-client fairness, an attr/readdir
-// cache, and wire-level batching. See internal/server for the design.
-type NamespaceServer = server.Server
 
 // ServerOptions tunes the namespace front end; zero values pick the
 // defaults documented on internal/server.Options.
@@ -263,7 +266,7 @@ type ServerStats = server.Stats
 // NewServer builds a namespace front end over this System's Mux and
 // registers its counters with the System's telemetry surface, so
 // /metrics and TelemetrySnapshot.Server report it. The caller owns the
-// lifecycle: go srv.Serve(l), then srv.Drain(timeout) + srv.Close() on
+// lifecycle: go srv.Serve(l), then close l and srv.Drain(timeout) on
 // shutdown.
 func (s *System) NewServer(opts ServerOptions) *NamespaceServer {
 	if opts.Registry == nil {
@@ -346,7 +349,7 @@ func (s *System) AddRemoteStripeTier(spec StripeTierSpec) (int, *StripeSet, erro
 		pool = k
 	}
 	nodes := make([]vfs.FileSystem, 0, len(spec.Addrs))
-	clients := make([]*muxrpc.Client, 0, len(spec.Addrs))
+	clients := make([]*muxrpc.NSClient, 0, len(spec.Addrs))
 	closeAll := func() {
 		for _, c := range clients {
 			c.Close()

@@ -5,7 +5,7 @@ import (
 
 	"muxfs/internal/core"
 	"muxfs/internal/ec"
-	"muxfs/internal/muxrpc"
+	"muxfs/internal/muxns"
 	"muxfs/internal/policy"
 	"muxfs/internal/policy/autotune"
 	"muxfs/internal/telemetry"
@@ -172,7 +172,7 @@ var (
 	// ErrStripeDegraded reports a stripe-tier operation that failed because
 	// more nodes were down than parity covers.
 	ErrStripeDegraded = ec.ErrDegraded
-	// ErrRPCHandshake reports a remote-tier dial that connected but failed
-	// the muxrpc handshake (wrong service on the port).
-	ErrRPCHandshake = muxrpc.ErrHandshake
+	// ErrRPCHandshake reports a remote dial that connected but failed the
+	// muxns hello handshake (wrong service on the port).
+	ErrRPCHandshake = muxns.ErrHandshake
 )
