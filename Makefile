@@ -16,11 +16,12 @@ test:
 race:
 	$(GO) test -race ./...
 
-# stress repeats the read-vs-migration race tests under the race detector.
-# They are timing-dependent: a single pass hides a failure that shows up
-# in a few runs out of twenty, so they run twenty times in a row.
+# stress repeats the read-vs-migration race tests and the breaker/gate
+# concurrency test under the race detector. They are timing-dependent: a
+# single pass hides a failure that shows up in a few runs out of twenty,
+# so they run twenty times in a row.
 stress:
-	$(GO) test -race -count=20 -run 'TestReadFastPathRacesMigration|TestRoutedReadsVsMigration|TestConcurrentMigrationStorm' ./internal/core
+	$(GO) test -race -count=20 -run 'TestReadFastPathRacesMigration|TestRoutedReadsVsMigration|TestConcurrentMigrationStorm|TestGuardConcurrent' ./internal/core ./internal/guard
 
 # fuzz runs each decoder fuzz target for 10 seconds. The muxns frame
 # decoders (internal/muxns; the targets sit with its client in

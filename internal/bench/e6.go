@@ -28,10 +28,10 @@ import (
 //	  Bounded retry-plus-backoff must absorb every fault — zero
 //	  user-visible errors even without quarantine.
 //	Phase B (outage): the PM device fails every op (sticky). The breaker
-//	  opens after BreakerThreshold consecutive faults and quarantines the
-//	  tier; reads of PM-resident files fall back to their HDD replicas,
-//	  mirror writes onto PM degrade instead of failing the user op, and
-//	  migrations touching PM are refused. Zero user-visible errors with
+//	  opens after 4 consecutive faults (core's fixed breaker threshold) and
+//	  quarantines the tier; reads of PM-resident files fall back to their
+//	  HDD replicas, mirror writes onto PM degrade instead of failing the
+//	  user op, and migrations touching PM are refused. Zero user-visible errors with
 //	  replication; the unreplicated baseline shows what users see without.
 //	Phase C (recovery): faults clear, the cooldown elapses, the next read
 //	  probes the tier and closes the breaker, and the following policy

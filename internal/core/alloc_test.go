@@ -13,14 +13,10 @@ import (
 // a random share of sync.Pool puts, so pool-based budgets cannot hold.
 var raceEnabled bool
 
-// quarantine opens tier id's breaker directly (the breaker's transitions
-// are covered in health_test.go).
+// quarantine opens tier id's breaker by hand (the breaker's transitions
+// are covered in internal/guard).
 func quarantine(m *Mux, id int) {
-	h := m.healthOf(id)
-	h.mu.Lock()
-	h.state = tierQuarantined
-	h.openedAt = m.now()
-	h.mu.Unlock()
+	m.healthOf(id).Trip()
 }
 
 // filterHealthy runs on every placement query: with nothing quarantined it

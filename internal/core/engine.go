@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"muxfs/internal/device"
+	"muxfs/internal/guard"
 	"muxfs/internal/policy"
 	"muxfs/internal/vfs"
 )
@@ -21,7 +22,7 @@ import (
 //   - Per-file ordering. Moves are grouped by path and each group runs on a
 //     single worker in planned order, so per-file OCC serialization is
 //     preserved and the runner itself can never trip ErrMigrationActive.
-//   - Per-tier throttling. A weighted semaphore per tier, sized from the
+//   - Per-tier throttling. A guard.Gate per tier, sized from the
 //     device profile (tierWidth), keeps N workers from oversubscribing a
 //     slow tier while a fast one idles.
 //   - Outcome determinism. Workers change interleaving, not results: moves
@@ -242,11 +243,11 @@ func (m *Mux) executeMoves(moves []policy.Move) (MigrationStats, error) {
 	return st, firstErr
 }
 
-// tierThrottles builds one weighted semaphore per live tier for a round.
-func (m *Mux) tierThrottles(workers int) map[int]chan struct{} {
-	th := make(map[int]chan struct{})
+// tierThrottles builds one weighted gate per live tier for a round.
+func (m *Mux) tierThrottles(workers int) map[int]*guard.Gate {
+	th := make(map[int]*guard.Gate)
 	for _, t := range m.Tiers() {
-		th[t.ID] = make(chan struct{}, tierWidth(t.Prof, workers))
+		th[t.ID] = guard.NewGate(tierWidth(t.Prof, workers))
 	}
 	return th
 }
@@ -256,7 +257,7 @@ func (m *Mux) tierThrottles(workers int) map[int]chan struct{} {
 // seeks), solid-state tiers get one slot per ~512 MiB/s of sustained
 // bandwidth, capped at the pool size. A PM tier therefore admits the whole
 // pool while an HDD tier admits one mover at a time. The data-path fan-out
-// sizes its persistent per-tier semaphores with the same rule (mux.go
+// sizes its persistent per-tier gates with the same rule (mux.go
 // AddTier, capped at maxTierIOWidth) — the engine's per-round throttles
 // stay separate instances because movers hold their slots across whole
 // MigrateRange calls, which take f.mu; sharing them with the data path
@@ -284,27 +285,18 @@ func tierWidth(p device.Profile, workers int) int {
 
 // acquireTierSlots takes one slot on the move's source and destination
 // throttles, in ascending tier-id order so two movers can never deadlock on
-// opposite pairs, and returns the release function.
-func acquireTierSlots(th map[int]chan struct{}, src, dst int) func() {
-	a, b := src, dst
-	if a > b {
-		a, b = b, a
-	}
-	ids := [2]int{a, b}
-	n := 2
-	if a == b {
-		n = 1
-	}
-	held := make([]chan struct{}, 0, 2)
-	for _, id := range ids[:n] {
-		if c, ok := th[id]; ok {
-			c <- struct{}{}
-			held = append(held, c)
-		}
+// opposite pairs, and returns the release function. A tier missing from
+// the round's table (nil gate) is unbounded.
+func acquireTierSlots(th map[int]*guard.Gate, src, dst int) func() {
+	lo, hi := th[min(src, dst)], th[max(src, dst)]
+	lo.Acquire()
+	if src != dst {
+		hi.Acquire()
 	}
 	return func() {
-		for _, c := range held {
-			<-c
+		if src != dst {
+			hi.Release()
 		}
+		lo.Release()
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"sync"
 
+	"muxfs/internal/guard"
 	"muxfs/internal/vfs"
 )
 
@@ -26,16 +27,16 @@ import (
 //     the request), so results are byte-identical to serial dispatch.
 //   - Every segment still goes through tierIO (health.go): retry/backoff,
 //     breaker fail-fast, and per-segment replica fallback compose with the
-//     fan-out unchanged. Per-tier semaphores — sized by the same tierWidth
-//     rule the migration engine uses (engine.go) — bound how many data-path
-//     ops pile onto one device, so a rotational tier is never seek-thrashed
-//     by concurrent fan-outs.
-//   - Semaphore holders never block on a file's bookkeeping lock. The write
+//     fan-out unchanged. Per-tier gates (guard.Gate) — sized by the same
+//     tierWidth rule the migration engine uses (engine.go) — bound how many
+//     data-path ops pile onto one device, so a rotational tier is never
+//     seek-thrashed by concurrent fan-outs.
+//   - Gate holders never block on a file's bookkeeping lock. The write
 //     path fans out while holding f.mu, so a slot holder that waited on
 //     f.mu could deadlock against it; slots are therefore held only around
 //     the raw tierIO call (replica fallback, which re-locks f.mu, runs
 //     after release). This is also why the data path does not share the
-//     migration engine's per-round semaphores: the engine holds its slots
+//     migration engine's per-round gates: the engine holds its slots
 //     across a whole MigrateRange, which takes f.mu to validate and commit.
 //
 // Errors keep serial semantics where it matters: the reported error is the
@@ -47,7 +48,7 @@ import (
 // default simply means "always overlap"; 1 degrades to serial dispatch.
 const defaultDataFanout = 8
 
-// maxTierIOWidth caps a tier's data-path semaphore width (tierWidth derives
+// maxTierIOWidth caps a tier's data-path gate width (tierWidth derives
 // the actual width from the device profile: 1 for rotational tiers, one
 // slot per ~512 MiB/s of sustained bandwidth otherwise).
 const maxTierIOWidth = 16
@@ -97,16 +98,14 @@ func (m *Mux) SetDataFanout(n int) {
 // DataFanout reports the configured fan-out width.
 func (m *Mux) DataFanout() int { return int(m.fanWidth.Load()) }
 
-// acquireIOSlot takes one data-path slot on tier id and returns its release
-// function. Unknown ids (no semaphore registered) are unbounded.
-func (m *Mux) acquireIOSlot(id int) func() {
-	tab := *m.ioSem.Load()
+// ioGate returns tier id's data-path gate; unknown ids get nil, which
+// guard.Gate treats as unbounded.
+func (m *Mux) ioGate(id int) *guard.Gate {
+	tab := *m.ioGates.Load()
 	if id < 0 || id >= len(tab) {
-		return func() {}
+		return nil
 	}
-	c := tab[id]
-	c <- struct{}{}
-	return func() { <-c }
+	return tab[id]
 }
 
 // readSegment serves one read segment: through the SCM cache when the tier
@@ -135,7 +134,8 @@ func (m *Mux) readSegment(f *muxFile, scm *cacheCtl, dh vfs.File, tier int, dst 
 		m.telRouted(tier, false)
 	}
 	t0 := m.telStart()
-	release := m.acquireIOSlot(tier)
+	gate := m.ioGate(tier)
+	gate.Acquire()
 	var err error
 	if scm != nil && scm.cacheable(tier) {
 		err = m.tierIO(tier, func() error {
@@ -153,7 +153,7 @@ func (m *Mux) readSegment(f *muxFile, scm *cacheCtl, dh vfs.File, tier int, dst 
 			return nil
 		})
 	}
-	release()
+	gate.Release()
 	m.telIO("read", tier, f.loadPath(), int64(len(dst)), t0, err)
 	if err != nil {
 		return m.readWithReplicaFallback(f, dst, off, err, held)
@@ -165,12 +165,13 @@ func (m *Mux) readSegment(f *muxFile, scm *cacheCtl, dh vfs.File, tier int, dst 
 // slot and the tier's health tracker. path is only for telemetry traces.
 func (m *Mux) writeSegment(dh vfs.File, tier int, path string, buf []byte, off int64) error {
 	t0 := m.telStart()
-	release := m.acquireIOSlot(tier)
+	gate := m.ioGate(tier)
+	gate.Acquire()
 	err := m.tierIO(tier, func() error {
 		_, werr := dh.WriteAt(buf, off)
 		return werr
 	})
-	release()
+	gate.Release()
 	m.telIO("write", tier, path, int64(len(buf)), t0, err)
 	return err
 }
@@ -194,46 +195,52 @@ func planTiers(plan []ioSeg) []int {
 	return tiers
 }
 
-// fanoutRead dispatches a read plan. A single-tier plan (or fan-out width
-// 1) runs serially on the calling goroutine; otherwise each tier's segment
-// group runs concurrently, bounded by the fan-out width and the per-tier
-// data-path semaphores. held reports that the caller holds f.mu; the
-// spawned goroutines never take it (readSegment).
-func (m *Mux) fanoutRead(f *muxFile, scm *cacheCtl, p []byte, off int64, plan []ioSeg, held bool) error {
+// segRunner serves segment i of a request plan. The three runners are
+// small value types rather than closures so that the serial path — every
+// single-tier request — allocates nothing.
+type segRunner interface {
+	runSeg(m *Mux, plan []ioSeg, i int) error
+}
+
+// fanout dispatches a request plan. A single-tier plan (or fan-out width 1)
+// runs serially on the calling goroutine in plan order, stopping at the
+// first error. Otherwise each tier's segment group runs on its own
+// goroutine, in plan order within the group and stopping at the group's
+// first error, with at most DataFanout groups in flight; the error
+// returned is the earliest group's in plan order, so a multi-tier failure
+// surfaces deterministically. The goroutines touch only downward handles
+// and the per-tier gates, never f.mu (see the rules above).
+func fanout[R segRunner](m *Mux, plan []ioSeg, r R) error {
 	tiers := planTiers(plan)
-	if len(tiers) <= 1 || m.DataFanout() <= 1 {
+	width := m.DataFanout()
+	if len(tiers) <= 1 || width <= 1 {
 		for i := range plan {
-			s := &plan[i]
-			dst := p[s.bufStart : s.bufStart+s.ln]
-			if err := m.readSegment(f, scm, s.h, s.tier, dst, s.off, held); err != nil {
+			if err := r.runSeg(m, plan, i); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
 
-	width := m.DataFanout()
-	gate := make(chan struct{}, width)
+	gate := guard.NewGate(width)
 	errs := make([]error, len(tiers))
 	var wg sync.WaitGroup
 	for gi, tid := range tiers {
 		wg.Add(1)
-		gate <- struct{}{}
-		go func(gi, tid int) {
+		gate.Acquire()
+		go func() {
 			defer wg.Done()
-			defer func() { <-gate }()
+			defer gate.Release()
 			for i := range plan {
-				s := &plan[i]
-				if s.tier != tid {
+				if plan[i].tier != tid {
 					continue
 				}
-				dst := p[s.bufStart : s.bufStart+s.ln]
-				if err := m.readSegment(f, scm, s.h, s.tier, dst, s.off, held); err != nil {
+				if err := r.runSeg(m, plan, i); err != nil {
 					errs[gi] = err
 					return
 				}
 			}
-		}(gi, tid)
+		}()
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -244,109 +251,63 @@ func (m *Mux) fanoutRead(f *muxFile, scm *cacheCtl, p []byte, off int64, plan []
 	return nil
 }
 
-// fanoutWrite dispatches a write plan and reports, per segment, whether its
-// device write succeeded, plus the first error in group order. The caller
-// holds f.mu for the whole call (write atomicity), which is safe because
-// the spawned goroutines only touch downward handles and the per-tier
-// semaphores — never f. Serial dispatch stops at the first error (matching
-// the old write loop); parallel dispatch stops each *group* at its first
-// error, so segments of other tiers may still land — every landed segment
-// is reported so the caller repoints the BLT to match what the devices now
-// hold.
-func (m *Mux) fanoutWrite(path string, p []byte, off int64, plan []ioSeg) ([]bool, error) {
-	done := make([]bool, len(plan))
-	tiers := planTiers(plan)
-	if len(tiers) <= 1 || m.DataFanout() <= 1 {
-		for i := range plan {
-			s := &plan[i]
-			buf := p[s.off-off : s.off-off+s.ln]
-			if err := m.writeSegment(s.h, s.tier, path, buf, s.off); err != nil {
-				return done, err
-			}
-			done[i] = true
-		}
-		return done, nil
-	}
-
-	width := m.DataFanout()
-	gate := make(chan struct{}, width)
-	errs := make([]error, len(tiers))
-	var wg sync.WaitGroup
-	for gi, tid := range tiers {
-		wg.Add(1)
-		gate <- struct{}{}
-		go func(gi, tid int) {
-			defer wg.Done()
-			defer func() { <-gate }()
-			for i := range plan {
-				s := &plan[i]
-				if s.tier != tid {
-					continue
-				}
-				buf := p[s.off-off : s.off-off+s.ln]
-				if err := m.writeSegment(s.h, s.tier, path, buf, s.off); err != nil {
-					errs[gi] = err
-					return
-				}
-				done[i] = true
-			}
-		}(gi, tid)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return done, err
-		}
-	}
-	return done, nil
+// readSegs reads a plan into p (the request's buffer). held reports that
+// the caller holds f.mu; the spawned goroutines never take it
+// (readSegment).
+type readSegs struct {
+	f    *muxFile
+	scm  *cacheCtl
+	p    []byte
+	held bool
 }
 
-// syncTarget is one participating file system's handle in a Sync fan-out.
-type syncTarget struct {
-	tier int
-	dh   vfs.File
+func (r readSegs) runSeg(m *Mux, plan []ioSeg, i int) error {
+	s := &plan[i]
+	return m.readSegment(r.f, r.scm, s.h, s.tier, r.p[s.bufStart:s.bufStart+s.ln], s.off, r.held)
 }
 
-// fanoutSync fsyncs every target, in parallel when more than one tier
-// participates, each through its tier's health tracker and data-path
-// semaphore. The returned error is the lowest-tier failure (deterministic
-// regardless of completion order). The caller must not hold f.mu.
-func (m *Mux) fanoutSync(path string, targets []syncTarget) error {
-	sort.Slice(targets, func(i, j int) bool { return targets[i].tier < targets[j].tier })
-	syncOne := func(t syncTarget) error {
-		t0 := m.telStart()
-		release := m.acquireIOSlot(t.tier)
-		err := m.tierIO(t.tier, t.dh.Sync)
-		release()
-		m.telIO("sync", t.tier, path, 0, t0, err)
+// writeSegs writes p (the request's buffer) through a plan and marks in done
+// each segment whose device write succeeded. The caller holds f.mu for the
+// whole dispatch (write atomicity), which is safe because the spawned
+// goroutines only touch downward handles and the per-tier gates — never f.
+// Serial dispatch stops at the first error; parallel dispatch stops each
+// *group* at its first error, so segments of other tiers may still land —
+// done reports every landed segment so the caller repoints the BLT to
+// match what the devices now hold.
+type writeSegs struct {
+	path string
+	p    []byte
+	done []bool
+}
+
+func (w writeSegs) runSeg(m *Mux, plan []ioSeg, i int) error {
+	s := &plan[i]
+	if err := m.writeSegment(s.h, s.tier, w.path, w.p[s.bufStart:s.bufStart+s.ln], s.off); err != nil {
 		return err
 	}
-	if len(targets) <= 1 || m.DataFanout() <= 1 {
-		for _, t := range targets {
-			if err := syncOne(t); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	width := m.DataFanout()
-	gate := make(chan struct{}, width)
-	errs := make([]error, len(targets))
-	var wg sync.WaitGroup
-	for i, t := range targets {
-		wg.Add(1)
-		gate <- struct{}{}
-		go func(i int, t syncTarget) {
-			defer wg.Done()
-			defer func() { <-gate }()
-			errs[i] = syncOne(t)
-		}(i, t)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
+	w.done[i] = true
 	return nil
+}
+
+// syncSegs fsyncs each plan segment's handle (one per participating tier).
+type syncSegs struct{ path string }
+
+func (sy syncSegs) runSeg(m *Mux, plan []ioSeg, i int) error {
+	s := &plan[i]
+	t0 := m.telStart()
+	gate := m.ioGate(s.tier)
+	gate.Acquire()
+	err := m.tierIO(s.tier, s.h.Sync)
+	gate.Release()
+	m.telIO("sync", s.tier, sy.path, 0, t0, err)
+	return err
+}
+
+// fanoutSync fsyncs every target — one handle per participating tier —
+// each through its tier's health tracker and data-path gate. Targets run
+// in tier order, so the returned error is the lowest-tier failure
+// regardless of completion order. The caller must not hold f.mu.
+func (m *Mux) fanoutSync(path string, targets []ioSeg) error {
+	sort.Slice(targets, func(i, j int) bool { return targets[i].tier < targets[j].tier })
+	return fanout(m, targets, syncSegs{path: path})
 }

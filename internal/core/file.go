@@ -503,7 +503,7 @@ func (m *Mux) readLocked(f *muxFile, p []byte, off int64, hold bool) (n int, sta
 		// fast, and a failed segment read retries against the replica, if
 		// one exists (§4). Segment groups on distinct tiers dispatch
 		// concurrently (fanout.go).
-		err = m.fanoutRead(f, scm, p, off, plan, hold)
+		err = fanout(m, plan, readSegs{f: f, scm: scm, p: p, held: hold})
 		*pp = plan
 		putPlan(pp)
 	}
@@ -632,7 +632,8 @@ func (h *handle) writeAt(p []byte, off int64) (int, error) {
 	// than one tier (fanout.go). Every segment whose device write landed is
 	// repointed — even on partial failure, so the BLT reflects what the
 	// devices now hold.
-	done, werr := m.fanoutWrite(f.path, p, off, plan)
+	done := make([]bool, len(plan))
+	werr := fanout(m, plan, writeSegs{path: f.path, p: p, done: done})
 	lastTier := -1
 	scm := m.scm()
 	for i := range plan {
@@ -821,7 +822,7 @@ func (h *handle) Sync() error {
 
 	f := h.f
 	f.mu.Lock()
-	var targets []syncTarget
+	var targets []ioSeg
 	for id := range f.tierSet() {
 		t, err := m.tier(id)
 		if err != nil {
@@ -832,7 +833,7 @@ func (h *handle) Sync() error {
 			f.mu.Unlock()
 			return vfs.Errf("sync", m.name, f.path, err)
 		}
-		targets = append(targets, syncTarget{tier: id, dh: dh})
+		targets = append(targets, ioSeg{h: dh, tier: id})
 	}
 	m.metaSyncLocked(f)
 	f.mu.Unlock()

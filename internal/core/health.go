@@ -3,17 +3,19 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"muxfs/internal/device"
+	"muxfs/internal/guard"
 )
 
 // Tier fault domains (§4 direction): every downward data op runs through a
 // per-tier health tracker. Transient device faults are absorbed by bounded
 // retry-plus-backoff (charged to the virtual clock, like every other cost);
-// a run of consecutive faults opens a circuit breaker that quarantines the
-// tier. While quarantined:
+// a run of consecutive faults opens the tier's circuit breaker (a
+// guard.Breaker on the virtual clock), which quarantines the tier. While
+// quarantined:
 //
 //   - reads of blocks mapped there fall back to the file's replica,
 //   - writes to blocks mapped there are redirected to a healthy tier (the
@@ -21,7 +23,8 @@ import (
 //   - placement and Policy Runner planning skip the tier entirely.
 //
 // After BreakerCooldown of virtual time the breaker goes half-open: the next
-// op is admitted as a probe. A successful probe closes the breaker and
+// op is admitted as a probe. A successful probe (and only a probe) closes
+// the breaker and
 // flags the Mux for reintegration — the next Policy Runner round re-mirrors
 // every replica that degraded during the outage (RepairDegradedReplicas).
 //
@@ -33,51 +36,21 @@ import (
 // circuit breaker is open.
 var ErrTierQuarantined = errors.New("mux: tier quarantined")
 
-// Health tracker defaults (overridable via Config).
+// Health tracker tuning. RetryBackoff and BreakerCooldown are overridable
+// via Config; the threshold and retry bound are fixed.
 const (
-	defaultBreakerThreshold = 4
-	defaultIORetries        = 3
-	defaultRetryBackoff     = 50 * time.Microsecond
-	defaultBreakerCooldown  = 10 * time.Millisecond
+	breakerThreshold       = 4 // consecutive device faults that quarantine a tier
+	ioRetries              = 3 // retries of a transient-faulting op before it counts
+	defaultRetryBackoff    = 50 * time.Microsecond
+	defaultBreakerCooldown = 10 * time.Millisecond
 )
 
-// breaker states.
-type breakerState int
-
-const (
-	tierHealthy breakerState = iota
-	tierQuarantined
-	tierProbing
-)
-
-func (s breakerState) String() string {
-	switch s {
-	case tierHealthy:
-		return "healthy"
-	case tierQuarantined:
-		return "quarantined"
-	case tierProbing:
-		return "probing"
-	default:
-		return "unknown"
-	}
-}
-
-// tierHealth is one tier's error/latency bookkeeping plus its circuit
-// breaker. All fields are guarded by mu; the struct is shared via the same
-// copy-and-swap slice pattern as the tier usage counters, so hot paths
-// reach it without m.mu.
+// tierHealth is one tier's circuit breaker (on the Mux's virtual clock)
+// plus its retry counter. It is shared via the same copy-and-swap slice
+// pattern as the tier usage counters, so hot paths reach it without m.mu.
 type tierHealth struct {
-	mu          sync.Mutex
-	state       breakerState
-	consecFails int
-	openedAt    time.Duration // virtual time the breaker last opened
-
-	ops         int64 // downward ops attempted (first tries, not retries)
-	faults      int64 // op attempts failed by a device fault
-	retries     int64 // transient-fault retry attempts
-	quarantines int64 // times the breaker opened
-	lastFault   string
+	guard.Breaker
+	retries atomic.Int64 // transient-fault retry attempts (each also a fault)
 }
 
 // TierHealthInfo is the public snapshot of one tier's health tracker.
@@ -114,94 +87,39 @@ func (m *Mux) healthOf(id int) *tierHealth {
 // (breaker open or probing). Placement and write redirection consult it.
 func (m *Mux) tierQuarantined(id int) bool {
 	h := m.healthOf(id)
-	if h == nil {
-		return false
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.state != tierHealthy
-}
-
-// admit decides whether one op may proceed against the tier. A quarantined
-// tier denies everything until the cooldown elapses, then flips to probing
-// and admits exactly the ops that race in before the probe resolves.
-func (h *tierHealth) admit(now, cooldown time.Duration) bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.state == tierQuarantined {
-		if now-h.openedAt < cooldown {
-			return false
-		}
-		h.state = tierProbing // half-open: admit the next op as a probe
-	}
-	return true
-}
-
-// record books the outcome of one op (after retries). recovered reports
-// that a successful probe just closed the breaker — i.e. the tier recovered
-// and the Mux should schedule reintegration; opened reports that this op
-// just opened (or reopened) the breaker. Both transitions feed the
-// telemetry trace ring.
-func (h *tierHealth) record(err error, now time.Duration, threshold int) (recovered, opened bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.ops++
-	switch {
-	case err == nil:
-		h.consecFails = 0
-		if h.state != tierHealthy {
-			h.state = tierHealthy
-			h.openedAt = 0
-			return true, false
-		}
-	case device.IsFault(err):
-		h.faults++
-		h.lastFault = err.Error()
-		h.consecFails++
-		if h.state == tierProbing {
-			// Failed probe: reopen and restart the cooldown.
-			h.state = tierQuarantined
-			h.openedAt = now
-			opened = true
-		} else if h.state == tierHealthy && h.consecFails >= threshold {
-			h.state = tierQuarantined
-			h.openedAt = now
-			h.quarantines++
-			opened = true
-		}
-	default:
-		// Logical errors (EOF was filtered by the caller, ErrNoSpace,
-		// ErrNotExist, ...) neither heal nor harm the breaker.
-	}
-	return false, opened
+	return h != nil && h.State() != guard.Closed
 }
 
 // snapshot returns the tracker's public view.
-func (h *tierHealth) snapshot(id int, name string, now time.Duration) TierHealthInfo {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	info := TierHealthInfo{
+func (h *tierHealth) snapshot(id int, name string) TierHealthInfo {
+	st := h.Snapshot()
+	retries := h.retries.Load()
+	return TierHealthInfo{
 		TierID:      id,
 		Name:        name,
-		State:       h.state.String(),
-		Ops:         h.ops,
-		Faults:      h.faults,
-		Retries:     h.retries,
-		ConsecFails: h.consecFails,
-		Quarantines: h.quarantines,
-		LastFault:   h.lastFault,
+		State:       st.State.String(),
+		Ops:         st.Ops,
+		Faults:      st.Faults + retries,
+		Retries:     retries,
+		ConsecFails: st.Consec,
+		Quarantines: st.Opens,
+		SinceOpen:   st.SinceOpen,
+		LastFault:   st.LastFault,
 	}
-	if h.state != tierHealthy && h.openedAt > 0 {
-		info.SinceOpen = now - h.openedAt
-	}
-	return info
 }
 
-func (h *tierHealth) addRetry() {
-	h.mu.Lock()
-	h.retries++
-	h.faults++
-	h.mu.Unlock()
+// tierOutcome is core's fault classifier: only injected/device faults
+// (device.IsFault) count against a tier; logical errors (ErrNoSpace,
+// ErrNotExist, ...; io.EOF is filtered by the caller) neither heal nor harm.
+func tierOutcome(err error) guard.Outcome {
+	switch {
+	case err == nil:
+		return guard.Success
+	case device.IsFault(err):
+		return guard.Fault
+	default:
+		return guard.Neutral
+	}
 }
 
 // tierIO runs one downward data op against tier id with circuit-breaker
@@ -218,22 +136,22 @@ func (m *Mux) tierIO(id int, op func() error) error {
 	if h == nil {
 		return op()
 	}
-	if !h.admit(m.now(), m.breakerCooldown) {
+	if !h.Allow() {
 		return fmt.Errorf("%w: tier %d", ErrTierQuarantined, id)
 	}
 	backoff := m.retryBackoff
 	var err error
 	for attempt := 0; ; attempt++ {
 		err = op()
-		if err == nil || !device.IsTransient(err) || attempt >= m.ioRetries {
+		if err == nil || !device.IsTransient(err) || attempt >= ioRetries {
 			break
 		}
-		h.addRetry()
+		h.retries.Add(1)
 		m.clk.Advance(backoff)
 		backoff *= 2
 	}
-	recovered, opened := h.record(err, m.now(), m.breakerThreshold)
-	if recovered {
+	opened, closed := h.Record(tierOutcome(err), err)
+	if closed {
 		// A probe just closed the breaker. Don't repair inline — tierIO may
 		// run under a file lock; the next Policy Runner round (or an explicit
 		// RepairDegradedReplicas call) re-mirrors what degraded.
@@ -248,14 +166,13 @@ func (m *Mux) tierIO(id int, op func() error) error {
 // TierHealth reports the health snapshot of every live tier, fastest first.
 func (m *Mux) TierHealth() []TierHealthInfo {
 	degraded := m.degradedByTier()
-	now := m.now()
 	var out []TierHealthInfo
 	for _, t := range m.Tiers() {
 		h := m.healthOf(t.ID)
 		if h == nil {
 			continue
 		}
-		info := h.snapshot(t.ID, t.Prof.Name, now)
+		info := h.snapshot(t.ID, t.Prof.Name)
 		info.DegradedReplicas = degraded[t.ID]
 		out = append(out, info)
 	}

@@ -34,6 +34,15 @@ func splitPolicy() policy.Policy {
 	}
 }
 
+// setBreakerCooldown changes the breaker cooldown of every registered tier
+// (and of tiers added later). Call it before the test issues I/O.
+func (r *rig) setBreakerCooldown(d time.Duration) {
+	r.m.breakerCooldown = d
+	for _, h := range *r.m.healthTab.Load() {
+		h.Cooldown = d
+	}
+}
+
 // healthByID indexes a TierHealth snapshot by tier id.
 func healthByID(m *Mux) map[int]TierHealthInfo {
 	out := map[int]TierHealthInfo{}
@@ -76,7 +85,7 @@ func TestRetryAbsorbsTransientFaults(t *testing.T) {
 func TestBreakerQuarantinesAndFastFails(t *testing.T) {
 	r := newRig(t, policy.Pinned{Tier: 0}, false)
 	// A huge cooldown so the breaker cannot half-open mid-test.
-	r.m.breakerCooldown = time.Hour
+	r.setBreakerCooldown(time.Hour)
 
 	payload := bytes.Repeat([]byte{0x21}, 32*1024)
 	f := writeFile(t, r.m, "/q", payload)
@@ -93,14 +102,14 @@ func TestBreakerQuarantinesAndFastFails(t *testing.T) {
 	// served by the replica — no user-visible errors while the breaker
 	// charges up.
 	buf := make([]byte, len(payload))
-	for i := 0; i < r.m.breakerThreshold; i++ {
+	for i := 0; i < breakerThreshold; i++ {
 		if _, err := f.ReadAt(buf, 0); err != nil {
 			t.Fatalf("read %d not served by replica: %v", i, err)
 		}
 	}
 	h := healthByID(r.m)[r.ids.pm]
 	if h.State != "quarantined" || h.Quarantines != 1 {
-		t.Fatalf("after %d consecutive faults: state=%s quarantines=%d", r.m.breakerThreshold, h.State, h.Quarantines)
+		t.Fatalf("after %d consecutive faults: state=%s quarantines=%d", breakerThreshold, h.State, h.Quarantines)
 	}
 
 	// Placement and planning no longer see the tier.
@@ -126,7 +135,7 @@ func TestBreakerQuarantinesAndFastFails(t *testing.T) {
 
 func TestQuarantineRedirectsWrites(t *testing.T) {
 	r := newRig(t, splitPolicy(), false)
-	r.m.breakerCooldown = time.Hour
+	r.setBreakerCooldown(time.Hour)
 
 	payload := bytes.Repeat([]byte{0x35}, 64*1024)
 	f := writeFile(t, r.m, "/d", payload) // split policy: -> PM
@@ -138,7 +147,7 @@ func TestQuarantineRedirectsWrites(t *testing.T) {
 	r.pm.InjectFaults(device.FaultPlan{Seed: 2, ReadErrProb: 1, WriteErrProb: 1, Sticky: true})
 	defer r.pm.ClearFaults()
 	buf := make([]byte, len(payload))
-	for i := 0; i < r.m.breakerThreshold; i++ {
+	for i := 0; i < breakerThreshold; i++ {
 		if _, err := f.ReadAt(buf, 0); err != nil {
 			t.Fatal(err)
 		}
@@ -175,7 +184,7 @@ func TestQuarantineRedirectsWrites(t *testing.T) {
 
 func TestProbeRecoveryAndReintegration(t *testing.T) {
 	r := newRig(t, splitPolicy(), false)
-	r.m.breakerCooldown = 2 * time.Millisecond
+	r.setBreakerCooldown(2 * time.Millisecond)
 	r.m.retryBackoff = 10 * time.Microsecond
 
 	// A PM-authoritative canary (SSD replica) to drive probes, and four
@@ -301,13 +310,8 @@ func TestRunnerDropsMovesOntoQuarantinedTiers(t *testing.T) {
 	defer f.Close()
 
 	// Quarantine PM directly (the breaker's unit transitions are covered
-	// above; this test is about the runner's safety net).
-	h := r.m.healthOf(r.ids.pm)
-	h.mu.Lock()
-	h.state = tierQuarantined
-	h.openedAt = r.m.now()
-	h.mu.Unlock()
-	r.m.breakerCooldown = time.Hour
+	// in internal/guard; this test is about the runner's safety net).
+	r.m.healthOf(r.ids.pm).Trip()
 
 	st, err := r.m.RunPolicyOnce()
 	if err != nil {
@@ -329,7 +333,7 @@ func TestRunnerDropsMovesOntoQuarantinedTiers(t *testing.T) {
 // counters.
 func TestFlappingTierStress(t *testing.T) {
 	r := newRig(t, splitPolicy(), false)
-	r.m.breakerCooldown = 500 * time.Microsecond
+	r.setBreakerCooldown(500 * time.Microsecond)
 	r.m.retryBackoff = 5 * time.Microsecond
 
 	const nFiles = 4

@@ -34,6 +34,7 @@ import (
 
 	"muxfs/internal/device"
 	"muxfs/internal/fs/fsrec"
+	"muxfs/internal/guard"
 	"muxfs/internal/policy"
 	"muxfs/internal/policy/autotune"
 	"muxfs/internal/server"
@@ -185,12 +186,6 @@ type Config struct {
 
 	// Tier fault-domain knobs (health.go). Zero values take the defaults.
 	//
-	// BreakerThreshold is the consecutive device-fault count that opens a
-	// tier's circuit breaker (quarantine). Default 4.
-	BreakerThreshold int
-	// IORetries bounds retries of a transient-faulting downward op before
-	// the error surfaces to the health tracker. Default 3.
-	IORetries int
 	// RetryBackoff is the first retry's virtual-clock delay; it doubles per
 	// attempt. Default 50µs.
 	RetryBackoff time.Duration
@@ -210,7 +205,7 @@ type Mux struct {
 	files *inoTable
 
 	// Tier table — copy-on-write snapshot. tierMu serializes writers
-	// (AddTier/RemoveTier and the companion tierUsed/healthTab/ioSem table
+	// (AddTier/RemoveTier and the companion tierUsed/healthTab/ioGates table
 	// swaps); readers go through tierTab.Load() and never block.
 	tierMu  sync.Mutex
 	tierTab atomic.Pointer[tierTable]
@@ -223,12 +218,10 @@ type Mux struct {
 	// healthTab holds one health tracker per tier id, shared the same way
 	// (health.go). repairPending flags that a tier recovered and degraded
 	// replicas await re-mirroring.
-	healthTab        atomic.Pointer[[]*tierHealth]
-	repairPending    atomic.Bool
-	breakerThreshold int
-	ioRetries        int
-	retryBackoff     time.Duration
-	breakerCooldown  time.Duration
+	healthTab       atomic.Pointer[[]*tierHealth]
+	repairPending   atomic.Bool
+	retryBackoff    time.Duration
+	breakerCooldown time.Duration
 
 	polP      atomic.Pointer[policy.Policy]
 	meta      *metaLog
@@ -239,10 +232,10 @@ type Mux struct {
 	syncAll   bool
 
 	// Data-path fan-out state (fanout.go). fanWidth bounds concurrent
-	// per-tier groups per request; ioSem holds one data-path semaphore per
+	// per-tier groups per request; ioGates holds one data-path gate per
 	// tier id, replaced wholesale like tierUsed when a tier is added.
 	fanWidth atomic.Int32
-	ioSem    atomic.Pointer[[]chan struct{}]
+	ioGates  atomic.Pointer[[]*guard.Gate]
 
 	// Mirror read-router state (route.go). routeReads gates routing (one
 	// atomic load on the read hot path when off); routeTab holds the
@@ -328,12 +321,6 @@ func New(cfg Config) (*Mux, error) {
 	if cfg.MigrationWorkers <= 0 {
 		cfg.MigrationWorkers = runtime.GOMAXPROCS(0)
 	}
-	if cfg.BreakerThreshold <= 0 {
-		cfg.BreakerThreshold = defaultBreakerThreshold
-	}
-	if cfg.IORetries <= 0 {
-		cfg.IORetries = defaultIORetries
-	}
 	if cfg.RetryBackoff <= 0 {
 		cfg.RetryBackoff = defaultRetryBackoff
 	}
@@ -352,10 +339,8 @@ func New(cfg Config) (*Mux, error) {
 		syncAll:   cfg.SyncAllMeta,
 		migLogf:   cfg.MigrationLogf,
 
-		breakerThreshold: cfg.BreakerThreshold,
-		ioRetries:        cfg.IORetries,
-		retryBackoff:     cfg.RetryBackoff,
-		breakerCooldown:  cfg.BreakerCooldown,
+		retryBackoff:    cfg.RetryBackoff,
+		breakerCooldown: cfg.BreakerCooldown,
 	}
 	if cfg.RecoveryWorkers <= 0 {
 		cfg.RecoveryWorkers = runtime.GOMAXPROCS(0)
@@ -372,8 +357,8 @@ func New(cfg Config) (*Mux, error) {
 	m.tierUsed.Store(&empty)
 	emptyHealth := []*tierHealth{}
 	m.healthTab.Store(&emptyHealth)
-	emptySem := []chan struct{}{}
-	m.ioSem.Store(&emptySem)
+	emptyGates := []*guard.Gate{}
+	m.ioGates.Store(&emptyGates)
 	emptyRoute := []*routeStat{}
 	m.routeTab.Store(&emptyRoute)
 	m.routeReads.Store(cfg.MirrorReadRouting)
@@ -455,16 +440,20 @@ func (m *Mux) AddTier(fs vfs.FileSystem, prof device.Profile) int {
 	oldH := *m.healthTab.Load()
 	health := make([]*tierHealth, len(oldH)+1)
 	copy(health, oldH)
-	health[len(oldH)] = &tierHealth{}
+	health[len(oldH)] = &tierHealth{Breaker: guard.Breaker{
+		Threshold: breakerThreshold,
+		Cooldown:  m.breakerCooldown,
+		Now:       m.now,
+	}}
 	m.healthTab.Store(&health)
-	// Data-path semaphore, sized by the same width rule the migration
-	// engine applies per round (engine.go): rotational tiers admit one
-	// in-flight data op, solid-state tiers scale with profiled bandwidth.
-	oldS := *m.ioSem.Load()
-	sems := make([]chan struct{}, len(oldS)+1)
-	copy(sems, oldS)
-	sems[len(oldS)] = make(chan struct{}, tierWidth(prof, maxTierIOWidth))
-	m.ioSem.Store(&sems)
+	// Data-path gate, sized by the same width rule the migration engine
+	// applies per round (engine.go): rotational tiers admit one in-flight
+	// data op, solid-state tiers scale with profiled bandwidth.
+	oldG := *m.ioGates.Load()
+	gates := make([]*guard.Gate, len(oldG)+1)
+	copy(gates, oldG)
+	gates[len(oldG)] = guard.NewGate(tierWidth(prof, maxTierIOWidth))
+	m.ioGates.Store(&gates)
 	// Mirror read-router latency cache (route.go).
 	oldR := *m.routeTab.Load()
 	routes := make([]*routeStat, len(oldR)+1)

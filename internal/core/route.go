@@ -31,9 +31,9 @@ import (
 //     as an interval delta over the PR 6 histograms and cached in routeTab
 //     so the hot path never walks 392 buckets (refreshed at most every
 //     routeRefresh of wall time by a CAS-elected reader),
-//   - the current data-path semaphore occupancy (PR 4's ioSem), which makes
-//     the score rise linearly with queue depth so concurrent readers spread
-//     across both copies instead of herding onto the faster device.
+//   - the current occupancy of the tier's data-path gate (ioGates), which
+//     makes the score rise linearly with queue depth so concurrent readers
+//     spread across both copies instead of herding onto the faster device.
 //
 // Safety rules:
 //
@@ -77,25 +77,13 @@ func (m *Mux) SetMirrorRouting(on bool) { m.routeReads.Store(on) }
 func (m *Mux) MirrorRouting() bool { return m.routeReads.Load() }
 
 // ioDepth reports how many data-path ops currently hold a slot on the
-// tier's fan-out semaphore — the router's congestion signal, and a
-// telemetry gauge. Unknown ids read as idle.
-func (m *Mux) ioDepth(id int) int {
-	tab := *m.ioSem.Load()
-	if id < 0 || id >= len(tab) {
-		return 0
-	}
-	return len(tab[id])
-}
+// tier's gate — the router's congestion signal, and a telemetry gauge.
+// Unknown ids read as idle.
+func (m *Mux) ioDepth(id int) int { return m.ioGate(id).InFlight() }
 
-// ioWidth reports the tier's data-path semaphore width (its admission
-// bound; see tierWidth).
-func (m *Mux) ioWidth(id int) int {
-	tab := *m.ioSem.Load()
-	if id < 0 || id >= len(tab) {
-		return 0
-	}
-	return cap(tab[id])
-}
+// ioWidth reports the tier's data-path gate width (its admission bound;
+// see tierWidth).
+func (m *Mux) ioWidth(id int) int { return m.ioGate(id).Width() }
 
 // routeLat returns the tier's cached recent-read-latency estimate,
 // refreshing it from the telemetry histograms when it is older than
@@ -206,7 +194,8 @@ func (m *Mux) readRoutedMirror(f *muxFile, rt int, dst []byte, off int64) bool {
 		return false
 	}
 	t0 := m.telStart()
-	release := m.acquireIOSlot(rt)
+	gate := m.ioGate(rt)
+	gate.Acquire()
 	nr := 0
 	err := m.tierIO(rt, func() error {
 		var e error
@@ -218,7 +207,7 @@ func (m *Mux) readRoutedMirror(f *muxFile, rt int, dst []byte, off int64) bool {
 		}
 		return nil
 	})
-	release()
+	gate.Release()
 	m.telIO("read", rt, f.loadPath(), int64(len(dst)), t0, err)
 	if err != nil || nr < len(dst) {
 		return false

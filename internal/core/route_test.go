@@ -113,7 +113,7 @@ func TestRoutedReadNeverUsesQuarantinedMirror(t *testing.T) {
 	defer r.pm.ClearFaults()
 
 	buf := make([]byte, len(payload))
-	for i := 0; i < r.m.breakerThreshold+2; i++ {
+	for i := 0; i < breakerThreshold+2; i++ {
 		if _, err := f.ReadAt(buf, 0); err != nil {
 			t.Fatalf("read %d: %v (mirror miss must fall back to primary)", i, err)
 		}
@@ -144,7 +144,7 @@ func TestRoutedReadNeverUsesQuarantinedMirror(t *testing.T) {
 // breaker — same reason health_test.go drills PM).
 func TestRoutedReadQuarantinedPrimaryGoesToMirror(t *testing.T) {
 	r := newRig(t, policy.Pinned{Tier: 0}, false)
-	r.m.breakerCooldown = time.Hour // keep the breaker open for the whole test
+	r.setBreakerCooldown(time.Hour) // keep the breaker open for the whole test
 	payload := bytes.Repeat([]byte{0x61}, 32*1024)
 	f := writeFile(t, r.m, "/qp", payload)
 	defer f.Close()
@@ -157,7 +157,7 @@ func TestRoutedReadQuarantinedPrimaryGoesToMirror(t *testing.T) {
 	r.pm.InjectFaults(device.FaultPlan{Seed: 1, ReadErrProb: 1, WriteErrProb: 1, Sticky: true})
 	defer r.pm.ClearFaults()
 	buf := make([]byte, len(payload))
-	for i := 0; i < r.m.breakerThreshold+2; i++ {
+	for i := 0; i < breakerThreshold+2; i++ {
 		if _, err := f.ReadAt(buf, 0); err != nil {
 			t.Fatalf("read %d: %v", i, err)
 		}

@@ -351,7 +351,7 @@ type TelemetrySnapshot struct {
 
 	// Routing summarizes the mirror read router (route.go): per-tier routed
 	// and fallback counters, the mirror-hit ratio, and the live in-flight
-	// depth of every tier's data-path semaphore.
+	// depth of every tier's data-path gate.
 	Routing RoutingTelemetry `json:"routing"`
 
 	// Stripes reports composite erasure-coded tiers (internal/ec): per-node
@@ -417,8 +417,8 @@ type TierRouteTelemetry struct {
 	RoutedPrimary int64 `json:"routed_primary"` // routed reads this tier served as the primary
 	FallbackReads int64 `json:"fallback_reads"` // error-path reads this tier's mirror copy served
 
-	InFlight int `json:"in_flight"` // data-path semaphore slots currently held
-	Width    int `json:"width"`     // semaphore capacity (admission bound)
+	InFlight int `json:"in_flight"` // data-path gate slots currently held
+	Width    int `json:"width"`     // gate width (admission bound)
 }
 
 // RoutingTelemetry aggregates the read router across tiers.
@@ -559,7 +559,6 @@ func (m *Mux) promFamilies() []telemetry.FamilySnapshot {
 
 	var used, healthOps, healthFaults, healthRetries, healthQuar, healthState []telemetry.SeriesSnapshot
 	var inflight, inflightW []telemetry.SeriesSnapshot
-	now := m.now()
 	for _, t := range m.Tiers() {
 		labels := []telemetry.Label{
 			{Key: "tier", Value: strconv.Itoa(t.ID)},
@@ -569,7 +568,7 @@ func (m *Mux) promFamilies() []telemetry.FamilySnapshot {
 		inflight = append(inflight, one(int64(m.ioDepth(t.ID)), labels...))
 		inflightW = append(inflightW, one(int64(m.ioWidth(t.ID)), labels...))
 		if h := m.healthOf(t.ID); h != nil {
-			info := h.snapshot(t.ID, t.Prof.Name, now)
+			info := h.snapshot(t.ID, t.Prof.Name)
 			healthOps = append(healthOps, one(info.Ops, labels...))
 			healthFaults = append(healthFaults, one(info.Faults, labels...))
 			healthRetries = append(healthRetries, one(info.Retries, labels...))
@@ -591,8 +590,8 @@ func (m *Mux) promFamilies() []telemetry.FamilySnapshot {
 		counterFam("mux_tier_health_retries_total", "Transient-fault retries per tier.", healthRetries...),
 		counterFam("mux_tier_quarantines_total", "Times a tier's circuit breaker opened.", healthQuar...),
 		gaugeFam("mux_tier_state", "Breaker state per tier: 0 healthy, 1 quarantined, 2 probing.", healthState...),
-		gaugeFam("mux_tier_inflight", "Data-path ops currently holding a slot on the tier's fan-out semaphore.", inflight...),
-		gaugeFam("mux_tier_inflight_width", "Data-path fan-out semaphore width per tier.", inflightW...),
+		gaugeFam("mux_tier_inflight", "Data-path ops currently holding a slot on the tier's data-path gate.", inflight...),
+		gaugeFam("mux_tier_inflight_width", "Data-path gate width per tier.", inflightW...),
 	)
 
 	// Per-tenant attribution (tenant.go). Latency gauges are VIRTUAL

@@ -131,7 +131,7 @@ func TestTelemetryDisabledRecordsNothing(t *testing.T) {
 // trace ring with the error attached, and quarantine transitions trace too.
 func TestTelemetryTracesFailures(t *testing.T) {
 	r := newRig(t, policy.Pinned{Tier: 0}, false)
-	r.m.breakerCooldown = time.Hour
+	r.setBreakerCooldown(time.Hour)
 	payload := bytes.Repeat([]byte{0x33}, 16*1024)
 	f := writeFile(t, r.m, "/fault", payload)
 	defer f.Close()
@@ -143,7 +143,7 @@ func TestTelemetryTracesFailures(t *testing.T) {
 	defer r.pm.ClearFaults()
 
 	buf := make([]byte, len(payload))
-	for i := 0; i < r.m.breakerThreshold; i++ {
+	for i := 0; i < breakerThreshold; i++ {
 		if _, err := f.ReadAt(buf, 0); err != nil {
 			t.Fatalf("read %d not served by replica: %v", i, err)
 		}

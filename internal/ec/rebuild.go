@@ -15,14 +15,7 @@ func (ss *StripeSet) Quarantine(i int) error {
 	if i < 0 || i >= len(ss.nodes) {
 		return ErrNodeIndex
 	}
-	n := ss.nodes[i]
-	n.bmu.Lock()
-	if n.state != nodeQuarantined {
-		n.quarantines.Add(1)
-	}
-	n.state = nodeQuarantined
-	n.manual = true
-	n.bmu.Unlock()
+	ss.nodes[i].br.Trip()
 	return nil
 }
 
@@ -32,12 +25,7 @@ func (ss *StripeSet) Reinstate(i int) error {
 	if i < 0 || i >= len(ss.nodes) {
 		return ErrNodeIndex
 	}
-	n := ss.nodes[i]
-	n.bmu.Lock()
-	n.state = nodeHealthy
-	n.manual = false
-	n.consec = 0
-	n.bmu.Unlock()
+	ss.nodes[i].br.Reset()
 	return nil
 }
 
@@ -54,11 +42,7 @@ func (ss *StripeSet) ReplaceNode(i int, fs vfs.FileSystem) error {
 	n.fsMu.Unlock()
 	n.gen.Add(1)
 	n.stale.Store(true)
-	n.bmu.Lock()
-	n.state = nodeHealthy
-	n.manual = false
-	n.consec = 0
-	n.bmu.Unlock()
+	n.br.Reset()
 	return nil
 }
 
@@ -109,12 +93,7 @@ func (ss *StripeSet) Rebuild(i int) (RebuildStats, error) {
 		st.Bytes += n
 	}
 	ss.nodes[i].stale.Store(false)
-	n := ss.nodes[i]
-	n.bmu.Lock()
-	n.state = nodeHealthy
-	n.manual = false
-	n.consec = 0
-	n.bmu.Unlock()
+	ss.nodes[i].br.Reset()
 	ss.rebuilds.Add(1)
 	ss.rebuildBytes.Add(st.Bytes)
 	if ss.telRebuild != nil && ss.tel.Enabled() {
@@ -474,17 +453,18 @@ func (ss *StripeSet) Status() SetStatus {
 		Rebuilds:           ss.rebuilds.Load(),
 	}
 	for i, n := range ss.nodes {
+		br := n.br.Snapshot()
 		out.Nodes = append(out.Nodes, NodeStatus{
 			Index:        i,
 			Role:         ss.roleOf(i),
 			Name:         n.fileSystem().Name(),
-			State:        n.breakerState().String(),
+			State:        br.State.String(),
 			Stale:        n.stale.Load(),
-			Ops:          n.ops.Load(),
-			Faults:       n.faults.Load(),
+			Ops:          br.Ops,
+			Faults:       br.Faults,
 			BytesRead:    n.bytesR.Load(),
 			BytesWritten: n.bytesW.Load(),
-			Quarantines:  n.quarantines.Load(),
+			Quarantines:  br.Opens,
 		})
 	}
 	return out

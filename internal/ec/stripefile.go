@@ -185,7 +185,7 @@ func zero(b []byte) {
 // usable reports whether node i can serve reads right now.
 func (ss *StripeSet) usable(i int) bool {
 	n := ss.nodes[i]
-	return !n.stale.Load() && n.admit(time.Now())
+	return !n.stale.Load() && n.br.Available()
 }
 
 // readShards reads stripes [bs0, bs1] of the file into per-data-node

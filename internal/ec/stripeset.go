@@ -10,16 +10,18 @@ import (
 	"sync/atomic"
 	"time"
 
+	"muxfs/internal/guard"
 	"muxfs/internal/telemetry"
 	"muxfs/internal/vfs"
 )
 
 // Default geometry and breaker tuning.
 const (
-	DefaultShardSize     = 64 << 10 // 64 KiB shards: big enough to amortize RPC, small enough to stripe small files
-	DefaultNodeFanout    = 4        // concurrent ops in flight per node
-	DefaultFailThreshold = 3        // consecutive faults before quarantine
-	DefaultCooldown      = 2 * time.Second
+	DefaultShardSize  = 64 << 10 // 64 KiB shards: big enough to amortize RPC, small enough to stripe small files
+	DefaultNodeFanout = 4        // concurrent ops in flight per node
+	DefaultCooldown   = 2 * time.Second
+	// failThreshold is the consecutive-fault count that quarantines a node.
+	failThreshold = 3
 	// batchBytes bounds the stripe buffers a single read/write materializes
 	// at once (per node the slice is batchBytes/k).
 	batchBytes = 4 << 20
@@ -46,11 +48,8 @@ type Options struct {
 	ShardSize int64
 	// NodeFanout bounds concurrent in-flight operations per node
 	// (default 4) — the per-node analogue of the core engine's per-tier
-	// I/O semaphore.
+	// data-path gate.
 	NodeFanout int
-	// FailThreshold is the consecutive-fault count that opens a node's
-	// circuit breaker (default 3).
-	FailThreshold int
 	// Cooldown is how long a breaker stays open before a probe
 	// (default 2s).
 	Cooldown time.Duration
@@ -60,50 +59,23 @@ type Options struct {
 	Telemetry *telemetry.Registry
 }
 
-// nodeState is the breaker state of one node.
-type nodeState int32
-
-const (
-	nodeHealthy nodeState = iota
-	nodeQuarantined
-	nodeProbing
-)
-
-func (s nodeState) String() string {
-	switch s {
-	case nodeQuarantined:
-		return "quarantined"
-	case nodeProbing:
-		return "probing"
-	default:
-		return "healthy"
-	}
-}
-
 // node is one member of the stripe set: a vfs.FileSystem (usually a
-// muxrpc.NSClient, but any FileSystem works), its in-flight gate, and a
-// small circuit breaker in the style of the core health tracker.
+// muxrpc.NSClient, but any FileSystem works), its in-flight gate, and its
+// circuit breaker (wall clock, since the set's creation).
 type node struct {
 	fsMu sync.RWMutex
 	fs   vfs.FileSystem
 	gen  atomic.Int64 // bumped on ReplaceNode so cached handles reopen
 
-	gate chan struct{}
-
-	bmu       sync.Mutex
-	state     nodeState
-	consec    int
-	quarUntil time.Time
-	manual    bool // manually quarantined: no auto-probe
+	gate *guard.Gate
+	br   guard.Breaker
 
 	stale atomic.Bool // missed writes; serves no reads until rebuilt
 
-	ops, faults     atomic.Int64
-	bytesR, bytesW  atomic.Int64
-	quarantines     atomic.Int64
-	telLatR, telLatW *telemetry.Histogram
+	bytesR, bytesW       atomic.Int64
+	telLatR, telLatW     *telemetry.Histogram
 	telBytesR, telBytesW *telemetry.Counter
-	telErrs          *telemetry.Counter
+	telErrs              *telemetry.Counter
 }
 
 func (n *node) fileSystem() vfs.FileSystem {
@@ -112,56 +84,18 @@ func (n *node) fileSystem() vfs.FileSystem {
 	return n.fs
 }
 
-// admit reports whether the node should receive an operation now.
-func (n *node) admit(now time.Time) bool {
-	n.bmu.Lock()
-	defer n.bmu.Unlock()
-	switch n.state {
-	case nodeHealthy, nodeProbing:
-		return true
-	default:
-		if n.manual || now.Before(n.quarUntil) {
-			return false
-		}
-		n.state = nodeProbing
-		return true
+// record feeds an operation outcome to the breaker. ec's classifier: only
+// device/transport faults count against a node; a logical file-system
+// error is a healthy answer.
+func (n *node) record(err error) {
+	if !isNodeFault(err) {
+		n.br.Record(guard.Success, nil)
+		return
 	}
-}
-
-// record feeds an operation outcome to the breaker. Only device/transport
-// faults count; logical file-system errors are healthy responses.
-func (n *node) record(err error, threshold int, cooldown time.Duration, now time.Time) {
-	n.ops.Add(1)
-	fault := isNodeFault(err)
-	n.bmu.Lock()
-	if fault {
-		n.faults.Add(1)
-		n.consec++
-		if n.consec >= threshold && n.state != nodeQuarantined {
-			n.state = nodeQuarantined
-			n.quarUntil = now.Add(cooldown)
-			n.quarantines.Add(1)
-		} else if n.state == nodeProbing {
-			n.state = nodeQuarantined
-			n.quarUntil = now.Add(cooldown)
-			n.quarantines.Add(1)
-		}
-	} else {
-		n.consec = 0
-		if n.state == nodeProbing {
-			n.state = nodeHealthy
-		}
-	}
-	n.bmu.Unlock()
-	if fault && n.telErrs != nil {
+	n.br.Record(guard.Fault, err)
+	if n.telErrs != nil {
 		n.telErrs.Add(1)
 	}
-}
-
-func (n *node) breakerState() nodeState {
-	n.bmu.Lock()
-	defer n.bmu.Unlock()
-	return n.state
 }
 
 // isNodeFault distinguishes node failures (socket errors, handshake
@@ -207,9 +141,6 @@ type StripeSet struct {
 	code  *Code
 	nodes []*node
 
-	failThreshold int
-	cooldown      time.Duration
-
 	metaMu sync.Mutex
 	meta   map[string]*fileMeta
 
@@ -249,25 +180,25 @@ func New(name string, nodes []vfs.FileSystem, opts Options) (*StripeSet, error) 
 	if fan <= 0 {
 		fan = DefaultNodeFanout
 	}
-	thr := opts.FailThreshold
-	if thr <= 0 {
-		thr = DefaultFailThreshold
-	}
 	cd := opts.Cooldown
 	if cd <= 0 {
 		cd = DefaultCooldown
 	}
 	ss := &StripeSet{
-		name:          name,
-		geom:          geom{k: k, m: m, s: s},
-		code:          code,
-		failThreshold: thr,
-		cooldown:      cd,
-		meta:          map[string]*fileMeta{},
-		tel:           opts.Telemetry,
+		name: name,
+		geom: geom{k: k, m: m, s: s},
+		code: code,
+		meta: map[string]*fileMeta{},
+		tel:  opts.Telemetry,
 	}
+	epoch := time.Now()
+	since := func() time.Duration { return time.Since(epoch) }
 	for i, fs := range nodes {
-		n := &node{fs: fs, gate: make(chan struct{}, fan)}
+		n := &node{
+			fs:   fs,
+			gate: guard.NewGate(fan),
+			br:   guard.Breaker{Threshold: failThreshold, Cooldown: cd, Now: since},
+		}
 		if r := opts.Telemetry; r != nil {
 			labels := []telemetry.Label{
 				{Key: "set", Value: name},
@@ -339,14 +270,13 @@ var errSkipped = errors.New("ec: node skipped (quarantined)")
 
 func (ss *StripeSet) nodeCall(i int, fn func(fs vfs.FileSystem) error) error {
 	n := ss.nodes[i]
-	now := time.Now()
-	if !n.admit(now) {
+	if !n.br.Allow() {
 		return errSkipped
 	}
-	n.gate <- struct{}{}
+	n.gate.Acquire()
 	err := fn(n.fileSystem())
-	<-n.gate
-	n.record(err, ss.failThreshold, ss.cooldown, time.Now())
+	n.gate.Release()
+	n.record(err)
 	return err
 }
 
@@ -369,15 +299,8 @@ func (ss *StripeSet) fanAll(fn func(i int, fs vfs.FileSystem) error) []error {
 // the node whose logical answer (ErrNotExist, ErrExist, …) speaks for
 // the mirrored namespace.
 func (ss *StripeSet) pickAuthority() int {
-	now := time.Now()
 	for i, n := range ss.nodes {
-		if n.stale.Load() {
-			continue
-		}
-		n.bmu.Lock()
-		ok := n.state == nodeHealthy || n.state == nodeProbing || (!n.manual && !now.Before(n.quarUntil))
-		n.bmu.Unlock()
-		if ok {
+		if !n.stale.Load() && n.br.Available() {
 			return i
 		}
 	}

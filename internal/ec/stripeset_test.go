@@ -7,7 +7,9 @@ import (
 	"io"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"muxfs/internal/device"
 	"muxfs/internal/fs/xfslite"
@@ -517,5 +519,153 @@ func TestStripeTelemetry(t *testing.T) {
 	_ = foundDegraded
 	if !foundBytes {
 		t.Fatal("no per-node write bytes recorded")
+	}
+}
+
+// errNodeDown is the transport failure faultyFS injects.
+var errNodeDown = errors.New("node down")
+
+// faultyFS wraps a node file system: while failing is set, every call
+// through it (or a file it opened) fails with a node fault. calls counts
+// every call that reached the node.
+type faultyFS struct {
+	vfs.FileSystem
+	failing atomic.Bool
+	calls   atomic.Int64
+}
+
+func (f *faultyFS) hit() error {
+	f.calls.Add(1)
+	if f.failing.Load() {
+		return errNodeDown
+	}
+	return nil
+}
+
+func (f *faultyFS) Open(path string) (vfs.File, error) {
+	if err := f.hit(); err != nil {
+		return nil, err
+	}
+	h, err := f.FileSystem.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	return &faultyFile{File: h, fs: f}, nil
+}
+
+func (f *faultyFS) Stat(path string) (vfs.FileInfo, error) {
+	if err := f.hit(); err != nil {
+		return vfs.FileInfo{}, err
+	}
+	return f.FileSystem.Stat(path)
+}
+
+type faultyFile struct {
+	vfs.File
+	fs *faultyFS
+}
+
+func (f *faultyFile) ReadAt(p []byte, off int64) (int, error) {
+	if err := f.fs.hit(); err != nil {
+		return 0, err
+	}
+	return f.File.ReadAt(p, off)
+}
+
+func (f *faultyFile) Stat() (vfs.FileInfo, error) {
+	if err := f.fs.hit(); err != nil {
+		return vfs.FileInfo{}, err
+	}
+	return f.File.Stat()
+}
+
+// fakeClock drives the node breakers' cooldown by hand.
+type fakeClock struct{ t atomic.Int64 }
+
+func (c *fakeClock) now() time.Duration      { return time.Duration(c.t.Load()) }
+func (c *fakeClock) advance(d time.Duration) { c.t.Add(int64(d)) }
+
+// The automatic node breaker: failThreshold consecutive faults quarantine
+// a node; reads then reconstruct from parity without touching it; after
+// the cooldown one probe is admitted — a failed probe reopens the breaker
+// (and counts as a quarantine), a successful one closes it.
+func TestNodeBreakerQuarantinesAndProbes(t *testing.T) {
+	flaky := &faultyFS{FileSystem: newNodeFS(t, "node0")}
+	ss, err := New("t", []vfs.FileSystem{flaky, newNodeFS(t, "node1"), newNodeFS(t, "node2")},
+		Options{Parity: 1, ShardSize: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var clk fakeClock
+	for _, n := range ss.nodes {
+		n.br.Now = clk.now
+	}
+	data := writeFile(t, ss, "/f", 64<<10, 7)
+	f, err := ss.Open("/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	buf := make([]byte, len(data))
+	read := func(step string) {
+		t.Helper()
+		clear(buf)
+		if _, err := f.ReadAt(buf, 0); err != nil && err != io.EOF {
+			t.Fatalf("%s: read: %v", step, err)
+		}
+		if !bytes.Equal(buf, data) {
+			t.Fatalf("%s: read returned corrupt bytes", step)
+		}
+	}
+	node0 := func() NodeStatus { return ss.Status().Nodes[0] }
+	read("warm-up") // caches the node handles
+
+	flaky.failing.Store(true)
+	for i := 1; i <= failThreshold; i++ {
+		read(fmt.Sprintf("fault %d", i))
+		st := node0()
+		if st.Faults != int64(i) {
+			t.Fatalf("after faulting read %d: %d node faults, want %d", i, st.Faults, i)
+		}
+		if want := i == failThreshold; (st.State == "quarantined") != want {
+			t.Fatalf("after %d faults: state %s", i, st.State)
+		}
+	}
+	if st := node0(); st.Quarantines != 1 {
+		t.Fatalf("quarantines = %d, want 1", st.Quarantines)
+	}
+
+	// Quarantined: reads reconstruct and never reach the node.
+	calls, degraded := flaky.calls.Load(), ss.Status().DegradedReads
+	read("quarantined")
+	read("quarantined again")
+	if got := flaky.calls.Load(); got != calls {
+		t.Fatalf("quarantined node took %d calls", got-calls)
+	}
+	if ss.Status().DegradedReads <= degraded {
+		t.Fatal("quarantined reads were not served by reconstruction")
+	}
+
+	// Cooldown over, node still down: the probe fails and reopens.
+	clk.advance(DefaultCooldown)
+	read("failed probe")
+	if got := flaky.calls.Load(); got == calls {
+		t.Fatal("no probe reached the node after the cooldown")
+	}
+	if st := node0(); st.State != "quarantined" || st.Quarantines != 2 {
+		t.Fatalf("after a failed probe: state %s, quarantines %d; want quarantined, 2", st.State, st.Quarantines)
+	}
+	calls = flaky.calls.Load()
+	read("reopened")
+	if got := flaky.calls.Load(); got != calls {
+		t.Fatal("failed probe did not restart the cooldown")
+	}
+
+	// Node back: the next probe closes the breaker.
+	flaky.failing.Store(false)
+	clk.advance(DefaultCooldown)
+	read("successful probe")
+	if st := node0(); st.State != "healthy" || st.Quarantines != 2 {
+		t.Fatalf("after a successful probe: state %s, quarantines %d; want healthy, 2", st.State, st.Quarantines)
 	}
 }

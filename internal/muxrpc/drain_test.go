@@ -15,11 +15,13 @@ import (
 )
 
 // gateFS blocks selected operations on a channel so tests can hold calls
-// in flight on a tier export deterministically.
+// in flight on a tier export deterministically. blocked counts the calls
+// that have reached the file system and are waiting on the gate.
 type gateFS struct {
 	vfs.FileSystem
-	mu sync.Mutex
-	ch chan struct{}
+	mu      sync.Mutex
+	ch      chan struct{}
+	blocked int
 }
 
 func (g *gateFS) arm() {
@@ -41,10 +43,32 @@ func (g *gateFS) release() {
 func (g *gateFS) wait() {
 	g.mu.Lock()
 	ch := g.ch
+	if ch != nil {
+		g.blocked++
+	}
 	g.mu.Unlock()
 	if ch != nil {
 		<-ch
 	}
+}
+
+// waitBlocked waits until n calls are executing inside the file system,
+// held at the gate. Unlike the server's in-flight count, which includes
+// queued requests a severed connection drops unexecuted, this guarantees
+// the calls will complete server-side.
+func (g *gateFS) waitBlocked(t *testing.T, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for time.Now().Before(deadline) {
+		g.mu.Lock()
+		b := g.blocked
+		g.mu.Unlock()
+		if b >= n {
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Fatalf("fewer than %d calls ever reached the gate", n)
 }
 
 func (g *gateFS) Rename(oldPath, newPath string) error {
@@ -217,7 +241,7 @@ func TestSeverMidCallNonIdempotent(t *testing.T) {
 	g.arm()
 	done := make(chan error, 1)
 	go func() { done <- c.Rename("/n1", "/n2") }()
-	waitTierInFlight(t, srv, 1)
+	g.waitBlocked(t, 1)
 	tl.killConns()
 	g.release()
 	err = <-done
