@@ -16,12 +16,13 @@ test:
 race:
 	$(GO) test -race ./...
 
-# stress repeats the read-vs-migration race tests and the breaker/gate
-# concurrency test under the race detector. They are timing-dependent: a
-# single pass hides a failure that shows up in a few runs out of twenty,
-# so they run twenty times in a row.
+# stress repeats the read-vs-migration race tests, the migration-batch
+# worker-equivalence test and the breaker/gate concurrency test under the
+# race detector. They are timing-dependent: a single pass hides a failure
+# that shows up in a few runs out of twenty, so they run twenty times in a
+# row.
 stress:
-	$(GO) test -race -count=20 -run 'TestReadFastPathRacesMigration|TestRoutedReadsVsMigration|TestConcurrentMigrationStorm|TestGuardConcurrent' ./internal/core ./internal/guard
+	$(GO) test -race -count=20 -run 'TestReadFastPathRacesMigration|TestRoutedReadsVsMigration|TestConcurrentMigrationStorm|TestMigrationWorkersEquivalent|TestGuardConcurrent' ./internal/core ./internal/guard
 
 # fuzz runs each decoder fuzz target for 10 seconds. The muxns frame
 # decoders (internal/muxns; the targets sit with its client in
@@ -48,10 +49,11 @@ fuzz:
 # writes BENCH_e9.json with the per-tier latency quantiles), and routed
 # mirror reads must beat the migrate-to-PM placement while a browned-out
 # mirror degrades without a single user-visible error (BENCH_e10.json).
-# E11 runs the bounded crash-point sweep: every metadata op crashed after
-# every durability step, remounted, and held to the consistency contract
-# (muxbench exits nonzero on any violation), plus smoke-size recovery and
-# checkpoint timings (BENCH_e11.json). E12 runs the bounded scale-out
+# E11 runs the bounded crash-point sweep: every metadata op, and one
+# multi-move policy round, crashed after every durability step, remounted,
+# and held to the consistency contract (muxbench exits nonzero on any
+# violation), plus smoke-size recovery and checkpoint timings
+# (BENCH_e11.json). E12 runs the bounded scale-out
 # stripe drill over real loopback muxns RPC: throughput must grow with node
 # count, a 3+1 set loses a node mid-read with zero user-visible errors,
 # rebuild restores redundancy (scrub clean), and 4+1 raw usage stays

@@ -1,7 +1,9 @@
 package bench
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"runtime"
 	"time"
 
@@ -161,11 +163,72 @@ func e11WriteFile(m *core.Mux, path string, data []byte) error {
 }
 
 // e11Op is one swept metadata operation: setup runs synced before the crash
-// point arms; op is the operation under test.
+// point arms; op is the operation under test. verify, when set, holds the
+// recovered stack to the op's own contract on top of the shared one.
 type e11Op struct {
-	name  string
-	setup func(m *core.Mux) error
-	op    func(m *core.Mux) error
+	name   string
+	setup  func(m *core.Mux) error
+	op     func(m *core.Mux) error
+	verify func(m *core.Mux) error
+}
+
+// e11RoundFiles are the files the policy-round op moves: the first two
+// PM→SSD, the third SSD→PM.
+var e11RoundFiles = []string{"/e11/ra", "/e11/rb", "/e11/rc"}
+
+func e11RoundPayload(i int) []byte { return e11Pattern(32<<10, byte(20+i)) }
+
+// e11PolicyRound runs one serial policy round of three moves through one
+// migration batch. The first OCC validation finds the SSD→PM file's first
+// block rewritten with its own bytes, so that move conflicts and retries;
+// its retry syncs only PM, so the SSD copies rely on the tier barrier.
+func e11PolicyRound(m *core.Mux) error {
+	m.SetMigrationWorkers(1) // serial copies keep the device op order fixed
+	m.SetPolicy(policy.Func{PolicyName: "e11-round", Plan: func([]policy.TierInfo, []policy.FileStat, time.Duration) []policy.Move {
+		return []policy.Move{
+			{Path: e11RoundFiles[0], SrcTier: 0, DstTier: 1, N: -1},
+			{Path: e11RoundFiles[1], SrcTier: 0, DstTier: 1, N: -1},
+			{Path: e11RoundFiles[2], SrcTier: 1, DstTier: 0, N: -1, Promote: true},
+		}
+	}})
+	dirtied := false
+	m.SetMigrationInterleave(func(int) {
+		if dirtied {
+			return
+		}
+		dirtied = true
+		if f, err := m.Open(e11RoundFiles[2]); err == nil {
+			_, _ = f.WriteAt(e11RoundPayload(2)[:4096], 0)
+			f.Close()
+		}
+	})
+	defer m.SetMigrationInterleave(nil)
+	retries := m.OCC().Retries
+	st, err := m.RunPolicyOnce()
+	if err == nil && (st.Executed != len(e11RoundFiles) || m.OCC().Retries != retries+1) {
+		return fmt.Errorf("policy round executed %d moves with %d retries, want %d and 1",
+			st.Executed, m.OCC().Retries-retries, len(e11RoundFiles))
+	}
+	return err
+}
+
+// e11VerifyRound checks that every file of the round reads its pre-round
+// bytes.
+func e11VerifyRound(m *core.Mux) error {
+	for i, p := range e11RoundFiles {
+		f, err := m.Open(p)
+		if err != nil {
+			return err
+		}
+		want := e11RoundPayload(i)
+		got := make([]byte, len(want))
+		n, err := f.ReadAt(got, 0)
+		f.Close()
+		if n != len(want) || (err != nil && err != io.EOF) || !bytes.Equal(got, want) {
+			return fmt.Errorf("%s lost its bytes in the round (%d read, %v)", p, n, err)
+		}
+	}
+	return nil
 }
 
 func e11Ops() []e11Op {
@@ -208,6 +271,19 @@ func e11Ops() []e11Op {
 			return m.Sync()
 		},
 			op: func(m *core.Mux) error { return m.ClearReplica("/e11/vic") }},
+		{name: "policy-round", setup: func(m *core.Mux) error {
+			if err := m.Mkdir("/e11"); err != nil {
+				return err
+			}
+			for i, p := range e11RoundFiles {
+				if err := e11WriteFile(m, p, e11RoundPayload(i)); err != nil {
+					return err
+				}
+			}
+			_, err := m.Migrate(e11RoundFiles[2], 0, 1)
+			return err
+		},
+			op: e11PolicyRound, verify: e11VerifyRound},
 		{name: "group-commit", setup: func(m *core.Mux) error { return m.Mkdir("/e11") },
 			op: func(m *core.Mux) error {
 				// A batch of creates and writes flushed by one group commit.
@@ -283,6 +359,8 @@ func e11SweepOne(op e11Op) (E11SweepRow, error) {
 		_ = s.mux.Sync()
 		s.cp.Disarm()
 		if err := s.e11CheckContract(); err != nil {
+			row.Violations++
+		} else if op.verify != nil && op.verify(s.mux) != nil {
 			row.Violations++
 		}
 	}

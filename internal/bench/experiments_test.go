@@ -452,8 +452,8 @@ func TestE11Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Sweep) != 9 {
-		t.Fatalf("want 9 swept ops, got %d", len(r.Sweep))
+	if len(r.Sweep) != 10 {
+		t.Fatalf("want 10 swept ops, got %d", len(r.Sweep))
 	}
 	for _, row := range r.Sweep {
 		if row.Points < 2 {

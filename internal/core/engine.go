@@ -2,7 +2,7 @@ package core
 
 import (
 	"errors"
-	"sync"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -13,21 +13,24 @@ import (
 )
 
 // The parallel migration engine executes the Policy Runner's planned moves
-// on a bounded worker pool instead of one at a time. Real tiered systems
-// win by exploiting parallel tier bandwidth: while one move streams off the
-// HDD, another can run PM→SSD, and within a move the pipelined copier
-// (occ.go) overlaps source reads with destination writes. Three invariants
-// shape the design:
+// as migration batches (occ.go migrateBatch) instead of one at a time. Real
+// tiered systems win by exploiting parallel tier bandwidth: while one move
+// streams off the HDD, another can run PM→SSD, and within a move the
+// pipelined copier (occ.go) overlaps source reads with destination writes.
+// Four invariants shape the design:
 //
-//   - Per-file ordering. Moves are grouped by path and each group runs on a
-//     single worker in planned order, so per-file OCC serialization is
-//     preserved and the runner itself can never trip ErrMigrationActive.
+//   - One durability barrier per batch. Copies run first, then one tier
+//     Sync each, then the commits, one meta flush and the punches — the
+//     serial cost is paid per round, not per move.
+//   - Per-file ordering. A batch holds at most one move per path, and a
+//     Mirror move runs between batches, so the moves on one file execute in
+//     planned order and the runner itself can never trip ErrMigrationActive.
 //   - Per-tier throttling. A guard.Gate per tier, sized from the
-//     device profile (tierWidth), keeps N workers from oversubscribing a
-//     slow tier while a fast one idles.
+//     device profile (tierWidth), keeps N workers copying from
+//     oversubscribing a slow tier while a fast one idles.
 //   - Outcome determinism. Workers change interleaving, not results: moves
-//     on distinct files are independent, and MigrationWorkers=1 degrades to
-//     exactly the old serial behavior (no goroutines, single-buffer copy).
+//     in a batch are on distinct files and commit in planned order, and
+//     MigrationWorkers=1 copies serially (no goroutines, single-buffer copy).
 
 // MigrationStats summarizes one Policy Runner round.
 type MigrationStats struct {
@@ -108,12 +111,15 @@ func (m *Mux) setLastMigration(st MigrationStats) {
 	m.lastMigMu.Unlock()
 }
 
-// executeMoves runs the planned moves through the worker pool and reports
-// per-round stats. Moves for the same path execute serially in planned
-// order on one worker; distinct paths proceed concurrently, throttled per
-// tier. The first hard error stops dispatch and is returned after in-flight
-// moves drain; ErrNotExist and ErrMigrationActive skip the move, matching
-// the old serial runner.
+// executeMoves runs the planned moves and reports per-round stats. The
+// round is one migration batch (migrateBatch), so it pays one durability
+// barrier and one meta flush however many moves it holds. Two exceptions
+// close the open batch early, keeping per-file planned order: a Mirror
+// move (a replica placement, SetReplica / ClearReplica) runs on its own
+// once the moves before it have committed, and a second move on a path
+// already in the batch starts a new batch. The first hard error stops
+// dispatch and is returned once started moves drain; ErrNotExist,
+// ErrMigrationActive, ErrNoReplica and ErrTierQuarantined skip the move.
 func (m *Mux) executeMoves(moves []policy.Move) (MigrationStats, error) {
 	st := MigrationStats{Planned: len(moves)}
 	if len(moves) == 0 {
@@ -123,25 +129,11 @@ func (m *Mux) executeMoves(moves []policy.Move) (MigrationStats, error) {
 	wallStart := time.Now()
 	occBefore := m.occ.snapshot()
 
-	// Group by path, preserving planned order within and across groups.
-	order := make([]string, 0, len(moves))
-	byPath := make(map[string][]policy.Move, len(moves))
-	for _, mv := range moves {
-		p := vfs.CleanPath(mv.Path)
-		if _, ok := byPath[p]; !ok {
-			order = append(order, p)
-		}
-		byPath[p] = append(byPath[p], mv)
-	}
-
 	var (
-		resMu    sync.Mutex
 		firstErr error
 		failed   atomic.Bool
 	)
 	apply := func(mv policy.Move, moved int64, err error) {
-		resMu.Lock()
-		defer resMu.Unlock()
 		switch {
 		case err == nil:
 			if mv.Mirror {
@@ -158,15 +150,14 @@ func (m *Mux) executeMoves(moves []policy.Move) (MigrationStats, error) {
 					st.QuotaDemotions++
 				}
 			}
-		case errors.Is(err, vfs.ErrNotExist), errors.Is(err, ErrMigrationActive),
-			errors.Is(err, ErrNoReplica):
-			// ErrNoReplica: a planned mirror clear lost a race with another
-			// round (or a user ClearReplica) — nothing left to do.
-			st.Skipped++
 		case errors.Is(err, ErrTierQuarantined):
 			// The breaker opened mid-round; the move is retried by a later
 			// round once the tier recovers (or its blocks drain elsewhere).
 			st.QuarantineSkipped++
+		case isSkipErr(err):
+			// ErrNoReplica: a planned mirror clear lost a race with another
+			// round (or a user ClearReplica) — nothing left to do.
+			st.Skipped++
 		default:
 			if firstErr == nil {
 				firstErr = err
@@ -175,67 +166,45 @@ func (m *Mux) executeMoves(moves []policy.Move) (MigrationStats, error) {
 		}
 	}
 
-	// executeMove dispatches one move: Mirror moves are replica placements
-	// (SetReplica / ClearReplica), everything else is a block migration.
-	executeMove := func(mv policy.Move) (int64, error) {
-		if !mv.Mirror {
-			return m.MigrateRange(mv.Path, mv.SrcTier, mv.DstTier, mv.Off, mv.N)
-		}
-		if mv.DstTier >= 0 {
-			return 0, m.SetReplica(mv.Path, mv.DstTier)
-		}
-		return 0, m.ClearReplica(mv.Path)
-	}
-
 	workers := m.workers()
-	if workers > len(order) {
-		workers = len(order)
+	var (
+		batch   []*migJob
+		batchMv []policy.Move
+	)
+	runBatch := func() {
+		if len(batch) == 0 {
+			return
+		}
+		m.migrateBatch(batch, workers, &failed)
+		for i, j := range batch {
+			if j.ran {
+				apply(batchMv[i], j.moved, j.err)
+			}
+		}
+		batch, batchMv = batch[:0], batchMv[:0]
 	}
-
-	if workers <= 1 {
-		// Serial mode: today's behavior, no goroutines, no throttles.
-		for _, p := range order {
-			for _, mv := range byPath[p] {
-				if failed.Load() {
-					break
-				}
-				moved, err := executeMove(mv)
-				apply(mv, moved, err)
-			}
-			if failed.Load() {
-				break
-			}
+	for _, mv := range moves {
+		p := vfs.CleanPath(mv.Path)
+		if mv.Mirror || slices.ContainsFunc(batch, func(j *migJob) bool { return j.path == p }) {
+			runBatch()
 		}
-	} else {
-		throttle := m.tierThrottles(workers)
-		groupCh := make(chan []policy.Move)
-		var wg sync.WaitGroup
-		for i := 0; i < workers; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for grp := range groupCh {
-					for _, mv := range grp {
-						if failed.Load() {
-							break
-						}
-						release := acquireTierSlots(throttle, mv.SrcTier, mv.DstTier)
-						moved, err := executeMove(mv)
-						release()
-						apply(mv, moved, err)
-					}
-				}
-			}()
+		if failed.Load() {
+			break
 		}
-		for _, p := range order {
-			if failed.Load() {
-				break
-			}
-			groupCh <- byPath[p]
+		if !mv.Mirror {
+			batch = append(batch, m.newMigJob(p, mv.SrcTier, mv.DstTier, mv.Off, mv.N))
+			batchMv = append(batchMv, mv)
+			continue
 		}
-		close(groupCh)
-		wg.Wait()
+		var err error
+		if mv.DstTier >= 0 {
+			err = m.SetReplica(mv.Path, mv.DstTier)
+		} else {
+			err = m.ClearReplica(mv.Path)
+		}
+		apply(mv, 0, err)
 	}
+	runBatch()
 
 	st.Conflicts = m.occ.snapshot().Conflicts - occBefore.Conflicts
 	st.Virtual = m.clk.Now() - virtStart
@@ -259,8 +228,8 @@ func (m *Mux) tierThrottles(workers int) map[int]*guard.Gate {
 // pool while an HDD tier admits one mover at a time. The data-path fan-out
 // sizes its persistent per-tier gates with the same rule (mux.go
 // AddTier, capped at maxTierIOWidth) — the engine's per-round throttles
-// stay separate instances because movers hold their slots across whole
-// MigrateRange calls, which take f.mu; sharing them with the data path
+// stay separate instances because movers hold their slots across a move's
+// begin and copy, which take f.mu; sharing them with the data path
 // (which fans out while holding f.mu on writes) could deadlock.
 func tierWidth(p device.Profile, workers int) int {
 	if workers < 1 {

@@ -273,8 +273,9 @@ func TestParallelRunnerMatchesSerialOutcomes(t *testing.T) {
 		if st.Executed != files {
 			t.Fatalf("workers=%d: executed %d moves, want %d", workers, st.Executed, files)
 		}
-		// The runner groups moves by path, so its own moves must never
-		// collide on a file: ErrMigrationActive would surface as Skipped.
+		// A batch holds one move per path, so the runner's own moves must
+		// never collide on a file: ErrMigrationActive would surface as
+		// Skipped.
 		if st.Skipped != 0 {
 			t.Fatalf("workers=%d: %d moves skipped — per-file ordering violated", workers, st.Skipped)
 		}

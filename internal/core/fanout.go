@@ -37,7 +37,7 @@ import (
 //     the raw tierIO call (replica fallback, which re-locks f.mu, runs
 //     after release). This is also why the data path does not share the
 //     migration engine's per-round gates: the engine holds its slots
-//     across a whole MigrateRange, which takes f.mu to validate and commit.
+//     across a move's begin and copy, which take f.mu.
 //
 // Errors keep serial semantics where it matters: the reported error is the
 // one belonging to the earliest group in plan order, so a multi-tier

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -67,6 +68,9 @@ type metaLog struct {
 	// (novafs), so destroying before the record committed left recovered
 	// metadata referencing data the tier had already lost.
 	reclaim []string
+	// reclaiming counts, per path, the reclaims a flusher has taken from
+	// reclaim and not finished yet (settleReclaim waits them out).
+	reclaiming map[string]int
 }
 
 func newMetaLog(dev *device.Device) (*metaLog, error) {
@@ -77,7 +81,7 @@ func newMetaLog(dev *device.Device) (*metaLog, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mux: meta journal: %w", err)
 	}
-	ml := &metaLog{dev: dev, jnl: jnl, ckptBytes: jnl.Size() / 2}
+	ml := &metaLog{dev: dev, jnl: jnl, ckptBytes: jnl.Size() / 2, reclaiming: map[string]int{}}
 	ml.cond = sync.NewCond(&ml.mu)
 	return ml, nil
 }
@@ -138,6 +142,9 @@ func (m *Mux) metaFlush() error {
 	ml.pending = nil
 	reclaim := ml.reclaim
 	ml.reclaim = nil
+	for _, p := range reclaim {
+		ml.reclaiming[p]++
+	}
 	to := ml.seq
 	ml.mu.Unlock()
 
@@ -171,10 +178,55 @@ func (m *Mux) metaFlush() error {
 	// Deferred destructive work, strictly after the covering commit. On a
 	// failed commit the batch is dropped (see flushedSeq) and the tier state
 	// stays put — the remount scrub reclaims it later.
-	if err == nil && len(reclaim) > 0 {
-		m.reclaimPaths(reclaim)
+	if len(reclaim) > 0 {
+		if err == nil {
+			m.reclaimPaths(reclaim)
+		}
+		ml.reclaimed(reclaim)
 	}
 	return err
+}
+
+// reclaimed marks the reclaims of paths a flusher took as finished and
+// wakes settleReclaim waiters.
+func (ml *metaLog) reclaimed(paths []string) {
+	ml.mu.Lock()
+	for _, p := range paths {
+		if ml.reclaiming[p]--; ml.reclaiming[p] == 0 {
+			delete(ml.reclaiming, p)
+		}
+	}
+	ml.cond.Broadcast()
+	ml.mu.Unlock()
+}
+
+// settleReclaim runs every deferred reclaim of path — queued, or taken by a
+// flusher that has not finished it — before the caller re-creates path in
+// the namespace. A reclaim that ran after the re-creation would see the new
+// file's references and keep the removed file's stale tier state at path.
+// Must be called without any f.mu held (it may flush).
+func (m *Mux) settleReclaim(path string) error {
+	ml := m.meta
+	if ml == nil {
+		return nil
+	}
+	ml.mu.Lock()
+	defer ml.mu.Unlock()
+	for {
+		if slices.Contains(ml.reclaim, path) {
+			ml.mu.Unlock()
+			err := m.metaFlush()
+			ml.mu.Lock()
+			if err != nil {
+				return err
+			}
+			continue
+		}
+		if ml.reclaiming[path] == 0 {
+			return nil
+		}
+		ml.cond.Wait()
+	}
 }
 
 // reclaimPaths reclaims tier state the committed metadata no longer

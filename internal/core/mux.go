@@ -142,10 +142,10 @@ type Config struct {
 	// since the last checkpoint). Default: half the journal half-region.
 	CheckpointBytes int64
 	// MigrationWorkers sizes the parallel migration engine's worker pool
-	// (engine.go): the Policy Runner executes up to this many planned moves
-	// concurrently, grouped by path so per-file OCC ordering is preserved.
-	// Default runtime.GOMAXPROCS(0); 1 degrades to serial execution with
-	// the single-buffer copy path.
+	// (engine.go): the Policy Runner copies up to this many planned moves
+	// concurrently, one move per file at a time so per-file OCC ordering
+	// is preserved. Default runtime.GOMAXPROCS(0); 1 degrades to serial
+	// copies with the single-buffer copy path.
 	MigrationWorkers int
 	// MigrationLogf, when set, receives a log line from PolicyRunner after
 	// each round that planned at least one move (and after failed rounds).
@@ -797,6 +797,12 @@ func (m *Mux) Rename(oldPath, newPath string) error {
 	m.clk.Advance(m.costs.MetaOp)
 	m.telMetaOp(mopRename)
 
+	// A just-removed newPath may still have its tier files, awaiting the
+	// deferred reclaim: run it first, or the tier renames below would find
+	// newPath taken.
+	if err := m.settleReclaim(newPath); err != nil {
+		return vfs.Errf("rename", m.name, oldPath, err)
+	}
 	info, err := m.ns.Rename(oldPath, newPath)
 	if err != nil {
 		return vfs.Errf("rename", m.name, oldPath, err)
@@ -977,15 +983,13 @@ func (m *Mux) Statfs() (vfs.StatFS, error) {
 	return out, nil
 }
 
-// Sync persists every tier, then Mux's own metadata — ordered so committed
-// Mux metadata never references data a tier lost.
+// Sync persists every tier (the tier barrier), then Mux's own metadata —
+// ordered so committed Mux metadata never references data a tier lost.
 func (m *Mux) Sync() error {
 	m.clk.Advance(m.costs.MetaOp)
 	m.telMetaOp(mopSync)
-	for _, t := range m.Tiers() {
-		if err := t.FS.Sync(); err != nil {
-			return err
-		}
+	if err := m.tierBarrier(nil); err != nil {
+		return err
 	}
 	return m.metaFlush()
 }

@@ -26,6 +26,13 @@ type rig struct {
 
 func newRig(t *testing.T, pol policy.Policy, withMeta bool) *rig {
 	t.Helper()
+	return newWrappedRig(t, pol, withMeta, nil)
+}
+
+// newWrappedRig is newRig with each tier's file system passed through wrap
+// (when non-nil) before it registers, so a test can observe or fault it.
+func newWrappedRig(t *testing.T, pol policy.Policy, withMeta bool, wrap func(vfs.FileSystem) vfs.FileSystem) *rig {
+	t.Helper()
 	clk := simclock.New()
 	r := &rig{clk: clk}
 	r.pm = device.New(device.PMProfile("pmem0"), clk)
@@ -57,9 +64,15 @@ func newRig(t *testing.T, pol policy.Policy, withMeta bool) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.ids.pm = m.AddTier(nova, r.pm.Profile())
-	r.ids.ssd = m.AddTier(xfs, r.ssd.Profile())
-	r.ids.hdd = m.AddTier(ext, r.hdd.Profile())
+	tiers := []vfs.FileSystem{nova, xfs, ext}
+	if wrap != nil {
+		for i := range tiers {
+			tiers[i] = wrap(tiers[i])
+		}
+	}
+	r.ids.pm = m.AddTier(tiers[0], r.pm.Profile())
+	r.ids.ssd = m.AddTier(tiers[1], r.ssd.Profile())
+	r.ids.hdd = m.AddTier(tiers[2], r.hdd.Profile())
 	r.m = m
 	return r
 }

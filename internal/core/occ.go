@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"muxfs/internal/extent"
@@ -67,235 +69,399 @@ func (m *Mux) Migrate(path string, src, dst int) (int64, error) {
 //
 // Data movement does not change content, so a block whose version interval
 // saw no write is correct by construction; conflicted copies are dropped
-// with no side effects (§2.4).
+// with no side effects (§2.4). It runs as a batch of one through the same
+// pipeline the Policy Runner drives (migrateBatch).
 func (m *Mux) MigrateRange(path string, src, dst int, off, n int64) (int64, error) {
-	t0 := m.telStart()
-	moved, err := m.migrateRange(path, src, dst, off, n)
-	m.telMigrate(path, src, dst, moved, t0, err)
-	return moved, err
+	j := m.newMigJob(path, src, dst, off, n)
+	var halt atomic.Bool
+	m.migrateBatch([]*migJob{j}, 1, &halt)
+	return j.moved, j.err
 }
 
-func (m *Mux) migrateRange(path string, src, dst int, off, n int64) (int64, error) {
-	path = vfs.CleanPath(path)
+// migJob is one move's state as it runs through the migration pipeline.
+type migJob struct {
+	path       string
+	src, dst   int
+	off, n     int64
+	t0         time.Time
+	ran        bool // dispatched: the pipeline reached this job
+	open       bool // found work and opened its migration window
+	held       bool // lock-based ablation: f.mu held from begin to commit end
+	f          *muxFile
+	srcH, dstH vfs.File
+	work       []vfs.Extent // ranges to copy this round
+	committed  []vfs.Extent // ranges repointed to dst
+	moved      int64
+	err        error
+}
+
+func (m *Mux) newMigJob(path string, src, dst int, off, n int64) *migJob {
+	return &migJob{path: vfs.CleanPath(path), src: src, dst: dst, off: off, n: n, t0: m.telStart()}
+}
+
+// failMig records a job's first error, wrapped with the migrate op and path.
+func (m *Mux) failMig(j *migJob, err error) {
+	if j.err == nil {
+		j.err = vfs.Errf("migrate", m.name, j.path, err)
+	}
+}
+
+// migrateBatch runs moves on distinct files through the staged pipeline.
+// Durability is the only serial cost of OCC migration, so the batch pays it
+// once instead of once per move:
+//
+//  1. begin and copy each job — set the migrating flag, bump the version,
+//     collect the work and copy it with no lock held (on the worker pool,
+//     throttled per tier, when workers > 1);
+//  2. one tier barrier (tierBarrier) makes every copy durable;
+//  3. commit each job under f.mu: OCC-validate, repoint the BLT, log the
+//     records (a conflict re-copies and syncs that job's destination);
+//  4. one metaFlush commits every job's records;
+//  5. punch every committed source range and invalidate the SCM.
+//
+// The ordering invariant: destination data is durable before any record
+// that references it enters the meta buffer, and that record is durable
+// before the source is punched. If the barrier fails, every job aborts with
+// nothing repointed or punched. A hard (non-skip) error in step 1 sets
+// halt, which stops the jobs that have not started yet.
+func (m *Mux) migrateBatch(jobs []*migJob, workers int, halt *atomic.Bool) {
+	m.copyStage(jobs, workers, halt)
+
+	var active []*migJob
+	for _, j := range jobs {
+		if j.open && j.err == nil {
+			active = append(active, j)
+		}
+	}
+	if len(active) > 0 {
+		if err := m.tierBarrier(active); err != nil {
+			for _, j := range active {
+				m.endMigration(j)
+				m.failMig(j, err)
+			}
+		} else {
+			m.commitStage(active)
+		}
+	}
+
+	for _, j := range jobs {
+		if !j.ran {
+			continue
+		}
+		if j.err == nil && j.open {
+			m.occ.add(func(s *OCCStats) {
+				s.Migrations++
+				s.BytesMoved += j.moved
+			})
+		}
+		m.telMigrate(j.path, j.src, j.dst, j.moved, j.t0, j.err)
+	}
+}
+
+// copyStage is step 1: begin each job's migration window and copy its work.
+func (m *Mux) copyStage(jobs []*migJob, workers int, halt *atomic.Bool) {
+	run := func(j *migJob) {
+		if halt.Load() {
+			return
+		}
+		j.ran = true
+		m.beginMigration(j)
+		if j.open {
+			if err := m.copyRanges(j.srcH, j.dstH, j.src, j.dst, j.work); err != nil {
+				m.endMigration(j)
+				m.failMig(j, err)
+			}
+		}
+		if j.err != nil && !isSkipErr(j.err) {
+			halt.Store(true)
+		}
+	}
+	if workers > len(jobs) {
+		workers = len(jobs)
+	}
+	if workers <= 1 {
+		for _, j := range jobs {
+			run(j)
+		}
+		return
+	}
+	throttle := m.tierThrottles(workers)
+	ch := make(chan *migJob)
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := range ch {
+				release := acquireTierSlots(throttle, j.src, j.dst)
+				run(j)
+				release()
+			}
+		}()
+	}
+	for _, j := range jobs {
+		if halt.Load() {
+			break
+		}
+		ch <- j
+	}
+	close(ch)
+	wg.Wait()
+}
+
+// beginMigration opens j's migration window: it sets the migrating flag,
+// bumps the version (movement start), and collects the ranges on src. A
+// job with nothing to move leaves j.open unset. Under the lock-based
+// ablation f.mu stays held until the job's commit ends.
+func (m *Mux) beginMigration(j *migJob) {
 	m.clk.Advance(m.costs.MetaOp)
-	if src == dst {
-		return 0, nil
+	if j.src == j.dst {
+		return
 	}
-	srcTier, err := m.tier(src)
+	srcTier, err := m.tier(j.src)
 	if err != nil {
-		return 0, vfs.Errf("migrate", m.name, path, err)
+		m.failMig(j, err)
+		return
 	}
-	dstTier, err := m.tier(dst)
+	dstTier, err := m.tier(j.dst)
 	if err != nil {
-		return 0, vfs.Errf("migrate", m.name, path, err)
+		m.failMig(j, err)
+		return
+	}
+	f, err := m.lookupFile(j.path)
+	if err != nil {
+		m.failMig(j, err)
+		return
 	}
 
-	f, err := m.lookupFile(path)
-	if err != nil {
-		return 0, vfs.Errf("migrate", m.name, path, err)
-	}
-
-	// --- Start the migration window. ---
 	f.mu.Lock()
 	if f.migrating {
 		f.mu.Unlock()
-		return 0, vfs.Errf("migrate", m.name, path, ErrMigrationActive)
+		m.failMig(j, ErrMigrationActive)
+		return
+	}
+	if j.n < 0 {
+		j.n = f.meta.Size - j.off
+	}
+	j.work = m.collectOnTier(f, j.src, j.off, j.n)
+	if len(j.work) == 0 {
+		f.mu.Unlock()
+		return
+	}
+	j.srcH, err = m.ensureHandleLocked(f, srcTier)
+	if err == nil {
+		j.dstH, err = m.ensureHandleLocked(f, dstTier)
+	}
+	if err != nil {
+		f.mu.Unlock()
+		m.failMig(j, err)
+		return
 	}
 	f.migrating = true
 	f.version++ // movement start
 	f.migDirty.Clear()
-	if n < 0 {
-		n = f.meta.Size - off
-	}
-	work := m.collectOnTier(f, src, off, n)
-	if len(work) == 0 {
-		f.migrating = false
-		f.version++
-		f.mu.Unlock()
-		return 0, nil
-	}
-	srcH, err := m.ensureHandleLocked(f, srcTier)
-	if err == nil {
-		_, err = m.ensureHandleLocked(f, dstTier)
-	}
-	dstH := f.handles[dst]
-	if err != nil {
-		f.migrating = false
-		f.version++
-		f.mu.Unlock()
-		return 0, vfs.Errf("migrate", m.name, path, err)
-	}
-
-	var moved int64
-	var committed []vfs.Extent
-
+	j.f, j.open = f, true
 	// Traditional lock-based migration (ablation mode): hold the per-file
-	// lock for the entire copy, blocking user I/O — the design the OCC
+	// lock through the copy, blocking user I/O — the design the OCC
 	// Synchronizer replaces.
 	if m.lockMig {
-		err := m.copyRanges(srcH, dstH, src, dst, work)
-		if err == nil {
-			err = dstH.Sync()
-		}
-		if err != nil {
-			f.migrating = false
-			f.version++
-			f.mu.Unlock()
-			return moved, vfs.Errf("migrate", m.name, path, err)
-		}
-		for _, w := range work {
-			m.bltRepoint(f, w.Off, w.Len, dst)
-			committed = append(committed, w)
-			moved += w.Len
-		}
-		f.migrating = false
-		f.version++
-		m.logBLTRange(f, off, n)
-		f.mu.Unlock()
-		if err := m.reclaimSource(f, srcH, committed); err != nil {
-			return moved, vfs.Errf("migrate", m.name, path, err)
-		}
-		m.occ.add(func(s *OCCStats) {
-			s.Migrations++
-			s.BytesMoved += moved
-		})
-		return moved, nil
+		j.held = true
+		return
 	}
 	f.mu.Unlock()
+}
 
+// endMigration closes j's migration window (version++, movement end) and
+// releases f.mu if the job holds it.
+func (m *Mux) endMigration(j *migJob) {
+	if !j.held {
+		j.f.mu.Lock()
+	}
+	j.f.migrating = false
+	j.f.version++
+	j.held = false
+	j.f.mu.Unlock()
+}
+
+// tierBarrier is step 2, and the first half of Mux.Sync: one FS-level Sync
+// per tier. With a meta journal every tier syncs, because the metaFlush
+// that follows commits every buffered record, not only the batch's;
+// without one only the batch's destination tiers need durable copies.
+// jobs == nil means every tier.
+func (m *Mux) tierBarrier(jobs []*migJob) error {
+	for _, t := range m.Tiers() {
+		if jobs != nil && m.meta == nil && !slices.ContainsFunc(jobs, func(j *migJob) bool { return j.dst == t.ID }) {
+			continue
+		}
+		if err := t.FS.Sync(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// commitStage is steps 3–5 for the jobs whose copies the barrier made
+// durable: commit each, flush the meta journal once, then punch.
+func (m *Mux) commitStage(jobs []*migJob) {
+	anyCommitted := false
+	for _, j := range jobs {
+		m.commitMigration(j)
+		anyCommitted = anyCommitted || len(j.committed) > 0
+	}
+	if !anyCommitted {
+		return
+	}
+	if err := m.metaFlush(); err != nil {
+		// Repointed in memory but not durably: keep the sources intact.
+		for _, j := range jobs {
+			if len(j.committed) > 0 {
+				m.failMig(j, err)
+			}
+		}
+		return
+	}
+	for _, j := range jobs {
+		if err := m.reclaimSource(j); err != nil {
+			m.failMig(j, err)
+		}
+	}
+}
+
+// commitMigration is step 3 for one job: validate and commit under f.mu.
+// Blocks no concurrent write dirtied repoint to dst; dirtied blocks re-copy
+// (bounded retries, each synced to the destination before validation),
+// and persistent conflicts fall back to a copy under f.mu, also synced
+// before it repoints. The committed ranges' BLT records enter the meta
+// buffer before f.mu is released, always after their bytes are durable.
+func (m *Mux) commitMigration(j *migJob) {
+	f := j.f
 	for round := 0; ; round++ {
-		// --- Optimistic copy: no lock held; concurrent reads and writes
-		// proceed against the still-authoritative source blocks. ---
-		if err := m.copyRanges(srcH, dstH, src, dst, work); err != nil {
-			m.abortMigration(f)
-			return moved, vfs.Errf("migrate", m.name, path, err)
+		if !j.held {
+			if round > 0 {
+				err := m.copyRanges(j.srcH, j.dstH, j.src, j.dst, j.work)
+				if err == nil {
+					err = j.dstH.Sync()
+				}
+				if err != nil {
+					m.failMig(j, err)
+					f.mu.Lock()
+					break
+				}
+			}
+			if m.hookAfterCopy != nil {
+				m.hookAfterCopy(round)
+			}
+			f.mu.Lock()
 		}
-		// The copy must be durable on the destination before the BLT can
-		// commit and the source can be punched.
-		if err := dstH.Sync(); err != nil {
-			m.abortMigration(f)
-			return moved, vfs.Errf("migrate", m.name, path, err)
+		if m.files.get(f.ino) != f {
+			// Removed since the copy began: Remove has settled its
+			// usage accounting from the BLT, which must stay put.
+			m.failMig(j, vfs.ErrNotExist)
+			break
 		}
-		if m.hookAfterCopy != nil {
-			m.hookAfterCopy(round)
-		}
-
-		// --- Validate & commit. ---
-		f.mu.Lock()
 		var conflicts []vfs.Extent
-		for _, w := range work {
+		for _, w := range j.work {
 			for _, d := range f.migDirty.Segments(w.Off, w.Len) {
 				if !d.Hole {
 					conflicts = append(conflicts, vfs.Extent{Off: d.Off, Len: d.Len})
 				}
 			}
 		}
-		clean := subtractRanges(work, conflicts)
-		for _, c := range clean {
-			// Only repoint blocks the BLT still attributes to src: a
-			// concurrent write may have redirected them elsewhere.
-			for _, seg := range f.blt.Segments(c.Off, c.Len) {
-				if seg.Hole || seg.Val != src {
-					continue
-				}
-				m.bltRepoint(f, seg.Off, seg.Len, dst)
-				committed = append(committed, vfs.Extent{Off: seg.Off, Len: seg.Len})
-				moved += seg.Len
-			}
-		}
+		m.repointOnSrc(j, subtractRanges(j.work, conflicts))
 		f.migDirty.Clear()
-
 		if len(conflicts) == 0 {
-			f.migrating = false
-			f.version++ // movement end
-			f.mu.Unlock()
 			break
 		}
-
 		m.occ.add(func(s *OCCStats) { s.Conflicts++ })
-
 		if round < m.maxRetry {
 			m.occ.add(func(s *OCCStats) { s.Retries++ })
-			work = conflicts
+			j.work = conflicts
+			j.held = false
 			f.mu.Unlock()
 			continue
 		}
 
 		// --- Lock fallback: copy the stubborn blocks while holding the
 		// bookkeeping lock, blocking writers (§2.4's bounded completion
-		// guarantee). ---
+		// guarantee), and make them durable before they repoint. ---
 		m.occ.add(func(s *OCCStats) { s.LockFallbacks++ })
-		if err := m.copyRanges(srcH, dstH, src, dst, conflicts); err != nil {
-			f.migrating = false
-			f.version++
-			f.mu.Unlock()
-			return moved, vfs.Errf("migrate", m.name, path, err)
+		err := m.copyRanges(j.srcH, j.dstH, j.src, j.dst, conflicts)
+		if err == nil {
+			err = j.dstH.Sync()
 		}
-		for _, c := range conflicts {
-			for _, seg := range f.blt.Segments(c.Off, c.Len) {
-				if seg.Hole || seg.Val != src {
-					continue
-				}
-				m.bltRepoint(f, seg.Off, seg.Len, dst)
-				committed = append(committed, vfs.Extent{Off: seg.Off, Len: seg.Len})
-				moved += seg.Len
-			}
+		if err != nil {
+			m.failMig(j, err)
+		} else {
+			m.repointOnSrc(j, conflicts)
 		}
-		f.migrating = false
-		f.version++
-		f.mu.Unlock()
 		break
 	}
-
-	f.mu.Lock()
-	m.logBLTRange(f, off, n)
-	f.mu.Unlock()
-
-	if err := m.reclaimSource(f, srcH, committed); err != nil {
-		return moved, vfs.Errf("migrate", m.name, path, err)
+	// f.mu is held here.
+	f.migrating = false
+	f.version++ // movement end
+	j.held = false
+	if len(j.committed) > 0 {
+		m.logBLTRange(f, j.off, j.n)
 	}
-
-	m.occ.add(func(s *OCCStats) {
-		s.Migrations++
-		s.BytesMoved += moved
-	})
-	return moved, nil
+	f.mu.Unlock()
 }
 
-// reclaimSource punches the migrated ranges out of the source file system —
-// but only after the BLT repoint is durable. Without the ordering, a crash
-// could recover a Block Lookup Table that still references source blocks
-// the punch already destroyed. Caller must NOT hold f.mu (the meta flush
-// may compact, which locks files).
-func (m *Mux) reclaimSource(f *muxFile, srcH vfs.File, committed []vfs.Extent) error {
-	if len(committed) == 0 {
-		return nil
-	}
-	if m.meta != nil {
-		// Ordered commit: tier syncs first, then the Mux meta journal.
-		if err := m.Sync(); err != nil {
-			return err
+// repointOnSrc repoints the parts of ranges the BLT still attributes to
+// src — a concurrent write may have redirected them elsewhere — and books
+// them as committed. Caller holds f.mu.
+func (m *Mux) repointOnSrc(j *migJob, ranges []vfs.Extent) {
+	for _, r := range ranges {
+		for _, seg := range j.f.blt.Segments(r.Off, r.Len) {
+			if seg.Hole || seg.Val != j.src {
+				continue
+			}
+			m.bltRepoint(j.f, seg.Off, seg.Len, j.dst)
+			j.committed = append(j.committed, vfs.Extent{Off: seg.Off, Len: seg.Len})
+			j.moved += seg.Len
 		}
 	}
-	for _, c := range committed {
-		if err := srcH.PunchHole(c.Off, c.Len); err != nil {
-			return err
+}
+
+// reclaimSource is step 5 for one job: punch the committed ranges out of
+// the source file system, after the records repointing them are durable.
+// Without the ordering, a crash could recover a Block Lookup Table that
+// still references source blocks the punch already destroyed. Ranges the
+// BLT maps back to src since the commit (a truncate then a rewrite placed
+// there) are live again and stay.
+func (m *Mux) reclaimSource(j *migJob) error {
+	if len(j.committed) == 0 {
+		return nil
+	}
+	f := j.f
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if m.files.get(f.ino) != f {
+		return nil // removed since the commit: its deferred reclaim owns the tier files
+	}
+	for _, c := range j.committed {
+		for _, seg := range f.blt.Segments(c.Off, c.Len) {
+			if !seg.Hole && seg.Val == j.src {
+				continue
+			}
+			if err := j.srcH.PunchHole(seg.Off, seg.Len); err != nil {
+				return err
+			}
 		}
 	}
 	if scm := m.scm(); scm != nil {
-		for _, c := range committed {
+		for _, c := range j.committed {
 			scm.invalidate(f.ino, c.Off, c.Len)
 		}
 	}
 	return nil
 }
 
-// abortMigration clears the migration window after an I/O failure.
-func (m *Mux) abortMigration(f *muxFile) {
-	f.mu.Lock()
-	f.migrating = false
-	f.version++
-	f.mu.Unlock()
+// isSkipErr reports whether a move's error skips the move rather than
+// failing the round: the file vanished or is already migrating, a planned
+// mirror clear found nothing to clear, or a tier's breaker is open.
+func isSkipErr(err error) bool {
+	return errors.Is(err, vfs.ErrNotExist) || errors.Is(err, ErrMigrationActive) ||
+		errors.Is(err, ErrNoReplica) || errors.Is(err, ErrTierQuarantined)
 }
 
 // collectOnTier lists the ranges of [off, off+n) whose BLT entry is tier.

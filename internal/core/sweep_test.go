@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+	"time"
 
 	"muxfs/internal/device"
 	"muxfs/internal/fs/extlite"
@@ -219,6 +220,50 @@ func muxSweepScenarios() []fstest.SweepScenario {
 		},
 	})
 
+	// One policy round of three moves on distinct files, PM→SSD and SSD→PM,
+	// run through one migration batch — its copies, tier barrier, commits,
+	// meta flush and punches are all swept. The first validation sees a
+	// rewrite of identical bytes, so one move conflicts and retries.
+	roundFiles := []string{"/round/a", "/round/b", "/round/c"}
+	roundPayload := func(i int) []byte { return sweepSeq(48<<10, byte(10+i)) }
+	scens = append(scens, fstest.SweepScenario{
+		Name: "PolicyRound",
+		Setup: func(t *testing.T, fs vfs.FileSystem) map[string][]byte {
+			model := setupKeep(t, fs, "/round")
+			for i, p := range roundFiles {
+				sweepFile(t, fs, p, roundPayload(i))
+			}
+			if _, err := fs.(*Mux).Migrate("/round/c", 0, 1); err != nil {
+				t.Fatalf("setup migrate: %v", err)
+			}
+			return model
+		},
+		Op: func(fs vfs.FileSystem) error {
+			return policyRound(fs.(*Mux), roundFiles, roundPayload(2))
+		},
+		Check: func(t *testing.T, fs vfs.FileSystem, i int64, completed bool) {
+			t.Helper()
+			m := fs.(*Mux)
+			for k, p := range roundFiles {
+				got, err := fstest.ReadFileAt(fs, p)
+				if err != nil || !bytes.Equal(got, roundPayload(k)) {
+					t.Fatalf("i=%d: policy-round crash changed %s: %v", i, p, err)
+				}
+			}
+			if completed {
+				for k, p := range roundFiles {
+					src := 0
+					if k == 2 {
+						src = 1
+					}
+					if n := tierBytes(t, m, src, p); n != 0 {
+						t.Fatalf("i=%d: completed round left %d bytes of %s on tier %d", i, n, p, src)
+					}
+				}
+			}
+		},
+	})
+
 	scens = append(scens, fstest.SweepScenario{
 		Name: "SetReplica",
 		Setup: func(t *testing.T, fs vfs.FileSystem) map[string][]byte {
@@ -379,6 +424,41 @@ func muxSweepScenarios() []fstest.SweepScenario {
 	})
 
 	return scens
+}
+
+// policyRound runs one serial policy round over files: files[0] and
+// files[1] PM→SSD, files[2] SSD→PM. The first OCC validation finds
+// files[2]'s first block rewritten with first (its own bytes), so that
+// move conflicts once and retries. Its retry syncs only PM, so the SSD
+// copies stay durable through the tier barrier alone.
+func policyRound(m *Mux, files []string, first []byte) error {
+	m.SetMigrationWorkers(1) // serial copies keep the device op order fixed
+	m.SetPolicy(policy.Func{PolicyName: "round", Plan: func([]policy.TierInfo, []policy.FileStat, time.Duration) []policy.Move {
+		return []policy.Move{
+			{Path: files[0], SrcTier: 0, DstTier: 1, N: -1},
+			{Path: files[1], SrcTier: 0, DstTier: 1, N: -1},
+			{Path: files[2], SrcTier: 1, DstTier: 0, N: -1, Promote: true},
+		}
+	}})
+	dirtied := false
+	m.SetMigrationInterleave(func(int) {
+		if dirtied {
+			return
+		}
+		dirtied = true
+		if h, err := m.Open(files[2]); err == nil {
+			_, _ = h.WriteAt(first[:BlockSize], 0)
+			h.Close()
+		}
+	})
+	defer m.SetMigrationInterleave(nil)
+	retries := m.OCC().Retries
+	st, err := m.RunPolicyOnce()
+	if err == nil && (st.Executed != len(files) || m.OCC().Retries != retries+1) {
+		return fmt.Errorf("policy round executed %d moves with %d retries, want %d and 1",
+			st.Executed, m.OCC().Retries-retries, len(files))
+	}
+	return err
 }
 
 // TestMuxCrashSweep sweeps the full Mux stack: the generic namespace suite

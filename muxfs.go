@@ -80,9 +80,9 @@ type Config struct {
 	// the fastest PM tier.
 	SCMCacheBytes int64
 	// MigrationWorkers sizes the parallel migration engine's worker pool:
-	// the Policy Runner executes up to this many planned moves concurrently
-	// (grouped by path, throttled per tier). 0 defaults to
-	// runtime.GOMAXPROCS; 1 runs migrations serially, as before.
+	// the Policy Runner copies up to this many planned moves concurrently
+	// (one move per file at a time, throttled per tier). 0 defaults to
+	// runtime.GOMAXPROCS; 1 copies serially.
 	MigrationWorkers int
 	// Clock supplies the virtual clock; one is created when nil.
 	Clock *simclock.Clock
