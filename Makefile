@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race stress fuzz smoke check bench clean
+.PHONY: all build vet test race budget stress fuzz smoke check bench clean
 
 all: check
 
@@ -16,13 +16,22 @@ test:
 race:
 	$(GO) test -race ./...
 
+# budget runs the allocation-budget tests without the race detector. They
+# skip under -race, which drops a random share of sync.Pool puts, so the
+# race target above never checks them: the device page pool, the blockfs
+# sync path, the stripe tier's pooled batch buffers, the pipelined
+# migration copy and the muxns wire.
+budget:
+	$(GO) test -count=1 -run 'AllocatesNothing|AllocationBudget|AllocBudget|FeedOtherDevice' ./internal/device ./internal/fs/blockfs ./internal/ec ./internal/core ./internal/server
+
 # stress repeats the read-vs-migration race tests, the migration-batch
-# worker-equivalence test and the breaker/gate concurrency test under the
-# race detector. They are timing-dependent: a single pass hides a failure
-# that shows up in a few runs out of twenty, so they run twenty times in a
-# row.
+# worker-equivalence test, the breaker/gate concurrency test, the buffer
+# pool's parallel Get/Put test and the stripe tier's stale-buffer test
+# under the race detector. They are timing-dependent: a single pass hides
+# a failure that shows up in a few runs out of twenty, so they run twenty
+# times in a row.
 stress:
-	$(GO) test -race -count=20 -run 'TestReadFastPathRacesMigration|TestRoutedReadsVsMigration|TestConcurrentMigrationStorm|TestMigrationWorkersEquivalent|TestGuardConcurrent' ./internal/core ./internal/guard
+	$(GO) test -race -count=20 -run 'TestReadFastPathRacesMigration|TestRoutedReadsVsMigration|TestConcurrentMigrationStorm|TestMigrationWorkersEquivalent|TestGuardConcurrent|TestBufpoolConcurrent|TestStaleBuffersNeverLeak' ./internal/core ./internal/guard ./internal/bufpool ./internal/ec
 
 # fuzz runs each decoder fuzz target for 10 seconds. The muxns frame
 # decoders (internal/muxns; the targets sit with its client in
@@ -83,9 +92,9 @@ smoke:
 
 # check is the CI gate: compile everything, vet, the full test suite under
 # the race detector (the migration and fan-out engines are concurrent;
-# -race is load-bearing, not optional), the race stress, then the smoke
-# experiments.
-check: build vet race stress smoke
+# -race is load-bearing, not optional), the allocation budgets the race
+# build skips, the race stress, then the smoke experiments.
+check: build vet race budget stress smoke
 
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$'

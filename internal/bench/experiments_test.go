@@ -1,6 +1,10 @@
 package bench
 
-import "testing"
+import (
+	"testing"
+
+	"muxfs/internal/race"
+)
 
 // The experiment tests assert the qualitative shapes the paper reports —
 // who wins, in which direction, within sane bounds — so a regression in any
@@ -301,8 +305,8 @@ func TestE7Shape(t *testing.T) {
 	// under CI load, recorded precisely in EXPERIMENTS.md). Writes and
 	// fsync overlap the same way. Wall-clock ratios only hold when the
 	// modeled device sleeps dominate CPU time — not under -race (see
-	// race_off.go), where only the correctness invariants above apply.
-	if raceDetector {
+	// internal/race), where only the correctness invariants above apply.
+	if race.Enabled {
 		t.Log("race detector on: skipping wall-clock speedup gates")
 		return
 	}
@@ -415,9 +419,9 @@ func TestE10Shape(t *testing.T) {
 	// placement, and comfortably beat mirrors used only as error fallback.
 	// These are wall-clock ratios between concurrent phases and hold only
 	// when the modeled device sleeps dominate CPU time — not under -race
-	// (see race_off.go); the correctness and router-share invariants are
+	// (see internal/race); the correctness and router-share invariants are
 	// still asserted there.
-	if !raceDetector {
+	if !race.Enabled {
 		if r.RoutedVsMigrate <= 1.05 {
 			t.Fatalf("routed vs migrate-only = %.2fx, want > 1.05x", r.RoutedVsMigrate)
 		}

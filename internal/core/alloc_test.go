@@ -6,12 +6,9 @@ import (
 
 	"muxfs/internal/fstest"
 	"muxfs/internal/policy"
+	"muxfs/internal/race"
 	"muxfs/internal/vfs"
 )
-
-// raceEnabled reports a -race build (race_test.go). The race runtime drops
-// a random share of sync.Pool puts, so pool-based budgets cannot hold.
-var raceEnabled bool
 
 // quarantine opens tier id's breaker by hand (the breaker's transitions
 // are covered in internal/guard).
@@ -62,7 +59,7 @@ func TestFilterHealthy(t *testing.T) {
 // double buffers from copyBufPool instead of allocating 2 × migrateChunk
 // per call.
 func TestPipelinedCopyAllocationBudget(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("sync.Pool drops items at random under -race")
 	}
 	r := newRig(t, policy.Pinned{}, false)

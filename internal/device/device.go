@@ -59,11 +59,12 @@ type FaultPlan struct {
 
 const pageSize = 4096 // internal storage granule, independent of Profile.BlockSize
 
-// maxSparePages bounds a device's free list of recycled page buffers
-// (256 KiB). Spare pages are live heap: on the repository benchmark 64
-// pages recycle as much as 4096 do on tier-churn and hot-local, while 256
-// already raised stripe-cold's peak RSS by a few MiB and 4096 by ~25 MiB.
-const maxSparePages = 64
+// pagePool recycles page buffers across every device in the process:
+// shadows a barrier releases and pages a whole-page Discard drops go back
+// here, and new pages and shadow copies come from here. It holds
+// *[pageSize]byte, so a recycle allocates no slice header. The GC empties
+// a sync.Pool, so recycled pages pin no heap between GC cycles.
+var pagePool sync.Pool
 
 // Device is a simulated block device. Contents live in sparsely allocated
 // in-memory pages. Every access charges its modeled cost to the shared
@@ -79,7 +80,6 @@ type Device struct {
 	mu      sync.Mutex
 	pages   map[int64][]byte // pageNo -> 4 KiB page (current contents)
 	shadow  map[int64][]byte // pageNo -> durable copy for pages dirtied since last persist; nil entry = page did not exist
-	spare   [][]byte         // recycled page buffers no map references, at most maxSparePages
 	lastEnd int64            // end offset of the previous access, for seek detection
 	failed  bool             // set by InjectFailure (or a sticky fault): all ops error
 	plan    FaultPlan        // probabilistic fault injection; zero = disabled
@@ -209,7 +209,7 @@ func (d *Device) Persist(off, n int64) error {
 	if d.cp == nil {
 		for pg := first; pg <= last; pg++ {
 			if dup, ok := d.shadow[pg]; ok {
-				d.recyclePage(dup)
+				recyclePage(dup)
 				delete(d.shadow, pg)
 			}
 		}
@@ -237,7 +237,7 @@ func (d *Device) PersistAll() error {
 	d.stats.addPersist()
 	if d.cp == nil {
 		for _, dup := range d.shadow {
-			d.recyclePage(dup)
+			recyclePage(dup)
 		}
 		clear(d.shadow)
 		return nil
@@ -310,7 +310,7 @@ func (d *Device) discardPage(pg, off, end int64) {
 		// An unshadowed page holds durable contents, so the dropped page
 		// itself becomes the shadow; otherwise nothing references it.
 		if _, ok := d.shadow[pg]; ok {
-			d.recyclePage(page)
+			recyclePage(page)
 		} else {
 			d.shadow[pg] = page
 		}
@@ -440,7 +440,7 @@ func (d *Device) snapshotPage(pg int64) {
 		return
 	}
 	if page, ok := d.pages[pg]; ok {
-		dup := d.takePage()
+		dup := takePage()
 		copy(dup, page)
 		d.shadow[pg] = dup
 	} else {
@@ -448,25 +448,20 @@ func (d *Device) snapshotPage(pg int64) {
 	}
 }
 
-// takePage returns a page buffer for the caller to fill, recycled from the
-// free list when one is spare — so its contents are arbitrary. Caller holds
-// d.mu.
-func (d *Device) takePage() []byte {
-	n := len(d.spare)
-	if n == 0 {
-		return make([]byte, pageSize)
+// takePage returns a page buffer for the caller to fill, recycled from
+// pagePool when one is there — so its contents are arbitrary.
+func takePage() []byte {
+	if p, _ := pagePool.Get().(*[pageSize]byte); p != nil {
+		return p[:]
 	}
-	page := d.spare[n-1]
-	d.spare[n-1] = nil
-	d.spare = d.spare[:n-1]
-	return page
+	return new([pageSize]byte)[:]
 }
 
-// recyclePage puts a page buffer that no map references any more on the
-// free list, unless the list is full. Caller holds d.mu.
-func (d *Device) recyclePage(page []byte) {
-	if page != nil && len(d.spare) < maxSparePages {
-		d.spare = append(d.spare, page)
+// recyclePage returns a page buffer that no map references any more to
+// pagePool.
+func recyclePage(page []byte) {
+	if page != nil {
+		pagePool.Put((*[pageSize]byte)(page))
 	}
 }
 
@@ -481,7 +476,7 @@ func (d *Device) copyIn(p []byte, off int64) {
 		d.snapshotPage(pg)
 		page, ok := d.pages[pg]
 		if !ok {
-			page = d.takePage()
+			page = takePage()
 			if n < pageSize {
 				clear(page) // a new page reads as zeros outside the write
 			}

@@ -3,12 +3,27 @@ package device
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
+
+	"muxfs/internal/race"
 )
+
+// drainPagePool empties pagePool, so what a test reads back from it next
+// is what the test itself put there. Get alone cannot do it: it never
+// reaches another P's private slot. Two collections clear every P's
+// primary and victim caches.
+func drainPagePool() {
+	runtime.GC()
+	runtime.GC()
+}
 
 // Steady-state writeback to a resident page — overwrite, then a full
 // barrier — recycles the shadow copy instead of allocating one per cycle.
 func TestOverwritePersistAllAllocatesNothing(t *testing.T) {
+	if race.Enabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
 	d, _ := newTestDev(t, SSDProfile("ssd0"))
 	page := bytes.Repeat([]byte{0x5A}, pageSize)
 	d.WriteAt(page, 0)
@@ -24,6 +39,9 @@ func TestOverwritePersistAllAllocatesNothing(t *testing.T) {
 // A whole-page Discard hands the dropped page to the shadow instead of
 // copying it, and the next write to the page draws a recycled buffer.
 func TestWholePageDiscardAllocatesNothing(t *testing.T) {
+	if race.Enabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
 	d, _ := newTestDev(t, SSDProfile("ssd0"))
 	page := bytes.Repeat([]byte{0x5A}, pageSize)
 	if a := testing.AllocsPerRun(100, func() {
@@ -46,24 +64,37 @@ func TestRecycledPagesKeepContents(t *testing.T) {
 		d.ReadAt(got, pg*pageSize)
 		return got
 	}
-	// Fill the free list: shadows of pages 0-3 come back on PersistAll.
-	for pg := int64(0); pg < 4; pg++ {
+	// Fill the pool: shadows of pages 0-15 come back on PersistAll. Sixteen
+	// pages keep the check sound under -race, which drops a quarter of
+	// sync.Pool puts at random.
+	const shadowed = 16
+	for pg := int64(0); pg < shadowed; pg++ {
 		d.WriteAt(fill(0xFF), pg*pageSize)
 	}
 	d.PersistAll()
-	for pg := int64(0); pg < 4; pg++ {
+	for pg := int64(0); pg < shadowed; pg++ {
 		d.WriteAt(fill(0xEE), pg*pageSize)
 	}
+	shadows := make(map[*[pageSize]byte]bool)
+	for _, dup := range d.shadow {
+		shadows[(*[pageSize]byte)(dup)] = true
+	}
+	drainPagePool()
 	d.PersistAll()
-	if len(d.spare) == 0 {
+	p, _ := pagePool.Get().(*[pageSize]byte)
+	if !shadows[p] {
 		t.Fatal("PersistAll recycled no shadow copies")
 	}
+	for i := range p {
+		p[i] = 0xA5 // stale contents a new page must not show
+	}
+	pagePool.Put(p)
 
 	// A partial write to a new page lands in a recycled buffer.
-	d.WriteAt([]byte("hello"), 10*pageSize+100)
+	d.WriteAt([]byte("hello"), 30*pageSize+100)
 	want := make([]byte, pageSize)
 	copy(want[100:], "hello")
-	if !bytes.Equal(read(10), want) {
+	if !bytes.Equal(read(30), want) {
 		t.Fatal("new page built from a recycled buffer shows stale bytes")
 	}
 
@@ -86,6 +117,59 @@ func TestRecycledPagesKeepContents(t *testing.T) {
 	}
 	if !bytes.Equal(read(20), make([]byte, pageSize)) {
 		t.Fatal("unpersisted new page survived the crash")
+	}
+}
+
+// The page pool is shared by every device: the shadows one device's barrier
+// frees feed another device's writes to new pages, with nothing allocated.
+func TestBarrierFreesFeedOtherDevice(t *testing.T) {
+	if race.Enabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	const (
+		perCycle = 4
+		cycles   = 101 // AllocsPerRun's warm-up run plus 100
+		span     = perCycle * cycles
+	)
+	page := bytes.Repeat([]byte{0x5A}, pageSize)
+	src, _ := newTestDev(t, SSDProfile("src"))
+	dst, _ := newTestDev(t, SSDProfile("dst"))
+	// Both devices touch every page number up front, so their maps have
+	// room for the whole run; then the pool is emptied, so dst can only
+	// draw what src frees.
+	for _, d := range []*Device{src, dst} {
+		for pg := int64(0); pg < span; pg++ {
+			d.WriteAt(page, pg*pageSize)
+		}
+		d.PersistAll()
+	}
+	dst.Discard(0, span*pageSize)
+	dst.PersistAll()
+	drainPagePool()
+
+	next := int64(0)
+	a := testing.AllocsPerRun(cycles-1, func() {
+		off := next * pageSize
+		next += perCycle
+		// src drops durable pages: each becomes its own shadow, and the
+		// barrier frees them.
+		src.Discard(off, perCycle*pageSize)
+		src.PersistAll()
+		// dst writes as many new pages.
+		for i := int64(0); i < perCycle; i++ {
+			dst.WriteAt(page, off+i*pageSize)
+		}
+		dst.PersistAll()
+	})
+	if a != 0 {
+		t.Fatalf("src discard + barrier, dst new-page writes: %.1f allocations per cycle, want 0", a)
+	}
+	got := make([]byte, pageSize)
+	for pg := int64(0); pg < span; pg++ {
+		dst.ReadAt(got, pg*pageSize)
+		if !bytes.Equal(got, page) {
+			t.Fatalf("dst page %d: wrong contents after the run", pg)
+		}
 	}
 }
 

@@ -175,60 +175,11 @@ func (ss *StripeSet) rebuildFile(i int, path string) (int64, error) {
 	}
 	for bs0 := int64(0); bs0 <= lastStripe; bs0 += batchStripes {
 		bs1 := min64(bs0+batchStripes-1, lastStripe)
-		nStripes := bs1 - bs0 + 1
-		dataBufs := make([][]byte, g.k)
-		for j := range dataBufs {
-			dataBufs[j] = make([]byte, nStripes*g.s)
-		}
-		if err := scratch.readShards(bs0, bs1, l, dataBufs, i); err != nil {
+		n, err := ss.rebuildBatch(scratch, i, bs0, bs1, l, targetLen)
+		written += n
+		if err != nil {
 			return written, err
 		}
-		var out []byte
-		if i < g.k {
-			out = dataBufs[i]
-		} else {
-			// Parity node: re-encode from the data shards.
-			out = make([]byte, nStripes*g.s)
-			shards := make([][]byte, g.k)
-			pshards := make([][]byte, g.m)
-			spare := make([][]byte, 0, g.m)
-			for pi := 0; pi < g.m; pi++ {
-				if g.k+pi == i {
-					continue
-				}
-				spare = append(spare, make([]byte, g.s))
-			}
-			for r := int64(0); r < nStripes; r++ {
-				for j := 0; j < g.k; j++ {
-					shards[j] = dataBufs[j][r*g.s : (r+1)*g.s]
-				}
-				si := 0
-				for pi := 0; pi < g.m; pi++ {
-					if g.k+pi == i {
-						pshards[pi] = out[r*g.s : (r+1)*g.s]
-					} else {
-						pshards[pi] = spare[si]
-						si++
-					}
-				}
-				if err := ss.code.Encode(shards, pshards); err != nil {
-					return written, err
-				}
-			}
-		}
-		lo := bs0 * g.s
-		hi := min64(lo+nStripes*g.s, targetLen)
-		if hi <= lo {
-			continue
-		}
-		chunk := out[:hi-lo]
-		if isZero(chunk) {
-			continue // leave the hole
-		}
-		if err := scratch.nodeWrite(i, chunk, lo); err != nil {
-			return written, err
-		}
-		written += hi - lo
 	}
 
 	// Exact final length: data nodes get shard coverage, parity nodes the
@@ -254,6 +205,52 @@ func (ss *StripeSet) rebuildFile(i int, path string) (int64, error) {
 		})
 	}
 	return written, nil
+}
+
+// rebuildBatch rewrites node i's part of stripes [bs0, bs1] from the
+// survivors and returns the bytes written; all-zero chunks stay holes.
+func (ss *StripeSet) rebuildBatch(scratch *stripeFile, i int, bs0, bs1, l, targetLen int64) (int64, error) {
+	g := ss.geom
+	nStripes := bs1 - bs0 + 1
+	cb := getCallBufs()
+	defer cb.release()
+	dataBufs := cb.set(g.k, nStripes*g.s)
+	if err := scratch.readShards(cb, bs0, bs1, l, dataBufs, i); err != nil {
+		return 0, err
+	}
+	var out []byte
+	if i < g.k {
+		out = dataBufs[i]
+	} else {
+		// Parity node: re-encode from the data shards; the other parity
+		// rows land in spare buffers.
+		out = cb.buf(nStripes * g.s)
+		spare := cb.set(g.m, g.s)
+		shards, pshards := cb.rows(g.k), cb.rows(g.m)
+		for r := int64(0); r < nStripes; r++ {
+			for j := 0; j < g.k; j++ {
+				shards[j] = dataBufs[j][r*g.s : (r+1)*g.s]
+			}
+			copy(pshards, spare)
+			pshards[i-g.k] = out[r*g.s : (r+1)*g.s]
+			if err := ss.code.Encode(shards, pshards); err != nil {
+				return 0, err
+			}
+		}
+	}
+	lo := bs0 * g.s
+	hi := min64(lo+nStripes*g.s, targetLen)
+	if hi <= lo {
+		return 0, nil
+	}
+	chunk := out[:hi-lo]
+	if isZero(chunk) {
+		return 0, nil // leave the hole
+	}
+	if err := scratch.nodeWrite(i, chunk, lo); err != nil {
+		return 0, err
+	}
+	return hi - lo, nil
 }
 
 // statSurvivors stats the path skipping node i.
@@ -342,58 +339,63 @@ func (ss *StripeSet) scrubFile(path string, repair bool, st *ScrubStats) error {
 	lastStripe := (l - 1) / span
 	for bs0 := int64(0); bs0 <= lastStripe; bs0 += batchStripes {
 		bs1 := min64(bs0+batchStripes-1, lastStripe)
-		nStripes := bs1 - bs0 + 1
-		dataBufs := make([][]byte, g.k)
-		for j := range dataBufs {
-			dataBufs[j] = make([]byte, nStripes*g.s)
-		}
-		if err := scratch.readShards(bs0, bs1, l, dataBufs, -1); err != nil {
+		if err := ss.scrubBatch(scratch, bs0, bs1, l, repair, st); err != nil {
 			return err
 		}
-		want := make([][]byte, g.m)
-		pshards := make([][]byte, g.m)
-		shards := make([][]byte, g.k)
-		for pi := range want {
-			want[pi] = make([]byte, nStripes*g.s)
-		}
-		for r := int64(0); r < nStripes; r++ {
-			for j := 0; j < g.k; j++ {
-				shards[j] = dataBufs[j][r*g.s : (r+1)*g.s]
-			}
-			for pi := 0; pi < g.m; pi++ {
-				pshards[pi] = want[pi][r*g.s : (r+1)*g.s]
-			}
-			if err := ss.code.Encode(shards, pshards); err != nil {
-				return err
-			}
-		}
-		st.Stripes += nStripes
-		lo := bs0 * g.s
-		hi := min64(lo+nStripes*g.s, g.parityLen(l))
-		if hi <= lo {
-			continue
+	}
+	return nil
+}
+
+// scrubBatch verifies (and with repair set, rewrites) the parity of
+// stripes [bs0, bs1].
+func (ss *StripeSet) scrubBatch(scratch *stripeFile, bs0, bs1, l int64, repair bool, st *ScrubStats) error {
+	g := ss.geom
+	nStripes := bs1 - bs0 + 1
+	cb := getCallBufs()
+	defer cb.release()
+	dataBufs := cb.set(g.k, nStripes*g.s)
+	if err := scratch.readShards(cb, bs0, bs1, l, dataBufs, -1); err != nil {
+		return err
+	}
+	want := cb.set(g.m, nStripes*g.s)
+	shards, pshards := cb.rows(g.k), cb.rows(g.m)
+	for r := int64(0); r < nStripes; r++ {
+		for j := 0; j < g.k; j++ {
+			shards[j] = dataBufs[j][r*g.s : (r+1)*g.s]
 		}
 		for pi := 0; pi < g.m; pi++ {
-			got := make([]byte, hi-lo)
-			if err := scratch.nodeRead(g.k+pi, got, lo); err != nil {
-				return err
+			pshards[pi] = want[pi][r*g.s : (r+1)*g.s]
+		}
+		if err := ss.code.Encode(shards, pshards); err != nil {
+			return err
+		}
+	}
+	st.Stripes += nStripes
+	lo := bs0 * g.s
+	hi := min64(lo+nStripes*g.s, g.parityLen(l))
+	if hi <= lo {
+		return nil
+	}
+	got := cb.buf(hi - lo)
+	for pi := 0; pi < g.m; pi++ {
+		if err := scratch.nodeRead(g.k+pi, got, lo); err != nil {
+			return err
+		}
+		// Count mismatching stripes, not bytes, so the number is
+		// comparable across shard sizes.
+		for r := int64(0); r < nStripes; r++ {
+			slo := r * g.s
+			shi := min64(slo+g.s, hi-lo)
+			if slo >= shi {
+				break
 			}
-			// Count mismatching stripes, not bytes, so the number is
-			// comparable across shard sizes.
-			for r := int64(0); r < nStripes; r++ {
-				slo := r * g.s
-				shi := min64(slo+g.s, hi-lo)
-				if slo >= shi {
-					break
-				}
-				if !bytesEqual(got[slo:shi], want[pi][slo:shi]) {
-					st.Mismatches++
-					if repair {
-						if err := scratch.nodeWrite(g.k+pi, want[pi][slo:shi], lo+slo); err != nil {
-							return err
-						}
-						st.Repaired++
+			if !bytesEqual(got[slo:shi], want[pi][slo:shi]) {
+				st.Mismatches++
+				if repair {
+					if err := scratch.nodeWrite(g.k+pi, want[pi][slo:shi], lo+slo); err != nil {
+						return err
 					}
+					st.Repaired++
 				}
 			}
 		}

@@ -189,12 +189,15 @@ func (ss *StripeSet) usable(i int) bool {
 }
 
 // readShards reads stripes [bs0, bs1] of the file into per-data-node
-// buffers (each (bs1-bs0+1)*s bytes, caller-allocated and zeroed),
+// buffers (each (bs1-bs0+1)*s bytes, caller-drawn, contents stale),
 // reconstructing from parity when data nodes are stale, quarantined, or
-// fail. This is the shared engine under reads, read-modify-write
-// prefills, rebuilds, and scrubs. L is the logical size whose clamps
-// apply. excl marks nodes to treat as absent (the rebuild target).
-func (f *stripeFile) readShards(bs0, bs1, l int64, dataBufs [][]byte, excl int) error {
+// fail. Every byte of every buffer is written: bytes a node does not store
+// are zeroed, and reconstruction overwrites a failed node's buffer in
+// full. This is the shared engine under reads, read-modify-write prefills,
+// rebuilds, and scrubs. L is the logical size whose clamps apply. excl
+// marks nodes to treat as absent (the rebuild target). Parity buffers come
+// from cb.
+func (f *stripeFile) readShards(cb *callBufs, bs0, bs1, l int64, dataBufs [][]byte, excl int) error {
 	g := f.ss.geom
 	nStripes := bs1 - bs0 + 1
 	lo := bs0 * g.s
@@ -205,9 +208,10 @@ func (f *stripeFile) readShards(bs0, bs1, l int64, dataBufs [][]byte, excl int) 
 			failed[j] = true
 			continue
 		}
-		hi := min64(lo+nStripes*g.s, g.nodeLen(j, l))
-		if hi <= lo {
-			continue // nothing stored: zeros
+		span := max64(0, min64(lo+nStripes*g.s, g.nodeLen(j, l))-lo)
+		zero(dataBufs[j][span:]) // nothing stored there: zeros
+		if span == 0 {
+			continue
 		}
 		wg.Add(1)
 		go func(j int, span int64) {
@@ -215,7 +219,7 @@ func (f *stripeFile) readShards(bs0, bs1, l int64, dataBufs [][]byte, excl int) 
 			if err := f.nodeRead(j, dataBufs[j][:span], lo); err != nil {
 				failed[j] = true
 			}
-		}(j, hi-lo)
+		}(j, span)
 	}
 	wg.Wait()
 	anyData := false
@@ -231,31 +235,31 @@ func (f *stripeFile) readShards(bs0, bs1, l int64, dataBufs [][]byte, excl int) 
 		return fmt.Errorf("%w: data node lost with no parity", ErrDegraded)
 	}
 	// Degraded: pull parity shards and reconstruct the whole batch.
-	parityBufs := make([][]byte, g.m)
+	parityBufs := cb.set(g.m, nStripes*g.s)
+	pspan := max64(0, min64(lo+nStripes*g.s, g.parityLen(l))-lo)
 	for p := 0; p < g.m; p++ {
-		parityBufs[p] = make([]byte, nStripes*g.s)
 		i := g.k + p
 		if i == excl || f.ss.nodes[i].stale.Load() {
 			failed[i] = true
 			continue
 		}
-		hi := min64(lo+nStripes*g.s, g.parityLen(l))
-		if hi <= lo {
+		zero(parityBufs[p][pspan:])
+		if pspan == 0 {
 			continue
 		}
 		wg.Add(1)
-		go func(p int, i int, span int64) {
+		go func(p int, i int) {
 			defer wg.Done()
-			if err := f.nodeRead(i, parityBufs[p][:span], lo); err != nil {
+			if err := f.nodeRead(i, parityBufs[p][:pspan], lo); err != nil {
 				failed[i] = true
 			}
-		}(p, i, hi-lo)
+		}(p, i)
 	}
 	wg.Wait()
 	if g.k+g.m-countTrue(failed) < g.k {
 		return ErrDegraded
 	}
-	shards := make([][]byte, g.k+g.m)
+	shards := cb.rows(g.k + g.m)
 	present := make([]bool, g.k+g.m)
 	for r := int64(0); r < nStripes; r++ {
 		for j := 0; j < g.k; j++ {
@@ -379,12 +383,10 @@ func (f *stripeFile) readRangeLocked(dst []byte, off, l int64) error {
 
 func (f *stripeFile) readBatchInto(dst []byte, off, end, bs0, bs1, l int64) error {
 	g := f.ss.geom
-	nStripes := bs1 - bs0 + 1
-	dataBufs := make([][]byte, g.k)
-	for j := range dataBufs {
-		dataBufs[j] = make([]byte, nStripes*g.s)
-	}
-	if err := f.readShards(bs0, bs1, l, dataBufs, -1); err != nil {
+	cb := getCallBufs()
+	defer cb.release()
+	dataBufs := cb.set(g.k, (bs1-bs0+1)*g.s)
+	if err := f.readShards(cb, bs0, bs1, l, dataBufs, -1); err != nil {
 		return err
 	}
 	gatherBatch(g, dst, off, end, bs0, bs1, dataBufs)
@@ -493,31 +495,33 @@ func (f *stripeFile) writeDelta(st int64, j int, o0 int64, p []byte, l int64) (b
 		}
 	}
 	nodeOff := st*g.s + o0
-	old := make([]byte, len(p))
+	cb := getCallBufs()
+	defer cb.release()
 	// Clamp the pre-reads: bytes beyond the stored length are zeros.
-	if stored := g.nodeLen(j, l); stored > nodeOff {
-		n := min64(stored-nodeOff, int64(len(p)))
+	old := cb.buf(int64(len(p)))
+	n := max64(0, min64(g.nodeLen(j, l)-nodeOff, int64(len(p))))
+	zero(old[n:])
+	if n > 0 {
 		if err := f.nodeRead(j, old[:n], nodeOff); err != nil {
 			return false, nil
 		}
 	}
-	oldP := make([][]byte, g.m)
-	pLen := g.parityLen(l)
+	oldP := cb.set(g.m, int64(len(p)))
+	pn := max64(0, min64(g.parityLen(l)-nodeOff, int64(len(p))))
 	var wg sync.WaitGroup
 	pfail := atomic.Bool{}
 	for pi := 0; pi < g.m; pi++ {
-		oldP[pi] = make([]byte, len(p))
-		if pLen <= nodeOff {
+		zero(oldP[pi][pn:])
+		if pn == 0 {
 			continue
 		}
-		n := min64(pLen-nodeOff, int64(len(p)))
 		wg.Add(1)
-		go func(pi int, n int64) {
+		go func(pi int) {
 			defer wg.Done()
-			if err := f.nodeRead(g.k+pi, oldP[pi][:n], nodeOff); err != nil {
+			if err := f.nodeRead(g.k+pi, oldP[pi][:pn], nodeOff); err != nil {
 				pfail.Store(true)
 			}
-		}(pi, n)
+		}(pi)
 	}
 	wg.Wait()
 	if pfail.Load() {
@@ -533,28 +537,11 @@ func (f *stripeFile) writeDelta(st int64, j int, o0 int64, p []byte, l int64) (b
 		mulSliceXor(coef, old, oldP[pi])
 	}
 	// Dispatch the 1+m writes in parallel.
-	errs := make([]error, 1+g.m)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		errs[0] = f.nodeWrite(j, p, nodeOff)
-	}()
+	cb.write(j, p, nodeOff)
 	for pi := 0; pi < g.m; pi++ {
-		wg.Add(1)
-		go func(pi int) {
-			defer wg.Done()
-			errs[1+pi] = f.nodeWrite(g.k+pi, oldP[pi], nodeOff)
-		}(pi)
+		cb.write(g.k+pi, oldP[pi], nodeOff)
 	}
-	wg.Wait()
-	targets := append([]int{j}, func() []int {
-		out := make([]int, g.m)
-		for pi := range out {
-			out[pi] = g.k + pi
-		}
-		return out
-	}()...)
-	return true, f.ss.settleWrite(targets, errs)
+	return true, f.writeAll(cb)
 }
 
 // writeBatch materializes stripes [bs0, bs1], overlays the written
@@ -565,28 +552,27 @@ func (f *stripeFile) writeBatch(p []byte, off, end, bs0, bs1, l, newL int64) err
 	nStripes := bs1 - bs0 + 1
 	batchStart := bs0 * span
 	batchEnd := (bs1 + 1) * span
-	dataBufs := make([][]byte, g.k)
-	for j := range dataBufs {
-		dataBufs[j] = make([]byte, nStripes*g.s)
-	}
+	cb := getCallBufs()
+	defer cb.release()
+	dataBufs := cb.set(g.k, nStripes*g.s)
 	// Pre-read unless the write covers every pre-existing byte of the
-	// batch's stripes.
+	// batch's stripes; then every byte it does not write reads as zero.
 	existingEnd := min64(batchEnd, l)
 	if !(off <= batchStart && end >= existingEnd) && existingEnd > batchStart {
-		if err := f.readShards(bs0, bs1, l, dataBufs, -1); err != nil {
+		if err := f.readShards(cb, bs0, bs1, l, dataBufs, -1); err != nil {
 			return err
+		}
+	} else {
+		for _, b := range dataBufs {
+			zero(b)
 		}
 	}
 	scatterBatch(g, p, off, end, bs0, bs1, dataBufs)
 
 	var parityBufs [][]byte
 	if g.m > 0 {
-		parityBufs = make([][]byte, g.m)
-		for pi := range parityBufs {
-			parityBufs[pi] = make([]byte, nStripes*g.s)
-		}
-		shards := make([][]byte, g.k)
-		pshards := make([][]byte, g.m)
+		parityBufs = cb.set(g.m, nStripes*g.s)
+		shards, pshards := cb.rows(g.k), cb.rows(g.m)
 		for r := int64(0); r < nStripes; r++ {
 			for j := 0; j < g.k; j++ {
 				shards[j] = dataBufs[j][r*g.s : (r+1)*g.s]
@@ -603,19 +589,13 @@ func (f *stripeFile) writeBatch(p []byte, off, end, bs0, bs1, l, newL int64) err
 	// One contiguous write per data node covering its slice of the
 	// written range; parity nodes get the batch's full parity span
 	// clamped to the new parity payload length.
-	type wr struct {
-		node int
-		buf  []byte
-		off  int64
-	}
-	var writes []wr
 	wLo, wHi := max64(off, batchStart), min64(end, batchEnd)
 	for j := 0; j < g.k; j++ {
 		nlo, nhi, ok := g.nodeRange(j, wLo, wHi)
 		if !ok {
 			continue
 		}
-		writes = append(writes, wr{j, dataBufs[j][nlo-bs0*g.s : nhi-bs0*g.s], nlo})
+		cb.write(j, dataBufs[j][nlo-bs0*g.s:nhi-bs0*g.s], nlo)
 	}
 	plo := bs0 * g.s
 	phi := min64((bs1+1)*g.s, g.parityLen(newL))
@@ -623,21 +603,9 @@ func (f *stripeFile) writeBatch(p []byte, off, end, bs0, bs1, l, newL int64) err
 		if phi <= plo {
 			break
 		}
-		writes = append(writes, wr{g.k + pi, parityBufs[pi][:phi-plo], plo})
+		cb.write(g.k+pi, parityBufs[pi][:phi-plo], plo)
 	}
-	errs := make([]error, len(writes))
-	targets := make([]int, len(writes))
-	var wg sync.WaitGroup
-	for i, w := range writes {
-		targets[i] = w.node
-		wg.Add(1)
-		go func(i int, w wr) {
-			defer wg.Done()
-			errs[i] = f.nodeWrite(w.node, w.buf, w.off)
-		}(i, w)
-	}
-	wg.Wait()
-	return f.ss.settleWrite(targets, errs)
+	return f.writeAll(cb)
 }
 
 // settleWrite folds per-node write outcomes into the stale set: a node
@@ -910,11 +878,10 @@ var errNoop = errors.New("ec: internal no-op marker")
 // data shard ranges.
 func (f *stripeFile) punchPartialStripe(st, lo, hi, l int64) error {
 	g := f.ss.geom
-	dataBufs := make([][]byte, g.k)
-	for j := range dataBufs {
-		dataBufs[j] = make([]byte, g.s)
-	}
-	if err := f.readShards(st, st, l, dataBufs, -1); err != nil {
+	cb := getCallBufs()
+	defer cb.release()
+	dataBufs := cb.set(g.k, g.s)
+	if err := f.readShards(cb, st, st, l, dataBufs, -1); err != nil {
 		return err
 	}
 	span := g.span()
@@ -929,10 +896,7 @@ func (f *stripeFile) punchPartialStripe(st, lo, hi, l int64) error {
 	var targets []int
 	var errs []error
 	if g.m > 0 {
-		parity := make([][]byte, g.m)
-		for pi := range parity {
-			parity[pi] = make([]byte, g.s)
-		}
+		parity := cb.set(g.m, g.s)
 		if err := f.ss.code.Encode(dataBufs, parity); err != nil {
 			return err
 		}
@@ -995,11 +959,10 @@ func (ss *StripeSet) truncatePath(path string, size int64, via *stripeFile) erro
 	shrinkPartial := g.m > 0 && size < l && size%span != 0
 	st := size / span
 	if shrinkPartial {
-		dataBufs := make([][]byte, g.k)
-		for j := range dataBufs {
-			dataBufs[j] = make([]byte, g.s)
-		}
-		if err := scratch.readShards(st, st, l, dataBufs, -1); err != nil {
+		cb := getCallBufs()
+		defer cb.release()
+		dataBufs := cb.set(g.k, g.s)
+		if err := scratch.readShards(cb, st, st, l, dataBufs, -1); err != nil {
 			return err
 		}
 		for j := 0; j < g.k; j++ {
@@ -1011,10 +974,7 @@ func (ss *StripeSet) truncatePath(path string, size int64, via *stripeFile) erro
 				zero(dataBufs[j][keep:])
 			}
 		}
-		newParity = make([][]byte, g.m)
-		for pi := range newParity {
-			newParity[pi] = make([]byte, g.s)
-		}
+		newParity = cb.set(g.m, g.s)
 		if err := ss.code.Encode(dataBufs, newParity); err != nil {
 			return err
 		}

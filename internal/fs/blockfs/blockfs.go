@@ -286,14 +286,10 @@ func (fs *FS) flushPending() error {
 	}
 	err := tx.Commit()
 	if errors.Is(err, journal.ErrFull) {
-		if cerr := fs.compact(); cerr != nil {
-			return cerr
-		}
-		tx = fs.jnl.Begin()
-		for _, r := range fs.pending {
-			tx.Append(r)
-		}
-		err = tx.Commit()
+		// Every queued op is already applied in memory, so the compaction
+		// snapshot holds the batch and is its commit; appending the batch
+		// again would make replay apply it twice.
+		err = fs.compact()
 	}
 	if err != nil {
 		return err

@@ -6,6 +6,7 @@ import (
 
 	"muxfs/internal/device"
 	"muxfs/internal/fstest"
+	"muxfs/internal/race"
 	"muxfs/internal/simclock"
 	"muxfs/internal/vfs"
 )
@@ -309,6 +310,9 @@ func TestCrashStorm(t *testing.T) {
 // small objects (mostly the write's journal record) whatever the number of
 // dirty pages — not a fresh 4 MiB merge buffer per flush.
 func TestSyncAllocationBudget(t *testing.T) {
+	if race.Enabled {
+		t.Skip("device pages recycle through a sync.Pool, which drops items at random under -race")
+	}
 	for _, pages := range []int{1, 64} {
 		fs, _ := newSmallCacheFS(t, 1024)
 		f, err := fs.Create("/f")
@@ -332,4 +336,23 @@ func TestSyncAllocationBudget(t *testing.T) {
 		}
 		f.Close()
 	}
+}
+
+// A create, rename or remove whose group commit finds the journal full
+// commits through the compaction snapshot alone: recovery replays it once
+// and succeeds.
+func TestCompactionCommitsOpOnce(t *testing.T) {
+	prof := device.SSDProfile("ssd0")
+	prof.Capacity = 16 << 20 // the minimum 1 MiB journal
+	fs, err := New(device.New(prof, simclock.New()), Config{
+		Name:        "test@ssd0",
+		GroupCommit: 1, // every op commits before it returns
+		NewPlacer:   NewExtentPlacer,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fstest.RunCompactionRecovery(t, fs,
+		func() int64 { return fs.jnl.Size() - fs.jnl.UsedBytes() },
+		func() error { fs.Crash(); return fs.Recover() })
 }

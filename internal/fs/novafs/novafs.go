@@ -454,8 +454,10 @@ func (fs *FS) dropTail(ino *inode, newSize int64) {
 	}
 }
 
-// logCommit writes records as one committed transaction, compacting the log
-// first if it is full.
+// logCommit writes records as one committed transaction. Every caller has
+// already applied the records' effect to in-memory state, so when the log
+// is full the compaction snapshot holds the op and is its commit: the
+// records are not appended again, which would make replay apply them twice.
 func (fs *FS) logCommit(recs ...journal.Record) error {
 	tx := fs.log.Begin()
 	for _, r := range recs {
@@ -463,14 +465,7 @@ func (fs *FS) logCommit(recs ...journal.Record) error {
 	}
 	err := tx.Commit()
 	if errors.Is(err, journal.ErrFull) {
-		if cerr := fs.compact(); cerr != nil {
-			return cerr
-		}
-		tx = fs.log.Begin()
-		for _, r := range recs {
-			tx.Append(r)
-		}
-		err = tx.Commit()
+		return fs.compact()
 	}
 	return err
 }

@@ -243,3 +243,17 @@ func TestCrashTorture(t *testing.T) {
 		}
 	}, 12)
 }
+
+// A create, rename or remove that finds the log full commits through the
+// compaction snapshot alone: recovery replays it once and succeeds.
+func TestCompactionCommitsOpOnce(t *testing.T) {
+	prof := device.PMProfile("pmem0")
+	prof.Capacity = 16 << 20 // the minimum 1 MiB log
+	fs, err := New("nova@pmem0", device.New(prof, simclock.New()), DefaultCosts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fstest.RunCompactionRecovery(t, fs,
+		func() int64 { return fs.log.Size() - fs.log.UsedBytes() },
+		func() error { fs.Crash(); return fs.Recover() })
+}

@@ -11,13 +11,10 @@ import (
 	"muxfs/internal/fstest"
 	"muxfs/internal/muxns"
 	"muxfs/internal/muxrpc"
+	"muxfs/internal/race"
 	"muxfs/internal/server"
 	"muxfs/internal/vfs"
 )
-
-// raceEnabled reports a -race build (race_test.go). The race runtime drops
-// a random share of sync.Pool puts, so pool-based budgets cannot hold.
-var raceEnabled bool
 
 // memFS serves one fixed-size in-memory file and allocates nothing per
 // op, so the budgets below measure the wire and the server alone. Methods
@@ -64,7 +61,7 @@ func (f *memFile) WriteAt(p []byte, off int64) (int, error) {
 // write payloads and read buffers come from the server's pool, calls and
 // tasks are pooled.
 func TestWireAllocBudget(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("sync.Pool drops items at random under -race")
 	}
 	const size = 4096
