@@ -1,10 +1,12 @@
-// Benchmarks regenerating the paper's evaluation. One benchmark per table
-// and figure (E1–E4), one per ablation (A1–A5), plus per-operation
-// microbenchmarks of the Mux fast paths.
+// Benchmarks regenerating the paper's evaluation: one per table and figure
+// (E1–E4), one per ablation (A1–A6), E5 and E7–E9 beyond the paper, plus
+// per-operation microbenchmarks of the Mux fast paths. cmd/muxbench runs
+// every registered experiment (bench.Experiments) with its gates.
 //
 // The E/A benchmarks execute a whole experiment per iteration and report
-// the simulated (virtual-clock) metrics via b.ReportMetric — wall-clock
-// ns/op for them measures only simulator speed. Run with:
+// the experiment's own metrics via b.ReportMetric (virtual-clock figures,
+// or wall-clock figures for E5 and E7–E9) — ns/op for them measures only
+// the harness. Run with:
 //
 //	go test -bench=. -benchmem
 package muxfs_test

@@ -1,34 +1,17 @@
 // Command muxbench regenerates every figure and result table from the
-// paper's evaluation (§3) plus the ablations in DESIGN.md.
+// paper's evaluation (§3), the experiments beyond it, and the ablations in
+// DESIGN.md, then holds each result to its acceptance gates: it exits
+// nonzero when any experiment fails a gate.
 //
 // Usage:
 //
-//	muxbench            # run everything
-//	muxbench -exp e1    # Figure 3a (migration matrix + extensibility)
-//	muxbench -exp e2    # Figure 3b (device I/O throughput)
-//	muxbench -exp e3    # §3.2 read latency overhead
-//	muxbench -exp e4    # §3.2 write throughput overhead
-//	muxbench -exp e5    # parallel migration engine throughput
-//	muxbench -exp e6    # tier fault drill (quarantine + replica fallback)
-//	muxbench -exp e7    # data-path fan-out throughput
-//	muxbench -exp e8    # metadata hot-path scaling
-//	muxbench -exp e9    # telemetry overhead (on vs off, gate with -e9gate)
-//	muxbench -exp e10   # mirror-read routing (replicas as read bandwidth)
-//	muxbench -exp e11   # crash-point sweep + recovery speed (bound with -e11smoke)
-//	muxbench -exp e12   # scale-out striped tier (bound with -e12smoke)
-//	muxbench -exp e13   # network front end (bound with -e13smoke)
-//	muxbench -exp e14   # multi-tenant isolation + autotuning (bound with -e14smoke)
-//	muxbench -exp a1..a6  # ablations
-//	muxbench -json DIR  # also write BENCH_<exp>.json per experiment run
+//	muxbench                        # every experiment, full size
+//	muxbench -exp e3                # one experiment (muxbench -h lists them)
+//	muxbench -size smoke -json DIR  # the CI run: bounded E11–E14, BENCH_<exp>.json per experiment
 //
 // Profiling flags for lock-contention work (-cpuprofile, -mutexprofile,
 // -blockprofile) write runtime/pprof profiles covering the selected
 // experiments; see EXPERIMENTS.md.
-//
-// All numbers are virtual-time measurements from the simulated device
-// models, so output is deterministic (E5, E7, and E8 additionally measure
-// wall clock under service-time governors); see EXPERIMENTS.md for the
-// paper-vs-measured comparison.
 package main
 
 import (
@@ -43,206 +26,69 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: all, e1, e2, e3, e4, e5, e6, e7, e8, e9, e10, e11, e12, e13, e14, a1, a2, a3, a4, a5, a6")
-	e9gate := flag.Float64("e9gate", 0, "fail (exit 1) when E9 telemetry-on overhead exceeds this percentage (0 = no gate)")
-	e11smoke := flag.Bool("e11smoke", false, "run the bounded E11 variant (smaller namespaces; the CI smoke)")
-	e12smoke := flag.Bool("e12smoke", false, "run the bounded E12 variant (8 MiB phases, K <= 4, relaxed scaling gate; the CI smoke)")
-	e13smoke := flag.Bool("e13smoke", false, "run the bounded E13 variant (16 clients, relaxed batching/fairness gates; the CI smoke)")
-	e14smoke := flag.Bool("e14smoke", false, "run the bounded E14 variant (fewer rounds, relaxed isolation/convergence gates; the CI smoke)")
+	exp := flag.String("exp", "all", "experiment to run: all, or one of the names listed below")
+	size := flag.String("size", "full", "experiment size: full, or smoke for the bounded CI variants of E11–E14")
 	jsonDir := flag.String("json", "", "directory to write machine-readable BENCH_<exp>.json results into")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile covering the selected experiments to this file")
 	mutexProfile := flag.String("mutexprofile", "", "write a mutex-contention profile to this file (records every contended acquisition)")
 	blockProfile := flag.String("blockprofile", "", "write a goroutine-blocking profile to this file (records every blocking event)")
+	flag.Usage = usage
 	flag.Parse()
 
-	stopProfiles := startProfiles(*cpuProfile, *mutexProfile, *blockProfile)
-	defer stopProfiles()
-
-	want := func(name string) bool { return *exp == "all" || strings.EqualFold(*exp, name) }
-	ran := false
-	out := os.Stdout
-	emit := func(name string, r any) {
-		if *jsonDir == "" {
-			return
-		}
-		path, err := bench.WriteJSON(*jsonDir, name, r)
-		fail(err)
-		fmt.Fprintf(out, "  [json: %s]\n", path)
+	sz, err := bench.ParseSize(*size)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "muxbench:", err)
+		flag.Usage()
+		os.Exit(2)
 	}
-
-	if want("e1") {
-		ran = true
-		bench.Rule(out, "E1 — Figure 3a")
-		r, err := bench.RunE1()
-		fail(err)
-		bench.FormatE1(out, r)
-		emit("e1", r)
-	}
-	if want("e2") {
-		ran = true
-		bench.Rule(out, "E2 — Figure 3b")
-		r, err := bench.RunE2()
-		fail(err)
-		bench.FormatE2(out, r)
-		emit("e2", r)
-	}
-	if want("e3") {
-		ran = true
-		bench.Rule(out, "E3 — §3.2 read latency")
-		r, err := bench.RunE3()
-		fail(err)
-		bench.FormatE3(out, r)
-		emit("e3", r)
-	}
-	if want("e4") {
-		ran = true
-		bench.Rule(out, "E4 — §3.2 write throughput")
-		r, err := bench.RunE4()
-		fail(err)
-		bench.FormatE4(out, r)
-		emit("e4", r)
-	}
-	if want("e5") {
-		ran = true
-		bench.Rule(out, "E5 — parallel migration engine")
-		r, err := bench.RunE5()
-		fail(err)
-		bench.FormatE5(out, r)
-		emit("e5", r)
-	}
-	if want("e6") {
-		ran = true
-		bench.Rule(out, "E6 — tier fault drill")
-		r, err := bench.RunE6()
-		fail(err)
-		bench.FormatE6(out, r)
-		emit("e6", r)
-	}
-	if want("e7") {
-		ran = true
-		bench.Rule(out, "E7 — data-path fan-out")
-		r, err := bench.RunE7()
-		fail(err)
-		bench.FormatE7(out, r)
-		emit("e7", r)
-	}
-	if want("e8") {
-		ran = true
-		bench.Rule(out, "E8 — metadata hot-path scaling")
-		r, err := bench.RunE8()
-		fail(err)
-		bench.FormatE8(out, r)
-		emit("e8", r)
-	}
-	if want("e9") {
-		ran = true
-		bench.Rule(out, "E9 — telemetry overhead")
-		r, err := bench.RunE9()
-		fail(err)
-		bench.FormatE9(out, r)
-		emit("e9", r)
-		if *e9gate > 0 {
-			fail(bench.CheckE9Gate(r, *e9gate))
+	var selected []bench.Experiment
+	for _, e := range bench.Experiments {
+		if *exp == "all" || strings.EqualFold(*exp, e.Name) {
+			selected = append(selected, e)
 		}
 	}
-	if want("e10") {
-		ran = true
-		bench.Rule(out, "E10 — mirror-read routing")
-		r, err := bench.RunE10()
-		fail(err)
-		bench.FormatE10(out, r)
-		emit("e10", r)
-	}
-	if want("e11") {
-		ran = true
-		bench.Rule(out, "E11 — crash consistency")
-		r, err := bench.RunE11(bench.E11Options{Smoke: *e11smoke})
-		fail(err)
-		bench.FormatE11(out, r)
-		emit("e11", r)
-		if r.Violations > 0 {
-			fail(fmt.Errorf("E11: %d consistency-contract violations", r.Violations))
-		}
-	}
-	if want("e12") {
-		ran = true
-		bench.Rule(out, "E12 — scale-out striped tier")
-		r, err := bench.RunE12(bench.E12Options{Smoke: *e12smoke})
-		fail(err)
-		bench.FormatE12(out, r)
-		emit("e12", r)
-		fail(bench.CheckE12(r))
-	}
-	if want("e13") {
-		ran = true
-		bench.Rule(out, "E13 — network front end")
-		r, err := bench.RunE13(bench.E13Options{Smoke: *e13smoke})
-		fail(err)
-		bench.FormatE13(out, r)
-		emit("e13", r)
-		fail(bench.CheckE13(r))
-	}
-	if want("e14") {
-		ran = true
-		bench.Rule(out, "E14 — multi-tenant isolation + autotuning")
-		r, err := bench.RunE14(bench.E14Options{Smoke: *e14smoke})
-		fail(err)
-		bench.FormatE14(out, r)
-		emit("e14", r)
-		fail(bench.CheckE14(r))
-	}
-	if want("a1") {
-		ran = true
-		bench.Rule(out, "A1 — OCC vs lock migration")
-		r, err := bench.RunA1()
-		fail(err)
-		bench.FormatA1(out, r)
-		emit("a1", r)
-	}
-	if want("a2") {
-		ran = true
-		bench.Rule(out, "A2 — metadata affinity")
-		r, err := bench.RunA2()
-		fail(err)
-		bench.FormatA2(out, r)
-		emit("a2", r)
-	}
-	if want("a3") {
-		ran = true
-		bench.Rule(out, "A3 — SCM cache")
-		r, err := bench.RunA3()
-		fail(err)
-		bench.FormatA3(out, r)
-		emit("a3", r)
-	}
-	if want("a4") {
-		ran = true
-		bench.Rule(out, "A4 — policy comparison")
-		r, err := bench.RunA4()
-		fail(err)
-		bench.FormatA4(out, r)
-		emit("a4", r)
-	}
-	if want("a5") {
-		ran = true
-		bench.Rule(out, "A5 — BLT space overhead")
-		r, err := bench.RunA5()
-		fail(err)
-		bench.FormatA5(out, r)
-		emit("a5", r)
-	}
-	if want("a6") {
-		ran = true
-		bench.Rule(out, "A6 — replication")
-		r, err := bench.RunA6()
-		fail(err)
-		bench.FormatA6(out, r)
-		emit("a6", r)
-	}
-	if !ran {
+	if len(selected) == 0 {
 		fmt.Fprintf(os.Stderr, "muxbench: unknown experiment %q\n", *exp)
 		flag.Usage()
 		os.Exit(2)
+	}
+
+	stopProfiles := startProfiles(*cpuProfile, *mutexProfile, *blockProfile)
+	out := os.Stdout
+	failed := false
+	for _, e := range selected {
+		bench.Rule(out, e.Title)
+		r, err := e.Run(sz)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "muxbench: %s: %v\n", e.Name, err)
+			failed = true
+			continue
+		}
+		r.Format(out)
+		if *jsonDir != "" {
+			path, err := bench.WriteJSON(*jsonDir, e.Name, r)
+			fail(err)
+			fmt.Fprintf(out, "  [json: %s]\n", path)
+		}
+		if err := r.Check(bench.AllGates); err != nil {
+			fmt.Fprintf(os.Stderr, "muxbench: %s failed its gates:\n%v\n", e.Name, err)
+			failed = true
+		}
+	}
+	stopProfiles()
+	if failed {
+		os.Exit(1)
+	}
+}
+
+// usage lists the flags and the registered experiments.
+func usage() {
+	w := flag.CommandLine.Output()
+	fmt.Fprintf(w, "Usage: muxbench [flags]\n\nFlags:\n")
+	flag.PrintDefaults()
+	fmt.Fprintf(w, "\nExperiments, in the order -exp all runs them:\n")
+	for _, e := range bench.Experiments {
+		fmt.Fprintf(w, "  %-4s %s\n", e.Name, e.Title)
 	}
 }
 

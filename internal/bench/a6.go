@@ -21,18 +21,17 @@ type A6Result struct {
 func RunA6() (*A6Result, error) {
 	const total = 32 << 20
 	run := func(replicate bool) (float64, bool, error) {
-		s, err := NewMuxStack(policy.Pinned{Tier: 0})
+		s, err := newStack(paperSpec(policy.Pinned{Tier: 0}))
 		if err != nil {
 			return 0, false, err
 		}
-		s.SetPolicy(policy.Pinned{Tier: s.IDs[0]})
-		f, err := s.Mux.Create("/db")
+		f, err := s.mux.Create("/db")
 		if err != nil {
 			return 0, false, err
 		}
 		defer f.Close()
 		if replicate {
-			if err := s.Mux.SetReplica("/db", s.IDs[2]); err != nil {
+			if err := s.mux.SetReplica("/db", 2); err != nil {
 				return 0, false, err
 			}
 		}
@@ -40,7 +39,7 @@ func RunA6() (*A6Result, error) {
 		for i := range block {
 			block[i] = 0x6D
 		}
-		w := simclock.StartWatch(s.Clk)
+		w := simclock.StartWatch(s.clk)
 		for off := int64(0); off < total; off += int64(len(block)) {
 			if err := mustWrite(f, block, off); err != nil {
 				return 0, false, err
@@ -53,12 +52,12 @@ func RunA6() (*A6Result, error) {
 
 		failover := false
 		if replicate {
-			s.Devs[0].InjectFailure(true)
+			s.devs[0].InjectFailure(true)
 			buf := make([]byte, 4096)
 			if _, err := f.ReadAt(buf, 0); err == nil && buf[0] == 0x6D {
 				failover = true
 			}
-			s.Devs[0].InjectFailure(false)
+			s.devs[0].InjectFailure(false)
 		}
 		return mb, failover, nil
 	}
@@ -79,8 +78,18 @@ func RunA6() (*A6Result, error) {
 	}, nil
 }
 
-// FormatA6 prints the A6 table.
-func FormatA6(w io.Writer, r *A6Result) {
+// Check requires failover reads to come from the replica and the HDD
+// mirror to cost measurable write throughput.
+func (r *A6Result) Check(Gates) error {
+	var v verdict
+	v.require(r.FailoverOK, "failover reads did not serve from the replica")
+	v.require(r.OverheadPct >= 1, "replication overhead %.1f%% suspiciously free (HDD mirror should cost)", r.OverheadPct)
+	v.require(r.ReplicatedMBps > 0 && r.PlainMBps > r.ReplicatedMBps, "throughputs: plain %.1f, replicated %.1f", r.PlainMBps, r.ReplicatedMBps)
+	return v.err()
+}
+
+// Format prints the A6 table.
+func (r *A6Result) Format(w io.Writer) {
 	fmt.Fprintln(w, "A6 — replication (§4 crash-consistency extension): PM writes mirrored to HDD")
 	fmt.Fprintf(w, "  sequential write: plain %.1f MB/s, replicated %.1f MB/s (%.1f%% overhead); failover reads OK: %v\n",
 		r.PlainMBps, r.ReplicatedMBps, r.OverheadPct, r.FailoverOK)

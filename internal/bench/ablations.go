@@ -6,78 +6,10 @@ import (
 	"time"
 
 	"muxfs/internal/core"
-	"muxfs/internal/device"
-	"muxfs/internal/fs/blockfs"
-	"muxfs/internal/fs/extlite"
-	"muxfs/internal/fs/novafs"
-	"muxfs/internal/fs/xfslite"
 	"muxfs/internal/policy"
 	"muxfs/internal/simclock"
 	"muxfs/internal/vfs"
 )
-
-// stackOpts customizes a Mux stack for one ablation.
-type stackOpts struct {
-	pmCapacity    int64              // PM device size override (0 = default)
-	hddCachePages int                // extlite DRAM page cache size (0 = default)
-	coreMut       func(*core.Config) // extra core knobs
-}
-
-// newMuxStackCfg builds the canonical stack with extra core.Config knobs.
-func newMuxStackCfg(pol policy.Policy, mutate func(*core.Config)) (*MuxStack, error) {
-	return newCustomStack(pol, stackOpts{coreMut: mutate})
-}
-
-// newCustomStack builds a three-tier stack with per-ablation overrides.
-func newCustomStack(pol policy.Policy, o stackOpts) (*MuxStack, error) {
-	clk := simclock.New()
-	s := &MuxStack{Clk: clk}
-	pmProf := device.PMProfile("pmem0")
-	if o.pmCapacity > 0 {
-		pmProf.Capacity = o.pmCapacity
-	}
-	ssdProf := device.SSDProfile("ssd0")
-	hddProf := device.HDDProfile("hdd0")
-	hddProf.Capacity = 2 << 30
-	s.Devs[0] = device.New(pmProf, clk)
-	s.Devs[1] = device.New(ssdProf, clk)
-	s.Devs[2] = device.New(hddProf, clk)
-
-	nova, err := novafs.New("nova@pmem0", s.Devs[0], novafs.DefaultCosts())
-	if err != nil {
-		return nil, err
-	}
-	xfs, err := xfslite.New("xfs@ssd0", s.Devs[1])
-	if err != nil {
-		return nil, err
-	}
-	ext, err := blockfs.New(s.Devs[2], blockfs.Config{
-		Name:        "ext4@hdd0",
-		Costs:       extlite.DefaultCosts(),
-		JournalFrac: 16,
-		GroupCommit: 16384,
-		CachePages:  o.hddCachePages,
-		NewPlacer:   blockfs.NewBitmapPlacer,
-	})
-	if err != nil {
-		return nil, err
-	}
-	s.FSes[0], s.FSes[1], s.FSes[2] = nova, xfs, ext
-
-	cfg := core.Config{Name: "mux", Clock: clk, Policy: pol}
-	if o.coreMut != nil {
-		o.coreMut(&cfg)
-	}
-	m, err := core.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	s.IDs[0] = m.AddTier(nova, pmProf)
-	s.IDs[1] = m.AddTier(xfs, ssdProf)
-	s.IDs[2] = m.AddTier(ext, hddProf)
-	s.Mux = m
-	return s, nil
-}
 
 // A1Result compares the OCC Synchronizer against traditional lock-based
 // migration (§2.4) under racing writers.
@@ -98,14 +30,13 @@ func RunA1() (*A1Result, error) {
 	res := &A1Result{}
 
 	migrate := func(lock bool, interleave bool) (time.Duration, core.OCCStats, int, error) {
-		s, err := newMuxStackCfg(policy.Pinned{Tier: 0}, func(c *core.Config) {
-			c.LockMigration = lock
-		})
+		spec := paperSpec(policy.Pinned{Tier: 0})
+		spec.mux.LockMigration = lock
+		s, err := newStack(spec)
 		if err != nil {
 			return 0, core.OCCStats{}, 0, err
 		}
-		s.SetPolicy(policy.Pinned{Tier: s.IDs[0]})
-		f, err := s.Mux.Create("/f")
+		f, err := s.mux.Create("/f")
 		if err != nil {
 			return 0, core.OCCStats{}, 0, err
 		}
@@ -115,7 +46,7 @@ func RunA1() (*A1Result, error) {
 		}
 		writes := 0
 		if interleave {
-			s.Mux.SetMigrationInterleave(func(round int) {
+			s.mux.SetMigrationInterleave(func(round int) {
 				// A user write lands mid-migration; under OCC it proceeds
 				// concurrently, under the lock this hook never fires with
 				// the copy in flight (migration holds the file lock).
@@ -124,11 +55,11 @@ func RunA1() (*A1Result, error) {
 				}
 			})
 		}
-		w := simclock.StartWatch(s.Clk)
-		if _, err := s.Mux.Migrate("/f", s.IDs[0], s.IDs[1]); err != nil {
+		w := simclock.StartWatch(s.clk)
+		if _, err := s.mux.Migrate("/f", 0, 1); err != nil {
 			return 0, core.OCCStats{}, 0, err
 		}
-		return w.Elapsed(), s.Mux.OCC(), writes, nil
+		return w.Elapsed(), s.mux.OCC(), writes, nil
 	}
 
 	occQ, _, _, err := migrate(false, false)
@@ -163,31 +94,30 @@ type A2Result struct {
 // three tiers, with lazy owner-only sync vs sync-to-all.
 func RunA2() (*A2Result, error) {
 	run := func(syncAll bool) (time.Duration, error) {
-		s, err := newMuxStackCfg(policy.Pinned{Tier: 0}, func(c *core.Config) {
-			c.SyncAllMeta = syncAll
-			c.MetaSyncEvery = 8
-		})
+		spec := paperSpec(policy.Pinned{Tier: 0})
+		spec.mux.SyncAllMeta = syncAll
+		spec.mux.MetaSyncEvery = 8
+		s, err := newStack(spec)
 		if err != nil {
 			return 0, err
 		}
-		f, err := s.Mux.Create("/appendlog")
+		f, err := s.mux.Create("/appendlog")
 		if err != nil {
 			return 0, err
 		}
 		defer f.Close()
 		// Spread the file across all tiers so sync-to-all touches three
 		// file systems.
-		s.SetPolicy(policy.Pinned{Tier: s.IDs[0]})
 		if err := seqFill(f, 192<<10, 1); err != nil {
 			return 0, err
 		}
-		if _, err := s.Mux.MigrateRange("/appendlog", s.IDs[0], s.IDs[1], 64<<10, 64<<10); err != nil {
+		if _, err := s.mux.MigrateRange("/appendlog", 0, 1, 64<<10, 64<<10); err != nil {
 			return 0, err
 		}
-		if _, err := s.Mux.MigrateRange("/appendlog", s.IDs[0], s.IDs[2], 128<<10, 64<<10); err != nil {
+		if _, err := s.mux.MigrateRange("/appendlog", 0, 2, 128<<10, 64<<10); err != nil {
 			return 0, err
 		}
-		w := simclock.StartWatch(s.Clk)
+		w := simclock.StartWatch(s.clk)
 		buf := []byte("append-entry-64-bytes-............................................")
 		fi, _ := f.Stat()
 		off := fi.Size
@@ -230,17 +160,18 @@ func RunA3() (*A3Result, error) {
 	run := func(cacheBytes int64) (time.Duration, float64, error) {
 		// A small DRAM page cache models the paper's premise: DRAM cannot
 		// scale with storage, so the SCM layer must absorb the working set.
-		s, err := newCustomStack(policy.Pinned{Tier: 0}, stackOpts{hddCachePages: 512})
+		spec := paperSpec(policy.Pinned{Tier: 2}) // data on HDD
+		spec.pageCache[2] = 2 << 20
+		s, err := newStack(spec)
 		if err != nil {
 			return 0, 0, err
 		}
-		s.SetPolicy(policy.Pinned{Tier: s.IDs[2]}) // data on HDD
 		if cacheBytes > 0 {
-			if err := s.Mux.EnableSCMCache(s.IDs[0], cacheBytes); err != nil {
+			if err := s.mux.EnableSCMCache(0, cacheBytes); err != nil {
 				return 0, 0, err
 			}
 		}
-		f, err := s.Mux.Create("/warmstore")
+		f, err := s.mux.Create("/warmstore")
 		if err != nil {
 			return 0, 0, err
 		}
@@ -254,11 +185,11 @@ func RunA3() (*A3Result, error) {
 		// The extlite DRAM cache would hide the HDD entirely at this scale;
 		// restart the stack so only the SCM cache (when enabled) stands in
 		// front of the disk.
-		s.Mux.Crash()
-		if err := s.Mux.Recover(); err != nil {
+		s.mux.Crash()
+		if err := s.mux.Recover(); err != nil {
 			return 0, 0, err
 		}
-		f2, err := s.Mux.Open("/warmstore")
+		f2, err := s.mux.Open("/warmstore")
 		if err != nil {
 			return 0, 0, err
 		}
@@ -266,14 +197,14 @@ func RunA3() (*A3Result, error) {
 
 		offs := zipfOffsets(fileSize, 4096, reads, 77)
 		buf := make([]byte, 4096)
-		w := simclock.StartWatch(s.Clk)
+		w := simclock.StartWatch(s.clk)
 		for _, off := range offs {
 			if _, err := f2.ReadAt(buf, off); err != nil {
 				return 0, 0, err
 			}
 		}
 		elapsed := w.Elapsed() / reads
-		stats := s.Mux.CacheStats()
+		stats := s.mux.CacheStats()
 		hitRate := 0.0
 		if total := stats.Hits + stats.Misses; total > 0 {
 			hitRate = float64(stats.Hits) / float64(total)
@@ -326,14 +257,16 @@ func RunA4() (*A4Result, error) {
 
 func runA4One(pol policy.Policy) (A4Row, error) {
 	// A small PM tier creates placement pressure so policies must choose.
-	s, err := newCustomStack(pol, stackOpts{pmCapacity: 64 << 20})
+	spec := paperSpec(pol)
+	spec.caps[0] = 64 << 20
+	s, err := newStack(spec)
 	if err != nil {
 		return A4Row{}, err
 	}
 	// 8 hot small files, 6 cold large files.
 	var hot []vfs.File
 	for i := 0; i < 8; i++ {
-		f, err := s.Mux.Create(fmt.Sprintf("/hot%d", i))
+		f, err := s.mux.Create(fmt.Sprintf("/hot%d", i))
 		if err != nil {
 			return A4Row{}, err
 		}
@@ -344,7 +277,7 @@ func runA4One(pol policy.Policy) (A4Row, error) {
 		hot = append(hot, f)
 	}
 	for i := 0; i < 6; i++ {
-		f, err := s.Mux.Create(fmt.Sprintf("/cold%d", i))
+		f, err := s.mux.Create(fmt.Sprintf("/cold%d", i))
 		if err != nil {
 			return A4Row{}, err
 		}
@@ -366,7 +299,7 @@ func runA4One(pol policy.Policy) (A4Row, error) {
 				}
 			}
 		}
-		st, err := s.Mux.RunPolicyOnce()
+		st, err := s.mux.RunPolicyOnce()
 		if err != nil {
 			return A4Row{}, err
 		}
@@ -374,7 +307,7 @@ func runA4One(pol policy.Policy) (A4Row, error) {
 	}
 	// Measure hot-set read latency.
 	const reads = 2000
-	w := simclock.StartWatch(s.Clk)
+	w := simclock.StartWatch(s.clk)
 	for i := 0; i < reads; i++ {
 		f := hot[i%len(hot)]
 		if _, err := f.ReadAt(buf, int64(i%64)*4096); err != nil {
@@ -384,9 +317,9 @@ func runA4One(pol policy.Policy) (A4Row, error) {
 	lat := w.Elapsed() / reads
 
 	row := A4Row{Policy: pol.Name(), HotReadUs: float64(lat.Nanoseconds()) / 1000, MigrationsExecuted: executed}
-	usage := s.Mux.TierUsage()
+	usage := s.mux.TierUsage()
 	for i := 0; i < 3; i++ {
-		row.TierBytes[i] = usage[s.IDs[i]]
+		row.TierBytes[i] = usage[i]
 	}
 	return row, nil
 }
@@ -405,13 +338,12 @@ type A5Result struct {
 // RunA5 builds a deliberately fragmented multi-tier layout and measures the
 // BLT footprint.
 func RunA5() (*A5Result, error) {
-	s, err := NewMuxStack(policy.Pinned{Tier: 0})
+	s, err := newStack(paperSpec(policy.Pinned{Tier: 0}))
 	if err != nil {
 		return nil, err
 	}
-	s.SetPolicy(policy.Pinned{Tier: s.IDs[0]})
 	for i := 0; i < 8; i++ {
-		f, err := s.Mux.Create(fmt.Sprintf("/data%d", i))
+		f, err := s.mux.Create(fmt.Sprintf("/data%d", i))
 		if err != nil {
 			return nil, err
 		}
@@ -422,15 +354,15 @@ func RunA5() (*A5Result, error) {
 		f.Close()
 		// Fragment across tiers: alternate 1 MiB stripes to SSD and HDD.
 		for off := int64(0); off < 8<<20; off += 2 << 20 {
-			if _, err := s.Mux.MigrateRange(fmt.Sprintf("/data%d", i), s.IDs[0], s.IDs[1], off, 1<<20); err != nil {
+			if _, err := s.mux.MigrateRange(fmt.Sprintf("/data%d", i), 0, 1, off, 1<<20); err != nil {
 				return nil, err
 			}
-			if _, err := s.Mux.MigrateRange(fmt.Sprintf("/data%d", i), s.IDs[0], s.IDs[2], off+1<<20, 512<<10); err != nil {
+			if _, err := s.mux.MigrateRange(fmt.Sprintf("/data%d", i), 0, 2, off+1<<20, 512<<10); err != nil {
 				return nil, err
 			}
 		}
 	}
-	files, runs, mapped, table := s.Mux.BLTStats()
+	files, runs, mapped, table := s.mux.BLTStats()
 	blocks := float64(mapped) / 4096
 	return &A5Result{
 		Files:       files,
@@ -442,8 +374,8 @@ func RunA5() (*A5Result, error) {
 	}, nil
 }
 
-// FormatA1 prints the A1 table.
-func FormatA1(w io.Writer, r *A1Result) {
+// Format prints the A1 table.
+func (r *A1Result) Format(w io.Writer) {
 	fmt.Fprintln(w, "A1 — OCC Synchronizer vs lock-based migration (16 MiB PM→SSD)")
 	fmt.Fprintf(w, "  quiescent migration: OCC %.2f ms, lock-based %.2f ms (OCC bookkeeping overhead %.1f%%)\n",
 		r.QuiescentOCCMs, r.QuiescentLockMs, 100*(r.QuiescentOCCMs-r.QuiescentLockMs)/r.QuiescentLockMs)
@@ -453,22 +385,49 @@ func FormatA1(w io.Writer, r *A1Result) {
 		r.ContendedOCC.Conflicts, r.ContendedOCC.Retries, r.ContendedOCC.LockFallbacks)
 }
 
-// FormatA2 prints the A2 table.
-func FormatA2(w io.Writer, r *A2Result) {
+// Check holds A1 to §2.4: OCC adds no meaningful cost uncontended and
+// admits user writes during migration, which the lock cannot.
+func (r *A1Result) Check(Gates) error {
+	var v verdict
+	over := (r.QuiescentOCCMs - r.QuiescentLockMs) / r.QuiescentLockMs
+	v.require(over <= 0.05, "quiescent OCC overhead %.1f%%, want < 5%%", 100*over)
+	v.require(r.ConcurrentWritesOCC > 0, "OCC admitted no concurrent writes")
+	v.require(r.ContendedOCC.Conflicts > 0 && r.ContendedOCC.LockFallbacks == 1, "contended OCC stats = %+v", r.ContendedOCC)
+	return v.err()
+}
+
+// Format prints the A2 table.
+func (r *A2Result) Format(w io.Writer) {
 	fmt.Fprintln(w, "A2 — metadata affinity (owner-only lazy sync) vs sync-to-all-tiers")
 	fmt.Fprintf(w, "  4000 appends to a 3-tier file: affinity %.2f ms, sync-all %.2f ms (%.2fx slower)\n",
 		r.AffinityMs, r.SyncAllMs, r.Slowdown)
 }
 
-// FormatA3 prints the A3 table.
-func FormatA3(w io.Writer, r *A3Result) {
+// Check holds A2 to §2.3: syncing metadata to every tier costs visibly
+// more than owner-only affinity.
+func (r *A2Result) Check(Gates) error {
+	var v verdict
+	v.require(r.Slowdown >= 1.1, "sync-all slowdown = %.2fx, affinity shows no benefit", r.Slowdown)
+	return v.err()
+}
+
+// Format prints the A3 table.
+func (r *A3Result) Format(w io.Writer) {
 	fmt.Fprintln(w, "A3 — SCM cache (MGLRU) on Zipfian 4 KiB reads over an HDD-resident file")
 	fmt.Fprintf(w, "  mean read latency: no cache %.0f µs, with cache %.0f µs (%.1fx faster, hit rate %.0f%%)\n",
 		r.NoCacheUs, r.WithCacheUs, r.Speedup, 100*r.HitRate)
 }
 
-// FormatA4 prints the A4 table.
-func FormatA4(w io.Writer, r *A4Result) {
+// Check holds A3 to §2.5: the SCM cache absorbs a Zipfian working set.
+func (r *A3Result) Check(Gates) error {
+	var v verdict
+	v.require(r.Speedup >= 1.1, "SCM cache speedup = %.2fx, want > 1.1x", r.Speedup)
+	v.require(r.HitRate >= 0.3, "hit rate = %.2f on a Zipfian workload", r.HitRate)
+	return v.err()
+}
+
+// Format prints the A4 table.
+func (r *A4Result) Format(w io.Writer) {
 	fmt.Fprintln(w, "A4 — policy comparison on a mixed hot/cold workload")
 	fmt.Fprintf(w, "  %-8s %10s %10s %10s %12s %6s\n", "Policy", "PM MiB", "SSD MiB", "HDD MiB", "hot-read µs", "moves")
 	for _, row := range r.Rows {
@@ -481,9 +440,35 @@ func FormatA4(w io.Writer, r *A4Result) {
 	}
 }
 
-// FormatA5 prints the A5 table.
-func FormatA5(w io.Writer, r *A5Result) {
+// Check requires every policy to place data and serve the hot set, and
+// HotCold to demote the cold bulk off the small PM tier.
+func (r *A4Result) Check(Gates) error {
+	var v verdict
+	v.require(len(r.Rows) == 3, "rows = %d, want 3", len(r.Rows))
+	for _, row := range r.Rows {
+		var total int64
+		for _, b := range row.TierBytes {
+			total += b
+		}
+		v.require(total > 0, "policy %s placed no data", row.Policy)
+		v.require(row.HotReadUs > 0, "policy %s hot-read latency = %v", row.Policy, row.HotReadUs)
+		v.require(row.Policy != "hotcold" || row.TierBytes[2] > 0, "hotcold policy never demoted cold data to HDD")
+	}
+	return v.err()
+}
+
+// Format prints the A5 table.
+func (r *A5Result) Format(w io.Writer) {
 	fmt.Fprintln(w, "A5 — Block Lookup Table space overhead (paper claim: ~1 B per 4 KiB, <0.025%)")
 	fmt.Fprintf(w, "  %d files, %d runs mapping %.1f MiB; table %.1f KiB = %.2f B per 4 KiB block (%.4f%%)\n",
 		r.Files, r.Runs, float64(r.MappedBytes)/(1<<20), float64(r.TableBytes)/1024, r.BytesPer4K, r.OverheadPct)
+}
+
+// Check holds A5 to the paper's claim: < 0.025% space overhead (1 B per
+// 4 KiB block).
+func (r *A5Result) Check(Gates) error {
+	var v verdict
+	v.require(r.OverheadPct <= 0.025, "BLT overhead = %.4f%%, exceeds the paper's 0.025%% claim", r.OverheadPct)
+	v.require(r.Runs > 0 && r.Files > 0, "BLT stats empty: %+v", *r)
+	return v.err()
 }

@@ -55,12 +55,11 @@ func RunE1() (*E1Result, error) {
 // muxMigrationMBps stages e1FileSize bytes on tier src and times a full
 // migration to dst.
 func muxMigrationMBps(src, dst int) (float64, error) {
-	s, err := NewMuxStack(policy.Pinned{Tier: 0})
+	s, err := newStack(paperSpec(policy.Pinned{Tier: src}))
 	if err != nil {
 		return 0, err
 	}
-	s.SetPolicy(policy.Pinned{Tier: s.IDs[src]})
-	f, err := s.Mux.Create("/mig")
+	f, err := s.mux.Create("/mig")
 	if err != nil {
 		return 0, err
 	}
@@ -69,8 +68,8 @@ func muxMigrationMBps(src, dst int) (float64, error) {
 		return 0, err
 	}
 
-	w := simclock.StartWatch(s.Clk)
-	moved, err := s.Mux.Migrate("/mig", s.IDs[src], s.IDs[dst])
+	w := simclock.StartWatch(s.clk)
+	moved, err := s.mux.Migrate("/mig", src, dst)
 	if err != nil {
 		return 0, err
 	}
@@ -112,6 +111,33 @@ func strataMigrationCell(src, dst int) (E1Cell, error) {
 		return E1Cell{}, fmt.Errorf("strata moved %d of %d bytes", moved, int64(e1FileSize))
 	}
 	return E1Cell{Supported: true, MBps: mbps(moved, w.Elapsed())}, nil
+}
+
+// Check holds E1 to Figure 3a: Mux supports all six migration paths,
+// Strata exactly its two wired ones (PM→SSD, PM→HDD), and Mux's PM→SSD
+// migration beats Strata's by a generous band around the paper's 2.59×.
+func (r *E1Result) Check(Gates) error {
+	var v verdict
+	muxPaths, strataPaths := 0, 0
+	for src := 0; src < 3; src++ {
+		for dst := 0; dst < 3; dst++ {
+			if src == dst {
+				continue
+			}
+			if r.Mux[src][dst].Supported {
+				muxPaths++
+				v.require(r.Mux[src][dst].MBps > 0, "mux %s->%s throughput = %v", TierName[src], TierName[dst], r.Mux[src][dst].MBps)
+			}
+			if r.Strata[src][dst].Supported {
+				strataPaths++
+			}
+		}
+	}
+	v.require(muxPaths == 6, "Mux supports %d migration paths, want 6", muxPaths)
+	v.require(strataPaths == 2, "Strata supports %d migration paths, want 2", strataPaths)
+	v.require(r.Strata[0][1].Supported && r.Strata[0][2].Supported, "Strata's wired paths are not PM->SSD and PM->HDD")
+	v.require(r.SpeedupPMtoSSD >= 1.5 && r.SpeedupPMtoSSD <= 5, "PM->SSD speedup = %.2fx, want roughly 2.59x", r.SpeedupPMtoSSD)
+	return v.err()
 }
 
 func mbps(bytes int64, d time.Duration) float64 {

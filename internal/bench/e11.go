@@ -9,11 +9,7 @@ import (
 
 	"muxfs/internal/core"
 	"muxfs/internal/device"
-	"muxfs/internal/fs/extlite"
-	"muxfs/internal/fs/novafs"
-	"muxfs/internal/fs/xfslite"
 	"muxfs/internal/policy"
-	"muxfs/internal/simclock"
 )
 
 // E11 — crash consistency: deterministic crash-point sweep + recovery speed.
@@ -89,57 +85,32 @@ type E11Result struct {
 	Checkpoint         E11CheckpointRow
 }
 
-// e11Stack is the canonical three-tier Mux plus a metadata device, with one
-// CrashPoint ordering durability steps across all four devices.
+// e11Stack is a three-tier Mux plus a metadata device, with one CrashPoint
+// ordering durability steps across all four devices.
 type e11Stack struct {
-	clk *simclock.Clock
-	cp  *device.CrashPoint
-	mux *core.Mux
+	*stack
+	cp *device.CrashPoint
 }
 
-func newE11Stack(pinTier int, workers int, ckptBytes int64, pmCap int64) (*e11Stack, error) {
-	clk := simclock.New()
-	cp := device.NewCrashPoint()
-	pmProf := device.PMProfile("pmem0")
-	if pmCap > 0 {
-		pmProf.Capacity = pmCap
-	}
-	metaProf := device.PMProfile("muxmeta")
-	metaProf.Capacity = 1 << 30
-	pm := device.New(pmProf, clk)
-	ssd := device.New(device.SSDProfile("ssd0"), clk)
-	hdd := device.New(device.HDDProfile("hdd0"), clk)
-	meta := device.New(metaProf, clk)
-	for _, d := range []*device.Device{pm, ssd, hdd, meta} {
-		d.SetCrashPoint(cp)
-	}
-	m, err := core.New(core.Config{
-		Name:            "mux-e11",
-		Clock:           clk,
-		Policy:          policy.Pinned{Tier: pinTier},
-		MetaDevice:      meta,
-		RecoveryWorkers: workers,
-		CheckpointBytes: ckptBytes,
+func newE11Stack(workers int, ckptBytes int64, pmCap int64) (*e11Stack, error) {
+	s, err := newStack(stackSpec{
+		mux: core.Config{
+			Name:            "mux-e11",
+			Policy:          policy.Pinned{Tier: 0},
+			RecoveryWorkers: workers,
+			CheckpointBytes: ckptBytes,
+		},
+		caps:    [3]int64{0: pmCap},
+		metaCap: 1 << 30,
 	})
 	if err != nil {
 		return nil, err
 	}
-	nova, err := novafs.New("nova@pmem0", pm, novafs.DefaultCosts())
-	if err != nil {
-		return nil, err
+	cp := device.NewCrashPoint()
+	for _, d := range append(s.devs[:], s.meta) {
+		d.SetCrashPoint(cp)
 	}
-	xfs, err := xfslite.New("xfs@ssd0", ssd)
-	if err != nil {
-		return nil, err
-	}
-	ext, err := extlite.New("ext4@hdd0", hdd)
-	if err != nil {
-		return nil, err
-	}
-	m.AddTier(nova, pmProf)
-	m.AddTier(xfs, device.SSDProfile("ssd0"))
-	m.AddTier(ext, device.HDDProfile("hdd0"))
-	return &e11Stack{clk: clk, cp: cp, mux: m}, nil
+	return &e11Stack{stack: s, cp: cp}, nil
 }
 
 func e11Pattern(n int, salt byte) []byte {
@@ -323,7 +294,7 @@ func e11SweepOne(op e11Op) (E11SweepRow, error) {
 	row := E11SweepRow{Op: op.name}
 	// Count run: how many durability steps does the op (plus its covering
 	// sync) perform when nothing crashes?
-	s, err := newE11Stack(0, 0, 0, 0)
+	s, err := newE11Stack(0, 0, 0)
 	if err != nil {
 		return row, err
 	}
@@ -344,7 +315,7 @@ func e11SweepOne(op e11Op) (E11SweepRow, error) {
 	row.Points = n + 1 // i = 0..n inclusive: every step boundary plus the clean run
 
 	for i := 0; i <= n; i++ {
-		s, err := newE11Stack(0, 0, 0, 0)
+		s, err := newE11Stack(0, 0, 0)
 		if err != nil {
 			return row, err
 		}
@@ -450,7 +421,7 @@ func e11RecoveryRow(files int) (E11RecoveryRow, error) {
 	// PM sized for the data set (the Pinned{0} policy lands everything
 	// there), with headroom for metadata and the block-granular allocator.
 	pmCap := int64(files)*e11FileData*3 + (64 << 20)
-	s, err := newE11Stack(0, workers, 0, pmCap)
+	s, err := newE11Stack(workers, 0, pmCap)
 	if err != nil {
 		return row, err
 	}
@@ -482,7 +453,7 @@ func e11CheckpointRow(files, churn int) (E11CheckpointRow, error) {
 	overlay := e11Pattern(e11FileData, 11)
 	run := func(ckptBytes int64) (float64, error) {
 		pmCap := int64(files)*e11FileData*3 + (64 << 20)
-		s, err := newE11Stack(0, 0, ckptBytes, pmCap)
+		s, err := newE11Stack(0, ckptBytes, pmCap)
 		if err != nil {
 			return 0, err
 		}
@@ -544,13 +515,10 @@ func e11CheckpointRow(files, churn int) (E11CheckpointRow, error) {
 	return row, nil
 }
 
-// E11Options scales the experiment: Smoke bounds it for CI.
-type E11Options struct {
-	Smoke bool
-}
-
 // RunE11 runs the crash-point sweep and the recovery-speed measurements.
-func RunE11(opts E11Options) (*E11Result, error) {
+// The sweep is the same at every size; Smoke shrinks the recovery
+// namespaces.
+func RunE11(size Size) (*E11Result, error) {
 	res := &E11Result{}
 	for _, op := range e11Ops() {
 		row, err := e11SweepOne(op)
@@ -563,7 +531,7 @@ func RunE11(opts E11Options) (*E11Result, error) {
 	}
 	counts := []int{10_000, 40_000, 100_000}
 	ckptFiles, churn := 10_000, 60_000
-	if opts.Smoke {
+	if size == Smoke {
 		counts = []int{2_000, 8_000}
 		ckptFiles, churn = 2_000, 12_000
 	}
@@ -581,4 +549,30 @@ func RunE11(opts E11Options) (*E11Result, error) {
 	}
 	res.Checkpoint = ck
 	return res, nil
+}
+
+// Check requires every swept op to make durable steps and every crash
+// point to recover to a consistent image, and the recovery timings to be
+// measured with the sharded path actually parallel. Parallel speedups are
+// not gated: on a single core the sharded path runs but cannot beat serial
+// time. The checkpoint ratio is, because it reflects replay *work*
+// (snapshot + delta vs full history), which does not depend on core count.
+func (r *E11Result) Check(Gates) error {
+	var v verdict
+	v.require(len(r.Sweep) == 10, "want 10 swept ops, got %d", len(r.Sweep))
+	for _, row := range r.Sweep {
+		v.require(row.Points >= 2, "op %s swept only %d crash points; the op made no durable steps", row.Op, row.Points)
+		v.require(row.Violations == 0, "op %s: %d crash points violated the recovery contract", row.Op, row.Violations)
+	}
+	v.require(r.Violations == 0 && r.PointsSwept >= 50, "sweep totals: %d points, %d violations", r.PointsSwept, r.Violations)
+	v.require(len(r.Recovery) > 0, "no recovery timing rows")
+	for _, row := range r.Recovery {
+		v.require(row.Workers >= 2, "parallel config ran with %d workers; want at least 2", row.Workers)
+		v.require(row.ReplaySerialMs > 0 && row.ReplayParallelMs > 0 && row.FsckSerialMs > 0 && row.FsckParallelMs > 0,
+			"recovery row %d files has a zero timing: %+v", row.Files, row)
+	}
+	ck := r.Checkpoint
+	v.require(ck.FullLogMs > 0 && ck.CheckpointMs > 0, "checkpoint row missing timings: %+v", ck)
+	v.require(ck.Speedup > 1.2, "checkpointed replay speedup = %.2fx, want > 1.2x (replay must be O(delta), not O(history))", ck.Speedup)
+	return v.err()
 }

@@ -50,12 +50,6 @@ const (
 	e12Chunk       = 1 << 20 // I/O unit: stripe-aligned for k ∈ {1,2,4,8} at 64 KiB shards
 )
 
-// E12Options bounds the experiment.
-type E12Options struct {
-	// Smoke runs the CI-sized variant: 8 MiB per phase and K ≤ 4.
-	Smoke bool
-}
-
 // E12ScaleRow is one cluster size's sequential throughput.
 type E12ScaleRow struct {
 	DataNodes    int
@@ -245,12 +239,13 @@ func e12Pattern(n int, salt byte) []byte {
 	return p
 }
 
-// RunE12 runs the scale-out capacity tier experiment.
-func RunE12(opts E12Options) (E12Result, error) {
-	r := E12Result{Smoke: opts.Smoke}
+// RunE12 runs the scale-out capacity tier experiment. Smoke writes 8 MiB
+// per phase instead of 32 and stops the scaling sweep at K = 4.
+func RunE12(size Size) (E12Result, error) {
+	r := E12Result{Smoke: size == Smoke}
 	total := int64(32 << 20)
 	geoms := []struct{ k, m int }{{1, 0}, {2, 1}, {4, 1}, {8, 1}}
-	if opts.Smoke {
+	if r.Smoke {
 		total = 8 << 20
 		geoms = geoms[:3]
 	}
@@ -386,8 +381,8 @@ func RunE12(opts E12Options) (E12Result, error) {
 	return r, nil
 }
 
-// FormatE12 renders the result tables.
-func FormatE12(w io.Writer, r E12Result) {
+// Format renders the result tables.
+func (r E12Result) Format(w io.Writer) {
 	mode := "full"
 	if r.Smoke {
 		mode = "smoke"
@@ -411,35 +406,34 @@ func FormatE12(w io.Writer, r E12Result) {
 	fmt.Fprintf(w, "  logical %d B, raw %d B -> %.2fx (mirroring: %.1fx)\n", o.LogicalBytes, o.RawBytes, o.Ratio, o.MirrorRatio)
 }
 
-// CheckE12 enforces the experiment's acceptance gates; the CI smoke runs
-// it with relaxed scaling (in-process loopback on shared runners).
-func CheckE12(r E12Result) error {
-	minSpeedup := 2.0
+// Check requires a throughput row per cluster size, the node-loss drill to
+// serve the whole file with zero user-visible errors through real parity
+// reconstructions, the rebuild to restore redundancy (clean scrub), and
+// 4+1 raw usage within 1.3x of the logical bytes. At AllGates it adds the
+// scaling claim: 4 data nodes at least 2x one node (1.5x at smoke size,
+// in-process loopback on shared runners). Under the race detector the
+// instrumented wire codec dwarfs the governed service sleeps, so fan-out
+// overlap cannot show there.
+func (r E12Result) Check(g Gates) error {
+	var v verdict
+	wantRows, minSpeedup := 4, 2.0
 	if r.Smoke {
-		minSpeedup = 1.5
+		wantRows, minSpeedup = 3, 1.5
 	}
+	v.require(len(r.Scale) == wantRows, "want %d scaling rows, got %d", wantRows, len(r.Scale))
 	for _, row := range r.Scale {
-		if row.DataNodes == 4 {
-			if row.ReadSpeedup < minSpeedup || row.WriteSpeedup < minSpeedup {
-				return fmt.Errorf("E12: 4-node speedup %.2fx read / %.2fx write below the %.1fx gate",
-					row.ReadSpeedup, row.WriteSpeedup, minSpeedup)
-			}
+		v.require(row.WriteMBps > 0 && row.ReadMBps > 0, "%d+%d row measured no throughput: %+v", row.DataNodes, row.ParityNodes, row)
+		if g >= AllGates && row.DataNodes == 4 {
+			v.require(row.ReadSpeedup >= minSpeedup && row.WriteSpeedup >= minSpeedup,
+				"4-node speedup %.2fx read / %.2fx write below the %.1fx gate", row.ReadSpeedup, row.WriteSpeedup, minSpeedup)
 		}
 	}
-	if r.Degraded.UserErrors != 0 {
-		return fmt.Errorf("E12: %d user-visible errors during the node-loss drill", r.Degraded.UserErrors)
-	}
-	if r.Degraded.DegradedReads == 0 {
-		return fmt.Errorf("E12: drill read everything without a single parity reconstruction — node kill ineffective")
-	}
-	if r.Rebuild.ScrubMismatches != 0 {
-		return fmt.Errorf("E12: %d parity mismatches after rebuild", r.Rebuild.ScrubMismatches)
-	}
-	if r.Rebuild.Bytes == 0 {
-		return fmt.Errorf("E12: rebuild moved no bytes")
-	}
-	if r.Overhead.Ratio > 1.3 {
-		return fmt.Errorf("E12: space overhead %.2fx exceeds the 1.3x gate (mirroring is %.1fx)", r.Overhead.Ratio, r.Overhead.MirrorRatio)
-	}
-	return nil
+	d := r.Degraded
+	v.require(d.UserErrors == 0, "node-loss drill surfaced %d user-visible errors, want 0", d.UserErrors)
+	v.require(d.DegradedReads > 0, "drill read everything without a parity reconstruction; the node kill was ineffective")
+	v.require(d.BytesRead == r.Overhead.LogicalBytes, "drill served %d bytes, want the whole %d-byte file", d.BytesRead, r.Overhead.LogicalBytes)
+	v.require(r.Rebuild.Bytes > 0 && r.Rebuild.MBps > 0, "rebuild reported no work: %+v", r.Rebuild)
+	v.require(r.Rebuild.ScrubMismatches == 0, "%d parity mismatches after rebuild", r.Rebuild.ScrubMismatches)
+	v.require(r.Overhead.Ratio >= 1.0 && r.Overhead.Ratio <= 1.3, "4+1 space overhead %.2fx outside [1.0, 1.3] (mirroring is %.1fx)", r.Overhead.Ratio, r.Overhead.MirrorRatio)
+	return v.err()
 }

@@ -6,13 +6,8 @@ import (
 	"time"
 
 	"muxfs/internal/core"
-	"muxfs/internal/device"
-	"muxfs/internal/fs/extlite"
-	"muxfs/internal/fs/novafs"
-	"muxfs/internal/fs/xfslite"
 	"muxfs/internal/policy"
 	"muxfs/internal/policy/autotune"
-	"muxfs/internal/simclock"
 	"muxfs/internal/tenant"
 )
 
@@ -80,12 +75,6 @@ const (
 	e14ConvRecent = 64 // recency window: 64 × 256 KiB = 16 MiB
 )
 
-// E14Options bounds the experiment.
-type E14Options struct {
-	// Smoke runs the CI-sized variant: fewer rounds, relaxed gates.
-	Smoke bool
-}
-
 // E14Isolation is the victim/aggressor drill.
 type E14Isolation struct {
 	VictimAloneP99 time.Duration `json:"victim_alone_p99_ns"` // virtual
@@ -138,54 +127,24 @@ type E14Result struct {
 	Convergence E14Convergence `json:"convergence"`
 }
 
-// e14Env is a three-tier stack with a deliberately small fast tier.
-type e14Env struct {
-	clk *simclock.Clock
-	m   *core.Mux
-	pm  int // fast tier id
-}
-
-func newE14Env(pol policy.Policy) (*e14Env, error) {
-	clk := simclock.New()
-	pmProf := device.PMProfile("pmem0")
-	pmProf.Capacity = e14PMCap
-	// The capacity tiers are sized so the churn namespace (~1 GiB) never
-	// pushes SSD past the minimum watermark: E14 studies the PM boundary,
-	// and an SSD-level drain avalanche (tens of MiB per watermark probe)
-	// would swamp the churn signal the autotuner is being graded on.
-	// Device data is a sparse page map, so large capacities cost nothing.
-	ssdProf := device.SSDProfile("ssd0")
-	ssdProf.Capacity = 8 << 30
-	hddProf := device.HDDProfile("hdd0")
-	hddProf.Capacity = 16 << 30
-	pm := device.New(pmProf, clk)
-	ssd := device.New(ssdProf, clk)
-	hdd := device.New(hddProf, clk)
-	m, err := core.New(core.Config{Name: "mux", Clock: clk, Policy: pol})
-	if err != nil {
-		return nil, err
-	}
-	nova, err := novafs.New("nova@pmem0", pm, novafs.DefaultCosts())
-	if err != nil {
-		return nil, err
-	}
-	// Small per-FS page caches: on a consolidated host the scan's stream
-	// washes the shared DRAM, so the slow tiers cannot hide a tenant's
-	// working set in a private 128 MiB cache — tier placement has to be
-	// the latency lever, which is exactly what E14 measures.
-	xfs, err := xfslite.NewWithCache("xfs@ssd0", ssd, e14SlowCache)
-	if err != nil {
-		return nil, err
-	}
-	ext, err := extlite.NewWithCache("ext4@hdd0", hdd, e14SlowCache)
-	if err != nil {
-		return nil, err
-	}
-	e := &e14Env{clk: clk, m: m}
-	e.pm = m.AddTier(nova, pmProf)
-	m.AddTier(xfs, ssdProf)
-	m.AddTier(ext, hddProf)
-	return e, nil
+// newE14Stack builds a three-tier stack with a deliberately small fast
+// tier (tier 0).
+func newE14Stack(pol policy.Policy) (*stack, error) {
+	return newStack(stackSpec{
+		mux: core.Config{Name: "mux", Policy: pol},
+		// The capacity tiers are sized so the churn namespace (~1 GiB)
+		// never pushes SSD past the minimum watermark: E14 studies the PM
+		// boundary, and an SSD-level drain avalanche (tens of MiB per
+		// watermark probe) would swamp the churn signal the autotuner is
+		// being graded on. Device data is a sparse page map, so large
+		// capacities cost nothing.
+		caps: [3]int64{e14PMCap, 8 << 30, 16 << 30},
+		// Small per-FS page caches: on a consolidated host the scan's
+		// stream washes the shared DRAM, so the slow tiers cannot hide a
+		// tenant's working set in a private 128 MiB cache — tier placement
+		// has to be the latency lever, which is exactly what E14 measures.
+		pageCache: [3]int64{1: e14SlowCache, 2: e14SlowCache},
+	})
 }
 
 // e14Victim / e14Aggressor are the two tenant specs. Seeds are fixed: the
@@ -240,16 +199,16 @@ type e14IsoStats struct {
 	rates []float64 // per-tenant read service rate, ops per virtual ms
 }
 
-func e14IsoRun(env *e14Env, specs []tenant.Spec, warmup, rounds, ops int) (e14IsoStats, error) {
+func e14IsoRun(env *stack, specs []tenant.Spec, warmup, rounds, ops int) (e14IsoStats, error) {
 	var out e14IsoStats
 	var runners []*tenant.Runner
 	var victim *tenant.Runner
 	for _, s := range specs {
-		r, err := tenant.New(env.m, s)
+		r, err := tenant.New(env.mux, s)
 		if err != nil {
 			return out, err
 		}
-		if err := env.m.RegisterTenant(s.Name, s.Prefix); err != nil {
+		if err := env.mux.RegisterTenant(s.Name, s.Prefix); err != nil {
 			return out, err
 		}
 		if s.Name == "victim" {
@@ -261,7 +220,7 @@ func e14IsoRun(env *e14Env, specs []tenant.Spec, warmup, rounds, ops int) (e14Is
 	}
 	between := func(int) error {
 		env.clk.Advance(time.Millisecond)
-		_, err := env.m.RunPolicyOnce()
+		_, err := env.mux.RunPolicyOnce()
 		return err
 	}
 	// The scan arrives FIRST and floods the fast tier; the victim then
@@ -274,20 +233,20 @@ func e14IsoRun(env *e14Env, specs []tenant.Spec, warmup, rounds, ops int) (e14Is
 			return out, err
 		}
 	}
-	if err := e14Seed(env.m, victim); err != nil {
+	if err := e14Seed(env.mux, victim); err != nil {
 		return out, err
 	}
 	if err := tenant.RunRounds(runners, warmup, ops, between); err != nil {
 		return out, err
 	}
-	base := env.m.ReadLatSnapshot("victim")
-	baseTel := env.m.TenantTelemetrySnapshot()
+	base := env.mux.ReadLatSnapshot("victim")
+	baseTel := env.mux.TenantTelemetrySnapshot()
 	if err := tenant.RunRounds(runners, rounds, ops, between); err != nil {
 		return out, err
 	}
-	win := env.m.ReadLatSnapshot("victim").Delta(base)
+	win := env.mux.ReadLatSnapshot("victim").Delta(base)
 	out.p99 = time.Duration(win.Quantile(0.99))
-	for i, t := range env.m.TenantTelemetrySnapshot() {
+	for i, t := range env.mux.TenantTelemetrySnapshot() {
 		dReads := t.Reads - baseTel[i].Reads
 		dSum := float64(t.ReadMean)*float64(t.Reads) - float64(baseTel[i].ReadMean)*float64(baseTel[i].Reads)
 		if dSum > 0 {
@@ -317,15 +276,15 @@ func e14FastReadFrac(m *core.Mux, fastID int) (int64, int64) {
 // non-nil the autotuner engages after prewarm rounds — the fill transient
 // (an empty fast tier scores perfectly no matter the knobs) is not a
 // baseline worth learning from.
-func e14ConvRun(env *e14Env, prewarm, rounds, window, ops int, tune *autotune.Options) (float64, error) {
+func e14ConvRun(env *stack, prewarm, rounds, window, ops int, tune *autotune.Options) (float64, error) {
 	spec := tenant.Spec{Name: "tuneme", Prefix: "/w/", Files: e14ConvFiles,
 		FileSize: e14ConvSize, OpSize: e14ConvOp, ReadFrac: 0.75,
 		Churn: true, Recent: e14ConvRecent, Seed: 77}
-	r, err := tenant.New(env.m, spec)
+	r, err := tenant.New(env.mux, spec)
 	if err != nil {
 		return 0, err
 	}
-	if err := env.m.RegisterTenant(spec.Name, spec.Prefix); err != nil {
+	if err := env.mux.RegisterTenant(spec.Name, spec.Prefix); err != nil {
 		return 0, err
 	}
 	if err := r.Populate(0); err != nil {
@@ -334,7 +293,7 @@ func e14ConvRun(env *e14Env, prewarm, rounds, window, ops int, tune *autotune.Op
 	var f0, t0 int64
 	between := func(n int) error {
 		if n == prewarm && tune != nil {
-			if err := env.m.EnableAutotune(*tune); err != nil {
+			if err := env.mux.EnableAutotune(*tune); err != nil {
 				return err
 			}
 		}
@@ -342,37 +301,38 @@ func e14ConvRun(env *e14Env, prewarm, rounds, window, ops int, tune *autotune.Op
 			// Measure the settled configuration: pin the knobs (reverting
 			// any in-flight probe) so the window is not polluted by probe
 			// transients the tuner would have reverted anyway.
-			if tn := env.m.Autotuner(); tn != nil {
+			if tn := env.mux.Autotuner(); tn != nil {
 				tn.Freeze()
 			}
-			f0, t0 = e14FastReadFrac(env.m, env.pm)
+			f0, t0 = e14FastReadFrac(env.mux, 0)
 		}
 		env.clk.Advance(time.Millisecond)
-		_, err := env.m.RunPolicyOnce()
+		_, err := env.mux.RunPolicyOnce()
 		return err
 	}
 	if err := tenant.RunRounds([]*tenant.Runner{r}, rounds, ops, between); err != nil {
 		return 0, err
 	}
-	f1, t1 := e14FastReadFrac(env.m, env.pm)
+	f1, t1 := e14FastReadFrac(env.mux, 0)
 	if t1 == t0 {
 		return 0, fmt.Errorf("E14: no reads in the final %d-round window", window)
 	}
 	return float64(f1-f0) / float64(t1-t0), nil
 }
 
-// RunE14 runs the multi-tenant isolation + autotuning experiment.
-func RunE14(opts E14Options) (E14Result, error) {
-	r := E14Result{Smoke: opts.Smoke}
+// RunE14 runs the multi-tenant isolation + autotuning experiment. Smoke
+// runs fewer rounds and relaxes the isolation and convergence gates.
+func RunE14(size Size) (E14Result, error) {
+	r := E14Result{Smoke: size == Smoke}
 	warmup, rounds, ops := 4, 8, 200
 	convPrewarm, convRounds, convWindow, convOps := 10, 260, 12, 300
-	if opts.Smoke {
+	if r.Smoke {
 		warmup, rounds, ops = 3, 5, 150
 		convPrewarm, convRounds, convWindow, convOps = 8, 140, 10, 300
 	}
 
 	// --- Isolation drill: three runs on identical fresh stacks. ---
-	alone, err := newE14Env(policy.DefaultLRU())
+	alone, err := newE14Stack(policy.DefaultLRU())
 	if err != nil {
 		return r, err
 	}
@@ -381,7 +341,7 @@ func RunE14(opts E14Options) (E14Result, error) {
 		return r, fmt.Errorf("E14 victim-alone: %w", err)
 	}
 
-	unprot, err := newE14Env(policy.DefaultLRU())
+	unprot, err := newE14Stack(policy.DefaultLRU())
 	if err != nil {
 		return r, err
 	}
@@ -394,14 +354,14 @@ func RunE14(opts E14Options) (E14Result, error) {
 		Base:   policy.DefaultLRU(),
 		Quotas: []policy.Quota{{Prefix: "/scan/", Tier: 0, Bytes: e14QuotaBytes}},
 	}
-	prot, err := newE14Env(protPol)
+	prot, err := newE14Stack(protPol)
 	if err != nil {
 		return r, err
 	}
-	if err := prot.m.EnableSCMCache(prot.pm, e14CacheBytes); err != nil {
+	if err := prot.mux.EnableSCMCache(0, e14CacheBytes); err != nil {
 		return r, err
 	}
-	if err := prot.m.EnableAutotune(autotune.Options{}); err != nil {
+	if err := prot.mux.EnableAutotune(autotune.Options{}); err != nil {
 		return r, err
 	}
 	p, err := e14IsoRun(prot, []tenant.Spec{e14Victim(), e14Aggressor()}, warmup, rounds, ops)
@@ -413,13 +373,13 @@ func RunE14(opts E14Options) (E14Result, error) {
 		VictimAloneP99: a.p99, UnprotP99: u.p99, ProtP99: p.p99,
 		AggrQuotaBytes: e14QuotaBytes,
 		UnprotJain:     jain(u.rates), ProtJain: jain(p.rates),
-		QuotaDemotions: prot.m.LastMigration().QuotaDemotions,
+		QuotaDemotions: prot.mux.LastMigration().QuotaDemotions,
 	}
 	if a.p99 > 0 {
 		iso.UnprotRatio = float64(u.p99) / float64(a.p99)
 		iso.ProtRatio = float64(p.p99) / float64(a.p99)
 	}
-	for _, t := range prot.m.TenantTelemetrySnapshot() {
+	for _, t := range prot.mux.TenantTelemetrySnapshot() {
 		switch t.Name {
 		case "scan":
 			iso.AggrFastBytes = t.FastBytes
@@ -430,7 +390,7 @@ func RunE14(opts E14Options) (E14Result, error) {
 	r.Isolation = iso
 
 	// --- Convergence: hand-tuned LRU vs autotuned bad start. ---
-	hand, err := newE14Env(policy.DefaultLRU())
+	hand, err := newE14Stack(policy.DefaultLRU())
 	if err != nil {
 		return r, err
 	}
@@ -444,13 +404,13 @@ func RunE14(opts E14Options) (E14Result, error) {
 		LowWatermark:  0.30,
 		PromoteWindow: 50 * time.Microsecond,
 	}
-	tuned, err := newE14Env(badPol)
+	tuned, err := newE14Stack(badPol)
 	if err != nil {
 		return r, err
 	}
 	// Low hysteresis: single watermark steps move the objective only a few
 	// percent, and with default 2% hysteresis the climb stalls on the
-	// plateau. 1% still damps oscillation (CheckE14 verifies).
+	// plateau. 1% still damps oscillation (Check verifies).
 	// DecideEvery 2: the LRU drain fires roughly every other round under
 	// this ingest rate, so per-round intervals alternate drained/refilling
 	// and a one-round verdict scores the phase, not the probe. Spanning two
@@ -461,7 +421,7 @@ func RunE14(opts E14Options) (E14Result, error) {
 		return r, fmt.Errorf("E14 tuned: %w", err)
 	}
 
-	tn := tuned.m.Autotuner()
+	tn := tuned.mux.Autotuner()
 	st := tn.Status()
 	log := tn.Log()
 	conv := E14Convergence{
@@ -498,8 +458,8 @@ func RunE14(opts E14Options) (E14Result, error) {
 	return r, nil
 }
 
-// FormatE14 renders the result tables.
-func FormatE14(w io.Writer, r E14Result) {
+// Format renders the result tables.
+func (r E14Result) Format(w io.Writer) {
 	mode := "full"
 	if r.Smoke {
 		mode = "smoke"
@@ -533,38 +493,30 @@ func fmtMiB(n int64) string {
 	return fmt.Sprintf("%.1fMiB", float64(n)/float64(1<<20))
 }
 
-// CheckE14 enforces the experiment's acceptance gates.
-func CheckE14(r E14Result) error {
-	maxProt, minRatio := 2.0, 0.80
-	if r.Smoke {
-		maxProt, minRatio = 2.5, 0.70
-	}
-	i := r.Isolation
-	if i.ProtRatio > maxProt {
-		return fmt.Errorf("E14: protected victim p99 inflated %.2fx (gate %.1fx)", i.ProtRatio, maxProt)
-	}
-	if i.UnprotRatio <= i.ProtRatio {
-		return fmt.Errorf("E14: protection changed nothing (unprot %.2fx vs prot %.2fx)", i.UnprotRatio, i.ProtRatio)
-	}
-	if i.AggrFastBytes > 2*i.AggrQuotaBytes {
-		return fmt.Errorf("E14: aggressor holds %s of fast tier against a %s quota", fmtMiB(i.AggrFastBytes), fmtMiB(i.AggrQuotaBytes))
-	}
-	if i.VictimFastBytes == 0 {
-		return fmt.Errorf("E14: victim lost its entire fast-tier residency under protection")
-	}
-	c := r.Convergence
-	if c.Ratio < minRatio {
-		return fmt.Errorf("E14: autotuned score %.3f is only %.0f%% of hand-tuned %.3f (gate %.0f%%)",
+// Check requires the quota to hold the aggressor's fast-tier bytes down
+// while the victim keeps its residency, and the autotuner to accept at
+// least one probe from the bad start with a monotone accepted-score audit
+// trail. At AllGates it adds the isolation and convergence claims: the
+// protected victim's p99 inflation (<= 2x, 2.5x at smoke size) beats the
+// unprotected one, the tuned score reaches 80% of hand-tuned (70% smoke),
+// and the full run settles (at most two late accepts).
+func (r E14Result) Check(g Gates) error {
+	var v verdict
+	i, c := r.Isolation, r.Convergence
+	v.require(i.AggrFastBytes <= 2*i.AggrQuotaBytes, "aggressor holds %s of fast tier against a %s quota", fmtMiB(i.AggrFastBytes), fmtMiB(i.AggrQuotaBytes))
+	v.require(i.VictimFastBytes > 0, "victim lost its entire fast-tier residency under protection")
+	v.require(c.Accepted > 0, "controller accepted no probes from the bad start")
+	v.require(c.MonotoneAccepts, "accepted scores regressed — monotonicity broken")
+	if g >= AllGates {
+		maxProt, minRatio := 2.0, 0.80
+		if r.Smoke {
+			maxProt, minRatio = 2.5, 0.70
+		}
+		v.require(i.ProtRatio <= maxProt, "protected victim p99 inflated %.2fx (gate %.1fx)", i.ProtRatio, maxProt)
+		v.require(i.UnprotRatio > i.ProtRatio, "protection changed nothing (unprot %.2fx vs prot %.2fx)", i.UnprotRatio, i.ProtRatio)
+		v.require(c.Ratio >= minRatio, "autotuned score %.3f is only %.0f%% of hand-tuned %.3f (gate %.0f%%)",
 			c.TunedScore, 100*c.Ratio, c.HandScore, 100*minRatio)
+		v.require(r.Smoke || c.LateAccepts <= 2, "%d accepts in the last quarter of the log — still oscillating", c.LateAccepts)
 	}
-	if c.Accepted == 0 {
-		return fmt.Errorf("E14: controller accepted no probes from the bad start")
-	}
-	if !c.MonotoneAccepts {
-		return fmt.Errorf("E14: accepted scores regressed — monotonicity broken")
-	}
-	if !r.Smoke && c.LateAccepts > 2 {
-		return fmt.Errorf("E14: %d accepts in the last quarter of the log — still oscillating", c.LateAccepts)
-	}
-	return nil
+	return v.err()
 }

@@ -45,13 +45,27 @@ func RunE2() (*E2Result, error) {
 	return res, nil
 }
 
+// Check holds E2 to Figure 3b: Mux wins on every device (paper: 1.08× /
+// 1.46× / 1.07×) with the largest gap on the SSD, and faster devices move
+// more data per second.
+func (r *E2Result) Check(Gates) error {
+	var v verdict
+	for _, row := range r.Rows {
+		v.require(row.Speedup >= 1.0 && row.Speedup <= 2.5, "%s speedup = %.2fx, want >= 1 and sane", row.Device, row.Speedup)
+	}
+	v.require(r.Rows[1].Speedup > r.Rows[0].Speedup && r.Rows[1].Speedup > r.Rows[2].Speedup,
+		"SSD should show the largest Mux advantage: %.2f/%.2f/%.2f", r.Rows[0].Speedup, r.Rows[1].Speedup, r.Rows[2].Speedup)
+	v.require(r.Rows[0].MuxMBps > r.Rows[1].MuxMBps && r.Rows[1].MuxMBps > r.Rows[2].MuxMBps,
+		"device-speed ordering broken: %.0f/%.0f/%.0f MB/s", r.Rows[0].MuxMBps, r.Rows[1].MuxMBps, r.Rows[2].MuxMBps)
+	return v.err()
+}
+
 func muxDeviceWriteMBps(tier int) (float64, error) {
-	s, err := NewMuxStack(nil)
+	s, err := newStack(paperSpec(policy.Pinned{Tier: tier}))
 	if err != nil {
 		return 0, err
 	}
-	s.SetPolicy(policy.Pinned{Tier: s.IDs[tier]})
-	f, err := s.Mux.Create("/load")
+	f, err := s.mux.Create("/load")
 	if err != nil {
 		return 0, err
 	}
@@ -60,7 +74,7 @@ func muxDeviceWriteMBps(tier int) (float64, error) {
 		return 0, err
 	}
 
-	w := simclock.StartWatch(s.Clk)
+	w := simclock.StartWatch(s.clk)
 	if err := randomWrites(f, e2FileSize, e2TotalWrite, e2BlockSize, 11); err != nil {
 		return 0, err
 	}

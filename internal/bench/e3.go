@@ -44,6 +44,19 @@ func RunE3() (*E3Result, error) {
 	return res, nil
 }
 
+// Check holds E3 to §3.2: the indirection's worst-case overhead is large
+// on the fast cached paths (paper: +52.4% PM, +87.3% SSD) and small on the
+// slow software path (+6.6% HDD), ordered SSD > PM > HDD.
+func (r *E3Result) Check(Gates) error {
+	var v verdict
+	pm, ssd, hdd := r.Rows[0].OverheadPct, r.Rows[1].OverheadPct, r.Rows[2].OverheadPct
+	v.require(ssd > pm && pm > hdd, "overhead ordering = %.1f/%.1f/%.1f, want SSD > PM > HDD", pm, ssd, hdd)
+	v.require(pm >= 30 && pm <= 80, "PM overhead %.1f%%, want near +52.4%%", pm)
+	v.require(ssd >= 60 && ssd <= 120, "SSD overhead %.1f%%, want near +87.3%%", ssd)
+	v.require(hdd >= 2 && hdd <= 15, "HDD overhead %.1f%%, want near +6.6%%", hdd)
+	return v.err()
+}
+
 // prepReadFile fills and cache-warms a file, returning it ready to measure.
 func prepReadFile(f vfs.File) error {
 	if err := seqFill(f, e3FileSize, 5); err != nil {
@@ -55,11 +68,11 @@ func prepReadFile(f vfs.File) error {
 }
 
 func nativeReadLatency(tier int) (time.Duration, error) {
-	s, err := NewNativeStack()
+	s, err := newStack(paperSpec(nil))
 	if err != nil {
 		return 0, err
 	}
-	f, err := s.FSes[tier].Create("/readfile")
+	f, err := s.fses[tier].Create("/readfile")
 	if err != nil {
 		return 0, err
 	}
@@ -67,16 +80,15 @@ func nativeReadLatency(tier int) (time.Duration, error) {
 	if err := prepReadFile(f); err != nil {
 		return 0, err
 	}
-	return randomReads1B(s.Clk.Now, f, e3FileSize, e3Reads, 99)
+	return randomReads1B(s.clk.Now, f, e3FileSize, e3Reads, 99)
 }
 
 func muxReadLatency(tier int) (time.Duration, error) {
-	s, err := NewMuxStack(policy.Pinned{Tier: 0})
+	s, err := newStack(paperSpec(policy.Pinned{Tier: tier}))
 	if err != nil {
 		return 0, err
 	}
-	s.SetPolicy(policy.Pinned{Tier: s.IDs[tier]})
-	f, err := s.Mux.Create("/readfile")
+	f, err := s.mux.Create("/readfile")
 	if err != nil {
 		return 0, err
 	}
@@ -84,5 +96,5 @@ func muxReadLatency(tier int) (time.Duration, error) {
 	if err := prepReadFile(f); err != nil {
 		return 0, err
 	}
-	return randomReads1B(s.Clk.Now, f, e3FileSize, e3Reads, 99)
+	return randomReads1B(s.clk.Now, f, e3FileSize, e3Reads, 99)
 }

@@ -44,6 +44,16 @@ func RunE4() (*E4Result, error) {
 	return res, nil
 }
 
+// Check holds E4 to §3.2: the write overhead stays small single digits on
+// every device (paper: at most 3.5%).
+func (r *E4Result) Check(Gates) error {
+	var v verdict
+	for _, row := range r.Rows {
+		v.require(row.OverheadPct >= -0.5 && row.OverheadPct <= 5, "%s write overhead = %.2f%%, want small and non-negative", row.Device, row.OverheadPct)
+	}
+	return v.err()
+}
+
 // seqWrite4M writes e4Total bytes in e4Block sequential chunks and returns
 // throughput.
 func seqWrite4M(clk *simclock.Clock, f vfs.File) (float64, error) {
@@ -65,28 +75,27 @@ func seqWrite4M(clk *simclock.Clock, f vfs.File) (float64, error) {
 }
 
 func nativeSeqWriteMBps(tier int) (float64, error) {
-	s, err := NewNativeStack()
+	s, err := newStack(paperSpec(nil))
 	if err != nil {
 		return 0, err
 	}
-	f, err := s.FSes[tier].Create("/seq")
+	f, err := s.fses[tier].Create("/seq")
 	if err != nil {
 		return 0, err
 	}
 	defer f.Close()
-	return seqWrite4M(s.Clk, f)
+	return seqWrite4M(s.clk, f)
 }
 
 func muxSeqWriteMBps(tier int) (float64, error) {
-	s, err := NewMuxStack(policy.Pinned{Tier: 0})
+	s, err := newStack(paperSpec(policy.Pinned{Tier: tier}))
 	if err != nil {
 		return 0, err
 	}
-	s.SetPolicy(policy.Pinned{Tier: s.IDs[tier]})
-	f, err := s.Mux.Create("/seq")
+	f, err := s.mux.Create("/seq")
 	if err != nil {
 		return 0, err
 	}
 	defer f.Close()
-	return seqWrite4M(s.Clk, f)
+	return seqWrite4M(s.clk, f)
 }

@@ -7,12 +7,7 @@ import (
 	"time"
 
 	"muxfs/internal/core"
-	"muxfs/internal/device"
-	"muxfs/internal/fs/extlite"
-	"muxfs/internal/fs/novafs"
-	"muxfs/internal/fs/xfslite"
 	"muxfs/internal/policy"
-	"muxfs/internal/simclock"
 	"muxfs/internal/vfs"
 )
 
@@ -168,84 +163,20 @@ func (f *slowFile) Sync() error {
 	return f.File.Sync()
 }
 
-// e5Stack is a three-tier Mux whose tiers sit behind slowFS governors.
-type e5Stack struct {
-	clk  *simclock.Clock
-	mux  *core.Mux
-	fses [3]vfs.FileSystem // the governed tiers, for placement inspection
-	govs [3]*slowFS
+// slowTiers are one stack's per-tier slowFS governors.
+type slowTiers [3]*slowFS
+
+// govern is a stackSpec.govern that puts tier i behind a fresh governor.
+func (g *slowTiers) govern(i int, fs vfs.FileSystem) vfs.FileSystem {
+	g[i] = &slowFS{FileSystem: fs}
+	return g[i]
 }
 
 // arm turns on every tier's service-time governor.
-func (s *e5Stack) arm() {
-	for _, g := range s.govs {
-		g.armed.Store(true)
+func (g *slowTiers) arm() {
+	for _, s := range g {
+		s.armed.Store(true)
 	}
-}
-
-func newE5Stack(workers int) (*e5Stack, error) {
-	clk := simclock.New()
-	profs := [3]device.Profile{
-		device.PMProfile("pmem0"),
-		device.SSDProfile("ssd0"),
-		device.HDDProfile("hdd0"),
-	}
-	devs := [3]*device.Device{}
-	for i, p := range profs {
-		devs[i] = device.New(p, clk)
-	}
-	nova, err := novafs.New("nova@pmem0", devs[0], novafs.DefaultCosts())
-	if err != nil {
-		return nil, err
-	}
-	xfs, err := xfslite.New("xfs@ssd0", devs[1])
-	if err != nil {
-		return nil, err
-	}
-	ext, err := extlite.New("ext4@hdd0", devs[2])
-	if err != nil {
-		return nil, err
-	}
-	s := &e5Stack{clk: clk}
-	s.govs[0] = &slowFS{FileSystem: nova}
-	s.govs[1] = &slowFS{FileSystem: xfs}
-	s.govs[2] = &slowFS{FileSystem: ext}
-	for i, g := range s.govs {
-		s.fses[i] = g
-	}
-
-	m, err := core.New(core.Config{
-		Name:             "mux-e5",
-		Clock:            clk,
-		Policy:           policy.Pinned{Tier: 0},
-		MigrationWorkers: workers,
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i := range s.fses {
-		m.AddTier(s.fses[i], profs[i])
-	}
-	s.mux = m
-	return s, nil
-}
-
-// e5Placement maps path -> blocks per tier, read from the native FSes.
-func (s *e5Stack) placement() (map[string][3]int64, error) {
-	out := map[string][3]int64{}
-	for i := 0; i < e5Files; i++ {
-		path := fmt.Sprintf("/e5/f%02d", i)
-		var row [3]int64
-		for tier, fs := range s.fses {
-			fi, err := fs.Stat(path)
-			if err != nil {
-				continue // not present on this tier
-			}
-			row[tier] = fi.Blocks
-		}
-		out[path] = row
-	}
-	return out, nil
 }
 
 // e5RotatePolicy plans one whole-file move per file, from its current tier
@@ -275,7 +206,11 @@ func e5RotatePolicy() policy.Policy {
 // runE5Config stages the workload, rotates it once, and reports the round's
 // stats plus the final placement.
 func runE5Config(workers int) (core.MigrationStats, map[string][3]int64, error) {
-	s, err := newE5Stack(workers)
+	var govs slowTiers
+	s, err := newStack(stackSpec{
+		mux:    core.Config{Name: "mux-e5", Policy: policy.Pinned{Tier: 0}, MigrationWorkers: workers},
+		govern: govs.govern,
+	})
 	if err != nil {
 		return core.MigrationStats{}, nil, err
 	}
@@ -303,16 +238,12 @@ func runE5Config(workers int) (core.MigrationStats, map[string][3]int64, error) 
 		}
 	}
 	s.mux.SetPolicy(e5RotatePolicy())
-	s.arm()
+	govs.arm()
 	st, err := s.mux.RunPolicyOnce()
 	if err != nil {
 		return core.MigrationStats{}, nil, err
 	}
-	placement, err := s.placement()
-	if err != nil {
-		return core.MigrationStats{}, nil, err
-	}
-	return st, placement, nil
+	return st, s.placement("/e5", e5Files), nil
 }
 
 // RunE5 measures migration-round wall time at 1, 4, and 8 workers.
@@ -355,4 +286,20 @@ func RunE5() (*E5Result, error) {
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
+}
+
+// Check requires identical placement and the full workload moved at every
+// worker count, and wall time improving with workers. The acceptance bar
+// (>= 2x at 4 workers) is gated loosely enough to hold under load and the
+// race detector, and recorded precisely in EXPERIMENTS.md.
+func (r *E5Result) Check(Gates) error {
+	var v verdict
+	v.require(len(r.Rows) == 3, "want rows for 1/4/8 workers, got %d", len(r.Rows))
+	v.require(r.Deterministic, "post-migration placement diverged across worker counts")
+	for _, row := range r.Rows {
+		v.require(row.Executed == e5Files, "workers=%d executed %d moves, want %d", row.Workers, row.Executed, e5Files)
+		v.require(row.BytesMoved == int64(e5Files)*e5FileSize, "workers=%d moved %d bytes", row.Workers, row.BytesMoved)
+	}
+	v.require(r.SpeedupAt4 >= 1.3, "4-worker speedup = %.2fx, want clearly > 1x", r.SpeedupAt4)
+	return v.err()
 }

@@ -9,11 +9,7 @@ import (
 
 	"muxfs/internal/core"
 	"muxfs/internal/device"
-	"muxfs/internal/fs/extlite"
-	"muxfs/internal/fs/novafs"
-	"muxfs/internal/fs/xfslite"
 	"muxfs/internal/policy"
-	"muxfs/internal/simclock"
 	"muxfs/internal/vfs"
 )
 
@@ -86,13 +82,6 @@ type E6Result struct {
 	Deterministic bool
 }
 
-// e6Stack is the drill's three-tier Mux with direct device access.
-type e6Stack struct {
-	clk  *simclock.Clock
-	mux  *core.Mux
-	devs [3]*device.Device
-}
-
 // e6Policy places /e6/w* files on the SSD tier and everything else on PM,
 // honoring the (possibly quarantine-filtered) tier list it is given; when
 // the preferred tier is hidden it falls back to the fastest tier offered.
@@ -113,46 +102,6 @@ func e6Policy() policy.Policy {
 			return tiers[0].ID
 		},
 	}
-}
-
-func newE6Stack() (*e6Stack, error) {
-	clk := simclock.New()
-	s := &e6Stack{clk: clk}
-	profs := [3]device.Profile{
-		device.PMProfile("pmem0"),
-		device.SSDProfile("ssd0"),
-		device.HDDProfile("hdd0"),
-	}
-	for i, p := range profs {
-		s.devs[i] = device.New(p, clk)
-	}
-	nova, err := novafs.New("nova@pmem0", s.devs[0], novafs.DefaultCosts())
-	if err != nil {
-		return nil, err
-	}
-	xfs, err := xfslite.New("xfs@ssd0", s.devs[1])
-	if err != nil {
-		return nil, err
-	}
-	ext, err := extlite.New("ext4@hdd0", s.devs[2])
-	if err != nil {
-		return nil, err
-	}
-	m, err := core.New(core.Config{
-		Name:            "mux-e6",
-		Clock:           clk,
-		Policy:          e6Policy(),
-		RetryBackoff:    e6Backoff,
-		BreakerCooldown: e6Cooldown,
-	})
-	if err != nil {
-		return nil, err
-	}
-	m.AddTier(nova, profs[0])
-	m.AddTier(xfs, profs[1])
-	m.AddTier(ext, profs[2])
-	s.mux = m
-	return s, nil
 }
 
 func e6RPath(i int) string { return fmt.Sprintf("/e6/r%02d", i) }
@@ -187,7 +136,12 @@ type e6Run struct {
 // e6Drill runs the three-phase drill. With replicated=false it stops after
 // phase B (there is nothing to repair) and only the error counts matter.
 func e6Drill(replicated bool, seed int64) (*e6Run, error) {
-	s, err := newE6Stack()
+	s, err := newStack(stackSpec{mux: core.Config{
+		Name:            "mux-e6",
+		Policy:          e6Policy(),
+		RetryBackoff:    e6Backoff,
+		BreakerCooldown: e6Cooldown,
+	}})
 	if err != nil {
 		return nil, err
 	}
@@ -388,4 +342,26 @@ func RunE6() (*E6Result, error) {
 		PlainOps:          plain.plainOp,
 		Deterministic:     *a == *b,
 	}, nil
+}
+
+// Check requires the replicated working set to ride out both fault phases
+// without a single user-visible error while the unreplicated baseline
+// collapses; transient faults absorbed by retry, not masked by chance; the
+// breaker quarantining the faulty tier; every degraded mirror repaired;
+// and identical counters across seeded reruns.
+func (r *E6Result) Check(Gates) error {
+	var v verdict
+	v.require(r.TransientUserErrs == 0, "transient phase: %d user-visible errors, want 0", r.TransientUserErrs)
+	v.require(r.OutageUserErrs == 0, "outage phase: %d user-visible errors, want 0", r.OutageUserErrs)
+	v.require(r.PlainUserErrs > 0, "unreplicated baseline saw no errors — the injected outage did nothing")
+	v.require(r.TransientFaults > 0, "transient phase injected no device faults — probability miscalibrated")
+	v.require(r.TransientRetries > 0, "no retries recorded — transient faults were not absorbed by the retry path")
+	v.require(r.Quarantined, "sticky outage did not quarantine the faulty tier")
+	v.require(r.MigrateRefused, "migration onto the quarantined tier was not refused")
+	v.require(r.DegradedReplicas == e6WFiles, "degraded replicas = %d, want %d", r.DegradedReplicas, e6WFiles)
+	v.require(r.Repaired == r.DegradedReplicas, "repaired %d of %d degraded replicas", r.Repaired, r.DegradedReplicas)
+	v.require(r.HealthyAfter, "tier did not return to healthy after recovery")
+	v.require(r.FailbackOK, "repaired PM mirrors could not serve reads when the SSD tier failed")
+	v.require(r.Deterministic, "drill counters diverged across seeded reruns")
+	return v.err()
 }

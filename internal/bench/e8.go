@@ -8,12 +8,7 @@ import (
 	"time"
 
 	"muxfs/internal/core"
-	"muxfs/internal/device"
-	"muxfs/internal/fs/extlite"
-	"muxfs/internal/fs/novafs"
-	"muxfs/internal/fs/xfslite"
 	"muxfs/internal/policy"
-	"muxfs/internal/simclock"
 	"muxfs/internal/vfs"
 )
 
@@ -53,10 +48,10 @@ const (
 	// full hot-file rewrite holds the device ~1.5 ms of wall time.
 	e8WriteService = 12 * time.Millisecond / (1 << 20)
 
-	// e8DefaultIters is the total measured loop iterations per
-	// configuration (split across the client goroutines, so every
-	// configuration performs identical work).
-	e8DefaultIters = 16384
+	// e8Iters is the total measured loop iterations per configuration
+	// (split across the client goroutines, so every configuration performs
+	// identical work).
+	e8Iters = 16384
 )
 
 // e8Goroutines is the client-count sweep.
@@ -129,69 +124,26 @@ func (f *writeLagFile) WriteAt(p []byte, off int64) (int, error) {
 	return f.File.WriteAt(p, off)
 }
 
-// e8Stack is the canonical three-tier Mux with write-governed tiers and
-// everything pinned to the PM tier (placement is not under test).
-type e8Stack struct {
-	clk  *simclock.Clock
-	mux  *core.Mux
-	govs [3]*writeLagFS
+// writeLagTiers are one stack's per-tier writeLagFS governors.
+type writeLagTiers [3]*writeLagFS
+
+// govern is a stackSpec.govern that puts tier i behind a fresh governor.
+func (g *writeLagTiers) govern(i int, fs vfs.FileSystem) vfs.FileSystem {
+	g[i] = &writeLagFS{FileSystem: fs}
+	return g[i]
 }
 
-func (s *e8Stack) arm(on bool) {
-	for _, g := range s.govs {
-		g.armed.Store(on)
+func (g *writeLagTiers) arm(on bool) {
+	for _, s := range g {
+		s.armed.Store(on)
 	}
-}
-
-func newE8Stack(disableTel bool) (*e8Stack, error) {
-	clk := simclock.New()
-	profs := [3]device.Profile{
-		device.PMProfile("pmem0"),
-		device.SSDProfile("ssd0"),
-		device.HDDProfile("hdd0"),
-	}
-	devs := [3]*device.Device{}
-	for i, p := range profs {
-		devs[i] = device.New(p, clk)
-	}
-	nova, err := novafs.New("nova@pmem0", devs[0], novafs.DefaultCosts())
-	if err != nil {
-		return nil, err
-	}
-	xfs, err := xfslite.New("xfs@ssd0", devs[1])
-	if err != nil {
-		return nil, err
-	}
-	ext, err := extlite.New("ext4@hdd0", devs[2])
-	if err != nil {
-		return nil, err
-	}
-	s := &e8Stack{clk: clk}
-	s.govs[0] = &writeLagFS{FileSystem: nova}
-	s.govs[1] = &writeLagFS{FileSystem: xfs}
-	s.govs[2] = &writeLagFS{FileSystem: ext}
-	m, err := core.New(core.Config{
-		Name:             "mux-e8",
-		Clock:            clk,
-		Policy:           policy.Pinned{Tier: 0},
-		DisableTelemetry: disableTel,
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, g := range s.govs {
-		m.AddTier(g, profs[i])
-	}
-	s.mux = m
-	return s, nil
 }
 
 func e8HotPath(i int) string  { return fmt.Sprintf("/hot/h%d", i) }
 func e8ColdPath(i int) string { return fmt.Sprintf("/cold/d%d/f%02d", i/e8ColdPerDir, i%e8ColdPerDir) }
 
 // e8Stage builds the namespace and working set with the governor disarmed.
-func e8Stage(s *e8Stack, hotPat []byte) error {
-	m := s.mux
+func e8Stage(m *core.Mux, hotPat []byte) error {
 	for _, dir := range []string{"/hot", "/cold", "/churn"} {
 		if err := m.Mkdir(dir); err != nil {
 			return err
@@ -231,20 +183,17 @@ func e8Stage(s *e8Stack, hotPat []byte) error {
 	return nil
 }
 
-// runE8Config measures one client count against a fresh stack. iters is the
-// total measured loop iterations, split evenly across the g clients.
-func runE8Config(g, iters int) (E8Row, bool, bool, error) {
-	row, identical, consistent, _, err := runE8ConfigTel(g, iters, false)
-	return row, identical, consistent, err
-}
-
-// runE8ConfigTel is runE8Config with an explicit telemetry mode; it also
-// returns the stack's telemetry snapshot so E9 can report per-tier latency
-// distributions from the instrumented run.
-func runE8ConfigTel(g, iters int, disableTel bool) (E8Row, bool, bool, core.TelemetrySnapshot, error) {
+// runE8Config measures one client count against a fresh stack, with
+// telemetry on or off. It also returns the stack's telemetry snapshot so E9
+// can report per-tier latency distributions from the instrumented run.
+func runE8Config(g int, disableTel bool) (E8Row, bool, bool, core.TelemetrySnapshot, error) {
 	var noTel core.TelemetrySnapshot
 	row := E8Row{G: g}
-	s, err := newE8Stack(disableTel)
+	var govs writeLagTiers
+	s, err := newStack(stackSpec{
+		mux:    core.Config{Name: "mux-e8", Policy: policy.Pinned{Tier: 0}, DisableTelemetry: disableTel},
+		govern: govs.govern,
+	})
 	if err != nil {
 		return row, false, false, noTel, err
 	}
@@ -252,7 +201,7 @@ func runE8ConfigTel(g, iters int, disableTel bool) (E8Row, bool, bool, core.Tele
 	for i := range hotPat {
 		hotPat[i] = byte(i*13 + i/257)
 	}
-	if err := e8Stage(s, hotPat); err != nil {
+	if err := e8Stage(s.mux, hotPat); err != nil {
 		return row, false, false, noTel, err
 	}
 	m := s.mux
@@ -275,8 +224,8 @@ func runE8ConfigTel(g, iters int, disableTel bool) (E8Row, bool, bool, core.Tele
 			h.Close()
 		}
 	}()
-	s.arm(true)
-	defer s.arm(false)
+	govs.arm(true)
+	defer govs.arm(false)
 	stop := make(chan struct{})
 	var writerWG sync.WaitGroup
 	for w := 0; w < e8Writers; w++ {
@@ -302,7 +251,7 @@ func runE8ConfigTel(g, iters int, disableTel bool) (E8Row, bool, bool, core.Tele
 	// open+close, 2 cold stats, 1 create+unlink churn pair.
 	nCold := e8ColdDirs * e8ColdPerDir
 	nBlocks := e8HotSize / 4096
-	per := iters / g
+	per := e8Iters / g
 	if per < 1 {
 		per = 1
 	}
@@ -383,7 +332,7 @@ func runE8ConfigTel(g, iters int, disableTel bool) (E8Row, bool, bool, core.Tele
 	wall := time.Since(start)
 	close(stop)
 	writerWG.Wait()
-	s.arm(false)
+	govs.arm(false)
 	if ep := firstErr.Load(); ep != nil {
 		return row, false, false, noTel, *ep
 	}
@@ -415,18 +364,12 @@ func runE8ConfigTel(g, iters int, disableTel bool) (E8Row, bool, bool, core.Tele
 	return row, byteIdentical, consistent, s.mux.Telemetry(), nil
 }
 
-// RunE8 measures the full client sweep at the default iteration budget.
+// RunE8 measures the full client sweep.
 func RunE8() (*E8Result, error) {
-	return RunE8Sized(e8DefaultIters)
-}
-
-// RunE8Sized is RunE8 with a custom total-iteration budget per
-// configuration (tests use a small one).
-func RunE8Sized(iters int) (*E8Result, error) {
 	res := &E8Result{ByteIdentical: true, Consistent: true}
 	var base float64
 	for _, g := range e8Goroutines {
-		row, identical, consistent, err := runE8Config(g, iters)
+		row, identical, consistent, _, err := runE8Config(g, false)
 		if err != nil {
 			return nil, fmt.Errorf("E8 g=%d: %w", g, err)
 		}
@@ -449,4 +392,21 @@ func RunE8Sized(iters int) (*E8Result, error) {
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
+}
+
+// Check requires a measured row per client count and concurrency that
+// never trades away correctness: every cached read saw the staged pattern
+// and the namespace accounting balanced. Throughput itself is not gated;
+// EXPERIMENTS.md records it.
+func (r *E8Result) Check(Gates) error {
+	var v verdict
+	v.require(len(r.Rows) == len(e8Goroutines), "want %d sweep rows, got %d", len(e8Goroutines), len(r.Rows))
+	for i, row := range r.Rows {
+		v.require(i < len(e8Goroutines) && row.G == e8Goroutines[i], "row %d: goroutines = %d, want %v", i, row.G, e8Goroutines)
+		v.require(row.Ops > 0 && row.OpsPerSec > 0, "row g=%d: no ops measured (ops=%d ops/s=%.0f)", row.G, row.Ops, row.OpsPerSec)
+	}
+	v.require(r.OpsAt16 > 0, "missing headline OpsAt16 measurement")
+	v.require(r.ByteIdentical, "a concurrent cached read returned bytes != staged pattern")
+	v.require(r.Consistent, "Statfs accounting did not balance after churn")
+	return v.err()
 }

@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
 	"muxfs/internal/core"
@@ -15,17 +14,16 @@ import (
 // instruments are pre-resolved, recording is a handful of atomics, and the
 // disabled path is one atomic load — so the gate is a ≤5% ops/sec cost.
 //
-// Wall-clock noise control: each mode runs Reps times in alternating order
-// (off/on/off/on/...) and the per-mode MEDIAN throughput is compared, so a
-// scheduler hiccup in one rep cannot manufacture (or mask) overhead in
-// either direction. The enabled run's own snapshot supplies the per-tier op
+// Wall-clock noise control: each rep is a back-to-back off/on pair and the
+// overhead is the median over the pairs (pairedOverhead), so a scheduler
+// hiccup in one rep cannot manufacture (or mask) overhead in either
+// direction. The enabled run's own snapshot supplies the per-tier op
 // counts and latency quantiles the experiment reports — E9 doubles as the
 // end-to-end check that the instruments actually saw the workload.
 
 const (
-	e9Clients      = 16
-	e9DefaultIters = 16384
-	e9DefaultReps  = 5
+	e9Clients = 16
+	e9Reps    = 5
 )
 
 // E9Rep is one repetition of one mode.
@@ -60,8 +58,9 @@ type E9Result struct {
 	// OnOpsPerSec/OffOpsPerSec are each mode's median rep.
 	OnOpsPerSec  float64
 	OffOpsPerSec float64
-	// OverheadPct is the telemetry-on throughput cost in percent of the
-	// telemetry-off rate (negative values mean "on" measured faster — noise).
+	// OverheadPct is the median over the off/on pairs of telemetry-on's
+	// throughput cost in percent of the pair's telemetry-off rate (negative
+	// values mean "on" measured faster — noise).
 	OverheadPct float64
 
 	// Ops is the per-tier telemetry from the fastest enabled rep: counts,
@@ -78,55 +77,33 @@ type E9Result struct {
 	Consistent    bool
 }
 
-// RunE9 measures telemetry overhead at the default budget.
+// RunE9 measures telemetry overhead.
 func RunE9() (*E9Result, error) {
-	return RunE9Sized(e9DefaultIters, e9DefaultReps)
-}
-
-// RunE9Sized is RunE9 with custom per-rep iterations and rep count (tests
-// use small ones).
-func RunE9Sized(iters, reps int) (*E9Result, error) {
-	if reps < 1 {
-		reps = 1
-	}
-	res := &E9Result{G: e9Clients, Iters: iters, ByteIdentical: true, Consistent: true}
+	res := &E9Result{G: e9Clients, Iters: e8Iters, ByteIdentical: true, Consistent: true}
 	var bestOnTel core.TelemetrySnapshot
 	var bestOn float64
-	var onRates, offRates []float64
-
-	for rep := 0; rep < reps; rep++ {
-		// Alternate off-first so slow drift (thermal, host load) hits both
-		// modes symmetrically.
-		for _, enabled := range []bool{false, true} {
-			row, identical, consistent, tel, err := runE8ConfigTel(e9Clients, iters, !enabled)
-			if err != nil {
-				return nil, fmt.Errorf("E9 rep %d (telemetry=%v): %w", rep, enabled, err)
-			}
-			if !identical {
-				res.ByteIdentical = false
-			}
-			if !consistent {
-				res.Consistent = false
-			}
-			res.Reps = append(res.Reps, E9Rep{
-				Enabled: enabled, WallMs: row.WallMs, Ops: row.Ops, OpsPerSec: row.OpsPerSec,
-			})
-			if enabled {
-				onRates = append(onRates, row.OpsPerSec)
-				if row.OpsPerSec > bestOn {
-					bestOn = row.OpsPerSec
-					bestOnTel = tel
-				}
-			} else {
-				offRates = append(offRates, row.OpsPerSec)
-			}
+	var pairPcts []float64
+	var err error
+	res.OnOpsPerSec, res.OffOpsPerSec, pairPcts, err = pairedOverhead(e9Reps, func(rep int, enabled bool) (float64, error) {
+		row, identical, consistent, tel, err := runE8Config(e9Clients, !enabled)
+		if err != nil {
+			return 0, fmt.Errorf("E9 rep %d (telemetry=%v): %w", rep, enabled, err)
 		}
+		res.ByteIdentical = res.ByteIdentical && identical
+		res.Consistent = res.Consistent && consistent
+		res.Reps = append(res.Reps, E9Rep{
+			Enabled: enabled, WallMs: row.WallMs, Ops: row.Ops, OpsPerSec: row.OpsPerSec,
+		})
+		if enabled && row.OpsPerSec > bestOn {
+			bestOn = row.OpsPerSec
+			bestOnTel = tel
+		}
+		return row.OpsPerSec, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	res.OnOpsPerSec = median(onRates)
-	res.OffOpsPerSec = median(offRates)
-	if res.OffOpsPerSec > 0 {
-		res.OverheadPct = (res.OffOpsPerSec - res.OnOpsPerSec) / res.OffOpsPerSec * 100
-	}
+	res.OverheadPct = median(pairPcts)
 
 	res.MetaOps = bestOnTel.MetaOps
 	var hotReads int64
@@ -151,33 +128,37 @@ func RunE9Sized(iters, reps int) (*E9Result, error) {
 	return res, nil
 }
 
-// median returns the middle value (mean of the middle two for even n).
-func median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
+// Check requires both modes to run in off/on pairs, the E8 oracles to hold
+// on every rep, and the enabled run's instruments to have seen the
+// workload, per-tier read quantiles for the hot tier included. At AllGates
+// it adds the budget: telemetry on costs at most 5% of off throughput.
+func (r *E9Result) Check(g Gates) error {
+	var v verdict
+	v.require(len(r.Reps) > 0 && len(r.Reps)%2 == 0, "want off/on pairs of reps, got %d reps", len(r.Reps))
+	for i := 0; i+1 < len(r.Reps); i += 2 {
+		v.require(r.Reps[i].Enabled != r.Reps[i+1].Enabled, "reps %d and %d run the same mode", i, i+1)
 	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	mid := len(s) / 2
-	if len(s)%2 == 1 {
-		return s[mid]
+	v.require(r.OnOpsPerSec > 0 && r.OffOpsPerSec > 0, "missing mode throughput (on=%.0f off=%.0f)", r.OnOpsPerSec, r.OffOpsPerSec)
+	v.require(r.Recorded, "telemetry-enabled run recorded no reads or meta ops")
+	v.require(r.ByteIdentical, "a cached read returned bytes != staged pattern")
+	v.require(r.Consistent, "Statfs accounting did not balance after churn")
+	var sawHotRead bool
+	for _, op := range r.Ops {
+		if op.Op == "read" && op.Tier == 0 && op.Count > 0 && op.P50 > 0 {
+			sawHotRead = true
+		}
 	}
-	return (s[mid-1] + s[mid]) / 2
+	v.require(sawHotRead, "no per-tier read latency distribution in the enabled run")
+	if g >= AllGates {
+		v.require(r.OverheadPct <= 5, "telemetry-on overhead %.2f%% exceeds 5%%", r.OverheadPct)
+	}
+	return v.err()
 }
 
-// CheckE9Gate returns an error when the measured telemetry-on overhead
-// exceeds maxPct (the CI gate).
-func CheckE9Gate(r *E9Result, maxPct float64) error {
-	if r.OverheadPct > maxPct {
-		return fmt.Errorf("E9 gate: telemetry-on overhead %.2f%% exceeds %.2f%%", r.OverheadPct, maxPct)
-	}
-	return nil
-}
-
-// FormatE9 prints the telemetry-overhead comparison.
-func FormatE9(w io.Writer, r *E9Result) {
+// Format prints the telemetry-overhead comparison.
+func (r *E9Result) Format(w io.Writer) {
 	fmt.Fprintf(w, "E9 — telemetry overhead: E8 metadata-hot workload at %d clients, recording on vs off\n", r.G)
-	fmt.Fprintln(w, "  (wall time, median of alternating reps per mode; gate is ≤5% ops/sec cost)")
+	fmt.Fprintln(w, "  (wall time; overhead is the median over back-to-back off/on pairs, order alternating per pair; gate is ≤5% ops/sec cost)")
 	fmt.Fprintf(w, "  %-6s %-10s %12s %12s %14s\n", "Rep", "Telemetry", "Wall ms", "Ops", "Ops/sec")
 	for i, rep := range r.Reps {
 		mode := "off"

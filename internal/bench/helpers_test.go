@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"muxfs/internal/policy"
+	"muxfs/internal/vfs"
 )
 
 func TestMbps(t *testing.T) {
@@ -53,11 +54,11 @@ func TestZipfOffsetsSkewAndAlignment(t *testing.T) {
 }
 
 func TestWorkloadRoundTrips(t *testing.T) {
-	s, err := NewMuxStack(policy.Pinned{Tier: 0})
+	s, err := newStack(paperSpec(policy.Pinned{Tier: 0}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := s.Mux.Create("/w")
+	f, err := s.mux.Create("/w")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +72,7 @@ func TestWorkloadRoundTrips(t *testing.T) {
 	if err := warmReads(f, 256<<10); err != nil {
 		t.Fatal(err)
 	}
-	lat, err := randomReads1B(s.Clk.Now, f, 256<<10, 100, 2)
+	lat, err := randomReads1B(s.clk.Now, f, 256<<10, 100, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,13 +82,32 @@ func TestWorkloadRoundTrips(t *testing.T) {
 }
 
 func TestStackBuilders(t *testing.T) {
-	n, err := NewNativeStack()
+	n, err := newStack(paperSpec(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, fs := range n.FSes {
+	for i, fs := range n.fses {
 		if fs == nil {
 			t.Fatalf("native FS %d nil", i)
+		}
+	}
+	if got := n.devs[2].Capacity(); got != 2<<30 {
+		t.Fatalf("paper stack HDD capacity = %d, want 2 GiB", got)
+	}
+	var govs slowTiers
+	g, err := newStack(stackSpec{caps: [3]int64{0: 64 << 20}, metaCap: 1 << 30, govern: govs.govern})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := g.devs[0].Capacity(); got != 64<<20 {
+		t.Fatalf("PM capacity override = %d, want 64 MiB", got)
+	}
+	if g.meta == nil || g.meta.Capacity() != 1<<30 {
+		t.Fatal("metadata device missing or mis-sized")
+	}
+	for i := range g.fses {
+		if g.fses[i] != vfs.FileSystem(govs[i]) {
+			t.Fatalf("tier %d is not mounted behind its governor", i)
 		}
 	}
 	st, err := NewStrataStack(nil)

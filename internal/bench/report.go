@@ -10,8 +10,8 @@ import (
 	"strings"
 )
 
-// FormatE1 prints the Figure 3a matrices in the paper's layout.
-func FormatE1(w io.Writer, r *E1Result) {
+// Format prints the Figure 3a matrices in the paper's layout.
+func (r *E1Result) Format(w io.Writer) {
 	fmt.Fprintln(w, "E1 / Figure 3a — data migration throughput matrix (MB/s); N/S = not supported")
 	for _, sys := range []struct {
 		name string
@@ -37,8 +37,8 @@ func FormatE1(w io.Writer, r *E1Result) {
 	fmt.Fprintf(w, "\n  Mux PM→SSD speedup over Strata: %.2fx (paper: 2.59x)\n", r.SpeedupPMtoSSD)
 }
 
-// FormatE2 prints the Figure 3b series.
-func FormatE2(w io.Writer, r *E2Result) {
+// Format prints the Figure 3b series.
+func (r *E2Result) Format(w io.Writer) {
 	fmt.Fprintln(w, "E2 / Figure 3b — device I/O throughput, random 4 KiB writes pinned per device (MB/s)")
 	fmt.Fprintf(w, "  %-6s %12s %12s %10s %s\n", "Device", "Strata", "Mux", "Mux/Strata", "(paper ratio)")
 	paper := []string{"1.08x", "1.46x", "1.07x"}
@@ -48,8 +48,8 @@ func FormatE2(w io.Writer, r *E2Result) {
 	}
 }
 
-// FormatE3 prints the §3.2 read-latency table.
-func FormatE3(w io.Writer, r *E3Result) {
+// Format prints the §3.2 read-latency table.
+func (r *E3Result) Format(w io.Writer) {
 	fmt.Fprintln(w, "E3 / §3.2 — worst-case read latency: random 1-byte reads, native FS vs Mux (ns/read)")
 	fmt.Fprintf(w, "  %-6s %12s %12s %12s %s\n", "Device", "Native", "Mux", "Overhead", "(paper)")
 	paper := []string{"+52.4%", "+87.3%", "+6.6%"}
@@ -59,8 +59,8 @@ func FormatE3(w io.Writer, r *E3Result) {
 	}
 }
 
-// FormatE4 prints the §3.2 write-throughput table.
-func FormatE4(w io.Writer, r *E4Result) {
+// Format prints the §3.2 write-throughput table.
+func (r *E4Result) Format(w io.Writer) {
 	fmt.Fprintln(w, "E4 / §3.2 — sequential 4 MiB write throughput, native FS vs Mux (MB/s)")
 	fmt.Fprintf(w, "  %-6s %12s %12s %12s %s\n", "Device", "Native", "Mux", "Overhead", "(paper)")
 	paper := []string{"-1.6%", "-2.2%", "-3.5%"}
@@ -70,8 +70,8 @@ func FormatE4(w io.Writer, r *E4Result) {
 	}
 }
 
-// FormatE5 prints the migration-engine throughput comparison.
-func FormatE5(w io.Writer, r *E5Result) {
+// Format prints the migration-engine throughput comparison.
+func (r *E5Result) Format(w io.Writer) {
 	fmt.Fprintln(w, "E5 — parallel migration engine: one rotate-all round, 18 files x 2 MiB across 3 tiers")
 	fmt.Fprintln(w, "  (wall time under per-device service-time governors; virtual time is work, not speed)")
 	fmt.Fprintf(w, "  %-8s %12s %12s %10s %12s\n", "Workers", "Wall ms", "Virtual ms", "Moves", "Speedup")
@@ -86,8 +86,8 @@ func FormatE5(w io.Writer, r *E5Result) {
 	fmt.Fprintf(w, "  determinism: %s\n", det)
 }
 
-// FormatE6 prints the tier fault-drill report.
-func FormatE6(w io.Writer, r *E6Result) {
+// Format prints the tier fault-drill report.
+func (r *E6Result) Format(w io.Writer) {
 	fmt.Fprintf(w, "E6 — tier fault drill (seed %d): PM faults injected under a replicated working set\n", r.Seed)
 	fmt.Fprintf(w, "  workload: %d reads + %d writes per drill (12 PM files w/ HDD replicas, 8 SSD files w/ PM replicas)\n",
 		r.ReadOps, r.WriteOps)
@@ -106,8 +106,8 @@ func FormatE6(w io.Writer, r *E6Result) {
 	fmt.Fprintf(w, "  determinism: %s\n", det)
 }
 
-// FormatE7 prints the data-path fan-out comparison.
-func FormatE7(w io.Writer, r *E7Result) {
+// Format prints the data-path fan-out comparison.
+func (r *E7Result) Format(w io.Writer) {
 	fmt.Fprintln(w, "E7 — data-path fan-out: full-file reads/writes/fsyncs, 6 files x 3 MiB striped across 3 tiers")
 	fmt.Fprintln(w, "  (wall time under per-device service-time governors; serial dispatch pays the sum of tiers, fan-out the max)")
 	fmt.Fprintf(w, "  %-8s %12s %12s %12s %10s %10s %10s\n",
@@ -128,8 +128,8 @@ func FormatE7(w io.Writer, r *E7Result) {
 	fmt.Fprintf(w, "  integrity: %s; determinism: %s\n", id, det)
 }
 
-// FormatE8 prints the metadata hot-path scaling measurement.
-func FormatE8(w io.Writer, r *E8Result) {
+// Format prints the metadata hot-path scaling measurement.
+func (r *E8Result) Format(w io.Writer) {
 	fmt.Fprintln(w, "E8 — metadata hot path: open/stat/cached-read/create-unlink churn, 1→32 client goroutines")
 	fmt.Fprintln(w, "  (wall time with governed background writers rewriting the hot set; lock-free reads dodge the write's device time)")
 	fmt.Fprintf(w, "  %-8s %12s %12s %14s %10s\n", "Clients", "Wall ms", "Ops", "Ops/sec", "Scaling")
@@ -149,8 +149,8 @@ func FormatE8(w io.Writer, r *E8Result) {
 	fmt.Fprintf(w, "  headline: %.0f ops/sec aggregate at 16 clients (%.2fx the single-client rate)\n", r.OpsAt16, r.ScaleAt16)
 }
 
-// FormatE10 prints the mirror-routing comparison.
-func FormatE10(w io.Writer, r *E10Result) {
+// Format prints the mirror-routing comparison.
+func (r *E10Result) Format(w io.Writer) {
 	fmt.Fprintln(w, "E10 — mirror-read routing: 8 readers over 8 hot SSD files x 1 MiB, PM mirrors vs PM migration")
 	fmt.Fprintln(w, "  (wall time under per-device governors: PM 2 ms/MiB, SSD 4 ms/MiB, HDD 12 ms/MiB; degraded PM browns out to 40 ms/MiB)")
 	fmt.Fprintf(w, "  %-16s %10s %10s %13s %9s\n", "Config", "Wall ms", "MB/s", "Mirror share", "Errors")
@@ -169,8 +169,8 @@ func FormatE10(w io.Writer, r *E10Result) {
 	fmt.Fprintf(w, "  integrity: %s\n", id)
 }
 
-// FormatE11 prints the crash-consistency sweep and recovery-speed results.
-func FormatE11(w io.Writer, r *E11Result) {
+// Format prints the crash-consistency sweep and recovery-speed results.
+func (r *E11Result) Format(w io.Writer) {
 	fmt.Fprintln(w, "E11 — crash consistency: deterministic crash-point sweep + recovery speed")
 	fmt.Fprintln(w, "  sweep: each op re-run crashing after every durability step, then remount + scrub + fsck")
 	fmt.Fprintf(w, "  %-16s %8s %12s\n", "Op", "Points", "Violations")

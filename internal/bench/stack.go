@@ -1,10 +1,11 @@
 // Package bench is the experiment harness that regenerates every figure and
 // in-text result table of the paper's evaluation (§3), plus the ablations
-// listed in DESIGN.md. cmd/muxbench is its CLI front-end and the root
-// bench_test.go exposes each experiment as a testing.B benchmark.
+// listed in DESIGN.md. Experiments (registry.go) lists them; cmd/muxbench
+// is its CLI front-end and the root bench_test.go exposes the paper's
+// experiments as testing.B benchmarks.
 //
-// All timing is virtual (internal/simclock): throughput and latency come
-// from the device/FS cost models, so results are deterministic and
+// Most timing is virtual (internal/simclock): throughput and latency come
+// from the device/FS cost models, so those results are deterministic and
 // host-independent. EXPERIMENTS.md compares the shapes and ratios to the
 // paper's.
 package bench
@@ -26,92 +27,101 @@ import (
 // TierName labels the three tiers in experiment output, matching the paper.
 var TierName = []string{"PM", "SSD", "HDD"}
 
-// MuxStack is an assembled three-tier Mux plus direct access to the pieces.
-type MuxStack struct {
-	Clk  *simclock.Clock
-	Mux  *core.Mux
-	Devs [3]*device.Device // PM, SSD, HDD
-	FSes [3]vfs.FileSystem // nova, xfs, ext
-	IDs  [3]int            // tier ids in Mux (same order)
+// stackSpec describes one experiment's three-tier stack: NOVA on a PM
+// device, xfs on an SSD, ext4 on an HDD, all on one virtual clock and
+// mounted in that order as tiers 0, 1 and 2 of one Mux. Zero fields keep
+// the defaults.
+type stackSpec struct {
+	mux       core.Config // Clock and MetaDevice are filled in
+	caps      [3]int64    // device capacities; 0 keeps the profile's
+	pageCache [3]int64    // xfs and ext4 page-cache bytes (indexes 1, 2); 0 keeps 128 MiB
+	metaCap   int64       // capacity of a PM journal device for the Mux; 0 = none
+	// govern, when set, wraps each tier's file system before the Mux
+	// mounts it: the wall-clock service-time governors of E5, E7, E8, E10.
+	govern func(tier int, fs vfs.FileSystem) vfs.FileSystem
 }
 
-// NewMuxStack builds the canonical PM+SSD+HDD Mux used across experiments.
-// Policy may be nil (LRU).
-func NewMuxStack(pol policy.Policy) (*MuxStack, error) {
+// paperSpec is the stack the paper-comparison experiments share (E1–E4,
+// E13, A1–A6): default PM and SSD, a 2 GiB HDD, a Mux named "mux".
+func paperSpec(pol policy.Policy) stackSpec {
+	return stackSpec{caps: [3]int64{2: 2 << 30}, mux: core.Config{Name: "mux", Policy: pol}}
+}
+
+// stack is an assembled three-tier Mux plus direct access to its pieces.
+// The native file systems stay usable on their own: the §3.2 overhead
+// baselines (E3, E4) measure them without going through the Mux.
+type stack struct {
+	clk  *simclock.Clock
+	mux  *core.Mux
+	devs [3]*device.Device // PM, SSD, HDD
+	fses [3]vfs.FileSystem // nova, xfs, ext — governed when spec.govern is set
+	meta *device.Device    // the Mux's journal device, when spec.metaCap > 0
+}
+
+// newStack builds the stack spec describes.
+func newStack(spec stackSpec) (*stack, error) {
 	clk := simclock.New()
-	s := &MuxStack{Clk: clk}
+	s := &stack{clk: clk}
+	profs := [3]device.Profile{device.PMProfile("pmem0"), device.SSDProfile("ssd0"), device.HDDProfile("hdd0")}
+	for i := range profs {
+		if spec.caps[i] > 0 {
+			profs[i].Capacity = spec.caps[i]
+		}
+		s.devs[i] = device.New(profs[i], clk)
+	}
+	nova, err := novafs.New("nova@pmem0", s.devs[0], novafs.DefaultCosts())
+	if err != nil {
+		return nil, err
+	}
+	xfs, err := xfslite.NewWithCache("xfs@ssd0", s.devs[1], spec.pageCache[1])
+	if err != nil {
+		return nil, err
+	}
+	ext, err := extlite.NewWithCache("ext4@hdd0", s.devs[2], spec.pageCache[2])
+	if err != nil {
+		return nil, err
+	}
+	s.fses = [3]vfs.FileSystem{nova, xfs, ext}
 
-	pmProf := device.PMProfile("pmem0")
-	ssdProf := device.SSDProfile("ssd0")
-	hddProf := device.HDDProfile("hdd0")
-	hddProf.Capacity = 2 << 30
-	s.Devs[0] = device.New(pmProf, clk)
-	s.Devs[1] = device.New(ssdProf, clk)
-	s.Devs[2] = device.New(hddProf, clk)
-
-	nova, err := novafs.New("nova@pmem0", s.Devs[0], novafs.DefaultCosts())
+	cfg := spec.mux
+	cfg.Clock = clk
+	if spec.metaCap > 0 {
+		prof := device.PMProfile("muxmeta")
+		prof.Capacity = spec.metaCap
+		s.meta = device.New(prof, clk)
+		cfg.MetaDevice = s.meta
+	}
+	m, err := core.New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	xfs, err := xfslite.New("xfs@ssd0", s.Devs[1])
-	if err != nil {
-		return nil, err
+	for i := range s.fses {
+		if spec.govern != nil {
+			s.fses[i] = spec.govern(i, s.fses[i])
+		}
+		m.AddTier(s.fses[i], profs[i])
 	}
-	ext, err := extlite.New("ext4@hdd0", s.Devs[2])
-	if err != nil {
-		return nil, err
-	}
-	s.FSes[0], s.FSes[1], s.FSes[2] = nova, xfs, ext
-
-	if pol == nil {
-		pol = policy.DefaultLRU()
-	}
-	m, err := core.New(core.Config{Name: "mux", Clock: clk, Policy: pol})
-	if err != nil {
-		return nil, err
-	}
-	s.IDs[0] = m.AddTier(nova, pmProf)
-	s.IDs[1] = m.AddTier(xfs, ssdProf)
-	s.IDs[2] = m.AddTier(ext, hddProf)
-	s.Mux = m
+	s.mux = m
 	return s, nil
 }
 
-// SetPolicy swaps the Mux policy between experiment phases.
-func (s *MuxStack) SetPolicy(pol policy.Policy) { s.Mux.SetPolicy(pol) }
-
-// NativeStack is the three native file systems mounted directly, with no
-// tiering — the §3.2 overhead baseline.
-type NativeStack struct {
-	Clk  *simclock.Clock
-	Devs [3]*device.Device
-	FSes [3]vfs.FileSystem
-}
-
-// NewNativeStack mounts nova/xfs/ext directly on fresh devices.
-func NewNativeStack() (*NativeStack, error) {
-	clk := simclock.New()
-	s := &NativeStack{Clk: clk}
-	s.Devs[0] = device.New(device.PMProfile("pmem0"), clk)
-	s.Devs[1] = device.New(device.SSDProfile("ssd0"), clk)
-	hddProf := device.HDDProfile("hdd0")
-	hddProf.Capacity = 2 << 30
-	s.Devs[2] = device.New(hddProf, clk)
-
-	nova, err := novafs.New("nova@pmem0", s.Devs[0], novafs.DefaultCosts())
-	if err != nil {
-		return nil, err
+// placement maps each of files paths (dir/f00, dir/f01, ...) to its blocks
+// per tier, read from the native FSes.
+func (s *stack) placement(dir string, files int) map[string][3]int64 {
+	out := map[string][3]int64{}
+	for i := 0; i < files; i++ {
+		path := fmt.Sprintf("%s/f%02d", dir, i)
+		var row [3]int64
+		for tier, fs := range s.fses {
+			fi, err := fs.Stat(path)
+			if err != nil {
+				continue // not present on this tier
+			}
+			row[tier] = fi.Blocks
+		}
+		out[path] = row
 	}
-	xfs, err := xfslite.New("xfs@ssd0", s.Devs[1])
-	if err != nil {
-		return nil, err
-	}
-	ext, err := extlite.New("ext4@hdd0", s.Devs[2])
-	if err != nil {
-		return nil, err
-	}
-	s.FSes[0], s.FSes[1], s.FSes[2] = nova, xfs, ext
-	return s, nil
+	return out
 }
 
 // StrataStack is the monolithic baseline over the same device trio.
