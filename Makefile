@@ -9,7 +9,10 @@ all: check
 build:
 	$(GO) build ./...
 
+# vet fails on any file gofmt (from GO's own toolchain) would change,
+# then runs go vet.
 vet:
+	@unformatted=$$($$($(GO) env GOROOT)/bin/gofmt -l .) || exit 1; if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 
 test:

@@ -22,7 +22,7 @@
 // With -metrics, muxd exposes the Mux telemetry surface over HTTP:
 // GET /metrics (Prometheus text, ?format=json for the unified snapshot)
 // and GET /debug/trace (recent slow/failed operations). In -serve mode
-// the snapshot includes the mux_server_* front-end counters.
+// the front end's mux_server_* families are part of both.
 //
 // SIGINT/SIGTERM shut down gracefully in every mode: listeners close
 // first so no new work arrives, in-flight RPC calls drain (bounded by

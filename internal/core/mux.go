@@ -37,7 +37,6 @@ import (
 	"muxfs/internal/guard"
 	"muxfs/internal/policy"
 	"muxfs/internal/policy/autotune"
-	"muxfs/internal/server"
 	"muxfs/internal/simclock"
 	"muxfs/internal/telemetry"
 	"muxfs/internal/vfs"
@@ -279,11 +278,6 @@ type Mux struct {
 	telMigErrs   *telemetry.Counter
 	telSlow      time.Duration
 
-	// serverStats, when set (SetServerStats), is the network front end's
-	// stats provider; the telemetry snapshot and /metrics include its
-	// section. Stored as a pointer so the hot path pays one atomic load.
-	serverStats atomic.Pointer[func() server.Stats]
-
 	// Multi-tenant attribution table (tenant.go): nil when no tenants are
 	// registered, so unattributed data paths pay one atomic load.
 	tenantsP atomic.Pointer[tenantTable]
@@ -381,6 +375,7 @@ func New(cfg Config) (*Mux, error) {
 	m.telFlushRecs = m.tel.Counter("mux_flush_records_total", "Journal records committed by group commits.")
 	m.telMigLat = m.tel.Histogram("mux_migrate_move_latency_ns", "Migration move wall latency in nanoseconds.")
 	m.telMigErrs = m.tel.Counter("mux_migrate_move_errors_total", "Migration moves that failed.")
+	m.tel.Register(m.collect)
 	emptyTel := []*tierTel{}
 	m.telTab.Store(&emptyTel)
 	if m.costs == (Costs{}) {

@@ -1,32 +1,10 @@
-// Composite-tier awareness: a tier registered with AddTier may itself be
-// a scale-out stripe set (internal/ec.StripeSet) spanning several remote
-// nodes. Mux treats it like any other tier on the data path — placement,
-// migration, and routing are unchanged — but surfaces its per-node health
-// through the telemetry snapshot and this accessor.
 package core
 
-import "muxfs/internal/ec"
-
-// StripeStatuser is implemented by composite tiers that can report
-// per-node stripe health (internal/ec.StripeSet).
+// StripeStatuser is implemented by composite tiers that stripe their
+// bytes over several nodes with parity (internal/ec.StripeSet). Mux
+// treats such a tier like any other on the data path; it only flags it
+// to policies (TierInfo.Stripe). Its health and counters reach /metrics
+// through the tier's own telemetry.Collector.
 type StripeStatuser interface {
-	Status() ec.SetStatus
-}
-
-// StripeTier pairs a registered stripe tier with its id.
-type StripeTier struct {
-	ID  int
-	Set *ec.StripeSet
-}
-
-// StripeTiers returns every registered tier backed by a stripe set, in
-// tier order.
-func (m *Mux) StripeTiers() []StripeTier {
-	var out []StripeTier
-	for _, t := range m.Tiers() {
-		if ss, ok := t.FS.(*ec.StripeSet); ok {
-			out = append(out, StripeTier{ID: t.ID, Set: ss})
-		}
-	}
-	return out
+	Geometry() (data, parity int)
 }

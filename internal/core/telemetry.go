@@ -6,10 +6,6 @@ import (
 	"strconv"
 	"time"
 
-	"muxfs/internal/ec"
-	"muxfs/internal/muxrpc"
-	"muxfs/internal/policy/autotune"
-	"muxfs/internal/server"
 	"muxfs/internal/telemetry"
 )
 
@@ -354,58 +350,17 @@ type TelemetrySnapshot struct {
 	// depth of every tier's data-path gate.
 	Routing RoutingTelemetry `json:"routing"`
 
-	// Stripes reports composite erasure-coded tiers (internal/ec): per-node
-	// breaker state, staleness, shard I/O counters, and set-wide
-	// degraded-read/rebuild totals. Empty unless a stripe tier is
-	// registered.
-	Stripes []ec.SetStatus `json:"stripes,omitempty"`
-
-	// Pools reports connection-pool counters for every RPC-backed tier
-	// (remote tiers are muxrpc.NSClients; stripe tiers aggregate their
-	// node clients). PoolTotals covers connection attempts that never produced
-	// a live client — failed dials and handshake failures tear the client
-	// down before anything could snapshot it.
-	Pools      []muxrpc.PoolStats `json:"pools,omitempty"`
-	PoolTotals PoolTotals         `json:"pool_totals"`
-
-	// Server is the network front end's counter snapshot, present when a
-	// namespace server registered itself via SetServerStats (muxd -serve).
-	Server *server.Stats `json:"server,omitempty"`
-
 	// Tenants is the per-tenant attribution section (tenant.go): op and
 	// byte counters, virtual-time latency quantiles, and per-tier
 	// occupancy. Empty unless tenants are registered.
 	Tenants []TenantTelemetry `json:"tenants,omitempty"`
 
-	// Autotune is the policy autotuner's status (rounds, accept/revert
-	// counters, convergence, live params). Nil unless EnableAutotune ran.
-	Autotune *autotune.Status `json:"autotune,omitempty"`
-
 	Traces []telemetry.TraceEvent `json:"traces"`
-}
 
-// PoolTotals is the package-wide muxrpc connection-establishment view.
-type PoolTotals struct {
-	Dials             int64 `json:"dials"`
-	DialErrors        int64 `json:"dial_errors"`
-	HandshakeFailures int64 `json:"handshake_failures"`
-}
-
-// rpcPoolStatser is implemented by tier backends that expose pooled-RPC
-// counters (muxrpc.NSClient, ec.StripeSet).
-type rpcPoolStatser interface {
-	RPCPoolStats() []muxrpc.PoolStats
-}
-
-// SetServerStats registers the network front end's stats provider so the
-// telemetry snapshot and /metrics include the server section. Pass nil to
-// unregister.
-func (m *Mux) SetServerStats(fn func() server.Stats) {
-	if fn == nil {
-		m.serverStats.Store(nil)
-		return
-	}
-	m.serverStats.Store(&fn)
+	// Families is everything /metrics exports — the registry's
+	// instruments, Mux's own families and every layer's collected ones
+	// (stripe tiers, RPC pools, the namespace server, the autotuner).
+	Families []telemetry.JSONFamily `json:"families"`
 }
 
 // TierRouteTelemetry is one tier's read-router view.
@@ -478,27 +433,12 @@ func (m *Mux) Telemetry() TelemetrySnapshot {
 		Tenants:       m.TenantTelemetrySnapshot(),
 		Traces:        m.tel.Trace.Snapshot(),
 		FlushRecords:  m.telFlushRecs.Value(),
-	}
-	if tn := m.tunerP.Load(); tn != nil {
-		st := tn.Status()
-		snap.Autotune = &st
+		Families:      telemetry.JSONFamilies(m.tel.Snapshot()),
 	}
 	for op, c := range m.telMeta {
 		snap.MetaOps[metaOpNames[op]] = c.Value()
 	}
-	dials, dialErrs, hsFails := muxrpc.Totals()
-	snap.PoolTotals = PoolTotals{Dials: dials, DialErrors: dialErrs, HandshakeFailures: hsFails}
-	if fn := m.serverStats.Load(); fn != nil {
-		st := (*fn)()
-		snap.Server = &st
-	}
 	for _, t := range m.Tiers() {
-		if ss, ok := t.FS.(StripeStatuser); ok {
-			snap.Stripes = append(snap.Stripes, ss.Status())
-		}
-		if ps, ok := t.FS.(rpcPoolStatser); ok {
-			snap.Pools = append(snap.Pools, ps.RPCPoolStats()...)
-		}
 		tt := m.telTier(t.ID)
 		if tt == nil {
 			continue
@@ -522,19 +462,12 @@ func (m *Mux) Telemetry() TelemetrySnapshot {
 	return snap
 }
 
-// promFamilies synthesizes export families for the stats surfaces that live
-// outside the registry (cache, OCC, BLT, health, usage), so /metrics is the
-// complete picture, not just the hot-path instruments.
-func (m *Mux) promFamilies() []telemetry.FamilySnapshot {
-	counterFam := func(name, help string, vals ...telemetry.SeriesSnapshot) telemetry.FamilySnapshot {
-		return telemetry.FamilySnapshot{Name: name, Help: help, Kind: "counter", Series: vals}
-	}
-	gaugeFam := func(name, help string, vals ...telemetry.SeriesSnapshot) telemetry.FamilySnapshot {
-		return telemetry.FamilySnapshot{Name: name, Help: help, Kind: "gauge", Series: vals}
-	}
-	one := func(v int64, labels ...telemetry.Label) telemetry.SeriesSnapshot {
-		return telemetry.SeriesSnapshot{Labels: labels, Value: v}
-	}
+// collect is Mux's telemetry.Collector, registered on its own registry:
+// the stats surfaces that live outside the registry (cache, OCC, BLT,
+// health, usage, tenants), then the families of every live tier that is
+// itself a Collector, labeled by tier id, and the autotuner's.
+func (m *Mux) collect() []telemetry.FamilySnapshot {
+	counterFam, gaugeFam, one := telemetry.CounterFamily, telemetry.GaugeFamily, telemetry.Sample
 
 	cache := m.CacheStats()
 	occ := m.OCC()
@@ -557,172 +490,53 @@ func (m *Mux) promFamilies() []telemetry.FamilySnapshot {
 		gaugeFam("mux_blt_table_bytes", "Approximate in-memory BLT size.", one(blt.TableBytes)),
 	}
 
-	var used, healthOps, healthFaults, healthRetries, healthQuar, healthState []telemetry.SeriesSnapshot
-	var inflight, inflightW []telemetry.SeriesSnapshot
+	tiers := telemetry.Columns{
+		gaugeFam("mux_tier_used_bytes", "Mux-accounted bytes per tier."),
+		counterFam("mux_tier_health_ops_total", "Downward data ops attempted per tier."),
+		counterFam("mux_tier_health_faults_total", "Downward op attempts failed by device faults."),
+		counterFam("mux_tier_health_retries_total", "Transient-fault retries per tier."),
+		counterFam("mux_tier_quarantines_total", "Times a tier's circuit breaker opened."),
+		gaugeFam("mux_tier_state", "Breaker state per tier: 0 healthy, 1 quarantined, 2 probing."),
+		gaugeFam("mux_tier_inflight", "Data-path ops currently holding a slot on the tier's data-path gate."),
+		gaugeFam("mux_tier_inflight_width", "Data-path gate width per tier."),
+	}
+	var tierFams []telemetry.FamilySnapshot
 	for _, t := range m.Tiers() {
-		labels := []telemetry.Label{
-			{Key: "tier", Value: strconv.Itoa(t.ID)},
-			{Key: "dev", Value: t.Prof.Name},
-		}
-		used = append(used, one(m.used(t.ID).Load(), labels...))
-		inflight = append(inflight, one(int64(m.ioDepth(t.ID)), labels...))
-		inflightW = append(inflightW, one(int64(m.ioWidth(t.ID)), labels...))
-		if h := m.healthOf(t.ID); h != nil {
-			info := h.snapshot(t.ID, t.Prof.Name)
-			healthOps = append(healthOps, one(info.Ops, labels...))
-			healthFaults = append(healthFaults, one(info.Faults, labels...))
-			healthRetries = append(healthRetries, one(info.Retries, labels...))
-			healthQuar = append(healthQuar, one(info.Quarantines, labels...))
-			var st int64
-			switch info.State {
-			case "quarantined":
-				st = 1
-			case "probing":
-				st = 2
-			}
-			healthState = append(healthState, one(st, labels...))
+		h := m.healthOf(t.ID)
+		info := h.snapshot(t.ID, t.Prof.Name)
+		tier := telemetry.Label{Key: "tier", Value: strconv.Itoa(t.ID)}
+		tiers.Row([]int64{m.used(t.ID).Load(), info.Ops, info.Faults, info.Retries, info.Quarantines,
+			int64(h.State()), int64(m.ioDepth(t.ID)), int64(m.ioWidth(t.ID))},
+			tier, telemetry.Label{Key: "dev", Value: t.Prof.Name})
+		if c, ok := t.FS.(telemetry.Collector); ok {
+			tierFams = append(tierFams, telemetry.WithLabels(c.Collect(), tier)...)
 		}
 	}
-	fams = append(fams,
-		gaugeFam("mux_tier_used_bytes", "Mux-accounted bytes per tier.", used...),
-		counterFam("mux_tier_health_ops_total", "Downward data ops attempted per tier.", healthOps...),
-		counterFam("mux_tier_health_faults_total", "Downward op attempts failed by device faults.", healthFaults...),
-		counterFam("mux_tier_health_retries_total", "Transient-fault retries per tier.", healthRetries...),
-		counterFam("mux_tier_quarantines_total", "Times a tier's circuit breaker opened.", healthQuar...),
-		gaugeFam("mux_tier_state", "Breaker state per tier: 0 healthy, 1 quarantined, 2 probing.", healthState...),
-		gaugeFam("mux_tier_inflight", "Data-path ops currently holding a slot on the tier's data-path gate.", inflight...),
-		gaugeFam("mux_tier_inflight_width", "Data-path gate width per tier.", inflightW...),
-	)
+	fams = append(append(fams, tiers...), tierFams...)
 
 	// Per-tenant attribution (tenant.go). Latency gauges are VIRTUAL
 	// nanoseconds (simclock), not wall clock — deterministic under the
 	// experiment harness, which is what the E14 isolation gates scrape.
 	if tens := m.TenantTelemetrySnapshot(); len(tens) > 0 {
-		var tReads, tWrites, tRB, tWB, tErrs, tFast, tRP99, tWP99 []telemetry.SeriesSnapshot
+		cols := telemetry.Columns{
+			counterFam("mux_tenant_reads_total", "Upward reads attributed per tenant."),
+			counterFam("mux_tenant_writes_total", "Upward writes attributed per tenant."),
+			counterFam("mux_tenant_read_bytes_total", "Bytes served to each tenant's reads."),
+			counterFam("mux_tenant_write_bytes_total", "Bytes accepted from each tenant's writes."),
+			counterFam("mux_tenant_errors_total", "Failed attributed ops per tenant."),
+			gaugeFam("mux_tenant_fast_tier_bytes", "Tenant bytes resident on the fastest tier (as of the last policy round)."),
+			gaugeFam("mux_tenant_read_p99_virtual_ns", "Per-tenant p99 read latency in VIRTUAL (simclock) nanoseconds."),
+			gaugeFam("mux_tenant_write_p99_virtual_ns", "Per-tenant p99 write latency in VIRTUAL (simclock) nanoseconds."),
+		}
 		for _, tn := range tens {
-			labels := []telemetry.Label{{Key: "tenant", Value: tn.Name}}
-			tReads = append(tReads, one(tn.Reads, labels...))
-			tWrites = append(tWrites, one(tn.Writes, labels...))
-			tRB = append(tRB, one(tn.ReadBytes, labels...))
-			tWB = append(tWB, one(tn.WriteBytes, labels...))
-			tErrs = append(tErrs, one(tn.Errors, labels...))
-			tFast = append(tFast, one(tn.FastBytes, labels...))
-			tRP99 = append(tRP99, one(int64(tn.ReadP99), labels...))
-			tWP99 = append(tWP99, one(int64(tn.WriteP99), labels...))
+			cols.Row([]int64{tn.Reads, tn.Writes, tn.ReadBytes, tn.WriteBytes, tn.Errors, tn.FastBytes,
+				int64(tn.ReadP99), int64(tn.WriteP99)}, telemetry.Label{Key: "tenant", Value: tn.Name})
 		}
-		fams = append(fams,
-			counterFam("mux_tenant_reads_total", "Upward reads attributed per tenant.", tReads...),
-			counterFam("mux_tenant_writes_total", "Upward writes attributed per tenant.", tWrites...),
-			counterFam("mux_tenant_read_bytes_total", "Bytes served to each tenant's reads.", tRB...),
-			counterFam("mux_tenant_write_bytes_total", "Bytes accepted from each tenant's writes.", tWB...),
-			counterFam("mux_tenant_errors_total", "Failed attributed ops per tenant.", tErrs...),
-			gaugeFam("mux_tenant_fast_tier_bytes", "Tenant bytes resident on the fastest tier (as of the last policy round).", tFast...),
-			gaugeFam("mux_tenant_read_p99_virtual_ns", "Per-tenant p99 read latency in VIRTUAL (simclock) nanoseconds.", tRP99...),
-			gaugeFam("mux_tenant_write_p99_virtual_ns", "Per-tenant p99 write latency in VIRTUAL (simclock) nanoseconds.", tWP99...),
-		)
+		fams = append(fams, cols...)
 	}
 
-	// Policy autotuner (internal/policy/autotune). Scores and param values
-	// are fixed-point micro-units (value × 1e6) so the float objective and
-	// fractional knobs survive the integer series type.
 	if tn := m.tunerP.Load(); tn != nil {
-		st := tn.Status()
-		var conv int64
-		if st.Converged {
-			conv = 1
-		}
-		var params []telemetry.SeriesSnapshot
-		for _, p := range st.Params {
-			params = append(params, one(int64(p.Value*1e6),
-				telemetry.Label{Key: "param", Value: p.Name},
-				telemetry.Label{Key: "kind", Value: p.Kind.String()}))
-		}
-		fams = append(fams,
-			counterFam("mux_autotune_rounds_total", "Controller rounds (Policy Runner samples fed to the autotuner).", one(st.Rounds)),
-			counterFam("mux_autotune_accepted_total", "Probes kept: the objective improved past the hysteresis margin.", one(st.Accepted)),
-			counterFam("mux_autotune_reverted_total", "Probes rolled back: no improvement.", one(st.Reverted)),
-			counterFam("mux_autotune_holds_total", "Rounds held after convergence.", one(st.Holds)),
-			counterFam("mux_autotune_idle_total", "Rounds skipped for lack of traffic.", one(st.Idle)),
-			gaugeFam("mux_autotune_converged", "1 when the hill climb has settled.", one(conv)),
-			gaugeFam("mux_autotune_best_score_micro", "Best accepted objective score × 1e6.", one(int64(st.BestScore*1e6))),
-			gaugeFam("mux_autotune_last_score_micro", "Most recent interval's objective score × 1e6.", one(int64(st.LastScore*1e6))),
-			gaugeFam("mux_autotune_param_micro", "Live tunable-param values × 1e6, by param name.", params...),
-		)
-	}
-
-	// RPC connection pools: per-client series keyed by remote address plus
-	// the package-wide establishment totals (which include clients that
-	// died before they could be snapshotted).
-	var pDials, pReconn, pDialErrs, pCalls, pConnErrs, pRetries, pInflight, pSlots []telemetry.SeriesSnapshot
-	for i, ps := range m.poolStats() {
-		labels := []telemetry.Label{
-			{Key: "addr", Value: ps.Addr},
-			{Key: "pool", Value: strconv.Itoa(i)},
-		}
-		pDials = append(pDials, one(ps.Dials, labels...))
-		pReconn = append(pReconn, one(ps.Reconnects, labels...))
-		pDialErrs = append(pDialErrs, one(ps.DialErrors, labels...))
-		pCalls = append(pCalls, one(ps.Calls, labels...))
-		pConnErrs = append(pConnErrs, one(ps.ConnErrors, labels...))
-		pRetries = append(pRetries, one(ps.Retries, labels...))
-		pInflight = append(pInflight, one(ps.InFlightTotal(), labels...))
-		pSlots = append(pSlots, one(int64(ps.Slots), labels...))
-	}
-	dials, dialErrs, hsFails := muxrpc.Totals()
-	fams = append(fams,
-		counterFam("mux_rpc_pool_dials_total", "Successful socket dials per RPC client pool.", pDials...),
-		counterFam("mux_rpc_pool_reconnects_total", "Lazy redials after connection failures per RPC client pool.", pReconn...),
-		counterFam("mux_rpc_pool_dial_errors_total", "Failed dial attempts per RPC client pool.", pDialErrs...),
-		counterFam("mux_rpc_pool_calls_total", "Call attempts issued per RPC client pool.", pCalls...),
-		counterFam("mux_rpc_pool_conn_errors_total", "Call attempts that died at the connection level per RPC client pool.", pConnErrs...),
-		counterFam("mux_rpc_pool_retries_total", "Idempotent reconnect-and-retry attempts per RPC client pool.", pRetries...),
-		gaugeFam("mux_rpc_pool_inflight", "Calls currently on the wire per RPC client pool.", pInflight...),
-		gaugeFam("mux_rpc_pool_slots", "Connection-pool width per RPC client pool.", pSlots...),
-		counterFam("mux_rpc_dials_total", "Package-wide successful socket dials, living and dead clients.", one(dials)),
-		counterFam("mux_rpc_dial_errors_total", "Package-wide failed dial attempts.", one(dialErrs)),
-		counterFam("mux_rpc_handshake_failures_total", "Package-wide post-dial handshake failures.", one(hsFails)),
-	)
-
-	// Network front end (muxd -serve): counters from the namespace server,
-	// when one registered via SetServerStats.
-	if fn := m.serverStats.Load(); fn != nil {
-		st := (*fn)()
-		fams = append(fams,
-			gaugeFam("mux_server_conns", "Open namespace-server connections.", one(int64(st.Conns))),
-			counterFam("mux_server_conns_accepted_total", "Namespace-server connections accepted.", one(st.ConnsAccepted)),
-			gaugeFam("mux_server_workers", "Namespace-server worker-pool width.", one(int64(st.Workers))),
-			gaugeFam("mux_server_queue_depth", "Admitted requests waiting for a worker.", one(int64(st.QueueDepth))),
-			gaugeFam("mux_server_queue_max", "Admission high watermark.", one(int64(st.MaxQueue))),
-			gaugeFam("mux_server_executing", "Requests currently inside workers.", one(st.Executing)),
-			counterFam("mux_server_requests_total", "Namespace-server requests received.", one(st.Requests)),
-			counterFam("mux_server_rejected_queue_total", "Requests rejected busy: queue past high watermark.", one(st.RejectedQueue)),
-			counterFam("mux_server_rejected_rate_total", "Requests rejected busy: client over its rate budget.", one(st.RejectedRate)),
-			counterFam("mux_server_rejected_invalid_total", "Requests rejected at admission: malformed or over the payload cap.", one(st.RejectedInvalid)),
-			counterFam("mux_server_rejected_frame_total", "Connections killed for an over-cap wire frame.", one(st.RejectedFrame)),
-			counterFam("mux_server_bytes_read_total", "Bytes served by namespace-server reads.", one(st.BytesRead)),
-			counterFam("mux_server_bytes_written_total", "Bytes accepted by namespace-server writes.", one(st.BytesWritten)),
-			counterFam("mux_server_cache_hits_total", "Attr/readdir cache hits (negative hits included).", one(st.CacheHits)),
-			counterFam("mux_server_cache_misses_total", "Attr/readdir cache misses.", one(st.CacheMisses)),
-			counterFam("mux_server_cache_neg_hits_total", "Attr/readdir negative-entry hits.", one(st.CacheNegHits)),
-			counterFam("mux_server_cache_evictions_total", "Attr/readdir cache LRU evictions.", one(st.CacheEvicts)),
-			gaugeFam("mux_server_cache_entries", "Live attr/readdir cache entries.", one(st.CacheEntries)),
-			counterFam("mux_server_batch_subops_total", "Batched sub-operations received.", one(st.BatchSubOps)),
-			counterFam("mux_server_batch_dispatches_total", "Downward dispatches issued for batched sub-ops.", one(st.BatchDispatches)),
-			counterFam("mux_server_batch_saved_total", "Downward dispatches avoided by coalescing.", one(st.BatchSaved)),
-			gaugeFam("mux_server_handles_open", "Open handles across all namespace-server connections.", one(st.HandlesOpen)),
-		)
+		fams = append(fams, tn.Collect()...)
 	}
 	return fams
-}
-
-// poolStats collects the pooled-RPC counters of every tier backend that
-// exposes them.
-func (m *Mux) poolStats() []muxrpc.PoolStats {
-	var out []muxrpc.PoolStats
-	for _, t := range m.Tiers() {
-		if ps, ok := t.FS.(rpcPoolStatser); ok {
-			out = append(out, ps.RPCPoolStats()...)
-		}
-	}
-	return out
 }

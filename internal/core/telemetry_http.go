@@ -10,17 +10,14 @@ import (
 
 // HTTP export of the telemetry surface. cmd/muxd mounts MetricsHandler on
 // its -metrics listener; anything that can scrape Prometheus text or GET
-// JSON gets the full picture — registry instruments plus the synthesized
-// families for the stats that live outside the registry (cache, OCC, BLT,
-// usage, health).
+// JSON gets the full picture — registry instruments plus every collected
+// family: Mux's own (cache, OCC, BLT, usage, health, tenants) and those of
+// the layers built on it (stripe tiers, RPC pools, the namespace server,
+// the autotuner).
 
-// WriteMetrics writes the complete Prometheus text exposition: every
-// registry family followed by the synthesized gauge/counter families.
+// WriteMetrics writes the complete Prometheus text exposition.
 func (m *Mux) WriteMetrics(w io.Writer) error {
-	if err := telemetry.WritePrometheus(w, m.tel); err != nil {
-		return err
-	}
-	return telemetry.WritePrometheusFamilies(w, m.promFamilies())
+	return telemetry.WritePrometheus(w, m.tel)
 }
 
 // MetricsHandler serves the telemetry surface over HTTP:

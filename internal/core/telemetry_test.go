@@ -190,7 +190,7 @@ func TestMetricsHandler(t *testing.T) {
 	defer srv.Close()
 
 	// Prometheus text: right content type, contains the per-tier instrument
-	// families and the synthesized gauge families, no unparsable lines.
+	// families and Mux's collected families, no unparsable lines.
 	resp, err := srv.Client().Get(srv.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)

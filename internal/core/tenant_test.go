@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"muxfs/internal/device"
-	"muxfs/internal/ec"
 	"muxfs/internal/fs/xfslite"
 	"muxfs/internal/policy"
 	"muxfs/internal/policy/autotune"
@@ -168,9 +167,15 @@ func TestAutotunerAdjustsLivePolicy(t *testing.T) {
 			t.Fatalf("param %s = %v escaped [%v, %v]", p.Name, p.Value, p.Min, p.Max)
 		}
 	}
-	// Snapshot carries the status.
-	if tel := r.m.Telemetry(); tel.Autotune == nil || tel.Autotune.Rounds != st.Rounds {
-		t.Fatalf("telemetry autotune section = %+v", tel.Autotune)
+	// The snapshot carries the tuner's families.
+	var rounds int64 = -1
+	for _, f := range r.m.Telemetry().Families {
+		if f.Name == "mux_autotune_rounds_total" && len(f.Series) == 1 {
+			rounds = *f.Series[0].Value
+		}
+	}
+	if rounds != st.Rounds {
+		t.Fatalf("mux_autotune_rounds_total = %d, want %d", rounds, st.Rounds)
 	}
 	r.m.DisableAutotune()
 	if r.m.Autotuner() != nil {
@@ -194,7 +199,7 @@ type stripeFS struct {
 	vfs.FileSystem
 }
 
-func (stripeFS) Status() ec.SetStatus { return ec.SetStatus{} }
+func (stripeFS) Geometry() (data, parity int) { return 2, 1 }
 
 // TestQuotaDemotionAvoidsStripeAndQuarantinedTiers is the composition
 // test: QuotaPolicy over a hierarchy containing an erasure-coded stripe

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sort"
 
+	"muxfs/internal/guard"
+	"muxfs/internal/telemetry"
 	"muxfs/internal/vfs"
 )
 
@@ -96,9 +98,6 @@ func (ss *StripeSet) Rebuild(i int) (RebuildStats, error) {
 	ss.nodes[i].br.Reset()
 	ss.rebuilds.Add(1)
 	ss.rebuildBytes.Add(st.Bytes)
-	if ss.telRebuild != nil && ss.tel.Enabled() {
-		ss.telRebuild.Add(st.Bytes)
-	}
 	return st, nil
 }
 
@@ -470,4 +469,54 @@ func (ss *StripeSet) Status() SetStatus {
 		})
 	}
 	return out
+}
+
+// stateCodes maps NodeStatus.State back to the breaker's number, the
+// value mux_stripe_node_state exports.
+var stateCodes = map[string]int64{
+	guard.Closed.String():   int64(guard.Closed),
+	guard.Open.String():     int64(guard.Open),
+	guard.HalfOpen.String(): int64(guard.HalfOpen),
+}
+
+// Collect emits the set's families from Status, plus the families of
+// every node that is itself a telemetry.Collector (a remote node's
+// connection pool), labeled {set, node}.
+func (ss *StripeSet) Collect() []telemetry.FamilySnapshot {
+	c, g, v := telemetry.CounterFamily, telemetry.GaugeFamily, telemetry.Sample
+	st := ss.Status()
+	set := telemetry.Label{Key: "set", Value: ss.name}
+	fams := []telemetry.FamilySnapshot{
+		g("mux_stripe_nodes", "Stripe nodes per role.",
+			v(int64(st.DataNodes), set, telemetry.Label{Key: "role", Value: "data"}),
+			v(int64(st.ParityNodes), set, telemetry.Label{Key: "role", Value: "parity"})),
+		g("mux_stripe_shard_bytes", "Stripe shard size in bytes.", v(st.ShardSize, set)),
+		c("mux_stripe_degraded_reads_total", "Reads that reconstructed data from parity.", v(st.DegradedReads, set)),
+		c("mux_stripe_reconstructed_bytes_total", "Data bytes rebuilt from parity on the read path.", v(st.ReconstructedBytes, set)),
+		c("mux_stripe_rebuild_bytes_total", "Bytes written by node rebuilds.", v(st.RebuildBytes, set)),
+		c("mux_stripe_rebuilds_total", "Completed node rebuilds.", v(st.Rebuilds, set)),
+	}
+	bytes := c("mux_stripe_node_bytes_total", "Per-node shard bytes moved.")
+	nodes := telemetry.Columns{
+		c("mux_stripe_node_ops_total", "Per-node operations booked by the node's breaker."),
+		c("mux_stripe_node_errors_total", "Per-node faults observed by the stripe layer."),
+		c("mux_stripe_node_quarantines_total", "Times a node's circuit breaker opened."),
+		g("mux_stripe_node_state", "Breaker state per node: 0 healthy, 1 quarantined, 2 probing."),
+		g("mux_stripe_node_stale", "1 while a node has missed writes; it serves no reads until rebuilt."),
+	}
+	var nodeFams []telemetry.FamilySnapshot
+	for _, n := range st.Nodes {
+		var stale int64
+		if n.Stale {
+			stale = 1
+		}
+		ls := ss.nodeLabels(n.Index, "")
+		nodes.Row([]int64{n.Ops, n.Faults, n.Quarantines, stateCodes[n.State], stale}, ls...)
+		bytes.Series = append(bytes.Series,
+			v(n.BytesRead, ss.nodeLabels(n.Index, "read")...), v(n.BytesWritten, ss.nodeLabels(n.Index, "write")...))
+		if col, ok := ss.nodes[n.Index].fileSystem().(telemetry.Collector); ok {
+			nodeFams = append(nodeFams, telemetry.WithLabels(col.Collect(), set, ls[1])...)
+		}
+	}
+	return append(append(append(fams, bytes), nodes...), nodeFams...)
 }

@@ -92,7 +92,6 @@ func (f *stripeFile) nodeRead(i int, buf []byte, off int64) error {
 			n.bytesR.Add(int64(len(buf)))
 			if tel {
 				n.telLatR.RecordSince(start)
-				n.telBytesR.Add(int64(len(buf)))
 			}
 		}
 		return err
@@ -136,7 +135,6 @@ func (f *stripeFile) nodeWrite(i int, buf []byte, off int64) error {
 			n.bytesW.Add(int64(len(buf)))
 			if tel {
 				n.telLatW.RecordSince(start)
-				n.telBytesW.Add(int64(len(buf)))
 			}
 		}
 		return err
@@ -284,10 +282,6 @@ func (f *stripeFile) readShards(cb *callBufs, bs0, bs1, l int64, dataBufs [][]by
 	}
 	f.ss.degradedReads.Add(1)
 	f.ss.reconstructedBytes.Add(recon)
-	if f.ss.telDegraded != nil && f.ss.tel.Enabled() {
-		f.ss.telDegraded.Add(1)
-		f.ss.telRecon.Add(recon)
-	}
 	return nil
 }
 

@@ -53,9 +53,9 @@ type Options struct {
 	// Cooldown is how long a breaker stays open before a probe
 	// (default 2s).
 	Cooldown time.Duration
-	// Telemetry, when set, registers per-node shard I/O metrics and
-	// degraded/reconstruction counters on the registry (they appear on
-	// /metrics automatically).
+	// Telemetry, when set, registers the per-node shard I/O latency
+	// histograms on the registry. The set's counters are not instruments:
+	// the set is a telemetry.Collector over the counters Status reads.
 	Telemetry *telemetry.Registry
 }
 
@@ -72,10 +72,8 @@ type node struct {
 
 	stale atomic.Bool // missed writes; serves no reads until rebuilt
 
-	bytesR, bytesW       atomic.Int64
-	telLatR, telLatW     *telemetry.Histogram
-	telBytesR, telBytesW *telemetry.Counter
-	telErrs              *telemetry.Counter
+	bytesR, bytesW   atomic.Int64
+	telLatR, telLatW *telemetry.Histogram
 }
 
 func (n *node) fileSystem() vfs.FileSystem {
@@ -93,9 +91,6 @@ func (n *node) record(err error) {
 		return
 	}
 	n.br.Record(guard.Fault, err)
-	if n.telErrs != nil {
-		n.telErrs.Add(1)
-	}
 }
 
 // isNodeFault distinguishes node failures (socket errors, handshake
@@ -149,10 +144,7 @@ type StripeSet struct {
 	rebuildBytes       atomic.Int64
 	rebuilds           atomic.Int64
 
-	tel         *telemetry.Registry
-	telDegraded *telemetry.Counter
-	telRecon    *telemetry.Counter
-	telRebuild  *telemetry.Counter
+	tel *telemetry.Registry
 }
 
 var _ vfs.FileSystem = (*StripeSet)(nil)
@@ -200,26 +192,27 @@ func New(name string, nodes []vfs.FileSystem, opts Options) (*StripeSet, error) 
 			br:   guard.Breaker{Threshold: failThreshold, Cooldown: cd, Now: since},
 		}
 		if r := opts.Telemetry; r != nil {
-			labels := []telemetry.Label{
-				{Key: "set", Value: name},
-				{Key: "node", Value: strconv.Itoa(i)},
-				{Key: "role", Value: ss.roleOf(i)},
-			}
-			n.telLatR = r.Histogram("mux_stripe_node_io_ns", "Per-node shard I/O latency.", append(labels, telemetry.Label{Key: "op", Value: "read"})...)
-			n.telLatW = r.Histogram("mux_stripe_node_io_ns", "Per-node shard I/O latency.", append(labels, telemetry.Label{Key: "op", Value: "write"})...)
-			n.telBytesR = r.Counter("mux_stripe_node_bytes_total", "Per-node shard bytes moved.", append(labels, telemetry.Label{Key: "op", Value: "read"})...)
-			n.telBytesW = r.Counter("mux_stripe_node_bytes_total", "Per-node shard bytes moved.", append(labels, telemetry.Label{Key: "op", Value: "write"})...)
-			n.telErrs = r.Counter("mux_stripe_node_errors_total", "Per-node faults observed by the stripe layer.", labels...)
+			const help = "Per-node shard I/O latency."
+			n.telLatR = r.Histogram("mux_stripe_node_io_ns", help, ss.nodeLabels(i, "read")...)
+			n.telLatW = r.Histogram("mux_stripe_node_io_ns", help, ss.nodeLabels(i, "write")...)
 		}
 		ss.nodes = append(ss.nodes, n)
 	}
-	if r := opts.Telemetry; r != nil {
-		setLabel := telemetry.Label{Key: "set", Value: name}
-		ss.telDegraded = r.Counter("mux_stripe_degraded_reads_total", "Reads that reconstructed data from parity.", setLabel)
-		ss.telRecon = r.Counter("mux_stripe_reconstructed_bytes_total", "Data bytes rebuilt from parity on the read path.", setLabel)
-		ss.telRebuild = r.Counter("mux_stripe_rebuild_bytes_total", "Bytes written by node rebuilds.", setLabel)
-	}
 	return ss, nil
+}
+
+// nodeLabels is node i's label set {set, node, role}, plus {op} when op
+// is not empty.
+func (ss *StripeSet) nodeLabels(i int, op string) []telemetry.Label {
+	ls := []telemetry.Label{
+		{Key: "set", Value: ss.name},
+		{Key: "node", Value: strconv.Itoa(i)},
+		{Key: "role", Value: ss.roleOf(i)},
+	}
+	if op != "" {
+		ls = append(ls, telemetry.Label{Key: "op", Value: op})
+	}
+	return ls
 }
 
 func (ss *StripeSet) roleOf(i int) string {
@@ -228,6 +221,9 @@ func (ss *StripeSet) roleOf(i int) string {
 	}
 	return "parity"
 }
+
+// Geometry reports the set's data and parity node counts.
+func (ss *StripeSet) Geometry() (data, parity int) { return ss.geom.k, ss.geom.m }
 
 // Name identifies the composite tier.
 func (ss *StripeSet) Name() string {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -488,8 +489,7 @@ func TestTooManyFailures(t *testing.T) {
 	}
 }
 
-// Telemetry wiring: per-node and set-wide counters must register and
-// move.
+// Telemetry wiring: per-node and set-wide counters must move.
 func TestStripeTelemetry(t *testing.T) {
 	nodes := make([]vfs.FileSystem, 3)
 	for i := range nodes {
@@ -519,6 +519,53 @@ func TestStripeTelemetry(t *testing.T) {
 	_ = foundDegraded
 	if !foundBytes {
 		t.Fatal("no per-node write bytes recorded")
+	}
+}
+
+// TestStripeCountsOncePerEvent: a stripe event is counted once, in the
+// counter Status reads, and /metrics exports that same counter — so
+// neither a disabled registry nor a registry Reset makes the two
+// disagree.
+func TestStripeCountsOncePerEvent(t *testing.T) {
+	nodes := make([]vfs.FileSystem, 3)
+	for i := range nodes {
+		nodes[i] = newNodeFS(t, fmt.Sprintf("once%d", i))
+	}
+	reg := telemetry.NewRegistry(0)
+	ss, err := New("onceset", nodes, Options{Parity: 1, ShardSize: 1024, Telemetry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg.Register(ss.Collect)
+	data := writeFile(t, ss, "/f", 8<<10, 5)
+	ss.Quarantine(0)
+	reg.SetEnabled(false)
+	if got := readFull(t, ss, "/f", len(data)); !bytes.Equal(got, data) {
+		t.Fatal("degraded read wrong")
+	}
+	reg.SetEnabled(true)
+	reg.Reset()
+	if got := readFull(t, ss, "/f", len(data)); !bytes.Equal(got, data) {
+		t.Fatal("degraded read wrong")
+	}
+
+	var buf bytes.Buffer
+	if err := telemetry.WritePrometheus(&buf, reg); err != nil {
+		t.Fatal(err)
+	}
+	st := ss.Status()
+	if st.DegradedReads != 2 {
+		t.Fatalf("Status().DegradedReads = %d, want 2", st.DegradedReads)
+	}
+	for _, want := range []string{
+		fmt.Sprintf(`mux_stripe_degraded_reads_total{set="onceset"} %d`, st.DegradedReads),
+		fmt.Sprintf(`mux_stripe_reconstructed_bytes_total{set="onceset"} %d`, st.ReconstructedBytes),
+		fmt.Sprintf(`mux_stripe_node_bytes_total{node="1",op="read",role="data",set="onceset"} %d`, st.Nodes[1].BytesRead),
+		fmt.Sprintf(`mux_stripe_node_bytes_total{node="2",op="write",role="parity",set="onceset"} %d`, st.Nodes[2].BytesWritten),
+	} {
+		if !strings.Contains(buf.String(), want+"\n") {
+			t.Errorf("/metrics lacks %q:\n%s", want, buf.String())
+		}
 	}
 }
 

@@ -219,9 +219,8 @@ func TestSeverMidCallIdempotent(t *testing.T) {
 	if string(got) != "abcdef" {
 		t.Fatalf("read %q", got)
 	}
-	st := c.PoolStats()
-	if st.Reconnects == 0 || st.Retries == 0 {
-		t.Fatalf("reconnect/retry not counted: %+v", st)
+	if poolMetric(t, c, "mux_rpc_pool_reconnects_total") == 0 || poolMetric(t, c, "mux_rpc_pool_retries_total") == 0 {
+		t.Fatal("reconnect/retry not counted")
 	}
 }
 

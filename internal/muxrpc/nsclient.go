@@ -129,30 +129,6 @@ func (c *NSClient) MaxData() int64 {
 // PoolSize reports the connection-pool width.
 func (c *NSClient) PoolSize() int { return len(c.slots) }
 
-// PoolStats snapshots the client's connection counters; Reopens counts
-// handle re-opens after reconnects, folded into Retries' sibling series by
-// callers that want one number.
-func (c *NSClient) PoolStats() PoolStats {
-	st := PoolStats{
-		Addr:       c.addr,
-		Slots:      len(c.slots),
-		Dials:      c.dials.Load(),
-		Reconnects: c.reconnects.Load(),
-		DialErrors: c.dialErrs.Load(),
-		Calls:      c.calls.Load(),
-		ConnErrors: c.connErrs.Load(),
-		Retries:    c.retries.Load(),
-		InFlight:   make([]int64, 0, len(c.slots)),
-	}
-	for _, s := range c.slots {
-		st.InFlight = append(st.InFlight, s.inflight.Load())
-	}
-	return st
-}
-
-// RPCPoolStats satisfies the structural pool-stats interface.
-func (c *NSClient) RPCPoolStats() []PoolStats { return []PoolStats{c.PoolStats()} }
-
 // Close tears down every pooled connection.
 func (c *NSClient) Close() error {
 	c.closed.Store(true)

@@ -70,7 +70,7 @@ func TestNSReadReplyLongerThanBuffer(t *testing.T) {
 	if fi, err := c.Stat("/x"); err != nil || fi.Path != "/x" {
 		t.Fatalf("Stat after the protocol error: %+v, %v", fi, err)
 	}
-	if st := c.PoolStats(); st.Dials != 2 {
-		t.Fatalf("Dials = %d, want 2 (the bad reply must kill the first connection)", st.Dials)
+	if got := poolMetric(t, c, "mux_rpc_pool_dials_total"); got != 2 {
+		t.Fatalf("dials = %d, want 2 (the bad reply must kill the first connection)", got)
 	}
 }

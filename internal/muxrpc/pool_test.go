@@ -71,8 +71,8 @@ func TestDialPoolSize(t *testing.T) {
 			t.Fatalf("call %d: %v", i, err)
 		}
 	}
-	if st := c.PoolStats(); st.Dials != 4 {
-		t.Fatalf("Dials = %d, want one per slot", st.Dials)
+	if got := poolMetric(t, c, "mux_rpc_pool_dials_total"); got != 4 {
+		t.Fatalf("dials = %d, want one per slot", got)
 	}
 }
 
@@ -96,7 +96,7 @@ func TestHandshakeFailure(t *testing.T) {
 			conn.Close()
 		}
 	}()
-	_, _, hsBefore := Totals()
+	hsBefore := totalHandshakeFails.Load()
 	_, err = DialPool("tcp", l.Addr().String(), 3)
 	if err == nil {
 		t.Fatal("handshake against a non-muxns server succeeded")
@@ -104,7 +104,7 @@ func TestHandshakeFailure(t *testing.T) {
 	if !errors.Is(err, muxns.ErrHandshake) {
 		t.Fatalf("error %v is not ErrHandshake", err)
 	}
-	if _, _, hs := Totals(); hs <= hsBefore {
+	if hs := totalHandshakeFails.Load(); hs <= hsBefore {
 		t.Fatal("handshake failure not counted in Totals")
 	}
 }
@@ -226,9 +226,10 @@ func TestConcurrentPoolCalls(t *testing.T) {
 	}
 }
 
-// TestPoolStatsCounting exercises the dial/call counters end to end:
-// slots dial on first use, a severed connection is redialed and counted
-// as a reconnect, and the package totals never trail a client.
+// TestPoolStatsCounting exercises the dial/call counters end to end, as
+// the client's collector exports them: slots dial on first use, a
+// severed connection is redialed and counted as a reconnect, and the
+// package totals never trail a client.
 func TestPoolStatsCounting(t *testing.T) {
 	tl := serveNode(t)
 	c, err := DialPool("tcp", tl.Addr().String(), 3)
@@ -241,15 +242,17 @@ func TestPoolStatsCounting(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := c.PoolStats()
-	if st.Slots != 3 || st.Dials != 3 || st.Reconnects != 0 {
-		t.Fatalf("fresh pool stats: %+v", st)
-	}
-	if st.Calls != 3 {
-		t.Fatalf("Calls = %d, want 3", st.Calls)
-	}
-	if got := len(st.InFlight); got != 3 || st.InFlightTotal() != 0 {
-		t.Fatalf("in-flight slots = %v", st.InFlight)
+	for name, want := range map[string]int64{
+		"mux_rpc_pool_slots":            3,
+		"mux_rpc_pool_dials_total":      3,
+		"mux_rpc_pool_reconnects_total": 0,
+		"mux_rpc_pool_calls_total":      3,
+		"mux_rpc_pool_inflight":         0,
+		"mux_rpc_pool_slot_inflight":    0,
+	} {
+		if got := poolMetric(t, c, name); got != want {
+			t.Fatalf("fresh pool: %s = %d, want %d", name, got, want)
+		}
 	}
 
 	tl.killConns() // sever; the next call on each slot redials
@@ -258,12 +261,28 @@ func TestPoolStatsCounting(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st = c.PoolStats()
-	if st.Reconnects != 3 || st.Dials != 6 {
-		t.Fatalf("reconnects not counted: %+v", st)
+	reconnects, dials := poolMetric(t, c, "mux_rpc_pool_reconnects_total"), poolMetric(t, c, "mux_rpc_pool_dials_total")
+	if reconnects != 3 || dials != 6 {
+		t.Fatalf("reconnects not counted: %d reconnects, %d dials", reconnects, dials)
 	}
 
-	if dials, _, _ := Totals(); dials < st.Dials {
-		t.Fatalf("package totals behind client: %d < %d", dials, st.Dials)
+	if total := totalDials.Load(); total < dials {
+		t.Fatalf("package totals behind client: %d < %d", total, dials)
 	}
+}
+
+// poolMetric sums the series of c's collected family name.
+func poolMetric(t *testing.T, c *NSClient, name string) int64 {
+	t.Helper()
+	for _, f := range c.Collect() {
+		if f.Name == name {
+			var sum int64
+			for _, s := range f.Series {
+				sum += s.Value
+			}
+			return sum
+		}
+	}
+	t.Fatalf("client exports no %s", name)
+	return 0
 }

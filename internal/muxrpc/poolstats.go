@@ -1,61 +1,64 @@
 package muxrpc
 
-import "sync/atomic"
+import (
+	"strconv"
+	"sync/atomic"
+
+	"muxfs/internal/telemetry"
+)
 
 // Pool observability: every counter the pooled clients track internally —
 // dials, reconnects, handshake failures, per-slot in-flight depth — is
-// exported here so the Mux telemetry snapshot and /metrics can surface
-// them. Two views exist:
+// exported through telemetry collectors. Two views exist:
 //
-//   - Per-client PoolStats, reached through the RPCPoolStats interface the
-//     core snapshot walks (a remote tier is its NSClient; a stripe tier
-//     aggregates its node clients).
-//   - Package-wide Totals covering dials that never produced a live client
+//   - Each NSClient is a telemetry.Collector over its own counters. A Mux
+//     collects it as a remote tier; a stripe set collects it as a node.
+//   - CollectTotals covers dials that never produced a live client
 //     (failed dials and handshake failures tear the client down before
-//     anything could snapshot it).
+//     anything could scrape it).
 
-// Package totals; see Totals.
+// Package-wide connection-establishment counters across all clients,
+// living and dead; see CollectTotals.
 var (
 	totalDials          atomic.Int64
 	totalDialErrors     atomic.Int64
 	totalHandshakeFails atomic.Int64
 )
 
-// Totals reports package-wide connection-establishment counters across all
-// clients, living and dead: successful socket dials, failed dials, and
-// post-dial handshake failures.
-func Totals() (dials, dialErrors, handshakeFailures int64) {
-	return totalDials.Load(), totalDialErrors.Load(), totalHandshakeFails.Load()
-}
-
-// PoolStats is one pooled client's connection-level counters.
-type PoolStats struct {
-	Addr  string `json:"addr"`
-	Slots int    `json:"slots"`
-
-	// Dials counts successful socket dials, initial and reconnect;
-	// Reconnects counts only lazy redials after a slot was invalidated by
-	// a connection-level failure.
-	Dials      int64 `json:"dials"`
-	Reconnects int64 `json:"reconnects"`
-	DialErrors int64 `json:"dial_errors"`
-
-	// Calls counts call attempts issued over the pool (retries included);
-	// ConnErrors the attempts that died at the connection level; Retries
-	// the idempotent reconnect-and-retry attempts.
-	Calls      int64 `json:"calls"`
-	ConnErrors int64 `json:"conn_errors"`
-	Retries    int64 `json:"retries"`
-
-	// InFlight is the per-slot count of calls currently on the wire.
-	InFlight []int64 `json:"in_flight"`
-}
-
-// InFlightTotal sums the per-slot depths.
-func (s PoolStats) InFlightTotal() int64 {
-	var t int64
-	for _, v := range s.InFlight {
-		t += v
+// CollectTotals emits the package-wide counters as the mux_rpc_* families.
+func CollectTotals() []telemetry.FamilySnapshot {
+	return []telemetry.FamilySnapshot{
+		telemetry.CounterFamily("mux_rpc_dials_total", "Package-wide successful socket dials, living and dead clients.", telemetry.Sample(totalDials.Load())),
+		telemetry.CounterFamily("mux_rpc_dial_errors_total", "Package-wide failed dial attempts.", telemetry.Sample(totalDialErrors.Load())),
+		telemetry.CounterFamily("mux_rpc_handshake_failures_total", "Package-wide post-dial handshake failures.", telemetry.Sample(totalHandshakeFails.Load())),
 	}
-	return t
+}
+
+// Collect emits the client's connection-pool counters as the
+// mux_rpc_pool_* families, labeled by server address. Whoever collects
+// the client adds what tells two clients of one address apart (a Mux its
+// tier, a stripe set its node).
+func (c *NSClient) Collect() []telemetry.FamilySnapshot {
+	addr := telemetry.Label{Key: "addr", Value: c.addr}
+	one := func(v int64) telemetry.SeriesSnapshot { return telemetry.Sample(v, addr) }
+	var inflight int64
+	slots := make([]telemetry.SeriesSnapshot, len(c.slots))
+	for i, s := range c.slots {
+		n := s.inflight.Load()
+		inflight += n
+		slots[i] = telemetry.Sample(n, addr, telemetry.Label{Key: "slot", Value: strconv.Itoa(i)})
+	}
+	return []telemetry.FamilySnapshot{
+		telemetry.CounterFamily("mux_rpc_pool_dials_total", "Successful socket dials per RPC client pool, initial and reconnect.", one(c.dials.Load())),
+		telemetry.CounterFamily("mux_rpc_pool_reconnects_total", "Lazy redials after connection failures per RPC client pool.", one(c.reconnects.Load())),
+		telemetry.CounterFamily("mux_rpc_pool_dial_errors_total", "Failed dial attempts per RPC client pool.", one(c.dialErrs.Load())),
+		telemetry.CounterFamily("mux_rpc_pool_calls_total", "Call attempts issued per RPC client pool, retries included.", one(c.calls.Load())),
+		telemetry.CounterFamily("mux_rpc_pool_conn_errors_total", "Call attempts that died at the connection level per RPC client pool.", one(c.connErrs.Load())),
+		telemetry.CounterFamily("mux_rpc_pool_retries_total", "Idempotent reconnect-and-retry attempts per RPC client pool.", one(c.retries.Load())),
+		telemetry.CounterFamily("mux_rpc_pool_reopens_total", "File handles re-opened by path after a reconnect per RPC client pool.", one(c.reopens.Load())),
+		telemetry.CounterFamily("mux_rpc_pool_busy_waits_total", "Backoffs after a server busy rejection per RPC client pool.", one(c.busyWaits.Load())),
+		telemetry.GaugeFamily("mux_rpc_pool_inflight", "Calls currently on the wire per RPC client pool.", one(inflight)),
+		telemetry.GaugeFamily("mux_rpc_pool_slot_inflight", "Calls currently on the wire per RPC client pool slot.", slots...),
+		telemetry.GaugeFamily("mux_rpc_pool_slots", "Connection-pool width per RPC client pool.", one(int64(len(c.slots)))),
+	}
 }

@@ -457,6 +457,53 @@ func (t *Tuner) Status() Status {
 	}
 }
 
+// Collect emits Status as the mux_autotune_* families. Scores and param
+// values are fixed-point micro-units (value × 1e6) so the float objective
+// and fractional knobs survive the integer series type.
+func (t *Tuner) Collect() []telemetry.FamilySnapshot {
+	st := t.Status()
+	c, g, v := telemetry.CounterFamily, telemetry.GaugeFamily, telemetry.Sample
+	micro := func(f float64) int64 { return int64(f * 1e6) }
+	flag := func(b bool) telemetry.SeriesSnapshot {
+		if b {
+			return v(1)
+		}
+		return v(0)
+	}
+	bound := func(b string) telemetry.Label { return telemetry.Label{Key: "bound", Value: b} }
+	var params, bounds []telemetry.SeriesSnapshot
+	for _, p := range st.Params {
+		name := telemetry.Label{Key: "param", Value: p.Name}
+		params = append(params, v(micro(p.Value), name, telemetry.Label{Key: "kind", Value: p.Kind.String()}))
+		bounds = append(bounds, v(micro(p.Min), name, bound("min")), v(micro(p.Max), name, bound("max")),
+			v(micro(p.Step), name, bound("step")))
+	}
+	d := st.Last
+	field := func(f string, x int64) telemetry.SeriesSnapshot {
+		return v(x, telemetry.Label{Key: "action", Value: d.Action}, telemetry.Label{Key: "param", Value: d.Param},
+			telemetry.Label{Key: "field", Value: f})
+	}
+	return []telemetry.FamilySnapshot{
+		c("mux_autotune_rounds_total", "Controller rounds (Policy Runner samples fed to the autotuner).", v(st.Rounds)),
+		c("mux_autotune_accepted_total", "Probes kept: the objective improved past the hysteresis margin.", v(st.Accepted)),
+		c("mux_autotune_reverted_total", "Probes rolled back: no improvement.", v(st.Reverted)),
+		c("mux_autotune_holds_total", "Rounds held after convergence.", v(st.Holds)),
+		c("mux_autotune_idle_total", "Rounds skipped for lack of traffic.", v(st.Idle)),
+		g("mux_autotune_converged", "1 when the hill climb has settled.", flag(st.Converged)),
+		g("mux_autotune_frozen", "1 while the knobs are pinned (Freeze).", flag(st.Frozen)),
+		g("mux_autotune_best_score_micro", "Best accepted objective score × 1e6.", v(micro(st.BestScore))),
+		g("mux_autotune_last_score_micro", "Most recent interval's objective score × 1e6.", v(micro(st.LastScore))),
+		g("mux_autotune_param_micro", "Live tunable-param values × 1e6, by param name.", params...),
+		g("mux_autotune_param_bound_micro", "Tunable-param clamps and probe step × 1e6, by param name.", bounds...),
+		g("mux_autotune_last_decision", "The latest decision-log entry, one series per field (_micro fields × 1e6).",
+			field("round", d.Round), field("vnow_ns", int64(d.Now)),
+			field("from_micro", micro(d.From)), field("to_micro", micro(d.To)),
+			field("score_micro", micro(d.Score)), field("fast_read_frac_micro", micro(d.HitRatio)),
+			field("cache_hit_ratio_micro", micro(d.CacheRatio)), field("p99_ns", int64(d.P99)),
+			field("churn_bytes", d.ChurnBytes), field("fast_used_bytes", d.FastUsed)),
+	}
+}
+
 // Freeze reverts any in-flight probe and pins the knobs: subsequent Steps
 // hold without sampling or probing until Unfreeze. Operators use it to
 // carry a known-good configuration through a measurement or maintenance

@@ -17,8 +17,8 @@ type fakePol struct {
 	min, max, step float64
 }
 
-func (f *fakePol) Name() string                                        { return "fake" }
-func (f *fakePol) PlaceWrite(policy.WriteCtx, []policy.TierInfo) int   { return 0 }
+func (f *fakePol) Name() string                                      { return "fake" }
+func (f *fakePol) PlaceWrite(policy.WriteCtx, []policy.TierInfo) int { return 0 }
 func (f *fakePol) PlanMigrations([]policy.TierInfo, []policy.FileStat, time.Duration) []policy.Move {
 	return nil
 }
@@ -341,7 +341,7 @@ func TestRealLRUIsTunable(t *testing.T) {
 		fast += 400
 		h.Record(int64(50 * time.Microsecond))
 		tn.Step(autotune.Sample{
-			Now: time.Duration(i+1) * time.Second,
+			Now:       time.Duration(i+1) * time.Second,
 			FastReads: fast, TotalReads: total, ReadLat: h.Snapshot(),
 		})
 	}

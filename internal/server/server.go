@@ -54,8 +54,9 @@ type Options struct {
 	// resynchronized past a frame that was never read.
 	MaxFrame int64
 	// Registry, when set, records per-op latency histograms
-	// (mux_server_op_ns). Counters in Stats are always maintained; they
-	// are plain atomics and cost nothing measurable.
+	// (mux_server_op_ns) and collects the Stats counters as the
+	// mux_server_* families until Drain. Counters in Stats are always
+	// maintained; they are plain atomics and cost nothing measurable.
 	Registry *telemetry.Registry
 }
 
@@ -102,6 +103,7 @@ type Server struct {
 	cache *attrCache // nil when disabled
 	tel   *telemetry.Registry
 	opNs  []*telemetry.Histogram // per-op latency, indexed by NSOp
+	unreg func()                 // removes the server's collector (nil without a registry)
 
 	connMu sync.Mutex
 	conns  map[*conn]struct{}
@@ -116,13 +118,13 @@ type Server struct {
 	rejectedRate    atomic.Int64
 	rejectedInvalid atomic.Int64
 	rejectedFrame   atomic.Int64
-	bytesRead     atomic.Int64
-	bytesWritten  atomic.Int64
-	batchSubOps   atomic.Int64
-	batchDisp     atomic.Int64
-	batchSaved    atomic.Int64
-	handles       atomic.Int64
-	accepted      atomic.Int64
+	bytesRead       atomic.Int64
+	bytesWritten    atomic.Int64
+	batchSubOps     atomic.Int64
+	batchDisp       atomic.Int64
+	batchSaved      atomic.Int64
+	handles         atomic.Int64
+	accepted        atomic.Int64
 }
 
 // New builds a namespace server over fs and starts its worker pool.
@@ -145,6 +147,7 @@ func New(fs vfs.FileSystem, opts Options) *Server {
 				"namespace-server op service time (ns)",
 				telemetry.Label{Key: "op", Value: muxns.NSOp(op).String()})
 		}
+		s.unreg = s.tel.Register(s.Collect)
 	}
 	for i := 0; i < opts.Workers; i++ {
 		s.wg.Add(1)
@@ -204,6 +207,9 @@ func (s *Server) Drain(timeout time.Duration) int64 {
 	s.sever()
 	s.sched.close()
 	s.wg.Wait()
+	if s.unreg != nil {
+		s.unreg()
+	}
 	return cut
 }
 
@@ -720,8 +726,8 @@ func (s *Server) invalidateTree(path string) {
 	}
 }
 
-// Stats is a point-in-time snapshot of the server counters, shaped for
-// the telemetry snapshot and /metrics export.
+// Stats is a point-in-time snapshot of the server counters; Collect
+// exports it on /metrics.
 type Stats struct {
 	Name    string `json:"name"`
 	Conns   int    `json:"conns"`
@@ -794,27 +800,57 @@ func (s *Server) Stats() Stats {
 	nconns := len(s.conns)
 	s.connMu.Unlock()
 	st := Stats{
-		Name:          s.fs.Name(),
-		Conns:         nconns,
-		Workers:       s.opts.Workers,
-		QueueDepth:    s.sched.depth(),
-		MaxQueue:      s.opts.MaxQueue,
-		Executing:     s.executing.Load(),
-		ConnsAccepted: s.accepted.Load(),
-		Requests:      s.requests.Load(),
+		Name:            s.fs.Name(),
+		Conns:           nconns,
+		Workers:         s.opts.Workers,
+		QueueDepth:      s.sched.depth(),
+		MaxQueue:        s.opts.MaxQueue,
+		Executing:       s.executing.Load(),
+		ConnsAccepted:   s.accepted.Load(),
+		Requests:        s.requests.Load(),
 		RejectedQueue:   s.rejectedQueue.Load(),
 		RejectedRate:    s.rejectedRate.Load(),
 		RejectedInvalid: s.rejectedInvalid.Load(),
 		RejectedFrame:   s.rejectedFrame.Load(),
-		BytesRead:     s.bytesRead.Load(),
-		BytesWritten:  s.bytesWritten.Load(),
-		BatchSubOps:   s.batchSubOps.Load(),
+		BytesRead:       s.bytesRead.Load(),
+		BytesWritten:    s.bytesWritten.Load(),
+		BatchSubOps:     s.batchSubOps.Load(),
 		BatchDispatches: s.batchDisp.Load(),
-		BatchSaved:    s.batchSaved.Load(),
-		HandlesOpen:   s.handles.Load(),
+		BatchSaved:      s.batchSaved.Load(),
+		HandlesOpen:     s.handles.Load(),
 	}
 	if s.cache != nil {
 		st.CacheHits, st.CacheMisses, st.CacheNegHits, st.CacheEvicts, st.CacheEntries = s.cache.counters()
 	}
 	return st
+}
+
+// Collect emits Stats as the mux_server_* families.
+func (s *Server) Collect() []telemetry.FamilySnapshot {
+	st := s.Stats()
+	c, g, v := telemetry.CounterFamily, telemetry.GaugeFamily, telemetry.Sample
+	return []telemetry.FamilySnapshot{
+		g("mux_server_conns", "Open namespace-server connections.", v(int64(st.Conns))),
+		c("mux_server_conns_accepted_total", "Namespace-server connections accepted.", v(st.ConnsAccepted)),
+		g("mux_server_workers", "Namespace-server worker-pool width.", v(int64(st.Workers))),
+		g("mux_server_queue_depth", "Admitted requests waiting for a worker.", v(int64(st.QueueDepth))),
+		g("mux_server_queue_max", "Admission high watermark.", v(int64(st.MaxQueue))),
+		g("mux_server_executing", "Requests currently inside workers.", v(st.Executing)),
+		c("mux_server_requests_total", "Namespace-server requests received.", v(st.Requests)),
+		c("mux_server_rejected_queue_total", "Requests rejected busy: queue past high watermark.", v(st.RejectedQueue)),
+		c("mux_server_rejected_rate_total", "Requests rejected busy: client over its rate budget.", v(st.RejectedRate)),
+		c("mux_server_rejected_invalid_total", "Requests rejected at admission: malformed or over the payload cap.", v(st.RejectedInvalid)),
+		c("mux_server_rejected_frame_total", "Connections killed for an over-cap wire frame.", v(st.RejectedFrame)),
+		c("mux_server_bytes_read_total", "Bytes served by namespace-server reads.", v(st.BytesRead)),
+		c("mux_server_bytes_written_total", "Bytes accepted by namespace-server writes.", v(st.BytesWritten)),
+		c("mux_server_cache_hits_total", "Attr/readdir cache hits (negative hits included).", v(st.CacheHits)),
+		c("mux_server_cache_misses_total", "Attr/readdir cache misses.", v(st.CacheMisses)),
+		c("mux_server_cache_neg_hits_total", "Attr/readdir negative-entry hits.", v(st.CacheNegHits)),
+		c("mux_server_cache_evictions_total", "Attr/readdir cache LRU evictions.", v(st.CacheEvicts)),
+		g("mux_server_cache_entries", "Live attr/readdir cache entries.", v(st.CacheEntries)),
+		c("mux_server_batch_subops_total", "Batched sub-operations received.", v(st.BatchSubOps)),
+		c("mux_server_batch_dispatches_total", "Downward dispatches issued for batched sub-ops.", v(st.BatchDispatches)),
+		c("mux_server_batch_saved_total", "Downward dispatches avoided by coalescing.", v(st.BatchSaved)),
+		g("mux_server_handles_open", "Open handles across all namespace-server connections.", v(st.HandlesOpen)),
+	}
 }

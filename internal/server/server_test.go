@@ -21,6 +21,7 @@ import (
 	"muxfs/internal/muxrpc"
 	"muxfs/internal/server"
 	"muxfs/internal/simclock"
+	"muxfs/internal/telemetry"
 	"muxfs/internal/vfs"
 )
 
@@ -647,8 +648,8 @@ func TestBatchReads(t *testing.T) {
 
 	ops := []muxrpc.NSBatchOp{
 		{File: f, Read: true, Off: 0, N: 4096},
-		{File: f, Read: true, Off: 4096, N: 4096},    // adjacent: merges
-		{File: f, Read: true, Off: 6000, N: 4096},    // overlaps: merges
+		{File: f, Read: true, Off: 4096, N: 4096},     // adjacent: merges
+		{File: f, Read: true, Off: 6000, N: 4096},     // overlaps: merges
 		{File: f, Read: true, Off: 40 << 10, N: 1024}, // distant: own dispatch
 		{File: f, Read: true, Off: 63 << 10, N: 4096}, // crosses EOF
 	}
@@ -851,9 +852,14 @@ func TestReconnectReopensHandles(t *testing.T) {
 	if string(buf[:n]) != "persist" {
 		t.Fatalf("read %q", buf[:n])
 	}
-	st := c.PoolStats()
-	if st.Reconnects == 0 {
-		t.Fatal("reconnect not counted")
+	reconnects := int64(-1)
+	for _, f := range c.Collect() {
+		if f.Name == "mux_rpc_pool_reconnects_total" {
+			reconnects = f.Series[0].Value
+		}
+	}
+	if reconnects <= 0 {
+		t.Fatalf("reconnects = %d, want the reconnect counted", reconnects)
 	}
 }
 
@@ -1045,5 +1051,33 @@ func TestHelloRejectsOtherVersions(t *testing.T) {
 		if err := fr.ReadResponse(&resp); err == nil {
 			t.Fatalf("%s: connection still open after the mismatch", name)
 		}
+	}
+}
+
+// TestServerCollectsUntilDrain: a server built on a registry exports its
+// Stats as the mux_server_* families while it serves, and stops once it
+// drains, so a replacement server on the same registry is the only one
+// exported.
+func TestServerCollectsUntilDrain(t *testing.T) {
+	reg := telemetry.NewRegistry(0)
+	addr, srv, l := start(t, newBackFS(t), server.Options{Registry: reg})
+	if err := dial(t, addr, muxrpc.NSDialOptions{}).Mkdir("/d"); err != nil {
+		t.Fatal(err)
+	}
+	requests := func() (int64, bool) {
+		for _, f := range reg.Snapshot() {
+			if f.Name == "mux_server_requests_total" && len(f.Series) == 1 {
+				return f.Series[0].Value, true
+			}
+		}
+		return 0, false
+	}
+	if got, ok := requests(); !ok || got != srv.Stats().Requests || got == 0 {
+		t.Fatalf("mux_server_requests_total = %d (exported %v), Stats().Requests = %d", got, ok, srv.Stats().Requests)
+	}
+	l.Close()
+	srv.Drain(time.Second)
+	if got, ok := requests(); ok {
+		t.Fatalf("drained server still exported: mux_server_requests_total = %d", got)
 	}
 }

@@ -68,17 +68,11 @@ func labelString(labels []Label, extra ...Label) string {
 	return b.String()
 }
 
-// WritePrometheus encodes the registry in the Prometheus text exposition
+// WritePrometheus encodes the registry — its instruments and every
+// registered collector's families — in the Prometheus text exposition
 // format.
 func WritePrometheus(w io.Writer, r *Registry) error {
-	return WritePrometheusFamilies(w, r.Snapshot())
-}
-
-// WritePrometheusFamilies encodes pre-built family snapshots — callers that
-// synthesize families from non-registry stats (core's gauge bridge) share
-// the same encoder.
-func WritePrometheusFamilies(w io.Writer, fams []FamilySnapshot) error {
-	for _, f := range fams {
+	for _, f := range r.Snapshot() {
 		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n",
 			f.Name, escapeHelp(f.Help), f.Name, f.Kind); err != nil {
 			return err
@@ -119,9 +113,12 @@ func WritePrometheusFamilies(w io.Writer, fams []FamilySnapshot) error {
 
 // JSON export: the same snapshot as a stable, self-describing document —
 // histograms are summarized (count/sum/max plus the standard quantiles)
-// rather than dumped bucket by bucket.
+// rather than dumped bucket by bucket. The shape is plain data, so a
+// document that embeds it decodes back with encoding/json.
 
-type jsonSeries struct {
+// JSONSeries is one series of a JSONFamily: Value for counters and
+// gauges, the summary fields for histograms.
+type JSONSeries struct {
 	Labels map[string]string `json:"labels,omitempty"`
 	Value  *int64            `json:"value,omitempty"`
 	Count  *int64            `json:"count,omitempty"`
@@ -132,21 +129,21 @@ type jsonSeries struct {
 	P99    *int64            `json:"p99,omitempty"`
 }
 
-type jsonFamily struct {
+// JSONFamily is one family in the JSON export.
+type JSONFamily struct {
 	Name   string       `json:"name"`
 	Help   string       `json:"help"`
 	Kind   string       `json:"kind"`
-	Series []jsonSeries `json:"series"`
+	Series []JSONSeries `json:"series"`
 }
 
-// WriteJSON encodes the registry snapshot as indented JSON.
-func WriteJSON(w io.Writer, r *Registry) error {
-	fams := r.Snapshot()
-	out := make([]jsonFamily, 0, len(fams))
+// JSONFamilies converts a snapshot to the JSON export shape.
+func JSONFamilies(fams []FamilySnapshot) []JSONFamily {
+	out := make([]JSONFamily, 0, len(fams))
 	for _, f := range fams {
-		jf := jsonFamily{Name: f.Name, Help: f.Help, Kind: f.Kind}
+		jf := JSONFamily{Name: f.Name, Help: f.Help, Kind: f.Kind}
 		for _, s := range f.Series {
-			js := jsonSeries{}
+			js := JSONSeries{}
 			if len(s.Labels) > 0 {
 				js.Labels = map[string]string{}
 				for _, l := range s.Labels {
@@ -165,7 +162,12 @@ func WriteJSON(w io.Writer, r *Registry) error {
 		}
 		out = append(out, jf)
 	}
+	return out
+}
+
+// WriteJSON encodes the registry snapshot as indented JSON.
+func WriteJSON(w io.Writer, r *Registry) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(out)
+	return enc.Encode(JSONFamilies(r.Snapshot()))
 }

@@ -5,9 +5,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"regexp"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -251,4 +253,88 @@ func TestWriteJSON(t *testing.T) {
 	if hs.Count == nil || *hs.Count != 100 || hs.P50 == nil || *hs.P50 < 900 || *hs.P50 > 1100 {
 		t.Fatalf("histogram summary wrong: count=%v p50=%v", hs.Count, hs.P50)
 	}
+}
+
+// TestCollectorsMergeIntoOneFamily: a family name emitted by the registry
+// and by several collectors is exported once, with every series; a
+// collector's families ignore Reset and disappear when it unregisters;
+// the JSON form decodes back.
+func TestCollectorsMergeIntoOneFamily(t *testing.T) {
+	r := NewRegistry(0)
+	r.Counter("mux_ops_total", "ops", Label{"tier", "0"}).Add(1)
+	tiers := Columns{CounterFamily("mux_ops_total", "ops"), GaugeFamily("mux_depth", "depth")}
+	tiers.Row([]int64{5, 2}, Label{"tier", "1"})
+	tiers.Row([]int64{7, 3}, Label{"tier", "2"})
+	r.Register(func() []FamilySnapshot { return tiers })
+	unreg := r.Register(func() []FamilySnapshot {
+		return WithLabels([]FamilySnapshot{CounterFamily("mux_ops_total", "ops", Sample(9, Label{"node", "0"}))}, Label{"tier", "3"})
+	})
+	r.Reset()
+
+	var buf bytes.Buffer
+	if err := WritePrometheus(&buf, r); err != nil {
+		t.Fatal(err)
+	}
+	samples := scanProm(t, buf.String()) // fails on a repeated HELP or TYPE
+	want := []string{
+		`mux_ops_total{node="0",tier="3"} 9`,
+		`mux_ops_total{tier="0"} 0`,
+		`mux_ops_total{tier="1"} 5`,
+		`mux_ops_total{tier="2"} 7`,
+	}
+	if got := samples["mux_ops_total"]; strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("merged family = %q, want %q", got, want)
+	}
+	if got := samples["mux_depth"]; len(got) != 2 || got[1] != `mux_depth{tier="2"} 3` {
+		t.Fatalf("mux_depth = %q", got)
+	}
+
+	unreg()
+	var fams []JSONFamily
+	var doc bytes.Buffer
+	if err := WriteJSON(&doc, r); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(doc.Bytes(), &fams); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range fams {
+		if f.Name == "mux_ops_total" && len(f.Series) != 3 {
+			t.Fatalf("after unregister mux_ops_total has %d series, want 3", len(f.Series))
+		}
+	}
+}
+
+// TestRegisterRacesSnapshot registers and unregisters collectors while
+// other goroutines scrape; run under -race.
+func TestRegisterRacesSnapshot(t *testing.T) {
+	r := NewRegistry(0)
+	r.Counter("mux_ops_total", "ops").Add(1)
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+					if err := WritePrometheus(io.Discard, r); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	for i := 0; i < 200; i++ {
+		unreg := r.Register(func() []FamilySnapshot {
+			return []FamilySnapshot{GaugeFamily("mux_depth", "depth", Sample(int64(i)))}
+		})
+		unreg()
+	}
+	close(done)
+	wg.Wait()
 }

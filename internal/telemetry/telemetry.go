@@ -16,8 +16,14 @@
 //     clock, so enabling it cannot perturb a virtual-time experiment: E1–E8
 //     results stay byte-identical with telemetry on or off.
 //
-// The package is standalone — core instruments itself against it, cmd/muxd
-// exports it over HTTP (Prometheus text + JSON), and muxsh renders it.
+// A layer that already keeps its own counters (the stripe tier, the RPC
+// pools, the namespace server, the autotuner) does not mirror them into
+// instruments: it implements Collector and emits its families at scrape
+// time, and Snapshot merges them with the registered instruments.
+//
+// The package is standalone — every layer instruments itself against it,
+// cmd/muxd exports it over HTTP (Prometheus text + JSON), and muxsh
+// renders it.
 package telemetry
 
 import (
@@ -138,8 +144,10 @@ type family struct {
 type Registry struct {
 	enabled atomic.Bool
 
-	mu   sync.Mutex
-	fams map[string]*family
+	mu      sync.Mutex
+	fams    map[string]*family
+	cols    map[int]func() []FamilySnapshot
+	nextCol int
 
 	// Trace is the slow/failed-operation ring (trace.go).
 	Trace *Ring
@@ -150,6 +158,7 @@ type Registry struct {
 func NewRegistry(ringSize int) *Registry {
 	r := &Registry{
 		fams:  map[string]*family{},
+		cols:  map[int]func() []FamilySnapshot{},
 		Trace: NewRing(ringSize),
 	}
 	r.enabled.Store(true)
@@ -261,27 +270,98 @@ type SeriesSnapshot struct {
 	Hist  *HistSnapshot
 }
 
-// Snapshot captures every family, sorted by name, each series in label
-// order — the input to both the Prometheus and JSON encoders.
-func (r *Registry) Snapshot() []FamilySnapshot {
+// Collector is a metrics source computed at scrape time from counters its
+// owner already keeps. Collected families are never reset or gated by
+// Enabled: they read the owner's own state.
+type Collector interface {
+	Collect() []FamilySnapshot
+}
+
+// Register adds collect (a Collector's Collect) to every later Snapshot;
+// the returned function removes it again.
+func (r *Registry) Register(collect func() []FamilySnapshot) (unregister func()) {
 	r.mu.Lock()
-	fams := make([]*family, 0, len(r.fams))
-	for _, f := range r.fams {
-		fams = append(fams, f)
+	id := r.nextCol
+	r.nextCol++
+	r.cols[id] = collect
+	r.mu.Unlock()
+	return func() {
+		r.mu.Lock()
+		delete(r.cols, id)
+		r.mu.Unlock()
 	}
-	// Copy series slices under the lock; instrument reads happen after.
+}
+
+// CounterFamily builds a collected counter family.
+func CounterFamily(name, help string, series ...SeriesSnapshot) FamilySnapshot {
+	return FamilySnapshot{Name: name, Help: help, Kind: kindCounter.String(), Series: series}
+}
+
+// GaugeFamily builds a collected gauge family.
+func GaugeFamily(name, help string, series ...SeriesSnapshot) FamilySnapshot {
+	return FamilySnapshot{Name: name, Help: help, Kind: kindGauge.String(), Series: series}
+}
+
+// Sample is one counter or gauge series.
+func Sample(v int64, labels ...Label) SeriesSnapshot {
+	return SeriesSnapshot{Labels: labels, Value: v}
+}
+
+// Columns is a table of families filled row by row, one family per
+// column: the shape of per-tier or per-node stats.
+type Columns []FamilySnapshot
+
+// Row adds vals[i], labeled ls, to family i.
+func (c Columns) Row(vals []int64, ls ...Label) {
+	for i := range c {
+		c[i].Series = append(c[i].Series, Sample(vals[i], ls...))
+	}
+}
+
+// WithLabels adds ls to every series of fams, in place, and returns fams:
+// how an owner that collects from the parts it is built of (a Mux from
+// its tiers, a stripe set from its nodes) tells those parts apart.
+func WithLabels(fams []FamilySnapshot, ls ...Label) []FamilySnapshot {
+	for _, f := range fams {
+		for i := range f.Series {
+			f.Series[i].Labels = append(append([]Label(nil), f.Series[i].Labels...), ls...)
+		}
+	}
+	return fams
+}
+
+// Snapshot captures every family — registered instruments and collected
+// families alike — sorted by name, each series in label order: the input
+// to both the Prometheus and JSON encoders. Families of one name from
+// several sources merge into one, so each name is exported once.
+func (r *Registry) Snapshot() []FamilySnapshot {
+	// Copy series slices under the lock; instrument reads and collectors
+	// run after it.
 	type famCopy struct {
 		f      *family
 		series []*series
 	}
-	copies := make([]famCopy, len(fams))
-	for i, f := range fams {
-		copies[i] = famCopy{f: f, series: append([]*series(nil), f.series...)}
+	r.mu.Lock()
+	copies := make([]famCopy, 0, len(r.fams))
+	for _, f := range r.fams {
+		copies = append(copies, famCopy{f: f, series: append([]*series(nil), f.series...)})
+	}
+	cols := make([]func() []FamilySnapshot, 0, len(r.cols))
+	for _, c := range r.cols {
+		cols = append(cols, c)
 	}
 	r.mu.Unlock()
 
-	sort.Slice(copies, func(i, j int) bool { return copies[i].f.name < copies[j].f.name })
-	out := make([]FamilySnapshot, 0, len(copies))
+	var out []FamilySnapshot
+	byName := map[string]int{} // index into out
+	add := func(f FamilySnapshot) {
+		if i, ok := byName[f.Name]; ok {
+			out[i].Series = append(out[i].Series, f.Series...)
+			return
+		}
+		byName[f.Name] = len(out)
+		out = append(out, f)
+	}
 	for _, fc := range copies {
 		fs := FamilySnapshot{Name: fc.f.name, Help: fc.f.help, Kind: fc.f.kind.String()}
 		for _, s := range fc.series {
@@ -297,11 +377,22 @@ func (r *Registry) Snapshot() []FamilySnapshot {
 			}
 			fs.Series = append(fs.Series, ss)
 		}
-		sort.Slice(fs.Series, func(i, j int) bool {
-			return labelsLess(fs.Series[i].Labels, fs.Series[j].Labels)
-		})
-		out = append(out, fs)
+		add(fs)
 	}
+	for _, collect := range cols {
+		for _, f := range collect() {
+			for i := range f.Series {
+				f.Series[i].Labels = sortLabels(f.Series[i].Labels)
+			}
+			add(f)
+		}
+	}
+	for _, f := range out {
+		sort.Slice(f.Series, func(i, j int) bool {
+			return labelsLess(f.Series[i].Labels, f.Series[j].Labels)
+		})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 

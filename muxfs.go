@@ -146,6 +146,9 @@ func New(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Remote and stripe tiers dial through muxrpc: export its package-wide
+	// dial counters, which also cover clients that never came up.
+	m.TelemetryRegistry().Register(muxrpc.CollectTotals)
 
 	for _, spec := range cfg.Tiers {
 		var prof device.Profile
@@ -263,18 +266,16 @@ type ServerOptions = server.Options
 // counters, also exported on /metrics as the mux_server_* families.
 type ServerStats = server.Stats
 
-// NewServer builds a namespace front end over this System's Mux and
-// registers its counters with the System's telemetry surface, so
-// /metrics and TelemetrySnapshot.Server report it. The caller owns the
+// NewServer builds a namespace front end over this System's Mux on the
+// System's telemetry registry, so /metrics (and TelemetrySnapshot.Families)
+// carry its mux_server_* families until it drains. The caller owns the
 // lifecycle: go srv.Serve(l), then close l and srv.Drain(timeout) on
 // shutdown.
 func (s *System) NewServer(opts ServerOptions) *NamespaceServer {
 	if opts.Registry == nil {
 		opts.Registry = s.FS.TelemetryRegistry()
 	}
-	srv := server.New(s.FS, opts)
-	s.FS.SetServerStats(srv.Stats)
-	return srv
+	return server.New(s.FS, opts)
 }
 
 // NamespaceClient is a pooled client for a NamespaceServer; it
@@ -326,8 +327,8 @@ type StripeTierSpec struct {
 // AddRemoteStripeTier dials every node of spec, assembles the erasure-
 // coded StripeSet over them, and registers it as one tier. The returned
 // set handle exposes degraded-mode controls (Quarantine, ReplaceNode,
-// Rebuild, Scrub, Status); its per-node metrics land on this System's
-// /metrics surface.
+// Rebuild, Scrub, Status); its counters and per-node latencies land on
+// this System's /metrics surface.
 func (s *System) AddRemoteStripeTier(spec StripeTierSpec) (int, *StripeSet, error) {
 	if len(spec.Addrs) == 0 {
 		return -1, nil, fmt.Errorf("muxfs: stripe tier needs at least one node")

@@ -323,9 +323,14 @@ func TestStripeTierViaFacade(t *testing.T) {
 		t.Fatal("no degraded reads recorded")
 	}
 
-	// The telemetry snapshot carries the stripe surface.
-	snap := sys.FS.Telemetry()
-	if len(snap.Stripes) != 1 || snap.Stripes[0].DegradedReads == 0 {
-		t.Fatalf("telemetry stripes = %+v", snap.Stripes)
+	// The telemetry snapshot carries the stripe tier's families.
+	found := false
+	for _, f := range sys.FS.Telemetry().Families {
+		if f.Name == "mux_stripe_degraded_reads_total" {
+			found = len(f.Series) == 1 && *f.Series[0].Value == st.DegradedReads
+		}
+	}
+	if !found {
+		t.Fatalf("snapshot lacks mux_stripe_degraded_reads_total = %d", st.DegradedReads)
 	}
 }

@@ -58,7 +58,8 @@ type CacheStats = core.CacheStats
 
 // TelemetrySnapshot is the unified observability view: per-tier op latency
 // distributions and counts, metadata-op counts, the subsumed
-// cache/OCC/BLT/migration/health stats, and the recent trace events.
+// cache/OCC/BLT/migration/health stats, the recent trace events, and
+// every family /metrics exports.
 type TelemetrySnapshot = core.TelemetrySnapshot
 
 // OpTelemetry summarizes one per-tier op series (count, bytes, errors,
