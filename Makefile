@@ -24,10 +24,10 @@ race:
 # budget runs the allocation-budget tests without the race detector. They
 # skip under -race, which drops a random share of sync.Pool puts, so the
 # race target above never checks them: the device page pool, the blockfs
-# sync path, the stripe tier's pooled batch buffers, the pipelined
-# migration copy and the muxns wire.
+# sync path, xfslite's byte-free clean cache pages, the stripe tier's pooled
+# batch buffers, the pipelined migration copy and the muxns wire.
 budget:
-	$(GO) test -count=1 -run 'AllocatesNothing|AllocationBudget|AllocBudget|FeedOtherDevice' ./internal/device ./internal/fs/blockfs ./internal/ec ./internal/core ./internal/server
+	$(GO) test -count=1 -run 'AllocatesNothing|AllocationBudget|AllocBudget|FeedOtherDevice' ./internal/device ./internal/fs/blockfs ./internal/fs/xfslite ./internal/ec ./internal/core ./internal/server
 
 # stress repeats the read-vs-migration race tests, the migration-batch
 # worker-equivalence test, the breaker/gate concurrency test, the buffer

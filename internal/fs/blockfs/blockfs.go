@@ -99,9 +99,12 @@ type FS struct {
 	cache        *pagecache.Cache
 	recovering   bool // replay must not touch device data (pages may have been reused)
 	// Writeback scratch reused across flushCache calls: the sorted dirty
-	// keys and the cached pages of the run being merged.
-	dirty []pagecache.Key
-	run   [][]byte
+	// keys, and the keys and cached pages of the run being merged.
+	dirty   []pagecache.Key
+	runKeys []pagecache.Key
+	run     [][]byte
+	// scratch is a page image the read and write paths build under fs.mu.
+	scratch []byte
 
 	dataStart int64
 }
@@ -146,6 +149,7 @@ func New(dev *device.Device, cfg Config) (*FS, error) {
 		dataStart: logSize,
 		jnl:       jnl,
 		cache:     pagecache.New(cfg.CachePages, dev.Clock(), dram.ReadLatency),
+		scratch:   make([]byte, PageSize),
 	}
 	fs.resetState()
 	return fs, nil
@@ -195,22 +199,42 @@ func (fs *FS) queue(recs ...journal.Record) error {
 	return nil
 }
 
-// writeback flushes one evicted dirty page to the device. Caller holds
-// fs.mu.
-func (fs *FS) writeback(ev pagecache.Evicted) error {
-	if !ev.Dirty {
-		return nil
-	}
-	ino, ok := fs.inodes[ev.Key.File]
+// devOff returns the device offset cached page k maps to; false for a
+// removed file or a hole. Caller holds fs.mu.
+func (fs *FS) devOff(k pagecache.Key) (int64, bool) {
+	ino, ok := fs.inodes[k.File]
 	if !ok {
-		return nil // file removed; invalidation already dropped its pages
+		return 0, false
 	}
-	v, _, mapped := ino.ext.Lookup(ev.Key.Page * PageSize)
+	v, _, mapped := ino.ext.Lookup(k.Page * PageSize)
+	return k.Page*PageSize + v, mapped
+}
+
+// evict writes back the dirty page a cache Put chose as its victim, then
+// drops it. If the write fails the page stays cached and dirty, so the
+// data is not lost and a later Sync or eviction retries it. Caller holds
+// fs.mu.
+func (fs *FS) evict(ev pagecache.Evicted) error {
+	if dev, ok := fs.devOff(ev.Key); ok {
+		if _, err := fs.dev.WriteAt(ev.Data, dev); err != nil {
+			return err
+		}
+	}
+	fs.cache.Evict(ev.Key)
+	return nil
+}
+
+// peekClean copies bytes [pgOff, pgOff+len(dst)) of page pg, resident
+// clean in the cache, off the device at the page's mapping (zeros for a
+// hole). The device holds the only copy of a clean page, so this is the
+// DRAM copy of a cache hit and costs nothing here. Caller holds fs.mu.
+func (fs *FS) peekClean(ino *inode, pg, pgOff int64, dst []byte) error {
+	v, _, mapped := ino.ext.Lookup(pg * PageSize)
 	if !mapped {
+		clear(dst)
 		return nil
 	}
-	_, err := fs.dev.WriteAt(ev.Data, ev.Key.Page*PageSize+v)
-	return err
+	return fs.dev.Peek(dst, pg*PageSize+v+pgOff)
 }
 
 // maxRun bounds a merged writeback request (a typical max I/O size).
@@ -223,7 +247,9 @@ const maxRun = 4 << 20
 // batched I/O: one op-latency charge per merged run instead of per block.
 // A run is handed to the device as the list of its cached pages, so
 // nothing is copied into a merge buffer; the key and page lists (fs.dirty,
-// fs.run) are reused across calls. Caller holds fs.mu.
+// fs.runKeys, fs.run) are reused across calls. A run's pages turn clean
+// only once its write has succeeded: a failed run stays dirty for the
+// retry. Caller holds fs.mu.
 func (fs *FS) flushCache(file uint64, all bool) error {
 	fs.dirty = fs.cache.AppendDirtyPages(fs.dirty[:0], file, all)
 	var runDev, runLen int64 // device offset and length of the run
@@ -233,27 +259,26 @@ func (fs *FS) flushCache(file uint64, all bool) error {
 			return nil
 		}
 		_, err := fs.dev.WriteVecAt(fs.run, runDev)
+		if err == nil {
+			for _, k := range fs.runKeys {
+				fs.cache.MarkClean(k)
+			}
+		}
 		clear(fs.run) // keep no cache pages reachable between calls
-		fs.run, runLen = fs.run[:0], 0
+		fs.run, fs.runKeys, runLen = fs.run[:0], fs.runKeys[:0], 0
 		return err
 	}
 
 	for _, k := range fs.dirty {
-		data, ok := fs.cache.Peek(k)
+		data, _ := fs.cache.Peek(k)
+		if data == nil {
+			continue
+		}
+		dev, ok := fs.devOff(k)
 		if !ok {
+			fs.cache.MarkClean(k) // removed or unmapped: nothing to write
 			continue
 		}
-		ino, ok := fs.inodes[k.File]
-		if !ok {
-			fs.cache.MarkClean(k)
-			continue
-		}
-		v, _, mapped := ino.ext.Lookup(k.Page * PageSize)
-		if !mapped {
-			fs.cache.MarkClean(k)
-			continue
-		}
-		dev := k.Page*PageSize + v
 		if runLen > 0 && (runDev+runLen != dev || runLen+PageSize > maxRun) {
 			if err := flushRun(); err != nil {
 				return err
@@ -263,8 +288,8 @@ func (fs *FS) flushCache(file uint64, all bool) error {
 			runDev = dev
 		}
 		fs.run = append(fs.run, data)
+		fs.runKeys = append(fs.runKeys, k)
 		runLen += int64(len(data))
-		fs.cache.MarkClean(k)
 	}
 	return flushRun()
 }
@@ -543,10 +568,13 @@ func (fs *FS) Sync() error {
 }
 
 // Crash simulates power loss: un-persisted device state and the entire DRAM
-// page cache vanish.
+// page cache vanish. The cache empties first, under fs.mu, so no read can
+// serve a clean page off the reverted device.
 func (fs *FS) Crash() {
-	fs.dev.Crash()
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
 	fs.cache.InvalidateAll()
+	fs.dev.Crash()
 }
 
 // Recover rebuilds in-memory state by replaying the journal.
@@ -757,12 +785,14 @@ func (fs *FS) cowZeroEdge(ino *inode, inoNum uint64, zFrom, zTo int64) ([]fsrec.
 	if !touched {
 		return nil, nil // holes already read zero
 	}
-	// Page image: a resident cache page is newest; otherwise read the
-	// mapped runs off the device.
-	buf := make([]byte, PageSize)
+	// Page image: a dirty cache page is newest; otherwise the mapped runs
+	// on the device, read for free when the page is resident clean (the
+	// device holds its only copy).
+	buf := fs.scratch
+	clear(buf)
 	key := pagecacheKey(inoNum, pageStart/PageSize)
 	cached, resident := fs.cache.Peek(key)
-	if resident {
+	if cached != nil {
 		copy(buf, cached)
 	} else {
 		for _, seg := range segs {
@@ -770,7 +800,13 @@ func (fs *FS) cowZeroEdge(ino *inode, inoNum uint64, zFrom, zTo int64) ([]fsrec.
 				continue
 			}
 			dst := buf[seg.Off-pageStart : seg.Off-pageStart+seg.Len]
-			if _, err := fs.dev.ReadAt(dst, seg.Off+seg.Val); err != nil {
+			var err error
+			if resident {
+				err = fs.dev.Peek(dst, seg.Off+seg.Val)
+			} else {
+				_, err = fs.dev.ReadAt(dst, seg.Off+seg.Val)
+			}
+			if err != nil {
 				return nil, err
 			}
 		}
@@ -792,10 +828,8 @@ func (fs *FS) cowZeroEdge(ino *inode, inoNum uint64, zFrom, zTo int64) ([]fsrec.
 		fs.placer.Free(run.DevOff, PageSize)
 		return nil, err
 	}
-	if resident {
-		copy(cached, buf)
-		fs.cache.MarkClean(key)
-	}
+	// The new block now holds the page: a resident page turns clean.
+	fs.cache.MarkClean(key)
 	newDelta := devOff - pageStart
 	var ops []fsrec.Op
 	oldPages := make(map[int64]bool)
@@ -844,23 +878,33 @@ func (fs *FS) readLocked(ino *inode, inoNum uint64, p []byte, off int64) (int, e
 		dst := p[pos-off : pos-off+chunk]
 		key := pagecache.Key{File: inoNum, Page: pg}
 		if data, ok := fs.cache.Get(key); ok {
-			copy(dst, data[pgOff:pgOff+chunk])
+			if data != nil {
+				copy(dst, data[pgOff:pgOff+chunk])
+			} else if err := fs.peekClean(ino, pg, pgOff, dst); err != nil {
+				return 0, err
+			}
 			pos += chunk
 			continue
 		}
 		// Miss: fetch the whole page (hole pages read as zeros without
-		// device I/O) and populate the cache. Inserting may evict a dirty
-		// page, which must be written back, not dropped.
-		pageBuf := make([]byte, PageSize)
+		// device I/O) and enter it in the cache clean. Inserting may evict
+		// a dirty page, which must be written back, not dropped.
 		v, _, mapped := ino.ext.Lookup(pg * PageSize)
-		if mapped {
-			if _, err := fs.dev.ReadAt(pageBuf, pg*PageSize+v); err != nil {
+		if !mapped {
+			clear(dst)
+			pos += chunk
+			continue
+		}
+		pageBuf := dst
+		if chunk < PageSize {
+			pageBuf = fs.scratch
+		}
+		if _, err := fs.dev.ReadAt(pageBuf, pg*PageSize+v); err != nil {
+			return 0, err
+		}
+		if ev, mustWrite := fs.cache.Put(key, nil, false); mustWrite {
+			if err := fs.evict(ev); err != nil {
 				return 0, err
-			}
-			if ev, evicted := fs.cache.Put(key, pageBuf, false); evicted {
-				if err := fs.writeback(ev); err != nil {
-					return 0, err
-				}
 			}
 		}
 		copy(dst, pageBuf[pgOff:pgOff+chunk])
@@ -873,9 +917,8 @@ func (fs *FS) readLocked(ino *inode, inoNum uint64, p []byte, off int64) (int, e
 	return int(n), nil
 }
 
-// writeLocked serves WriteAt: allocate backing for holes, write through to
-// the device, refresh cached pages, queue metadata records. Caller holds
-// fs.mu.
+// writeLocked serves WriteAt: allocate backing for holes, write the data
+// into cached pages, queue metadata records. Caller holds fs.mu.
 func (fs *FS) writeLocked(ino *inode, inoNum uint64, p []byte, off int64) (int, error) {
 	fs.clk.Advance(fs.costs.WriteOp)
 	if off < 0 {
@@ -913,41 +956,16 @@ func (fs *FS) writeLocked(ino *inode, inoNum uint64, p []byte, off int64) (int, 
 		}
 	}
 
-	// Write back through the page cache: the data lands in DRAM pages now
-	// and reaches the device at eviction or fsync, in sorted order.
-	for pg := firstPage; pg <= lastPage; pg++ {
-		pgStart := pg * PageSize
-		lo, hi := off, off+n
-		if lo < pgStart {
-			lo = pgStart
+	if err := fs.cachePages(ino, inoNum, p, off); err != nil {
+		// Undo the hole fills: drop the pages this write cached over them
+		// and whatever an eviction already wrote into their blocks, so a
+		// retry allocates and journals them afresh.
+		for _, op := range newOps {
+			fs.cache.InvalidateRange(inoNum, op.Off, op.N)
+			fs.dev.Discard(op.Off+op.Delta, op.N)
 		}
-		if hi > pgStart+PageSize {
-			hi = pgStart + PageSize
-		}
-		key := pagecache.Key{File: inoNum, Page: pg}
-		if data, ok := fs.cache.Peek(key); ok {
-			copy(data[lo-pgStart:hi-pgStart], p[lo-off:hi-off])
-			fs.cache.MarkDirty(key)
-			fs.clk.Advance(fs.costs.PerPage) // DRAM copy path
-			continue
-		}
-		// Miss: build the full page image (RMW fill from the device when
-		// the write covers only part of an already-mapped page).
-		buf := make([]byte, PageSize)
-		if lo != pgStart || hi != pgStart+PageSize {
-			if v, _, mapped := ino.ext.Lookup(pgStart); mapped {
-				if _, err := fs.dev.ReadAt(buf, pgStart+v); err != nil {
-					return 0, err
-				}
-			}
-		}
-		copy(buf[lo-pgStart:hi-pgStart], p[lo-off:hi-off])
-		ev, evicted := fs.cache.Put(key, buf, true)
-		if evicted {
-			if err := fs.writeback(ev); err != nil {
-				return 0, err
-			}
-		}
+		fs.rollbackNewRuns(ino, newOps)
+		return 0, err
 	}
 
 	now := fs.now()
@@ -967,6 +985,55 @@ func (fs *FS) writeLocked(ino *inode, inoNum uint64, p []byte, off int64) (int, 
 		return 0, err
 	}
 	return int(n), nil
+}
+
+// cachePages writes p at off through the page cache: the data lands in DRAM
+// pages now and reaches the device at eviction or fsync, in sorted order.
+// Every page of the range is mapped. Caller holds fs.mu.
+func (fs *FS) cachePages(ino *inode, inoNum uint64, p []byte, off int64) error {
+	end := off + int64(len(p))
+	for pgStart := off / PageSize * PageSize; pgStart < end; pgStart += PageSize {
+		lo, hi := max(off, pgStart), min(end, pgStart+PageSize)
+		src := p[lo-off : hi-off]
+		key := pagecache.Key{File: inoNum, Page: pgStart / PageSize}
+		data, resident := fs.cache.Peek(key)
+		if data != nil {
+			copy(data[lo-pgStart:], src)
+			fs.clk.Advance(fs.costs.PerPage) // DRAM copy path
+			continue
+		}
+		// A clean hit or a miss: build the full page image, filling a
+		// partial write from the page's mapping.
+		img := src
+		if len(src) < PageSize {
+			img = fs.scratch
+			var err error
+			if resident {
+				err = fs.peekClean(ino, pgStart/PageSize, 0, img)
+			} else if v, _, mapped := ino.ext.Lookup(pgStart); mapped {
+				_, err = fs.dev.ReadAt(img, pgStart+v) // RMW fill
+			} else {
+				clear(img)
+			}
+			if err != nil {
+				return err
+			}
+			copy(img[lo-pgStart:], src)
+		}
+		if resident {
+			// No buffer to update in place: the image becomes the page's
+			// dirty copy at the DRAM path's cost, not Put's.
+			fs.cache.MarkDirty(key, img)
+			fs.clk.Advance(fs.costs.PerPage)
+			continue
+		}
+		if ev, mustWrite := fs.cache.Put(key, img, true); mustWrite {
+			if err := fs.evict(ev); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // rollbackNewRuns undoes partial allocations of a failed write.

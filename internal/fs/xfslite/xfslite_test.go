@@ -1,11 +1,14 @@
 package xfslite
 
 import (
+	"bytes"
+	"runtime"
 	"testing"
 
 	"muxfs/internal/device"
 	"muxfs/internal/fs/blockfs"
 	"muxfs/internal/fstest"
+	"muxfs/internal/race"
 	"muxfs/internal/simclock"
 	"muxfs/internal/vfs"
 )
@@ -183,4 +186,140 @@ func TestCrashTorture(t *testing.T) {
 			return fs
 		}
 	}, 12)
+}
+
+// syncedRead crashes and recovers fs, then reads n bytes of path.
+func syncedRead(t *testing.T, fs *blockfs.FS, path string, n int) []byte {
+	t.Helper()
+	fs.Crash()
+	if err := fs.Recover(); err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	f, err := fs.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	got := make([]byte, n)
+	if _, err := f.ReadAt(got, 0); err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+// A Sync whose write-back fails must leave the pages dirty: the retried
+// Sync writes them, so they survive a crash.
+func TestFailedSyncKeepsPagesDirty(t *testing.T) {
+	dev := device.New(device.SSDProfile("ssd0"), simclock.New())
+	fs, err := New("xfs@ssd0", dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, _ := fs.Create("/f")
+	want := bytes.Repeat([]byte{0x5A}, 2*blockfs.PageSize)
+	if _, err := f.WriteAt(want, 0); err != nil {
+		t.Fatal(err)
+	}
+	dev.InjectFailure(true)
+	if err := f.Sync(); err == nil {
+		t.Fatal("Sync succeeded on a failed device")
+	}
+	dev.ClearFaults()
+	if err := f.Sync(); err != nil {
+		t.Fatalf("retried Sync: %v", err)
+	}
+	f.Close()
+	if got := syncedRead(t, fs, "/f", len(want)); !bytes.Equal(got, want) {
+		t.Fatal("data of a retried Sync lost in a crash")
+	}
+}
+
+// A dirty page whose eviction write-back fails must stay cached and dirty,
+// not vanish: the next Sync writes it.
+func TestFailedEvictionKeepsPageDirty(t *testing.T) {
+	dev := device.New(device.SSDProfile("ssd0"), simclock.New())
+	fs, err := NewWithCache("xfs@ssd0", dev, blockfs.PageSize) // one page
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, _ := fs.Create("/f")
+	want := bytes.Repeat([]byte{0xA5}, blockfs.PageSize)
+	if _, err := f.WriteAt(want, 0); err != nil {
+		t.Fatal(err)
+	}
+	dev.InjectFailure(true)
+	// A whole-page write needs no device read, so the failure it meets is
+	// the eviction's write-back.
+	if _, err := f.WriteAt(want, blockfs.PageSize); err == nil {
+		t.Fatal("a write that evicts onto a failed device succeeded")
+	}
+	dev.ClearFaults()
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	if got := syncedRead(t, fs, "/f", len(want)); !bytes.Equal(got, want) {
+		t.Fatal("dirty page lost by a failed eviction")
+	}
+}
+
+// The cache keeps no bytes for a clean page: reading 32 MiB through a
+// cache that holds all of it retains well under a page per cached page
+// (the key, its LRU link and its map entry), not a 4 KiB copy of what the
+// device already holds.
+func TestCleanPageAllocationBudget(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race runtime's allocation bookkeeping inflates the heap")
+	}
+	const size = 32 << 20
+	const pages = size / blockfs.PageSize
+	dev := device.New(device.SSDProfile("ssd0"), simclock.New())
+	fs, err := NewWithCache("xfs@ssd0", dev, 2*size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, _ := fs.Create("/f")
+	chunk := bytes.Repeat([]byte{0x3C}, 1<<20)
+	for off := int64(0); off < size; off += int64(len(chunk)) {
+		if _, err := f.WriteAt(chunk, off); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	fs.Crash() // start cold: the read below fills the cache
+	if err := fs.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	f, err = fs.Open("/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC() // and the buffers sync.Pools held through the first
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	for off := int64(0); off < size; off += int64(len(chunk)) {
+		if _, err := f.ReadAt(chunk, off); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := heap()
+	if s := fs.CacheStats(); s.Pages != pages || s.Misses != pages {
+		t.Fatalf("cache stats %+v, want %d pages read in by misses", s, pages)
+	}
+	perPage := (float64(after) - float64(before)) / pages
+	t.Logf("%.0f B retained per cached clean page", perPage)
+	if perPage > 512 {
+		t.Fatalf("%.0f B retained per cached clean page, want <= 512", perPage)
+	}
+	runtime.KeepAlive(chunk) // live at both heap readings
+	runtime.KeepAlive(fs)
 }

@@ -7,6 +7,14 @@
 // virtual clock, which is what produces the paper's §3.2 result shape where
 // Mux's fixed indirection cost is large *relative* to a cache-hit read and
 // negligible relative to an HDD access.
+//
+// Only a dirty page holds bytes. A clean page equals what the simulated
+// device holds at the page's mapping, and the device already keeps those
+// bytes in process memory, so a clean entry keeps just its key, its LRU
+// position and its share of the statistics; its owner serves a clean hit
+// by copying the bytes off the device for free (device.Peek). Capacity,
+// LRU order, hits, misses, evictions and charged costs are those of a
+// cache that stores every page.
 package pagecache
 
 import (
@@ -16,6 +24,7 @@ import (
 	"sync"
 	"time"
 
+	"muxfs/internal/bufpool"
 	"muxfs/internal/simclock"
 )
 
@@ -28,12 +37,11 @@ type Key struct {
 	Page int64  // page index within the file
 }
 
-// Evicted describes a page pushed out by Put; the owner must write dirty
-// evictions back to the device.
+// Evicted is a dirty page Put chose as its victim. It stays resident until
+// the owner has written Data back and called Evict.
 type Evicted struct {
-	Key   Key
-	Data  []byte
-	Dirty bool
+	Key  Key
+	Data []byte
 }
 
 // Stats reports cache effectiveness.
@@ -45,9 +53,8 @@ type Stats struct {
 }
 
 type page struct {
-	key   Key
-	data  []byte
-	dirty bool
+	key Key
+	buf *[]byte // a PageSize bufpool buffer while dirty; nil while clean
 }
 
 // Cache is a fixed-capacity LRU page cache. Safe for concurrent use.
@@ -78,9 +85,38 @@ func New(capacityPages int, clk *simclock.Clock, hitCost time.Duration) *Cache {
 	}
 }
 
-// Get returns the cached page data for k, or (nil, false) on miss. The
-// returned slice is the cache's own page; callers may read and, for write
-// hits combined with MarkDirty, update it in place under the FS's file lock.
+// data returns the page's bytes, nil for a clean page.
+func (p *page) data() []byte {
+	if p.buf == nil {
+		return nil
+	}
+	return *p.buf
+}
+
+// setClean recycles a dirty page's buffer. Caller holds c.mu.
+func (p *page) setClean() {
+	if p.buf != nil {
+		bufpool.Put(p.buf)
+		p.buf = nil
+	}
+}
+
+// fill makes p dirty with the contents data, zero-extended to PageSize.
+// Caller holds c.mu.
+func (p *page) fill(data []byte) {
+	if p.buf == nil {
+		p.buf = bufpool.Get(PageSize)
+	}
+	n := copy(*p.buf, data)
+	clear((*p.buf)[n:])
+}
+
+// Get looks k up, charging a hit the DRAM cost and moving it to the front
+// of the LRU order. On a hit it returns the page's bytes if the page is
+// dirty and nil if it is clean: a clean page's bytes are on the device at
+// the file's current mapping, so read them there. The dirty bytes are the
+// cache's own buffer; the owner reads or updates them in place while it
+// holds its FS lock. A miss returns (nil, false).
 func (c *Cache) Get(k Key) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -92,106 +128,91 @@ func (c *Cache) Get(k Key) ([]byte, bool) {
 	c.hits++
 	c.clk.Advance(c.hitCost)
 	c.lru.MoveToFront(el)
-	return el.Value.(*page).data, true
+	return el.Value.(*page).data(), true
 }
 
-// Contains reports whether k is cached without touching LRU order or stats.
-func (c *Cache) Contains(k Key) bool {
+// Peek is Get without the LRU move, the statistics or the clock charge;
+// write paths use it. Like Get, it returns nil for a resident clean page.
+func (c *Cache) Peek(k Key) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	_, ok := c.pages[k]
-	return ok
+	if el, ok := c.pages[k]; ok {
+		return el.Value.(*page).data(), true
+	}
+	return nil, false
 }
 
-// Put inserts (or replaces) page k with data, which must be PageSize bytes
-// or shorter (short pages are zero-extended). It returns any evicted page so
-// the caller can write dirty contents back to the device.
-func (c *Cache) Put(k Key, data []byte, dirty bool) (ev Evicted, evicted bool) {
+// Put inserts page k, or replaces its contents if resident, and charges
+// the DRAM copy-in cost. A dirty page keeps a copy of data (PageSize bytes
+// or fewer; short pages are zero-extended); a clean page keeps none, its
+// bytes being the device's; a dirty page stays dirty when replaced by
+// clean data.
+//
+// When the insert takes the cache past its capacity, the least recently
+// used page is the victim. A clean victim is dropped. A dirty victim stays
+// resident and is returned: the owner writes its Data back and then calls
+// Evict. If that write-back fails the page stays dirty, and the cache
+// stays over capacity until a later Put evicts it.
+func (c *Cache) Put(k Key, data []byte, dirty bool) (ev Evicted, mustWrite bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.clk.Advance(c.hitCost) // DRAM copy-in cost
 
 	if el, ok := c.pages[k]; ok {
-		p := el.Value.(*page)
-		copy(p.data, data)
-		for i := len(data); i < PageSize; i++ {
-			p.data[i] = 0
+		if p := el.Value.(*page); dirty || p.buf != nil {
+			p.fill(data)
 		}
-		p.dirty = p.dirty || dirty
 		c.lru.MoveToFront(el)
 		return Evicted{}, false
 	}
 
-	buf := make([]byte, PageSize)
-	copy(buf, data)
-	p := &page{key: k, data: buf, dirty: dirty}
+	p := &page{key: k}
+	if dirty {
+		p.fill(data)
+	}
 	c.pages[k] = c.lru.PushFront(p)
 
-	if c.lru.Len() <= c.capacity {
-		return Evicted{}, false
+	for c.lru.Len() > c.capacity {
+		victim := c.lru.Back().Value.(*page)
+		if victim.buf != nil {
+			return Evicted{Key: victim.key, Data: *victim.buf}, true
+		}
+		c.remove(c.lru.Back())
+		c.evictions++
 	}
-	tail := c.lru.Back()
-	victim := tail.Value.(*page)
-	c.lru.Remove(tail)
-	delete(c.pages, victim.key)
-	c.evictions++
-	return Evicted{Key: victim.key, Data: victim.data, Dirty: victim.dirty}, true
+	return Evicted{}, false
 }
 
-// MarkDirty flags a cached page dirty (after an in-place write hit).
-// It is a no-op if the page is not resident.
-func (c *Cache) MarkDirty(k Key) {
+// Evict drops page k once its write-back has succeeded.
+func (c *Cache) Evict(k Key) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.pages[k]; ok {
-		el.Value.(*page).dirty = true
+		c.remove(el)
+		c.evictions++
 	}
 }
 
-// FlushFile calls write for every dirty page of file, in unspecified order,
-// and marks pages clean as write succeeds. It stops at the first error.
-func (c *Cache) FlushFile(file uint64, write func(Key, []byte) error) error {
+// MarkDirty makes resident page k dirty with the contents data (a full
+// page image): the write hit of a clean page, which has no buffer to
+// update in place. Unlike Put it charges nothing and keeps the LRU order.
+// It is a no-op if the page is not resident.
+func (c *Cache) MarkDirty(k Key, data []byte) {
 	c.mu.Lock()
-	var dirty []*page
-	for _, el := range c.pages {
-		p := el.Value.(*page)
-		if p.key.File == file && p.dirty {
-			dirty = append(dirty, p)
-		}
+	defer c.mu.Unlock()
+	if el, ok := c.pages[k]; ok {
+		el.Value.(*page).fill(data)
 	}
-	c.mu.Unlock()
-
-	for _, p := range dirty {
-		if err := write(p.key, p.data); err != nil {
-			return err
-		}
-		c.mu.Lock()
-		p.dirty = false
-		c.mu.Unlock()
-	}
-	return nil
 }
 
-// FlushAll flushes every dirty page in the cache.
-func (c *Cache) FlushAll(write func(Key, []byte) error) error {
+// MarkClean drops page k's bytes after the device holds them: call it only
+// once the page's write-back has succeeded.
+func (c *Cache) MarkClean(k Key) {
 	c.mu.Lock()
-	var dirty []*page
-	for _, el := range c.pages {
-		p := el.Value.(*page)
-		if p.dirty {
-			dirty = append(dirty, p)
-		}
+	defer c.mu.Unlock()
+	if el, ok := c.pages[k]; ok {
+		el.Value.(*page).setClean()
 	}
-	c.mu.Unlock()
-	for _, p := range dirty {
-		if err := write(p.key, p.data); err != nil {
-			return err
-		}
-		c.mu.Lock()
-		p.dirty = false
-		c.mu.Unlock()
-	}
-	return nil
 }
 
 // AppendDirtyPages appends the keys of all dirty pages — of one file, or of
@@ -204,7 +225,7 @@ func (c *Cache) AppendDirtyPages(dst []Key, file uint64, all bool) []Key {
 	defer c.mu.Unlock()
 	n := len(dst)
 	for k, el := range c.pages {
-		if el.Value.(*page).dirty && (all || k.File == file) {
+		if el.Value.(*page).buf != nil && (all || k.File == file) {
 			dst = append(dst, k)
 		}
 	}
@@ -217,37 +238,12 @@ func (c *Cache) AppendDirtyPages(dst []Key, file uint64, all bool) []Key {
 	return dst
 }
 
-// Peek returns the page data for k without touching LRU order, hit/miss
-// stats, or clock costs. Write-back paths use it.
-func (c *Cache) Peek(k Key) ([]byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.pages[k]; ok {
-		return el.Value.(*page).data, true
-	}
-	return nil, false
-}
-
-// MarkClean clears the dirty flag after a successful write-back.
-func (c *Cache) MarkClean(k Key) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.pages[k]; ok {
-		el.Value.(*page).dirty = false
-	}
-}
-
-// DirtyCount returns the number of dirty resident pages.
-func (c *Cache) DirtyCount() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for _, el := range c.pages {
-		if el.Value.(*page).dirty {
-			n++
-		}
-	}
-	return n
+// remove unlinks a page and recycles its buffer. Caller holds c.mu.
+func (c *Cache) remove(el *list.Element) {
+	p := el.Value.(*page)
+	p.setClean()
+	c.lru.Remove(el)
+	delete(c.pages, p.key)
 }
 
 // InvalidateFile drops every page of file (truncate, remove, or migration
@@ -257,8 +253,7 @@ func (c *Cache) InvalidateFile(file uint64) {
 	defer c.mu.Unlock()
 	for k, el := range c.pages {
 		if k.File == file {
-			c.lru.Remove(el)
-			delete(c.pages, k)
+			c.remove(el)
 		}
 	}
 }
@@ -273,10 +268,8 @@ func (c *Cache) InvalidateRange(file uint64, off, n int64) {
 	first := off / PageSize
 	last := (off + n - 1) / PageSize
 	for pg := first; pg <= last; pg++ {
-		k := Key{File: file, Page: pg}
-		if el, ok := c.pages[k]; ok {
-			c.lru.Remove(el)
-			delete(c.pages, k)
+		if el, ok := c.pages[Key{File: file, Page: pg}]; ok {
+			c.remove(el)
 		}
 	}
 }
@@ -285,6 +278,9 @@ func (c *Cache) InvalidateRange(file uint64, off, n int64) {
 func (c *Cache) InvalidateAll() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	for _, el := range c.pages {
+		el.Value.(*page).setClean()
+	}
 	c.lru.Init()
 	c.pages = make(map[Key]*list.Element)
 }

@@ -2,8 +2,6 @@ package pagecache
 
 import (
 	"bytes"
-	"errors"
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -16,26 +14,37 @@ func newTestCache(capacity int) (*Cache, *simclock.Clock) {
 	return New(capacity, clk, 100*time.Nanosecond), clk
 }
 
+func resident(c *Cache, k Key) bool {
+	_, ok := c.Peek(k)
+	return ok
+}
+
+func dirtyKeys(c *Cache) []Key { return c.AppendDirtyPages(nil, 0, true) }
+
+// A hit charges the DRAM cost whether the page is clean or dirty, and
+// returns bytes only for a dirty page: a clean one has none to return.
 func TestGetMissThenHit(t *testing.T) {
 	c, clk := newTestCache(4)
-	k := Key{File: 1, Page: 0}
-	if _, ok := c.Get(k); ok {
+	clean, dirty := Key{File: 1, Page: 0}, Key{File: 1, Page: 1}
+	if _, ok := c.Get(clean); ok {
 		t.Fatal("hit on empty cache")
 	}
-	c.Put(k, []byte("hello"), false)
+	c.Put(clean, []byte("on the device"), false)
+	c.Put(dirty, []byte("hello"), true)
 	before := clk.Now()
-	data, ok := c.Get(k)
-	if !ok {
-		t.Fatal("miss after Put")
+	data, ok := c.Get(clean)
+	if !ok || data != nil {
+		t.Fatalf("clean hit = %v, %d bytes; want a hit with no bytes", ok, len(data))
 	}
-	if !bytes.Equal(data[:5], []byte("hello")) {
-		t.Fatalf("data = %q", data[:5])
+	data, ok = c.Get(dirty)
+	if !ok || !bytes.Equal(data[:5], []byte("hello")) {
+		t.Fatalf("dirty hit = %v, %q", ok, data)
 	}
-	if clk.Now()-before != 100*time.Nanosecond {
-		t.Fatalf("hit cost not charged: %v", clk.Now()-before)
+	if clk.Now()-before != 200*time.Nanosecond {
+		t.Fatalf("two hits charged %v, want 200ns", clk.Now()-before)
 	}
 	s := c.Stats()
-	if s.Hits != 1 || s.Misses != 1 {
+	if s.Hits != 2 || s.Misses != 1 || s.Pages != 2 {
 		t.Fatalf("stats = %+v", s)
 	}
 }
@@ -43,7 +52,7 @@ func TestGetMissThenHit(t *testing.T) {
 func TestPutZeroExtendsShortPage(t *testing.T) {
 	c, _ := newTestCache(4)
 	k := Key{File: 1, Page: 0}
-	c.Put(k, []byte("abc"), false)
+	c.Put(k, []byte("abc"), true)
 	data, _ := c.Get(k)
 	if len(data) != PageSize {
 		t.Fatalf("page len = %d", len(data))
@@ -51,10 +60,11 @@ func TestPutZeroExtendsShortPage(t *testing.T) {
 	if data[3] != 0 || data[PageSize-1] != 0 {
 		t.Fatal("short page not zero-extended")
 	}
-	// Replacing with shorter data must clear the tail.
-	full := bytes.Repeat([]byte{0xEE}, PageSize)
-	c.Put(k, full, false)
-	c.Put(k, []byte("xy"), false)
+	// Replacing with shorter data must clear the tail, also in a recycled
+	// buffer.
+	c.Put(k, bytes.Repeat([]byte{0xEE}, PageSize), true)
+	c.MarkClean(k)
+	c.Put(k, []byte("xy"), true)
 	data, _ = c.Get(k)
 	if data[0] != 'x' || data[2] != 0 || data[100] != 0 {
 		t.Fatal("replacement did not clear stale bytes")
@@ -64,14 +74,13 @@ func TestPutZeroExtendsShortPage(t *testing.T) {
 func TestLRUEviction(t *testing.T) {
 	c, _ := newTestCache(2)
 	k1, k2, k3 := Key{1, 0}, Key{1, 1}, Key{1, 2}
-	c.Put(k1, []byte("1"), false)
-	c.Put(k2, []byte("2"), false)
+	c.Put(k1, nil, false)
+	c.Put(k2, nil, false)
 	c.Get(k1) // k1 now more recent than k2
-	ev, evicted := c.Put(k3, []byte("3"), false)
-	if !evicted || ev.Key != k2 {
-		t.Fatalf("evicted = %v %+v, want k2", evicted, ev.Key)
+	if _, mustWrite := c.Put(k3, nil, false); mustWrite {
+		t.Fatal("a clean victim needs no write-back")
 	}
-	if !c.Contains(k1) || c.Contains(k2) || !c.Contains(k3) {
+	if !resident(c, k1) || resident(c, k2) || !resident(c, k3) {
 		t.Fatal("wrong residency after eviction")
 	}
 	if c.Stats().Evictions != 1 {
@@ -79,16 +88,48 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
+// A dirty victim stays resident, bytes and all, until its owner has
+// written it back and calls Evict.
 func TestEvictionReturnsDirtyData(t *testing.T) {
 	c, _ := newTestCache(1)
 	k1, k2 := Key{1, 0}, Key{1, 1}
 	c.Put(k1, []byte("dirty!"), true)
-	ev, evicted := c.Put(k2, []byte("x"), false)
-	if !evicted || !ev.Dirty {
-		t.Fatalf("dirty eviction lost: %+v", ev)
+	ev, mustWrite := c.Put(k2, nil, false)
+	if !mustWrite || ev.Key != k1 {
+		t.Fatalf("dirty eviction lost: %v %+v", mustWrite, ev.Key)
 	}
 	if !bytes.Equal(ev.Data[:6], []byte("dirty!")) {
 		t.Fatalf("evicted data = %q", ev.Data[:6])
+	}
+	if !resident(c, k1) || c.Stats().Evictions != 0 {
+		t.Fatal("dirty victim left before its write-back")
+	}
+	c.Evict(k1)
+	if resident(c, k1) || !resident(c, k2) || c.Stats().Evictions != 1 || c.Stats().Pages != 1 {
+		t.Fatalf("after Evict: stats %+v", c.Stats())
+	}
+}
+
+// When the owner's write-back of a dirty victim fails it does not call
+// Evict: the page stays dirty, and the next Put offers it again.
+func TestFailedWriteBackKeepsDirty(t *testing.T) {
+	c, _ := newTestCache(1)
+	k1, k2, k3 := Key{1, 0}, Key{1, 1}, Key{1, 2}
+	c.Put(k1, []byte("a"), true)
+	if ev, _ := c.Put(k2, nil, false); ev.Key != k1 {
+		t.Fatalf("victim = %+v", ev.Key)
+	}
+	if got := dirtyKeys(c); len(got) != 1 || got[0] != k1 {
+		t.Fatalf("dirty pages after a failed write-back = %v", got)
+	}
+	ev, mustWrite := c.Put(k3, nil, false)
+	if !mustWrite || ev.Key != k1 || ev.Data[0] != 'a' {
+		t.Fatalf("retry victim = %v %+v", mustWrite, ev.Key)
+	}
+	c.Evict(k1)
+	// The clean page the failed eviction left over capacity goes too.
+	if _, mustWrite := c.Put(Key{1, 3}, nil, false); mustWrite || c.Stats().Pages != 1 {
+		t.Fatalf("cache did not shrink back to capacity: %+v", c.Stats())
 	}
 }
 
@@ -97,82 +138,66 @@ func TestPutReplaceKeepsDirty(t *testing.T) {
 	k := Key{1, 0}
 	c.Put(k, []byte("a"), true)
 	c.Put(k, []byte("b"), false) // replace with clean data must keep dirty
-	var flushed int
-	c.FlushFile(1, func(Key, []byte) error { flushed++; return nil })
-	if flushed != 1 {
-		t.Fatalf("dirty bit lost on replace: flushed %d", flushed)
+	if data, _ := c.Peek(k); len(dirtyKeys(c)) != 1 || data[0] != 'b' {
+		t.Fatal("dirty bit or new data lost on replace")
 	}
 }
 
-func TestMarkDirtyAndFlushFile(t *testing.T) {
+// MarkDirty gives a clean page a buffer; MarkClean takes it away.
+func TestMarkDirtyAndClean(t *testing.T) {
 	c, _ := newTestCache(8)
-	c.Put(Key{1, 0}, []byte("a"), false)
-	c.Put(Key{1, 1}, []byte("b"), false)
-	c.Put(Key{2, 0}, []byte("c"), false)
-	c.MarkDirty(Key{1, 0})
-	c.MarkDirty(Key{2, 0})
-	c.MarkDirty(Key{9, 9}) // not resident: no-op
+	c.Put(Key{1, 0}, nil, false)
+	c.Put(Key{1, 1}, nil, false)
+	c.Put(Key{2, 0}, nil, false)
+	c.MarkDirty(Key{1, 0}, []byte("a"))
+	c.MarkDirty(Key{2, 0}, []byte("c"))
+	c.MarkDirty(Key{9, 9}, []byte("x")) // not resident: no-op
 
-	var flushedPages []Key
-	err := c.FlushFile(1, func(k Key, data []byte) error {
-		flushedPages = append(flushedPages, k)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	if got := c.AppendDirtyPages(nil, 1, false); len(got) != 1 || got[0] != (Key{1, 0}) {
+		t.Fatalf("dirty pages of file 1 = %v", got)
 	}
-	if len(flushedPages) != 1 || flushedPages[0] != (Key{1, 0}) {
-		t.Fatalf("flushed = %v", flushedPages)
+	if data, _ := c.Peek(Key{1, 0}); data[0] != 'a' {
+		t.Fatalf("MarkDirty stored %q", data[:1])
 	}
-	// Second flush: nothing dirty for file 1.
-	flushedPages = nil
-	c.FlushFile(1, func(k Key, data []byte) error {
-		flushedPages = append(flushedPages, k)
-		return nil
-	})
-	if len(flushedPages) != 0 {
-		t.Fatalf("pages flushed twice: %v", flushedPages)
+	if resident(c, Key{9, 9}) {
+		t.Fatal("MarkDirty inserted a page")
+	}
+	c.MarkClean(Key{1, 0})
+	if data, ok := c.Peek(Key{1, 0}); !ok || data != nil {
+		t.Fatal("a page marked clean must stay resident without bytes")
+	}
+	if got := dirtyKeys(c); len(got) != 1 || got[0] != (Key{2, 0}) {
+		t.Fatalf("dirty pages = %v", got)
 	}
 }
 
-func TestFlushAll(t *testing.T) {
+func TestAppendDirtyPagesAll(t *testing.T) {
 	c, _ := newTestCache(8)
-	c.Put(Key{1, 0}, []byte("a"), true)
+	c.Put(Key{3, 1}, []byte("a"), true)
 	c.Put(Key{2, 0}, []byte("b"), true)
-	c.Put(Key{3, 0}, []byte("c"), false)
-	var n int
-	if err := c.FlushAll(func(Key, []byte) error { n++; return nil }); err != nil {
-		t.Fatal(err)
+	c.Put(Key{3, 0}, []byte("c"), true)
+	c.Put(Key{1, 0}, nil, false)
+	got := c.AppendDirtyPages([]Key{{9, 9}}, 0, true)
+	want := []Key{{9, 9}, {2, 0}, {3, 0}, {3, 1}}
+	if len(got) != len(want) {
+		t.Fatalf("dirty pages = %v, want %v", got, want)
 	}
-	if n != 2 {
-		t.Fatalf("flushed %d pages, want 2", n)
-	}
-}
-
-func TestFlushErrorStopsAndKeepsDirty(t *testing.T) {
-	c, _ := newTestCache(8)
-	c.Put(Key{1, 0}, []byte("a"), true)
-	boom := errors.New("disk gone")
-	if err := c.FlushFile(1, func(Key, []byte) error { return boom }); !errors.Is(err, boom) {
-		t.Fatalf("err = %v", err)
-	}
-	// Page must remain dirty for a retry.
-	var n int
-	c.FlushFile(1, func(Key, []byte) error { n++; return nil })
-	if n != 1 {
-		t.Fatal("dirty bit cleared despite failed writeback")
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("dirty pages = %v, want %v (sorted, after dst)", got, want)
+		}
 	}
 }
 
 func TestInvalidateFile(t *testing.T) {
 	c, _ := newTestCache(8)
 	c.Put(Key{1, 0}, []byte("a"), true)
-	c.Put(Key{2, 0}, []byte("b"), false)
+	c.Put(Key{2, 0}, nil, false)
 	c.InvalidateFile(1)
-	if c.Contains(Key{1, 0}) {
+	if resident(c, Key{1, 0}) || len(dirtyKeys(c)) != 0 {
 		t.Fatal("file 1 survived invalidation")
 	}
-	if !c.Contains(Key{2, 0}) {
+	if !resident(c, Key{2, 0}) {
 		t.Fatal("file 2 wrongly invalidated")
 	}
 }
@@ -180,13 +205,13 @@ func TestInvalidateFile(t *testing.T) {
 func TestInvalidateRange(t *testing.T) {
 	c, _ := newTestCache(16)
 	for pg := int64(0); pg < 8; pg++ {
-		c.Put(Key{1, pg}, []byte{byte(pg)}, false)
+		c.Put(Key{1, pg}, []byte{byte(pg)}, pg%2 == 0)
 	}
 	// Invalidate bytes [PageSize+1, 3*PageSize): pages 1 and 2.
 	c.InvalidateRange(1, PageSize+1, 2*PageSize-1)
 	for pg := int64(0); pg < 8; pg++ {
 		want := pg != 1 && pg != 2
-		if got := c.Contains(Key{1, pg}); got != want {
+		if got := resident(c, Key{1, pg}); got != want {
 			t.Fatalf("page %d residency = %v, want %v", pg, got, want)
 		}
 	}
@@ -196,8 +221,9 @@ func TestInvalidateRange(t *testing.T) {
 func TestInvalidateAll(t *testing.T) {
 	c, _ := newTestCache(8)
 	c.Put(Key{1, 0}, []byte("a"), true)
+	c.Put(Key{1, 1}, nil, false)
 	c.InvalidateAll()
-	if c.Stats().Pages != 0 {
+	if c.Stats().Pages != 0 || len(dirtyKeys(c)) != 0 {
 		t.Fatal("InvalidateAll left pages")
 	}
 }
@@ -209,26 +235,32 @@ func TestConcurrentAccess(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			var keys []Key
 			for i := 0; i < 200; i++ {
 				k := Key{File: uint64(w), Page: int64(i % 16)}
-				c.Put(k, []byte(fmt.Sprintf("%d-%d", w, i)), i%2 == 0)
+				if ev, mustWrite := c.Put(k, []byte{byte(i)}, i%2 == 0); mustWrite {
+					c.Evict(ev.Key)
+				}
 				c.Get(k)
 				if i%10 == 0 {
-					c.FlushFile(uint64(w), func(Key, []byte) error { return nil })
+					keys = c.AppendDirtyPages(keys[:0], uint64(w), false)
+					for _, k := range keys {
+						c.MarkClean(k)
+					}
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	if c.Stats().Pages > 64 {
+	if c.Stats().Pages > 64+8 { // each worker may leave one victim pending
 		t.Fatalf("cache over capacity: %d", c.Stats().Pages)
 	}
 }
 
 func TestCapacityFloor(t *testing.T) {
 	c := New(0, simclock.New(), 0)
-	c.Put(Key{1, 0}, []byte("a"), false)
-	if !c.Contains(Key{1, 0}) {
+	c.Put(Key{1, 0}, nil, false)
+	if !resident(c, Key{1, 0}) {
 		t.Fatal("capacity floor of 1 page not applied")
 	}
 }
