@@ -25,9 +25,10 @@ race:
 # skip under -race, which drops a random share of sync.Pool puts, so the
 # race target above never checks them: the device page pool, the blockfs
 # sync path, xfslite's byte-free clean cache pages, the stripe tier's pooled
-# batch buffers, the pipelined migration copy and the muxns wire.
+# batch buffers, the pipelined migration copy, the muxns wire, the journal's
+# reused encode buffer and core's meta-journaled write, read and stat paths.
 budget:
-	$(GO) test -count=1 -run 'AllocatesNothing|AllocationBudget|AllocBudget|FeedOtherDevice' ./internal/device ./internal/fs/blockfs ./internal/fs/xfslite ./internal/ec ./internal/core ./internal/server
+	$(GO) test -count=1 -run 'AllocatesNothing|AllocationBudget|AllocBudget|FeedOtherDevice' ./internal/device ./internal/fs/blockfs ./internal/fs/xfslite ./internal/ec ./internal/core ./internal/server ./internal/journal
 
 # stress repeats the read-vs-migration race tests, the migration-batch
 # worker-equivalence test, the breaker/gate concurrency test, the buffer
@@ -44,11 +45,14 @@ stress:
 # multiple of the frame's length, or decode to a value that re-encodes to
 # different bytes. The journal record parser (fsrec.Parse): no record may
 # panic it, and every accepted record must re-encode and parse back to
-# the same op.
+# the same op. The journal replay (FuzzDualReplay): no region bytes may
+# panic it, and it applies only records of committed, CRC-valid
+# transactions.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzNSRequestDecode$$' -fuzztime=10s ./internal/muxrpc
 	$(GO) test -run '^$$' -fuzz '^FuzzNSResponseDecode$$' -fuzztime=10s ./internal/muxrpc
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime=10s ./internal/fs/fsrec
+	$(GO) test -run '^$$' -fuzz '^FuzzDualReplay$$' -fuzztime=10s ./internal/journal
 
 # smoke runs every registered experiment once at smoke size and exits
 # nonzero when any fails an acceptance gate (muxbench -h lists them).

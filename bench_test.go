@@ -142,7 +142,10 @@ func BenchmarkMigrationThroughput(b *testing.B) {
 
 // --- Per-operation microbenchmarks of the Mux fast paths. ---
 
-func newBenchSystem(b *testing.B, pol muxfs.Policy) *muxfs.System {
+// newBenchSystem builds the three-tier stack. With meta set, Mux journals
+// its own metadata on a PM meta device, as perfbench's workloads do, so
+// every write buffers BLT records and every Sync group-commits them.
+func newBenchSystem(b *testing.B, pol muxfs.Policy, meta bool) *muxfs.System {
 	b.Helper()
 	sys, err := muxfs.New(muxfs.Config{
 		Tiers: []muxfs.TierSpec{
@@ -150,7 +153,8 @@ func newBenchSystem(b *testing.B, pol muxfs.Policy) *muxfs.System {
 			{Kind: muxfs.SSD, Name: "ssd0"},
 			{Kind: muxfs.HDD, Name: "hdd0"},
 		},
-		Policy: pol,
+		Policy:      pol,
+		MetaJournal: meta,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -158,8 +162,19 @@ func newBenchSystem(b *testing.B, pol muxfs.Policy) *muxfs.System {
 	return sys
 }
 
-func BenchmarkMuxRead1B(b *testing.B) {
-	sys := newBenchSystem(b, muxfs.NewPinnedPolicy(0))
+func BenchmarkMuxRead1B(b *testing.B)  { benchMuxRead(b, 1, false) }
+func BenchmarkMuxWrite4K(b *testing.B) { benchMuxWrite(b, 0, false) }
+func BenchmarkMuxStat(b *testing.B)    { benchMuxStat(b, false) }
+
+// The Meta variants run with the meta journal on: a cached 4 KiB read, a
+// 4 KiB overwrite with a Sync every 64th write (perfbench's fsync rate),
+// and a path Stat.
+func BenchmarkMuxMetaRead4K(b *testing.B)  { benchMuxRead(b, 4096, true) }
+func BenchmarkMuxMetaWrite4K(b *testing.B) { benchMuxWrite(b, 64, true) }
+func BenchmarkMuxMetaStat(b *testing.B)    { benchMuxStat(b, true) }
+
+func benchMuxRead(b *testing.B, size int, meta bool) {
+	sys := newBenchSystem(b, muxfs.NewPinnedPolicy(0), meta)
 	f, err := sys.FS.Create("/bench")
 	if err != nil {
 		b.Fatal(err)
@@ -168,17 +183,20 @@ func BenchmarkMuxRead1B(b *testing.B) {
 	if _, err := f.WriteAt(make([]byte, 1<<20), 0); err != nil {
 		b.Fatal(err)
 	}
-	buf := make([]byte, 1)
+	buf := make([]byte, size)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := f.ReadAt(buf, int64(i)%(1<<20)); err != nil {
+		if _, err := f.ReadAt(buf, int64(i*size)%(1<<20)); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkMuxWrite4K(b *testing.B) {
-	sys := newBenchSystem(b, muxfs.NewPinnedPolicy(0))
+// benchMuxWrite writes 4 KiB blocks round-robin over a 16 MiB file
+// (appends on the first pass, overwrites after), calling Sync after every
+// syncEvery-th write when syncEvery > 0.
+func benchMuxWrite(b *testing.B, syncEvery int, meta bool) {
+	sys := newBenchSystem(b, muxfs.NewPinnedPolicy(0), meta)
 	f, err := sys.FS.Create("/bench")
 	if err != nil {
 		b.Fatal(err)
@@ -192,11 +210,16 @@ func BenchmarkMuxWrite4K(b *testing.B) {
 		if _, err := f.WriteAt(block, off); err != nil {
 			b.Fatal(err)
 		}
+		if syncEvery > 0 && (i+1)%syncEvery == 0 {
+			if err := f.Sync(); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }
 
-func BenchmarkMuxStat(b *testing.B) {
-	sys := newBenchSystem(b, nil)
+func benchMuxStat(b *testing.B, meta bool) {
+	sys := newBenchSystem(b, nil, meta)
 	f, err := sys.FS.Create("/bench")
 	if err != nil {
 		b.Fatal(err)
@@ -211,7 +234,7 @@ func BenchmarkMuxStat(b *testing.B) {
 }
 
 func BenchmarkMuxMigrate1MB(b *testing.B) {
-	sys := newBenchSystem(b, muxfs.NewPinnedPolicy(0))
+	sys := newBenchSystem(b, muxfs.NewPinnedPolicy(0), false)
 	f, err := sys.FS.Create("/bench")
 	if err != nil {
 		b.Fatal(err)

@@ -92,3 +92,69 @@ func TestPipelinedCopyAllocationBudget(t *testing.T) {
 		t.Fatalf("pipelined copy allocates %.1f objects per call, want <= 32", a)
 	}
 }
+
+// With the meta journal on, a steady-state 4 KiB overwrite — counting its
+// share of a Sync every 64th write, which commits the buffered BLT records
+// and the tiers' logs — makes at most 6 allocations: the records' payloads
+// and the published attribute snapshot, not encode buffers, record slices
+// or BLT walk slices.
+func TestMetaOverwriteAllocationBudget(t *testing.T) {
+	if race.Enabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	r := newRig(t, policy.Pinned{}, true)
+	fh := writeFile(t, r.m, "/w", make([]byte, 1<<20))
+	defer fh.Close()
+	block := make([]byte, 4096)
+	writes := 0
+	overwrite := func() {
+		if _, err := fh.WriteAt(block, int64(writes%256)*4096); err != nil {
+			t.Fatal(err)
+		}
+		if writes++; writes%64 == 0 {
+			if err := fh.Sync(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for writes < 4096 { // grow the reused slices and buffers
+		overwrite()
+	}
+	if a := testing.AllocsPerRun(64*40, overwrite); a > 6 {
+		t.Fatalf("4 KiB overwrite with a Sync every 64 writes: %.1f allocations per write, want <= 6", a)
+	}
+}
+
+// A read inside one cached extent and a Stat, by handle or by path,
+// allocate nothing.
+func TestReadAndStatAllocationBudget(t *testing.T) {
+	if race.Enabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	r := newRig(t, policy.Pinned{}, true)
+	if err := r.m.Mkdir("/dir"); err != nil {
+		t.Fatal(err)
+	}
+	fh := writeFile(t, r.m, "/dir/r", bytes.Repeat([]byte{0x5A}, 1<<20))
+	defer fh.Close()
+	buf := make([]byte, 4096)
+	for _, c := range []struct {
+		name string
+		op   func() error
+	}{
+		{"ReadAt", func() error { _, err := fh.ReadAt(buf, 8192); return err }},
+		{"handle Stat", func() error { _, err := fh.Stat(); return err }},
+		{"path Stat", func() error { _, err := r.m.Stat("/dir/r"); return err }},
+	} {
+		if err := c.op(); err != nil { // open the downward handle
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if a := testing.AllocsPerRun(1000, func() {
+			if err := c.op(); err != nil {
+				t.Fatal(err)
+			}
+		}); a != 0 {
+			t.Errorf("%s: %.1f allocations per call, want 0", c.name, a)
+		}
+	}
+}

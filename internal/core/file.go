@@ -45,6 +45,9 @@ type muxFile struct {
 	meta fsbase.Meta      // collective inode (cached attributes)
 	blt  extent.Tree[int] // Block Lookup Table: offset range -> tier id
 	aff  affinity
+	// segs is scratch for BLT walks that call nothing else walking it
+	// (AppendSegments into segs[:0]), so they allocate no per-op slice.
+	segs []extent.Segment[int]
 
 	// OCC Synchronizer state (§2.4).
 	version   uint64
@@ -279,7 +282,8 @@ func (m *Mux) ensureDirs(t *Tier, path string) error {
 // bltRepoint remaps [off, off+n) to tier, maintaining per-tier usage
 // accounting and republishing the mapping. Caller holds f.mu.
 func (m *Mux) bltRepoint(f *muxFile, off, n int64, tier int) {
-	for _, seg := range f.blt.Segments(off, n) {
+	f.segs = f.blt.AppendSegments(f.segs[:0], off, n)
+	for _, seg := range f.segs {
 		if !seg.Hole {
 			m.used(seg.Val).Add(-seg.Len)
 		}
@@ -292,7 +296,8 @@ func (m *Mux) bltRepoint(f *muxFile, off, n int64, tier int) {
 // bltDrop unmaps [off, off+n), maintaining accounting and republishing.
 // Caller holds f.mu.
 func (m *Mux) bltDrop(f *muxFile, off, n int64) {
-	for _, seg := range f.blt.Segments(off, n) {
+	f.segs = f.blt.AppendSegments(f.segs[:0], off, n)
+	for _, seg := range f.segs {
 		if !seg.Hole {
 			m.used(seg.Val).Add(-seg.Len)
 		}
@@ -480,7 +485,8 @@ func (m *Mux) readLocked(f *muxFile, p []byte, off int64, hold bool) (n int, sta
 		pp := getPlan()
 		plan := *pp
 		lastTier = -1
-		for _, seg := range f.blt.Segments(off, ln) {
+		f.segs = f.blt.AppendSegments(f.segs[:0], off, ln)
+		for _, seg := range f.segs {
 			if seg.Hole {
 				clear(p[seg.Off-off : seg.Off-off+seg.Len])
 				continue
@@ -599,7 +605,8 @@ func (h *handle) writeAt(p []byte, off int64) (int, error) {
 	target := -1
 	pp := getPlan()
 	plan := *pp
-	for _, seg := range f.blt.Segments(off, n) {
+	f.segs = f.blt.AppendSegments(f.segs[:0], off, n)
+	for _, seg := range f.segs {
 		tier := seg.Val
 		if seg.Hole || m.tierQuarantined(tier) {
 			if target == -1 {
@@ -690,7 +697,7 @@ func (m *Mux) writeEpilogueLocked(f *muxFile, p []byte, off, n int64, lastTier i
 	}
 
 	f.publishMeta()
-	m.logWrite(f, off, n)
+	m.logBLTRange(f, off, n)
 	f.opsSinceSync++
 	if f.opsSinceSync >= m.syncEvery {
 		m.metaSyncLocked(f)
@@ -803,7 +810,7 @@ func (m *Mux) truncateLocked(f *muxFile, size int64) error {
 		m.metaAppendReclaim(f.path,
 			fsrec.Op{Type: fsrec.OpTruncate, Ino: f.ino, Size: size, MTime: f.meta.ModTime}.Record())
 	} else {
-		m.logTruncate(f, size)
+		m.logOp(fsrec.Op{Type: fsrec.OpTruncate, Ino: f.ino, Size: size, MTime: f.meta.ModTime})
 	}
 	return nil
 }
@@ -1009,8 +1016,6 @@ func (h *handle) PunchHole(off, n int64) error {
 	if m.meta != nil {
 		m.metaAppendReclaim(f.path,
 			fsrec.Op{Type: fsrec.OpPunch, Ino: f.ino, Off: off, N: end - off, MTime: f.meta.ModTime}.Record())
-	} else {
-		m.logPunch(f, off, end-off)
 	}
 	return nil
 }

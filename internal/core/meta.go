@@ -49,7 +49,10 @@ type metaLog struct {
 	mu      sync.Mutex // guards everything below; never held during I/O
 	cond    *sync.Cond
 	pending []journal.Record
-	seq     uint64 // records ever appended
+	// spare is the cleared record slice of the last flush; the next flush
+	// swaps it in for pending, so steady-state logging reuses two slices.
+	spare []journal.Record
+	seq   uint64 // records ever appended
 	// flushedSeq is the high-water mark of records resolved by a flush —
 	// committed, or consumed by a failed commit (parity with the old
 	// behavior: a failed flush drops its batch rather than retrying it).
@@ -112,6 +115,10 @@ func (m *Mux) metaAppendReclaim(path string, recs ...journal.Record) {
 	ml.mu.Unlock()
 }
 
+// maxSpareRecords bounds the record slice a flush keeps for reuse, so a
+// bulk load's one-off giant batch is not pinned for the life of the Mux.
+const maxSpareRecords = 4096
+
 // metaFlush commits buffered records, compacting the journal when full.
 // Must be called WITHOUT any f.mu held (compaction locks files). Concurrent
 // callers coalesce: whoever finds no flush in progress commits everything
@@ -139,7 +146,7 @@ func (m *Mux) metaFlush() error {
 	}
 	ml.flushing = true
 	stolen := ml.pending
-	ml.pending = nil
+	ml.pending, ml.spare = ml.spare, nil
 	reclaim := ml.reclaim
 	ml.reclaim = nil
 	for _, p := range reclaim {
@@ -151,11 +158,7 @@ func (m *Mux) metaFlush() error {
 	var err error
 	if len(stolen) > 0 {
 		t0 := m.telStart()
-		tx := ml.jnl.Begin()
-		for _, r := range stolen {
-			tx.Append(r)
-		}
-		err = tx.Commit()
+		err = ml.jnl.Commit(stolen)
 		if errors.Is(err, journal.ErrFull) {
 			// The snapshot reflects every effect the stolen records
 			// describe, so they are superseded wholesale.
@@ -169,6 +172,10 @@ func (m *Mux) metaFlush() error {
 	}
 
 	ml.mu.Lock()
+	if cap(stolen) <= maxSpareRecords {
+		clear(stolen) // drop the payload references
+		ml.spare = stolen[:0]
+	}
 	ml.flushing = false
 	ml.flushedSeq = to
 	ml.lastErr, ml.lastTo = err, to
@@ -305,6 +312,13 @@ func (m *Mux) metaCompact() error {
 
 // --- Logging helpers; callers hold f.mu where a muxFile is involved. ---
 
+// logOp buffers op's record. Without a meta journal it builds no record.
+func (m *Mux) logOp(op fsrec.Op) {
+	if m.meta != nil {
+		m.metaAppend(op.Record())
+	}
+}
+
 func (m *Mux) logCreate(f *muxFile, host int) {
 	if m.meta == nil {
 		return
@@ -315,67 +329,28 @@ func (m *Mux) logCreate(f *muxFile, host int) {
 	)
 }
 
-func (m *Mux) logMkdir(ino uint64, path string) {
-	if m.meta == nil {
-		return
-	}
-	m.metaAppend(fsrec.Op{Type: fsrec.OpMkdir, Ino: ino, Path: path, Mode: vfs.ModeDir | 0o755}.Record())
-}
-
-func (m *Mux) logRemove(path string) {
-	if m.meta == nil {
-		return
-	}
-	m.metaAppend(fsrec.Op{Type: fsrec.OpRemove, Path: path}.Record())
-}
-
-func (m *Mux) logRename(oldPath, newPath string) {
-	if m.meta == nil {
-		return
-	}
-	m.metaAppend(fsrec.Op{Type: fsrec.OpRename, Path: oldPath, Path2: newPath}.Record())
-}
-
-// logWrite records the BLT state of [off, off+n) after a write. Caller
-// holds f.mu.
-func (m *Mux) logWrite(f *muxFile, off, n int64) {
-	if m.meta == nil {
-		return
-	}
-	m.logBLTRange(f, off, n)
-}
-
-// logBLTRange serializes current BLT entries of a range. Caller holds f.mu.
+// logBLTRange serializes current BLT entries of a range straight into the
+// pending batch. Caller holds f.mu.
 func (m *Mux) logBLTRange(f *muxFile, off, n int64) {
 	if m.meta == nil || n <= 0 {
 		return
 	}
-	recs := make([]journal.Record, 0, 4)
-	for _, seg := range f.blt.Segments(off, n) {
+	f.segs = f.blt.AppendSegments(f.segs[:0], off, n)
+	ml := m.meta
+	ml.mu.Lock()
+	before := len(ml.pending)
+	for _, seg := range f.segs {
 		if seg.Hole {
 			continue
 		}
-		recs = append(recs, fsrec.Op{
+		ml.pending = append(ml.pending, fsrec.Op{
 			Type: fsrec.OpExtent, Ino: f.ino, Off: seg.Off, Delta: int64(seg.Val), N: seg.Len,
 			Size: f.meta.Size, MTime: f.meta.ModTime,
 		}.Record())
 	}
-	recs = append(recs, fsrec.Op{Type: fsrec.OpSizeTime, Ino: f.ino, Size: f.meta.Size, MTime: f.meta.ModTime}.Record())
-	m.metaAppend(recs...)
-}
-
-func (m *Mux) logTruncate(f *muxFile, size int64) {
-	if m.meta == nil {
-		return
-	}
-	m.metaAppend(fsrec.Op{Type: fsrec.OpTruncate, Ino: f.ino, Size: size, MTime: f.meta.ModTime}.Record())
-}
-
-func (m *Mux) logPunch(f *muxFile, off, n int64) {
-	if m.meta == nil {
-		return
-	}
-	m.metaAppend(fsrec.Op{Type: fsrec.OpPunch, Ino: f.ino, Off: off, N: n, MTime: f.meta.ModTime}.Record())
+	ml.pending = append(ml.pending, fsrec.Op{Type: fsrec.OpSizeTime, Ino: f.ino, Size: f.meta.Size, MTime: f.meta.ModTime}.Record())
+	ml.seq += uint64(len(ml.pending) - before)
+	ml.mu.Unlock()
 }
 
 // replicaRecord serializes a file's replica ledger state. Caller holds f.mu.
@@ -395,17 +370,6 @@ func (m *Mux) logReplica(f *muxFile) {
 		return
 	}
 	m.metaAppend(replicaRecord(f))
-}
-
-func (m *Mux) logSetAttr(f *muxFile) {
-	if m.meta == nil {
-		return
-	}
-	m.metaAppend(fsrec.Op{
-		Type: fsrec.OpSetAttr, Ino: f.ino,
-		Size: f.meta.Size, Mode: f.meta.Mode,
-		MTime: f.meta.ModTime, ATime: time.Duration(f.atimeA.Load()), CTime: f.meta.CTime,
-	}.Record())
 }
 
 // inoOp is one buffered per-inode replay record: either a parsed fsrec op

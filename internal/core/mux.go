@@ -261,6 +261,9 @@ type Mux struct {
 	migLogf    func(format string, args ...any)
 	lastMigMu  sync.Mutex
 	lastMig    MigrationStats
+	// round holds the policy round's reusable FileStat snapshot between
+	// rounds; a round takes it, so concurrent rounds never share one.
+	round atomic.Pointer[roundScratch]
 
 	occ occCounter
 
@@ -779,7 +782,7 @@ func (m *Mux) Remove(path string) error {
 			return nil
 		}
 	}
-	m.logRemove(path)
+	m.logOp(fsrec.Op{Type: fsrec.OpRemove, Path: path})
 	return nil
 }
 
@@ -812,7 +815,7 @@ func (m *Mux) Rename(oldPath, newPath string) error {
 	// fixup (renameFix) that completeRenames finishes on the next remount.
 	// m.Sync is FS-level (tier syncs + meta flush, no per-file handles), so
 	// it cannot resurrect a tier file at either path.
-	m.logRename(oldPath, newPath)
+	m.logOp(fsrec.Op{Type: fsrec.OpRename, Path: oldPath, Path2: newPath})
 	var f *muxFile
 	if f = info.File; f != nil {
 		f.mu.Lock()
@@ -864,7 +867,7 @@ func (m *Mux) Mkdir(path string) error {
 	if err != nil {
 		return vfs.Errf("mkdir", m.name, path, err)
 	}
-	m.logMkdir(ino, path)
+	m.logOp(fsrec.Op{Type: fsrec.OpMkdir, Ino: ino, Path: path, Mode: vfs.ModeDir | 0o755})
 	return nil
 }
 
@@ -940,7 +943,11 @@ func (m *Mux) SetAttr(path string, attr vfs.SetAttr) error {
 	}
 	f.version++
 	f.opsSinceSync++
-	m.logSetAttr(f)
+	m.logOp(fsrec.Op{
+		Type: fsrec.OpSetAttr, Ino: f.ino,
+		Size: f.meta.Size, Mode: f.meta.Mode,
+		MTime: f.meta.ModTime, ATime: time.Duration(f.atimeA.Load()), CTime: f.meta.CTime,
+	})
 	f.publishMeta()
 	f.mu.Unlock()
 	if modeChanged {

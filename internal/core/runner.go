@@ -35,42 +35,18 @@ func (m *Mux) RunPolicyOnce() (MigrationStats, error) {
 	}
 
 	filePtrs := m.files.snapshot()
-	stats := make([]policy.FileStat, 0, len(filePtrs))
-	trackTenants := m.tenantsP.Load() != nil
-	var occ []fileOccupancy
-	if trackTenants {
-		occ = make([]fileOccupancy, 0, len(filePtrs))
+	rs := m.round.Swap(nil) // a concurrent round builds its own
+	if rs == nil {
+		rs = new(roundScratch)
 	}
-	for _, f := range filePtrs {
-		f.mu.Lock()
-		perTier := f.bytesPerTier()
-		onTiers := make([]int, 0, len(perTier))
-		for tier := range perTier {
-			onTiers = append(onTiers, tier)
-		}
-		sort.Ints(onTiers)
-		stats = append(stats, policy.FileStat{
-			Path:            f.path,
-			Size:            f.meta.Size,
-			LastAccess:      time.Duration(f.lastAccessA.Load()),
-			Heat:            f.heatLoad(),
-			Tiers:           onTiers,
-			TierBytes:       perTier,
-			Replica:         f.replica,
-			ReplicaDegraded: f.replicaDegraded,
-		})
-		if trackTenants {
-			occ = append(occ, fileOccupancy{path: f.path, tierBytes: perTier})
-		}
-		f.mu.Unlock()
-	}
-	if trackTenants {
+	stats := rs.fileStats(filePtrs)
+	if m.tenantsP.Load() != nil {
 		// Per-tenant occupancy gauges ride the snapshot the round already
 		// took — no second namespace pass (tenant.go).
-		m.refreshTenantOccupancy(occ)
+		m.refreshTenantOccupancy(stats)
 	}
-
 	moves := m.policy().PlanMigrations(tiers, stats, m.now())
+	m.round.Store(rs)
 
 	// Quarantined tiers were already hidden from the planning snapshot, but
 	// a policy may still propose moves touching one (Pinned ignores the
@@ -112,6 +88,51 @@ func (m *Mux) RunPolicyOnce() (MigrationStats, error) {
 		tn.Step(m.autotuneSample())
 	}
 	return st, err
+}
+
+// roundScratch is the policy round's reusable FileStat snapshot, with the
+// flat arrays its Tiers and TierBytes are cut from (Mux.round).
+type roundScratch struct {
+	stats []policy.FileStat
+	tiers []int
+	bytes []int64
+	tally []int64 // one file's bytes per tier id
+}
+
+// fileStats snapshots files for PlanMigrations into the reused arrays.
+func (rs *roundScratch) fileStats(files []*muxFile) []policy.FileStat {
+	rs.stats, rs.tiers, rs.bytes = rs.stats[:0], rs.tiers[:0], rs.bytes[:0]
+	for _, f := range files {
+		f.mu.Lock()
+		f.blt.Walk(func(_, n int64, tier int) bool {
+			for tier >= len(rs.tally) {
+				rs.tally = append(rs.tally, 0)
+			}
+			rs.tally[tier] += n
+			return true
+		})
+		start := len(rs.tiers)
+		for tier, b := range rs.tally {
+			if b > 0 {
+				rs.tiers = append(rs.tiers, tier)
+				rs.bytes = append(rs.bytes, b)
+				rs.tally[tier] = 0
+			}
+		}
+		end := len(rs.tiers)
+		rs.stats = append(rs.stats, policy.FileStat{
+			Path:            f.path,
+			Size:            f.meta.Size,
+			LastAccess:      time.Duration(f.lastAccessA.Load()),
+			Heat:            f.heatLoad(),
+			Tiers:           rs.tiers[start:end:end],
+			TierBytes:       rs.bytes[start:end:end],
+			Replica:         f.replica,
+			ReplicaDegraded: f.replicaDegraded,
+		})
+		f.mu.Unlock()
+	}
+	return rs.stats
 }
 
 // orderMoves is the simple device-profile I/O scheduler (§4): mirror

@@ -159,10 +159,6 @@ func (ns *shardedNS) rlockAll() func() {
 	}
 }
 
-// splitParent returns the parent directory and final name of a clean path.
-// name is "" for the root.
-func splitParent(path string) (dir, name string) { return vfs.ParentPath(path) }
-
 // classifyMissing reproduces the tree walker's error fidelity for a path
 // whose parent directory map was absent: walking ancestors, a missing
 // component is ErrNotExist and a file component is ErrNotDir. Called with NO
@@ -187,7 +183,7 @@ func (ns *shardedNS) Lookup(path string) (nsInfo, error) {
 	if vfs.IsRoot(path) {
 		return nsInfo{Ino: 1, Mode: rootMode}, nil
 	}
-	dir, name := splitParent(path)
+	dir, name := vfs.ParentPath(path)
 	s := ns.shardOf(dir)
 	s.mu.RLock()
 	m := s.dirs[dir]
@@ -210,7 +206,7 @@ func (ns *shardedNS) Lookup(path string) (nsInfo, error) {
 // visible without its file state. ino 0 allocates fresh; a nonzero ino (replay)
 // is installed verbatim and bumps the allocator.
 func (ns *shardedNS) CreateFile(path string, mode vfs.FileMode, ino uint64, mk func(ino uint64) *muxFile) (*muxFile, error) {
-	dir, name := splitParent(path)
+	dir, name := vfs.ParentPath(path)
 	if name == "" {
 		return nil, vfs.ErrInvalid
 	}
@@ -240,7 +236,7 @@ func (ns *shardedNS) CreateFile(path string, mode vfs.FileMode, ino uint64, mk f
 // Mkdir inserts a new directory and returns its inode number.
 func (ns *shardedNS) Mkdir(path string, mode vfs.FileMode) (uint64, error) {
 	path = vfs.CleanPath(path)
-	dir, name := splitParent(path)
+	dir, name := vfs.ParentPath(path)
 	if name == "" {
 		return 0, vfs.ErrInvalid
 	}
@@ -265,7 +261,7 @@ func (ns *shardedNS) Mkdir(path string, mode vfs.FileMode) (uint64, error) {
 // Remove deletes a file or empty directory and returns the removed entry.
 func (ns *shardedNS) Remove(path string) (nsInfo, error) {
 	path = vfs.CleanPath(path)
-	dir, name := splitParent(path)
+	dir, name := vfs.ParentPath(path)
 	if name == "" {
 		return nsInfo{}, vfs.ErrInvalid
 	}
@@ -302,11 +298,11 @@ func (ns *shardedNS) Remove(path string) (nsInfo, error) {
 // every shard (the move rekeys all directory maps under the old prefix).
 func (ns *shardedNS) Rename(oldPath, newPath string) (nsInfo, error) {
 	oldPath, newPath = vfs.CleanPath(oldPath), vfs.CleanPath(newPath)
-	oldDir, oldName := splitParent(oldPath)
+	oldDir, oldName := vfs.ParentPath(oldPath)
 	if oldName == "" {
 		return nsInfo{}, vfs.ErrInvalid
 	}
-	newDir, newName := splitParent(newPath)
+	newDir, newName := vfs.ParentPath(newPath)
 	if newName == "" {
 		return nsInfo{}, vfs.ErrInvalid
 	}
@@ -347,8 +343,8 @@ func (ns *shardedNS) Rename(oldPath, newPath string) (nsInfo, error) {
 // renameDir moves a directory under all shard locks, revalidating from
 // scratch (the caller dropped its locks before escalating).
 func (ns *shardedNS) renameDir(oldPath, newPath string) (nsInfo, error) {
-	oldDir, oldName := splitParent(oldPath)
-	newDir, newName := splitParent(newPath)
+	oldDir, oldName := vfs.ParentPath(oldPath)
+	newDir, newName := vfs.ParentPath(newPath)
 
 	unlock := ns.lockAll()
 	om := ns.shardOf(oldDir).dirs[oldDir]
@@ -411,7 +407,7 @@ func (ns *shardedNS) renameDir(oldPath, newPath string) (nsInfo, error) {
 
 // SetFileMode updates a regular file entry's cached mode bits (chmod).
 func (ns *shardedNS) SetFileMode(path string, mode vfs.FileMode) {
-	dir, name := splitParent(vfs.CleanPath(path))
+	dir, name := vfs.ParentPath(vfs.CleanPath(path))
 	s := ns.shardOf(dir)
 	s.mu.Lock()
 	if m := s.dirs[dir]; m != nil {

@@ -28,6 +28,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"muxfs/internal/policy"
 	"muxfs/internal/policy/autotune"
 	"muxfs/internal/telemetry"
 )
@@ -246,7 +247,7 @@ func (m *Mux) TenantTelemetrySnapshot() []TenantTelemetry {
 // refreshTenantOccupancy recomputes every tenant's per-tier byte gauge
 // from one policy round's file snapshot (runner.go calls it with the
 // FileStats it already collected — no second pass over the namespace).
-func (m *Mux) refreshTenantOccupancy(stats []fileOccupancy) {
+func (m *Mux) refreshTenantOccupancy(stats []policy.FileStat) {
 	tab := m.tenantsP.Load()
 	if tab == nil {
 		return
@@ -255,27 +256,19 @@ func (m *Mux) refreshTenantOccupancy(stats []fileOccupancy) {
 	for _, ts := range tab.tenants {
 		acc[ts] = map[int]int64{}
 	}
-	for _, fo := range stats {
-		ts := tab.resolve(fo.path)
+	for _, fs := range stats {
+		ts := tab.resolve(fs.Path)
 		if ts == nil {
 			continue
 		}
-		for tier, b := range fo.tierBytes {
-			acc[ts][tier] += b
+		for i, tier := range fs.Tiers {
+			acc[ts][tier] += fs.TierBytes[i]
 		}
 	}
 	for ts, tb := range acc {
 		tbCopy := tb
 		ts.tierBytes.Store(&tbCopy)
 	}
-}
-
-// fileOccupancy is the slice of a policy FileStat the occupancy refresh
-// needs (path + per-tier bytes), kept separate so runner.go doesn't
-// retain whole FileStats.
-type fileOccupancy struct {
-	path      string
-	tierBytes map[int]int64
 }
 
 // --- autotuner wiring -----------------------------------------------------

@@ -119,10 +119,14 @@ func (t *Tree[V]) Lookup(off int64) (v V, seg Segment[V], ok bool) {
 // Segments walks [off, off+n) in order, returning mapped runs clipped to the
 // range and Hole segments for unmapped gaps. The segments exactly tile the
 // requested range.
-func (t *Tree[V]) Segments(off, n int64) []Segment[V] {
-	var out []Segment[V]
+func (t *Tree[V]) Segments(off, n int64) []Segment[V] { return t.AppendSegments(nil, off, n) }
+
+// AppendSegments appends the segments Segments(off, n) would return to dst
+// and returns the extended slice; walking into a reused dst[:0] allocates
+// nothing once dst has grown to the walk's size.
+func (t *Tree[V]) AppendSegments(dst []Segment[V], off, n int64) []Segment[V] {
 	if n <= 0 {
-		return out
+		return dst
 	}
 	end := off + n
 	pos := off
@@ -132,20 +136,20 @@ func (t *Tree[V]) Segments(off, n int64) []Segment[V] {
 			break
 		}
 		if e.off > pos {
-			out = append(out, Segment[V]{Off: pos, Len: e.off - pos, Hole: true})
+			dst = append(dst, Segment[V]{Off: pos, Len: e.off - pos, Hole: true})
 			pos = e.off
 		}
 		segEnd := e.end
 		if segEnd > end {
 			segEnd = end
 		}
-		out = append(out, Segment[V]{Off: pos, Len: segEnd - pos, Val: e.val})
+		dst = append(dst, Segment[V]{Off: pos, Len: segEnd - pos, Val: e.val})
 		pos = segEnd
 	}
 	if pos < end {
-		out = append(out, Segment[V]{Off: pos, Len: end - pos, Hole: true})
+		dst = append(dst, Segment[V]{Off: pos, Len: end - pos, Hole: true})
 	}
-	return out
+	return dst
 }
 
 // Walk calls fn for every mapped run in offset order until fn returns false.

@@ -273,3 +273,47 @@ func TestAgainstNaiveModel(t *testing.T) {
 		})
 	}
 }
+
+// AppendSegments extends dst with exactly the segments Segments returns,
+// leaves dst's existing elements alone, and walks into a reused slice
+// without allocating.
+func TestAppendSegments(t *testing.T) {
+	var tr Tree[int]
+	tr.Insert(0, 100, 1)
+	tr.Insert(150, 50, 2)
+	tr.Insert(300, 100, 3)
+	head := Segment[int]{Off: -1, Len: 1, Val: 9}
+	got := tr.AppendSegments([]Segment[int]{head}, 50, 300)
+	want := tr.Segments(50, 300)
+	if len(got) != len(want)+1 || got[0] != head {
+		t.Fatalf("AppendSegments = %+v, want %+v after %+v", got, want, head)
+	}
+	for i, s := range want {
+		if got[i+1] != s {
+			t.Fatalf("segment %d = %+v, want %+v", i, got[i+1], s)
+		}
+	}
+	if got := tr.AppendSegments(nil, 10, 0); got != nil {
+		t.Fatalf("zero-length walk appended %+v", got)
+	}
+	scratch := make([]Segment[int], 0, 8)
+	if a := testing.AllocsPerRun(100, func() { scratch = tr.AppendSegments(scratch[:0], 0, 400) }); a != 0 {
+		t.Fatalf("walk into a reused slice: %.1f allocations, want 0", a)
+	}
+}
+
+// BenchmarkAppendSegments walks a 4 KiB range of a 1024-run tree into a
+// reused slice, as the file systems' read and write paths do.
+func BenchmarkAppendSegments(b *testing.B) {
+	var tr Tree[int64]
+	for i := int64(0); i < 1024; i++ {
+		tr.Insert(i*8192, 4096, i) // mapped runs with holes between
+	}
+	var scratch []Segment[int64]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		off := int64(i%1024) * 8192
+		scratch = tr.AppendSegments(scratch[:0], off+2048, 4096)
+	}
+}

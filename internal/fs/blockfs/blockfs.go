@@ -305,11 +305,7 @@ func (fs *FS) flushPending() error {
 		return err
 	}
 	fs.dev.PersistAll() // ordered: data first
-	tx := fs.jnl.Begin()
-	for _, r := range fs.pending {
-		tx.Append(r)
-	}
-	err := tx.Commit()
+	err := fs.jnl.Commit(fs.pending)
 	if errors.Is(err, journal.ErrFull) {
 		// Every queued op is already applied in memory, so the compaction
 		// snapshot holds the batch and is its commit; appending the batch
@@ -750,28 +746,36 @@ func (fs *FS) shrinkExtents(ino *inode, inoNum uint64, newSize int64) ([]fsrec.O
 		if zTo > ino.meta.Size {
 			zTo = ino.meta.Size
 		}
-		var err error
-		ops, err = fs.cowZeroEdge(ino, inoNum, newSize, zTo)
+		e, err := fs.cowZeroEdge(ino, inoNum, newSize, zTo)
 		if err != nil {
 			return nil, err
 		}
+		ops = fs.remapEdge(ino, inoNum, e, nil)
 	}
 	fs.dropTail(ino, inoNum, newSize)
 	return ops, nil
 }
 
+// edgeCopy is a ragged edge prepared by cowZeroEdge: the page's mapped
+// runs and the fresh block holding its new image. segs is nil when the
+// range reads zero already and nothing needs remapping.
+type edgeCopy struct {
+	segs      []extent.Segment[int64]
+	pageStart int64
+	devOff    int64
+}
+
 // cowZeroEdge makes the mapped bytes of [zFrom, zTo) — a range inside one
 // file page — read zero without touching the live block in place: a fresh
-// block receives the preserved bytes (zeros over the cleared range) and the
-// page is remapped onto it. The in-place alternative is not crash-safe: the
-// ordered pre-commit flush would make the zeros durable before the
-// truncate/punch record commits, corrupting the old contents if the commit
-// never lands. The old block joins pendingFrees; the returned remap ops
-// must commit in the same transaction as the caller's record. Caller holds
-// fs.mu.
-func (fs *FS) cowZeroEdge(ino *inode, inoNum uint64, zFrom, zTo int64) ([]fsrec.Op, error) {
+// block receives the preserved bytes (zeros over the cleared range), and
+// remapEdge then moves the page onto it. The in-place alternative is not
+// crash-safe: the ordered pre-commit flush would make the zeros durable
+// before the truncate/punch record commits, corrupting the old contents if
+// the commit never lands. Until remapEdge runs nothing else has changed,
+// so dropEdge undoes the copy without a trace. Caller holds fs.mu.
+func (fs *FS) cowZeroEdge(ino *inode, inoNum uint64, zFrom, zTo int64) (edgeCopy, error) {
 	if zTo <= zFrom {
-		return nil, nil
+		return edgeCopy{}, nil
 	}
 	pageStart := zFrom / PageSize * PageSize
 	segs := ino.ext.Segments(pageStart, PageSize)
@@ -783,15 +787,14 @@ func (fs *FS) cowZeroEdge(ino *inode, inoNum uint64, zFrom, zTo int64) ([]fsrec.
 		}
 	}
 	if !touched {
-		return nil, nil // holes already read zero
+		return edgeCopy{}, nil // holes already read zero
 	}
 	// Page image: a dirty cache page is newest; otherwise the mapped runs
 	// on the device, read for free when the page is resident clean (the
 	// device holds its only copy).
 	buf := fs.scratch
 	clear(buf)
-	key := pagecacheKey(inoNum, pageStart/PageSize)
-	cached, resident := fs.cache.Peek(key)
+	cached, resident := fs.cache.Peek(pagecacheKey(inoNum, pageStart/PageSize))
 	if cached != nil {
 		copy(buf, cached)
 	} else {
@@ -807,7 +810,7 @@ func (fs *FS) cowZeroEdge(ino *inode, inoNum uint64, zFrom, zTo int64) ([]fsrec.
 				_, err = fs.dev.ReadAt(dst, seg.Off+seg.Val)
 			}
 			if err != nil {
-				return nil, err
+				return edgeCopy{}, err
 			}
 		}
 	}
@@ -819,21 +822,39 @@ func (fs *FS) cowZeroEdge(ino *inode, inoNum uint64, zFrom, zTo int64) ([]fsrec.
 		if err == nil {
 			fs.placer.Free(run.DevOff, run.Len)
 		}
-		return nil, vfs.ErrNoSpace
+		return edgeCopy{}, vfs.ErrNoSpace
 	}
 	devOff := fs.dataStart + run.DevOff
 	// Volatile write; the ordered flush persists it before the remap
 	// commits, so the copy is complete whenever the remap is durable.
 	if _, err := fs.dev.WriteAt(buf, devOff); err != nil {
 		fs.placer.Free(run.DevOff, PageSize)
-		return nil, err
+		return edgeCopy{}, err
+	}
+	return edgeCopy{segs: segs, pageStart: pageStart, devOff: devOff}, nil
+}
+
+// dropEdge undoes a cowZeroEdge that will not be applied: its block
+// returns to the allocator, discarded.
+func (fs *FS) dropEdge(e edgeCopy) {
+	if e.segs != nil {
+		fs.placer.Free(e.devOff-fs.dataStart, PageSize)
+		fs.dev.Discard(e.devOff, PageSize)
+	}
+}
+
+// remapEdge applies a cowZeroEdge: the page's runs move onto the copy,
+// their old blocks join pendingFrees, and the remap ops — which must commit
+// in the caller's transaction — are appended to ops. Caller holds fs.mu.
+func (fs *FS) remapEdge(ino *inode, inoNum uint64, e edgeCopy, ops []fsrec.Op) []fsrec.Op {
+	if e.segs == nil {
+		return ops
 	}
 	// The new block now holds the page: a resident page turns clean.
-	fs.cache.MarkClean(key)
-	newDelta := devOff - pageStart
-	var ops []fsrec.Op
+	fs.cache.MarkClean(pagecacheKey(inoNum, e.pageStart/PageSize))
+	newDelta := e.devOff - e.pageStart
 	oldPages := make(map[int64]bool)
-	for _, seg := range segs {
+	for _, seg := range e.segs {
 		if seg.Hole {
 			continue
 		}
@@ -847,7 +868,7 @@ func (fs *FS) cowZeroEdge(ino *inode, inoNum uint64, zFrom, zTo int64) ([]fsrec.
 		ino.ext.Insert(seg.Off, seg.Len, newDelta)
 		ops = append(ops, fsrec.Op{Type: fsrec.OpExtent, Ino: inoNum, Off: seg.Off, Delta: newDelta, N: seg.Len})
 	}
-	return ops, nil
+	return ops
 }
 
 // readLocked serves ReadAt through the page cache. Caller holds fs.mu.

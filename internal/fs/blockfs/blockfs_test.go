@@ -356,3 +356,57 @@ func TestCompactionCommitsOpOnce(t *testing.T) {
 		func() int64 { return fs.jnl.Size() - fs.jnl.UsedBytes() },
 		func() error { fs.Crash(); return fs.Recover() })
 }
+
+// A punch whose second ragged edge fails after the first edge's
+// copy-on-write succeeded must leave the first edge unapplied: its page
+// keeps its old block, mapped and allocated. Before the fix, the first
+// edge's remap stayed in memory with its old block queued for freeing but
+// no record queued, so a later commit freed a block the committed metadata
+// still mapped, another file's write reused it, and after a crash page 0
+// read back that file's bytes or zeros.
+func TestFailedPunchEdgeRollsBack(t *testing.T) {
+	const pages = 4
+	fs, dev := newSmallCacheFS(t, 8)
+	f, _ := fs.Create("/f")
+	want := bytes.Repeat([]byte{0xA5}, pages*PageSize)
+	if _, err := f.WriteAt(want, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	dev.InjectFaults(device.FaultPlan{Seed: 7, WriteErrProb: 0.5})
+	err := f.PunchHole(100, 3*PageSize)
+	dev.ClearFaults()
+	if err == nil {
+		t.Fatal("punch succeeded; the fault seed no longer fails its second edge")
+	}
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	g, _ := fs.Create("/g")
+	if _, err := g.WriteAt(bytes.Repeat([]byte{0x3C}, pages*PageSize), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	fs.Crash()
+	if err := fs.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	f, err = fs.Open("/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, PageSize)
+	if _, err := f.ReadAt(got, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want[:PageSize]) {
+		t.Fatalf("page 0 after the failed punch, a commit and a crash: % x..., want % x...", got[:8], want[:8])
+	}
+	if err := fs.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+}

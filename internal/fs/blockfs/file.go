@@ -173,23 +173,23 @@ func (f *file) PunchHole(off, n int64) error {
 		return nil
 	}
 	// Ragged edges are rewritten copy-on-write (see cowZeroEdge) so the old
-	// bytes stay intact until the punch transaction commits.
-	var ops []fsrec.Op
-	var cowErr error
+	// bytes stay intact until the punch transaction commits. Both edges are
+	// copied before either is remapped: a failed second copy must leave the
+	// first unapplied, or its old block would be freed with no record.
+	var head, tail edgeCopy
 	firstWhole := (off + PageSize - 1) / PageSize * PageSize
 	lastWhole := end / PageSize * PageSize
 	if firstWhole > lastWhole { // range inside one page
-		ops, cowErr = fs.cowZeroEdge(ino, f.ino, off, end)
-	} else {
-		if ops, cowErr = fs.cowZeroEdge(ino, f.ino, off, firstWhole); cowErr == nil {
-			var more []fsrec.Op
-			more, cowErr = fs.cowZeroEdge(ino, f.ino, lastWhole, end)
-			ops = append(ops, more...)
+		head, err = fs.cowZeroEdge(ino, f.ino, off, end)
+	} else if head, err = fs.cowZeroEdge(ino, f.ino, off, firstWhole); err == nil {
+		if tail, err = fs.cowZeroEdge(ino, f.ino, lastWhole, end); err != nil {
+			fs.dropEdge(head)
 		}
 	}
-	if cowErr != nil {
-		return vfs.Errf("punch", fs.name, f.path, cowErr)
+	if err != nil {
+		return vfs.Errf("punch", fs.name, f.path, err)
 	}
+	ops := fs.remapEdge(ino, f.ino, tail, fs.remapEdge(ino, f.ino, head, nil))
 	fs.freeRange(ino, f.ino, off, end-off)
 	now := fs.now()
 	ino.meta.ModTime = now

@@ -3,6 +3,8 @@ package novafs
 import (
 	"time"
 
+	"muxfs/internal/extent"
+	"muxfs/internal/fs/fsrec"
 	"muxfs/internal/journal"
 	"muxfs/internal/vfs"
 )
@@ -161,7 +163,7 @@ func (fs *FS) truncateLocked(ino *inode, inoNum uint64, size int64) error {
 	ino.meta.Size = size
 	ino.meta.ModTime = now
 	ino.meta.CTime = now
-	recs = append(recs, recTruncate(inoNum, size, now))
+	recs = append(recs, fsrec.Op{Type: fsrec.OpTruncate, Ino: inoNum, Size: size, MTime: now}.Record())
 	return fs.logCommit(recs...)
 }
 
@@ -179,11 +181,11 @@ func (fs *FS) shrinkExtents(ino *inode, inoNum uint64, newSize int64, now time.D
 		if zTo > ino.meta.Size {
 			zTo = ino.meta.Size
 		}
-		var err error
-		recs, err = fs.cowZeroPage(ino, inoNum, newSize, zTo, newSize, now, recs)
+		c, err := fs.cowZeroPage(ino, newSize, zTo)
 		if err != nil {
 			return nil, err
 		}
+		recs = fs.remapPage(ino, inoNum, c, newSize, now, recs)
 	}
 	fs.dropTail(ino, newSize)
 	return recs, nil
@@ -201,39 +203,51 @@ func (fs *FS) punchLocked(ino *inode, inoNum uint64, off, n int64) error {
 	}
 	now := fs.now()
 	// Ragged edges are rewritten copy-on-write (see truncateLocked) so the
-	// old bytes stay intact until the punch transaction commits.
-	var recs []journal.Record
+	// old bytes stay intact until the punch transaction commits. Both edges
+	// are copied before either is remapped: a failed second copy must leave
+	// the first unapplied, or its old page would be freed with no record.
+	var head, tail cowPage
 	var err error
 	firstWhole := (off + PageSize - 1) / PageSize * PageSize
 	lastWhole := end / PageSize * PageSize
 	if firstWhole > lastWhole { // range inside one page
-		recs, err = fs.cowZeroPage(ino, inoNum, off, end, ino.meta.Size, now, recs)
-	} else {
-		if recs, err = fs.cowZeroPage(ino, inoNum, off, firstWhole, ino.meta.Size, now, recs); err == nil {
-			recs, err = fs.cowZeroPage(ino, inoNum, lastWhole, end, ino.meta.Size, now, recs)
+		head, err = fs.cowZeroPage(ino, off, end)
+	} else if head, err = fs.cowZeroPage(ino, off, firstWhole); err == nil {
+		if tail, err = fs.cowZeroPage(ino, lastWhole, end); err != nil {
+			fs.dropPage(head)
 		}
 	}
 	if err != nil {
 		return err
 	}
+	recs := fs.remapPage(ino, inoNum, head, ino.meta.Size, now, nil)
+	recs = fs.remapPage(ino, inoNum, tail, ino.meta.Size, now, recs)
 	fs.freeRange(ino, off, end-off)
 	ino.meta.ModTime = now
 	ino.meta.CTime = now
-	recs = append(recs, recPunch(inoNum, off, end-off, now))
+	recs = append(recs, fsrec.Op{Type: fsrec.OpPunch, Ino: inoNum, Off: off, N: end - off, MTime: now}.Record())
 	return fs.logCommit(recs...)
 }
 
+// cowPage is a ragged edge prepared by cowZeroPage: the page's mapped runs
+// and the fresh, persisted PM page holding its new image. segs is nil when
+// the range reads zero already and nothing needs remapping.
+type cowPage struct {
+	segs      []extent.Segment[int64]
+	pageStart int64
+	blk       int64
+}
+
 // cowZeroPage makes the mapped bytes of [zFrom, zTo) — a range inside one
-// file page — read zero without touching the live page in place: a fresh PM
-// page receives the preserved bytes (zeros over the cleared range), is
-// persisted, and the remap records joining the caller's transaction are
-// appended to recs. Until that transaction commits, the durable state still
+// file page — read zero without touching the live page in place: a fresh
+// PM page receives the preserved bytes (zeros over the cleared range) and
+// is persisted; remapPage then moves the page onto it, or dropPage undoes
+// the copy. Until the caller's transaction commits, the durable state still
 // maps the untouched old page, so a crash at any instant leaves either the
 // complete old contents or the complete new ones. Caller holds fs.mu.
-func (fs *FS) cowZeroPage(ino *inode, inoNum uint64, zFrom, zTo int64,
-	logicalSize int64, now time.Duration, recs []journal.Record) ([]journal.Record, error) {
+func (fs *FS) cowZeroPage(ino *inode, zFrom, zTo int64) (cowPage, error) {
 	if zTo <= zFrom {
-		return recs, nil
+		return cowPage{}, nil
 	}
 	pageStart := zFrom / PageSize * PageSize
 	segs := ino.ext.Segments(pageStart, PageSize)
@@ -245,12 +259,13 @@ func (fs *FS) cowZeroPage(ino *inode, inoNum uint64, zFrom, zTo int64,
 		}
 	}
 	if !touched {
-		return recs, nil // holes already read zero
+		return cowPage{}, nil // holes already read zero
 	}
 	blk, err := fs.pages.Alloc()
 	if err != nil {
-		return recs, vfs.ErrNoSpace
+		return cowPage{}, vfs.ErrNoSpace
 	}
+	c := cowPage{segs: segs, pageStart: pageStart, blk: blk}
 	buf := make([]byte, PageSize)
 	for _, seg := range segs {
 		if seg.Hole {
@@ -258,8 +273,8 @@ func (fs *FS) cowZeroPage(ino *inode, inoNum uint64, zFrom, zTo int64,
 		}
 		dst := buf[seg.Off-pageStart : seg.Off-pageStart+seg.Len]
 		if _, err := fs.dev.ReadAt(dst, seg.Off+seg.Val); err != nil {
-			fs.pages.FreeBlock(blk)
-			return recs, err
+			fs.dropPage(c)
+			return cowPage{}, err
 		}
 	}
 	for i := zFrom; i < zTo; i++ {
@@ -267,19 +282,32 @@ func (fs *FS) cowZeroPage(ino *inode, inoNum uint64, zFrom, zTo int64,
 	}
 	pm := fs.pmOff(blk)
 	if _, err := fs.dev.WriteAt(buf, pm); err != nil {
-		fs.pages.FreeBlock(blk)
-		return recs, err
+		fs.dropPage(c)
+		return cowPage{}, err
 	}
 	if err := fs.dev.Persist(pm, PageSize); err != nil {
-		fs.pages.FreeBlock(blk)
-		return recs, err
+		fs.dropPage(c)
+		return cowPage{}, err
 	}
-	// Remap every previously mapped run of the page onto the copy and
-	// release the old backing pages. The remap records replay before the
-	// caller's truncate/punch record; OpExtent replay frees superseded
-	// blocks the same way.
-	newDelta := pm - pageStart
-	for _, seg := range segs {
+	return c, nil
+}
+
+// dropPage undoes a cowZeroPage that will not be applied: its page is
+// discarded and freed.
+func (fs *FS) dropPage(c cowPage) {
+	if c.segs != nil {
+		fs.dev.Discard(fs.pmOff(c.blk), PageSize)
+		fs.pages.FreeBlock(c.blk)
+	}
+}
+
+// remapPage applies a cowZeroPage: the page's mapped runs move onto the
+// copy, their old pages are released (as OpExtent replay does), and the
+// remap records, which must commit with the caller's record, are appended
+// to recs. Caller holds fs.mu.
+func (fs *FS) remapPage(ino *inode, inoNum uint64, c cowPage, logicalSize int64, now time.Duration, recs []journal.Record) []journal.Record {
+	newDelta := fs.pmOff(c.blk) - c.pageStart
+	for _, seg := range c.segs {
 		if seg.Hole {
 			continue
 		}
@@ -289,7 +317,8 @@ func (fs *FS) cowZeroPage(ino *inode, inoNum uint64, zFrom, zTo int64,
 		}
 		fs.dev.Discard(oldPM, seg.Len)
 		ino.ext.Insert(seg.Off, seg.Len, newDelta)
-		recs = append(recs, recExtent(inoNum, seg.Off, newDelta, seg.Len, logicalSize, now))
+		recs = append(recs, fsrec.Op{Type: fsrec.OpExtent, Ino: inoNum, Off: seg.Off, Delta: newDelta,
+			N: seg.Len, Size: logicalSize, MTime: now}.Record())
 	}
-	return recs, nil
+	return recs
 }

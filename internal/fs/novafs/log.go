@@ -2,53 +2,18 @@ package novafs
 
 import (
 	"fmt"
-	"time"
 
 	"muxfs/internal/fs/fsrec"
 	"muxfs/internal/fsbase"
 	"muxfs/internal/journal"
-	"muxfs/internal/vfs"
 )
 
-// Record constructors: novafs logs fsrec ops to its on-PM metadata log.
-
-func recCreate(ino uint64, path string, mode vfs.FileMode) journal.Record {
-	return fsrec.Op{Type: fsrec.OpCreate, Ino: ino, Path: path, Mode: mode}.Record()
-}
-
-func recMkdir(ino uint64, path string, mode vfs.FileMode) journal.Record {
-	return fsrec.Op{Type: fsrec.OpMkdir, Ino: ino, Path: path, Mode: mode}.Record()
-}
-
-func recRemove(path string) journal.Record {
-	return fsrec.Op{Type: fsrec.OpRemove, Path: path}.Record()
-}
-
-func recRename(oldPath, newPath string) journal.Record {
-	return fsrec.Op{Type: fsrec.OpRename, Path: oldPath, Path2: newPath}.Record()
-}
-
-func recExtent(ino uint64, foff, delta, n, size int64, mtime time.Duration) journal.Record {
-	return fsrec.Op{Type: fsrec.OpExtent, Ino: ino, Off: foff, Delta: delta, N: n, Size: size, MTime: mtime}.Record()
-}
-
+// recSetAttr builds the record of an inode's full attributes.
 func recSetAttr(ino uint64, m *fsbase.Meta) journal.Record {
 	return fsrec.Op{
 		Type: fsrec.OpSetAttr, Ino: ino,
 		Size: m.Size, Mode: m.Mode, MTime: m.ModTime, ATime: m.ATime, CTime: m.CTime,
 	}.Record()
-}
-
-func recSizeTime(ino uint64, size int64, mtime time.Duration) journal.Record {
-	return fsrec.Op{Type: fsrec.OpSizeTime, Ino: ino, Size: size, MTime: mtime}.Record()
-}
-
-func recPunch(ino uint64, off, n int64, mtime time.Duration) journal.Record {
-	return fsrec.Op{Type: fsrec.OpPunch, Ino: ino, Off: off, N: n, MTime: mtime}.Record()
-}
-
-func recTruncate(ino uint64, size int64, mtime time.Duration) journal.Record {
-	return fsrec.Op{Type: fsrec.OpTruncate, Ino: ino, Size: size, MTime: mtime}.Record()
 }
 
 // applyRecord replays one committed log record during Recover. Caller holds

@@ -26,6 +26,7 @@ import (
 	"muxfs/internal/alloc"
 	"muxfs/internal/device"
 	"muxfs/internal/extent"
+	"muxfs/internal/fs/fsrec"
 	"muxfs/internal/fsbase"
 	"muxfs/internal/journal"
 	"muxfs/internal/simclock"
@@ -77,8 +78,17 @@ type FS struct {
 	log        *journal.Dual
 	recovering bool // replay must not touch device data (pages may have been reused)
 
+	// Scratch reused by readLocked/writeLocked under mu, so the data path
+	// allocates no per-op slices.
+	segs []extent.Segment[int64]
+	runs []newRun
+	recs []journal.Record
+
 	dataStart int64
 }
+
+// newRun is a run of pages a write mapped, coalesced for its log record.
+type newRun struct{ foff, delta, length int64 }
 
 var _ vfs.FileSystem = (*FS)(nil)
 var _ vfs.CrashRecoverer = (*FS)(nil)
@@ -158,7 +168,7 @@ func (fs *FS) Create(path string) (vfs.File, error) {
 	now := fs.now()
 	ino := &inode{meta: fsbase.Meta{Mode: 0o644, ModTime: now, ATime: now, CTime: now}}
 	fs.inodes[node.Ino] = ino
-	if err := fs.logCommit(recCreate(node.Ino, path, 0o644)); err != nil {
+	if err := fs.logCommit(fsrec.Op{Type: fsrec.OpCreate, Ino: node.Ino, Path: path, Mode: 0o644}.Record()); err != nil {
 		// Roll back the namespace insert; the file never existed durably.
 		fs.ns.Remove(path)
 		delete(fs.inodes, node.Ino)
@@ -197,7 +207,7 @@ func (fs *FS) Remove(path string) error {
 		fs.dropTail(ino, 0)
 		delete(fs.inodes, node.Ino)
 	}
-	if err := fs.logCommit(recRemove(path)); err != nil {
+	if err := fs.logCommit(fsrec.Op{Type: fsrec.OpRemove, Path: path}.Record()); err != nil {
 		return vfs.Errf("remove", fs.name, path, err)
 	}
 	return nil
@@ -212,7 +222,7 @@ func (fs *FS) Rename(oldPath, newPath string) error {
 	if _, err := fs.ns.Rename(oldPath, newPath); err != nil {
 		return vfs.Errf("rename", fs.name, oldPath, err)
 	}
-	if err := fs.logCommit(recRename(oldPath, newPath)); err != nil {
+	if err := fs.logCommit(fsrec.Op{Type: fsrec.OpRename, Path: oldPath, Path2: newPath}.Record()); err != nil {
 		return vfs.Errf("rename", fs.name, oldPath, err)
 	}
 	return nil
@@ -228,7 +238,7 @@ func (fs *FS) Mkdir(path string) error {
 	if err != nil {
 		return vfs.Errf("mkdir", fs.name, path, err)
 	}
-	if err := fs.logCommit(recMkdir(node.Ino, path, 0o755)); err != nil {
+	if err := fs.logCommit(fsrec.Op{Type: fsrec.OpMkdir, Ino: node.Ino, Path: path, Mode: 0o755}.Record()); err != nil {
 		fs.ns.Remove(path)
 		return vfs.Errf("mkdir", fs.name, path, err)
 	}
@@ -459,11 +469,7 @@ func (fs *FS) dropTail(ino *inode, newSize int64) {
 // is full the compaction snapshot holds the op and is its commit: the
 // records are not appended again, which would make replay apply them twice.
 func (fs *FS) logCommit(recs ...journal.Record) error {
-	tx := fs.log.Begin()
-	for _, r := range recs {
-		tx.Append(r)
-	}
-	err := tx.Commit()
+	err := fs.log.Commit(recs)
 	if errors.Is(err, journal.ErrFull) {
 		return fs.compact()
 	}
@@ -478,14 +484,15 @@ func (fs *FS) compact() error {
 	err := fs.log.Compact(func(tx *journal.Tx) {
 		fs.ns.WalkAll(func(path string, node *fsbase.Node) {
 			if node.IsDir() {
-				tx.Append(recMkdir(node.Ino, path, node.Mode))
+				tx.Append(fsrec.Op{Type: fsrec.OpMkdir, Ino: node.Ino, Path: path, Mode: node.Mode}.Record())
 				return
 			}
 			ino := fs.inodes[node.Ino]
-			tx.Append(recCreate(node.Ino, path, ino.meta.Mode))
+			tx.Append(fsrec.Op{Type: fsrec.OpCreate, Ino: node.Ino, Path: path, Mode: ino.meta.Mode}.Record())
 			tx.Append(recSetAttr(node.Ino, &ino.meta))
 			ino.ext.Walk(func(off, n int64, delta int64) bool {
-				tx.Append(recExtent(node.Ino, off, delta, n, ino.meta.Size, ino.meta.ModTime))
+				tx.Append(fsrec.Op{Type: fsrec.OpExtent, Ino: node.Ino, Off: off, Delta: delta, N: n,
+					Size: ino.meta.Size, MTime: ino.meta.ModTime}.Record())
 				return true
 			})
 		})
@@ -513,7 +520,8 @@ func (fs *FS) readLocked(ino *inode, p []byte, off int64) (int, error) {
 	}
 	pagesTouched := (off+n-1)/PageSize - off/PageSize + 1
 	fs.clk.Advance(time.Duration(pagesTouched) * fs.costs.PerPage)
-	for _, seg := range ino.ext.Segments(off, n) {
+	fs.segs = ino.ext.AppendSegments(fs.segs[:0], off, n)
+	for _, seg := range fs.segs {
 		dst := p[seg.Off-off : seg.Off-off+seg.Len]
 		if seg.Hole {
 			for i := range dst {
@@ -545,8 +553,7 @@ func (fs *FS) writeLocked(ino *inode, inoNum uint64, p []byte, off int64) (int, 
 	fs.clk.Advance(time.Duration(lastPage-firstPage+1) * fs.costs.PerPage)
 
 	// Ensure every touched file page is mapped; remember new runs to log.
-	type newRun struct{ foff, delta, length int64 }
-	var newRuns []newRun
+	newRuns := fs.runs[:0]
 	for pg := firstPage; pg <= lastPage; pg++ {
 		foff := pg * PageSize
 		if _, _, ok := ino.ext.Lookup(foff); ok {
@@ -574,9 +581,11 @@ func (fs *FS) writeLocked(ino *inode, inoNum uint64, p []byte, off int64) (int, 
 		}
 		newRuns = append(newRuns, newRun{foff, delta, PageSize})
 	}
+	fs.runs = newRuns
 
 	// Write the payload segment by segment and persist each PM run.
-	for _, seg := range ino.ext.Segments(off, n) {
+	fs.segs = ino.ext.AppendSegments(fs.segs[:0], off, n)
+	for _, seg := range fs.segs {
 		if seg.Hole {
 			return 0, fmt.Errorf("novafs %s: unmapped page after allocation at %d", fs.name, seg.Off)
 		}
@@ -597,13 +606,15 @@ func (fs *FS) writeLocked(ino *inode, inoNum uint64, p []byte, off int64) (int, 
 	ino.meta.ModTime = now
 
 	// One committed transaction covers the new mappings and the size/mtime.
-	recs := make([]journal.Record, 0, len(newRuns)+1)
+	recs := fs.recs[:0]
 	for _, r := range newRuns {
-		recs = append(recs, recExtent(inoNum, r.foff, r.delta, r.length, ino.meta.Size, now))
+		recs = append(recs, fsrec.Op{Type: fsrec.OpExtent, Ino: inoNum, Off: r.foff, Delta: r.delta,
+			N: r.length, Size: ino.meta.Size, MTime: now}.Record())
 	}
 	if len(recs) == 0 {
-		recs = append(recs, recSizeTime(inoNum, ino.meta.Size, now))
+		recs = append(recs, fsrec.Op{Type: fsrec.OpSizeTime, Ino: inoNum, Size: ino.meta.Size, MTime: now}.Record())
 	}
+	fs.recs = recs
 	if err := fs.logCommit(recs...); err != nil {
 		return 0, err
 	}

@@ -257,3 +257,54 @@ func TestCompactionCommitsOpOnce(t *testing.T) {
 		func() int64 { return fs.log.Size() - fs.log.UsedBytes() },
 		func() error { fs.Crash(); return fs.Recover() })
 }
+
+// A punch whose second ragged edge fails after the first edge's
+// copy-on-write succeeded must leave the file as it was: the first edge's
+// page keeps its old PM page, mapped and allocated, before and after a
+// crash. Before the fix the first edge was already remapped onto a zeroed
+// copy and its old page freed, so the failed punch read back zeros and
+// the freed page — still mapped by the committed log — could be reused.
+func TestFailedPunchEdgeRollsBack(t *testing.T) {
+	fs := newFS(t)
+	f, _ := fs.Create("/f")
+	want := bytes.Repeat([]byte{0xA5}, 4*PageSize)
+	if _, err := f.WriteAt(want, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	used := fs.pages.Used()
+	fs.dev.InjectFaults(device.FaultPlan{Seed: 7, WriteErrProb: 0.5})
+	err := f.PunchHole(100, 3*PageSize)
+	fs.dev.ClearFaults()
+	if err == nil {
+		t.Fatal("punch succeeded; the fault seed no longer fails its second edge")
+	}
+	got := make([]byte, len(want))
+	check := func(when string) {
+		t.Helper()
+		if _, err := f.ReadAt(got, 0); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: file changed by a failed punch", when)
+		}
+	}
+	check("after the failed punch")
+	if n := fs.pages.Used(); n != used {
+		t.Fatalf("failed punch changed the used page count %d -> %d", used, n)
+	}
+	g, _ := fs.Create("/g")
+	if _, err := g.WriteAt(bytes.Repeat([]byte{0x3C}, 4*PageSize), 0); err != nil {
+		t.Fatal(err)
+	}
+	fs.Crash()
+	if err := fs.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if f, err = fs.Open("/f"); err != nil {
+		t.Fatal(err)
+	}
+	check("after a crash")
+}

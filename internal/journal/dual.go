@@ -24,8 +24,8 @@ type Dual struct {
 	start int64
 
 	// The callers' lock discipline (every client holds its own mutex across
-	// Begin/Commit/Compact/Replay) serializes access; Journal's own mutex
-	// covers the half-level state.
+	// Commit/Compact/Replay) serializes access; Journal's own mutex covers
+	// the half-level state.
 	active int
 	halves [2]*Journal
 }
@@ -57,8 +57,9 @@ func NewDual(dev *device.Device, start, size int64) (*Dual, error) {
 	}, nil
 }
 
-// Begin opens a transaction on the active half.
-func (d *Dual) Begin() *Tx { return d.halves[d.active].Begin() }
+// Commit durably writes recs as one transaction on the active half (see
+// Journal.Commit). ErrFull means the half is full: Compact.
+func (d *Dual) Commit(recs []Record) error { return d.halves[d.active].Commit(recs) }
 
 // UsedBytes returns the bytes occupied in the active half.
 func (d *Dual) UsedBytes() int64 { return d.halves[d.active].UsedBytes() }
@@ -76,7 +77,7 @@ func (d *Dual) Replay(apply func(Record) error) (int, error) {
 	}
 	d.active = 0
 	if binary.LittleEndian.Uint32(buf[0:4]) == sbMagic &&
-		binary.LittleEndian.Uint32(buf[13:17]) == sbCRC(buf[4], binary.LittleEndian.Uint64(buf[5:13])) &&
+		binary.LittleEndian.Uint32(buf[13:17]) == sbCRC(buf) &&
 		buf[4] == 1 {
 		d.active = 1
 	}
@@ -94,11 +95,13 @@ func (d *Dual) Replay(apply func(Record) error) (int, error) {
 // stays valid until the single-page flip persists, so every crash point
 // recovers either the complete old log or the complete snapshot.
 func (d *Dual) Compact(snapshot func(*Tx)) error {
-	spare := d.halves[1-d.active]
-	spare.reset(d.halves[d.active].nextSeq())
-	tx := spare.Begin()
-	snapshot(tx)
-	if err := tx.Commit(); err != nil {
+	cur, spare := d.halves[d.active], d.halves[1-d.active]
+	spare.reset(cur.nextSeq())
+	// Only the active half commits, so it owns the one encode buffer.
+	spare.scratch, cur.scratch = cur.scratch, nil
+	var tx Tx
+	snapshot(&tx)
+	if err := spare.Commit(tx.recs); err != nil {
 		return fmt.Errorf("journal compaction snapshot: %w", err)
 	}
 	if err := d.writeSuper(1 - d.active); err != nil {
@@ -114,7 +117,7 @@ func (d *Dual) writeSuper(active int) error {
 	binary.LittleEndian.PutUint32(buf[0:4], sbMagic)
 	buf[4] = byte(active)
 	binary.LittleEndian.PutUint64(buf[5:13], seq)
-	binary.LittleEndian.PutUint32(buf[13:17], sbCRC(buf[4], seq))
+	binary.LittleEndian.PutUint32(buf[13:17], sbCRC(buf))
 	if _, err := d.dev.WriteAt(buf, d.start); err != nil {
 		return fmt.Errorf("journal superblock write: %w", err)
 	}
@@ -124,12 +127,8 @@ func (d *Dual) writeSuper(active int) error {
 	return nil
 }
 
-func sbCRC(active byte, seq uint64) uint32 {
-	var tmp [9]byte
-	tmp[0] = active
-	binary.LittleEndian.PutUint64(tmp[1:9], seq)
-	return crc32.ChecksumIEEE(tmp[:])
-}
+// sbCRC checksums an encoded superblock's active and seq fields.
+func sbCRC(sb []byte) uint32 { return crc32.ChecksumIEEE(sb[4:13]) }
 
 // reset logically empties a half and restarts its sequence numbering at
 // seq, so records it logs from now on outrank every stale record left in

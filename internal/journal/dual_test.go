@@ -21,9 +21,7 @@ func newTestDual(t *testing.T, size int64) (*Dual, *device.Device) {
 func TestDualCommitAndReplay(t *testing.T) {
 	d, dev := newTestDual(t, 1<<20)
 	for i := 0; i < 5; i++ {
-		tx := d.Begin()
-		tx.Append(Record{Type: 1, A: int64(i)})
-		if err := tx.Commit(); err != nil {
+		if err := d.Commit([]Record{{Type: 1, A: int64(i)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -43,9 +41,7 @@ func TestDualCommitAndReplay(t *testing.T) {
 func TestDualCompactReplacesLog(t *testing.T) {
 	d, dev := newTestDual(t, 1<<20)
 	for i := 0; i < 5; i++ {
-		tx := d.Begin()
-		tx.Append(Record{Type: 1, A: int64(i)})
-		if err := tx.Commit(); err != nil {
+		if err := d.Commit([]Record{{Type: 1, A: int64(i)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -55,9 +51,7 @@ func TestDualCompactReplacesLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Post-compaction commits append after the snapshot.
-	tx := d.Begin()
-	tx.Append(Record{Type: 3, A: 100})
-	if err := tx.Commit(); err != nil {
+	if err := d.Commit([]Record{{Type: 3, A: 100}}); err != nil {
 		t.Fatal(err)
 	}
 	d2, _ := NewDual(dev, 0, 1<<20)
@@ -87,9 +81,7 @@ func TestDualCompactCrashSweep(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 5; i++ {
-			tx := d.Begin()
-			tx.Append(Record{Type: 1, A: int64(i)})
-			if err := tx.Commit(); err != nil {
+			if err := d.Commit([]Record{{Type: 1, A: int64(i)}}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -151,9 +143,7 @@ func TestStaleRecordsAfterResetNotReplayed(t *testing.T) {
 	// Two compactions land the log back in half 0, which still holds the
 	// original 20 records beyond the fresh snapshot's end.
 	for i := 0; i < 20; i++ {
-		tx := d.Begin()
-		tx.Append(Record{Type: 1, A: int64(i)})
-		if err := tx.Commit(); err != nil {
+		if err := d.Commit([]Record{{Type: 1, A: int64(i)}}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -30,7 +30,7 @@ const headerSize = 4 + 8 + 1 + 8 + 8 + 4 + 4
 // Errors.
 var (
 	// ErrFull reports that the journal region cannot hold the transaction;
-	// the caller must checkpoint first.
+	// the caller must compact first (Dual.Compact).
 	ErrFull = errors.New("journal: full")
 	// ErrCorrupt reports a checksum mismatch during replay.
 	ErrCorrupt = errors.New("journal: corrupt record")
@@ -44,16 +44,22 @@ type Record struct {
 	Payload []byte
 }
 
+// maxScratch caps the encode buffer a Journal keeps between commits. A
+// larger transaction (a compaction snapshot) encodes into a buffer that is
+// dropped after its commit, so one snapshot does not pin its size in heap.
+const maxScratch = 64 << 10
+
 // Journal is a write-ahead log in [start, start+size) of dev. Safe for
-// concurrent Commit calls; records within one Tx stay contiguous.
+// concurrent Commit calls; the records of one Commit stay contiguous.
 type Journal struct {
 	dev   *device.Device
 	start int64
 	size  int64
 
-	mu   sync.Mutex
-	head int64  // next write offset, relative to start
-	seq  uint64 // next transaction sequence number
+	mu      sync.Mutex
+	head    int64  // next write offset, relative to start
+	seq     uint64 // next transaction sequence number
+	scratch []byte // reused encode buffer, at most maxScratch bytes kept
 }
 
 // New creates a journal over [start, start+size) of dev. The region is
@@ -62,39 +68,42 @@ func New(dev *device.Device, start, size int64) *Journal {
 	return &Journal{dev: dev, start: start, size: size, seq: 1}
 }
 
-// Tx is an open transaction. Append records, then Commit; an abandoned Tx
-// costs nothing.
+// Tx collects the records of a compaction snapshot (Dual.Compact).
 type Tx struct {
-	j    *Journal
 	recs []Record
 }
-
-// Begin opens a transaction.
-func (j *Journal) Begin() *Tx { return &Tx{j: j} }
 
 // Append adds a record to the transaction.
 func (tx *Tx) Append(r Record) { tx.recs = append(tx.recs, r) }
 
-// Len returns the number of records appended so far.
-func (tx *Tx) Len() int { return len(tx.recs) }
-
-// Commit durably writes the transaction: all records followed by a commit
-// marker, then a persistence barrier. Either the whole transaction replays
-// after a crash or none of it does.
-func (tx *Tx) Commit() error {
-	j := tx.j
+// Commit durably writes recs as one transaction: all records followed by a
+// commit marker, then a persistence barrier. Either the whole transaction
+// replays after a crash or none of it does. recs is not retained, and a
+// steady stream of small commits allocates nothing: records encode into a
+// buffer reused under j.mu.
+func (j *Journal) Commit(recs []Record) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 
-	var buf []byte
-	for _, r := range tx.recs {
+	n := headerSize // the commit marker
+	for _, r := range recs {
+		n += headerSize + len(r.Payload)
+	}
+	if j.head+int64(n) > j.size {
+		return fmt.Errorf("%w: need %d bytes, %d left", ErrFull, n, j.size-j.head)
+	}
+	buf := j.scratch[:0]
+	if n > cap(buf) {
+		buf = make([]byte, 0, n)
+		if n <= maxScratch {
+			j.scratch = buf
+		}
+	}
+	for _, r := range recs {
 		buf = appendRecord(buf, j.seq, r)
 	}
 	buf = appendRecord(buf, j.seq, Record{Type: commitType})
 
-	if j.head+int64(len(buf)) > j.size {
-		return fmt.Errorf("%w: need %d bytes, %d left", ErrFull, len(buf), j.size-j.head)
-	}
 	off := j.start + j.head
 	if _, err := j.dev.WriteAt(buf, off); err != nil {
 		return fmt.Errorf("journal commit: %w", err)
@@ -175,7 +184,7 @@ func (j *Journal) Replay(apply func(Record) error) (int, error) {
 				return applied, fmt.Errorf("journal replay read: %w", err)
 			}
 		}
-		if recordCRC(seq, typ, a, b, payload) != wantCRC {
+		if recordCRC(hdr, payload) != wantCRC {
 			break // torn write: stop at the first bad checksum
 		}
 		if seq <= maxSeq {
@@ -217,23 +226,6 @@ func (j *Journal) Replay(apply func(Record) error) (int, error) {
 	return applied, nil
 }
 
-// Checkpoint logically empties the journal after the client has flushed the
-// state the journal protects. It writes a terminator at the region start so
-// stale committed records are not replayed again.
-func (j *Journal) Checkpoint() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	term := make([]byte, headerSize) // zero magic terminates replay scan
-	if _, err := j.dev.WriteAt(term, j.start); err != nil {
-		return fmt.Errorf("journal checkpoint: %w", err)
-	}
-	if err := j.dev.Persist(j.start, headerSize); err != nil {
-		return fmt.Errorf("journal checkpoint persist: %w", err)
-	}
-	j.head = 0
-	return nil
-}
-
 // UsedBytes returns the bytes currently occupied by the log.
 func (j *Journal) UsedBytes() int64 {
 	j.mu.Lock()
@@ -244,27 +236,24 @@ func (j *Journal) UsedBytes() int64 {
 // Size returns the journal region size.
 func (j *Journal) Size() int64 { return j.size }
 
+// appendRecord appends r's header and payload to buf. The header is
+// magic(4) seq(8) type(1) a(8) b(8) plen(4) crc(4); the CRC covers
+// seq..b and the payload.
 func appendRecord(buf []byte, seq uint64, r Record) []byte {
-	var hdr [headerSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], magic)
-	binary.LittleEndian.PutUint64(hdr[4:12], seq)
-	hdr[12] = r.Type
-	binary.LittleEndian.PutUint64(hdr[13:21], uint64(r.A))
-	binary.LittleEndian.PutUint64(hdr[21:29], uint64(r.B))
-	binary.LittleEndian.PutUint32(hdr[29:33], uint32(len(r.Payload)))
-	binary.LittleEndian.PutUint32(hdr[33:37], recordCRC(seq, r.Type, r.A, r.B, r.Payload))
-	buf = append(buf, hdr[:]...)
+	h := len(buf)
+	buf = binary.LittleEndian.AppendUint32(buf, magic)
+	buf = binary.LittleEndian.AppendUint64(buf, seq)
+	buf = append(buf, r.Type)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(r.A))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(r.B))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.Payload)))
+	buf = binary.LittleEndian.AppendUint32(buf, recordCRC(buf[h:], r.Payload))
 	return append(buf, r.Payload...)
 }
 
-func recordCRC(seq uint64, typ uint8, a, b int64, payload []byte) uint32 {
-	h := crc32.NewIEEE()
-	var tmp [25]byte
-	binary.LittleEndian.PutUint64(tmp[0:8], seq)
-	tmp[8] = typ
-	binary.LittleEndian.PutUint64(tmp[9:17], uint64(a))
-	binary.LittleEndian.PutUint64(tmp[17:25], uint64(b))
-	h.Write(tmp[:])
-	h.Write(payload)
-	return h.Sum32()
+// recordCRC checksums an encoded header's seq, type, a and b fields plus
+// the payload. It reads the bytes in place: copying the fields to a stack
+// array for crc32.Update would make that array escape to the heap.
+func recordCRC(hdr, payload []byte) uint32 {
+	return crc32.Update(crc32.ChecksumIEEE(hdr[4:29]), crc32.IEEETable, payload)
 }

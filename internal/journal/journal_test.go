@@ -17,13 +17,10 @@ func newTestJournal(t *testing.T, size int64) (*Journal, *device.Device) {
 
 func TestCommitAndReplay(t *testing.T) {
 	j, _ := newTestJournal(t, 1<<20)
-	tx := j.Begin()
-	tx.Append(Record{Type: 1, A: 10, B: 20, Payload: []byte("alpha")})
-	tx.Append(Record{Type: 2, A: 30, B: 40})
-	if tx.Len() != 2 {
-		t.Fatalf("tx.Len = %d", tx.Len())
-	}
-	if err := tx.Commit(); err != nil {
+	if err := j.Commit([]Record{
+		{Type: 1, A: 10, B: 20, Payload: []byte("alpha")},
+		{Type: 2, A: 30, B: 40},
+	}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -53,9 +50,7 @@ func TestReplayEmptyJournal(t *testing.T) {
 
 func TestUncommittedTxNotReplayed(t *testing.T) {
 	j, dev := newTestJournal(t, 1<<20)
-	tx := j.Begin()
-	tx.Append(Record{Type: 1, A: 1})
-	if err := tx.Commit(); err != nil {
+	if err := j.Commit([]Record{{Type: 1, A: 1}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -78,9 +73,7 @@ func TestUncommittedTxNotReplayed(t *testing.T) {
 
 func TestCrashDropsUnpersistedCommit(t *testing.T) {
 	j, dev := newTestJournal(t, 1<<20)
-	tx := j.Begin()
-	tx.Append(Record{Type: 1})
-	if err := tx.Commit(); err != nil {
+	if err := j.Commit([]Record{{Type: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	// Second transaction: commit normally, then corrupt its commit marker
@@ -106,9 +99,7 @@ func TestCrashDropsUnpersistedCommit(t *testing.T) {
 func TestMultipleTransactionsOrdered(t *testing.T) {
 	j, _ := newTestJournal(t, 1<<20)
 	for i := 0; i < 10; i++ {
-		tx := j.Begin()
-		tx.Append(Record{Type: 3, A: int64(i)})
-		if err := tx.Commit(); err != nil {
+		if err := j.Commit([]Record{{Type: 3, A: int64(i)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -126,16 +117,12 @@ func TestMultipleTransactionsOrdered(t *testing.T) {
 
 func TestJournalFull(t *testing.T) {
 	j, _ := newTestJournal(t, 256)
-	tx := j.Begin()
-	tx.Append(Record{Type: 1, Payload: make([]byte, 300)})
-	if err := tx.Commit(); !errors.Is(err, ErrFull) {
+	if err := j.Commit([]Record{{Type: 1, Payload: make([]byte, 300)}}); !errors.Is(err, ErrFull) {
 		t.Fatalf("oversized commit err = %v", err)
 	}
 	// Fill with small transactions until full.
 	for i := 0; ; i++ {
-		tx := j.Begin()
-		tx.Append(Record{Type: 1})
-		if err := tx.Commit(); err != nil {
+		if err := j.Commit([]Record{{Type: 1}}); err != nil {
 			if !errors.Is(err, ErrFull) {
 				t.Fatalf("unexpected err: %v", err)
 			}
@@ -147,51 +134,9 @@ func TestJournalFull(t *testing.T) {
 	}
 }
 
-func TestCheckpointEmptiesJournal(t *testing.T) {
-	j, _ := newTestJournal(t, 1<<20)
-	tx := j.Begin()
-	tx.Append(Record{Type: 1})
-	tx.Commit()
-	if j.UsedBytes() == 0 {
-		t.Fatal("commit did not advance head")
-	}
-	if err := j.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if j.UsedBytes() != 0 {
-		t.Fatalf("UsedBytes after checkpoint = %d", j.UsedBytes())
-	}
-	n, err := j.Replay(func(Record) error { return nil })
-	if err != nil || n != 0 {
-		t.Fatalf("post-checkpoint replay = %d, %v", n, err)
-	}
-}
-
-func TestReplayAfterCheckpointAndMoreCommits(t *testing.T) {
-	j, _ := newTestJournal(t, 1<<20)
-	tx := j.Begin()
-	tx.Append(Record{Type: 1, A: 100})
-	tx.Commit()
-	j.Checkpoint()
-	tx = j.Begin()
-	tx.Append(Record{Type: 2, A: 200})
-	tx.Commit()
-
-	var got []Record
-	n, err := j.Replay(func(r Record) error { got = append(got, r); return nil })
-	if err != nil || n != 1 {
-		t.Fatalf("Replay = %d, %v", n, err)
-	}
-	if len(got) != 1 || got[0].Type != 2 || got[0].A != 200 {
-		t.Fatalf("stale pre-checkpoint records replayed: %+v", got)
-	}
-}
-
 func TestReplayResumesSequence(t *testing.T) {
 	j, dev := newTestJournal(t, 1<<20)
-	tx := j.Begin()
-	tx.Append(Record{Type: 1})
-	tx.Commit()
+	j.Commit([]Record{{Type: 1}})
 
 	// Fresh journal object over the same device (restart).
 	j2 := New(dev, 0, 1<<20)
@@ -199,9 +144,7 @@ func TestReplayResumesSequence(t *testing.T) {
 		t.Fatal(err)
 	}
 	// New commit must append after the recovered head, not clobber it.
-	tx = j2.Begin()
-	tx.Append(Record{Type: 2})
-	if err := tx.Commit(); err != nil {
+	if err := j2.Commit([]Record{{Type: 2}}); err != nil {
 		t.Fatal(err)
 	}
 	var types []uint8
@@ -214,9 +157,7 @@ func TestReplayResumesSequence(t *testing.T) {
 
 func TestReplayApplyErrorPropagates(t *testing.T) {
 	j, _ := newTestJournal(t, 1<<20)
-	tx := j.Begin()
-	tx.Append(Record{Type: 1})
-	tx.Commit()
+	j.Commit([]Record{{Type: 1}})
 	wantErr := errors.New("apply boom")
 	if _, err := j.Replay(func(Record) error { return wantErr }); !errors.Is(err, wantErr) {
 		t.Fatalf("err = %v", err)
@@ -225,9 +166,7 @@ func TestReplayApplyErrorPropagates(t *testing.T) {
 
 func TestCommitSurvivesDeviceCrash(t *testing.T) {
 	j, dev := newTestJournal(t, 1<<20)
-	tx := j.Begin()
-	tx.Append(Record{Type: 1, A: 42, Payload: []byte("durable")})
-	if err := tx.Commit(); err != nil {
+	if err := j.Commit([]Record{{Type: 1, A: 42, Payload: []byte("durable")}}); err != nil {
 		t.Fatal(err)
 	}
 	dev.Crash() // commit already persisted; must survive

@@ -141,7 +141,7 @@ func TestTPFSAndHotColdTunable(t *testing.T) {
 	if err := hc.SetParam("hot_heat", 1.0); err != nil {
 		t.Fatal(err)
 	}
-	files := []FileStat{{Path: "/f", Size: 4096, Heat: 2, Tiers: []int{1}, TierBytes: map[int]int64{1: 4096}, Replica: -1}}
+	files := []FileStat{{Path: "/f", Size: 4096, Heat: 2, Tiers: []int{1}, TierBytes: []int64{4096}, Replica: -1}}
 	moves := hc.PlanMigrations(tiers, files, 0)
 	if len(moves) != 1 || !moves[0].Promote {
 		t.Fatalf("tuned hot_heat did not promote: %v", moves)
@@ -153,7 +153,7 @@ func TestSetParamConcurrentWithPlanning(t *testing.T) {
 	// together so `go test -race ./internal/policy` proves the atomics.
 	p := DefaultLRU()
 	tiers := threeTiers(900, 0, 0)
-	files := []FileStat{{Path: "/a", Size: 512, LastAccess: 1, Tiers: []int{0}, TierBytes: map[int]int64{0: 512}, Replica: -1}}
+	files := []FileStat{{Path: "/a", Size: 512, LastAccess: 1, Tiers: []int{0}, TierBytes: []int64{512}, Replica: -1}}
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	wg.Add(1)
@@ -241,7 +241,7 @@ func TestQuotaDemotionSkipsStripeTier(t *testing.T) {
 	tiers[1].Stripe = true
 	p := &QuotaPolicy{Base: Pinned{Tier: 0}, Quotas: []Quota{{Prefix: "/t/", Tier: 0, Bytes: 1 << 20}}}
 	files := []FileStat{
-		{Path: "/t/a", Size: 2 << 20, LastAccess: 1, Tiers: []int{0}, TierBytes: map[int]int64{0: 2 << 20}, Replica: -1},
+		{Path: "/t/a", Size: 2 << 20, LastAccess: 1, Tiers: []int{0}, TierBytes: []int64{2 << 20}, Replica: -1},
 	}
 	moves := p.PlanMigrations(tiers, files, 10)
 	if len(moves) != 1 {

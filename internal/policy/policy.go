@@ -58,8 +58,8 @@ type FileStat struct {
 	Size       int64
 	LastAccess time.Duration // virtual time of last read/write
 	Heat       float64       // decayed access frequency
-	Tiers      []int         // tier IDs currently holding blocks
-	TierBytes  map[int]int64 // bytes of the file mapped on each tier
+	Tiers      []int         // tier IDs currently holding blocks, ascending
+	TierBytes  []int64       // bytes of the file mapped on Tiers[i]
 
 	// Replica is the file's mirror tier, -1 when unreplicated. (The Policy
 	// Runner always fills it; hand-built FileStats should set it explicitly
@@ -77,6 +77,16 @@ type FileStat struct {
 // FileStats by hand (tests, custom planners) should start from this.
 func NewFileStat(path string, size int64) FileStat {
 	return FileStat{Path: path, Size: size, Replica: -1}
+}
+
+// BytesOn returns the bytes of the file mapped on tier id.
+func (f *FileStat) BytesOn(id int) int64 {
+	for i, t := range f.Tiers {
+		if t == id && i < len(f.TierBytes) {
+			return f.TierBytes[i]
+		}
+	}
+	return 0
 }
 
 // Move is one recommended block migration. N == -1 means the whole file.
@@ -112,7 +122,9 @@ type Policy interface {
 	// Tiers arrive sorted fastest-first.
 	PlaceWrite(ctx WriteCtx, tiers []TierInfo) int
 	// PlanMigrations proposes moves given current usage and file heat.
-	// The Policy Runner executes them via the OCC Synchronizer.
+	// The Policy Runner executes them via the OCC Synchronizer. It reuses
+	// files and the slices inside it in its next round, so a policy must
+	// not keep them past the call.
 	PlanMigrations(tiers []TierInfo, files []FileStat, now time.Duration) []Move
 }
 

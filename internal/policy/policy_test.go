@@ -319,9 +319,9 @@ func TestQuotaPolicyEnforcement(t *testing.T) {
 		t.Errorf("PlaceWrite = %d", got)
 	}
 	files := []FileStat{
-		{Path: "/scratch/a", Size: 1 << 20, LastAccess: 5, Tiers: []int{0}, TierBytes: map[int]int64{0: 1 << 20}},
-		{Path: "/scratch/b", Size: 1 << 20, LastAccess: 1, Tiers: []int{0}, TierBytes: map[int]int64{0: 1 << 20}},
-		{Path: "/keep/c", Size: 4 << 20, LastAccess: 0, Tiers: []int{0}, TierBytes: map[int]int64{0: 4 << 20}},
+		{Path: "/scratch/a", Size: 1 << 20, LastAccess: 5, Tiers: []int{0}, TierBytes: []int64{1 << 20}},
+		{Path: "/scratch/b", Size: 1 << 20, LastAccess: 1, Tiers: []int{0}, TierBytes: []int64{1 << 20}},
+		{Path: "/keep/c", Size: 4 << 20, LastAccess: 0, Tiers: []int{0}, TierBytes: []int64{4 << 20}},
 	}
 	moves := p.PlanMigrations(tiers, files, 10)
 	var demoted []string
@@ -339,7 +339,7 @@ func TestQuotaPolicyEnforcement(t *testing.T) {
 
 func TestQuotaPolicyUnderBudgetNoMoves(t *testing.T) {
 	p := &QuotaPolicy{Base: Pinned{Tier: 0}, Quotas: []Quota{{Prefix: "/", Tier: 0, Bytes: 1 << 30}}}
-	files := []FileStat{{Path: "/x", Size: 1 << 20, Tiers: []int{0}, TierBytes: map[int]int64{0: 1 << 20}}}
+	files := []FileStat{{Path: "/x", Size: 1 << 20, Tiers: []int{0}, TierBytes: []int64{1 << 20}}}
 	if moves := p.PlanMigrations(threeTiers(1<<20, 0, 0), files, 0); len(moves) != 0 {
 		t.Fatalf("under-budget moves: %v", moves)
 	}
@@ -349,7 +349,7 @@ func TestQuotaOnSlowestTierIgnored(t *testing.T) {
 	// No slower tier exists to demote to; the quota is unenforceable and
 	// must not panic or emit moves.
 	p := &QuotaPolicy{Base: Pinned{Tier: 2}, Quotas: []Quota{{Prefix: "/", Tier: 2, Bytes: 1}}}
-	files := []FileStat{{Path: "/x", Size: 1 << 20, Tiers: []int{2}, TierBytes: map[int]int64{2: 1 << 20}}}
+	files := []FileStat{{Path: "/x", Size: 1 << 20, Tiers: []int{2}, TierBytes: []int64{1 << 20}}}
 	if moves := p.PlanMigrations(threeTiers(0, 0, 1<<20), files, 0); len(moves) != 0 {
 		t.Fatalf("slowest-tier quota moves: %v", moves)
 	}

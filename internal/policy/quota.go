@@ -183,7 +183,7 @@ func (p *QuotaPolicy) PlanMigrations(tiers []TierInfo, files []FileStat, now tim
 			if !strings.HasPrefix(f.Path, q.Prefix) {
 				continue
 			}
-			if b := f.TierBytes[q.Tier]; b > 0 {
+			if b := f.BytesOn(q.Tier); b > 0 {
 				matching = append(matching, f)
 				used += b
 			}
@@ -201,7 +201,7 @@ func (p *QuotaPolicy) PlanMigrations(tiers []TierInfo, files []FileStat, now tim
 				break
 			}
 			moves = append(moves, Move{Path: f.Path, SrcTier: q.Tier, DstTier: dst, Off: 0, N: -1, Quota: true})
-			over -= f.TierBytes[q.Tier]
+			over -= f.BytesOn(q.Tier)
 		}
 	}
 

@@ -63,8 +63,16 @@ func SplitPath(p string) []string {
 }
 
 // ParentPath returns the parent directory of p and the final segment.
-// The root's parent is the root with an empty name.
+// The root's parent is the root with an empty name. For an already clean p
+// both are substrings of p, so the call allocates nothing.
 func ParentPath(p string) (dir, name string) {
+	if isClean(p) {
+		i := strings.LastIndexByte(p, '/')
+		if i == 0 {
+			return "/", p[1:]
+		}
+		return p[:i], p[i+1:]
+	}
 	segs := SplitPath(p)
 	if len(segs) == 0 {
 		return "/", ""

@@ -59,6 +59,8 @@ func TestCleanPathIdempotent(t *testing.T) {
 	}
 }
 
+// TestParentPath also holds the substring fast path for clean paths to
+// the split+join definition, and checks it does not allocate.
 func TestParentPath(t *testing.T) {
 	cases := []struct{ in, dir, name string }{
 		{"/", "/", ""},
@@ -71,6 +73,23 @@ func TestParentPath(t *testing.T) {
 		if dir != c.dir || name != c.name {
 			t.Errorf("ParentPath(%q) = (%q, %q), want (%q, %q)", c.in, dir, name, c.dir, c.name)
 		}
+	}
+	for _, p := range []string{
+		"/", "/a", "/a/b", "/abc/de/f", "/a.b/c..d/...", "/.a/..b", "/a b/ñ",
+		"", "a", "a/b", "//", "/a/", "/a//b", "//a", "/a/b/", "/.", "/..",
+		"/a/.", "/a/..", "/./a", "/../a", "/a/./b", "/a/../b", "/a/b/..", ".", "..",
+	} {
+		segs := SplitPath(p)
+		wantDir, wantName := "/", ""
+		if len(segs) > 0 {
+			wantDir, wantName = "/"+strings.Join(segs[:len(segs)-1], "/"), segs[len(segs)-1]
+		}
+		if dir, name := ParentPath(p); dir != wantDir || name != wantName {
+			t.Errorf("ParentPath(%q) = (%q, %q), want (%q, %q)", p, dir, name, wantDir, wantName)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { ParentPath("/dir/sub/file.dat") }); n != 0 {
+		t.Errorf("ParentPath of a clean path allocates %v times", n)
 	}
 }
 
