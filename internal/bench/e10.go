@@ -177,6 +177,14 @@ func e10Measure(s *stack, govs *slowTiers, name string) (E10Row, bool, error) {
 		totalRead atomic.Int64
 		wg        sync.WaitGroup
 	)
+	// Each hot file's expected bytes are built once, before the clock
+	// starts. Built per read they were 192 MiB of the readers' own garbage
+	// per run, and that garbage, not the reads, set how often the GC ran
+	// while the readers were timed.
+	hot := make([][]byte, e10HotFiles)
+	for i := range hot {
+		hot[i] = e10Pattern(i, e10HotSize)
+	}
 	govs.arm()
 	start := time.Now()
 	for r := 0; r < e10Readers; r++ {
@@ -189,7 +197,7 @@ func e10Measure(s *stack, govs *slowTiers, name string) (E10Row, bool, error) {
 					// Rotate each reader's sweep so the readers don't march
 					// through the files in lockstep.
 					i := (k + r) % e10HotFiles
-					want := e10Pattern(i, e10HotSize)
+					want := hot[i]
 					for off := 0; off < e10HotSize; off += e10Chunk {
 						if _, err := handles[r][i].ReadAt(buf, int64(off)); err != nil {
 							errs.Add(1)

@@ -4,11 +4,17 @@
 // per op. The GC may empty the pools at any cycle, so an idle process pins
 // no buffer heap.
 //
-// A buffer's contents are stale: whatever its last holder left in it. A
-// caller fills (or clears) every byte it will read. A buffer belongs to
-// the caller from Get until Put; after Put nothing may touch it, so a
-// holder returns a buffer only once every reader and writer of it — a
-// pending reply frame, an in-flight node call — is done with it.
+// Pages that hold stored data — simulated device pages and dirty page-cache
+// pages — come instead from a page arena outside the Go heap (GetPage,
+// PutPage): they live as long as the data, not one op, so a GC cycle must
+// neither count them toward its heap goal nor empty their free list.
+//
+// A buffer's or page's contents are stale: whatever its last holder left
+// in it. A caller fills (or clears) every byte it will read. A buffer
+// belongs to the caller from Get until Put (a page from GetPage until
+// PutPage); after that nothing may touch it, so a holder returns a buffer
+// only once every reader and writer of it — a pending reply frame, an
+// in-flight node call — is done with it.
 package bufpool
 
 import (

@@ -158,3 +158,35 @@ func TestReadAndStatAllocationBudget(t *testing.T) {
 		}
 	}
 }
+
+// A 4 KiB write into a hole asks the policy for a placement and checks it
+// against the file systems with the same tier snapshot: one
+// []policy.TierInfo per write, not one per step. The budget is what the
+// write makes with one snapshot; a second snapshot makes it 13, and
+// allocating the new device page on the Go heap instead of taking it from
+// the page arena 14.
+func TestHoleWriteAllocationBudget(t *testing.T) {
+	if race.Enabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	r := newRig(t, policy.Pinned{}, true)
+	fh, err := r.m.Create("/holes")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fh.Close()
+	block := make([]byte, 4096)
+	var off int64
+	write := func() {
+		off += 2 * 4096 // skip a block, so every write lands in a hole
+		if _, err := fh.WriteAt(block, off); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 256; i++ {
+		write()
+	}
+	if a := testing.AllocsPerRun(1000, write); a > 12 {
+		t.Fatalf("4 KiB write into a hole: %.1f allocations per write, want <= 12", a)
+	}
+}

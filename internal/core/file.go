@@ -610,9 +610,10 @@ func (h *handle) writeAt(p []byte, off int64) (int, error) {
 		tier := seg.Val
 		if seg.Hole || m.tierQuarantined(tier) {
 			if target == -1 {
-				target = m.placeWritable(m.policy().PlaceWrite(policy.WriteCtx{
+				infos := m.tierInfos()
+				target = m.placeWritable(infos, m.policy().PlaceWrite(policy.WriteCtx{
 					Path: f.path, Off: off, N: n, FileSize: f.meta.Size,
-				}, m.tierInfos()), n)
+				}, infos), n)
 			}
 			tier = target
 		}

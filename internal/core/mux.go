@@ -539,16 +539,16 @@ func (m *Mux) tierInfos() []policy.TierInfo {
 
 // placeWritable validates a policy placement against the chosen file
 // system's own space accounting and advances to the next slower healthy
-// tier when the FS cannot actually absorb n more bytes. TierInfo.Used is
+// tier when the FS cannot actually absorb n more bytes. infos is the
+// tierInfos snapshot the policy placed with. TierInfo.Used is
 // Mux's logical byte count; the FS is the authority on free space —
 // journal regions, inode tables, and allocator metadata all eat into the
 // device, so a watermark near 1.0 can admit a write the FS must refuse
 // with ENOSPC. Asking the file system instead of second-guessing its
 // layout is the contract this design is built on (§2.3). If no tier has
 // room the original placement is returned and the write fails there.
-func (m *Mux) placeWritable(target int, n int64) int {
+func (m *Mux) placeWritable(infos []policy.TierInfo, target int, n int64) int {
 	const headroom = 256 << 10 // per-decision metadata slack
-	infos := m.tierInfos()     // healthy tiers, fastest first
 	i := 0
 	for ; i < len(infos) && infos[i].ID != target; i++ {
 	}
@@ -706,7 +706,8 @@ func (m *Mux) Create(path string) (vfs.File, error) {
 	}
 	host := -1
 	f, err := m.ns.CreateFile(path, 0o644, 0, func(ino uint64) *muxFile {
-		host = m.placeWritable(m.policy().PlaceWrite(policy.WriteCtx{Path: path, Off: 0, N: 0}, m.tierInfos()), 0)
+		infos := m.tierInfos()
+		host = m.placeWritable(infos, m.policy().PlaceWrite(policy.WriteCtx{Path: path, Off: 0, N: 0}, infos), 0)
 		nf := newMuxFile(ino, path, m.now(), host)
 		m.files.put(ino, nf)
 		return nf

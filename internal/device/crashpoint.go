@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+
+	"muxfs/internal/bufpool"
 )
 
 // ErrCrashPoint reports that a deterministic crash point tripped: the
@@ -136,6 +138,7 @@ func (d *Device) persistPages(pages []int64) error {
 		if d.cp != nil && !d.cp.step() {
 			return d.crashPointErr()
 		}
+		bufpool.PutPage(d.shadow[pg])
 		delete(d.shadow, pg)
 	}
 	return nil

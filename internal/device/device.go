@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"muxfs/internal/bufpool"
 	"muxfs/internal/simclock"
 )
 
@@ -57,14 +58,40 @@ type FaultPlan struct {
 	Sticky bool
 }
 
-const pageSize = 4096 // internal storage granule, independent of Profile.BlockSize
+const pageSize = bufpool.PageSize // internal storage granule, independent of Profile.BlockSize
 
-// pagePool recycles page buffers across every device in the process:
-// shadows a barrier releases and pages a whole-page Discard drops go back
-// here, and new pages and shadow copies come from here. It holds
-// *[pageSize]byte, so a recycle allocates no slice header. The GC empties
-// a sync.Pool, so recycled pages pin no heap between GC cycles.
-var pagePool sync.Pool
+// pageStore holds a device's page bytes, which come from the process's
+// page arena (bufpool.GetPage): new pages and shadow copies are taken
+// there, and every page dropped from either map — a shadow a barrier
+// releases, a page a Discard or a crash-revert drops — goes back. Only its
+// Device references it, so it can return its pages to the arena once the
+// device is unreachable (bufpool.ReleaseOnDrop).
+type pageStore struct {
+	pages  map[int64]*[pageSize]byte // pageNo -> current contents
+	shadow map[int64]*[pageSize]byte // pageNo -> durable copy for pages dirtied since last persist; nil entry = page did not exist
+}
+
+func newPageStore() *pageStore {
+	s := &pageStore{
+		pages:  make(map[int64]*[pageSize]byte),
+		shadow: make(map[int64]*[pageSize]byte),
+	}
+	bufpool.ReleaseOnDrop(s, (*pageStore).release)
+	return s
+}
+
+// release returns every page and shadow copy to the arena and empties
+// both maps.
+func (s *pageStore) release() {
+	for _, page := range s.pages {
+		bufpool.PutPage(page)
+	}
+	for _, dup := range s.shadow {
+		bufpool.PutPage(dup)
+	}
+	clear(s.pages)
+	clear(s.shadow)
+}
 
 // Device is a simulated block device. Contents live in sparsely allocated
 // in-memory pages. Every access charges its modeled cost to the shared
@@ -77,14 +104,13 @@ type Device struct {
 	prof Profile
 	clk  *simclock.Clock
 
-	mu      sync.Mutex
-	pages   map[int64][]byte // pageNo -> 4 KiB page (current contents)
-	shadow  map[int64][]byte // pageNo -> durable copy for pages dirtied since last persist; nil entry = page did not exist
-	lastEnd int64            // end offset of the previous access, for seek detection
-	failed  bool             // set by InjectFailure (or a sticky fault): all ops error
-	plan    FaultPlan        // probabilistic fault injection; zero = disabled
-	frand   *rand.Rand       // fault RNG, non-nil only while a plan is active
-	cp      *CrashPoint      // deterministic crash injection; nil = disabled
+	mu sync.Mutex // guards the page maps and the fields below
+	*pageStore
+	lastEnd int64       // end offset of the previous access, for seek detection
+	failed  bool        // set by InjectFailure (or a sticky fault): all ops error
+	plan    FaultPlan   // probabilistic fault injection; zero = disabled
+	frand   *rand.Rand  // fault RNG, non-nil only while a plan is active
+	cp      *CrashPoint // deterministic crash injection; nil = disabled
 
 	stats Stats
 }
@@ -94,12 +120,7 @@ func New(prof Profile, clk *simclock.Clock) *Device {
 	if prof.BlockSize <= 0 {
 		prof.BlockSize = DefaultBlockSize
 	}
-	return &Device{
-		prof:   prof,
-		clk:    clk,
-		pages:  make(map[int64][]byte),
-		shadow: make(map[int64][]byte),
-	}
+	return &Device{prof: prof, clk: clk, pageStore: newPageStore()}
 }
 
 // Profile returns the device's performance profile.
@@ -224,7 +245,7 @@ func (d *Device) Persist(off, n int64) error {
 	if d.cp == nil {
 		for pg := first; pg <= last; pg++ {
 			if dup, ok := d.shadow[pg]; ok {
-				recyclePage(dup)
+				bufpool.PutPage(dup)
 				delete(d.shadow, pg)
 			}
 		}
@@ -252,7 +273,7 @@ func (d *Device) PersistAll() error {
 	d.stats.addPersist()
 	if d.cp == nil {
 		for _, dup := range d.shadow {
-			recyclePage(dup)
+			bufpool.PutPage(dup)
 		}
 		clear(d.shadow)
 		return nil
@@ -271,18 +292,18 @@ func (d *Device) Crash() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.prof.Class == DRAM {
-		d.pages = make(map[int64][]byte)
-		d.shadow = make(map[int64][]byte)
+		d.release()
 		return
 	}
 	for pg, durable := range d.shadow {
+		bufpool.PutPage(d.pages[pg]) // the reverted page; nil if absent
 		if durable == nil {
 			delete(d.pages, pg)
 		} else {
 			d.pages[pg] = durable
 		}
 	}
-	d.shadow = make(map[int64][]byte)
+	clear(d.shadow)
 }
 
 // Discard drops the contents of [off, off+n) without cost (TRIM analogue).
@@ -325,7 +346,7 @@ func (d *Device) discardPage(pg, off, end int64) {
 		// An unshadowed page holds durable contents, so the dropped page
 		// itself becomes the shadow; otherwise nothing references it.
 		if _, ok := d.shadow[pg]; ok {
-			recyclePage(page)
+			bufpool.PutPage(page)
 		} else {
 			d.shadow[pg] = page
 		}
@@ -455,28 +476,11 @@ func (d *Device) snapshotPage(pg int64) {
 		return
 	}
 	if page, ok := d.pages[pg]; ok {
-		dup := takePage()
-		copy(dup, page)
+		dup := bufpool.GetPage()
+		*dup = *page
 		d.shadow[pg] = dup
 	} else {
 		d.shadow[pg] = nil
-	}
-}
-
-// takePage returns a page buffer for the caller to fill, recycled from
-// pagePool when one is there — so its contents are arbitrary.
-func takePage() []byte {
-	if p, _ := pagePool.Get().(*[pageSize]byte); p != nil {
-		return p[:]
-	}
-	return new([pageSize]byte)[:]
-}
-
-// recyclePage returns a page buffer that no map references any more to
-// pagePool.
-func recyclePage(page []byte) {
-	if page != nil {
-		pagePool.Put((*[pageSize]byte)(page))
 	}
 }
 
@@ -491,9 +495,9 @@ func (d *Device) copyIn(p []byte, off int64) {
 		d.snapshotPage(pg)
 		page, ok := d.pages[pg]
 		if !ok {
-			page = takePage()
+			page = bufpool.GetPage() // stale contents
 			if n < pageSize {
-				clear(page) // a new page reads as zeros outside the write
+				clear(page[:]) // a new page reads as zeros outside the write
 			}
 			d.pages[pg] = page
 		}

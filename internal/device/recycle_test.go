@@ -5,25 +5,63 @@ import (
 	"errors"
 	"runtime"
 	"testing"
+	"time"
 
-	"muxfs/internal/race"
+	"muxfs/internal/bufpool"
+	"muxfs/internal/simclock"
 )
 
-// drainPagePool empties pagePool, so what a test reads back from it next
-// is what the test itself put there. Get alone cannot do it: it never
-// reaches another P's private slot. Two collections clear every P's
-// primary and victim caches.
-func drainPagePool() {
+// pagesInUse is how many arena pages are held, by any holder.
+func pagesInUse() int {
+	mapped, free := bufpool.PageStats()
+	return mapped - free
+}
+
+// takeFreePages takes every page on the arena's free list, so a test sees
+// what the list held and the next GetPage maps a new chunk unless a page
+// comes back first. Return them with bufpool.PutPage.
+func takeFreePages() []*[pageSize]byte {
+	_, free := bufpool.PageStats()
+	out := make([]*[pageSize]byte, free)
+	for i := range out {
+		out[i] = bufpool.GetPage()
+	}
+	return out
+}
+
+// settlePages collects garbage and waits until the arena's pages in use
+// stop changing, so the pages of devices earlier tests dropped are back
+// before a test counts its own.
+func settlePages() {
 	runtime.GC()
+	last, still := pagesInUse(), 0
+	for deadline := time.Now().Add(time.Second); still < 10 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		if n := pagesInUse(); n != last {
+			last, still = n, 0
+		} else {
+			still++
+		}
+	}
+}
+
+// waitPagesInUse collects garbage and polls for up to a second until at
+// most max arena pages are in use, and reports whether that happened.
+func waitPagesInUse(max int) bool {
 	runtime.GC()
+	for deadline := time.Now().Add(time.Second); ; time.Sleep(time.Millisecond) {
+		if pagesInUse() <= max {
+			return true
+		}
+		if time.Now().After(deadline) {
+			return false
+		}
+	}
 }
 
 // Steady-state writeback to a resident page — overwrite, then a full
 // barrier — recycles the shadow copy instead of allocating one per cycle.
 func TestOverwritePersistAllAllocatesNothing(t *testing.T) {
-	if race.Enabled {
-		t.Skip("sync.Pool drops items at random under -race")
-	}
 	d, _ := newTestDev(t, SSDProfile("ssd0"))
 	page := bytes.Repeat([]byte{0x5A}, pageSize)
 	d.WriteAt(page, 0)
@@ -39,9 +77,6 @@ func TestOverwritePersistAllAllocatesNothing(t *testing.T) {
 // A whole-page Discard hands the dropped page to the shadow instead of
 // copying it, and the next write to the page draws a recycled buffer.
 func TestWholePageDiscardAllocatesNothing(t *testing.T) {
-	if race.Enabled {
-		t.Skip("sync.Pool drops items at random under -race")
-	}
 	d, _ := newTestDev(t, SSDProfile("ssd0"))
 	page := bytes.Repeat([]byte{0x5A}, pageSize)
 	if a := testing.AllocsPerRun(100, func() {
@@ -64,9 +99,7 @@ func TestRecycledPagesKeepContents(t *testing.T) {
 		d.ReadAt(got, pg*pageSize)
 		return got
 	}
-	// Fill the pool: shadows of pages 0-15 come back on PersistAll. Sixteen
-	// pages keep the check sound under -race, which drops a quarter of
-	// sync.Pool puts at random.
+	// Shadows of pages 0-15 go back to the arena on PersistAll.
 	const shadowed = 16
 	for pg := int64(0); pg < shadowed; pg++ {
 		d.WriteAt(fill(0xFF), pg*pageSize)
@@ -77,18 +110,25 @@ func TestRecycledPagesKeepContents(t *testing.T) {
 	}
 	shadows := make(map[*[pageSize]byte]bool)
 	for _, dup := range d.shadow {
-		shadows[(*[pageSize]byte)(dup)] = true
+		shadows[dup] = true
 	}
-	drainPagePool()
 	d.PersistAll()
-	p, _ := pagePool.Get().(*[pageSize]byte)
-	if !shadows[p] {
-		t.Fatal("PersistAll recycled no shadow copies")
+	free := takeFreePages()
+	back := 0
+	for _, p := range free {
+		if shadows[p] {
+			back++
+		}
+		for i := range p {
+			p[i] = 0xA5 // stale contents a new page must not show
+		}
 	}
-	for i := range p {
-		p[i] = 0xA5 // stale contents a new page must not show
+	if back != shadowed {
+		t.Fatalf("PersistAll returned %d of %d shadow copies to the arena", back, shadowed)
 	}
-	pagePool.Put(p)
+	for _, p := range free {
+		bufpool.PutPage(p)
+	}
 
 	// A partial write to a new page lands in a recycled buffer.
 	d.WriteAt([]byte("hello"), 30*pageSize+100)
@@ -120,12 +160,10 @@ func TestRecycledPagesKeepContents(t *testing.T) {
 	}
 }
 
-// The page pool is shared by every device: the shadows one device's barrier
-// frees feed another device's writes to new pages, with nothing allocated.
+// The page arena is shared by every device: the shadows one device's
+// barrier frees feed another device's writes to new pages, with nothing
+// allocated and nothing mapped.
 func TestBarrierFreesFeedOtherDevice(t *testing.T) {
-	if race.Enabled {
-		t.Skip("sync.Pool drops items at random under -race")
-	}
 	const (
 		perCycle = 4
 		cycles   = 101 // AllocsPerRun's warm-up run plus 100
@@ -135,7 +173,7 @@ func TestBarrierFreesFeedOtherDevice(t *testing.T) {
 	src, _ := newTestDev(t, SSDProfile("src"))
 	dst, _ := newTestDev(t, SSDProfile("dst"))
 	// Both devices touch every page number up front, so their maps have
-	// room for the whole run; then the pool is emptied, so dst can only
+	// room for the whole run; then the free list is taken, so dst can only
 	// draw what src frees.
 	for _, d := range []*Device{src, dst} {
 		for pg := int64(0); pg < span; pg++ {
@@ -145,7 +183,13 @@ func TestBarrierFreesFeedOtherDevice(t *testing.T) {
 	}
 	dst.Discard(0, span*pageSize)
 	dst.PersistAll()
-	drainPagePool()
+	held := takeFreePages()
+	defer func() {
+		for _, p := range held {
+			bufpool.PutPage(p)
+		}
+	}()
+	mapped, _ := bufpool.PageStats()
 
 	next := int64(0)
 	a := testing.AllocsPerRun(cycles-1, func() {
@@ -164,12 +208,128 @@ func TestBarrierFreesFeedOtherDevice(t *testing.T) {
 	if a != 0 {
 		t.Fatalf("src discard + barrier, dst new-page writes: %.1f allocations per cycle, want 0", a)
 	}
+	if m, _ := bufpool.PageStats(); m != mapped {
+		t.Fatalf("the arena mapped %d more pages while dst drew only what src freed", m-mapped)
+	}
 	got := make([]byte, pageSize)
 	for pg := int64(0); pg < span; pg++ {
 		dst.ReadAt(got, pg*pageSize)
 		if !bytes.Equal(got, page) {
 			t.Fatalf("dst page %d: wrong contents after the run", pg)
 		}
+	}
+}
+
+// A device nothing references gives its pages back: 64 devices filled
+// with 8 MiB each, shadows included, and dropped one after another never
+// make the arena map more than two devices' worth.
+func TestDroppedDevicesReturnPages(t *testing.T) {
+	if !bufpool.PagesOffHeap {
+		t.Skip("pages on the Go heap: the GC frees a dropped device's pages with it")
+	}
+	prof := SSDProfile("drop")
+	prof.Capacity = 8 << 20
+	const devPages = 8 << 20 / pageSize
+	settlePages()
+	base := pagesInUse()
+	mapped0, _ := bufpool.PageStats()
+	data := bytes.Repeat([]byte{0x3C}, 1<<20)
+	for i := 0; i < 64; i++ {
+		d, _ := newTestDev(t, prof)
+		for off := int64(0); off < prof.Capacity; off += int64(len(data)) {
+			d.WriteAt(data, off)
+		}
+		d.PersistAll()
+		d.WriteAt(data, 0) // 256 shadow copies
+		if !waitPagesInUse(base) {
+			t.Fatalf("device %d: %d arena pages still in use 1 s after it was dropped, want <= %d", i, pagesInUse(), base)
+		}
+		if m, _ := bufpool.PageStats(); m-mapped0 > 2*devPages {
+			t.Fatalf("after %d dropped devices the arena mapped %d more pages, want <= %d", i+1, m-mapped0, 2*devPages)
+		}
+	}
+}
+
+// Crash returns to the arena every page it drops: all of a DRAM device's
+// pages and shadows, and each page a revert replaces or deletes on a
+// persistent device. Pages in use go back to the count before the
+// unpersisted writes.
+func TestCrashReturnsPages(t *testing.T) {
+	data := bytes.Repeat([]byte{0x77}, 16*pageSize)
+	for _, prof := range []Profile{DRAMProfile("dram0"), SSDProfile("ssd0")} {
+		settlePages()
+		d, _ := newTestDev(t, prof)
+		if prof.Class != DRAM { // durable contents the crash keeps
+			d.WriteAt(data, 0)
+			d.PersistAll()
+		}
+		before := pagesInUse()
+		d.WriteAt(data, 0)                    // overwrites: shadows
+		d.WriteAt(data, 64*pageSize)          // new pages
+		d.WriteAt(data[:100], 100*pageSize+5) // a partial new page
+		d.Discard(4*pageSize, 2*pageSize)     // dropped pages become shadows
+		d.Crash()
+		if after := pagesInUse(); after > before {
+			t.Errorf("%s: %d pages in use after Crash, %d before the unpersisted writes: %d leaked",
+				prof.Name, after, before, after-before)
+		}
+		if prof.Class != DRAM {
+			got := make([]byte, len(data))
+			d.ReadAt(got, 0)
+			if !bytes.Equal(got, data) {
+				t.Errorf("%s: Crash lost durable contents", prof.Name)
+			}
+		}
+		runtime.KeepAlive(d)
+	}
+}
+
+// A barrier returns the shadow copies of the pages it makes durable, by
+// range (Persist) or whole (PersistAll).
+func TestBarriersReturnShadows(t *testing.T) {
+	data := bytes.Repeat([]byte{0x24}, 8*pageSize)
+	for _, whole := range []bool{false, true} {
+		d, _ := newTestDev(t, SSDProfile("ssd0"))
+		d.WriteAt(data, 0)
+		d.PersistAll()
+		d.WriteAt(data, 0) // eight shadow copies
+		before := pagesInUse()
+		if whole {
+			d.PersistAll()
+		} else {
+			d.Persist(0, int64(len(data)))
+		}
+		if back := before - pagesInUse(); back < 8 {
+			t.Errorf("whole=%v: the barrier returned %d of 8 shadow copies to the arena", whole, back)
+		}
+		runtime.KeepAlive(d)
+	}
+}
+
+// A barrier torn by a crash point returns the shadows of the pages it did
+// flush, and the crash returns the rest: pages in use go back to the count
+// before the unpersisted overwrites.
+func TestTornPersistReturnsPages(t *testing.T) {
+	settlePages()
+	d, _ := newTestDev(t, SSDProfile("ssd0"))
+	cp := NewCrashPoint()
+	d.SetCrashPoint(cp)
+	data := bytes.Repeat([]byte{0x42}, 8*pageSize)
+	d.WriteAt(data, 0)
+	if err := d.PersistAll(); err != nil {
+		t.Fatal(err)
+	}
+	before := pagesInUse()
+	d.WriteAt(bytes.Repeat([]byte{0x43}, len(data)), 0)
+	cp.Arm(3)
+	if err := d.Persist(0, int64(len(data))); !errors.Is(err, ErrCrashPoint) {
+		t.Fatalf("torn persist: %v, want ErrCrashPoint", err)
+	}
+	d.Crash()
+	cp.Reset()
+	if after := pagesInUse(); after > before {
+		t.Fatalf("%d pages in use after a torn Persist and Crash, %d before the overwrites: %d leaked",
+			after, before, after-before)
 	}
 }
 
@@ -204,5 +364,29 @@ func TestWriteVecAtMatchesWriteAt(t *testing.T) {
 	d, _ := newTestDev(t, SSDProfile("ssd0"))
 	if _, err := d.WriteVecAt([][]byte{nil, {}}, 0); !errors.Is(err, ErrShortBuffer) {
 		t.Fatalf("empty vectored write: %v, want ErrShortBuffer", err)
+	}
+}
+
+// BenchmarkDeviceWrite4KPersist is a steady-state 4 KiB overwrite made
+// durable by its own barrier; the shadow copy comes from and goes back to
+// the page arena, so it allocates nothing.
+func BenchmarkDeviceWrite4KPersist(b *testing.B) {
+	d := New(SSDProfile("ssd0"), simclock.New())
+	page := bytes.Repeat([]byte{0x5A}, pageSize)
+	const pages = 256
+	for pg := int64(0); pg < pages; pg++ {
+		d.WriteAt(page, pg*pageSize)
+	}
+	d.PersistAll()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		off := int64(i%pages) * pageSize
+		if _, err := d.WriteAt(page, off); err != nil {
+			b.Fatal(err)
+		}
+		if err := d.Persist(off, pageSize); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -8,13 +8,14 @@
 // Mux's fixed indirection cost is large *relative* to a cache-hit read and
 // negligible relative to an HDD access.
 //
-// Only a dirty page holds bytes. A clean page equals what the simulated
-// device holds at the page's mapping, and the device already keeps those
-// bytes in process memory, so a clean entry keeps just its key, its LRU
-// position and its share of the statistics; its owner serves a clean hit
-// by copying the bytes off the device for free (device.Peek). Capacity,
-// LRU order, hits, misses, evictions and charged costs are those of a
-// cache that stores every page.
+// Only a dirty page holds bytes, in a page of the process's page arena
+// (bufpool.GetPage), outside the Go heap. A clean page equals what the
+// simulated device holds at the page's mapping, and the device already
+// keeps those bytes in process memory, so a clean entry keeps just its
+// key, its LRU position and its share of the statistics; its owner serves
+// a clean hit by copying the bytes off the device for free (device.Peek).
+// Capacity, LRU order, hits, misses, evictions and charged costs are
+// those of a cache that stores every page.
 package pagecache
 
 import (
@@ -29,7 +30,7 @@ import (
 )
 
 // PageSize is the caching granule.
-const PageSize = 4096
+const PageSize = bufpool.PageSize
 
 // Key identifies a cached page.
 type Key struct {
@@ -54,10 +55,12 @@ type Stats struct {
 
 type page struct {
 	key Key
-	buf *[]byte // a PageSize bufpool buffer while dirty; nil while clean
+	buf *[PageSize]byte // an arena page (bufpool.GetPage) while dirty; nil while clean
 }
 
-// Cache is a fixed-capacity LRU page cache. Safe for concurrent use.
+// Cache is a fixed-capacity LRU page cache. Safe for concurrent use. A
+// Cache dropped with dirty pages returns their buffers to the page arena
+// (bufpool.ReleaseOnDrop).
 type Cache struct {
 	mu       sync.Mutex
 	capacity int // max pages
@@ -76,13 +79,15 @@ func New(capacityPages int, clk *simclock.Clock, hitCost time.Duration) *Cache {
 	if capacityPages < 1 {
 		capacityPages = 1
 	}
-	return &Cache{
+	c := &Cache{
 		capacity: capacityPages,
 		clk:      clk,
 		hitCost:  hitCost,
 		lru:      list.New(),
 		pages:    make(map[Key]*list.Element),
 	}
+	bufpool.ReleaseOnDrop(c, (*Cache).InvalidateAll)
+	return c
 }
 
 // data returns the page's bytes, nil for a clean page.
@@ -90,13 +95,13 @@ func (p *page) data() []byte {
 	if p.buf == nil {
 		return nil
 	}
-	return *p.buf
+	return p.buf[:]
 }
 
 // setClean recycles a dirty page's buffer. Caller holds c.mu.
 func (p *page) setClean() {
 	if p.buf != nil {
-		bufpool.Put(p.buf)
+		bufpool.PutPage(p.buf)
 		p.buf = nil
 	}
 }
@@ -105,10 +110,10 @@ func (p *page) setClean() {
 // Caller holds c.mu.
 func (p *page) fill(data []byte) {
 	if p.buf == nil {
-		p.buf = bufpool.Get(PageSize)
+		p.buf = bufpool.GetPage()
 	}
-	n := copy(*p.buf, data)
-	clear((*p.buf)[n:])
+	n := copy(p.buf[:], data)
+	clear(p.buf[n:])
 }
 
 // Get looks k up, charging a hit the DRAM cost and moving it to the front
@@ -175,7 +180,7 @@ func (c *Cache) Put(k Key, data []byte, dirty bool) (ev Evicted, mustWrite bool)
 	for c.lru.Len() > c.capacity {
 		victim := c.lru.Back().Value.(*page)
 		if victim.buf != nil {
-			return Evicted{Key: victim.key, Data: *victim.buf}, true
+			return Evicted{Key: victim.key, Data: victim.buf[:]}, true
 		}
 		c.remove(c.lru.Back())
 		c.evictions++

@@ -2,10 +2,12 @@ package pagecache
 
 import (
 	"bytes"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
+	"muxfs/internal/bufpool"
 	"muxfs/internal/simclock"
 )
 
@@ -262,5 +264,68 @@ func TestCapacityFloor(t *testing.T) {
 	c.Put(Key{1, 0}, nil, false)
 	if !resident(c, Key{1, 0}) {
 		t.Fatal("capacity floor of 1 page not applied")
+	}
+}
+
+// pagesInUse is how many page-arena pages are held, by any holder.
+func pagesInUse() int {
+	mapped, free := bufpool.PageStats()
+	return mapped - free
+}
+
+// Every way a dirty page stops being dirty gives its buffer back to the
+// page arena: write-back (MarkClean), eviction, invalidation by range, by
+// file and of the whole cache.
+func TestCleanPagesReturnBuffers(t *testing.T) {
+	c, _ := newTestCache(64)
+	before := pagesInUse()
+	for f := uint64(1); f <= 4; f++ {
+		for pg := int64(0); pg < 8; pg++ {
+			c.Put(Key{f, pg}, []byte("dirty"), true)
+		}
+	}
+	if got := pagesInUse() - before; got < 32 {
+		t.Fatalf("32 dirty pages hold %d arena pages", got)
+	}
+	c.MarkClean(Key{1, 0})
+	c.Evict(Key{1, 1})
+	c.InvalidateRange(2, 0, 8*PageSize)
+	c.InvalidateFile(3)
+	if got := pagesInUse() - before; got > 32-1-1-8-8 {
+		t.Fatalf("after MarkClean, Evict and invalidation 14 dirty pages hold %d arena pages", got)
+	}
+	c.InvalidateAll()
+	if after := pagesInUse(); after > before {
+		t.Fatalf("an empty cache holds %d arena pages", after-before)
+	}
+	runtime.KeepAlive(c)
+}
+
+// A cache nothing references gives its dirty pages back: 64 caches, each
+// with 8 MiB of dirty pages, dropped one after another never make the
+// arena map more than two caches' worth.
+func TestDroppedCachesReturnPages(t *testing.T) {
+	if !bufpool.PagesOffHeap {
+		t.Skip("pages on the Go heap: the GC frees a dropped cache's pages with it")
+	}
+	const pages = 8 << 20 / PageSize
+	runtime.GC()
+	base := pagesInUse()
+	mapped0, _ := bufpool.PageStats()
+	data := bytes.Repeat([]byte{0x3C}, PageSize)
+	for i := 0; i < 64; i++ {
+		c, _ := newTestCache(pages)
+		for pg := int64(0); pg < pages; pg++ {
+			c.Put(Key{1, pg}, data, true)
+		}
+		runtime.GC()
+		for deadline := time.Now().Add(time.Second); pagesInUse() > base; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("cache %d: %d arena pages still in use 1 s after it was dropped, want <= %d", i, pagesInUse(), base)
+			}
+		}
+		if m, _ := bufpool.PageStats(); m-mapped0 > 2*pages {
+			t.Fatalf("after %d dropped caches the arena mapped %d more pages, want <= %d", i+1, m-mapped0, 2*pages)
+		}
 	}
 }
