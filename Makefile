@@ -23,15 +23,16 @@ race:
 
 # budget runs the allocation-budget tests without the race detector. They
 # skip under -race, which drops a random share of sync.Pool puts, so the
-# race target above never checks them: the blockfs sync path, xfslite's
-# byte-free clean cache pages, the stripe tier's pooled batch buffers, the
+# race target above never checks them: the novafs data path (overwrite,
+# read, handle stat), the blockfs sync path, xfslite's byte-free clean
+# cache pages, the stripe tier's pooled batch buffers, the
 # pipelined migration copy, the muxns wire, the journal's reused encode
 # buffer and core's meta-journaled overwrite, hole write, read and stat
 # paths. The device page tests are not among them: device pages come from
 # the bufpool page arena, whose free list the race runtime leaves alone, so
 # they run under -race with the rest of the suite.
 budget:
-	$(GO) test -count=1 -run 'AllocatesNothing|AllocationBudget|AllocBudget' ./internal/fs/blockfs ./internal/fs/xfslite ./internal/ec ./internal/core ./internal/server ./internal/journal
+	$(GO) test -count=1 -run 'AllocatesNothing|AllocationBudget|AllocBudget' ./internal/fs/novafs ./internal/fs/blockfs ./internal/fs/xfslite ./internal/ec ./internal/core ./internal/server ./internal/journal
 
 # stress repeats the read-vs-migration race tests, the migration-batch
 # worker-equivalence test, the breaker/gate concurrency test, the buffer

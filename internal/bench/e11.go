@@ -183,6 +183,29 @@ func e11PolicyRound(m *core.Mux) error {
 	return err
 }
 
+// e11VerifyEither checks that the file reads want under exactly one of
+// its two paths: a rename either happened or did not.
+func e11VerifyEither(m *core.Mux, want []byte, paths ...string) error {
+	found := 0
+	for _, p := range paths {
+		f, err := m.Open(p)
+		if err != nil {
+			continue
+		}
+		found++
+		got := make([]byte, len(want))
+		n, err := f.ReadAt(got, 0)
+		f.Close()
+		if n != len(want) || (err != nil && err != io.EOF) || !bytes.Equal(got, want) {
+			return fmt.Errorf("%s lost its bytes (%d read, %v)", p, n, err)
+		}
+	}
+	if found != 1 {
+		return fmt.Errorf("the file is at %d of %v", found, paths)
+	}
+	return nil
+}
+
 // e11VerifyRound checks that every file of the round reads its pre-round
 // bytes.
 func e11VerifyRound(m *core.Mux) error {
@@ -215,6 +238,9 @@ func e11Ops() []e11Op {
 			op: func(m *core.Mux) error { return e11WriteFile(m, "/e11/vic", vic) }},
 		{name: "rename", setup: base,
 			op: func(m *core.Mux) error { return m.Rename("/e11/vic", "/e11/vic2") }},
+		{name: "rename-dir", setup: base,
+			op:     func(m *core.Mux) error { return m.Rename("/e11", "/e11b") },
+			verify: func(m *core.Mux) error { return e11VerifyEither(m, vic, "/e11/vic", "/e11b/vic") }},
 		{name: "remove", setup: base,
 			op: func(m *core.Mux) error { return m.Remove("/e11/vic") }},
 		{name: "truncate", setup: base,
@@ -559,7 +585,7 @@ func RunE11(size Size) (*E11Result, error) {
 // (snapshot + delta vs full history), which does not depend on core count.
 func (r *E11Result) Check(Gates) error {
 	var v verdict
-	v.require(len(r.Sweep) == 10, "want 10 swept ops, got %d", len(r.Sweep))
+	v.require(len(r.Sweep) == 11, "want 11 swept ops, got %d", len(r.Sweep))
 	for _, row := range r.Sweep {
 		v.require(row.Points >= 2, "op %s swept only %d crash points; the op made no durable steps", row.Op, row.Points)
 		v.require(row.Violations == 0, "op %s: %d crash points violated the recovery contract", row.Op, row.Violations)

@@ -554,16 +554,14 @@ func (m *Mux) applyStructuralOne(op fsrec.Op, perIno map[uint64][]inoOp) error {
 		}
 
 	case fsrec.OpRename:
-		info, err := m.ns.Rename(op.Path, op.Path2)
+		_, moved, err := m.ns.Rename(op.Path, op.Path2)
 		if errors.Is(err, vfs.ErrNotExist) {
 			return nil
 		}
 		if err != nil {
 			return fmt.Errorf("mux replay rename: %w", err)
 		}
-		if f := info.File; f != nil {
-			f.path = op.Path2
-		}
+		repath(moved)
 		// The record commits BEFORE the tier-level renames run
 		// (Mux.Rename), so a crash in between leaves tier files at the
 		// old path. Register a fixup for the post-recovery scrub; its

@@ -802,7 +802,7 @@ func (m *Mux) Rename(oldPath, newPath string) error {
 	if err := m.settleReclaim(newPath); err != nil {
 		return vfs.Errf("rename", m.name, oldPath, err)
 	}
-	info, err := m.ns.Rename(oldPath, newPath)
+	info, moved, err := m.ns.Rename(oldPath, newPath)
 	if err != nil {
 		return vfs.Errf("rename", m.name, oldPath, err)
 	}
@@ -817,21 +817,14 @@ func (m *Mux) Rename(oldPath, newPath string) error {
 	// m.Sync is FS-level (tier syncs + meta flush, no per-file handles), so
 	// it cannot resurrect a tier file at either path.
 	m.logOp(fsrec.Op{Type: fsrec.OpRename, Path: oldPath, Path2: newPath})
-	var f *muxFile
-	if f = info.File; f != nil {
-		f.mu.Lock()
-		f.path = newPath
-		f.publishPath()
-		f.closeHandlesLocked() // handles cache the old path; bumps mapVer
-		f.mu.Unlock()
-	}
+	repath(moved)
 	if m.meta != nil {
 		if err := m.Sync(); err != nil {
 			return vfs.Errf("rename", m.name, oldPath, err)
 		}
 	}
 
-	if f != nil {
+	if f := info.File; f != nil {
 		f.mu.Lock()
 		held := f.tierSet()
 		f.mu.Unlock()
@@ -856,6 +849,22 @@ func (m *Mux) Rename(oldPath, newPath string) error {
 		}
 	}
 	return nil
+}
+
+// repath points every file a rename moved at its new path, for the live
+// rename and its replay alike: the path snapshot is republished, and the
+// downward handles, which cache the old path, close (bumping mapVer). It
+// takes each f.mu in turn, so it runs after the namespace locks are
+// released.
+func repath(moved []movedFile) {
+	for _, mv := range moved {
+		f := mv.file
+		f.mu.Lock()
+		f.path = mv.path
+		f.publishPath()
+		f.closeHandlesLocked()
+		f.mu.Unlock()
+	}
 }
 
 // Mkdir creates a directory in the merged namespace; underlying tiers get

@@ -293,30 +293,38 @@ func (ns *shardedNS) Remove(path string) (nsInfo, error) {
 	return info, nil
 }
 
+// movedFile is a regular file a rename moved, and its new path.
+type movedFile struct {
+	file *muxFile
+	path string
+}
+
 // Rename moves oldPath to newPath. The destination must not exist. File
 // renames lock the two parent shards in index order; directory renames lock
 // every shard (the move rekeys all directory maps under the old prefix).
-func (ns *shardedNS) Rename(oldPath, newPath string) (nsInfo, error) {
+// It returns every regular file the rename moved — the renamed file, or
+// each file under the renamed directory — with its new path.
+func (ns *shardedNS) Rename(oldPath, newPath string) (nsInfo, []movedFile, error) {
 	oldPath, newPath = vfs.CleanPath(oldPath), vfs.CleanPath(newPath)
 	oldDir, oldName := vfs.ParentPath(oldPath)
 	if oldName == "" {
-		return nsInfo{}, vfs.ErrInvalid
+		return nsInfo{}, nil, vfs.ErrInvalid
 	}
 	newDir, newName := vfs.ParentPath(newPath)
 	if newName == "" {
-		return nsInfo{}, vfs.ErrInvalid
+		return nsInfo{}, nil, vfs.ErrInvalid
 	}
 
 	unlock := ns.lockPair(oldDir, newDir)
 	om := ns.shardOf(oldDir).dirs[oldDir]
 	if om == nil {
 		unlock()
-		return nsInfo{}, ns.classifyMissing(oldDir)
+		return nsInfo{}, nil, ns.classifyMissing(oldDir)
 	}
 	e, ok := om[oldName]
 	if !ok {
 		unlock()
-		return nsInfo{}, vfs.ErrNotExist
+		return nsInfo{}, nil, vfs.ErrNotExist
 	}
 	if e.mode.IsDir() {
 		// Directory move: retry from scratch under all shard locks (the
@@ -327,22 +335,22 @@ func (ns *shardedNS) Rename(oldPath, newPath string) (nsInfo, error) {
 	nm := ns.shardOf(newDir).dirs[newDir]
 	if nm == nil {
 		unlock()
-		return nsInfo{}, ns.classifyMissing(newDir)
+		return nsInfo{}, nil, ns.classifyMissing(newDir)
 	}
 	if _, exists := nm[newName]; exists {
 		unlock()
-		return nsInfo{}, vfs.ErrExist
+		return nsInfo{}, nil, vfs.ErrExist
 	}
 	delete(om, oldName)
 	nm[newName] = e
 	info := nsInfo{Ino: e.ino, Mode: e.mode, File: e.file}
 	unlock()
-	return info, nil
+	return info, []movedFile{{e.file, newPath}}, nil
 }
 
 // renameDir moves a directory under all shard locks, revalidating from
 // scratch (the caller dropped its locks before escalating).
-func (ns *shardedNS) renameDir(oldPath, newPath string) (nsInfo, error) {
+func (ns *shardedNS) renameDir(oldPath, newPath string) (nsInfo, []movedFile, error) {
 	oldDir, oldName := vfs.ParentPath(oldPath)
 	newDir, newName := vfs.ParentPath(newPath)
 
@@ -350,12 +358,12 @@ func (ns *shardedNS) renameDir(oldPath, newPath string) (nsInfo, error) {
 	om := ns.shardOf(oldDir).dirs[oldDir]
 	if om == nil {
 		unlock()
-		return nsInfo{}, ns.classifyMissing(oldDir)
+		return nsInfo{}, nil, ns.classifyMissing(oldDir)
 	}
 	e, ok := om[oldName]
 	if !ok {
 		unlock()
-		return nsInfo{}, vfs.ErrNotExist
+		return nsInfo{}, nil, vfs.ErrNotExist
 	}
 	if !e.mode.IsDir() {
 		// Raced back into a file; redo as a plain rename.
@@ -365,16 +373,16 @@ func (ns *shardedNS) renameDir(oldPath, newPath string) (nsInfo, error) {
 	// Moving a directory into its own subtree would orphan it.
 	if newDir == oldPath || strings.HasPrefix(newDir, oldPath+"/") {
 		unlock()
-		return nsInfo{}, vfs.ErrInvalid
+		return nsInfo{}, nil, vfs.ErrInvalid
 	}
 	nm := ns.shardOf(newDir).dirs[newDir]
 	if nm == nil {
 		unlock()
-		return nsInfo{}, ns.classifyMissing(newDir)
+		return nsInfo{}, nil, ns.classifyMissing(newDir)
 	}
 	if _, exists := nm[newName]; exists {
 		unlock()
-		return nsInfo{}, vfs.ErrExist
+		return nsInfo{}, nil, vfs.ErrExist
 	}
 	delete(om, oldName)
 	nm[newName] = e
@@ -394,15 +402,21 @@ func (ns *shardedNS) renameDir(oldPath, newPath string) (nsInfo, error) {
 			}
 		}
 	}
+	var moved []movedFile
 	for _, mv := range moves {
 		from := ns.shardOf(mv.from)
 		m := from.dirs[mv.from]
 		delete(from.dirs, mv.from)
 		ns.shardOf(mv.to).dirs[mv.to] = m
+		for name, child := range m {
+			if child.file != nil {
+				moved = append(moved, movedFile{child.file, childPath(mv.to, name)})
+			}
+		}
 	}
 	info := nsInfo{Ino: e.ino, Mode: e.mode}
 	unlock()
-	return info, nil
+	return info, moved, nil
 }
 
 // SetFileMode updates a regular file entry's cached mode bits (chmod).

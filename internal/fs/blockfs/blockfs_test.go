@@ -244,8 +244,8 @@ func TestJournalCompaction(t *testing.T) {
 	if err := f.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if fs.jnl.UsedBytes() > fs.jnl.Size() {
-		t.Fatalf("journal overflow: %d > %d", fs.jnl.UsedBytes(), fs.jnl.Size())
+	if fs.Log.UsedBytes() > fs.Log.Size() {
+		t.Fatalf("journal overflow: %d > %d", fs.Log.UsedBytes(), fs.Log.Size())
 	}
 	fs.Crash()
 	if err := fs.Recover(); err != nil {
@@ -353,7 +353,7 @@ func TestCompactionCommitsOpOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	fstest.RunCompactionRecovery(t, fs,
-		func() int64 { return fs.jnl.Size() - fs.jnl.UsedBytes() },
+		func() int64 { return fs.Log.Size() - fs.Log.UsedBytes() },
 		func() error { fs.Crash(); return fs.Recover() })
 }
 

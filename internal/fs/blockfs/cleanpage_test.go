@@ -170,16 +170,16 @@ func runCleanPageModel(t *testing.T, placer func(int64) Placer, seed int64) {
 // ref[i] (zero past its end): a clean page as the device holds it at the
 // page's mapping, a dirty one as its buffer holds it.
 func checkCachedPages(fs *FS, ref [][]byte, pages int64) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
+	fs.Mu.Lock()
+	defer fs.Mu.Unlock()
 	img := make([]byte, PageSize)
 	for i, data := range ref {
 		path := fmt.Sprintf("/f%d", i)
-		node, err := fs.ns.Lookup(path)
+		node, err := fs.NS.Lookup(path)
 		if err != nil {
 			return err
 		}
-		ino := fs.inodes[node.Ino]
+		ino := fs.Inodes[node.Ino]
 		for pg := int64(0); pg < pages; pg++ {
 			cached, resident := fs.cache.Peek(pagecache.Key{File: node.Ino, Page: pg})
 			if !resident {
@@ -218,7 +218,7 @@ func TestCleanHitCostsOnlyDRAM(t *testing.T) {
 	if err := f.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	node, err := fs.ns.Lookup("/f")
+	node, err := fs.NS.Lookup("/f")
 	if err != nil {
 		t.Fatal(err)
 	}

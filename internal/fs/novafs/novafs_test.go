@@ -2,10 +2,12 @@ package novafs
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"muxfs/internal/device"
 	"muxfs/internal/fstest"
+	"muxfs/internal/race"
 	"muxfs/internal/simclock"
 	"muxfs/internal/vfs"
 )
@@ -203,7 +205,7 @@ func TestDAXReadChargesNoDRAMCache(t *testing.T) {
 	f.WriteAt(make([]byte, 8192), 0)
 
 	buf := make([]byte, 1)
-	w := simclock.StartWatch(fs.clk)
+	w := simclock.StartWatch(fs.Clk)
 	f.ReadAt(buf, 100)
 	first := w.Elapsed()
 	w.Restart()
@@ -254,7 +256,7 @@ func TestCompactionCommitsOpOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	fstest.RunCompactionRecovery(t, fs,
-		func() int64 { return fs.log.Size() - fs.log.UsedBytes() },
+		func() int64 { return fs.Log.Size() - fs.Log.UsedBytes() },
 		func() error { fs.Crash(); return fs.Recover() })
 }
 
@@ -275,9 +277,9 @@ func TestFailedPunchEdgeRollsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	used := fs.pages.Used()
-	fs.dev.InjectFaults(device.FaultPlan{Seed: 7, WriteErrProb: 0.5})
+	fs.Dev.InjectFaults(device.FaultPlan{Seed: 7, WriteErrProb: 0.5})
 	err := f.PunchHole(100, 3*PageSize)
-	fs.dev.ClearFaults()
+	fs.Dev.ClearFaults()
 	if err == nil {
 		t.Fatal("punch succeeded; the fault seed no longer fails its second edge")
 	}
@@ -307,4 +309,105 @@ func TestFailedPunchEdgeRollsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("after a crash")
+}
+
+// novafs commits every metadata op synchronously: a Create or Mkdir whose
+// log commit fails returns the error and leaves no entry behind, neither
+// live nor after a crash and recovery.
+func TestFailedCommitLeavesNoEntry(t *testing.T) {
+	dev := device.New(device.PMProfile("pmem0"), simclock.New())
+	fs, err := New("nova@pmem0", dev, DefaultCosts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Mkdir("/d"); err != nil {
+		t.Fatal(err)
+	}
+	absent := func(when string) {
+		t.Helper()
+		for _, p := range []string{"/d/f", "/d/sub"} {
+			if _, err := fs.Stat(p); !errors.Is(err, vfs.ErrNotExist) {
+				t.Fatalf("%s: Stat(%s) = %v, want ErrNotExist", when, p, err)
+			}
+		}
+		ents, err := fs.ReadDir("/d")
+		if err != nil || len(ents) != 0 {
+			t.Fatalf("%s: ReadDir(/d) = %v, %v; want empty", when, ents, err)
+		}
+	}
+	dev.InjectFailure(true)
+	if _, err := fs.Create("/d/f"); err == nil {
+		t.Fatal("Create succeeded with a failing log commit")
+	}
+	if err := fs.Mkdir("/d/sub"); err == nil {
+		t.Fatal("Mkdir succeeded with a failing log commit")
+	}
+	dev.InjectFailure(false)
+	absent("live")
+	fs.Crash()
+	if err := fs.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	absent("after a crash")
+	// The names are free again.
+	f, err := fs.Create("/d/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	if err := fs.Mkdir("/d/sub"); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// The data path of a mounted file allocates no more than its journal
+// record needs: an in-place 4 KiB overwrite allocates the 8 B payload of
+// its size/mtime record and nothing else, and a 4 KiB read and a handle
+// Stat allocate nothing. hot-local's per-op heap figure rests on this.
+func TestDataPathAllocationBudget(t *testing.T) {
+	if race.Enabled {
+		t.Skip("device pages come from the Go heap under -race")
+	}
+	fs := newFS(t)
+	f, err := fs.Create("/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	const pages = 64
+	if _, err := f.WriteAt(make([]byte, pages*PageSize), 0); err != nil {
+		t.Fatal(err)
+	}
+	buf := bytes.Repeat([]byte{0x6B}, PageSize)
+	var pg int64
+	next := func() int64 { pg = (pg + 1) % pages; return pg * PageSize }
+	for _, c := range []struct {
+		name   string
+		allocs float64
+		bytes  float64
+		op     func()
+	}{
+		{"overwrite", 1, 8, func() {
+			if _, err := f.WriteAt(buf, next()); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"read", 0, 0, func() {
+			if _, err := f.ReadAt(buf, next()); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"stat", 0, 0, func() {
+			if _, err := f.Stat(); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		if a := testing.AllocsPerRun(200, c.op); a > c.allocs {
+			t.Errorf("%s allocates %.1f objects per op, want <= %.0f", c.name, a, c.allocs)
+		}
+		if b := fstest.AllocBytesPerRun(200, c.op); b > c.bytes {
+			t.Errorf("%s allocates %.1f B per op, want <= %.0f", c.name, b, c.bytes)
+		}
+	}
 }

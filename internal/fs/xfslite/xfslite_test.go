@@ -323,3 +323,37 @@ func TestCleanPageAllocationBudget(t *testing.T) {
 	runtime.KeepAlive(chunk) // live at both heap readings
 	runtime.KeepAlive(fs)
 }
+
+// xfslite group-commits metadata: a Create whose Sync fails keeps its
+// record queued, and once the device heals the next Sync commits it, so
+// the file survives a crash.
+func TestFailedSyncKeepsRecordsQueued(t *testing.T) {
+	dev := device.New(device.SSDProfile("ssd0"), simclock.New())
+	fs, err := New("xfs@ssd0", dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := fs.Create("/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := bytes.Repeat([]byte{0x77}, 3000)
+	if _, err := f.WriteAt(want, 0); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	dev.InjectFailure(true)
+	if err := fs.Sync(); err == nil {
+		t.Fatal("Sync succeeded on a failed device")
+	}
+	dev.InjectFailure(false)
+	if _, err := fs.Stat("/f"); err != nil {
+		t.Fatalf("file gone after a failed Sync: %v", err)
+	}
+	if err := fs.Sync(); err != nil {
+		t.Fatalf("Sync after the device healed: %v", err)
+	}
+	if got := syncedRead(t, fs, "/f", len(want)); !bytes.Equal(got, want) {
+		t.Fatal("file of a retried Sync lost in a crash")
+	}
+}

@@ -1,0 +1,411 @@
+// Package fsbase is the metadata half of the native file systems: novafs
+// and the blockfs engine behind xfslite and extlite. They differ in how
+// they place, index, persist and cache *data* (NOVA's DAX pages against a
+// page cache over a block allocator); their namespace and metadata-record
+// handling is the same, and lives here once:
+//
+//   - the namespace tree (Namespace) and the inode table (Inode: Meta plus
+//     an extent map from file offsets to device offsets);
+//   - the path operations (Create, Open, Remove, Rename, Mkdir, ReadDir,
+//     Stat, SetAttr, Truncate) and the open-file handle;
+//   - the metadata journal: one fsrec replay, one compaction snapshot,
+//     and the free-space scrub after replay;
+//   - the skeletons of Truncate and PunchHole, whose ragged edge pages are
+//     rewritten copy-on-write, and the extent-walk half of the consistency
+//     check.
+//
+// Each file system supplies the rest through Backend: its data path, its
+// space manager and its commit policy. The shared code never asks which
+// file system it serves.
+package fsbase
+
+import (
+	"fmt"
+	"sort"
+	"sync"
+	"time"
+
+	"muxfs/internal/device"
+	"muxfs/internal/extent"
+	"muxfs/internal/fs/fsrec"
+	"muxfs/internal/journal"
+	"muxfs/internal/simclock"
+	"muxfs/internal/vfs"
+)
+
+// PageSize is the file-to-device mapping granule.
+const PageSize = 4096
+
+// Costs are the software-path costs a native file system charges to the
+// virtual clock, separate from device media costs.
+type Costs struct {
+	ReadOp  time.Duration // per read call: inode lookup + index walk
+	WriteOp time.Duration // per write call
+	PerPage time.Duration // per 4 KiB page touched
+	MetaOp  time.Duration // namespace operations
+}
+
+// Backend is the half of a native file system the shared layer does not
+// own. FS calls it with Mu held. Device offsets are absolute; every range
+// is whole pages.
+type Backend interface {
+	// Commit hands the records of an op, already applied in memory, to the
+	// journal under the file system's commit policy. It must not retain
+	// recs. An error means the records were not taken and never will be:
+	// Create and Mkdir then undo their namespace insert.
+	Commit(recs []journal.Record) error
+	// Read and Write serve the data path of file num.
+	Read(ino *Inode, num uint64, p []byte, off int64) (int, error)
+	Write(ino *Inode, num uint64, p []byte, off int64) (int, error)
+	// SyncFile makes file num durable (fsync).
+	SyncFile(num uint64) error
+	// CopyEdge writes a fresh block holding the image of the file page at
+	// pageStart, whose mapped runs are segs, with [zFrom, zTo) zeroed, and
+	// returns its device offset. The copy must be durable by the time the
+	// records remapping the page onto it commit.
+	CopyEdge(num uint64, segs []extent.Segment[int64], pageStart, zFrom, zTo int64) (int64, error)
+	// Free returns device bytes to the space manager at once, touching no
+	// device data. Replay frees what its records unmap this way.
+	Free(devOff, n int64)
+	// Release frees device bytes a live op unmapped: at once, or only when
+	// the op's records commit, as the commit policy requires.
+	Release(devOff, n int64)
+	// MarkUsed reserves device bytes a replayed mapping references.
+	MarkUsed(devOff, n int64)
+	// Unmapped tells the backend that [off, off+n) of file num lost its
+	// mapping; Remapped that the page at pageStart moved onto a fresh copy
+	// of its image, which the device now holds.
+	Unmapped(num uint64, off, n int64)
+	Remapped(num uint64, pageStart int64)
+	// Space reports the data region's capacity and the bytes in use.
+	Space() (total, used int64)
+	// CheckSpace checks the space manager against the device pages the
+	// extent maps reference (keyed by device offset).
+	CheckSpace(referenced map[int64]bool) error
+	// Reset empties the backend's state for replay to rebuild.
+	Reset()
+}
+
+// FS is the shared half of a mounted native file system. A file system
+// embeds it and hands Mount itself as the Backend.
+type FS struct {
+	// Mu serializes every operation, the backend's data path included.
+	Mu sync.Mutex
+	// NS is the namespace, Inodes the inode table, Log the metadata
+	// journal in [0, DataStart); the data region is [DataStart, capacity).
+	NS        *Namespace
+	Inodes    map[uint64]*Inode
+	Log       *journal.Dual
+	Dev       *device.Device
+	Clk       *simclock.Clock
+	Costs     Costs
+	DataStart int64
+
+	name       string
+	be         Backend
+	recovering bool // replaying: unmapped bytes are freed, not released
+	recs       []journal.Record
+}
+
+// Mount lays the shared half over dev: a metadata journal in the first
+// 1/journalFrac of the device (at least 1 MiB, at most half of it), the
+// data region after it, and an empty namespace.
+func (fs *FS) Mount(name string, dev *device.Device, journalFrac int64, costs Costs, be Backend) error {
+	logSize := max(dev.Capacity()/journalFrac, 1<<20)
+	if logSize > dev.Capacity()/2 {
+		return fmt.Errorf("device %s too small", dev.Profile().Name)
+	}
+	log, err := journal.NewDual(dev, 0, logSize)
+	if err != nil {
+		return err
+	}
+	fs.name, fs.Dev, fs.Clk, fs.Costs, fs.be = name, dev, dev.Clock(), costs, be
+	fs.Log, fs.DataStart = log, logSize
+	fs.reset()
+	return nil
+}
+
+func (fs *FS) reset() {
+	fs.NS = NewNamespace()
+	fs.Inodes = make(map[uint64]*Inode)
+	fs.be.Reset()
+}
+
+// Name identifies the instance.
+func (fs *FS) Name() string { return fs.name }
+
+// DeviceName returns the backing device's name.
+func (fs *FS) DeviceName() string { return fs.Dev.Profile().Name }
+
+// Device exposes the backing device (benchmarks inspect its stats).
+func (fs *FS) Device() *device.Device { return fs.Dev }
+
+// ReadCostHint estimates the cost of an n-byte read.
+func (fs *FS) ReadCostHint(n int64) time.Duration {
+	p := fs.Dev.Profile()
+	return fs.Costs.ReadOp + p.ReadLatency + time.Duration(n*int64(time.Second)/p.ReadBandwidth)
+}
+
+// WriteCostHint estimates the cost of an n-byte write.
+func (fs *FS) WriteCostHint(n int64) time.Duration {
+	p := fs.Dev.Profile()
+	return fs.Costs.WriteOp + p.WriteLatency + time.Duration(n*int64(time.Second)/p.WriteBandwidth)
+}
+
+// commit hands recs to the backend through a reused slice, so an op's
+// records cost no slice of their own. Caller holds Mu.
+func (fs *FS) commit(recs ...journal.Record) error {
+	fs.recs = append(fs.recs[:0], recs...)
+	return fs.be.Commit(fs.recs)
+}
+
+// Create makes and opens a new regular file.
+func (fs *FS) Create(path string) (vfs.File, error) {
+	path = vfs.CleanPath(path)
+	fs.Mu.Lock()
+	defer fs.Mu.Unlock()
+	fs.Clk.Advance(fs.Costs.MetaOp)
+	node, err := fs.NS.CreateFile(path, 0o644)
+	if err != nil {
+		return nil, vfs.Errf("create", fs.name, path, err)
+	}
+	now := fs.Clk.Now()
+	fs.Inodes[node.Ino] = &Inode{Meta: Meta{Mode: 0o644, ModTime: now, ATime: now, CTime: now}}
+	if err := fs.commit(fsrec.Op{Type: fsrec.OpCreate, Ino: node.Ino, Path: path, Mode: 0o644}.Record()); err != nil {
+		// Not taken: the file never existed durably.
+		fs.NS.Remove(path)
+		delete(fs.Inodes, node.Ino)
+		return nil, vfs.Errf("create", fs.name, path, err)
+	}
+	return &file{fs: fs, path: path, ino: node.Ino}, nil
+}
+
+// Open opens an existing regular file.
+func (fs *FS) Open(path string) (vfs.File, error) {
+	path = vfs.CleanPath(path)
+	fs.Mu.Lock()
+	defer fs.Mu.Unlock()
+	fs.Clk.Advance(fs.Costs.MetaOp)
+	node, err := fs.NS.Lookup(path)
+	if err != nil {
+		return nil, vfs.Errf("open", fs.name, path, err)
+	}
+	if node.IsDir() {
+		return nil, vfs.Errf("open", fs.name, path, vfs.ErrIsDir)
+	}
+	return &file{fs: fs, path: path, ino: node.Ino}, nil
+}
+
+// Remove deletes a file or empty directory and releases its space.
+func (fs *FS) Remove(path string) error {
+	path = vfs.CleanPath(path)
+	fs.Mu.Lock()
+	defer fs.Mu.Unlock()
+	fs.Clk.Advance(fs.Costs.MetaOp)
+	node, err := fs.NS.Remove(path)
+	if err != nil {
+		return vfs.Errf("remove", fs.name, path, err)
+	}
+	fs.dropInode(node.Ino)
+	if err := fs.commit(fsrec.Op{Type: fsrec.OpRemove, Path: path}.Record()); err != nil {
+		return vfs.Errf("remove", fs.name, path, err)
+	}
+	return nil
+}
+
+// dropInode unmaps every page of a removed file and forgets its inode.
+// Caller holds Mu.
+func (fs *FS) dropInode(num uint64) {
+	if ino, ok := fs.Inodes[num]; ok {
+		fs.dropTail(ino, num, 0)
+		delete(fs.Inodes, num)
+	}
+}
+
+// Rename moves a file or directory.
+func (fs *FS) Rename(oldPath, newPath string) error {
+	oldPath, newPath = vfs.CleanPath(oldPath), vfs.CleanPath(newPath)
+	fs.Mu.Lock()
+	defer fs.Mu.Unlock()
+	fs.Clk.Advance(fs.Costs.MetaOp)
+	if _, err := fs.NS.Rename(oldPath, newPath); err != nil {
+		return vfs.Errf("rename", fs.name, oldPath, err)
+	}
+	if err := fs.commit(fsrec.Op{Type: fsrec.OpRename, Path: oldPath, Path2: newPath}.Record()); err != nil {
+		return vfs.Errf("rename", fs.name, oldPath, err)
+	}
+	return nil
+}
+
+// Mkdir creates a directory.
+func (fs *FS) Mkdir(path string) error {
+	path = vfs.CleanPath(path)
+	fs.Mu.Lock()
+	defer fs.Mu.Unlock()
+	fs.Clk.Advance(fs.Costs.MetaOp)
+	node, err := fs.NS.Mkdir(path, 0o755)
+	if err != nil {
+		return vfs.Errf("mkdir", fs.name, path, err)
+	}
+	if err := fs.commit(fsrec.Op{Type: fsrec.OpMkdir, Ino: node.Ino, Path: path, Mode: node.Mode}.Record()); err != nil {
+		fs.NS.Remove(path)
+		return vfs.Errf("mkdir", fs.name, path, err)
+	}
+	return nil
+}
+
+// ReadDir lists a directory.
+func (fs *FS) ReadDir(path string) ([]vfs.DirEntry, error) {
+	fs.Mu.Lock()
+	defer fs.Mu.Unlock()
+	fs.Clk.Advance(fs.Costs.MetaOp)
+	ents, err := fs.NS.ReadDir(vfs.CleanPath(path))
+	if err != nil {
+		return nil, vfs.Errf("readdir", fs.name, path, err)
+	}
+	return ents, nil
+}
+
+// Stat returns metadata for a path.
+func (fs *FS) Stat(path string) (vfs.FileInfo, error) {
+	path = vfs.CleanPath(path)
+	fs.Mu.Lock()
+	defer fs.Mu.Unlock()
+	fs.Clk.Advance(fs.Costs.MetaOp)
+	node, err := fs.NS.Lookup(path)
+	if err != nil {
+		return vfs.FileInfo{}, vfs.Errf("stat", fs.name, path, err)
+	}
+	if node.IsDir() {
+		return vfs.FileInfo{Path: path, Mode: node.Mode}, nil
+	}
+	return fs.Inodes[node.Ino].info(path), nil
+}
+
+// info is the inode's FileInfo under path.
+func (ino *Inode) info(path string) vfs.FileInfo {
+	fi := ino.Meta.Info(path)
+	fi.Blocks = ino.Ext.MappedBytes()
+	return fi
+}
+
+// SetAttr applies a partial metadata update.
+func (fs *FS) SetAttr(path string, attr vfs.SetAttr) error {
+	path = vfs.CleanPath(path)
+	fs.Mu.Lock()
+	defer fs.Mu.Unlock()
+	fs.Clk.Advance(fs.Costs.MetaOp)
+	node, err := fs.NS.Lookup(path)
+	if err != nil {
+		return vfs.Errf("setattr", fs.name, path, err)
+	}
+	if node.IsDir() {
+		return vfs.Errf("setattr", fs.name, path, vfs.ErrIsDir)
+	}
+	ino := fs.Inodes[node.Ino]
+	recs := fs.recs[:0]
+	if attr.Size != nil && *attr.Size < ino.Meta.Size {
+		if recs, err = fs.shrink(ino, node.Ino, *attr.Size, fs.Clk.Now(), recs); err != nil {
+			return vfs.Errf("setattr", fs.name, path, err)
+		}
+	}
+	if !ino.Meta.Apply(attr, fs.Clk.Now()) {
+		return nil
+	}
+	if attr.Mode != nil {
+		node.Mode = ino.Meta.Mode
+	}
+	fs.recs = append(recs, recSetAttr(node.Ino, &ino.Meta))
+	if err := fs.be.Commit(fs.recs); err != nil {
+		return vfs.Errf("setattr", fs.name, path, err)
+	}
+	return nil
+}
+
+// recSetAttr builds the record of an inode's full attributes.
+func recSetAttr(num uint64, m *Meta) journal.Record {
+	return fsrec.Op{
+		Type: fsrec.OpSetAttr, Ino: num,
+		Size: m.Size, Mode: m.Mode, MTime: m.ModTime, ATime: m.ATime, CTime: m.CTime,
+	}.Record()
+}
+
+// Truncate sets the file size by path.
+func (fs *FS) Truncate(path string, size int64) error {
+	f, err := fs.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	return f.Truncate(size)
+}
+
+// Statfs reports capacity accounting for the data region.
+func (fs *FS) Statfs() (vfs.StatFS, error) {
+	fs.Mu.Lock()
+	defer fs.Mu.Unlock()
+	total, used := fs.be.Space()
+	return vfs.StatFS{
+		Capacity:  total,
+		Used:      used,
+		Available: total - used,
+		Files:     fs.NS.FileCount(),
+	}, nil
+}
+
+// Recover rebuilds all in-memory state by replaying the journal, then
+// scrubs the free space.
+func (fs *FS) Recover() error {
+	fs.Mu.Lock()
+	defer fs.Mu.Unlock()
+	fs.reset()
+	fs.recovering = true
+	_, err := fs.Log.Replay(fs.apply)
+	fs.recovering = false
+	if err != nil {
+		return fmt.Errorf("%s: recover: %w", fs.name, err)
+	}
+	fs.scrub()
+	return nil
+}
+
+// CheckConsistency cross-checks the extent maps against the space
+// manager: every mapping lies inside the data region, no device byte is
+// referenced by two mappings, and the backend's CheckSpace finds no
+// leaked or double-counted page. The crash sweep runs it after every
+// remount.
+func (fs *FS) CheckConsistency() error {
+	fs.Mu.Lock()
+	defer fs.Mu.Unlock()
+	type ival struct{ off, end int64 }
+	var ivals []ival
+	referenced := make(map[int64]bool)
+	for num, ino := range fs.Inodes {
+		var err error
+		ino.Ext.Walk(func(off, n, delta int64) bool {
+			dev := off + delta
+			if dev < fs.DataStart || dev+n > fs.Dev.Capacity() {
+				err = fmt.Errorf("%s: ino %d maps [%d,%d) outside the data region", fs.name, num, dev, dev+n)
+				return false
+			}
+			ivals = append(ivals, ival{dev, dev + n})
+			for b := dev / PageSize * PageSize; b < dev+n; b += PageSize {
+				referenced[b] = true
+			}
+			return true
+		})
+		if err != nil {
+			return err
+		}
+	}
+	sort.Slice(ivals, func(i, j int) bool { return ivals[i].off < ivals[j].off })
+	for i := 1; i < len(ivals); i++ {
+		if ivals[i].off < ivals[i-1].end {
+			return fmt.Errorf("%s: device bytes [%d,%d) double-referenced", fs.name, ivals[i].off, ivals[i-1].end)
+		}
+	}
+	if err := fs.be.CheckSpace(referenced); err != nil {
+		return fmt.Errorf("%s: %w", fs.name, err)
+	}
+	return nil
+}

@@ -1,0 +1,150 @@
+package fsbase
+
+import (
+	"errors"
+	"fmt"
+	"sort"
+
+	"muxfs/internal/fs/fsrec"
+	"muxfs/internal/journal"
+)
+
+// CommitLog writes recs as one committed transaction. Every caller has
+// already applied the records' effect in memory, so when the journal is
+// full the compaction snapshot holds them and is their commit: they are
+// not appended again, which would make replay apply them twice. Caller
+// holds Mu.
+func (fs *FS) CommitLog(recs []journal.Record) error {
+	err := fs.Log.Commit(recs)
+	if errors.Is(err, journal.ErrFull) {
+		return fs.compact()
+	}
+	return err
+}
+
+// compact rewrites the journal as a snapshot of the current state. The
+// dual journal makes it crash-atomic: the snapshot commits into the spare
+// half before the superblock flips, so no crash point loses the log.
+// Caller holds Mu.
+func (fs *FS) compact() error {
+	err := fs.Log.Compact(func(tx *journal.Tx) {
+		fs.NS.WalkAll(func(path string, node *Node) {
+			if node.IsDir() {
+				tx.Append(fsrec.Op{Type: fsrec.OpMkdir, Ino: node.Ino, Path: path, Mode: node.Mode}.Record())
+				return
+			}
+			ino := fs.Inodes[node.Ino]
+			tx.Append(fsrec.Op{Type: fsrec.OpCreate, Ino: node.Ino, Path: path, Mode: ino.Meta.Mode}.Record())
+			tx.Append(recSetAttr(node.Ino, &ino.Meta))
+			ino.Ext.Walk(func(off, n, delta int64) bool {
+				tx.Append(fsrec.Op{Type: fsrec.OpExtent, Ino: node.Ino, Off: off, Delta: delta, N: n,
+					Size: ino.Meta.Size, MTime: ino.Meta.ModTime}.Record())
+				return true
+			})
+		})
+	})
+	if err != nil {
+		return fmt.Errorf("%s: journal compaction: %w", fs.name, err)
+	}
+	return nil
+}
+
+// apply replays one committed journal record during Recover. Caller holds
+// Mu over a reset state.
+func (fs *FS) apply(r journal.Record) error {
+	op, err := fsrec.Parse(r)
+	if err != nil {
+		return err
+	}
+	switch op.Type {
+	case fsrec.OpCreate:
+		node, err := fs.NS.CreateFileIno(op.Path, op.Mode, op.Ino)
+		if err != nil {
+			return fmt.Errorf("replay create %q: %w", op.Path, err)
+		}
+		fs.Inodes[node.Ino] = &Inode{Meta: Meta{Mode: op.Mode}}
+		return nil
+	case fsrec.OpMkdir:
+		if _, err := fs.NS.Mkdir(op.Path, op.Mode); err != nil {
+			return fmt.Errorf("replay mkdir %q: %w", op.Path, err)
+		}
+		fs.NS.BumpIno(op.Ino)
+		return nil
+	case fsrec.OpRemove:
+		node, err := fs.NS.Remove(op.Path)
+		if err != nil {
+			return fmt.Errorf("replay remove %q: %w", op.Path, err)
+		}
+		fs.dropInode(node.Ino)
+		return nil
+	case fsrec.OpRename:
+		if _, err := fs.NS.Rename(op.Path, op.Path2); err != nil {
+			return fmt.Errorf("replay rename %q->%q: %w", op.Path, op.Path2, err)
+		}
+		return nil
+	}
+
+	ino, ok := fs.Inodes[op.Ino]
+	if !ok {
+		return fmt.Errorf("replay op %d: unknown inode %d", op.Type, op.Ino)
+	}
+	switch op.Type {
+	case fsrec.OpExtent:
+		// A remap record (copy-on-write truncate/punch edge) supersedes live
+		// mappings: free the blocks it replaces, as the foreground op did.
+		for _, seg := range ino.Ext.Segments(op.Off, op.N) {
+			if !seg.Hole {
+				fs.be.Free(seg.Off+seg.Val, seg.Len)
+			}
+		}
+		ino.Ext.Insert(op.Off, op.N, op.Delta)
+		fs.be.MarkUsed(op.Off+op.Delta, op.N)
+		ino.Meta.Size = max(ino.Meta.Size, op.Size)
+	case fsrec.OpSizeTime:
+		ino.Meta.Size = max(ino.Meta.Size, op.Size)
+	case fsrec.OpSetAttr:
+		if op.Size < ino.Meta.Size {
+			fs.dropTail(ino, op.Ino, op.Size)
+		}
+		ino.Meta.Size, ino.Meta.Mode, ino.Meta.ATime, ino.Meta.CTime = op.Size, op.Mode, op.ATime, op.CTime
+	case fsrec.OpPunch:
+		fs.freeRange(ino, op.Ino, op.Off, op.N)
+	case fsrec.OpTruncate:
+		if op.Size < ino.Meta.Size {
+			fs.dropTail(ino, op.Ino, op.Size)
+		}
+		ino.Meta.Size = op.Size
+	default:
+		return fmt.Errorf("replay: unhandled op type %d", op.Type)
+	}
+	ino.Meta.ModTime = op.MTime
+	return nil
+}
+
+// scrub zeroes the free data space after replay so deleted files' stale
+// contents cannot leak into fresh partial-page allocations. It discards
+// only the gaps between referenced extents, so it costs O(live extents),
+// not O(device capacity): a per-page walk made recovery of a near-empty
+// HDD tier the slowest step of a remount. Caller holds Mu.
+func (fs *FS) scrub() {
+	type ival struct{ off, end int64 }
+	var used []ival
+	for _, ino := range fs.Inodes {
+		ino.Ext.Walk(func(off, n, delta int64) bool {
+			dev := off + delta
+			used = append(used, ival{dev / PageSize * PageSize, (dev + n + PageSize - 1) / PageSize * PageSize})
+			return true
+		})
+	}
+	sort.Slice(used, func(i, j int) bool { return used[i].off < used[j].off })
+	pos := fs.DataStart
+	for _, u := range used {
+		if u.off > pos {
+			fs.Dev.Discard(pos, u.off-pos)
+		}
+		pos = max(pos, u.end)
+	}
+	if c := fs.Dev.Capacity(); c > pos {
+		fs.Dev.Discard(pos, c-pos)
+	}
+}

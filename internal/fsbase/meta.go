@@ -3,8 +3,18 @@ package fsbase
 import (
 	"time"
 
+	"muxfs/internal/extent"
 	"muxfs/internal/vfs"
 )
+
+// Inode is a regular file of a native file system: its metadata and its
+// extent map. Ext maps file offsets to device offsets, delta-encoded (the
+// value is devOff - fileOff, constant across a physically contiguous run)
+// so extent splits and merges stay exact. Mappings are whole pages.
+type Inode struct {
+	Meta Meta
+	Ext  extent.Tree[int64]
+}
 
 // Meta is the mutable inode metadata every native file system tracks.
 type Meta struct {

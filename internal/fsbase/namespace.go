@@ -1,7 +1,3 @@
-// Package fsbase holds the pieces every native file system shares: the
-// in-memory namespace (directory tree), inode metadata, and ID allocation.
-// The three native file systems differ in how they place, index, journal,
-// and cache *data*; name resolution is deliberately common code.
 package fsbase
 
 import (

@@ -19,9 +19,10 @@ import (
 // top of the root package.
 var layers = [][]string{
 	{"vfs", "simclock", "telemetry", "guard", "bufpool", "race", "extent", "alloc", "cache"},
-	{"device", "fsbase", "pagecache"},
+	{"device", "pagecache"},
 	{"journal", "policy", "fstest"},
 	{"fs/fsrec", "policy/autotune"},
+	{"fsbase"},
 	{"fs/blockfs", "fs/novafs", "strata"},
 	{"fs/extlite", "fs/xfslite"},
 	{"core"},

@@ -283,18 +283,9 @@ func (s *System) NewServer(opts ServerOptions) *NamespaceServer {
 // local one does.
 type NamespaceClient = muxrpc.NSClient
 
-// NamespaceDialOptions tunes DialNamespaceOpts; the zero value matches
-// DialNamespace.
-type NamespaceDialOptions = muxrpc.NSDialOptions
-
 // DialNamespace connects to a muxd -serve namespace front end.
 func DialNamespace(network, addr string) (*NamespaceClient, error) {
 	return muxrpc.NSDial(network, addr)
-}
-
-// DialNamespaceOpts connects with explicit pool/backoff tuning.
-func DialNamespaceOpts(network, addr string, opts NamespaceDialOptions) (*NamespaceClient, error) {
-	return muxrpc.NSDialOpts(network, addr, opts)
 }
 
 // StripeTierSpec assembles a scale-out capacity tier: one composite tier
