@@ -27,8 +27,9 @@ race:
 # read, handle stat), the blockfs sync path, xfslite's byte-free clean
 # cache pages, the stripe tier's pooled batch buffers, the
 # pipelined migration copy, the muxns wire, the journal's reused encode
-# buffer and core's meta-journaled overwrite, hole write, read and stat
-# paths. The device page tests are not among them: device pages come from
+# buffer and replay window, core's meta-journaled overwrite, hole write,
+# read and stat paths, and core's recovery heap, which must not grow with
+# the length of the meta log. The device page tests are not among them: device pages come from
 # the bufpool page arena, whose free list the race runtime leaves alone, so
 # they run under -race with the rest of the suite.
 budget:

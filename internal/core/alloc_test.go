@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"fmt"
+	"runtime"
 	"testing"
 
 	"muxfs/internal/fstest"
@@ -189,4 +191,60 @@ func TestHoleWriteAllocationBudget(t *testing.T) {
 	if a := testing.AllocsPerRun(1000, write); a > 12 {
 		t.Fatalf("4 KiB write into a hole: %.1f allocations per write, want <= 12", a)
 	}
+}
+
+// Recover's heap does not grow with the meta log: replay applies records
+// as the journal reads them, through a reused window, so a log 8× longer
+// (the same files, more overwrites) allocates no more than a fixed
+// constant over the shorter one. Each figure is the least of three
+// Crash+Recover cycles.
+func TestRecoveryAllocationBudget(t *testing.T) {
+	if race.Enabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	const files, blocks = 32, 16
+	recoverAlloc := func(overwrites int) uint64 {
+		r := newRig(t, policy.Pinned{}, true)
+		r.m.meta.ckptBytes = 1 << 60 // keep the whole history in the log
+		var fhs []vfs.File
+		for i := 0; i < files; i++ {
+			fh := writeFile(t, r.m, fmt.Sprintf("/f%d", i), make([]byte, blocks*4096))
+			defer fh.Close()
+			fhs = append(fhs, fh)
+		}
+		block := make([]byte, 4096)
+		for i := 0; i < overwrites; i++ {
+			if _, err := fhs[i%files].WriteAt(block, int64(i/files%blocks)*4096); err != nil {
+				t.Fatal(err)
+			}
+			if i%64 == 63 {
+				if err := r.m.Sync(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := r.m.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		least := uint64(0)
+		for c := 0; c < 3; c++ {
+			r.m.Crash()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if err := r.m.Recover(); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			if a := after.TotalAlloc - before.TotalAlloc; c == 0 || a < least {
+				least = a
+			}
+		}
+		return least
+	}
+	short, long := recoverAlloc(2_000), recoverAlloc(16_000)
+	const slack = 64 << 10
+	if long > short+slack {
+		t.Fatalf("Recover allocated %d B for a log of 2,000 overwrites and %d B for one of 16,000: want at most %d B more", short, long, slack)
+	}
+	t.Logf("Recover allocated %d B (2,000 overwrites) and %d B (16,000)", short, long)
 }

@@ -98,6 +98,15 @@ type muxFile struct {
 }
 
 func newMuxFile(ino uint64, path string, now time.Duration, host int) *muxFile {
+	f := unpublishedFile(ino, path, now, host)
+	f.publishAll()
+	return f
+}
+
+// unpublishedFile is newMuxFile without the published snapshots, which
+// lock-free readers load: replay builds its files this way, and Recover
+// publishes each once, after replay.
+func unpublishedFile(ino uint64, path string, now time.Duration, host int) *muxFile {
 	f := &muxFile{
 		ino:     ino,
 		path:    path,
@@ -110,7 +119,6 @@ func newMuxFile(ino uint64, path string, now time.Duration, host int) *muxFile {
 	f.affATime.Store(int32(host))
 	f.atimeA.Store(int64(now))
 	f.lastRoute.Store(-1)
-	f.publishAll()
 	return f
 }
 
@@ -134,9 +142,18 @@ func (f *muxFile) publishBLT() {
 	f.mapVer.Add(1)
 }
 
+// noHandles is the published handle snapshot of every file without an
+// open downward handle. Readers only index a snapshot, so one empty map
+// serves them all.
+var noHandles = map[int]vfs.File{}
+
 // publishHandles snapshots the downward handle cache. It does not bump
 // mapVer: adding a handle invalidates nothing.
 func (f *muxFile) publishHandles() {
+	if len(f.handles) == 0 {
+		f.handleSnap.Store(&noHandles)
+		return
+	}
 	hs := make(map[int]vfs.File, len(f.handles))
 	for id, h := range f.handles {
 		hs[id] = h
@@ -282,28 +299,40 @@ func (m *Mux) ensureDirs(t *Tier, path string) error {
 // bltRepoint remaps [off, off+n) to tier, maintaining per-tier usage
 // accounting and republishing the mapping. Caller holds f.mu.
 func (m *Mux) bltRepoint(f *muxFile, off, n int64, tier int) {
-	f.segs = f.blt.AppendSegments(f.segs[:0], off, n)
-	for _, seg := range f.segs {
-		if !seg.Hole {
-			m.used(seg.Val).Add(-seg.Len)
-		}
-	}
+	m.bltRemap(f, off, n, tier)
+	f.publishBLT()
+}
+
+// bltRemap is bltRepoint without the publish, for replay: Recover
+// publishes every file once after it.
+func (m *Mux) bltRemap(f *muxFile, off, n int64, tier int) {
+	m.bltUnaccount(f, off, n)
 	f.blt.Insert(off, n, tier)
 	m.used(tier).Add(n)
-	f.publishBLT()
 }
 
 // bltDrop unmaps [off, off+n), maintaining accounting and republishing.
 // Caller holds f.mu.
 func (m *Mux) bltDrop(f *muxFile, off, n int64) {
+	m.bltUnmap(f, off, n)
+	f.publishBLT()
+}
+
+// bltUnmap is bltDrop without the publish.
+func (m *Mux) bltUnmap(f *muxFile, off, n int64) {
+	m.bltUnaccount(f, off, n)
+	f.blt.Delete(off, n)
+}
+
+// bltUnaccount takes the bytes mapped in [off, off+n) off their tiers'
+// usage.
+func (m *Mux) bltUnaccount(f *muxFile, off, n int64) {
 	f.segs = f.blt.AppendSegments(f.segs[:0], off, n)
 	for _, seg := range f.segs {
 		if !seg.Hole {
 			m.used(seg.Val).Add(-seg.Len)
 		}
 	}
-	f.blt.Delete(off, n)
-	f.publishBLT()
 }
 
 // handle is the upward vfs.File Mux hands to applications.

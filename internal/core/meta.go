@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"muxfs/internal/device"
@@ -372,155 +371,170 @@ func (m *Mux) logReplica(f *muxFile) {
 	m.metaAppend(replicaRecord(f))
 }
 
-// inoOp is one buffered per-inode replay record: either a parsed fsrec op
-// or a raw opMux* record (mux == true).
-type inoOp struct {
-	rec journal.Record
-	mux bool
+// replayBatch is how many per-inode records replay buffers before it
+// applies them. It bounds replay's memory whatever the log's length, and
+// it is the unit of parallel work.
+const replayBatch = 4096
+
+// minParallelBatch is the smallest batch applied on more than one
+// goroutine: below it the hand-off costs more than it saves.
+const minParallelBatch = 512
+
+// inoRec is one buffered per-inode record; its payload is
+// replayer.payloads[at : at+n]. f is resolved when the batch applies.
+type inoRec struct {
+	f     *muxFile
+	ino   uint64
+	b     int64
+	at, n int32
+	typ   uint8
 }
 
-// replay rebuilds Mux state from the journal in two passes. Pass 1 reads
-// the log once, applies namespace-structural records (create, mkdir,
-// remove, rename) serially — their cross-file ordering matters — and
-// buffers every per-inode record (extents, sizes, attributes, host,
-// replica) in arrival order per inode. Pass 2 applies the per-inode
-// streams on RecoveryWorkers goroutines: records of different inodes
-// commute, so a 100k-file namespace replays on all cores instead of one.
+// replayer applies the meta log as the journal reads it.
+type replayer struct {
+	m        *Mux
+	recs     []inoRec
+	payloads []byte
+	// removed holds the inodes of the files the log removed. A handle
+	// opened before a Remove can still write, so a removed inode's
+	// records can follow its remove record; replay drops them.
+	removed map[uint64]bool
+}
+
+// replay rebuilds Mux state from the journal in one pass, applying records
+// as they are read. Namespace-structural records (create, mkdir, remove,
+// rename) apply at once, in log order: their cross-file ordering matters.
+// Per-inode records (extents, sizes, attributes, host, replica) buffer in
+// a batch of replayBatch records, which applies on RecoveryWorkers
+// goroutines when it fills, before a remove, and at the end of the log.
+// Records of different inodes commute, and each inode's records go to one
+// goroutine in log order. So replay holds one batch, not the log.
 //
 // Recovery is quiesced — no concurrent user ops — so records mutate file
-// state directly; Recover publishes every file's lock-free snapshots
-// afterward. Replay is tolerant of re-applied records (the compaction
-// snapshot may overlap trailing per-op records), so every case is
-// idempotent.
+// state directly, and files are built unpublished; Recover publishes
+// every file's lock-free snapshots afterward. Replay is tolerant of
+// re-applied records (the compaction snapshot may overlap trailing per-op
+// records), so every case is idempotent.
 func (ml *metaLog) replay(m *Mux) error {
-	perIno := make(map[uint64][]inoOp)
-	var order []uint64 // first-appearance order, for deterministic sharding
-	buffer := func(ino uint64, b inoOp) {
-		if _, ok := perIno[ino]; !ok {
-			order = append(order, ino)
-		}
-		perIno[ino] = append(perIno[ino], b)
-	}
-
-	var structural []fsrec.Op
-	_, err := ml.jnl.Replay(func(r journal.Record) error {
-		if r.Type == opMuxHost || r.Type == opMuxReplica {
-			buffer(uint64(r.A), inoOp{rec: r, mux: true})
-			return nil
-		}
-		switch r.Type {
-		case fsrec.OpCreate, fsrec.OpMkdir, fsrec.OpRemove, fsrec.OpRename:
-			op, err := fsrec.Parse(r)
-			if err != nil {
-				return err
-			}
-			structural = append(structural, op)
-		case fsrec.OpExtent, fsrec.OpSizeTime, fsrec.OpSetAttr, fsrec.OpTruncate, fsrec.OpPunch:
-			// Per-inode records route by Record.A (the inode) without
-			// decoding; fsrec.Parse runs inside the parallel pass 2, off
-			// the serial scan.
-			buffer(uint64(r.A), inoOp{rec: r})
-		default:
-			return fmt.Errorf("mux replay: unhandled op %d", r.Type)
-		}
-		return nil
-	})
-	if err != nil {
+	rp := &replayer{m: m, removed: map[uint64]bool{}}
+	if _, err := ml.jnl.Replay(rp.record); err != nil {
 		return err
 	}
-	if err := m.applyStructural(structural, perIno); err != nil {
+	if err := rp.flush(); err != nil {
 		return err
 	}
-	return m.applyInoOps(order, perIno)
+	if len(rp.recs) > 0 {
+		return fmt.Errorf("mux replay: records for unknown inode %d", rp.recs[0].ino)
+	}
+	return nil
 }
 
-// applyStructural applies the namespace-structural record stream. Ordering
-// matters across removes, renames, and re-used paths, but a run of creates
-// and mkdirs over distinct paths commutes — and that is exactly the shape
-// of a compaction checkpoint, which dominates a big namespace's log. Such
-// runs apply on RecoveryWorkers goroutines (mkdirs first, in log order, so
-// parents exist — hoisting a mkdir above a later-logged create is safe
-// since a dir and a file can never share a path); everything else applies
-// serially, in order, as a barrier between runs.
-func (m *Mux) applyStructural(ops []fsrec.Op, perIno map[uint64][]inoOp) error {
-	// Serial-parallel threshold: below this run length the goroutine
-	// hand-off costs more than it saves.
-	const minParallelRun = 512
-	workers := int(m.recWorkers.Load())
-	for i := 0; i < len(ops); {
-		op := ops[i]
-		if op.Type == fsrec.OpRemove || op.Type == fsrec.OpRename {
-			if err := m.applyStructuralOne(op, perIno); err != nil {
+// record takes one replayed record, valid only during the call.
+func (rp *replayer) record(r journal.Record) error {
+	switch r.Type {
+	case opMuxHost, opMuxReplica,
+		fsrec.OpExtent, fsrec.OpSizeTime, fsrec.OpSetAttr, fsrec.OpTruncate, fsrec.OpPunch:
+		// Per-inode records route by Record.A (the inode) without
+		// decoding; fsrec.Parse runs when the batch applies, in parallel.
+		at := len(rp.payloads)
+		rp.payloads = append(rp.payloads, r.Payload...)
+		rp.recs = append(rp.recs, inoRec{ino: uint64(r.A), b: r.B, at: int32(at), n: int32(len(r.Payload)), typ: r.Type})
+		if len(rp.recs) >= replayBatch {
+			return rp.flush()
+		}
+		return nil
+	case fsrec.OpCreate, fsrec.OpMkdir, fsrec.OpRemove, fsrec.OpRename:
+		op, err := fsrec.Parse(r)
+		if err != nil {
+			return err
+		}
+		if op.Type == fsrec.OpRemove {
+			// A removed file's buffered records apply first, so the
+			// remove unwinds the tier usage they add. Renames need no
+			// barrier: per-inode records do not read the path.
+			if err := rp.flush(); err != nil {
 				return err
 			}
-			i++
-			continue
 		}
-		// Gather the maximal run of creates/mkdirs over distinct paths.
-		j := i
-		seen := map[string]bool{}
-		for j < len(ops) && (ops[j].Type == fsrec.OpCreate || ops[j].Type == fsrec.OpMkdir) &&
-			!seen[ops[j].Path] {
-			seen[ops[j].Path] = true
-			j++
+		return rp.structural(op)
+	default:
+		return fmt.Errorf("mux replay: unhandled op %d", r.Type)
+	}
+}
+
+// flush applies the buffered batch and drops the records of removed
+// inodes. A record whose inode has no file yet stays buffered for the next
+// batch: a write can log a new file's extents before its create record,
+// because Create logs after it publishes the file.
+func (rp *replayer) flush() error {
+	var f *muxFile
+	for i := range rp.recs {
+		r := &rp.recs[i]
+		if f == nil || f.ino != r.ino {
+			f = rp.m.files.get(r.ino)
 		}
-		run := ops[i:j]
-		i = j
-		if workers <= 1 || len(run) < minParallelRun {
-			for _, op := range run {
-				if err := m.applyStructuralOne(op, perIno); err != nil {
-					return err
-				}
-			}
-			continue
+		r.f = f
+	}
+	workers := int(rp.m.recWorkers.Load())
+	if workers <= 1 || len(rp.recs) < minParallelBatch {
+		if err := rp.apply(0, 1); err != nil {
+			return err
 		}
-		var creates []fsrec.Op
-		for _, op := range run {
-			if op.Type == fsrec.OpMkdir {
-				if err := m.applyStructuralOne(op, perIno); err != nil {
-					return err
-				}
-			} else {
-				creates = append(creates, op)
-			}
-		}
-		var next atomic.Int64
-		var wg sync.WaitGroup
+	} else {
 		errs := make([]error, workers)
+		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				for {
-					k := next.Add(1) - 1
-					if k >= int64(len(creates)) {
-						return
-					}
-					if err := m.applyStructuralOne(creates[k], nil); err != nil {
-						errs[w] = err
-						return
-					}
-				}
+				errs[w] = rp.apply(w, workers)
 			}(w)
 		}
 		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
+		if err := errors.Join(errs...); err != nil {
+			return err
+		}
+	}
+	// Keep the records of inodes not created yet, in order.
+	kept, size := 0, int32(0)
+	for _, r := range rp.recs {
+		if r.f != nil || rp.removed[r.ino] {
+			continue
+		}
+		copy(rp.payloads[size:], rp.payloads[r.at:r.at+r.n])
+		r.at = size
+		size += r.n
+		rp.recs[kept] = r
+		kept++
+	}
+	clear(rp.recs[kept:])
+	rp.recs, rp.payloads = rp.recs[:kept], rp.payloads[:size]
+	return nil
+}
+
+// apply applies the batch's records of the inodes ino ≡ part (mod parts),
+// each inode's in log order.
+func (rp *replayer) apply(part, parts int) error {
+	for i := range rp.recs {
+		r := &rp.recs[i]
+		if r.f == nil || int(r.ino%uint64(parts)) != part {
+			continue
+		}
+		rec := journal.Record{Type: r.typ, A: int64(r.ino), B: r.b, Payload: rp.payloads[r.at : r.at+r.n]}
+		if err := rp.m.applyInoRecord(r.f, rec); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// applyStructuralOne applies a single structural record. perIno may be nil
-// when the caller guarantees the op cannot drop an inode buffer (creates
-// and mkdirs never do).
-func (m *Mux) applyStructuralOne(op fsrec.Op, perIno map[uint64][]inoOp) error {
+// structural applies a single structural record.
+func (rp *replayer) structural(op fsrec.Op) error {
+	m := rp.m
 	switch op.Type {
 	case fsrec.OpCreate:
 		_, err := m.ns.CreateFile(op.Path, op.Mode, op.Ino, func(ino uint64) *muxFile {
-			nf := newMuxFile(ino, op.Path, 0, -1)
+			nf := unpublishedFile(ino, op.Path, 0, -1)
 			m.files.put(ino, nf)
 			return nf
 		})
@@ -545,12 +559,14 @@ func (m *Mux) applyStructuralOne(op fsrec.Op, perIno map[uint64][]inoOp) error {
 		if err != nil {
 			return fmt.Errorf("mux replay remove %q: %w", op.Path, err)
 		}
-		if info.File != nil {
-			// The inode's buffered records were never applied, so there
-			// is no usage accounting to unwind — dropping them is
-			// exactly equivalent to apply-then-remove.
-			delete(perIno, info.Ino)
+		if f := info.File; f != nil {
+			// Unwind the tier usage of the records already applied.
+			f.blt.Walk(func(_, n int64, tier int) bool {
+				m.used(tier).Add(-n)
+				return true
+			})
 			m.files.del(info.Ino)
+			rp.removed[info.Ino] = true
 		}
 
 	case fsrec.OpRename:
@@ -571,132 +587,74 @@ func (m *Mux) applyStructuralOne(op fsrec.Op, perIno map[uint64][]inoOp) error {
 	return nil
 }
 
-// applyInoOps is replay pass 2: per-inode record streams applied in
-// parallel, each stream in order.
-func (m *Mux) applyInoOps(order []uint64, perIno map[uint64][]inoOp) error {
-	workers := int(m.recWorkers.Load())
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(order) {
-		workers = len(order)
-	}
-	if workers <= 1 {
-		for _, ino := range order {
-			if err := m.applyInoStream(ino, perIno[ino]); err != nil {
-				return err
-			}
+// applyInoRecord applies one per-inode record to f. It remaps the BLT
+// without publishing it: Recover publishes every file once after replay.
+func (m *Mux) applyInoRecord(f *muxFile, r journal.Record) error {
+	switch r.Type {
+	case opMuxHost:
+		host := int(r.B)
+		f.aff = affinity{Size: host, MTime: host}
+		f.affATime.Store(int32(host))
+		if host >= 0 {
+			f.onTiers[host] = true
 		}
 		return nil
-	}
-
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	var errMu sync.Mutex
-	var firstErr error
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := next.Add(1) - 1
-				if i >= int64(len(order)) {
-					return
-				}
-				ino := order[i]
-				if err := m.applyInoStream(ino, perIno[ino]); err != nil {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					errMu.Unlock()
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return firstErr
-}
-
-// applyInoStream applies one inode's buffered records in order. A nil ops
-// slice (the inode was removed later in the log) is a no-op.
-func (m *Mux) applyInoStream(ino uint64, ops []inoOp) error {
-	if len(ops) == 0 {
-		return nil
-	}
-	f := m.files.get(ino)
-	if f == nil {
-		return fmt.Errorf("mux replay: records for unknown inode %d", ino)
-	}
-	for _, b := range ops {
-		if b.mux {
-			switch b.rec.Type {
-			case opMuxHost:
-				host := int(b.rec.B)
-				f.aff = affinity{Size: host, MTime: host}
-				f.affATime.Store(int32(host))
-				if host >= 0 {
-					f.onTiers[host] = true
-				}
-			case opMuxReplica:
-				tier := int(b.rec.B)
-				if tier < 0 {
-					f.replica = -1
-					f.replicaDegraded = false
-				} else {
-					f.replica = tier
-					f.replicaDegraded = len(b.rec.Payload) > 0 && b.rec.Payload[0] != 0
-					f.onTiers[tier] = true
-				}
-			}
-			continue
-		}
-		op, err := fsrec.Parse(b.rec)
-		if err != nil {
-			return err
-		}
-		switch op.Type {
-		case fsrec.OpExtent:
-			tier := int(op.Delta)
-			m.bltRepoint(f, op.Off, op.N, tier)
+	case opMuxReplica:
+		tier := int(r.B)
+		if tier < 0 {
+			f.replica = -1
+			f.replicaDegraded = false
+		} else {
+			f.replica = tier
+			f.replicaDegraded = len(r.Payload) > 0 && r.Payload[0] != 0
 			f.onTiers[tier] = true
-			if op.Size > f.meta.Size {
-				f.meta.Size = op.Size
-			}
-			f.meta.ModTime = op.MTime
-
-		case fsrec.OpSizeTime:
-			if op.Size > f.meta.Size {
-				f.meta.Size = op.Size
-			}
-			f.meta.ModTime = op.MTime
-
-		case fsrec.OpSetAttr:
-			if op.Size < f.meta.Size {
-				m.bltDrop(f, op.Size, f.meta.Size-op.Size)
-			}
-			f.meta.Size = op.Size
-			f.meta.Mode = op.Mode
-			f.meta.ModTime = op.MTime
-			f.meta.ATime = op.ATime
-			f.meta.CTime = op.CTime
-
-		case fsrec.OpTruncate:
-			if op.Size < f.meta.Size {
-				m.bltDrop(f, op.Size, f.meta.Size-op.Size)
-			}
-			f.meta.Size = op.Size
-			f.meta.ModTime = op.MTime
-
-		case fsrec.OpPunch:
-			first := (op.Off + BlockSize - 1) / BlockSize * BlockSize
-			last := (op.Off + op.N) / BlockSize * BlockSize
-			if last > first {
-				m.bltDrop(f, first, last-first)
-			}
-			f.meta.ModTime = op.MTime
 		}
+		return nil
+	}
+	op, err := fsrec.Parse(r)
+	if err != nil {
+		return err
+	}
+	switch op.Type {
+	case fsrec.OpExtent:
+		tier := int(op.Delta)
+		m.bltRemap(f, op.Off, op.N, tier)
+		f.onTiers[tier] = true
+		if op.Size > f.meta.Size {
+			f.meta.Size = op.Size
+		}
+		f.meta.ModTime = op.MTime
+
+	case fsrec.OpSizeTime:
+		if op.Size > f.meta.Size {
+			f.meta.Size = op.Size
+		}
+		f.meta.ModTime = op.MTime
+
+	case fsrec.OpSetAttr:
+		if op.Size < f.meta.Size {
+			m.bltUnmap(f, op.Size, f.meta.Size-op.Size)
+		}
+		f.meta.Size = op.Size
+		f.meta.Mode = op.Mode
+		f.meta.ModTime = op.MTime
+		f.meta.ATime = op.ATime
+		f.meta.CTime = op.CTime
+
+	case fsrec.OpTruncate:
+		if op.Size < f.meta.Size {
+			m.bltUnmap(f, op.Size, f.meta.Size-op.Size)
+		}
+		f.meta.Size = op.Size
+		f.meta.ModTime = op.MTime
+
+	case fsrec.OpPunch:
+		first := (op.Off + BlockSize - 1) / BlockSize * BlockSize
+		last := (op.Off + op.N) / BlockSize * BlockSize
+		if last > first {
+			m.bltUnmap(f, first, last-first)
+		}
+		f.meta.ModTime = op.MTime
 	}
 	return nil
 }

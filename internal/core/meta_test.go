@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"muxfs/internal/device"
+	"muxfs/internal/fs/fsrec"
+	"muxfs/internal/journal"
 	"muxfs/internal/policy"
 )
 
@@ -225,5 +227,156 @@ func TestConcurrentStress(t *testing.T) {
 			t.Fatalf("file %d read: %v", i, err)
 		}
 		f.Close()
+	}
+}
+
+// Replay applies the meta log in batches as it reads it. A log of several
+// batches, with removes and renames between them and files on two tiers,
+// recovers every surviving file's bytes, drops the removed ones and
+// leaves tier usage equal to the BLTs, at one and at two workers.
+func TestReplayBatchesAcrossRemovesAndRenames(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprint("workers=", workers), func(t *testing.T) {
+			r := newRig(t, policy.Pinned{Tier: 0}, true)
+			r.m.meta.ckptBytes = 1 << 60 // replay the whole history
+			// Three per-inode records a file: the removes cut the log into
+			// batches too small for two workers, and one long enough to
+			// fill a batch.
+			const files = 3000
+			removeAt := map[int]bool{10: true, 20: true, 2500: true, 2501: true}
+			paths := map[int]string{}
+			data := func(i int) []byte { return bytes.Repeat([]byte{byte(i)}, 6000) }
+			for i := 0; i < files; i++ {
+				p := fmt.Sprintf("/f%d", i)
+				writeFile(t, r.m, p, data(i)).Close()
+				paths[i] = p
+				switch {
+				case removeAt[i]:
+					if err := r.m.Remove(paths[i-5]); err != nil {
+						t.Fatal(err)
+					}
+					delete(paths, i-5)
+				case i%5 == 1:
+					np := fmt.Sprintf("/g%d", i)
+					if err := r.m.Rename(p, np); err != nil {
+						t.Fatal(err)
+					}
+					paths[i] = np
+				case i%7 == 2:
+					if _, err := r.m.MigrateRange(p, 0, 1, 0, 4096); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if i%256 == 255 {
+					if err := r.m.Sync(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if err := r.m.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			usedBefore := []int64{r.m.used(0).Load(), r.m.used(1).Load()}
+
+			r.m.SetRecoveryWorkers(workers)
+			r.m.Crash()
+			if err := r.m.Recover(); err != nil {
+				t.Fatal(err)
+			}
+			if got := []int64{r.m.used(0).Load(), r.m.used(1).Load()}; got[0] != usedBefore[0] || got[1] != usedBefore[1] {
+				t.Fatalf("tier usage after recovery %v, before the crash %v", got, usedBefore)
+			}
+			if rep := r.m.Fsck(); !rep.OK() {
+				t.Fatalf("fsck: %v", rep.Problems[:min(3, len(rep.Problems))])
+			}
+			for i := 0; i < files; i++ {
+				p, live := paths[i]
+				if !live {
+					if _, err := r.m.Stat(fmt.Sprintf("/f%d", i)); err == nil {
+						t.Fatalf("removed /f%d is back after recovery", i)
+					}
+					continue
+				}
+				f, err := r.m.Open(p)
+				if err != nil {
+					t.Fatalf("open %s: %v", p, err)
+				}
+				got := make([]byte, 6000)
+				n, err := f.ReadAt(got, 0)
+				f.Close()
+				if n != len(got) || !bytes.Equal(got, data(i)) {
+					t.Fatalf("%s read %d bytes (%v), want its 6000", p, n, err)
+				}
+			}
+		})
+	}
+}
+
+// A write can log a new file's extent before the file's create record
+// (Create logs after it publishes the file). Replay keeps such a record
+// buffered across a batch boundary until the create arrives.
+func TestReplayRecordBeforeItsCreate(t *testing.T) {
+	r := newRig(t, policy.Pinned{Tier: 0}, true)
+	writeFile(t, r.m, "/old", make([]byte, 4096)).Close()
+	if err := r.m.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	old, err := r.m.lookupFile("/old")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const ino = 1 << 20 // no file has it yet
+	recs := []journal.Record{fsrec.Op{Type: fsrec.OpSizeTime, Ino: ino, Size: 777}.Record()}
+	for i := 0; i < replayBatch; i++ { // fill a batch between the two
+		recs = append(recs, fsrec.Op{Type: fsrec.OpSizeTime, Ino: old.ino, Size: 4096}.Record())
+	}
+	recs = append(recs, fsrec.Op{Type: fsrec.OpCreate, Ino: ino, Path: "/new", Mode: 0o644}.Record())
+	if err := r.m.meta.jnl.Commit(recs); err != nil {
+		t.Fatal(err)
+	}
+	r.m.Crash()
+	if err := r.m.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	fi, err := r.m.Stat("/new")
+	if err != nil || fi.Size != 777 {
+		t.Fatalf("stat /new after recovery: %+v, %v; want size 777", fi, err)
+	}
+}
+
+// A handle opened before a Remove can still write, so the log can hold a
+// removed file's records after its remove record. Replay drops them.
+func TestReplayRecordsAfterRemove(t *testing.T) {
+	r := newRig(t, policy.Pinned{Tier: 0}, true)
+	fh := writeFile(t, r.m, "/gone", make([]byte, 8192))
+	defer fh.Close()
+	writeFile(t, r.m, "/kept", []byte("kept")).Close()
+	if err := r.m.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.m.Remove("/gone"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fh.WriteAt(make([]byte, 4096), 16384); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.m.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	r.m.Crash()
+	if err := r.m.Recover(); err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	if _, err := r.m.Stat("/gone"); err == nil {
+		t.Fatal("removed /gone is back after recovery")
+	}
+	if fi, err := r.m.Stat("/kept"); err != nil || fi.Size != 4 {
+		t.Fatalf("stat /kept: %+v, %v", fi, err)
+	}
+	if _, err := r.m.ScrubOrphans(true); err != nil {
+		t.Fatal(err)
+	}
+	if rep := r.m.Fsck(); !rep.OK() {
+		t.Fatalf("fsck: %v", rep.Problems)
 	}
 }

@@ -1086,12 +1086,12 @@ func (m *Mux) Recover() error {
 	for _, c := range *m.tierUsed.Load() {
 		c.Store(0)
 	}
-	if err := m.meta.replay(m); err != nil {
-		return err
-	}
-	// Replay mutated file state directly; publish every lock-free snapshot
-	// before user ops resume. Files are independent, so the publish loop
-	// shards across the recovery workers like replay pass 2.
+	err := m.meta.replay(m)
+	// Replay built its files unpublished and mutated their state directly;
+	// publish every lock-free snapshot before user ops resume, after a
+	// failed replay too, so the files it did build can be read. Files are
+	// independent, so the publish loop shards across the recovery workers
+	// like replay's batches.
 	files := m.files.snapshot()
 	if workers := int(m.recWorkers.Load()); workers > 1 && len(files) > 1024 {
 		var next atomic.Int64
@@ -1120,5 +1120,5 @@ func (m *Mux) Recover() error {
 			f.mu.Unlock()
 		}
 	}
-	return nil
+	return err
 }

@@ -622,6 +622,7 @@ func TestLockFallbackSyncsBeforeLogging(t *testing.T) {
 	// long as every record committed (nothing compacted or dropped).
 	var recs []journal.Record
 	if _, err := ml.jnl.Replay(func(rec journal.Record) error {
+		rec.Payload = bytes.Clone(rec.Payload) // valid only during the call
 		recs = append(recs, rec)
 		return nil
 	}); err != nil {

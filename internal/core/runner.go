@@ -34,11 +34,19 @@ func (m *Mux) RunPolicyOnce() (MigrationStats, error) {
 		return MigrationStats{}, ErrNoTiers
 	}
 
-	filePtrs := m.files.snapshot()
 	rs := m.round.Swap(nil) // a concurrent round builds its own
 	if rs == nil {
 		rs = new(roundScratch)
 	}
+	// rs goes back to m.round only after the heat decay below, the last
+	// reader of filePtrs, and without its file pointers, which would keep
+	// removed files alive until the next round.
+	defer func() {
+		clear(rs.files)
+		m.round.Store(rs)
+	}()
+	rs.files = m.files.appendTo(rs.files[:0])
+	filePtrs := rs.files
 	stats := rs.fileStats(filePtrs)
 	if m.tenantsP.Load() != nil {
 		// Per-tenant occupancy gauges ride the snapshot the round already
@@ -46,7 +54,6 @@ func (m *Mux) RunPolicyOnce() (MigrationStats, error) {
 		m.refreshTenantOccupancy(stats)
 	}
 	moves := m.policy().PlanMigrations(tiers, stats, m.now())
-	m.round.Store(rs)
 
 	// Quarantined tiers were already hidden from the planning snapshot, but
 	// a policy may still propose moves touching one (Pinned ignores the
@@ -93,6 +100,7 @@ func (m *Mux) RunPolicyOnce() (MigrationStats, error) {
 // roundScratch is the policy round's reusable FileStat snapshot, with the
 // flat arrays its Tiers and TierBytes are cut from (Mux.round).
 type roundScratch struct {
+	files []*muxFile // the round's file snapshot
 	stats []policy.FileStat
 	tiers []int
 	bytes []int64

@@ -558,8 +558,10 @@ func (t *inoTable) del(ino uint64) {
 }
 
 // snapshot returns the current file set (unordered).
-func (t *inoTable) snapshot() []*muxFile {
-	out := make([]*muxFile, 0, 64)
+func (t *inoTable) snapshot() []*muxFile { return t.appendTo(make([]*muxFile, 0, 64)) }
+
+// appendTo appends the current file set (unordered) to out.
+func (t *inoTable) appendTo(out []*muxFile) []*muxFile {
 	for i := range t.shard {
 		s := &t.shard[i]
 		s.mu.RLock()

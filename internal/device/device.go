@@ -151,16 +151,64 @@ func (d *Device) ReadAt(p []byte, off int64) (int, error) {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.failed {
-		return 0, fmt.Errorf("device %s: %w", d.prof.Name, ErrInjectedFault)
-	}
-	if err := d.faultCheck(false); err != nil {
+	if err := d.startRead(off, len(p)); err != nil {
 		return 0, err
 	}
-	d.charge(off, len(p), false)
 	d.copyOut(p, off)
-	d.stats.addRead(int64(len(p)))
 	return len(p), nil
+}
+
+// ReadSpan reads the n bytes at off as one request without a buffer of n
+// bytes: the same range check, fault roll, charge and statistics as a
+// ReadAt of n bytes, after which the caller copies the bytes out piece by
+// piece with Span.ReadAt, at no further cost. It mirrors WriteVecAt, which
+// takes a write's bytes in pieces.
+func (d *Device) ReadSpan(off int64, n int) (Span, error) {
+	if n <= 0 {
+		return Span{}, ErrShortBuffer
+	}
+	if err := d.checkRange(off, n); err != nil {
+		return Span{}, err
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if err := d.startRead(off, n); err != nil {
+		return Span{}, err
+	}
+	return Span{d: d, off: off, end: off + int64(n)}, nil
+}
+
+// Span is a read request ReadSpan has charged; its bytes are the device's
+// current contents in [off, end).
+type Span struct {
+	d        *Device
+	off, end int64
+}
+
+// ReadAt copies the len(p) bytes at device offset off, which must lie in
+// the span, into p.
+func (s Span) ReadAt(p []byte, off int64) error {
+	if off < s.off || off+int64(len(p)) > s.end {
+		return fmt.Errorf("%w: [%d,%d) outside the read span [%d,%d)", ErrOutOfRange, off, off+int64(len(p)), s.off, s.end)
+	}
+	s.d.mu.Lock()
+	defer s.d.mu.Unlock()
+	s.d.copyOut(p, off)
+	return nil
+}
+
+// startRead is the accounting of one read request of n bytes at off: the
+// failed-device check, fault roll, charge and statistics. Caller holds d.mu.
+func (d *Device) startRead(off int64, n int) error {
+	if d.failed {
+		return fmt.Errorf("device %s: %w", d.prof.Name, ErrInjectedFault)
+	}
+	if err := d.faultCheck(false); err != nil {
+		return err
+	}
+	d.charge(off, n, false)
+	d.stats.addRead(int64(n))
+	return nil
 }
 
 // Peek copies the current contents at off into p at no cost: it charges no

@@ -9,7 +9,10 @@
 // of the performance problems §3.1 attributes to Strata).
 package extent
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 type entry[V comparable] struct {
 	off, end int64 // [off, end)
@@ -42,68 +45,85 @@ func (t *Tree[V]) firstOverlapping(off int64) int {
 }
 
 // Insert maps [off, off+n) to v, replacing any previous mappings in the
-// range. Zero or negative n is a no-op.
+// range. Zero or negative n is a no-op. It splices the run into the
+// entry slice in place, growing it only when the slice is full.
 func (t *Tree[V]) Insert(off, n int64, v V) {
 	if n <= 0 {
 		return
 	}
 	end := off + n
-	i := t.firstOverlapping(off)
+	i, j := t.overlapping(off, end)
 
-	// Entries strictly before the insertion point stay.
-	head := t.ents[:i]
-
-	var mid []entry[V]
-	// Left remainder of a straddling entry.
-	if i < len(t.ents) && t.ents[i].off < off {
-		mid = append(mid, entry[V]{t.ents[i].off, off, t.ents[i].val})
-	}
-	mid = append(mid, entry[V]{off, end, v})
-
-	// Skip entries fully covered; keep the right remainder of the last
-	// overlapped entry.
-	j := i
-	for j < len(t.ents) && t.ents[j].off < end {
-		if t.ents[j].end > end {
-			mid = append(mid, entry[V]{end, t.ents[j].end, t.ents[j].val})
+	// The replacement for ents[i:j]: the left remainder of a straddling
+	// entry, the new run, the right remainder of the last overlapped one.
+	// A remainder with v's value joins the new run.
+	var repl [3]entry[V]
+	k := 0
+	if i < j && t.ents[i].off < off {
+		if e := t.ents[i]; e.val == v {
+			off = e.off
+		} else {
+			repl[k] = entry[V]{e.off, off, e.val}
+			k++
 		}
+	}
+	at := k
+	repl[k] = entry[V]{off, end, v}
+	k++
+	if i < j && t.ents[j-1].end > end {
+		if e := t.ents[j-1]; e.val == v {
+			repl[at].end = e.end
+		} else {
+			repl[k] = entry[V]{end, e.end, e.val}
+			k++
+		}
+	}
+	// The tree is coalesced outside the splice, so only the entries on
+	// either side of it can join the replacement.
+	if i > 0 && t.ents[i-1].end == repl[0].off && t.ents[i-1].val == repl[0].val {
+		repl[0].off = t.ents[i-1].off
+		i--
+	}
+	if j < len(t.ents) && repl[k-1].end == t.ents[j].off && repl[k-1].val == t.ents[j].val {
+		repl[k-1].end = t.ents[j].end
 		j++
 	}
-
-	out := make([]entry[V], 0, len(head)+len(mid)+len(t.ents)-j)
-	out = append(out, head...)
-	out = append(out, mid...)
-	out = append(out, t.ents[j:]...)
-	t.ents = coalesce(out)
+	t.ents = slices.Replace(t.ents, i, j, repl[:k]...)
 }
 
-// Delete unmaps [off, off+n), splitting straddling entries.
+// Delete unmaps [off, off+n), splitting straddling entries in place.
 func (t *Tree[V]) Delete(off, n int64) {
 	if n <= 0 {
 		return
 	}
 	end := off + n
-	i := t.firstOverlapping(off)
-	head := t.ents[:i]
+	i, j := t.overlapping(off, end)
+	if i == j {
+		return
+	}
+	var repl [2]entry[V]
+	k := 0
+	if e := t.ents[i]; e.off < off {
+		repl[k] = entry[V]{e.off, off, e.val}
+		k++
+	}
+	if e := t.ents[j-1]; e.end > end {
+		repl[k] = entry[V]{end, e.end, e.val}
+		k++
+	}
+	// Nothing new to coalesce: deletion cannot join neighbors.
+	t.ents = slices.Replace(t.ents, i, j, repl[:k]...)
+}
 
-	var mid []entry[V]
-	j := i
+// overlapping returns the index range [i, j) of the entries that overlap
+// [off, end).
+func (t *Tree[V]) overlapping(off, end int64) (i, j int) {
+	i = t.firstOverlapping(off)
+	j = i
 	for j < len(t.ents) && t.ents[j].off < end {
-		e := t.ents[j]
-		if e.off < off {
-			mid = append(mid, entry[V]{e.off, off, e.val})
-		}
-		if e.end > end {
-			mid = append(mid, entry[V]{end, e.end, e.val})
-		}
 		j++
 	}
-
-	out := make([]entry[V], 0, len(head)+len(mid)+len(t.ents)-j)
-	out = append(out, head...)
-	out = append(out, mid...)
-	out = append(out, t.ents[j:]...)
-	t.ents = out // nothing new to coalesce: deletion cannot join neighbors
+	return i, j
 }
 
 // Lookup returns the value and full mapped run containing off.
@@ -191,21 +211,3 @@ func (t *Tree[V]) Clone() *Tree[V] {
 
 // Clear removes all mappings.
 func (t *Tree[V]) Clear() { t.ents = t.ents[:0] }
-
-// coalesce merges adjacent entries with equal values. Input must be sorted
-// and non-overlapping.
-func coalesce[V comparable](ents []entry[V]) []entry[V] {
-	if len(ents) < 2 {
-		return ents
-	}
-	out := ents[:1]
-	for _, e := range ents[1:] {
-		last := &out[len(out)-1]
-		if last.end == e.off && last.val == e.val {
-			last.end = e.end
-		} else {
-			out = append(out, e)
-		}
-	}
-	return out
-}

@@ -1,6 +1,7 @@
 package extent
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -315,5 +316,91 @@ func BenchmarkAppendSegments(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		off := int64(i%1024) * 8192
 		scratch = tr.AppendSegments(scratch[:0], off+2048, 4096)
+	}
+}
+
+// Updates splice into the entry slice in place: a clone taken before them
+// keeps its runs, and once the slice has room an update allocates nothing.
+func TestInPlaceUpdates(t *testing.T) {
+	var tr Tree[int]
+	fillRuns(&tr, 64)
+	c := tr.Clone()
+	tr.Insert(8192+1024, 2048, -1) // splits run 1 into three
+	tr.Delete(3*8192, 4096)        // removes run 3
+	tr.Insert(0, 64*8192, 7)       // replaces everything
+	if c.Len() != 64 {
+		t.Fatalf("clone has %d runs after updates to the original, want 64", c.Len())
+	}
+	for i := int64(0); i < 64; i++ {
+		if v, seg, ok := c.Lookup(i*8192 + 100); !ok || v != int(i) || seg.Off != i*8192 || seg.Len != 4096 {
+			t.Fatalf("clone run %d = %v %+v %v", i, v, seg, ok)
+		}
+	}
+	tr.Clear()
+	fillRuns(&tr, 64)
+	k := 0
+	if a := testing.AllocsPerRun(200, func() {
+		off := int64(k%64) * 8192
+		tr.Insert(off+1024, 2048, -1) // one run becomes three
+		tr.Delete(off+1024, 2048)     // and two
+		tr.Insert(off+1024, 2048, k%64)
+		k++
+	}); a != 0 {
+		t.Fatalf("in-place updates: %.1f allocations per round, want 0", a)
+	}
+	if tr.Len() != 64 {
+		t.Fatalf("%d runs after balanced updates, want 64", tr.Len())
+	}
+}
+
+// fillRuns resets tr to n 4 KiB runs with 4 KiB holes between them, run i
+// at i×8 KiB with value i.
+func fillRuns(tr *Tree[int], n int) {
+	tr.Clear()
+	for i := 0; i < n; i++ {
+		tr.Insert(int64(i)*8192, 4096, i)
+	}
+}
+
+var benchSizes = []int{16, 1024, 65536}
+
+// BenchmarkInsert fills a hole between two runs with a run of a third
+// value, so the tree gains an entry and the entries after it shift. Every
+// n inserts the tree goes back to n runs, so it holds n to 2n runs.
+func BenchmarkInsert(b *testing.B) {
+	for _, n := range benchSizes {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			var tr Tree[int]
+			fillRuns(&tr, n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k := i % n
+				if k == 0 && i > 0 {
+					fillRuns(&tr, n)
+				}
+				tr.Insert(int64(k)*8192+4096, 4096, -1)
+			}
+		})
+	}
+}
+
+// BenchmarkDelete unmaps one run, so the entries after it shift. Every n
+// deletes the tree goes back to 2n runs, so it holds n to 2n runs.
+func BenchmarkDelete(b *testing.B) {
+	for _, n := range benchSizes {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			var tr Tree[int]
+			fillRuns(&tr, 2*n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k := i % n
+				if k == 0 && i > 0 {
+					fillRuns(&tr, 2*n)
+				}
+				tr.Delete(int64(k)*8192, 4096)
+			}
+		})
 	}
 }

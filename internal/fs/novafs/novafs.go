@@ -242,9 +242,10 @@ func (fs *FS) Write(ino *fsbase.Inode, inoNum uint64, p []byte, off int64) (int,
 		}
 		blk, err := fs.pages.Alloc()
 		if err != nil {
-			// Roll back pages allocated for this write.
+			// Roll back pages allocated for this write: every page of
+			// each coalesced run.
 			for _, r := range newRuns {
-				fs.pages.FreeBlock(fs.page(r.foff + r.delta))
+				fs.Free(r.foff+r.delta, r.length)
 				ino.Ext.Delete(r.foff, r.length)
 			}
 			return 0, vfs.ErrNoSpace

@@ -196,6 +196,43 @@ func TestNoSpace(t *testing.T) {
 	}
 }
 
+// A write that runs out of pages partway rolls back every page it mapped,
+// not only the first page of each contiguous run: afterwards the pages in
+// use are exactly the pages the file maps.
+func TestNoSpaceRollbackFreesWholeRuns(t *testing.T) {
+	prof := device.PMProfile("tiny")
+	prof.Capacity = 4 << 20
+	fs, err := New("nova@tiny", device.New(prof, simclock.New()), DefaultCosts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := fs.Create("/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.WriteAt(make([]byte, 2<<20), 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt(make([]byte, 2<<20), 2<<20); !errors.Is(err, vfs.ErrNoSpace) {
+		t.Fatalf("second 2 MiB write: %v, want ErrNoSpace", err)
+	}
+	st, err := fs.Statfs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fi, err := f.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Used != fi.Blocks {
+		t.Fatalf("Statfs used %d B, the file maps %d B: the rollback leaked %d B", st.Used, fi.Blocks, st.Used-fi.Blocks)
+	}
+	if err := fs.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestDAXReadChargesNoDRAMCache(t *testing.T) {
 	// Two identical reads must cost the same: novafs has no page cache, so
 	// there is no warm-up effect (that's the DAX property E3 relies on).

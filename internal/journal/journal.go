@@ -121,46 +121,22 @@ func (j *Journal) Commit(recs []Record) error {
 // reached their commit marker are discarded (torn tail). Replay also
 // rebuilds the head and sequence so logging can resume. It returns the
 // number of transactions applied.
+//
+// A record's Payload is valid only until apply returns: replay reads the
+// log through one small reused window, so its host memory is the window
+// plus the largest transaction, not the length of the log.
 func (j *Journal) Replay(apply func(Record) error) (int, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 
+	sc := scanner{dev: j.dev, base: j.start, size: j.size}
 	pos := int64(0)
 	applied := 0
-	var pending []Record
 	var pendingSeq uint64
 	lastCommitEnd := int64(0)
 	maxSeq := uint64(0)
-
-	// The scan reads the region through multi-megabyte slabs instead of two
-	// device calls per record: replay of a big log is a serial bottleneck
-	// of recovery, and per-record ReadAt round-trips dominated it. Record
-	// payloads alias the slab (never mutated, and each refill allocates a
-	// fresh slab), so replay does one allocation per slab, not per record.
-	const slabSize = 4 << 20
-	var (
-		slab      []byte
-		slabStart int64 // region-relative offset of slab[0]
-	)
-	view := func(off, n int64) ([]byte, error) {
-		if off < slabStart || off+n > slabStart+int64(len(slab)) {
-			sz := int64(slabSize)
-			if sz < n {
-				sz = n
-			}
-			if sz > j.size-off {
-				sz = j.size - off
-			}
-			slab = make([]byte, sz)
-			slabStart = off
-			if _, err := j.dev.ReadAt(slab, j.start+off); err != nil {
-				return nil, err
-			}
-		}
-		return slab[off-slabStart : off-slabStart+n], nil
-	}
 	for pos+headerSize <= j.size {
-		hdr, err := view(pos, headerSize)
+		hdr, err := sc.view(pos, headerSize)
 		if err != nil {
 			return applied, fmt.Errorf("journal replay read: %w", err)
 		}
@@ -177,14 +153,17 @@ func (j *Journal) Replay(apply func(Record) error) (int, error) {
 		if pos+headerSize+int64(plen) > j.size {
 			break // torn record running past the region
 		}
+		// The payload view may move the window off the header, so the
+		// header's share of the CRC is taken first.
+		crc := crc32.ChecksumIEEE(hdr[4:29])
 		var payload []byte
 		if plen > 0 {
-			payload, err = view(pos+headerSize, int64(plen))
+			payload, err = sc.view(pos+headerSize, int64(plen))
 			if err != nil {
 				return applied, fmt.Errorf("journal replay read: %w", err)
 			}
 		}
-		if recordCRC(hdr, payload) != wantCRC {
+		if crc32.Update(crc, crc32.IEEETable, payload) != wantCRC {
 			break // torn write: stop at the first bad checksum
 		}
 		if seq <= maxSeq {
@@ -199,18 +178,18 @@ func (j *Journal) Replay(apply func(Record) error) (int, error) {
 		if pendingSeq != 0 && seq != pendingSeq {
 			// A new transaction started without the previous committing:
 			// drop the uncommitted one.
-			pending = pending[:0]
+			sc.dropPending()
 		}
 		pendingSeq = seq
 
 		if typ == commitType {
-			for _, r := range pending {
-				if err := apply(r); err != nil {
+			for i := range sc.pending {
+				if err := apply(sc.record(i)); err != nil {
 					return applied, fmt.Errorf("journal replay apply: %w", err)
 				}
 			}
 			applied++
-			pending = pending[:0]
+			sc.dropPending()
 			pendingSeq = 0
 			lastCommitEnd = pos
 			if seq > maxSeq {
@@ -218,12 +197,112 @@ func (j *Journal) Replay(apply func(Record) error) (int, error) {
 			}
 			continue
 		}
-		pending = append(pending, Record{Type: typ, A: a, B: b, Payload: payload})
+		sc.pending = append(sc.pending, pendingRecord{a: a, b: b, off: pos - int64(plen), n: plen, typ: typ})
 	}
 
 	j.head = lastCommitEnd
 	j.seq = maxSeq + 1
 	return applied, nil
+}
+
+// Replay reads the region in spans of replaySpan bytes, each one charged
+// device request (device.ReadSpan), and copies each span into the host
+// through a window of replayWindow bytes, reused. A record larger than the
+// window grows it to the record's size.
+const (
+	replaySpan   = 4 << 20
+	replayWindow = 64 << 10
+)
+
+// scanner is Replay's view of the region: the charged span, the window of
+// its bytes in host memory, and the records of the open transaction, whose
+// payloads stay in the window until it moves and in the arena after.
+type scanner struct {
+	dev        *device.Device
+	base, size int64 // the region, [base, base+size) of dev
+
+	span    device.Span
+	spanOff int64 // region-relative bounds of span
+	spanEnd int64
+	win     []byte // region bytes [winOff, winOff+len(win))
+	winOff  int64
+
+	pending []pendingRecord // the open transaction
+	inWin   int             // pending[inWin:] have their payloads in win
+	arena   []byte          // payloads of pending[:inWin]
+}
+
+// pendingRecord is a record of the open transaction. Its payload is the n
+// bytes at off: a region offset while the payload is in the window, an
+// arena offset once the window has moved. It holds no pointer, so a large
+// transaction (a compaction snapshot) costs the garbage collector nothing
+// to scan.
+type pendingRecord struct {
+	a, b int64
+	off  int64
+	n    uint32
+	typ  uint8
+}
+
+// record returns pending record i, its payload aliasing the window or the
+// arena.
+func (sc *scanner) record(i int) Record {
+	p := &sc.pending[i]
+	r := Record{Type: p.typ, A: p.a, B: p.b}
+	if p.n > 0 {
+		at, buf := p.off, sc.arena
+		if i >= sc.inWin {
+			at, buf = p.off-sc.winOff, sc.win
+		}
+		r.Payload = buf[at : at+int64(p.n) : at+int64(p.n)]
+	}
+	return r
+}
+
+// view returns the n region bytes at off, capped at n. The slice is valid
+// until the next view call moves the window.
+func (sc *scanner) view(off, n int64) ([]byte, error) {
+	if off >= sc.winOff && off+n <= sc.winOff+int64(len(sc.win)) {
+		return sc.win[off-sc.winOff : off-sc.winOff+n : off-sc.winOff+n], nil
+	}
+	if off < sc.spanOff || off+n > sc.spanEnd {
+		sz := max(int64(replaySpan), n)
+		sz = min(sz, sc.size-off)
+		span, err := sc.dev.ReadSpan(sc.base+off, int(sz))
+		if err != nil {
+			return nil, err
+		}
+		sc.span, sc.spanOff, sc.spanEnd = span, off, off+sz
+	}
+	sc.keepPending()
+	w := min(max(int64(replayWindow), n), sc.size)
+	if int64(cap(sc.win)) < w {
+		sc.win = make([]byte, w)
+	}
+	w = min(int64(cap(sc.win)), sc.spanEnd-off)
+	sc.win, sc.winOff = sc.win[:w], off
+	if err := sc.span.ReadAt(sc.win, sc.base+off); err != nil {
+		return nil, err
+	}
+	return sc.win[:n:n], nil
+}
+
+// keepPending copies the payloads of the open transaction that are in the
+// window into the arena, before the window moves.
+func (sc *scanner) keepPending() {
+	for i := sc.inWin; i < len(sc.pending); i++ {
+		if p := &sc.pending[i]; p.n > 0 {
+			at := p.off - sc.winOff
+			p.off = int64(len(sc.arena))
+			sc.arena = append(sc.arena, sc.win[at:at+int64(p.n)]...)
+		}
+	}
+	sc.inWin = len(sc.pending)
+}
+
+// dropPending empties the open transaction, keeping its buffers.
+func (sc *scanner) dropPending() {
+	sc.pending, sc.arena, sc.inWin = sc.pending[:0], sc.arena[:0], 0
 }
 
 // UsedBytes returns the bytes currently occupied by the log.
