@@ -26,23 +26,26 @@ race:
 # race target above never checks them: the novafs data path (overwrite,
 # read, handle stat), the blockfs sync path, xfslite's byte-free clean
 # cache pages, the stripe tier's pooled batch buffers, the
-# pipelined migration copy, the muxns wire, the journal's reused encode
-# buffer and replay window, core's meta-journaled overwrite, hole write,
-# read and stat paths, and core's recovery heap, which must not grow with
-# the length of the meta log. The device page tests are not among them: device pages come from
+# pipelined migration copy, a whole 1 MiB Migrate with one and with two
+# workers (TestMigrateAllocationBudget), the muxns wire, the journal's
+# reused encode buffer and replay window, core's meta-journaled overwrite,
+# hole write, read and stat paths, a read spanning two tiers at fan-out
+# width 1 (TestSpanningReadAllocatesNothing), and core's recovery heap,
+# which must not grow with the length of the meta log. The device page tests are not among them: device pages come from
 # the bufpool page arena, whose free list the race runtime leaves alone, so
 # they run under -race with the rest of the suite.
 budget:
 	$(GO) test -count=1 -run 'AllocatesNothing|AllocationBudget|AllocBudget' ./internal/fs/novafs ./internal/fs/blockfs ./internal/fs/xfslite ./internal/ec ./internal/core ./internal/server ./internal/journal
 
 # stress repeats the read-vs-migration race tests, the migration-batch
-# worker-equivalence test, the breaker/gate concurrency test, the buffer
-# pool's and the page arena's parallel Get/Put tests and the stripe tier's
-# stale-buffer test under the race detector. They are timing-dependent: a
+# worker-equivalence test, the tier add/remove-vs-I/O test, the
+# breaker/gate concurrency test, the buffer pool's and the page arena's
+# parallel Get/Put tests and the stripe tier's stale-buffer test under the
+# race detector. They are timing-dependent: a
 # single pass hides a failure that shows up in a few runs out of twenty, so
 # they run twenty times in a row.
 stress:
-	$(GO) test -race -count=20 -run 'TestReadFastPathRacesMigration|TestRoutedReadsVsMigration|TestConcurrentMigrationStorm|TestMigrationWorkersEquivalent|TestGuardConcurrent|TestBufpoolConcurrent|TestPageArenaConcurrent|TestStaleBuffersNeverLeak' ./internal/core ./internal/guard ./internal/bufpool ./internal/ec
+	$(GO) test -race -count=20 -run 'TestReadFastPathRacesMigration|TestRoutedReadsVsMigration|TestConcurrentMigrationStorm|TestMigrationWorkersEquivalent|TestAddTierConcurrentWithIO|TestGuardConcurrent|TestBufpoolConcurrent|TestPageArenaConcurrent|TestStaleBuffersNeverLeak' ./internal/core ./internal/guard ./internal/bufpool ./internal/ec
 
 # fuzz runs each decoder fuzz target for 10 seconds. The muxns frame
 # decoders (internal/muxns; the targets sit with its client in

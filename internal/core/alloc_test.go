@@ -15,7 +15,7 @@ import (
 // quarantine opens tier id's breaker by hand (the breaker's transitions
 // are covered in internal/guard).
 func quarantine(m *Mux, id int) {
-	m.healthOf(id).Trip()
+	m.tierRec(id).health.Trip()
 }
 
 // filterHealthy runs on every placement query: with nothing quarantined it
@@ -83,7 +83,7 @@ func TestPipelinedCopyAllocationBudget(t *testing.T) {
 	}
 	ranges := []vfs.Extent{{Off: 0, Len: size}}
 	copyOnce := func() {
-		if err := r.m.copyRanges(srcH, dstH, r.ids.pm, r.ids.ssd, ranges); err != nil {
+		if err := r.m.copyRanges(srcH, dstH, r.m.tierRec(r.ids.pm), r.m.tierRec(r.ids.ssd), ranges); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -92,6 +92,68 @@ func TestPipelinedCopyAllocationBudget(t *testing.T) {
 	}
 	if a := testing.AllocsPerRun(20, copyOnce); a > 32 {
 		t.Fatalf("pipelined copy allocates %.1f objects per call, want <= 32", a)
+	}
+}
+
+// A whole-file Migrate copies through pooled chunk buffers, so the heap it
+// takes per byte moved stays near 0.02 B, with the serial copy loop (one
+// migration worker) and the pipelined copier alike. The 1.1 B budget fails
+// a copy path that allocates a buffer per chunk moved.
+func TestMigrateAllocationBudget(t *testing.T) {
+	if race.Enabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	const size = 1 << 20
+	for _, workers := range []int{1, 2} {
+		r := newRig(t, policy.Pinned{}, false)
+		r.m.SetMigrationWorkers(workers)
+		fh := writeFile(t, r.m, "/mig", bytes.Repeat([]byte{0x6B}, size))
+		defer fh.Close()
+		moves := 0
+		migrate := func() {
+			src, dst := r.ids.pm, r.ids.ssd
+			if moves%2 == 1 {
+				src, dst = dst, src
+			}
+			moves++
+			if n, err := r.m.Migrate("/mig", src, dst); err != nil || n != size {
+				t.Fatalf("migrate %d -> %d: moved %d bytes, %v", src, dst, n, err)
+			}
+		}
+		if b := fstest.AllocBytesPerRun(20, migrate) / size; b > 1.1 {
+			t.Errorf("%d workers: a 1 MiB Migrate allocates %.3f B per byte moved, want <= 1.1", workers, b)
+		} else {
+			t.Logf("%d workers: %.3f B per byte moved", workers, b)
+		}
+	}
+}
+
+// A read spanning two tiers at fan-out width 1 runs its plan serially on
+// the calling goroutine: the pooled plan, the BLT walk scratch and the
+// tier grouping allocate nothing.
+func TestSpanningReadAllocatesNothing(t *testing.T) {
+	if race.Enabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	r := newRigConfig(t, policy.Pinned{}, false, func(c *Config) { c.DataFanout = 1 })
+	const size = 64 << 10
+	fh := writeFile(t, r.m, "/span", bytes.Repeat([]byte{0x2C}, size))
+	defer fh.Close()
+	if _, err := r.m.MigrateRange("/span", r.ids.pm, r.ids.ssd, size/2, size/2); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 8192)
+	read := func() {
+		if n, err := fh.ReadAt(buf, size/2-4096); err != nil || n != len(buf) {
+			t.Fatalf("spanning read: %d bytes, %v", n, err)
+		}
+	}
+	read() // open both downward handles
+	if usage := r.m.TierUsage(); usage[r.ids.pm] != size/2 || usage[r.ids.ssd] != size/2 {
+		t.Fatalf("usage %v, want the file split between PM and SSD", usage)
+	}
+	if a := testing.AllocsPerRun(1000, read); a != 0 {
+		t.Fatalf("read spanning two tiers: %.1f allocations per call, want 0", a)
 	}
 }
 

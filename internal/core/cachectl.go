@@ -30,7 +30,6 @@ type CacheStats struct {
 // preallocated file on a PM-class tier, accessed DAX-style through that
 // tier's file system.
 type cacheCtl struct {
-	m    *Mux
 	tier *Tier
 	file vfs.File
 	mg   *cache.MGLRU
@@ -41,7 +40,7 @@ type cacheCtl struct {
 	slotCount int64
 }
 
-func newCacheCtl(m *Mux, t *Tier, bytes int64) (*cacheCtl, error) {
+func newCacheCtl(t *Tier, bytes int64) (*cacheCtl, error) {
 	if t.Prof.Class != device.PM && t.Prof.Class != device.DRAM {
 		return nil, fmt.Errorf("mux: SCM cache tier %s is not storage-class memory", t.FS.Name())
 	}
@@ -61,7 +60,6 @@ func newCacheCtl(m *Mux, t *Tier, bytes int64) (*cacheCtl, error) {
 		return nil, fmt.Errorf("mux: SCM cache prealloc: %w", err)
 	}
 	ctl := &cacheCtl{
-		m:         m,
 		tier:      t,
 		file:      f,
 		mg:        cache.New(int(slots)),
@@ -76,11 +74,7 @@ func newCacheCtl(m *Mux, t *Tier, bytes int64) (*cacheCtl, error) {
 
 // cacheable reports whether reads from the given tier should go through the
 // cache (only tiers slower than the SCM itself benefit).
-func (c *cacheCtl) cacheable(tier int) bool {
-	t, err := c.m.tier(tier)
-	if err != nil {
-		return false
-	}
+func (c *cacheCtl) cacheable(t *Tier) bool {
 	return t.Prof.ReadLatency > c.tier.Prof.ReadLatency
 }
 

@@ -58,7 +58,7 @@ const maxTierIOWidth = 16
 // caller's buffer.
 type ioSeg struct {
 	h        vfs.File
-	tier     int
+	t        *Tier
 	off, ln  int64
 	bufStart int64
 }
@@ -85,29 +85,6 @@ func putPlan(p *[]ioSeg) {
 	planPool.Put(p)
 }
 
-// SetDataFanout bounds how many per-tier segment groups of one request may
-// dispatch concurrently. Values below 1 clamp to 1 (serial dispatch, the
-// pre-fan-out behavior).
-func (m *Mux) SetDataFanout(n int) {
-	if n < 1 {
-		n = 1
-	}
-	m.fanWidth.Store(int32(n))
-}
-
-// DataFanout reports the configured fan-out width.
-func (m *Mux) DataFanout() int { return int(m.fanWidth.Load()) }
-
-// ioGate returns tier id's data-path gate; unknown ids get nil, which
-// guard.Gate treats as unbounded.
-func (m *Mux) ioGate(id int) *guard.Gate {
-	tab := *m.ioGates.Load()
-	if id < 0 || id >= len(tab) {
-		return nil
-	}
-	return tab[id]
-}
-
 // readSegment serves one read segment: through the SCM cache when the tier
 // qualifies, otherwise straight from the downward handle, holding a
 // data-path slot for the duration of the device call. A short downward read
@@ -123,26 +100,25 @@ func (m *Mux) ioGate(id int) *guard.Gate {
 // locked read attempt): routing is skipped then, because readRoutedMirror
 // may take f.mu to resolve an uncached mirror handle, and the replica
 // fallback runs under the caller's lock.
-func (m *Mux) readSegment(f *muxFile, scm *cacheCtl, dh vfs.File, tier int, dst []byte, off int64, held bool) error {
-	if rt, routed := m.routeTarget(f, tier); routed && !held {
-		if rt != tier && m.readRoutedMirror(f, rt, dst, off) {
-			f.noteRoute(rt, true)
+func (m *Mux) readSegment(f *muxFile, scm *cacheCtl, dh vfs.File, t *Tier, dst []byte, off int64, held bool) error {
+	if rt, routed := m.routeTarget(f, t); routed && !held {
+		if rt != t && m.readRoutedMirror(f, rt, dst, off) {
+			f.noteRoute(rt.ID, true)
 			m.telRouted(rt, true)
 			return nil
 		}
-		f.noteRoute(tier, false)
-		m.telRouted(tier, false)
+		f.noteRoute(t.ID, false)
+		m.telRouted(t, false)
 	}
 	t0 := m.telStart()
-	gate := m.ioGate(tier)
-	gate.Acquire()
+	t.gate.Acquire()
 	var err error
-	if scm != nil && scm.cacheable(tier) {
-		err = m.tierIO(tier, func() error {
-			return scm.read(f.ino, tier, dh, dst, off)
+	if scm != nil && scm.cacheable(t) {
+		err = m.tierIO(t, func() error {
+			return scm.read(f.ino, t.ID, dh, dst, off)
 		})
 	} else {
-		err = m.tierIO(tier, func() error {
+		err = m.tierIO(t, func() error {
 			nr, rerr := dh.ReadAt(dst, off)
 			if rerr != nil && !errors.Is(rerr, io.EOF) {
 				return rerr
@@ -153,8 +129,8 @@ func (m *Mux) readSegment(f *muxFile, scm *cacheCtl, dh vfs.File, tier int, dst 
 			return nil
 		})
 	}
-	gate.Release()
-	m.telIO("read", tier, f.loadPath(), int64(len(dst)), t0, err)
+	t.gate.Release()
+	m.telIO("read", t, f.loadPath(), int64(len(dst)), t0, err)
 	if err != nil {
 		return m.readWithReplicaFallback(f, dst, off, err, held)
 	}
@@ -163,33 +139,32 @@ func (m *Mux) readSegment(f *muxFile, scm *cacheCtl, dh vfs.File, tier int, dst 
 
 // writeSegment writes one segment to its downward handle under a data-path
 // slot and the tier's health tracker. path is only for telemetry traces.
-func (m *Mux) writeSegment(dh vfs.File, tier int, path string, buf []byte, off int64) error {
+func (m *Mux) writeSegment(dh vfs.File, t *Tier, path string, buf []byte, off int64) error {
 	t0 := m.telStart()
-	gate := m.ioGate(tier)
-	gate.Acquire()
-	err := m.tierIO(tier, func() error {
+	t.gate.Acquire()
+	err := m.tierIO(t, func() error {
 		_, werr := dh.WriteAt(buf, off)
 		return werr
 	})
-	gate.Release()
-	m.telIO("write", tier, path, int64(len(buf)), t0, err)
+	t.gate.Release()
+	m.telIO("write", t, path, int64(len(buf)), t0, err)
 	return err
 }
 
 // planTiers returns the distinct tiers of a plan in order of first
 // appearance — the fan-out groups.
-func planTiers(plan []ioSeg) []int {
-	tiers := make([]int, 0, 4)
+func planTiers(plan []ioSeg) []*Tier {
+	tiers := make([]*Tier, 0, 4)
 	for i := range plan {
 		seen := false
 		for _, t := range tiers {
-			if t == plan[i].tier {
+			if t == plan[i].t {
 				seen = true
 				break
 			}
 		}
 		if !seen {
-			tiers = append(tiers, plan[i].tier)
+			tiers = append(tiers, plan[i].t)
 		}
 	}
 	return tiers
@@ -206,14 +181,13 @@ type segRunner interface {
 // runs serially on the calling goroutine in plan order, stopping at the
 // first error. Otherwise each tier's segment group runs on its own
 // goroutine, in plan order within the group and stopping at the group's
-// first error, with at most DataFanout groups in flight; the error
+// first error, with at most Config.DataFanout groups in flight; the error
 // returned is the earliest group's in plan order, so a multi-tier failure
 // surfaces deterministically. The goroutines touch only downward handles
 // and the per-tier gates, never f.mu (see the rules above).
 func fanout[R segRunner](m *Mux, plan []ioSeg, r R) error {
 	tiers := planTiers(plan)
-	width := m.DataFanout()
-	if len(tiers) <= 1 || width <= 1 {
+	if len(tiers) <= 1 || m.fanWidth <= 1 {
 		for i := range plan {
 			if err := r.runSeg(m, plan, i); err != nil {
 				return err
@@ -222,17 +196,17 @@ func fanout[R segRunner](m *Mux, plan []ioSeg, r R) error {
 		return nil
 	}
 
-	gate := guard.NewGate(width)
+	gate := guard.NewGate(m.fanWidth)
 	errs := make([]error, len(tiers))
 	var wg sync.WaitGroup
-	for gi, tid := range tiers {
+	for gi, t := range tiers {
 		wg.Add(1)
 		gate.Acquire()
 		go func() {
 			defer wg.Done()
 			defer gate.Release()
 			for i := range plan {
-				if plan[i].tier != tid {
+				if plan[i].t != t {
 					continue
 				}
 				if err := r.runSeg(m, plan, i); err != nil {
@@ -263,7 +237,7 @@ type readSegs struct {
 
 func (r readSegs) runSeg(m *Mux, plan []ioSeg, i int) error {
 	s := &plan[i]
-	return m.readSegment(r.f, r.scm, s.h, s.tier, r.p[s.bufStart:s.bufStart+s.ln], s.off, r.held)
+	return m.readSegment(r.f, r.scm, s.h, s.t, r.p[s.bufStart:s.bufStart+s.ln], s.off, r.held)
 }
 
 // writeSegs writes p (the request's buffer) through a plan and marks in done
@@ -282,7 +256,7 @@ type writeSegs struct {
 
 func (w writeSegs) runSeg(m *Mux, plan []ioSeg, i int) error {
 	s := &plan[i]
-	if err := m.writeSegment(s.h, s.tier, w.path, w.p[s.bufStart:s.bufStart+s.ln], s.off); err != nil {
+	if err := m.writeSegment(s.h, s.t, w.path, w.p[s.bufStart:s.bufStart+s.ln], s.off); err != nil {
 		return err
 	}
 	w.done[i] = true
@@ -295,11 +269,10 @@ type syncSegs struct{ path string }
 func (sy syncSegs) runSeg(m *Mux, plan []ioSeg, i int) error {
 	s := &plan[i]
 	t0 := m.telStart()
-	gate := m.ioGate(s.tier)
-	gate.Acquire()
-	err := m.tierIO(s.tier, s.h.Sync)
-	gate.Release()
-	m.telIO("sync", s.tier, sy.path, 0, t0, err)
+	s.t.gate.Acquire()
+	err := m.tierIO(s.t, s.h.Sync)
+	s.t.gate.Release()
+	m.telIO("sync", s.t, sy.path, 0, t0, err)
 	return err
 }
 
@@ -308,6 +281,6 @@ func (sy syncSegs) runSeg(m *Mux, plan []ioSeg, i int) error {
 // in tier order, so the returned error is the lowest-tier failure
 // regardless of completion order. The caller must not hold f.mu.
 func (m *Mux) fanoutSync(path string, targets []ioSeg) error {
-	sort.Slice(targets, func(i, j int) bool { return targets[i].tier < targets[j].tier })
+	sort.Slice(targets, func(i, j int) bool { return targets[i].t.ID < targets[j].t.ID })
 	return fanout(m, targets, syncSegs{path: path})
 }

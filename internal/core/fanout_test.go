@@ -108,8 +108,7 @@ func TestFanoutParity(t *testing.T) {
 		usage   map[int]int64
 	}
 	run := func(width int) snap {
-		r := newRig(t, policy.Pinned{Tier: 0}, false)
-		r.m.SetDataFanout(width)
+		r := newRigConfig(t, policy.Pinned{Tier: 0}, false, func(c *Config) { c.DataFanout = width })
 		f := stripeFile(t, r, "/parity", pattern)
 		defer f.Close()
 

@@ -2,7 +2,10 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
+	"sync"
 	"testing"
 	"time"
 
@@ -429,41 +432,122 @@ func TestBLTStats(t *testing.T) {
 }
 
 func TestAddTierConcurrentWithIO(t *testing.T) {
-	// Registering tiers at runtime must be safe against in-flight I/O
-	// (regression: the usage-counter table used to reallocate under
-	// readers' feet).
+	// Registering and removing tiers at runtime must be safe against
+	// in-flight I/O, metrics scrapes and health queries, and a tier must
+	// serve I/O as soon as it is added: every reader reaches a tier's state
+	// through the one published tier table (regression: the usage-counter
+	// table used to reallocate under readers' feet).
 	r := newRig(t, policy.Pinned{Tier: 0}, false)
 	f := writeFile(t, r.m, "/busy", bytes.Repeat([]byte{1}, 64<<10))
 	defer f.Close()
+	spare, err := newXFSTier(r.clk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spareID := r.m.AddTier(spare.fs, spare.prof) // never holds data
 
 	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		buf := make([]byte, 4096)
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
+	var wg sync.WaitGroup
+	loop := func(name string, op func(i int) error) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := op(i); err != nil {
+					t.Errorf("%s: %v", name, err)
+					return
+				}
 			}
-			if _, err := f.WriteAt(buf, int64(i%16)*4096); err != nil {
-				t.Errorf("write: %v", err)
-				return
-			}
-			f.ReadAt(buf, 0)
+		}()
+	}
+	busyBuf := make([]byte, 4096)
+	loop("busy I/O", func(i int) error {
+		if _, err := f.WriteAt(busyBuf, int64(i%16)*4096); err != nil {
+			return err
 		}
+		_, err := f.ReadAt(busyBuf, 0)
+		return err
+	})
+	loop("metrics", func(int) error { return r.m.WriteMetrics(io.Discard) })
+	loop("health", func(int) error {
+		if len(r.m.TierHealth()) < 3 {
+			return fmt.Errorf("TierHealth lost a tier")
+		}
+		return nil
+	})
+
+	// Each added tier takes a file, then rewrites and reads it in place.
+	onNewTier := func(id int) error {
+		path := fmt.Sprintf("/on%d", id)
+		want := bytes.Repeat([]byte{byte(id)}, 16<<10)
+		fh, err := r.m.Create(path)
+		if err != nil {
+			return err
+		}
+		defer fh.Close()
+		if _, err := fh.WriteAt(want, 0); err != nil {
+			return err
+		}
+		if _, err := r.m.Migrate(path, r.ids.pm, id); err != nil {
+			return err
+		}
+		if _, err := fh.WriteAt(want[:4096], 4096); err != nil {
+			return err
+		}
+		got := make([]byte, len(want))
+		if _, err := fh.ReadAt(got, 0); err != nil {
+			return err
+		}
+		if !bytes.Equal(got, want) {
+			return fmt.Errorf("%s reads back wrong bytes from tier %d", path, id)
+		}
+		if used := r.m.TierUsage()[id]; used != int64(len(want)) {
+			return fmt.Errorf("tier %d accounts %d bytes, want %d", id, used, len(want))
+		}
+		return nil
+	}
+	added := make(chan int)
+	newTierIO := make(chan error, 1)
+	go func() {
+		var first error
+		for id := range added {
+			if first == nil {
+				first = onNewTier(id)
+			}
+		}
+		newTierIO <- first
 	}()
+
 	for i := 0; i < 8; i++ {
 		xt, err := newXFSTier(r.clk)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r.m.AddTier(xt.fs, xt.prof)
+		added <- r.m.AddTier(xt.fs, xt.prof)
+		if i == 3 {
+			if err := r.m.RemoveTier(spareID); err != nil {
+				t.Errorf("remove the drained tier: %v", err)
+			}
+		}
+	}
+	close(added)
+	if err := <-newTierIO; err != nil {
+		t.Error(err)
 	}
 	close(stop)
-	<-done
+	wg.Wait()
 	if got := len(r.m.Tiers()); got != 11 {
 		t.Fatalf("tiers = %d, want 11", got)
+	}
+	if _, err := r.m.tier(spareID); !errors.Is(err, ErrUnknownTier) {
+		t.Fatalf("removed tier resolves: %v", err)
+	}
+	if rep := r.m.Fsck(); !rep.OK() {
+		t.Fatalf("fsck: %v", rep.Problems)
 	}
 }

@@ -308,7 +308,7 @@ func (m *Mux) bltRepoint(f *muxFile, off, n int64, tier int) {
 func (m *Mux) bltRemap(f *muxFile, off, n int64, tier int) {
 	m.bltUnaccount(f, off, n)
 	f.blt.Insert(off, n, tier)
-	m.used(tier).Add(n)
+	m.tierRec(tier).used.Add(n)
 }
 
 // bltDrop unmaps [off, off+n), maintaining accounting and republishing.
@@ -330,7 +330,7 @@ func (m *Mux) bltUnaccount(f *muxFile, off, n int64) {
 	f.segs = f.blt.AppendSegments(f.segs[:0], off, n)
 	for _, seg := range f.segs {
 		if !seg.Hole {
-			m.used(seg.Val).Add(-seg.Len)
+			m.tierRec(seg.Val).used.Add(-seg.Len)
 		}
 	}
 }
@@ -440,7 +440,9 @@ func (h *handle) readAt(p []byte, off int64) (int, error) {
 		if dh == nil {
 			break // no cached downward handle yet: locked path opens one
 		}
-		err := m.readSegment(f, m.scm(), dh, tid, p[:n], off, false)
+		// The handle was opened on a resolved tier, and a tier's record
+		// outlives its removal, so the lookup cannot miss.
+		err := m.readSegment(f, m.scm(), dh, m.tierRec(tid), p[:n], off, false)
 		if f.mapVer.Load() != ver {
 			continue // mapping moved mid-read; bytes may be stale — retry
 		}
@@ -499,7 +501,7 @@ func (m *Mux) readLocked(f *muxFile, p []byte, off int64, hold bool) (n int, sta
 	// Single-extent path: one mapped extent, but the lock-free attempt could
 	// not run (no cached handle, or it kept losing the OCC race).
 	if tid, seg, ok := f.blt.Lookup(off); ok && seg.End() >= off+ln {
-		dh, herr := m.handleLocked(f, tid)
+		t, dh, herr := m.handleLocked(f, tid)
 		if herr != nil {
 			f.mu.Unlock()
 			return 0, false, herr
@@ -508,7 +510,7 @@ func (m *Mux) readLocked(f *muxFile, p []byte, off int64, hold bool) (n int, sta
 		if !hold {
 			f.mu.Unlock()
 		}
-		err = m.readSegment(f, scm, dh, tid, p[:ln], off, hold)
+		err = m.readSegment(f, scm, dh, t, p[:ln], off, hold)
 		lastTier = tid
 	} else {
 		pp := getPlan()
@@ -520,13 +522,13 @@ func (m *Mux) readLocked(f *muxFile, p []byte, off int64, hold bool) (n int, sta
 				clear(p[seg.Off-off : seg.Off-off+seg.Len])
 				continue
 			}
-			dh, herr := m.handleLocked(f, seg.Val)
+			t, dh, herr := m.handleLocked(f, seg.Val)
 			if herr != nil {
 				f.mu.Unlock()
 				putPlan(pp)
 				return 0, false, herr
 			}
-			plan = append(plan, ioSeg{h: dh, tier: seg.Val, off: seg.Off, ln: seg.Len, bufStart: seg.Off - off})
+			plan = append(plan, ioSeg{h: dh, t: t, off: seg.Off, ln: seg.Len, bufStart: seg.Off - off})
 			lastTier = seg.Val
 		}
 		now = m.now()
@@ -554,14 +556,15 @@ func (m *Mux) readLocked(f *muxFile, p []byte, off int64, hold bool) (n int, sta
 	return int(ln), false, eof
 }
 
-// handleLocked returns the open downward handle of file f on tier id.
-// Caller holds f.mu.
-func (m *Mux) handleLocked(f *muxFile, id int) (vfs.File, error) {
+// handleLocked returns tier id and the open downward handle of file f on
+// it. Caller holds f.mu.
+func (m *Mux) handleLocked(f *muxFile, id int) (*Tier, vfs.File, error) {
 	t, err := m.tier(id)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return m.ensureHandleLocked(f, t)
+	h, err := m.ensureHandleLocked(f, t)
+	return t, h, err
 }
 
 // WriteAt books per-tenant attribution around the multiplexed write path,
@@ -608,15 +611,11 @@ func (h *handle) writeAt(p []byte, off int64) (int, error) {
 	// Fast path: the whole write overwrites one mapped extent in place on a
 	// healthy tier. No plan, no repoint — the mapping is already correct.
 	if tid, seg, ok := f.blt.Lookup(off); ok && seg.End() >= off+n && !m.tierQuarantined(tid) {
-		t, err := m.tier(tid)
+		t, dh, err := m.handleLocked(f, tid)
 		if err != nil {
 			return 0, vfs.Errf("write", m.name, f.path, err)
 		}
-		dh, err := m.ensureHandleLocked(f, t)
-		if err != nil {
-			return 0, vfs.Errf("write", m.name, f.path, err)
-		}
-		if err := m.writeSegment(dh, tid, f.path, p, off); err != nil {
+		if err := m.writeSegment(dh, t, f.path, p, off); err != nil {
 			return 0, vfs.Errf("write", m.name, f.path, err)
 		}
 		if scm := m.scm(); scm != nil {
@@ -646,23 +645,17 @@ func (h *handle) writeAt(p []byte, off int64) (int, error) {
 			}
 			tier = target
 		}
-		if len(plan) > 0 && plan[len(plan)-1].tier == tier && plan[len(plan)-1].off+plan[len(plan)-1].ln == seg.Off {
-			plan[len(plan)-1].ln += seg.Len
+		if last := len(plan) - 1; last >= 0 && plan[last].t.ID == tier && plan[last].off+plan[last].ln == seg.Off {
+			plan[last].ln += seg.Len
 			continue
 		}
-		t, err := m.tier(tier)
+		t, dh, err := m.handleLocked(f, tier)
 		if err != nil {
 			*pp = plan
 			putPlan(pp)
 			return 0, vfs.Errf("write", m.name, f.path, err)
 		}
-		dh, err := m.ensureHandleLocked(f, t)
-		if err != nil {
-			*pp = plan
-			putPlan(pp)
-			return 0, vfs.Errf("write", m.name, f.path, err)
-		}
-		plan = append(plan, ioSeg{h: dh, tier: tier, off: seg.Off, ln: seg.Len, bufStart: seg.Off - off})
+		plan = append(plan, ioSeg{h: dh, t: t, off: seg.Off, ln: seg.Len, bufStart: seg.Off - off})
 	}
 
 	// Dispatch: per-tier groups run concurrently when the plan spans more
@@ -678,11 +671,11 @@ func (h *handle) writeAt(p []byte, off int64) (int, error) {
 			continue
 		}
 		s := &plan[i]
-		m.bltRepoint(f, s.off, s.ln, s.tier)
+		m.bltRepoint(f, s.off, s.ln, s.t.ID)
 		if scm != nil {
 			scm.invalidate(f.ino, s.off, s.ln)
 		}
-		lastTier = s.tier
+		lastTier = s.t.ID
 	}
 	*pp = plan
 	putPlan(pp)
@@ -870,7 +863,7 @@ func (h *handle) Sync() error {
 			f.mu.Unlock()
 			return vfs.Errf("sync", m.name, f.path, err)
 		}
-		targets = append(targets, ioSeg{h: dh, tier: id})
+		targets = append(targets, ioSeg{h: dh, t: t})
 	}
 	m.metaSyncLocked(f)
 	f.mu.Unlock()

@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 )
 
 // FsckReport is the result of a consistency check over the Mux metadata and
@@ -35,45 +33,20 @@ func (r *FsckReport) addf(format string, args ...any) {
 // shards across RecoveryWorkers goroutines — files are independent, so a
 // large namespace checks on all cores (the E11 parallel-fsck leg).
 func (m *Mux) Fsck() *FsckReport {
-	rep := &FsckReport{}
-
 	files := m.files.snapshot()
-
-	workers := int(m.recWorkers.Load())
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(files) {
-		workers = len(files)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-
-	parts := make([]*FsckReport, workers)
+	workers := m.recoveryWorkers(len(files))
+	parts := make([]FsckReport, workers)
 	tierParts := make([]map[int]int64, workers)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		w := w
-		parts[w] = &FsckReport{}
+	for w := range tierParts {
 		tierParts[w] = map[int]int64{}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := next.Add(1) - 1
-				if i >= int64(len(files)) {
-					return
-				}
-				m.fsckFile(files[i], parts[w], tierParts[w])
-			}
-		}()
 	}
-	wg.Wait()
+	m.recoverEach(len(files), func(w, i int) {
+		m.fsckFile(files[i], &parts[w], tierParts[w])
+	})
 
+	rep := &FsckReport{}
 	perTier := map[int]int64{}
-	for w := 0; w < workers; w++ {
+	for w := range parts {
 		rep.Files += parts[w].Files
 		rep.BLTRuns += parts[w].BLTRuns
 		rep.BytesChecked += parts[w].BytesChecked
@@ -84,17 +57,13 @@ func (m *Mux) Fsck() *FsckReport {
 	}
 	sort.Strings(rep.Problems) // deterministic order across worker counts
 
-	// Accounting check.
-	for tier, want := range perTier {
-		if got := m.used(tier).Load(); got != want {
-			rep.addf("tier %d usage accounting %d != BLT total %d", tier, got, want)
-		}
-	}
-	for id := range *m.tierUsed.Load() {
-		if _, ok := perTier[id]; !ok {
-			if got := m.used(id).Load(); got != 0 {
-				rep.addf("tier %d accounts %d bytes but no BLT references it", id, got)
-			}
+	// Accounting check, over every tier record — removed tiers included.
+	for _, t := range m.tierTab.Load().tiers {
+		got := t.used.Load()
+		if want, ok := perTier[t.ID]; ok && got != want {
+			rep.addf("tier %d usage accounting %d != BLT total %d", t.ID, got, want)
+		} else if !ok && got != 0 {
+			rep.addf("tier %d accounts %d bytes but no BLT references it", t.ID, got)
 		}
 	}
 	return rep

@@ -46,8 +46,8 @@ const (
 )
 
 // tierHealth is one tier's circuit breaker (on the Mux's virtual clock)
-// plus its retry counter. It is shared via the same copy-and-swap slice
-// pattern as the tier usage counters, so hot paths reach it without m.mu.
+// plus its retry counter. It lives in the tier's record (Tier.health), so
+// hot paths reach it through the lock-free tier table.
 type tierHealth struct {
 	guard.Breaker
 	retries atomic.Int64 // transient-fault retry attempts (each also a fault)
@@ -74,20 +74,15 @@ type TierHealthInfo struct {
 	DegradedReplicas int
 }
 
-// healthOf returns the health tracker for tier id (nil for unknown ids).
-func (m *Mux) healthOf(id int) *tierHealth {
-	tab := *m.healthTab.Load()
-	if id < 0 || id >= len(tab) {
-		return nil
-	}
-	return tab[id]
-}
-
-// tierQuarantined reports whether tier id is currently under quarantine
+// quarantined reports whether the tier is currently under quarantine
 // (breaker open or probing). Placement and write redirection consult it.
+func (t *Tier) quarantined() bool { return t.health.State() != guard.Closed }
+
+// tierQuarantined is quarantined by tier id; unknown ids are not
+// quarantined.
 func (m *Mux) tierQuarantined(id int) bool {
-	h := m.healthOf(id)
-	return h != nil && h.State() != guard.Closed
+	t := m.tierRec(id)
+	return t != nil && t.quarantined()
 }
 
 // snapshot returns the tracker's public view.
@@ -122,7 +117,7 @@ func tierOutcome(err error) guard.Outcome {
 	}
 }
 
-// tierIO runs one downward data op against tier id with circuit-breaker
+// tierIO runs one downward data op against tier t with circuit-breaker
 // admission, bounded retry-plus-backoff on transient faults, and health
 // accounting. The backoff is charged to the virtual clock (doubling each
 // attempt), so drills measure its cost deterministically. op must swallow
@@ -131,13 +126,10 @@ func tierOutcome(err error) guard.Outcome {
 // groups of one request through it in parallel, one goroutine per tier —
 // because admission, retry accounting, and the clock advance are all
 // internally synchronized.
-func (m *Mux) tierIO(id int, op func() error) error {
-	h := m.healthOf(id)
-	if h == nil {
-		return op()
-	}
+func (m *Mux) tierIO(t *Tier, op func() error) error {
+	h := &t.health
 	if !h.Allow() {
-		return fmt.Errorf("%w: tier %d", ErrTierQuarantined, id)
+		return fmt.Errorf("%w: tier %d", ErrTierQuarantined, t.ID)
 	}
 	backoff := m.retryBackoff
 	var err error
@@ -156,9 +148,9 @@ func (m *Mux) tierIO(id int, op func() error) error {
 		// run under a file lock; the next Policy Runner round (or an explicit
 		// RepairDegradedReplicas call) re-mirrors what degraded.
 		m.repairPending.Store(true)
-		m.telTraceQuarantine(id, false, "")
+		m.telTraceQuarantine(t.ID, false, "")
 	} else if opened {
-		m.telTraceQuarantine(id, true, err.Error())
+		m.telTraceQuarantine(t.ID, true, err.Error())
 	}
 	return err
 }
@@ -167,12 +159,8 @@ func (m *Mux) tierIO(id int, op func() error) error {
 func (m *Mux) TierHealth() []TierHealthInfo {
 	degraded := m.degradedByTier()
 	var out []TierHealthInfo
-	for _, t := range m.Tiers() {
-		h := m.healthOf(t.ID)
-		if h == nil {
-			continue
-		}
-		info := h.snapshot(t.ID, t.Prof.Name)
+	for _, t := range m.tierTab.Load().live {
+		info := t.health.snapshot(t.ID, t.Prof.Name)
 		info.DegradedReplicas = degraded[t.ID]
 		out = append(out, info)
 	}

@@ -38,8 +38,8 @@ func splitPolicy() policy.Policy {
 // (and of tiers added later). Call it before the test issues I/O.
 func (r *rig) setBreakerCooldown(d time.Duration) {
 	r.m.breakerCooldown = d
-	for _, h := range *r.m.healthTab.Load() {
-		h.Cooldown = d
+	for _, t := range r.m.tierTab.Load().tiers {
+		t.health.Cooldown = d
 	}
 }
 
@@ -311,7 +311,7 @@ func TestRunnerDropsMovesOntoQuarantinedTiers(t *testing.T) {
 
 	// Quarantine PM directly (the breaker's unit transitions are covered
 	// in internal/guard; this test is about the runner's safety net).
-	r.m.healthOf(r.ids.pm).Trip()
+	r.m.tierRec(r.ids.pm).health.Trip()
 
 	st, err := r.m.RunPolicyOnce()
 	if err != nil {

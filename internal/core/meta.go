@@ -562,7 +562,7 @@ func (rp *replayer) structural(op fsrec.Op) error {
 		if f := info.File; f != nil {
 			// Unwind the tier usage of the records already applied.
 			f.blt.Walk(func(_, n int64, tier int) bool {
-				m.used(tier).Add(-n)
+				m.tierRec(tier).used.Add(-n)
 				return true
 			})
 			m.files.del(info.Ino)
@@ -589,10 +589,15 @@ func (rp *replayer) structural(op fsrec.Op) error {
 
 // applyInoRecord applies one per-inode record to f. It remaps the BLT
 // without publishing it: Recover publishes every file once after replay.
+// The journal is input from outside the program, so every tier id a record
+// carries must name a tier before it indexes anything.
 func (m *Mux) applyInoRecord(f *muxFile, r journal.Record) error {
 	switch r.Type {
 	case opMuxHost:
 		host := int(r.B)
+		if err := m.replayTier(host, true); err != nil {
+			return err
+		}
 		f.aff = affinity{Size: host, MTime: host}
 		f.affATime.Store(int32(host))
 		if host >= 0 {
@@ -601,6 +606,9 @@ func (m *Mux) applyInoRecord(f *muxFile, r journal.Record) error {
 		return nil
 	case opMuxReplica:
 		tier := int(r.B)
+		if err := m.replayTier(tier, true); err != nil {
+			return err
+		}
 		if tier < 0 {
 			f.replica = -1
 			f.replicaDegraded = false
@@ -618,6 +626,9 @@ func (m *Mux) applyInoRecord(f *muxFile, r journal.Record) error {
 	switch op.Type {
 	case fsrec.OpExtent:
 		tier := int(op.Delta)
+		if err := m.replayTier(tier, false); err != nil {
+			return err
+		}
 		m.bltRemap(f, op.Off, op.N, tier)
 		f.onTiers[tier] = true
 		if op.Size > f.meta.Size {
@@ -657,4 +668,14 @@ func (m *Mux) applyInoRecord(f *muxFile, r journal.Record) error {
 		f.meta.ModTime = op.MTime
 	}
 	return nil
+}
+
+// replayTier checks a tier id a replayed record carries: it must name a
+// tier, removed ones included (the log predates their removal), or be -1
+// where the record allows no tier.
+func (m *Mux) replayTier(id int, noneOK bool) error {
+	if (noneOK && id == -1) || m.tierRec(id) != nil {
+		return nil
+	}
+	return fmt.Errorf("mux replay: record names unknown tier %d", id)
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -276,14 +277,14 @@ func TestReplayBatchesAcrossRemovesAndRenames(t *testing.T) {
 			if err := r.m.Sync(); err != nil {
 				t.Fatal(err)
 			}
-			usedBefore := []int64{r.m.used(0).Load(), r.m.used(1).Load()}
+			usedBefore := []int64{r.m.tierRec(0).used.Load(), r.m.tierRec(1).used.Load()}
 
 			r.m.SetRecoveryWorkers(workers)
 			r.m.Crash()
 			if err := r.m.Recover(); err != nil {
 				t.Fatal(err)
 			}
-			if got := []int64{r.m.used(0).Load(), r.m.used(1).Load()}; got[0] != usedBefore[0] || got[1] != usedBefore[1] {
+			if got := []int64{r.m.tierRec(0).used.Load(), r.m.tierRec(1).used.Load()}; got[0] != usedBefore[0] || got[1] != usedBefore[1] {
 				t.Fatalf("tier usage after recovery %v, before the crash %v", got, usedBefore)
 			}
 			if rep := r.m.Fsck(); !rep.OK() {
@@ -341,6 +342,48 @@ func TestReplayRecordBeforeItsCreate(t *testing.T) {
 	fi, err := r.m.Stat("/new")
 	if err != nil || fi.Size != 777 {
 		t.Fatalf("stat /new after recovery: %+v, %v; want size 777", fi, err)
+	}
+}
+
+// The meta journal is input from outside the program. A committed record
+// that names a tier the Mux never had fails Recover with an error; it must
+// not index past the tier table.
+func TestReplayRecordNamesUnknownTier(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		rec  func(ino uint64) journal.Record
+	}{
+		{"extent past the table", func(ino uint64) journal.Record {
+			return fsrec.Op{Type: fsrec.OpExtent, Ino: ino, N: 4096, Delta: 9, Size: 4096}.Record()
+		}},
+		{"extent on a negative tier", func(ino uint64) journal.Record {
+			return fsrec.Op{Type: fsrec.OpExtent, Ino: ino, N: 4096, Delta: -1, Size: 4096}.Record()
+		}},
+		{"host past the table", func(ino uint64) journal.Record {
+			return journal.Record{Type: opMuxHost, A: int64(ino), B: 9}
+		}},
+		{"replica on a negative tier", func(ino uint64) journal.Record {
+			return journal.Record{Type: opMuxReplica, A: int64(ino), B: -7}
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			r := newRig(t, policy.Pinned{Tier: 0}, true)
+			writeFile(t, r.m, "/f", make([]byte, 4096)).Close()
+			if err := r.m.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			f, err := r.m.lookupFile("/f")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := r.m.meta.jnl.Commit([]journal.Record{c.rec(f.ino)}); err != nil {
+				t.Fatal(err)
+			}
+			r.m.Crash()
+			if err := r.m.Recover(); err == nil || !strings.Contains(err.Error(), "unknown tier") {
+				t.Fatalf("Recover = %v, want an unknown-tier error", err)
+			}
+		})
 	}
 }
 

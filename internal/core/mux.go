@@ -83,25 +83,37 @@ func DefaultCosts() Costs {
 }
 
 // Tier is one registered native file system plus its device profile (the
-// "device profile" tiering policies consume, §2.1).
+// "device profile" tiering policies consume, §2.1). It is also the record of
+// the tier's runtime state: every per-tier mechanism keeps its share here,
+// so one lookup by id reaches the tier's usage counter, health tracker,
+// data-path gate, read-router estimate and telemetry instruments.
 type Tier struct {
 	ID   int
 	FS   vfs.FileSystem
 	Prof device.Profile
+
+	used    atomic.Int64 // Mux-accounted bytes the BLTs map here
+	removed atomic.Bool  // set by RemoveTier; tier(id) refuses the id after
+	health  tierHealth   // circuit breaker and retry count (health.go)
+	gate    *guard.Gate  // data-path admission (fanout.go)
+	route   routeStat    // read-router latency estimate (route.go)
+	tel     tierTel      // pre-resolved instruments (telemetry.go)
 }
 
 // tierTable is the copy-on-write tier snapshot: AddTier/RemoveTier build a
-// new table and swap the pointer, so tier(id)/Tiers()/tierInfos on the data
-// path never take a lock and never observe a half-updated table.
+// new table and swap the pointer, so lookups on the data path never take a
+// lock and never observe a half-updated table.
 type tierTable struct {
-	tiers []*Tier // dense by id; nil holes after removal
-	live  []*Tier // non-nil entries, sorted fastest-first
+	// tiers holds every tier ever added, dense by id. A removed tier keeps
+	// its record, so usage accounting, Fsck and Recover still reach it.
+	tiers []*Tier
+	live  []*Tier // registered tiers, sorted fastest-first
 }
 
 func liveOf(tiers []*Tier) []*Tier {
 	out := make([]*Tier, 0, len(tiers))
 	for _, t := range tiers {
-		if t != nil {
+		if !t.removed.Load() {
 			out = append(out, t)
 		}
 	}
@@ -203,21 +215,14 @@ type Mux struct {
 	ns    *shardedNS
 	files *inoTable
 
-	// Tier table — copy-on-write snapshot. tierMu serializes writers
-	// (AddTier/RemoveTier and the companion tierUsed/healthTab/ioGates table
-	// swaps); readers go through tierTab.Load() and never block.
+	// Tier table — copy-on-write snapshot of the per-tier records. tierMu
+	// serializes writers (AddTier/RemoveTier); readers go through
+	// tierTab.Load() and never block.
 	tierMu  sync.Mutex
 	tierTab atomic.Pointer[tierTable]
 
-	// tierUsed holds one shared counter per tier id. The slice itself is
-	// replaced wholesale (copy + atomic pointer swap) when a tier is added,
-	// so hot paths may index it without locks while AddTier runs.
-	tierUsed atomic.Pointer[[]*atomic.Int64]
-
-	// healthTab holds one health tracker per tier id, shared the same way
-	// (health.go). repairPending flags that a tier recovered and degraded
-	// replicas await re-mirroring.
-	healthTab       atomic.Pointer[[]*tierHealth]
+	// Tier fault-domain state (health.go). repairPending flags that a tier
+	// recovered and degraded replicas await re-mirroring.
 	repairPending   atomic.Bool
 	retryBackoff    time.Duration
 	breakerCooldown time.Duration
@@ -230,17 +235,12 @@ type Mux struct {
 	lockMig   bool
 	syncAll   bool
 
-	// Data-path fan-out state (fanout.go). fanWidth bounds concurrent
-	// per-tier groups per request; ioGates holds one data-path gate per
-	// tier id, replaced wholesale like tierUsed when a tier is added.
-	fanWidth atomic.Int32
-	ioGates  atomic.Pointer[[]*guard.Gate]
+	// fanWidth bounds concurrent per-tier groups per request (fanout.go).
+	fanWidth int
 
-	// Mirror read-router state (route.go). routeReads gates routing (one
-	// atomic load on the read hot path when off); routeTab holds the
-	// per-tier cached latency estimates, replaced wholesale like tierUsed.
+	// routeReads gates mirror read routing (route.go): one atomic load on
+	// the read hot path when off.
 	routeReads atomic.Bool
-	routeTab   atomic.Pointer[[]*routeStat]
 
 	// Parallel recovery state (meta.go replay pass 2, fsck.go): worker
 	// count for per-inode replay apply and sharded fsck. recStats holds
@@ -267,12 +267,10 @@ type Mux struct {
 
 	occ occCounter
 
-	// Telemetry state (telemetry.go). tel is always non-nil; telTab holds
-	// the pre-resolved per-tier instrument sets, replaced wholesale like
-	// tierUsed when a tier is added. The remaining handles are resolved
-	// once at construction.
+	// Telemetry state (telemetry.go). tel is always non-nil; the handles
+	// below are resolved once at construction, the per-tier ones as each
+	// tier registers.
 	tel          *telemetry.Registry
-	telTab       atomic.Pointer[[]*tierTel]
 	telMeta      [mopCount]*telemetry.Counter
 	telFlushLat  *telemetry.Histogram
 	telFlushErrs *telemetry.Counter
@@ -324,6 +322,9 @@ func New(cfg Config) (*Mux, error) {
 	if cfg.BreakerCooldown <= 0 {
 		cfg.BreakerCooldown = defaultBreakerCooldown
 	}
+	if cfg.DataFanout <= 0 {
+		cfg.DataFanout = defaultDataFanout
+	}
 	m := &Mux{
 		name:      cfg.Name,
 		clk:       cfg.Clock,
@@ -335,6 +336,7 @@ func New(cfg Config) (*Mux, error) {
 		lockMig:   cfg.LockMigration,
 		syncAll:   cfg.SyncAllMeta,
 		migLogf:   cfg.MigrationLogf,
+		fanWidth:  cfg.DataFanout,
 
 		retryBackoff:    cfg.RetryBackoff,
 		breakerCooldown: cfg.BreakerCooldown,
@@ -346,18 +348,6 @@ func New(cfg Config) (*Mux, error) {
 	m.tierTab.Store(&tierTable{})
 	m.migWorkers.Store(int32(cfg.MigrationWorkers))
 	m.recWorkers.Store(int32(cfg.RecoveryWorkers))
-	if cfg.DataFanout <= 0 {
-		cfg.DataFanout = defaultDataFanout
-	}
-	m.fanWidth.Store(int32(cfg.DataFanout))
-	empty := []*atomic.Int64{}
-	m.tierUsed.Store(&empty)
-	emptyHealth := []*tierHealth{}
-	m.healthTab.Store(&emptyHealth)
-	emptyGates := []*guard.Gate{}
-	m.ioGates.Store(&emptyGates)
-	emptyRoute := []*routeStat{}
-	m.routeTab.Store(&emptyRoute)
 	m.routeReads.Store(cfg.MirrorReadRouting)
 
 	// Telemetry: registry + pre-resolved non-tier instruments. Per-tier
@@ -379,8 +369,6 @@ func New(cfg Config) (*Mux, error) {
 	m.telMigLat = m.tel.Histogram("mux_migrate_move_latency_ns", "Migration move wall latency in nanoseconds.")
 	m.telMigErrs = m.tel.Counter("mux_migrate_move_errors_total", "Migration moves that failed.")
 	m.tel.Register(m.collect)
-	emptyTel := []*tierTel{}
-	m.telTab.Store(&emptyTel)
 	if m.costs == (Costs{}) {
 		m.costs = DefaultCosts()
 	}
@@ -426,48 +414,23 @@ func (m *Mux) AddTier(fs vfs.FileSystem, prof device.Profile) int {
 	defer m.tierMu.Unlock()
 	old := m.tierTab.Load()
 	id := len(old.tiers)
+	t := &Tier{
+		ID: id, FS: fs, Prof: prof,
+		health: tierHealth{Breaker: guard.Breaker{
+			Threshold: breakerThreshold,
+			Cooldown:  m.breakerCooldown,
+			Now:       m.now,
+		}},
+		// Data-path gate, sized by the same width rule the migration engine
+		// applies per round (engine.go): rotational tiers admit one
+		// in-flight data op, solid-state tiers scale with profiled bandwidth.
+		gate: guard.NewGate(tierWidth(prof, maxTierIOWidth)),
+		// Pre-resolved so the data path never takes the registry lock.
+		tel: m.newTierTel(id, prof.Name),
+	}
 	tiers := make([]*Tier, id+1)
 	copy(tiers, old.tiers)
-	tiers[id] = &Tier{ID: id, FS: fs, Prof: prof}
-
-	oldU := *m.tierUsed.Load()
-	counters := make([]*atomic.Int64, len(oldU)+1)
-	copy(counters, oldU)
-	counters[len(oldU)] = &atomic.Int64{}
-	m.tierUsed.Store(&counters)
-	oldH := *m.healthTab.Load()
-	health := make([]*tierHealth, len(oldH)+1)
-	copy(health, oldH)
-	health[len(oldH)] = &tierHealth{Breaker: guard.Breaker{
-		Threshold: breakerThreshold,
-		Cooldown:  m.breakerCooldown,
-		Now:       m.now,
-	}}
-	m.healthTab.Store(&health)
-	// Data-path gate, sized by the same width rule the migration engine
-	// applies per round (engine.go): rotational tiers admit one in-flight
-	// data op, solid-state tiers scale with profiled bandwidth.
-	oldG := *m.ioGates.Load()
-	gates := make([]*guard.Gate, len(oldG)+1)
-	copy(gates, oldG)
-	gates[len(oldG)] = guard.NewGate(tierWidth(prof, maxTierIOWidth))
-	m.ioGates.Store(&gates)
-	// Mirror read-router latency cache (route.go).
-	oldR := *m.routeTab.Load()
-	routes := make([]*routeStat, len(oldR)+1)
-	copy(routes, oldR)
-	routes[len(oldR)] = &routeStat{}
-	m.routeTab.Store(&routes)
-	// Per-tier telemetry instruments, pre-resolved so the data path never
-	// touches the registry lock (telemetry.go).
-	oldT := *m.telTab.Load()
-	tels := make([]*tierTel, len(oldT)+1)
-	copy(tels, oldT)
-	tels[len(oldT)] = m.newTierTel(len(oldT), prof.Name)
-	m.telTab.Store(&tels)
-
-	// Publish the tier itself last, after its companion tables exist, so a
-	// concurrent reader that sees the new tier can index every table.
+	tiers[id] = t
 	m.tierTab.Store(&tierTable{tiers: tiers, live: liveOf(tiers)})
 	return id
 }
@@ -477,17 +440,16 @@ func (m *Mux) AddTier(fs vfs.FileSystem, prof device.Profile) int {
 func (m *Mux) RemoveTier(id int) error {
 	m.tierMu.Lock()
 	defer m.tierMu.Unlock()
-	old := m.tierTab.Load()
-	if id < 0 || id >= len(old.tiers) || old.tiers[id] == nil {
+	t, err := m.tier(id)
+	if err != nil {
 		return ErrUnknownTier
 	}
-	if m.used(id).Load() > 0 {
+	if t.used.Load() > 0 {
 		return ErrTierBusy
 	}
-	tiers := make([]*Tier, len(old.tiers))
-	copy(tiers, old.tiers)
-	tiers[id] = nil
-	m.tierTab.Store(&tierTable{tiers: tiers, live: liveOf(tiers)})
+	t.removed.Store(true)
+	old := m.tierTab.Load()
+	m.tierTab.Store(&tierTable{tiers: old.tiers, live: liveOf(old.tiers)})
 	return nil
 }
 
@@ -499,18 +461,23 @@ func (m *Mux) Tiers() []*Tier {
 	return out
 }
 
-// used returns the shared usage counter for a tier id.
-func (m *Mux) used(id int) *atomic.Int64 {
-	return (*m.tierUsed.Load())[id]
+// tierRec returns the record of tier id, removed tiers included, or nil
+// when no tier ever had the id. It is the one lookup by id: lock-free, one
+// atomic load.
+func (m *Mux) tierRec(id int) *Tier {
+	tab := m.tierTab.Load()
+	if id < 0 || id >= len(tab.tiers) {
+		return nil
+	}
+	return tab.tiers[id]
 }
 
-// tier resolves a tier id against the current snapshot — lock-free.
+// tier resolves the id of a registered tier.
 func (m *Mux) tier(id int) (*Tier, error) {
-	tab := m.tierTab.Load()
-	if id < 0 || id >= len(tab.tiers) || tab.tiers[id] == nil {
-		return nil, fmt.Errorf("%w: %d", ErrUnknownTier, id)
+	if t := m.tierRec(id); t != nil && !t.removed.Load() {
+		return t, nil
 	}
-	return tab.tiers[id], nil
+	return nil, fmt.Errorf("%w: %d", ErrUnknownTier, id)
 }
 
 // tierInfos snapshots the policy view of all tiers, fastest first.
@@ -528,7 +495,7 @@ func (m *Mux) tierInfos() []policy.TierInfo {
 			Name:     t.FS.Name(),
 			Class:    t.Prof.Class,
 			Capacity: t.Prof.Capacity,
-			Used:     m.used(t.ID).Load(),
+			Used:     t.used.Load(),
 			ReadLat:  t.Prof.ReadLatency,
 			WriteLat: t.Prof.WriteLatency,
 			Stripe:   stripe,
@@ -594,10 +561,8 @@ func (m *Mux) filterHealthy(infos []policy.TierInfo) []policy.TierInfo {
 // TierUsage reports Mux's own accounting of allocated bytes per tier id.
 func (m *Mux) TierUsage() map[int]int64 {
 	out := map[int]int64{}
-	for _, t := range m.tierTab.Load().tiers {
-		if t != nil {
-			out[t.ID] = m.used(t.ID).Load()
-		}
+	for _, t := range m.tierTab.Load().live {
+		out[t.ID] = t.used.Load()
 	}
 	return out
 }
@@ -632,7 +597,7 @@ func (m *Mux) EnableSCMCache(tierID int, bytes int64) error {
 	if err != nil {
 		return err
 	}
-	ctl, err := newCacheCtl(m, t, bytes)
+	ctl, err := newCacheCtl(t, bytes)
 	if err != nil {
 		return err
 	}
@@ -757,7 +722,7 @@ func (m *Mux) Remove(path string) error {
 		f.closeHandlesLocked()
 		f.mu.Unlock()
 		for id, bytes := range perTier {
-			m.used(id).Add(-bytes)
+			m.tierRec(id).used.Add(-bytes)
 		}
 		if m.meta == nil {
 			// No journal to order against: reclaim the tier files inline.
@@ -1025,39 +990,21 @@ func (m *Mux) Crash() {
 // so it may replace the namespace and inode table wholesale.
 func (m *Mux) Recover() error {
 	tierStart := time.Now()
+	// Tier file systems live on independent devices and recover only their
+	// own state, so their self-recovery runs on the recovery workers.
 	tiers := m.Tiers()
-	if int(m.recWorkers.Load()) <= 1 {
-		// Fully serial recovery: the E11 baseline.
-		for _, t := range tiers {
-			if cr, ok := t.FS.(vfs.CrashRecoverer); ok {
-				if err := cr.Recover(); err != nil {
-					return fmt.Errorf("mux: tier %s recover: %w", t.FS.Name(), err)
-				}
+	errs := make([]error, len(tiers))
+	m.recoverEach(len(tiers), func(_, i int) {
+		t := tiers[i]
+		if cr, ok := t.FS.(vfs.CrashRecoverer); ok {
+			if err := cr.Recover(); err != nil {
+				errs[i] = fmt.Errorf("mux: tier %s recover: %w", t.FS.Name(), err)
 			}
 		}
-	} else {
-		// Tier file systems live on independent devices and recover only
-		// their own state, so their self-recovery runs concurrently.
-		errs := make([]error, len(tiers))
-		var wg sync.WaitGroup
-		for i, t := range tiers {
-			cr, ok := t.FS.(vfs.CrashRecoverer)
-			if !ok {
-				continue
-			}
-			wg.Add(1)
-			go func(i int, name string, cr vfs.CrashRecoverer) {
-				defer wg.Done()
-				if err := cr.Recover(); err != nil {
-					errs[i] = fmt.Errorf("mux: tier %s recover: %w", name, err)
-				}
-			}(i, t.FS.Name(), cr)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
+	})
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
 	m.recStats.TierRecover = time.Since(tierStart)
@@ -1083,42 +1030,51 @@ func (m *Mux) Recover() error {
 	m.renameFix = nil // rebuilt by replay below
 	m.ns = newShardedNS()
 	m.files = newInoTable()
-	for _, c := range *m.tierUsed.Load() {
-		c.Store(0)
+	for _, t := range m.tierTab.Load().tiers {
+		t.used.Store(0)
 	}
 	err := m.meta.replay(m)
 	// Replay built its files unpublished and mutated their state directly;
 	// publish every lock-free snapshot before user ops resume, after a
-	// failed replay too, so the files it did build can be read. Files are
-	// independent, so the publish loop shards across the recovery workers
-	// like replay's batches.
+	// failed replay too, so the files it did build can be read.
 	files := m.files.snapshot()
-	if workers := int(m.recWorkers.Load()); workers > 1 && len(files) > 1024 {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := next.Add(1) - 1
-					if i >= int64(len(files)) {
-						return
-					}
-					f := files[i]
-					f.mu.Lock()
-					f.publishAll()
-					f.mu.Unlock()
-				}
-			}()
-		}
-		wg.Wait()
-	} else {
-		for _, f := range files {
-			f.mu.Lock()
-			f.publishAll()
-			f.mu.Unlock()
-		}
-	}
+	m.recoverEach(len(files), func(_, i int) {
+		f := files[i]
+		f.mu.Lock()
+		f.publishAll()
+		f.mu.Unlock()
+	})
 	return err
+}
+
+// recoverEach runs fn(w, i) for every i in [0, n) — recovery's passes over
+// independent items: tiers, files — on up to RecoveryWorkers goroutines; w
+// is the worker's index, below recoveryWorkers(n). One worker runs the
+// items in order on the calling goroutine (the E11 serial baseline).
+func (m *Mux) recoverEach(n int, fn func(w, i int)) {
+	workers := m.recoveryWorkers(n)
+	if workers == 1 {
+		for i := 0; i < n; i++ {
+			fn(0, i)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				fn(w, i)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// recoveryWorkers is how many goroutines recoverEach runs n items on:
+// RecoveryWorkers, but no more than n and at least one.
+func (m *Mux) recoveryWorkers(n int) int {
+	return max(1, min(int(m.recWorkers.Load()), n))
 }

@@ -26,12 +26,23 @@ type rig struct {
 
 func newRig(t *testing.T, pol policy.Policy, withMeta bool) *rig {
 	t.Helper()
-	return newWrappedRig(t, pol, withMeta, nil)
+	return buildRig(t, pol, withMeta, nil, nil)
 }
 
 // newWrappedRig is newRig with each tier's file system passed through wrap
-// (when non-nil) before it registers, so a test can observe or fault it.
+// before it registers, so a test can observe or fault it.
 func newWrappedRig(t *testing.T, pol policy.Policy, withMeta bool, wrap func(vfs.FileSystem) vfs.FileSystem) *rig {
+	t.Helper()
+	return buildRig(t, pol, withMeta, wrap, nil)
+}
+
+// newRigConfig is newRig with tune applied to the Mux's Config before New.
+func newRigConfig(t *testing.T, pol policy.Policy, withMeta bool, tune func(*Config)) *rig {
+	t.Helper()
+	return buildRig(t, pol, withMeta, nil, tune)
+}
+
+func buildRig(t *testing.T, pol policy.Policy, withMeta bool, wrap func(vfs.FileSystem) vfs.FileSystem, tune func(*Config)) *rig {
 	t.Helper()
 	clk := simclock.New()
 	r := &rig{clk: clk}
@@ -47,6 +58,9 @@ func newWrappedRig(t *testing.T, pol policy.Policy, withMeta bool, wrap func(vfs
 		metaProf.Capacity = 16 << 20
 		r.meta = device.New(metaProf, clk)
 		cfg.MetaDevice = r.meta
+	}
+	if tune != nil {
+		tune(&cfg)
 	}
 	m, err := New(cfg)
 	if err != nil {

@@ -88,6 +88,7 @@ type migJob struct {
 	open       bool // found work and opened its migration window
 	held       bool // lock-based ablation: f.mu held from begin to commit end
 	f          *muxFile
+	srcT, dstT *Tier // resolved when the migration window opens
 	srcH, dstH vfs.File
 	work       []vfs.Extent // ranges to copy this round
 	committed  []vfs.Extent // ranges repointed to dst
@@ -167,7 +168,7 @@ func (m *Mux) copyStage(jobs []*migJob, workers int, halt *atomic.Bool) {
 		j.ran = true
 		m.beginMigration(j)
 		if j.open {
-			if err := m.copyRanges(j.srcH, j.dstH, j.src, j.dst, j.work); err != nil {
+			if err := m.copyRanges(j.srcH, j.dstH, j.srcT, j.dstT, j.work); err != nil {
 				m.endMigration(j)
 				m.failMig(j, err)
 			}
@@ -248,6 +249,7 @@ func (m *Mux) beginMigration(j *migJob) {
 		f.mu.Unlock()
 		return
 	}
+	j.srcT, j.dstT = srcTier, dstTier
 	j.srcH, err = m.ensureHandleLocked(f, srcTier)
 	if err == nil {
 		j.dstH, err = m.ensureHandleLocked(f, dstTier)
@@ -338,7 +340,7 @@ func (m *Mux) commitMigration(j *migJob) {
 	for round := 0; ; round++ {
 		if !j.held {
 			if round > 0 {
-				err := m.copyRanges(j.srcH, j.dstH, j.src, j.dst, j.work)
+				err := m.copyRanges(j.srcH, j.dstH, j.srcT, j.dstT, j.work)
 				if err == nil {
 					err = j.dstH.Sync()
 				}
@@ -385,7 +387,7 @@ func (m *Mux) commitMigration(j *migJob) {
 		// bookkeeping lock, blocking writers (§2.4's bounded completion
 		// guarantee), and make them durable before they repoint. ---
 		m.occ.add(func(s *OCCStats) { s.LockFallbacks++ })
-		err := m.copyRanges(j.srcH, j.dstH, j.src, j.dst, conflicts)
+		err := m.copyRanges(j.srcH, j.dstH, j.srcT, j.dstT, conflicts)
 		if err == nil {
 			err = j.dstH.Sync()
 		}
@@ -493,7 +495,7 @@ func (m *Mux) collectOnTier(f *muxFile, tier int, off, n int64) []vfs.Extent {
 // than the mapped range (a concurrent truncate racing the copy), and
 // writing the full chunk would resurrect zero-filled garbage past EOF on
 // the destination.
-func (m *Mux) copyRanges(srcH, dstH vfs.File, src, dst int, ranges []vfs.Extent) error {
+func (m *Mux) copyRanges(srcH, dstH vfs.File, src, dst *Tier, ranges []vfs.Extent) error {
 	read := func(p []byte, off int64) (int, error) {
 		blocks := (int64(len(p)) + BlockSize - 1) / BlockSize
 		m.clk.Advance(time.Duration(blocks) * m.costs.OCCPerBlock)

@@ -40,7 +40,7 @@ func (m *Mux) SetReplica(path string, tier int) error {
 	if err != nil {
 		return vfs.Errf("replicate", m.name, path, err)
 	}
-	if err := m.mirrorLocked(f, rh, tier); err != nil {
+	if err := m.mirrorLocked(f, rh, t); err != nil {
 		return vfs.Errf("replicate", m.name, path, err)
 	}
 	if err := rh.Sync(); err != nil {
@@ -163,7 +163,7 @@ func (m *Mux) RepairFile(path string) error {
 	if err != nil {
 		return vfs.Errf("repair", m.name, path, err)
 	}
-	if err := m.mirrorLocked(f, rh, f.replica); err != nil {
+	if err := m.mirrorLocked(f, rh, t); err != nil {
 		return vfs.Errf("repair", m.name, path, err)
 	}
 	if err := rh.Sync(); err != nil {
@@ -181,7 +181,7 @@ func (m *Mux) RepairFile(path string) error {
 // previous chunk to the replica. Caller holds f.mu for the whole call; the
 // reader closure runs on the pipeline goroutine, which is safe because the
 // lock is held until the pipeline has drained.
-func (m *Mux) mirrorLocked(f *muxFile, rh vfs.File, rtier int) error {
+func (m *Mux) mirrorLocked(f *muxFile, rh vfs.File, rt *Tier) error {
 	read := func(p []byte, pos int64) (int, error) {
 		for _, seg := range f.blt.Segments(pos, int64(len(p))) {
 			dst := p[seg.Off-pos : seg.Off-pos+seg.Len]
@@ -198,7 +198,7 @@ func (m *Mux) mirrorLocked(f *muxFile, rh vfs.File, rtier int) error {
 				return 0, err
 			}
 			segOff := seg.Off
-			if err := m.tierIO(seg.Val, func() error {
+			if err := m.tierIO(t, func() error {
 				if _, rerr := sh.ReadAt(dst, segOff); rerr != nil && !errors.Is(rerr, io.EOF) {
 					return rerr
 				}
@@ -212,7 +212,7 @@ func (m *Mux) mirrorLocked(f *muxFile, rh vfs.File, rtier int) error {
 		return len(p), nil
 	}
 	write := func(p []byte, pos int64) error {
-		return m.tierIO(rtier, func() error {
+		return m.tierIO(rt, func() error {
 			_, err := rh.WriteAt(p, pos)
 			return err
 		})
@@ -242,7 +242,7 @@ func (m *Mux) mirrorWriteLocked(f *muxFile, p []byte, off int64) error {
 	if err != nil {
 		return fmt.Errorf("replica handle: %w", err)
 	}
-	if err := m.tierIO(f.replica, func() error {
+	if err := m.tierIO(t, func() error {
 		_, werr := rh.WriteAt(p, off)
 		return werr
 	}); err != nil {
@@ -269,10 +269,10 @@ func (m *Mux) readWithReplicaFallback(f *muxFile, dst []byte, off int64, orig er
 	}
 	replica := f.replica
 	degraded := f.replicaDegraded
+	var t *Tier
 	var rh vfs.File
 	var err error
 	if replica >= 0 && !degraded {
-		var t *Tier
 		if t, err = m.tier(replica); err == nil {
 			rh, err = m.ensureHandleLocked(f, t)
 		}
@@ -284,7 +284,7 @@ func (m *Mux) readWithReplicaFallback(f *muxFile, dst []byte, off int64, orig er
 		return orig
 	}
 	nr := 0
-	if rerr := m.tierIO(replica, func() error {
+	if rerr := m.tierIO(t, func() error {
 		var e error
 		// io.EOF here is a logical short read, not a device fault: strip it
 		// so it neither trips the breaker nor masks the shortfall below.
@@ -300,6 +300,6 @@ func (m *Mux) readWithReplicaFallback(f *muxFile, dst []byte, off int64, orig er
 		return orig
 	}
 	f.fallbackReads.Add(1)
-	m.telFallback(replica)
+	m.telFallback(t)
 	return nil
 }

@@ -24,14 +24,14 @@ import (
 //
 //	(profile read latency + recent observed read p95) × (1 + in-flight depth)
 //
-// combining the three signals the stack already maintains:
+// combining three signals the tier's record (Tier) already holds:
 //
-//   - the tier's static device profile (tierTab),
+//   - the tier's static device profile (Tier.Prof),
 //   - live telemetry: the p95 of the tier's recent read latency, computed
-//     as an interval delta over the PR 6 histograms and cached in routeTab
-//     so the hot path never walks 392 buckets (refreshed at most every
-//     routeRefresh of wall time by a CAS-elected reader),
-//   - the current occupancy of the tier's data-path gate (ioGates), which
+//     as an interval delta over the tier's read histogram and cached in
+//     Tier.route so the hot path never walks 392 buckets (refreshed at most
+//     every routeRefresh of wall time by a CAS-elected reader),
+//   - the current occupancy of the tier's data-path gate (Tier.gate), which
 //     makes the score rise linearly with queue depth so concurrent readers
 //     spread across both copies instead of herding onto the faster device.
 //
@@ -76,15 +76,6 @@ func (m *Mux) SetMirrorRouting(on bool) { m.routeReads.Store(on) }
 // MirrorRouting reports whether mirror-read routing is enabled.
 func (m *Mux) MirrorRouting() bool { return m.routeReads.Load() }
 
-// ioDepth reports how many data-path ops currently hold a slot on the
-// tier's gate — the router's congestion signal, and a telemetry gauge.
-// Unknown ids read as idle.
-func (m *Mux) ioDepth(id int) int { return m.ioGate(id).InFlight() }
-
-// ioWidth reports the tier's data-path gate width (its admission bound;
-// see tierWidth).
-func (m *Mux) ioWidth(id int) int { return m.ioGate(id).Width() }
-
 // routeLat returns the tier's cached recent-read-latency estimate,
 // refreshing it from the telemetry histograms when it is older than
 // routeRefresh. One caller wins the CAS and pays the snapshot; everyone
@@ -96,17 +87,13 @@ func (m *Mux) ioWidth(id int) int { return m.ioGate(id).Width() }
 // just measured slow. Exponential decay re-probes an idle tier at a
 // bounded rate — a recovered device wins traffic back within a few refresh
 // intervals, a still-sick one costs one probe per interval.
-func (m *Mux) routeLat(id int) int64 {
-	tab := *m.routeTab.Load()
-	if id < 0 || id >= len(tab) {
-		return 0
-	}
-	rs := tab[id]
+func (m *Mux) routeLat(t *Tier) int64 {
+	rs := &t.route
 	now := time.Now().UnixNano()
 	last := rs.stamp.Load()
 	if now-last >= int64(routeRefresh) && rs.stamp.CompareAndSwap(last, now) {
-		if tt := m.telTier(id); tt != nil && m.tel.Enabled() {
-			cur := tt.readLat.Snapshot()
+		if m.tel.Enabled() {
+			cur := t.tel.readLat.Snapshot()
 			rs.mu.Lock()
 			delta := cur.Delta(rs.prev)
 			rs.prev = cur
@@ -121,7 +108,7 @@ func (m *Mux) routeLat(id int) int64 {
 				// then measures slow, and flips back); halving toward the
 				// observation keeps the estimate responsive within a few
 				// intervals while damping the herd.
-				obs := delta.Quantile(0.50) / int64(1+m.ioDepth(id))
+				obs := delta.Quantile(0.50) / int64(1+t.gate.InFlight())
 				rs.est.Store((rs.est.Load() + obs) / 2)
 			} else {
 				rs.est.Store(rs.est.Load() / 2)
@@ -132,42 +119,44 @@ func (m *Mux) routeLat(id int) int64 {
 }
 
 // routeScore prices one copy of a replicated extent: expected service time
-// scaled by the copy's current queue depth. Lower wins.
-func (m *Mux) routeScore(id int) int64 {
-	t, err := m.tier(id)
-	if err != nil {
+// scaled by the copy's current queue depth. Lower wins; a removed tier
+// never does.
+func (m *Mux) routeScore(t *Tier) int64 {
+	if t.removed.Load() {
 		return math.MaxInt64
 	}
-	lat := int64(t.Prof.ReadLatency) + m.routeLat(id)
+	lat := int64(t.Prof.ReadLatency) + m.routeLat(t)
 	if lat < 1 {
 		lat = 1
 	}
-	return lat * int64(1+m.ioDepth(id))
+	return lat * int64(1+t.gate.InFlight())
 }
 
 // routeTarget decides which copy serves a read segment of tier `primary`.
 // It returns (tier, true) when a routing decision was made — the tier is
-// the winner, possibly the primary itself — and (-1, false) when routing is
-// off, the file has no routable mirror, or the mirror is quarantined (the
-// segment then takes the plain primary path and no decision is counted).
-func (m *Mux) routeTarget(f *muxFile, primary int) (int, bool) {
+// the winner, possibly the primary itself — and (nil, false) when routing
+// is off, the file has no routable mirror, or the mirror is quarantined
+// (the segment then takes the plain primary path and no decision is
+// counted).
+func (m *Mux) routeTarget(f *muxFile, primary *Tier) (*Tier, bool) {
 	if !m.routeReads.Load() {
-		return -1, false
+		return nil, false
 	}
 	rt := int(f.routableReplica.Load())
-	if rt < 0 || rt == primary {
-		return -1, false
+	if rt < 0 || rt == primary.ID {
+		return nil, false
 	}
-	if m.tierQuarantined(rt) {
-		return -1, false
+	mirror := m.tierRec(rt)
+	if mirror == nil || mirror.quarantined() {
+		return nil, false
 	}
-	if m.tierQuarantined(primary) {
+	if primary.quarantined() {
 		// The primary would fail fast and bounce through the error-fallback
 		// path; go straight to the healthy mirror.
-		return rt, true
+		return mirror, true
 	}
-	if m.routeScore(rt) < m.routeScore(primary) {
-		return rt, true
+	if m.routeScore(mirror) < m.routeScore(primary) {
+		return mirror, true
 	}
 	return primary, true
 }
@@ -176,11 +165,11 @@ func (m *Mux) routeTarget(f *muxFile, primary int) (int, bool) {
 // rt. Returns true only when the mirror delivered the full range and the
 // OCC recheck passed; any miss leaves the caller to run the unchanged
 // primary path (which overwrites dst entirely). Caller must not hold f.mu.
-func (m *Mux) readRoutedMirror(f *muxFile, rt int, dst []byte, off int64) bool {
-	dh := (*f.handleSnap.Load())[rt]
+func (m *Mux) readRoutedMirror(f *muxFile, rt *Tier, dst []byte, off int64) bool {
+	dh := (*f.handleSnap.Load())[rt.ID]
 	if dh == nil {
 		var err error
-		if dh, err = m.ensureHandle(f, rt); err != nil {
+		if dh, err = m.ensureHandle(f, rt.ID); err != nil {
 			return false
 		}
 	}
@@ -190,12 +179,11 @@ func (m *Mux) readRoutedMirror(f *muxFile, rt int, dst []byte, off int64) bool {
 	// here or fails the mapVer recheck below — zeroed mirror bytes can never
 	// be returned as data.
 	ver := f.mapVer.Load()
-	if int(f.routableReplica.Load()) != rt {
+	if int(f.routableReplica.Load()) != rt.ID {
 		return false
 	}
 	t0 := m.telStart()
-	gate := m.ioGate(rt)
-	gate.Acquire()
+	rt.gate.Acquire()
 	nr := 0
 	err := m.tierIO(rt, func() error {
 		var e error
@@ -207,7 +195,7 @@ func (m *Mux) readRoutedMirror(f *muxFile, rt int, dst []byte, off int64) bool {
 		}
 		return nil
 	})
-	gate.Release()
+	rt.gate.Release()
 	m.telIO("read", rt, f.loadPath(), int64(len(dst)), t0, err)
 	if err != nil || nr < len(dst) {
 		return false

@@ -15,9 +15,9 @@ import (
 // design budget is "cheap enough to leave on" (E9 gates the overhead at 5%
 // of the E8 metadata-hot workload):
 //
-//   - Per-tier instruments are pre-resolved into a copy-on-write table
-//     (telTab, swapped wholesale in AddTier like tierUsed), so the hot path
-//     never takes the registry lock or hashes a label set.
+//   - Per-tier instruments are pre-resolved into the tier's record
+//     (Tier.tel) when AddTier builds it, so the hot path never takes the
+//     registry lock or hashes a label set.
 //   - Every record site checks Registry.Enabled() first and skips all clock
 //     reads and atomics when off — the disabled cost is one atomic load.
 //   - Latency is wall clock, never the simulated clock, so telemetry cannot
@@ -78,7 +78,7 @@ var metaOpNames = [mopCount]string{
 }
 
 // newTierTel resolves the per-tier instrument handles.
-func (m *Mux) newTierTel(id int, dev string) *tierTel {
+func (m *Mux) newTierTel(id int, dev string) tierTel {
 	ls := func(op string) []telemetry.Label {
 		return []telemetry.Label{
 			{Key: "tier", Value: strconv.Itoa(id)},
@@ -86,7 +86,7 @@ func (m *Mux) newTierTel(id int, dev string) *tierTel {
 			{Key: "op", Value: op},
 		}
 	}
-	return &tierTel{
+	return tierTel{
 		readLat:    m.tel.Histogram("mux_tier_op_latency_ns", "Per-tier downward op wall latency in nanoseconds.", ls("read")...),
 		writeLat:   m.tel.Histogram("mux_tier_op_latency_ns", "Per-tier downward op wall latency in nanoseconds.", ls("write")...),
 		syncLat:    m.tel.Histogram("mux_tier_op_latency_ns", "Per-tier downward op wall latency in nanoseconds.", ls("sync")...),
@@ -114,39 +114,23 @@ func lsCopy(id int, dev, copy string) []telemetry.Label {
 
 // telRouted books one routing decision: the tier that won the score, and
 // whether it was serving as the mirror copy.
-func (m *Mux) telRouted(tier int, mirror bool) {
+func (m *Mux) telRouted(t *Tier, mirror bool) {
 	if !m.tel.Enabled() {
 		return
 	}
-	tt := m.telTier(tier)
-	if tt == nil {
-		return
-	}
 	if mirror {
-		tt.routedMirror.Add(1)
+		t.tel.routedMirror.Add(1)
 	} else {
-		tt.routedPrimary.Add(1)
+		t.tel.routedPrimary.Add(1)
 	}
 }
 
 // telFallback books one successful error-path replica read on the mirror's
 // tier.
-func (m *Mux) telFallback(tier int) {
-	if !m.tel.Enabled() {
-		return
+func (m *Mux) telFallback(t *Tier) {
+	if m.tel.Enabled() {
+		t.tel.fallbackReads.Add(1)
 	}
-	if tt := m.telTier(tier); tt != nil {
-		tt.fallbackReads.Add(1)
-	}
-}
-
-// telTier returns the instrument set for tier id (nil for unknown ids).
-func (m *Mux) telTier(id int) *tierTel {
-	tab := *m.telTab.Load()
-	if id < 0 || id >= len(tab) {
-		return nil
-	}
-	return tab[id]
 }
 
 // telStart opens a latency measurement: the zero time when telemetry is
@@ -161,14 +145,11 @@ func (m *Mux) telStart() time.Time {
 // telIO books one per-tier data op: latency, bytes, error count, and a
 // trace event when the op failed or ran slow. t0 is the telStart result —
 // zero means telemetry was off when the op began and nothing records.
-func (m *Mux) telIO(op string, tier int, path string, bytes int64, t0 time.Time, err error) {
+func (m *Mux) telIO(op string, t *Tier, path string, bytes int64, t0 time.Time, err error) {
 	if t0.IsZero() {
 		return
 	}
-	tt := m.telTier(tier)
-	if tt == nil {
-		return
-	}
+	tt := &t.tel
 	dur := time.Since(t0)
 	var lat *telemetry.Histogram
 	var bytesCtr, errCtr *telemetry.Counter
@@ -188,7 +169,7 @@ func (m *Mux) telIO(op string, tier int, path string, bytes int64, t0 time.Time,
 		errCtr.Add(1)
 	}
 	if err != nil || dur >= m.telSlow {
-		ev := telemetry.TraceEvent{Op: op, Tier: tier, Path: path, Dur: dur}
+		ev := telemetry.TraceEvent{Op: op, Tier: t.ID, Path: path, Dur: dur}
 		if err != nil {
 			ev.Err = err.Error()
 		}
@@ -393,19 +374,15 @@ type RoutingTelemetry struct {
 // routingTelemetry assembles the router section of the snapshot.
 func (m *Mux) routingTelemetry() RoutingTelemetry {
 	rt := RoutingTelemetry{Enabled: m.MirrorRouting()}
-	for _, t := range m.Tiers() {
-		tt := m.telTier(t.ID)
-		if tt == nil {
-			continue
-		}
+	for _, t := range m.tierTab.Load().live {
 		row := TierRouteTelemetry{
 			Tier:          t.ID,
 			TierName:      t.Prof.Name,
-			RoutedMirror:  tt.routedMirror.Value(),
-			RoutedPrimary: tt.routedPrimary.Value(),
-			FallbackReads: tt.fallbackReads.Value(),
-			InFlight:      m.ioDepth(t.ID),
-			Width:         m.ioWidth(t.ID),
+			RoutedMirror:  t.tel.routedMirror.Value(),
+			RoutedPrimary: t.tel.routedPrimary.Value(),
+			FallbackReads: t.tel.fallbackReads.Value(),
+			InFlight:      t.gate.InFlight(),
+			Width:         t.gate.Width(),
 		}
 		rt.RoutedMirror += row.RoutedMirror
 		rt.RoutedPrimary += row.RoutedPrimary
@@ -438,11 +415,8 @@ func (m *Mux) Telemetry() TelemetrySnapshot {
 	for op, c := range m.telMeta {
 		snap.MetaOps[metaOpNames[op]] = c.Value()
 	}
-	for _, t := range m.Tiers() {
-		tt := m.telTier(t.ID)
-		if tt == nil {
-			continue
-		}
+	for _, t := range m.tierTab.Load().live {
+		tt := &t.tel
 		snap.Ops = append(snap.Ops,
 			opTelemetryFrom(t.ID, t.Prof.Name, "read", tt.readLat.Snapshot(), tt.readBytes.Value(), tt.readErrs.Value()),
 			opTelemetryFrom(t.ID, t.Prof.Name, "write", tt.writeLat.Snapshot(), tt.writeBytes.Value(), tt.writeErrs.Value()),
@@ -501,12 +475,11 @@ func (m *Mux) collect() []telemetry.FamilySnapshot {
 		gaugeFam("mux_tier_inflight_width", "Data-path gate width per tier."),
 	}
 	var tierFams []telemetry.FamilySnapshot
-	for _, t := range m.Tiers() {
-		h := m.healthOf(t.ID)
-		info := h.snapshot(t.ID, t.Prof.Name)
+	for _, t := range m.tierTab.Load().live {
+		info := t.health.snapshot(t.ID, t.Prof.Name)
 		tier := telemetry.Label{Key: "tier", Value: strconv.Itoa(t.ID)}
-		tiers.Row([]int64{m.used(t.ID).Load(), info.Ops, info.Faults, info.Retries, info.Quarantines,
-			int64(h.State()), int64(m.ioDepth(t.ID)), int64(m.ioWidth(t.ID))},
+		tiers.Row([]int64{t.used.Load(), info.Ops, info.Faults, info.Retries, info.Quarantines,
+			int64(t.health.State()), int64(t.gate.InFlight()), int64(t.gate.Width())},
 			tier, telemetry.Label{Key: "dev", Value: t.Prof.Name})
 		if c, ok := t.FS.(telemetry.Collector); ok {
 			tierFams = append(tierFams, telemetry.WithLabels(c.Collect(), tier)...)

@@ -307,15 +307,11 @@ func (m *Mux) autotuneSample() autotune.Sample {
 	s.CacheHits, s.CacheMisses = cs.Hits, cs.Misses
 	live := m.tierTab.Load().live
 	for i, t := range live {
-		tt := m.telTier(t.ID)
-		if tt == nil {
-			continue
-		}
-		c := tt.readLat.Snapshot().Count
+		c := t.tel.readLat.Snapshot().Count
 		s.TotalReads += c
 		if i == 0 {
 			s.FastReads = c
-			s.FastUsed = m.used(t.ID).Load()
+			s.FastUsed = t.used.Load()
 			s.FastCap = t.Prof.Capacity
 		}
 	}

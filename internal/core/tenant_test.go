@@ -227,7 +227,7 @@ func TestQuotaDemotionAvoidsStripeAndQuarantinedTiers(t *testing.T) {
 
 	// Quarantine the plain SSD so the stripe tier is the nearest slower
 	// tier below PM: the policy must skip it and demote straight to HDD.
-	r.m.healthOf(r.ids.ssd).Trip()
+	r.m.tierRec(r.ids.ssd).health.Trip()
 
 	// Sanity: the policy view flags exactly the stripe tier.
 	for _, ti := range r.m.tierInfos() {
@@ -278,7 +278,7 @@ func TestQuotaDemotionAvoidsStripeAndQuarantinedTiers(t *testing.T) {
 	// stripe tier must STILL not become a demotion target — the quota goes
 	// unenforced this round rather than fanning tenant overflow across the
 	// stripe set.
-	r.m.healthOf(r.ids.hdd).Trip()
+	r.m.tierRec(r.ids.hdd).health.Trip()
 	for _, f := range files[2:] {
 		buf := make([]byte, 512)
 		if _, err := f.ReadAt(buf, 0); err != nil {
