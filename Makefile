@@ -24,9 +24,10 @@ race:
 # budget runs the allocation-budget tests without the race detector. They
 # skip under -race, which drops a random share of sync.Pool puts, so the
 # race target above never checks them: the novafs data path (overwrite,
-# read, handle stat), the blockfs sync path, xfslite's byte-free clean
-# cache pages, the stripe tier's pooled batch buffers, the
-# pipelined migration copy, a whole 1 MiB Migrate with one and with two
+# read, handle stat) and path ops (a path Stat allocates nothing, an Open
+# only its handle: TestPathOpAllocationBudget), the blockfs sync path,
+# xfslite's byte-free clean cache pages, the stripe tier's pooled batch
+# buffers, the pipelined migration copy, a whole 1 MiB Migrate with one and with two
 # workers (TestMigrateAllocationBudget), the muxns wire, the journal's
 # reused encode buffer and replay window, core's meta-journaled overwrite,
 # hole write, read and stat paths, a read spanning two tiers at fan-out
@@ -40,12 +41,13 @@ budget:
 # stress repeats the read-vs-migration race tests, the migration-batch
 # worker-equivalence test, the tier add/remove-vs-I/O test, the
 # breaker/gate concurrency test, the buffer pool's and the page arena's
-# parallel Get/Put tests and the stripe tier's stale-buffer test under the
-# race detector. They are timing-dependent: a
-# single pass hides a failure that shows up in a few runs out of twenty, so
-# they run twenty times in a row.
+# parallel Get/Put tests, the stripe tier's stale-buffer test and the
+# shared namespace table's concurrent lookup/create/rename test
+# (TestNamespaceConcurrentRenames) under the race detector. They are
+# timing-dependent: a single pass hides a failure that shows up in a few
+# runs out of twenty, so they run twenty times in a row.
 stress:
-	$(GO) test -race -count=20 -run 'TestReadFastPathRacesMigration|TestRoutedReadsVsMigration|TestConcurrentMigrationStorm|TestMigrationWorkersEquivalent|TestAddTierConcurrentWithIO|TestGuardConcurrent|TestBufpoolConcurrent|TestPageArenaConcurrent|TestStaleBuffersNeverLeak' ./internal/core ./internal/guard ./internal/bufpool ./internal/ec
+	$(GO) test -race -count=20 -run 'TestReadFastPathRacesMigration|TestRoutedReadsVsMigration|TestConcurrentMigrationStorm|TestMigrationWorkersEquivalent|TestAddTierConcurrentWithIO|TestGuardConcurrent|TestBufpoolConcurrent|TestPageArenaConcurrent|TestStaleBuffersNeverLeak|TestNamespaceConcurrentRenames' ./internal/core ./internal/guard ./internal/bufpool ./internal/ec ./internal/fsbase
 
 # fuzz runs each decoder fuzz target for 10 seconds. The muxns frame
 # decoders (internal/muxns; the targets sit with its client in

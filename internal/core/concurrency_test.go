@@ -169,7 +169,7 @@ func TestConcurrentNamespaceStress(t *testing.T) {
 
 // TestCrossShardRenameNoDeadlock drives renames in both directions between
 // two directory pairs from two goroutines. The shard-lock ordering (always
-// ascending shard index, shardns.go lockPair) must prevent the classic
+// ascending shard index, fsbase.Namespace lockPair) must prevent the classic
 // AB-BA deadlock; a hang here fails via the watchdog.
 func TestCrossShardRenameNoDeadlock(t *testing.T) {
 	r := newRig(t, policy.Pinned{Tier: 0}, false)

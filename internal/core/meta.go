@@ -9,6 +9,7 @@ import (
 
 	"muxfs/internal/device"
 	"muxfs/internal/fs/fsrec"
+	"muxfs/internal/fsbase"
 	"muxfs/internal/journal"
 	"muxfs/internal/vfs"
 )
@@ -269,11 +270,11 @@ func (m *Mux) metaCompact() error {
 	}
 	var dirs []dirEnt
 	var files []*muxFile
-	m.ns.WalkAll(func(path string, ino uint64, mode vfs.FileMode, f *muxFile) {
-		if mode.IsDir() {
-			dirs = append(dirs, dirEnt{ino, path})
-		} else if f != nil {
-			files = append(files, f)
+	m.ns.WalkAll(func(path string, e fsbase.Entry[*muxFile]) {
+		if e.IsDir() {
+			dirs = append(dirs, dirEnt{e.Ino, path})
+		} else {
+			files = append(files, e.File)
 		}
 	})
 

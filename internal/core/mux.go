@@ -15,12 +15,12 @@
 //	OCC Synchronizer                                      — occ.go
 //	Policy Runner                                         — runner.go
 //	Cache Controller                                      — cachectl.go
-//	Sharded namespace / inode table                       — shardns.go
+//	Sharded namespace / inode table                       — fsbase.Namespace, inotable.go
 //
 // Concurrency: there is no global Mux lock. The namespace is sharded
-// (shardns.go), the tier table is a copy-on-write snapshot behind an atomic
-// pointer, and per-read bookkeeping is lock-free; see DESIGN.md
-// "Concurrency & lock order".
+// (fsbase.Namespace, shared with the native file systems), the tier table
+// is a copy-on-write snapshot behind an atomic pointer, and per-read
+// bookkeeping is lock-free; see DESIGN.md "Concurrency & lock order".
 package core
 
 import (
@@ -34,6 +34,7 @@ import (
 
 	"muxfs/internal/device"
 	"muxfs/internal/fs/fsrec"
+	"muxfs/internal/fsbase"
 	"muxfs/internal/guard"
 	"muxfs/internal/policy"
 	"muxfs/internal/policy/autotune"
@@ -189,11 +190,6 @@ type Config struct {
 	// load per would-be record). It can also be toggled at runtime with
 	// SetTelemetryEnabled.
 	DisableTelemetry bool
-	// TelemetrySlowOp is the wall-time threshold above which a data op,
-	// migration move, or group commit records a trace event. Default 5ms.
-	TelemetrySlowOp time.Duration
-	// TelemetryRing sizes the trace ring. Default telemetry.DefaultRingSize.
-	TelemetryRing int
 
 	// Tier fault-domain knobs (health.go). Zero values take the defaults.
 	//
@@ -211,8 +207,9 @@ type Mux struct {
 	clk   *simclock.Clock
 	costs Costs
 
-	// Namespace and inode table — sharded, internally locked (shardns.go).
-	ns    *shardedNS
+	// Namespace and inode table — sharded, internally locked
+	// (fsbase.Namespace, inotable.go).
+	ns    *fsbase.Namespace[*muxFile]
 	files *inoTable
 
 	// Tier table — copy-on-write snapshot of the per-tier records. tierMu
@@ -277,7 +274,6 @@ type Mux struct {
 	telFlushRecs *telemetry.Counter
 	telMigLat    *telemetry.Histogram
 	telMigErrs   *telemetry.Counter
-	telSlow      time.Duration
 
 	// Multi-tenant attribution table (tenant.go): nil when no tenants are
 	// registered, so unattributed data paths pay one atomic load.
@@ -329,7 +325,7 @@ func New(cfg Config) (*Mux, error) {
 		name:      cfg.Name,
 		clk:       cfg.Clock,
 		costs:     cfg.Costs,
-		ns:        newShardedNS(),
+		ns:        fsbase.NewNamespace[*muxFile](),
 		files:     newInoTable(),
 		syncEvery: cfg.MetaSyncEvery,
 		maxRetry:  cfg.MigrationRetries,
@@ -352,11 +348,7 @@ func New(cfg Config) (*Mux, error) {
 
 	// Telemetry: registry + pre-resolved non-tier instruments. Per-tier
 	// instruments are resolved as tiers register (AddTier).
-	if cfg.TelemetrySlowOp <= 0 {
-		cfg.TelemetrySlowOp = defaultSlowOp
-	}
-	m.telSlow = cfg.TelemetrySlowOp
-	m.tel = telemetry.NewRegistry(cfg.TelemetryRing)
+	m.tel = telemetry.NewRegistry(telemetry.DefaultRingSize)
 	m.tel.SetEnabled(!cfg.DisableTelemetry)
 	for op := metaOp(0); op < mopCount; op++ {
 		m.telMeta[op] = m.tel.Counter("mux_meta_ops_total",
@@ -670,7 +662,7 @@ func (m *Mux) Create(path string) (vfs.File, error) {
 		return nil, vfs.Errf("create", m.name, path, ErrNoTiers)
 	}
 	host := -1
-	f, err := m.ns.CreateFile(path, 0o644, 0, func(ino uint64) *muxFile {
+	e, err := m.ns.CreateFile(path, 0o644, 0, func(ino uint64) *muxFile {
 		infos := m.tierInfos()
 		host = m.placeWritable(infos, m.policy().PlaceWrite(policy.WriteCtx{Path: path, Off: 0, N: 0}, infos), 0)
 		nf := newMuxFile(ino, path, m.now(), host)
@@ -680,6 +672,7 @@ func (m *Mux) Create(path string) (vfs.File, error) {
 	if err != nil {
 		return nil, vfs.Errf("create", m.name, path, err)
 	}
+	f := e.File
 
 	// Create the underlying sparse file on the host tier.
 	if _, err := m.ensureHandle(f, host); err != nil {
@@ -754,7 +747,7 @@ func (m *Mux) Remove(path string) error {
 
 // Rename moves a file or directory, mirrored on every tier that has it.
 // Cross-directory file renames lock the two parent shards in deterministic
-// index order (shardns.go), so a↔b renames from two goroutines cannot
+// index order (fsbase.Namespace), so a↔b renames from two goroutines cannot
 // deadlock.
 func (m *Mux) Rename(oldPath, newPath string) error {
 	oldPath, newPath = vfs.CleanPath(oldPath), vfs.CleanPath(newPath)
@@ -821,11 +814,11 @@ func (m *Mux) Rename(oldPath, newPath string) error {
 // downward handles, which cache the old path, close (bumping mapVer). It
 // takes each f.mu in turn, so it runs after the namespace locks are
 // released.
-func repath(moved []movedFile) {
+func repath(moved []fsbase.Moved[*muxFile]) {
 	for _, mv := range moved {
-		f := mv.file
+		f := mv.File
 		f.mu.Lock()
-		f.path = mv.path
+		f.path = mv.Path
 		f.publishPath()
 		f.closeHandlesLocked()
 		f.mu.Unlock()
@@ -1028,7 +1021,7 @@ func (m *Mux) Recover() error {
 	ml.mu.Unlock()
 
 	m.renameFix = nil // rebuilt by replay below
-	m.ns = newShardedNS()
+	m.ns = fsbase.NewNamespace[*muxFile]()
 	m.files = newInoTable()
 	for _, t := range m.tierTab.Load().tiers {
 		t.used.Store(0)

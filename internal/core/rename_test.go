@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"path"
 	"testing"
 
 	"muxfs/internal/policy"
@@ -86,7 +87,7 @@ func checkNoTierFiles(t *testing.T, r *rig) {
 				t.Fatalf("%s: readdir %s: %v", tier.FS.Name(), dir, err)
 			}
 			for _, e := range ents {
-				p := childPath(dir, e.Name)
+				p := path.Join(dir, e.Name)
 				if e.IsDir {
 					walk(p)
 				} else if p != CacheFilePath {

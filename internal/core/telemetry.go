@@ -27,10 +27,11 @@ import (
 // operations, plus quarantine transitions and slow/failed group commits —
 // a bounded flight recorder for "why was that op slow", not a log.
 
-// defaultSlowOp is the wall-time threshold above which an op records a
-// trace event. Governed experiment writes sleep ~1.5 ms; real device stalls
-// and breaker retry storms exceed this comfortably.
-const defaultSlowOp = 5 * time.Millisecond
+// slowOp is the wall-time threshold above which a data op, migration move
+// or group commit records a trace event. Governed experiment writes sleep
+// ~1.5 ms; real device stalls and breaker retry storms exceed this
+// comfortably.
+const slowOp = 5 * time.Millisecond
 
 // tierTel is one tier's pre-resolved instrument set.
 type tierTel struct {
@@ -168,7 +169,7 @@ func (m *Mux) telIO(op string, t *Tier, path string, bytes int64, t0 time.Time, 
 	if err != nil {
 		errCtr.Add(1)
 	}
-	if err != nil || dur >= m.telSlow {
+	if err != nil || dur >= slowOp {
 		ev := telemetry.TraceEvent{Op: op, Tier: t.ID, Path: path, Dur: dur}
 		if err != nil {
 			ev.Err = err.Error()
@@ -191,7 +192,7 @@ func (m *Mux) telMigrate(path string, src, dst int, moved int64, t0 time.Time, e
 	if err != nil {
 		m.telMigErrs.Add(1)
 	}
-	if err != nil || dur >= m.telSlow {
+	if err != nil || dur >= slowOp {
 		ev := telemetry.TraceEvent{
 			Op: "migrate", Tier: dst, Path: path, Dur: dur,
 			Note: fmt.Sprintf("tier %d -> %d, %d bytes", src, dst, moved),
@@ -215,7 +216,7 @@ func (m *Mux) telFlush(records int, t0 time.Time, err error) {
 	if err != nil {
 		m.telFlushErrs.Add(1)
 	}
-	if err != nil || dur >= m.telSlow {
+	if err != nil || dur >= slowOp {
 		ev := telemetry.TraceEvent{
 			Op: "flush", Tier: -1, Dur: dur,
 			Note: fmt.Sprintf("%d records", records),

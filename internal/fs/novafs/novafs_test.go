@@ -448,3 +448,42 @@ func TestDataPathAllocationBudget(t *testing.T) {
 		}
 	}
 }
+
+// Path operations resolve a clean path without allocating: a path Stat
+// allocates nothing and an Open allocates only its handle. Every Mux read
+// or write that opens a tier file downward pays this.
+func TestPathOpAllocationBudget(t *testing.T) {
+	fs := newFS(t)
+	for _, d := range []string{"/a", "/a/b"} {
+		if err := fs.Mkdir(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f, err := fs.Create("/a/b/x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	for _, c := range []struct {
+		name   string
+		allocs float64
+		op     func()
+	}{
+		{"stat", 0, func() {
+			if _, err := fs.Stat("/a/b/x"); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"open+close", 1, func() {
+			h, err := fs.Open("/a/b/x")
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.Close()
+		}},
+	} {
+		if a := testing.AllocsPerRun(200, c.op); a > c.allocs {
+			t.Errorf("%s allocates %.1f objects per op, want <= %.0f", c.name, a, c.allocs)
+		}
+	}
+}

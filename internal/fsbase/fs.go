@@ -4,8 +4,9 @@
 // page cache over a block allocator); their namespace and metadata-record
 // handling is the same, and lives here once:
 //
-//   - the namespace tree (Namespace) and the inode table (Inode: Meta plus
-//     an extent map from file offsets to device offsets);
+//   - the namespace (Namespace, the sharded directory table Mux and Strata
+//     use too) and the inode table (Inode: Meta plus an extent map from
+//     file offsets to device offsets);
 //   - the path operations (Create, Open, Remove, Rename, Mkdir, ReadDir,
 //     Stat, SetAttr, Truncate) and the open-file handle;
 //   - the metadata journal: one fsrec replay, one compaction snapshot,
@@ -93,7 +94,7 @@ type FS struct {
 	Mu sync.Mutex
 	// NS is the namespace, Inodes the inode table, Log the metadata
 	// journal in [0, DataStart); the data region is [DataStart, capacity).
-	NS        *Namespace
+	NS        *Namespace[*Inode]
 	Inodes    map[uint64]*Inode
 	Log       *journal.Dual
 	Dev       *device.Device
@@ -126,7 +127,7 @@ func (fs *FS) Mount(name string, dev *device.Device, journalFrac int64, costs Co
 }
 
 func (fs *FS) reset() {
-	fs.NS = NewNamespace()
+	fs.NS = NewNamespace[*Inode]()
 	fs.Inodes = make(map[uint64]*Inode)
 	fs.be.Reset()
 }
@@ -165,19 +166,21 @@ func (fs *FS) Create(path string) (vfs.File, error) {
 	fs.Mu.Lock()
 	defer fs.Mu.Unlock()
 	fs.Clk.Advance(fs.Costs.MetaOp)
-	node, err := fs.NS.CreateFile(path, 0o644)
+	now := fs.Clk.Now()
+	e, err := fs.NS.CreateFile(path, 0o644, 0, func(uint64) *Inode {
+		return &Inode{Meta: Meta{Mode: 0o644, ModTime: now, ATime: now, CTime: now}}
+	})
 	if err != nil {
 		return nil, vfs.Errf("create", fs.name, path, err)
 	}
-	now := fs.Clk.Now()
-	fs.Inodes[node.Ino] = &Inode{Meta: Meta{Mode: 0o644, ModTime: now, ATime: now, CTime: now}}
-	if err := fs.commit(fsrec.Op{Type: fsrec.OpCreate, Ino: node.Ino, Path: path, Mode: 0o644}.Record()); err != nil {
+	fs.Inodes[e.Ino] = e.File
+	if err := fs.commit(fsrec.Op{Type: fsrec.OpCreate, Ino: e.Ino, Path: path, Mode: 0o644}.Record()); err != nil {
 		// Not taken: the file never existed durably.
 		fs.NS.Remove(path)
-		delete(fs.Inodes, node.Ino)
+		delete(fs.Inodes, e.Ino)
 		return nil, vfs.Errf("create", fs.name, path, err)
 	}
-	return &file{fs: fs, path: path, ino: node.Ino}, nil
+	return &file{fs: fs, path: path, ino: e.Ino}, nil
 }
 
 // Open opens an existing regular file.
@@ -186,14 +189,14 @@ func (fs *FS) Open(path string) (vfs.File, error) {
 	fs.Mu.Lock()
 	defer fs.Mu.Unlock()
 	fs.Clk.Advance(fs.Costs.MetaOp)
-	node, err := fs.NS.Lookup(path)
+	e, err := fs.NS.Lookup(path)
 	if err != nil {
 		return nil, vfs.Errf("open", fs.name, path, err)
 	}
-	if node.IsDir() {
+	if e.IsDir() {
 		return nil, vfs.Errf("open", fs.name, path, vfs.ErrIsDir)
 	}
-	return &file{fs: fs, path: path, ino: node.Ino}, nil
+	return &file{fs: fs, path: path, ino: e.Ino}, nil
 }
 
 // Remove deletes a file or empty directory and releases its space.
@@ -202,11 +205,11 @@ func (fs *FS) Remove(path string) error {
 	fs.Mu.Lock()
 	defer fs.Mu.Unlock()
 	fs.Clk.Advance(fs.Costs.MetaOp)
-	node, err := fs.NS.Remove(path)
+	e, err := fs.NS.Remove(path)
 	if err != nil {
 		return vfs.Errf("remove", fs.name, path, err)
 	}
-	fs.dropInode(node.Ino)
+	fs.dropInode(e.Ino)
 	if err := fs.commit(fsrec.Op{Type: fsrec.OpRemove, Path: path}.Record()); err != nil {
 		return vfs.Errf("remove", fs.name, path, err)
 	}
@@ -228,7 +231,7 @@ func (fs *FS) Rename(oldPath, newPath string) error {
 	fs.Mu.Lock()
 	defer fs.Mu.Unlock()
 	fs.Clk.Advance(fs.Costs.MetaOp)
-	if _, err := fs.NS.Rename(oldPath, newPath); err != nil {
+	if _, _, err := fs.NS.Rename(oldPath, newPath); err != nil {
 		return vfs.Errf("rename", fs.name, oldPath, err)
 	}
 	if err := fs.commit(fsrec.Op{Type: fsrec.OpRename, Path: oldPath, Path2: newPath}.Record()); err != nil {
@@ -243,11 +246,11 @@ func (fs *FS) Mkdir(path string) error {
 	fs.Mu.Lock()
 	defer fs.Mu.Unlock()
 	fs.Clk.Advance(fs.Costs.MetaOp)
-	node, err := fs.NS.Mkdir(path, 0o755)
+	num, err := fs.NS.Mkdir(path, 0o755)
 	if err != nil {
 		return vfs.Errf("mkdir", fs.name, path, err)
 	}
-	if err := fs.commit(fsrec.Op{Type: fsrec.OpMkdir, Ino: node.Ino, Path: path, Mode: node.Mode}.Record()); err != nil {
+	if err := fs.commit(fsrec.Op{Type: fsrec.OpMkdir, Ino: num, Path: path, Mode: vfs.ModeDir | 0o755}.Record()); err != nil {
 		fs.NS.Remove(path)
 		return vfs.Errf("mkdir", fs.name, path, err)
 	}
@@ -272,14 +275,14 @@ func (fs *FS) Stat(path string) (vfs.FileInfo, error) {
 	fs.Mu.Lock()
 	defer fs.Mu.Unlock()
 	fs.Clk.Advance(fs.Costs.MetaOp)
-	node, err := fs.NS.Lookup(path)
+	e, err := fs.NS.Lookup(path)
 	if err != nil {
 		return vfs.FileInfo{}, vfs.Errf("stat", fs.name, path, err)
 	}
-	if node.IsDir() {
-		return vfs.FileInfo{Path: path, Mode: node.Mode}, nil
+	if e.IsDir() {
+		return vfs.FileInfo{Path: path, Mode: e.Mode}, nil
 	}
-	return fs.Inodes[node.Ino].info(path), nil
+	return e.File.info(path), nil
 }
 
 // info is the inode's FileInfo under path.
@@ -295,17 +298,17 @@ func (fs *FS) SetAttr(path string, attr vfs.SetAttr) error {
 	fs.Mu.Lock()
 	defer fs.Mu.Unlock()
 	fs.Clk.Advance(fs.Costs.MetaOp)
-	node, err := fs.NS.Lookup(path)
+	e, err := fs.NS.Lookup(path)
 	if err != nil {
 		return vfs.Errf("setattr", fs.name, path, err)
 	}
-	if node.IsDir() {
+	if e.IsDir() {
 		return vfs.Errf("setattr", fs.name, path, vfs.ErrIsDir)
 	}
-	ino := fs.Inodes[node.Ino]
+	ino := e.File
 	recs := fs.recs[:0]
 	if attr.Size != nil && *attr.Size < ino.Meta.Size {
-		if recs, err = fs.shrink(ino, node.Ino, *attr.Size, fs.Clk.Now(), recs); err != nil {
+		if recs, err = fs.shrink(ino, e.Ino, *attr.Size, fs.Clk.Now(), recs); err != nil {
 			return vfs.Errf("setattr", fs.name, path, err)
 		}
 	}
@@ -313,9 +316,9 @@ func (fs *FS) SetAttr(path string, attr vfs.SetAttr) error {
 		return nil
 	}
 	if attr.Mode != nil {
-		node.Mode = ino.Meta.Mode
+		fs.NS.SetFileMode(path, ino.Meta.Mode)
 	}
-	fs.recs = append(recs, recSetAttr(node.Ino, &ino.Meta))
+	fs.recs = append(recs, recSetAttr(e.Ino, &ino.Meta))
 	if err := fs.be.Commit(fs.recs); err != nil {
 		return vfs.Errf("setattr", fs.name, path, err)
 	}
@@ -369,14 +372,18 @@ func (fs *FS) Recover() error {
 	return nil
 }
 
-// CheckConsistency cross-checks the extent maps against the space
-// manager: every mapping lies inside the data region, no device byte is
-// referenced by two mappings, and the backend's CheckSpace finds no
-// leaked or double-counted page. The crash sweep runs it after every
-// remount.
+// CheckConsistency cross-checks the namespace against the inode table and
+// the extent maps against the space manager: every file entry names a
+// live inode and every inode has an entry, every mapping lies inside the
+// data region, no device byte is referenced by two mappings, and the
+// backend's CheckSpace finds no leaked or double-counted page. The crash
+// sweep runs it after every remount.
 func (fs *FS) CheckConsistency() error {
 	fs.Mu.Lock()
 	defer fs.Mu.Unlock()
+	if err := fs.checkNamespace(); err != nil {
+		return fmt.Errorf("%s: %w", fs.name, err)
+	}
 	type ival struct{ off, end int64 }
 	var ivals []ival
 	referenced := make(map[int64]bool)
@@ -406,6 +413,31 @@ func (fs *FS) CheckConsistency() error {
 	}
 	if err := fs.be.CheckSpace(referenced); err != nil {
 		return fmt.Errorf("%s: %w", fs.name, err)
+	}
+	return nil
+}
+
+// checkNamespace reports a file entry whose inode is missing from the
+// inode table, and an inode no entry references. Caller holds Mu.
+func (fs *FS) checkNamespace() error {
+	var err error
+	named := make(map[uint64]bool, len(fs.Inodes))
+	fs.NS.WalkAll(func(path string, e Entry[*Inode]) {
+		if e.IsDir() || err != nil {
+			return
+		}
+		if ino, ok := fs.Inodes[e.Ino]; !ok || ino != e.File {
+			err = fmt.Errorf("%s names inode %d, which the inode table lacks", path, e.Ino)
+		}
+		named[e.Ino] = true
+	})
+	if err != nil {
+		return err
+	}
+	for num := range fs.Inodes {
+		if !named[num] {
+			return fmt.Errorf("inode %d has no namespace entry", num)
+		}
 	}
 	return nil
 }

@@ -9,64 +9,91 @@ import (
 	"muxfs/internal/vfs"
 )
 
+// echo is the payload constructor of the tests below: each file entry
+// carries its own inode number, so a test can tell the payload followed
+// the entry.
+func echo(ino uint64) uint64 { return ino }
+
 func TestNamespaceBasics(t *testing.T) {
-	ns := NewNamespace()
+	ns := NewNamespace[uint64]()
 	if ns.FileCount() != 0 {
 		t.Fatal("fresh namespace not empty")
 	}
 	root, err := ns.Lookup("/")
-	if err != nil || !root.IsDir() {
-		t.Fatalf("root lookup: %v", err)
+	if err != nil || !root.IsDir() || root.Ino != 1 {
+		t.Fatalf("root lookup: %+v, %v", root, err)
 	}
 
-	n, err := ns.CreateFile("/a", 0o644)
-	if err != nil || n.Ino == 0 || n.IsDir() {
-		t.Fatalf("CreateFile: %+v, %v", n, err)
+	e, err := ns.CreateFile("/a", 0o644, 0, echo)
+	if err != nil || e.Ino == 0 || e.IsDir() || e.File != e.Ino {
+		t.Fatalf("CreateFile: %+v, %v", e, err)
 	}
-	if _, err := ns.CreateFile("/a", 0o644); !errors.Is(err, vfs.ErrExist) {
+	if got, err := ns.Lookup("/a"); err != nil || got != e {
+		t.Fatalf("Lookup = %+v, %v, want %+v", got, err, e)
+	}
+	if _, err := ns.CreateFile("/a", 0o644, 0, echo); !errors.Is(err, vfs.ErrExist) {
 		t.Fatalf("duplicate create: %v", err)
 	}
-	if _, err := ns.CreateFile("/", 0o644); !errors.Is(err, vfs.ErrInvalid) {
+	if _, err := ns.CreateFile("/", 0o644, 0, echo); !errors.Is(err, vfs.ErrInvalid) {
 		t.Fatalf("create at root: %v", err)
 	}
-	if _, err := ns.CreateFile("/missing/f", 0o644); !errors.Is(err, vfs.ErrNotExist) {
+	if _, err := ns.Mkdir("/", vfs.ModeDir|0o755); !errors.Is(err, vfs.ErrInvalid) {
+		t.Fatalf("mkdir at root: %v", err)
+	}
+	if _, err := ns.Remove("/"); !errors.Is(err, vfs.ErrInvalid) {
+		t.Fatalf("remove root: %v", err)
+	}
+	if _, err := ns.CreateFile("/missing/f", 0o644, 0, echo); !errors.Is(err, vfs.ErrNotExist) {
 		t.Fatalf("create under missing dir: %v", err)
 	}
-	if _, err := ns.CreateFile("/a/f", 0o644); !errors.Is(err, vfs.ErrNotDir) {
+	if _, err := ns.CreateFile("/a/f", 0o644, 0, echo); !errors.Is(err, vfs.ErrNotDir) {
 		t.Fatalf("create under file: %v", err)
+	}
+	if _, err := ns.Lookup("/a/b/c"); !errors.Is(err, vfs.ErrNotDir) {
+		t.Fatalf("lookup through file: %v", err)
+	}
+	if _, err := ns.ReadDir("/a"); !errors.Is(err, vfs.ErrNotDir) {
+		t.Fatalf("readdir of file: %v", err)
 	}
 	if ns.FileCount() != 1 {
 		t.Fatalf("FileCount = %d", ns.FileCount())
 	}
+	ns.SetFileMode("/a", 0o600)
+	if got, _ := ns.Lookup("/a"); got.Mode != 0o600 {
+		t.Fatalf("SetFileMode: mode %v", got.Mode)
+	}
 }
 
 func TestNamespaceInoAllocation(t *testing.T) {
-	ns := NewNamespace()
-	a, _ := ns.CreateFile("/a", 0o644)
-	b, _ := ns.CreateFile("/b", 0o644)
+	ns := NewNamespace[uint64]()
+	a, _ := ns.CreateFile("/a", 0o644, 0, echo)
+	b, _ := ns.CreateFile("/b", 0o644, 0, echo)
 	if a.Ino == b.Ino {
 		t.Fatal("duplicate ino")
 	}
 	// Recovery-style creation with an explicit high ino bumps the allocator.
-	c, err := ns.CreateFileIno("/c", 0o644, 1000)
-	if err != nil || c.Ino != 1000 {
-		t.Fatalf("CreateFileIno: %+v, %v", c, err)
+	c, err := ns.CreateFile("/c", 0o644, 1000, echo)
+	if err != nil || c.Ino != 1000 || c.File != 1000 {
+		t.Fatalf("CreateFile with ino: %+v, %v", c, err)
 	}
-	d, _ := ns.CreateFile("/d", 0o644)
-	if d.Ino <= 1000 {
+	d, _ := ns.CreateFile("/d", 0o644, 0, echo)
+	if d.Ino != 1001 {
 		t.Fatalf("allocator did not bump past explicit ino: %d", d.Ino)
 	}
 }
 
 func TestNamespaceRenameSemantics(t *testing.T) {
-	ns := NewNamespace()
-	ns.Mkdir("/d1", vfs.ModeDir|0o755)
-	ns.Mkdir("/d2", vfs.ModeDir|0o755)
-	f, _ := ns.CreateFile("/d1/f", 0o644)
+	ns := NewNamespace[uint64]()
+	ns.Mkdir("/d1", 0o755)
+	ns.Mkdir("/d2", 0o755)
+	f, _ := ns.CreateFile("/d1/f", 0o644, 0, echo)
 
-	node, err := ns.Rename("/d1/f", "/d2/g")
-	if err != nil || node.Ino != f.Ino {
-		t.Fatalf("rename: %+v, %v", node, err)
+	e, moved, err := ns.Rename("/d1/f", "/d2/g")
+	if err != nil || e.Ino != f.Ino {
+		t.Fatalf("rename: %+v, %v", e, err)
+	}
+	if fmt.Sprint(moved) != fmt.Sprint([]Moved[uint64]{{f.Ino, "/d2/g"}}) {
+		t.Fatalf("file rename moved %v", moved)
 	}
 	if _, err := ns.Lookup("/d1/f"); !errors.Is(err, vfs.ErrNotExist) {
 		t.Fatal("old name lingers")
@@ -74,36 +101,65 @@ func TestNamespaceRenameSemantics(t *testing.T) {
 	if _, err := ns.Lookup("/d2/g"); err != nil {
 		t.Fatal("new name missing")
 	}
-	// Rename a whole directory; children follow.
-	ns.CreateFile("/d2/child", 0o644)
-	if _, err := ns.Rename("/d2", "/renamed"); err != nil {
+	// Rename a whole directory; children follow, and every file under it
+	// is reported with its new path.
+	ns.Mkdir("/d2/sub", 0o755)
+	child, _ := ns.CreateFile("/d2/sub/child", 0o644, 0, echo)
+	if _, moved, err = ns.Rename("/d2", "/renamed"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ns.Lookup("/renamed/g"); err != nil {
+	got := map[uint64]string{}
+	for _, mv := range moved {
+		got[mv.File] = mv.Path
+	}
+	want := map[uint64]string{f.Ino: "/renamed/g", child.Ino: "/renamed/sub/child"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("directory rename moved %v, want %v", got, want)
+	}
+	if _, err := ns.Lookup("/renamed/sub/child"); err != nil {
 		t.Fatal("child lost in directory rename")
+	}
+	// A directory cannot move into its own subtree, at any depth.
+	for _, dst := range []string{"/renamed/sub/x", "/renamed/x", "/renamed/sub"} {
+		if _, _, err := ns.Rename("/renamed", dst); !errors.Is(err, vfs.ErrInvalid) {
+			t.Fatalf("rename /renamed -> %s: %v, want ErrInvalid", dst, err)
+		}
+	}
+	if _, err := ns.Lookup("/renamed/sub/child"); err != nil {
+		t.Fatal("refused subtree rename changed the tree")
+	}
+	if _, _, err := ns.Rename("/renamed/g", "/d1"); !errors.Is(err, vfs.ErrExist) {
+		t.Fatalf("rename onto existing dir: %v", err)
+	}
+	if _, _, err := ns.Rename("/renamed/g", "/nowhere/g"); !errors.Is(err, vfs.ErrNotExist) {
+		t.Fatalf("rename into missing dir: %v", err)
+	}
+	if _, err := ns.Remove("/renamed"); !errors.Is(err, vfs.ErrNotEmpty) {
+		t.Fatalf("remove non-empty dir: %v", err)
+	}
+	if ns.FileCount() != 5 {
+		t.Fatalf("FileCount = %d, want 5", ns.FileCount())
 	}
 }
 
 func TestWalkOrders(t *testing.T) {
-	ns := NewNamespace()
-	ns.Mkdir("/b", vfs.ModeDir|0o755)
-	ns.Mkdir("/a", vfs.ModeDir|0o755)
-	ns.CreateFile("/a/z", 0o644)
-	ns.CreateFile("/a/y", 0o644)
-	ns.CreateFile("/top", 0o644)
+	ns := NewNamespace[uint64]()
+	ns.Mkdir("/b", 0o755)
+	ns.Mkdir("/a", 0o755)
+	ns.CreateFile("/a/z", 0o644, 0, echo)
+	ns.CreateFile("/a/y", 0o644, 0, echo)
+	ns.CreateFile("/top", 0o644, 0, echo)
 
 	var all []string
-	ns.WalkAll(func(path string, node *Node) { all = append(all, path) })
+	ns.WalkAll(func(path string, e Entry[uint64]) { all = append(all, path) })
 	want := []string{"/a", "/a/y", "/a/z", "/b", "/top"}
 	if fmt.Sprint(all) != fmt.Sprint(want) {
 		t.Fatalf("WalkAll = %v, want %v", all, want)
 	}
 
-	var files []string
-	ns.WalkFiles(func(path string, node *Node) { files = append(files, path) })
-	wantFiles := []string{"/a/y", "/a/z", "/top"}
-	if fmt.Sprint(files) != fmt.Sprint(wantFiles) {
-		t.Fatalf("WalkFiles = %v, want %v", files, wantFiles)
+	ents, err := ns.ReadDir("/a")
+	if err != nil || fmt.Sprint(ents) != fmt.Sprint([]vfs.DirEntry{{Name: "y"}, {Name: "z"}}) {
+		t.Fatalf("ReadDir = %v, %v", ents, err)
 	}
 }
 

@@ -28,16 +28,16 @@ func (fs *FS) CommitLog(recs []journal.Record) error {
 // Caller holds Mu.
 func (fs *FS) compact() error {
 	err := fs.Log.Compact(func(tx *journal.Tx) {
-		fs.NS.WalkAll(func(path string, node *Node) {
-			if node.IsDir() {
-				tx.Append(fsrec.Op{Type: fsrec.OpMkdir, Ino: node.Ino, Path: path, Mode: node.Mode}.Record())
+		fs.NS.WalkAll(func(path string, e Entry[*Inode]) {
+			if e.IsDir() {
+				tx.Append(fsrec.Op{Type: fsrec.OpMkdir, Ino: e.Ino, Path: path, Mode: e.Mode}.Record())
 				return
 			}
-			ino := fs.Inodes[node.Ino]
-			tx.Append(fsrec.Op{Type: fsrec.OpCreate, Ino: node.Ino, Path: path, Mode: ino.Meta.Mode}.Record())
-			tx.Append(recSetAttr(node.Ino, &ino.Meta))
+			ino := e.File
+			tx.Append(fsrec.Op{Type: fsrec.OpCreate, Ino: e.Ino, Path: path, Mode: ino.Meta.Mode}.Record())
+			tx.Append(recSetAttr(e.Ino, &ino.Meta))
 			ino.Ext.Walk(func(off, n, delta int64) bool {
-				tx.Append(fsrec.Op{Type: fsrec.OpExtent, Ino: node.Ino, Off: off, Delta: delta, N: n,
+				tx.Append(fsrec.Op{Type: fsrec.OpExtent, Ino: e.Ino, Off: off, Delta: delta, N: n,
 					Size: ino.Meta.Size, MTime: ino.Meta.ModTime}.Record())
 				return true
 			})
@@ -58,11 +58,13 @@ func (fs *FS) apply(r journal.Record) error {
 	}
 	switch op.Type {
 	case fsrec.OpCreate:
-		node, err := fs.NS.CreateFileIno(op.Path, op.Mode, op.Ino)
+		e, err := fs.NS.CreateFile(op.Path, op.Mode, op.Ino, func(uint64) *Inode {
+			return &Inode{Meta: Meta{Mode: op.Mode}}
+		})
 		if err != nil {
 			return fmt.Errorf("replay create %q: %w", op.Path, err)
 		}
-		fs.Inodes[node.Ino] = &Inode{Meta: Meta{Mode: op.Mode}}
+		fs.Inodes[e.Ino] = e.File
 		return nil
 	case fsrec.OpMkdir:
 		if _, err := fs.NS.Mkdir(op.Path, op.Mode); err != nil {
@@ -71,14 +73,14 @@ func (fs *FS) apply(r journal.Record) error {
 		fs.NS.BumpIno(op.Ino)
 		return nil
 	case fsrec.OpRemove:
-		node, err := fs.NS.Remove(op.Path)
+		e, err := fs.NS.Remove(op.Path)
 		if err != nil {
 			return fmt.Errorf("replay remove %q: %w", op.Path, err)
 		}
-		fs.dropInode(node.Ino)
+		fs.dropInode(e.Ino)
 		return nil
 	case fsrec.OpRename:
-		if _, err := fs.NS.Rename(op.Path, op.Path2); err != nil {
+		if _, _, err := fs.NS.Rename(op.Path, op.Path2); err != nil {
 			return fmt.Errorf("replay rename %q->%q: %w", op.Path, op.Path2, err)
 		}
 		return nil

@@ -411,6 +411,33 @@ func testRename(t *testing.T, fs vfs.FileSystem) {
 	if err := fs.Rename("/dir/new", "/clash"); !errors.Is(err, vfs.ErrExist) {
 		t.Fatalf("rename onto existing err = %v", err)
 	}
+
+	// A directory cannot move into its own subtree: the move would detach
+	// the subtree from the root. The refusal leaves it whole.
+	for _, d := range []string{"/tree", "/tree/a", "/tree/a/b"} {
+		if err := fs.Mkdir(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f = mustCreate(t, fs, "/tree/a/b/x")
+	mustWrite(t, f, []byte("subtree"), 0)
+	f.Close()
+	for _, dst := range []string{"/tree/a/b/c", "/tree/a/c"} {
+		if err := fs.Rename("/tree", dst); !errors.Is(err, vfs.ErrInvalid) {
+			t.Fatalf("rename /tree into its subtree %s: err = %v, want ErrInvalid", dst, err)
+		}
+	}
+	if ents, err := fs.ReadDir("/tree/a/b"); err != nil || len(ents) != 1 || ents[0].Name != "x" {
+		t.Fatalf("subtree after refused rename: %v, %v", ents, err)
+	}
+	f3, err := fs.Open("/tree/a/b/x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f3.Close()
+	if got := mustRead(t, f3, 7, 0); string(got) != "subtree" {
+		t.Fatalf("subtree file after refused rename = %q", got)
+	}
 }
 
 func testSetAttr(t *testing.T, fs vfs.FileSystem) {

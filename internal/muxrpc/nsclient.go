@@ -75,10 +75,11 @@ type NSDialOptions struct {
 	// (admission control). Default 8; negative disables retries so
 	// muxns.BusyError surfaces to the caller immediately.
 	BusyRetries int
-	// BusyWait is the backoff used when the server's busy reply carried no
-	// retry-after hint (default 2ms).
-	BusyWait time.Duration
 }
+
+// busyWait is the backoff used when the server's busy reply carried no
+// retry-after hint.
+const busyWait = 2 * time.Millisecond
 
 func (o *NSDialOptions) fill() {
 	if o.PoolSize < 1 {
@@ -86,9 +87,6 @@ func (o *NSDialOptions) fill() {
 	}
 	if o.BusyRetries == 0 {
 		o.BusyRetries = 8
-	}
-	if o.BusyWait <= 0 {
-		o.BusyWait = 2 * time.Millisecond
 	}
 }
 
@@ -432,7 +430,7 @@ func (c *NSClient) doBusy(s *nsSlot, conn *nsConn, req *muxns.NSRequest, dst []b
 func (c *NSClient) busyBackoff(resp *muxns.NSResponse, attempt int) time.Duration {
 	wait := time.Duration(resp.RetryAfterMs) * time.Millisecond
 	if wait <= 0 {
-		wait = c.opts.BusyWait
+		wait = busyWait
 	}
 	if attempt > 6 {
 		attempt = 6

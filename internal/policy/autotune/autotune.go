@@ -74,16 +74,18 @@ type Sample struct {
 	FastCap  int64
 }
 
+// Objective weights: score = hitWeight·fastReadFrac
+// + cacheWeight·cacheHitRatio − latWeight·p99Millis
+// − churnWeight·(movedBytes/256MiB).
+const (
+	hitWeight   = 1.0
+	cacheWeight = 0.25
+	latWeight   = 0.15 // per millisecond of p99
+	churnWeight = 0.25 // per 256 MiB moved per round
+)
+
 // Options configures the controller. Zero values take the defaults.
 type Options struct {
-	// Objective weights: score = HitWeight·fastReadFrac
-	// + CacheWeight·cacheHitRatio − LatWeight·p99Millis
-	// − ChurnWeight·(movedBytes/256MiB).
-	HitWeight   float64 // default 1.0
-	CacheWeight float64 // default 0.25
-	LatWeight   float64 // default 0.15 (per millisecond of p99)
-	ChurnWeight float64 // default 0.25 (per 256 MiB moved per round)
-
 	// Hysteresis is the minimum relative score improvement that accepts a
 	// probe (default 0.02 = 2%). Larger values damp oscillation harder.
 	Hysteresis float64
@@ -107,18 +109,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.HitWeight == 0 {
-		o.HitWeight = 1.0
-	}
-	if o.CacheWeight == 0 {
-		o.CacheWeight = 0.25
-	}
-	if o.LatWeight == 0 {
-		o.LatWeight = 0.15
-	}
-	if o.ChurnWeight == 0 {
-		o.ChurnWeight = 0.25
-	}
 	if o.Hysteresis <= 0 {
 		o.Hysteresis = 0.02
 	}
@@ -298,10 +288,10 @@ func (t *Tuner) Step(s Sample) Decision {
 		d.CacheRatio = float64(dHits) / float64(dHits+dMiss)
 	}
 	d.P99 = time.Duration(ih.Quantile(0.99))
-	d.Score = t.opts.HitWeight*d.HitRatio +
-		t.opts.CacheWeight*d.CacheRatio -
-		t.opts.LatWeight*float64(d.P99)/float64(time.Millisecond) -
-		t.opts.ChurnWeight*float64(dMoved)/float64(256<<20)
+	d.Score = hitWeight*d.HitRatio +
+		cacheWeight*d.CacheRatio -
+		latWeight*float64(d.P99)/float64(time.Millisecond) -
+		churnWeight*float64(dMoved)/float64(256<<20)
 	t.lastScore = d.Score
 
 	// Verdict on the pending probe.

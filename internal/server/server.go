@@ -45,14 +45,12 @@ type Options struct {
 	// an unbounded allocation (default muxns.NSDefaultMaxData, 8MiB).
 	// Violations are rejected with vfs.ErrInvalid at admission, before
 	// any allocation; the cap is negotiated down to clients in the hello
-	// reply and NSClient chunks larger transfers transparently.
+	// reply and NSClient chunks larger transfers transparently. One wire
+	// frame's encoded size is capped at MaxData plus muxns.NSFrameSlack,
+	// enforced from the length prefix before anything is decoded or
+	// allocated. An oversized frame kills its connection: the stream
+	// cannot be resynchronized past a frame that was never read.
 	MaxData int64
-	// MaxFrame caps one wire frame's encoded size, enforced from the
-	// length prefix before anything is decoded or allocated (default
-	// MaxData plus 1MiB of encoding slack, and never below that floor).
-	// An oversized frame kills its connection: the stream cannot be
-	// resynchronized past a frame that was never read.
-	MaxFrame int64
 	// Registry, when set, records per-op latency histograms
 	// (mux_server_op_ns) and collects the Stats counters as the
 	// mux_server_* families until Drain. Counters in Stats are always
@@ -85,9 +83,6 @@ func (o Options) fill() Options {
 	}
 	if o.MaxData <= 0 {
 		o.MaxData = muxns.NSDefaultMaxData
-	}
-	if min := o.MaxData + muxns.NSFrameSlack; o.MaxFrame < min {
-		o.MaxFrame = min
 	}
 	return o
 }
@@ -371,13 +366,13 @@ func (c *conn) reply(t *task) {
 // pool. Write payloads are read off the wire straight into pooled buffers
 // owned by the task. The loop exits (and tears the connection down) on the
 // first stream or frame error — including a frame whose declared length
-// exceeds MaxFrame, which the frame layer rejects before reading it. A
+// exceeds the frame cap, which the frame layer rejects before reading it. A
 // batch over MaxBatch is the one decode error the loop survives: the frame
 // layer refuses it from its count and skips its body, and it is answered
 // ErrInvalid like any request validate rejects.
 func (c *conn) readLoop() {
 	defer c.teardown()
-	fr := muxns.NewNSFrameReader(c.nc, c.srv.opts.MaxFrame)
+	fr := muxns.NewNSFrameReader(c.nc, c.srv.opts.MaxData+muxns.NSFrameSlack)
 	fr.SetMaxBatch(c.srv.opts.MaxBatch)
 	if !c.hello(fr) {
 		return

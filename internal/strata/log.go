@@ -204,7 +204,7 @@ func (fs *FS) digestRun(pieces []liveSeg) error {
 	for _, p := range pieces {
 		n += p.n
 	}
-	target := fs.place(fs.paths[pieces[0].ino], pieces[0].ino, fileOff, n)
+	target := fs.place(ino.path, pieces[0].ino, fileOff, n)
 	nblocks := n / PageSize
 
 	if target == device.PM {

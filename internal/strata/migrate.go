@@ -30,14 +30,14 @@ func (fs *FS) Migrate(path string, src, dst device.Class) (int64, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 
-	node, err := fs.ns.Lookup(path)
+	e, err := fs.ns.Lookup(path)
 	if err != nil {
 		return 0, vfs.Errf("migrate", fs.name, path, err)
 	}
-	if node.IsDir() {
+	if e.IsDir() {
 		return 0, vfs.Errf("migrate", fs.name, path, vfs.ErrIsDir)
 	}
-	ino := fs.inodes[node.Ino]
+	ino := e.File
 
 	// Log-resident data must be digested before it can move tier-to-tier.
 	if err := fs.digestLocked(); err != nil {

@@ -38,6 +38,9 @@ import (
 // PageSize is the block granule.
 const PageSize = 4096
 
+// logFrac is the share of PM dedicated to the operation log: 1/logFrac.
+const logFrac = 4
+
 // ErrUnsupportedPath reports a tier pair Strata has no wired data path for.
 var ErrUnsupportedPath = errors.New("strata: migration path not supported (N/S)")
 
@@ -89,6 +92,7 @@ type loc struct {
 type inode struct {
 	meta fsbase.Meta
 	ext  extent.Tree[loc]
+	path string // current path, for placement callbacks
 }
 
 // logEntry tracks one un-digested write in the PM operation log.
@@ -115,9 +119,8 @@ type FS struct {
 
 	devs   map[device.Class]*device.Device
 	allocs map[device.Class]*alloc.Bitmap
-	paths  map[uint64]string // ino -> current path (placement callbacks)
 
-	ns     *fsbase.Namespace
+	ns     *fsbase.Namespace[*inode]
 	inodes map[uint64]*inode
 
 	// PM operation log: pages come from the PM allocator; logBytes tracks
@@ -139,8 +142,6 @@ type Config struct {
 	SSD   *device.Device
 	HDD   *device.Device
 	Costs Costs
-	// LogFrac: fraction of PM dedicated to the operation log (default 1/4).
-	LogFrac float64
 	// Placement decides digest targets (default: waterfall by free space).
 	Placement Placement
 }
@@ -153,18 +154,14 @@ func New(cfg Config) (*FS, error) {
 	if !cfg.PM.Profile().ByteAddressable {
 		return nil, fmt.Errorf("strata: log device %s is not byte-addressable", cfg.PM.Profile().Name)
 	}
-	if cfg.LogFrac <= 0 || cfg.LogFrac >= 1 {
-		cfg.LogFrac = 0.25
-	}
 	fs := &FS{
 		name:            cfg.Name,
 		clk:             cfg.PM.Clock(),
 		costs:           cfg.Costs,
 		devs:            map[device.Class]*device.Device{device.PM: cfg.PM, device.SSD: cfg.SSD, device.HDD: cfg.HDD},
-		paths:           map[uint64]string{},
-		ns:              fsbase.NewNamespace(),
+		ns:              fsbase.NewNamespace[*inode](),
 		inodes:          map[uint64]*inode{},
-		logBudget:       int64(float64(cfg.PM.Capacity())*cfg.LogFrac/PageSize) * PageSize,
+		logBudget:       cfg.PM.Capacity() / logFrac / PageSize * PageSize,
 		place:           cfg.Placement,
 		digestThreshold: 0.75,
 	}
@@ -203,14 +200,15 @@ func (fs *FS) Create(path string) (vfs.File, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	fs.clk.Advance(fs.costs.MetaOp)
-	node, err := fs.ns.CreateFile(path, 0o644)
+	now := fs.now()
+	e, err := fs.ns.CreateFile(path, 0o644, 0, func(uint64) *inode {
+		return &inode{meta: fsbase.Meta{Mode: 0o644, ModTime: now, ATime: now, CTime: now}, path: path}
+	})
 	if err != nil {
 		return nil, vfs.Errf("create", fs.name, path, err)
 	}
-	now := fs.now()
-	fs.inodes[node.Ino] = &inode{meta: fsbase.Meta{Mode: 0o644, ModTime: now, ATime: now, CTime: now}}
-	fs.paths[node.Ino] = path
-	return &file{fs: fs, path: path, ino: node.Ino}, nil
+	fs.inodes[e.Ino] = e.File
+	return &file{fs: fs, path: path, ino: e.Ino}, nil
 }
 
 // Open opens an existing regular file.
@@ -219,14 +217,14 @@ func (fs *FS) Open(path string) (vfs.File, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	fs.clk.Advance(fs.costs.MetaOp)
-	node, err := fs.ns.Lookup(path)
+	e, err := fs.ns.Lookup(path)
 	if err != nil {
 		return nil, vfs.Errf("open", fs.name, path, err)
 	}
-	if node.IsDir() {
+	if e.IsDir() {
 		return nil, vfs.Errf("open", fs.name, path, vfs.ErrIsDir)
 	}
-	return &file{fs: fs, path: path, ino: node.Ino}, nil
+	return &file{fs: fs, path: path, ino: e.Ino}, nil
 }
 
 // Remove deletes a file or empty directory.
@@ -235,30 +233,31 @@ func (fs *FS) Remove(path string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	fs.clk.Advance(fs.costs.MetaOp)
-	node, err := fs.ns.Remove(path)
+	e, err := fs.ns.Remove(path)
 	if err != nil {
 		return vfs.Errf("remove", fs.name, path, err)
 	}
-	if ino, ok := fs.inodes[node.Ino]; ok {
+	if ino := e.File; ino != nil {
 		fs.freeRange(ino, 0, ino.meta.Size)
-		delete(fs.inodes, node.Ino)
-		delete(fs.paths, node.Ino)
+		delete(fs.inodes, e.Ino)
 	}
 	return nil
 }
 
-// Rename moves a file or directory.
+// Rename moves a file or directory. Every file it moves, the renamed
+// file or each one under the renamed directory, takes its new path, so
+// digest placement sees where the file lives now.
 func (fs *FS) Rename(oldPath, newPath string) error {
 	oldPath, newPath = vfs.CleanPath(oldPath), vfs.CleanPath(newPath)
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	fs.clk.Advance(fs.costs.MetaOp)
-	node, err := fs.ns.Rename(oldPath, newPath)
+	_, moved, err := fs.ns.Rename(oldPath, newPath)
 	if err != nil {
 		return vfs.Errf("rename", fs.name, oldPath, err)
 	}
-	if !node.IsDir() {
-		fs.paths[node.Ino] = newPath
+	for _, mv := range moved {
+		mv.File.path = mv.Path
 	}
 	return nil
 }
@@ -293,14 +292,14 @@ func (fs *FS) Stat(path string) (vfs.FileInfo, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	fs.clk.Advance(fs.costs.MetaOp)
-	node, err := fs.ns.Lookup(path)
+	e, err := fs.ns.Lookup(path)
 	if err != nil {
 		return vfs.FileInfo{}, vfs.Errf("stat", fs.name, path, err)
 	}
-	if node.IsDir() {
-		return vfs.FileInfo{Path: path, Mode: node.Mode}, nil
+	if e.IsDir() {
+		return vfs.FileInfo{Path: path, Mode: e.Mode}, nil
 	}
-	ino := fs.inodes[node.Ino]
+	ino := e.File
 	fi := ino.meta.Info(path)
 	fi.Blocks = ino.ext.MappedBytes()
 	return fi, nil
@@ -312,19 +311,19 @@ func (fs *FS) SetAttr(path string, attr vfs.SetAttr) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	fs.clk.Advance(fs.costs.MetaOp)
-	node, err := fs.ns.Lookup(path)
+	e, err := fs.ns.Lookup(path)
 	if err != nil {
 		return vfs.Errf("setattr", fs.name, path, err)
 	}
-	if node.IsDir() {
+	if e.IsDir() {
 		return vfs.Errf("setattr", fs.name, path, vfs.ErrIsDir)
 	}
-	ino := fs.inodes[node.Ino]
+	ino := e.File
 	if attr.Size != nil && *attr.Size < ino.meta.Size {
 		fs.freeRange(ino, *attr.Size, ino.meta.Size-*attr.Size)
 	}
 	if ino.meta.Apply(attr, fs.now()) && attr.Mode != nil {
-		node.Mode = ino.meta.Mode
+		fs.ns.SetFileMode(path, ino.meta.Mode)
 	}
 	return nil
 }

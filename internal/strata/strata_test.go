@@ -232,3 +232,52 @@ func TestPartialOverwriteThenDigest(t *testing.T) {
 func TestConcurrency(t *testing.T) {
 	fstest.RunConcurrency(t, func(t *testing.T) vfs.FileSystem { return newFS(t) })
 }
+
+// TestDigestPlacementSeesRenamedPaths renames a file and then the directory
+// holding another, with their data still in the log: digest must hand the
+// placement each file's path after the renames, not the one it was written
+// under.
+func TestDigestPlacementSeesRenamedPaths(t *testing.T) {
+	clk := simclock.New()
+	seen := map[string]bool{}
+	fs, err := New(Config{
+		Name: "strata", Costs: DefaultCosts(),
+		PM:  device.New(device.PMProfile("pm0"), clk),
+		SSD: device.New(device.SSDProfile("ssd0"), clk),
+		HDD: device.New(device.HDDProfile("hdd0"), clk),
+		Placement: func(path string, _ uint64, _, _ int64) device.Class {
+			seen[path] = true
+			return device.SSD
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []string{"/d", "/d/sub"} {
+		if err := fs.Mkdir(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, p := range []string{"/d/sub/x", "/f"} {
+		f, err := fs.Create(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteAt(make([]byte, 3*PageSize), 0); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+	}
+	if err := fs.Rename("/f", "/d/g"); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Rename("/d", "/e"); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Digest(); err != nil {
+		t.Fatal(err)
+	}
+	if !seen["/e/sub/x"] || !seen["/e/g"] || len(seen) != 2 {
+		t.Fatalf("placement saw %v, want /e/sub/x and /e/g", seen)
+	}
+}
