@@ -29,14 +29,19 @@ race:
 # xfslite's byte-free clean cache pages, the stripe tier's pooled batch
 # buffers, the pipelined migration copy, a whole 1 MiB Migrate with one and with two
 # workers (TestMigrateAllocationBudget), the muxns wire, the journal's
-# reused encode buffer and replay window, core's meta-journaled overwrite,
-# hole write, read and stat paths, a read spanning two tiers at fan-out
-# width 1 (TestSpanningReadAllocatesNothing), and core's recovery heap,
-# which must not grow with the length of the meta log. The device page tests are not among them: device pages come from
+# page-chain encoder (a commit allocates nothing; a snapshot keeps no
+# buffer) and replay window, fsrec's reused record batch, core's
+# meta-journaled overwrite (0 allocations, its Sync included), hole write,
+# read and stat paths, a read spanning two tiers at fan-out width 1
+# (TestSpanningReadAllocatesNothing), and core's recovery heap, which must
+# not grow with the length of the meta log; and the compaction snapshots
+# of Dual.Compact and of novafs, whose allocations must not grow with the
+# file count (TestDualCompactAllocationsFlat, TestCompactionAllocationsFlat
+# in internal/fsbase, 1,000 vs 10,000 files). The device page tests are not among them: device pages come from
 # the bufpool page arena, whose free list the race runtime leaves alone, so
 # they run under -race with the rest of the suite.
 budget:
-	$(GO) test -count=1 -run 'AllocatesNothing|AllocationBudget|AllocBudget' ./internal/fs/novafs ./internal/fs/blockfs ./internal/fs/xfslite ./internal/ec ./internal/core ./internal/server ./internal/journal
+	$(GO) test -count=1 -run 'AllocatesNothing|AllocationBudget|AllocBudget|AllocationsFlat' ./internal/fs/novafs ./internal/fs/blockfs ./internal/fs/xfslite ./internal/fs/fsrec ./internal/fsbase ./internal/ec ./internal/core ./internal/server ./internal/journal
 
 # stress repeats the read-vs-migration race tests, the migration-batch
 # worker-equivalence test, the tier add/remove-vs-I/O test, the

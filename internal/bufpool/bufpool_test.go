@@ -84,3 +84,48 @@ func TestBufpoolConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// A buffer put back outlives GC cycles, which empty a sync.Pool: the next
+// Get of its size returns it and allocates nothing.
+func TestBufpoolSurvivesGC(t *testing.T) {
+	const n = 64 << 10
+	p := Get(n)
+	Put(p)
+	runtime.GC()
+	runtime.GC()
+	if q := Get(n); q != p {
+		t.Fatal("Get after two GC cycles did not return the buffer put back")
+	} else {
+		Put(q)
+	}
+	if a := testing.AllocsPerRun(100, func() { Put(Get(n)) }); a != 0 {
+		t.Fatalf("Get+Put of a pooled size: %.1f allocations, want 0", a)
+	}
+}
+
+// A class keeps at most its cap of free buffers; the rest go to the GC.
+func TestBufpoolClassCap(t *testing.T) {
+	const n = 1 << 20
+	c := class(n)
+	limit := classCap(c)
+	if limit*n > maxFreeBytes {
+		t.Fatalf("class %d keeps %d buffers of %d B, past %d B", c, limit, n, maxFreeBytes)
+	}
+	held := make([]*[]byte, limit+4)
+	for i := range held {
+		held[i] = Get(n)
+	}
+	for _, p := range held {
+		Put(p)
+	}
+	fl := &classes[c]
+	fl.mu.Lock()
+	kept := len(fl.bufs)
+	fl.mu.Unlock()
+	if kept != limit {
+		t.Fatalf("free list holds %d buffers after %d puts, want its cap %d", kept, len(held), limit)
+	}
+	if got := classCap(class(8 << 20)); got != 1 {
+		t.Fatalf("the 8 MiB class keeps %d free buffers, want 1", got)
+	}
+}

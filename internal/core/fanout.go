@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"io"
-	"sort"
+	"slices"
 	"sync"
 
 	"muxfs/internal/guard"
@@ -281,6 +282,6 @@ func (sy syncSegs) runSeg(m *Mux, plan []ioSeg, i int) error {
 // in tier order, so the returned error is the lowest-tier failure
 // regardless of completion order. The caller must not hold f.mu.
 func (m *Mux) fanoutSync(path string, targets []ioSeg) error {
-	sort.Slice(targets, func(i, j int) bool { return targets[i].t.ID < targets[j].t.ID })
+	slices.SortFunc(targets, func(a, b ioSeg) int { return cmp.Compare(a.t.ID, b.t.ID) })
 	return fanout(m, targets, syncSegs{path: path})
 }

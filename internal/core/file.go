@@ -4,6 +4,7 @@ import (
 	"errors"
 	"io"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -66,8 +67,12 @@ type muxFile struct {
 
 	opsSinceSync int // lazy metadata sync counter
 
-	// Published snapshots — stored under f.mu, loaded without it.
+	// Published snapshots — stored under f.mu, loaded without it. The
+	// size and mtime a write changes publish as atomics, without a copy;
+	// metaSnap holds the rest of the attributes (loadMeta joins them).
 	pathA      atomic.Pointer[string]
+	sizeA      atomic.Int64
+	mtimeA     atomic.Int64
 	metaSnap   atomic.Pointer[fsbase.Meta]
 	bltSnap    atomic.Pointer[extent.Tree[int]]
 	handleSnap atomic.Pointer[map[int]vfs.File]
@@ -127,6 +132,22 @@ func unpublishedFile(ino uint64, path string, now time.Duration, host int) *muxF
 func (f *muxFile) publishMeta() {
 	meta := f.meta
 	f.metaSnap.Store(&meta)
+	f.publishSizeTime()
+}
+
+// publishSizeTime publishes the size and mtime alone: all a write changes.
+func (f *muxFile) publishSizeTime() {
+	f.sizeA.Store(f.meta.Size)
+	f.mtimeA.Store(int64(f.meta.ModTime))
+}
+
+// loadMeta returns the published attributes without taking f.mu.
+func (f *muxFile) loadMeta() fsbase.Meta {
+	meta := *f.metaSnap.Load()
+	meta.Size = f.sizeA.Load()
+	meta.ModTime = time.Duration(f.mtimeA.Load())
+	meta.ATime = time.Duration(f.atimeA.Load())
+	return meta
 }
 
 func (f *muxFile) publishPath() {
@@ -206,20 +227,26 @@ func (f *muxFile) heatScale(k float64) {
 	}
 }
 
-// tierSet returns the tiers currently holding the file (blt + host).
-// Caller holds f.mu.
-func (f *muxFile) tierSet() map[int]bool {
-	out := make(map[int]bool, len(f.onTiers))
+// maxTiersOnStack sizes the stack array a tier walk collects into; a file
+// on more tiers grows it onto the heap.
+const maxTiersOnStack = 8
+
+// appendTiers appends the ids of the tiers holding the file (onTiers and
+// the BLT), each once, to dst. Caller holds f.mu.
+func (f *muxFile) appendTiers(dst []int) []int {
+	base := len(dst)
 	for id, ok := range f.onTiers {
-		if ok {
-			out[id] = true
+		if ok && !slices.Contains(dst[base:], id) {
+			dst = append(dst, id)
 		}
 	}
 	f.blt.Walk(func(_, _ int64, tier int) bool {
-		out[tier] = true
+		if !slices.Contains(dst[base:], tier) {
+			dst = append(dst, tier)
+		}
 		return true
 	})
-	return out
+	return dst
 }
 
 // bytesPerTier sums mapped bytes per tier. Caller holds f.mu.
@@ -421,14 +448,14 @@ func (h *handle) readAt(p []byte, off int64) (int, error) {
 	// Lock-free fast path with OCC-version recheck.
 	for attempt := 0; attempt < 2; attempt++ {
 		ver := f.mapVer.Load()
-		meta := f.metaSnap.Load()
-		if off >= meta.Size {
+		size := f.sizeA.Load()
+		if off >= size {
 			return 0, io.EOF
 		}
 		n := int64(len(p))
 		short := false
-		if off+n > meta.Size {
-			n = meta.Size - off
+		if off+n > size {
+			n = size - off
 			short = true
 		}
 		blt := f.bltSnap.Load()
@@ -638,10 +665,9 @@ func (h *handle) writeAt(p []byte, off int64) (int, error) {
 		tier := seg.Val
 		if seg.Hole || m.tierQuarantined(tier) {
 			if target == -1 {
-				infos := m.tierInfos()
-				target = m.placeWritable(infos, m.policy().PlaceWrite(policy.WriteCtx{
+				target = m.placeNew(policy.WriteCtx{
 					Path: f.path, Off: off, N: n, FileSize: f.meta.Size,
-				}, infos), n)
+				}, n)
 			}
 			tier = target
 		}
@@ -719,7 +745,7 @@ func (m *Mux) writeEpilogueLocked(f *muxFile, p []byte, off, n int64, lastTier i
 		f.migDirty.Insert(off, n, struct{}{})
 	}
 
-	f.publishMeta()
+	f.publishSizeTime()
 	m.logBLTRange(f, off, n)
 	f.opsSinceSync++
 	if f.opsSinceSync >= m.syncEvery {
@@ -735,7 +761,8 @@ func (m *Mux) metaSyncLocked(f *muxFile) {
 	size, mt := f.meta.Size, f.meta.ModTime
 	attr := vfs.SetAttr{Size: &size, ModTime: &mt}
 	if m.syncAll {
-		for id := range f.tierSet() {
+		var ids [maxTiersOnStack]int
+		for _, id := range f.appendTiers(ids[:0]) {
 			if t, err := m.tier(id); err == nil {
 				_ = t.FS.SetAttr(f.path, attr)
 			}
@@ -788,7 +815,8 @@ func (m *Mux) truncateLocked(f *muxFile, size int64) error {
 	shrink := size < f.meta.Size
 	if shrink {
 		oldSize := f.meta.Size
-		held := f.tierSet()
+		var ids [maxTiersOnStack]int
+		held := f.appendTiers(ids[:0])
 		m.bltDrop(f, size, oldSize-size) // publishes + bumps mapVer
 		if scm := m.scm(); scm != nil {
 			scm.invalidate(f.ino, size, oldSize-size)
@@ -800,7 +828,7 @@ func (m *Mux) truncateLocked(f *muxFile, size int64) error {
 		if m.meta == nil {
 			// No journal to order against: truncate the underlying sparse
 			// file on every tier inline.
-			for id := range held {
+			for _, id := range held {
 				t, err := m.tier(id)
 				if err != nil {
 					continue
@@ -831,7 +859,7 @@ func (m *Mux) truncateLocked(f *muxFile, size int64) error {
 		// reference set, so a re-extending write in the meantime keeps
 		// every block it mapped.
 		m.metaAppendReclaim(f.path,
-			fsrec.Op{Type: fsrec.OpTruncate, Ino: f.ino, Size: size, MTime: f.meta.ModTime}.Record())
+			fsrec.Op{Type: fsrec.OpTruncate, Ino: f.ino, Size: size, MTime: f.meta.ModTime})
 	} else {
 		m.logOp(fsrec.Op{Type: fsrec.OpTruncate, Ino: f.ino, Size: size, MTime: f.meta.ModTime})
 	}
@@ -852,8 +880,10 @@ func (h *handle) Sync() error {
 
 	f := h.f
 	f.mu.Lock()
-	var targets []ioSeg
-	for id := range f.tierSet() {
+	pp := getPlan()
+	defer putPlan(pp)
+	var ids [maxTiersOnStack]int
+	for _, id := range f.appendTiers(ids[:0]) {
 		t, err := m.tier(id)
 		if err != nil {
 			continue
@@ -863,12 +893,12 @@ func (h *handle) Sync() error {
 			f.mu.Unlock()
 			return vfs.Errf("sync", m.name, f.path, err)
 		}
-		targets = append(targets, ioSeg{h: dh, t: t})
+		*pp = append(*pp, ioSeg{h: dh, t: t})
 	}
 	m.metaSyncLocked(f)
 	f.mu.Unlock()
 
-	if err := m.fanoutSync(f.loadPath(), targets); err != nil {
+	if err := m.fanoutSync(f.loadPath(), *pp); err != nil {
 		return vfs.Errf("sync", m.name, f.loadPath(), err)
 	}
 	return m.metaFlush()
@@ -881,8 +911,7 @@ func (h *handle) Stat() (vfs.FileInfo, error) {
 	}
 	h.m.clk.Advance(h.m.costs.MetaOp)
 	f := h.f
-	meta := *f.metaSnap.Load()
-	meta.ATime = time.Duration(f.atimeA.Load())
+	meta := f.loadMeta()
 	fi := meta.Info(f.loadPath())
 	fi.Blocks = f.bltSnap.Load().MappedBytes()
 	return fi, nil
@@ -1038,7 +1067,7 @@ func (h *handle) PunchHole(off, n int64) error {
 	f.publishMeta()
 	if m.meta != nil {
 		m.metaAppendReclaim(f.path,
-			fsrec.Op{Type: fsrec.OpPunch, Ino: f.ino, Off: off, N: end - off, MTime: f.meta.ModTime}.Record())
+			fsrec.Op{Type: fsrec.OpPunch, Ino: f.ino, Off: off, N: end - off, MTime: f.meta.ModTime})
 	}
 	return nil
 }

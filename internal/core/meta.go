@@ -46,13 +46,14 @@ type metaLog struct {
 	// O(entire operation history).
 	ckptBytes int64
 
-	mu      sync.Mutex // guards everything below; never held during I/O
-	cond    *sync.Cond
-	pending []journal.Record
-	// spare is the cleared record slice of the last flush; the next flush
-	// swaps it in for pending, so steady-state logging reuses two slices.
-	spare []journal.Record
-	seq   uint64 // records ever appended
+	mu   sync.Mutex // guards everything below up to files; never held during I/O
+	cond *sync.Cond
+	// pending holds the buffered records, their payloads encoded into its
+	// arena. spare is the emptied batch of the last flush; the next flush
+	// swaps it in for pending, so steady-state logging reuses two batches.
+	pending fsrec.Batch
+	spare   fsrec.Batch
+	seq     uint64 // records ever appended
 	// flushedSeq is the high-water mark of records resolved by a flush —
 	// committed, or consumed by a failed commit (parity with the old
 	// behavior: a failed flush drops its batch rather than retrying it).
@@ -74,6 +75,12 @@ type metaLog struct {
 	// reclaiming counts, per path, the reclaims a flusher has taken from
 	// reclaim and not finished yet (settleReclaim waits them out).
 	reclaiming map[string]int
+
+	// metaCompact's scratch, reused by the one flusher: the files of the
+	// namespace walk, and the staging buffer of one snapshot record's
+	// payload.
+	files []*muxFile
+	snap  []byte
 }
 
 func newMetaLog(dev *device.Device) (*metaLog, error) {
@@ -89,35 +96,36 @@ func newMetaLog(dev *device.Device) (*metaLog, error) {
 	return ml, nil
 }
 
-// metaAppend buffers records. Cheap and lock-light: callers may hold f.mu.
-func (m *Mux) metaAppend(recs ...journal.Record) {
-	if m.meta == nil {
-		return
-	}
-	ml := m.meta
-	ml.mu.Lock()
-	ml.pending = append(ml.pending, recs...)
-	ml.seq += uint64(len(recs))
-	ml.mu.Unlock()
+// add buffers op's record, its payload encoded into the pending batch.
+// Caller holds ml.mu.
+func (ml *metaLog) add(op fsrec.Op) {
+	ml.pending.Add(op)
+	ml.seq++
 }
 
-// metaAppendReclaim buffers records together with a deferred-reclaim path:
-// once a flush commits these records, reclaimPaths punches/removes whatever
-// tier state of path the committed metadata no longer references. Record and
-// path move atomically, so reclamation can never run ahead of its record's
-// commit. Caller must have a meta journal; may hold f.mu.
-func (m *Mux) metaAppendReclaim(path string, recs ...journal.Record) {
+// addRecord buffers one of Mux's own records (host, replica), its payload
+// copied into the pending batch. Caller holds ml.mu.
+func (ml *metaLog) addRecord(r journal.Record) {
+	ml.pending.AddRecord(r)
+	ml.seq++
+}
+
+// metaAppendReclaim buffers op's record together with a deferred-reclaim
+// path: once a flush commits the record, reclaimPaths punches/removes
+// whatever tier state of path the committed metadata no longer references.
+// Record and path move atomically, so reclamation can never run ahead of
+// its record's commit. Caller must have a meta journal; may hold f.mu.
+func (m *Mux) metaAppendReclaim(path string, op fsrec.Op) {
 	ml := m.meta
 	ml.mu.Lock()
-	ml.pending = append(ml.pending, recs...)
-	ml.seq += uint64(len(recs))
+	ml.add(op)
 	ml.reclaim = append(ml.reclaim, path)
 	ml.mu.Unlock()
 }
 
-// maxSpareRecords bounds the record slice a flush keeps for reuse, so a
-// bulk load's one-off giant batch is not pinned for the life of the Mux.
-const maxSpareRecords = 4096
+// maxSpareBatch bounds the bytes of the batch a flush keeps for reuse, so
+// a bulk load's one-off giant batch is not pinned for the life of the Mux.
+const maxSpareBatch = 256 << 10
 
 // metaFlush commits buffered records, compacting the journal when full.
 // Must be called WITHOUT any f.mu held (compaction locks files). Concurrent
@@ -146,7 +154,7 @@ func (m *Mux) metaFlush() error {
 	}
 	ml.flushing = true
 	stolen := ml.pending
-	ml.pending, ml.spare = ml.spare, nil
+	ml.pending, ml.spare = ml.spare, fsrec.Batch{}
 	reclaim := ml.reclaim
 	ml.reclaim = nil
 	for _, p := range reclaim {
@@ -156,9 +164,9 @@ func (m *Mux) metaFlush() error {
 	ml.mu.Unlock()
 
 	var err error
-	if len(stolen) > 0 {
+	if n := len(stolen.Recs); n > 0 {
 		t0 := m.telStart()
-		err = ml.jnl.Commit(stolen)
+		err = ml.jnl.Commit(stolen.Recs)
 		if errors.Is(err, journal.ErrFull) {
 			// The snapshot reflects every effect the stolen records
 			// describe, so they are superseded wholesale.
@@ -168,13 +176,13 @@ func (m *Mux) metaFlush() error {
 			// recovery replay stays O(delta) instead of O(history).
 			err = m.metaCompact()
 		}
-		m.telFlush(len(stolen), t0, err)
+		m.telFlush(n, t0, err)
 	}
 
 	ml.mu.Lock()
-	if cap(stolen) <= maxSpareRecords {
-		clear(stolen) // drop the payload references
-		ml.spare = stolen[:0]
+	if stolen.Bytes() <= maxSpareBatch {
+		stolen.Reset()
+		ml.spare = stolen
 	}
 	ml.flushing = false
 	ml.flushedSeq = to
@@ -260,50 +268,51 @@ func (m *Mux) reclaimPaths(paths []string) {
 // the dual-region flip (journal.Dual): the snapshot commits into the spare
 // half before the superblock flips, so a crash at any point during
 // compaction recovers either the complete old log or the complete snapshot.
+// Records encode onto the snapshot's pages as they are appended, through
+// the log's reused scratch, so the snapshot costs no heap per file.
 // Caller is the single in-progress flusher (ml.flushing) and holds no f.mu.
 func (m *Mux) metaCompact() error {
 	ml := m.meta
-
-	type dirEnt struct {
-		ino  uint64
-		path string
-	}
-	var dirs []dirEnt
-	var files []*muxFile
-	m.ns.WalkAll(func(path string, e fsbase.Entry[*muxFile]) {
-		if e.IsDir() {
-			dirs = append(dirs, dirEnt{e.Ino, path})
-		} else {
-			files = append(files, e.File)
-		}
-	})
-
+	files := ml.files[:0]
 	err := ml.jnl.Compact(func(tx *journal.Tx) {
-		for _, d := range dirs {
-			tx.Append(fsrec.Op{Type: fsrec.OpMkdir, Ino: d.ino, Path: d.path, Mode: vfs.ModeDir | 0o755}.Record())
+		add := func(op fsrec.Op) {
+			var r journal.Record
+			r, ml.snap = op.AppendRecord(ml.snap[:0])
+			tx.Append(r)
 		}
+		// Directories go first, as the walk visits them; the files are
+		// collected and logged after, each under its own f.mu.
+		m.ns.WalkAll(func(path string, e fsbase.Entry[*muxFile]) {
+			if e.IsDir() {
+				add(fsrec.Op{Type: fsrec.OpMkdir, Ino: e.Ino, Path: path, Mode: vfs.ModeDir | 0o755})
+			} else {
+				files = append(files, e.File)
+			}
+		})
 		for _, f := range files {
 			f.mu.Lock()
-			tx.Append(fsrec.Op{Type: fsrec.OpCreate, Ino: f.ino, Path: f.path, Mode: f.meta.Mode}.Record())
+			add(fsrec.Op{Type: fsrec.OpCreate, Ino: f.ino, Path: f.path, Mode: f.meta.Mode})
 			tx.Append(journal.Record{Type: opMuxHost, A: int64(f.ino), B: int64(f.aff.Size)})
 			if f.replica >= 0 {
 				tx.Append(replicaRecord(f))
 			}
-			tx.Append(fsrec.Op{
+			add(fsrec.Op{
 				Type: fsrec.OpSetAttr, Ino: f.ino,
 				Size: f.meta.Size, Mode: f.meta.Mode,
 				MTime: f.meta.ModTime, ATime: time.Duration(f.atimeA.Load()), CTime: f.meta.CTime,
-			}.Record())
+			})
 			f.blt.Walk(func(off, n int64, tier int) bool {
-				tx.Append(fsrec.Op{
+				add(fsrec.Op{
 					Type: fsrec.OpExtent, Ino: f.ino, Off: off, Delta: int64(tier), N: n,
 					Size: f.meta.Size, MTime: f.meta.ModTime,
-				}.Record())
+				})
 				return true
 			})
 			f.mu.Unlock()
 		}
 	})
+	clear(files) // removed files must not stay reachable from the scratch
+	ml.files = files[:0]
 	if err != nil {
 		return fmt.Errorf("mux: meta compaction: %w", err)
 	}
@@ -312,21 +321,25 @@ func (m *Mux) metaCompact() error {
 
 // --- Logging helpers; callers hold f.mu where a muxFile is involved. ---
 
-// logOp buffers op's record. Without a meta journal it builds no record.
+// logOp buffers op's record. Cheap and lock-light: callers may hold f.mu.
+// Without a meta journal it encodes nothing.
 func (m *Mux) logOp(op fsrec.Op) {
-	if m.meta != nil {
-		m.metaAppend(op.Record())
+	if ml := m.meta; ml != nil {
+		ml.mu.Lock()
+		ml.add(op)
+		ml.mu.Unlock()
 	}
 }
 
 func (m *Mux) logCreate(f *muxFile, host int) {
-	if m.meta == nil {
+	ml := m.meta
+	if ml == nil {
 		return
 	}
-	m.metaAppend(
-		fsrec.Op{Type: fsrec.OpCreate, Ino: f.ino, Path: f.loadPath(), Mode: 0o644}.Record(),
-		journal.Record{Type: opMuxHost, A: int64(f.ino), B: int64(host)},
-	)
+	ml.mu.Lock()
+	ml.add(fsrec.Op{Type: fsrec.OpCreate, Ino: f.ino, Path: f.loadPath(), Mode: 0o644})
+	ml.addRecord(journal.Record{Type: opMuxHost, A: int64(f.ino), B: int64(host)})
+	ml.mu.Unlock()
 }
 
 // logBLTRange serializes current BLT entries of a range straight into the
@@ -338,26 +351,28 @@ func (m *Mux) logBLTRange(f *muxFile, off, n int64) {
 	f.segs = f.blt.AppendSegments(f.segs[:0], off, n)
 	ml := m.meta
 	ml.mu.Lock()
-	before := len(ml.pending)
 	for _, seg := range f.segs {
 		if seg.Hole {
 			continue
 		}
-		ml.pending = append(ml.pending, fsrec.Op{
+		ml.add(fsrec.Op{
 			Type: fsrec.OpExtent, Ino: f.ino, Off: seg.Off, Delta: int64(seg.Val), N: seg.Len,
 			Size: f.meta.Size, MTime: f.meta.ModTime,
-		}.Record())
+		})
 	}
-	ml.pending = append(ml.pending, fsrec.Op{Type: fsrec.OpSizeTime, Ino: f.ino, Size: f.meta.Size, MTime: f.meta.ModTime}.Record())
-	ml.seq += uint64(len(ml.pending) - before)
+	ml.add(fsrec.Op{Type: fsrec.OpSizeTime, Ino: f.ino, Size: f.meta.Size, MTime: f.meta.ModTime})
 	ml.mu.Unlock()
 }
+
+// degradedMark is the payload of a degraded replica's record. Records
+// that carry it are copied before they are kept, so it is never written.
+var degradedMark = []byte{1}
 
 // replicaRecord serializes a file's replica ledger state. Caller holds f.mu.
 func replicaRecord(f *muxFile) journal.Record {
 	var pl []byte
 	if f.replicaDegraded {
-		pl = []byte{1}
+		pl = degradedMark
 	}
 	return journal.Record{Type: opMuxReplica, A: int64(f.ino), B: int64(f.replica), Payload: pl}
 }
@@ -366,10 +381,11 @@ func replicaRecord(f *muxFile) journal.Record {
 // repair) so the mark survives a crash in lockstep with the mirror bytes.
 // Caller holds f.mu.
 func (m *Mux) logReplica(f *muxFile) {
-	if m.meta == nil {
-		return
+	if ml := m.meta; ml != nil {
+		ml.mu.Lock()
+		ml.addRecord(replicaRecord(f))
+		ml.mu.Unlock()
 	}
-	m.metaAppend(replicaRecord(f))
 }
 
 // replayBatch is how many per-inode records replay buffers before it

@@ -327,12 +327,13 @@ func TestReplayRecordBeforeItsCreate(t *testing.T) {
 		t.Fatal(err)
 	}
 	const ino = 1 << 20 // no file has it yet
-	recs := []journal.Record{fsrec.Op{Type: fsrec.OpSizeTime, Ino: ino, Size: 777}.Record()}
+	var recs fsrec.Batch
+	recs.Add(fsrec.Op{Type: fsrec.OpSizeTime, Ino: ino, Size: 777})
 	for i := 0; i < replayBatch; i++ { // fill a batch between the two
-		recs = append(recs, fsrec.Op{Type: fsrec.OpSizeTime, Ino: old.ino, Size: 4096}.Record())
+		recs.Add(fsrec.Op{Type: fsrec.OpSizeTime, Ino: old.ino, Size: 4096})
 	}
-	recs = append(recs, fsrec.Op{Type: fsrec.OpCreate, Ino: ino, Path: "/new", Mode: 0o644}.Record())
-	if err := r.m.meta.jnl.Commit(recs); err != nil {
+	recs.Add(fsrec.Op{Type: fsrec.OpCreate, Ino: ino, Path: "/new", Mode: 0o644})
+	if err := r.m.meta.jnl.Commit(recs.Recs); err != nil {
 		t.Fatal(err)
 	}
 	r.m.Crash()
@@ -354,10 +355,12 @@ func TestReplayRecordNamesUnknownTier(t *testing.T) {
 		rec  func(ino uint64) journal.Record
 	}{
 		{"extent past the table", func(ino uint64) journal.Record {
-			return fsrec.Op{Type: fsrec.OpExtent, Ino: ino, N: 4096, Delta: 9, Size: 4096}.Record()
+			r, _ := fsrec.Op{Type: fsrec.OpExtent, Ino: ino, N: 4096, Delta: 9, Size: 4096}.AppendRecord(nil)
+			return r
 		}},
 		{"extent on a negative tier", func(ino uint64) journal.Record {
-			return fsrec.Op{Type: fsrec.OpExtent, Ino: ino, N: 4096, Delta: -1, Size: 4096}.Record()
+			r, _ := fsrec.Op{Type: fsrec.OpExtent, Ino: ino, N: 4096, Delta: -1, Size: 4096}.AppendRecord(nil)
+			return r
 		}},
 		{"host past the table", func(ino uint64) journal.Record {
 			return journal.Record{Type: opMuxHost, A: int64(ino), B: 9}

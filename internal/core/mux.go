@@ -478,11 +478,15 @@ func (m *Mux) tier(id int) (*Tier, error) {
 // tiers (stripe.go) are flagged so policies that relocate data lazily —
 // quota demotion in particular — can prefer plain tiers as destinations.
 func (m *Mux) tierInfos() []policy.TierInfo {
-	live := m.tierTab.Load().live
-	out := make([]policy.TierInfo, 0, len(live))
-	for _, t := range live {
+	n := len(m.tierTab.Load().live)
+	return m.filterHealthy(m.appendTierInfos(make([]policy.TierInfo, 0, n)))
+}
+
+// appendTierInfos appends a snapshot of every live tier to dst.
+func (m *Mux) appendTierInfos(dst []policy.TierInfo) []policy.TierInfo {
+	for _, t := range m.tierTab.Load().live {
 		_, stripe := t.FS.(StripeStatuser)
-		out = append(out, policy.TierInfo{
+		dst = append(dst, policy.TierInfo{
 			ID:       t.ID,
 			Name:     t.FS.Name(),
 			Class:    t.Prof.Class,
@@ -493,7 +497,25 @@ func (m *Mux) tierInfos() []policy.TierInfo {
 			Stripe:   stripe,
 		})
 	}
-	return m.filterHealthy(out)
+	return dst
+}
+
+// infoPool recycles the tier snapshots new blocks are placed with, so a
+// write into a hole allocates none: PlaceWrite keeps no snapshot past the
+// call.
+var infoPool = sync.Pool{New: func() any { return new([]policy.TierInfo) }}
+
+// placeNew picks the tier for n newly allocated bytes: the policy's
+// placement on a healthy-tier snapshot, checked against the file systems'
+// free space (placeWritable).
+func (m *Mux) placeNew(ctx policy.WriteCtx, n int64) int {
+	pp := infoPool.Get().(*[]policy.TierInfo)
+	all := m.appendTierInfos((*pp)[:0])
+	infos := m.filterHealthy(all)
+	target := m.placeWritable(infos, m.policy().PlaceWrite(ctx, infos), n)
+	*pp = all[:0]
+	infoPool.Put(pp)
+	return target
 }
 
 // placeWritable validates a policy placement against the chosen file
@@ -663,8 +685,7 @@ func (m *Mux) Create(path string) (vfs.File, error) {
 	}
 	host := -1
 	e, err := m.ns.CreateFile(path, 0o644, 0, func(ino uint64) *muxFile {
-		infos := m.tierInfos()
-		host = m.placeWritable(infos, m.policy().PlaceWrite(policy.WriteCtx{Path: path, Off: 0, N: 0}, infos), 0)
+		host = m.placeNew(policy.WriteCtx{Path: path, Off: 0, N: 0}, 0)
 		nf := newMuxFile(ino, path, m.now(), host)
 		m.files.put(ino, nf)
 		return nf
@@ -710,7 +731,8 @@ func (m *Mux) Remove(path string) error {
 	if f != nil {
 		m.files.del(info.Ino)
 		f.mu.Lock()
-		tiersHeld := f.tierSet()
+		var ids [maxTiersOnStack]int
+		tiersHeld := f.appendTiers(ids[:0])
 		perTier := f.bytesPerTier()
 		f.closeHandlesLocked()
 		f.mu.Unlock()
@@ -719,7 +741,7 @@ func (m *Mux) Remove(path string) error {
 		}
 		if m.meta == nil {
 			// No journal to order against: reclaim the tier files inline.
-			for id := range tiersHeld {
+			for _, id := range tiersHeld {
 				t, err := m.tier(id)
 				if err != nil {
 					continue
@@ -737,7 +759,7 @@ func (m *Mux) Remove(path string) error {
 			// commits (reclaimPaths): removing first was a sweep-caught
 			// crash window — a synchronous tier (novafs) destroys the data
 			// durably while the rolled-back metadata still references it.
-			m.metaAppendReclaim(path, fsrec.Op{Type: fsrec.OpRemove, Path: path}.Record())
+			m.metaAppendReclaim(path, fsrec.Op{Type: fsrec.OpRemove, Path: path})
 			return nil
 		}
 	}
@@ -784,9 +806,10 @@ func (m *Mux) Rename(oldPath, newPath string) error {
 
 	if f := info.File; f != nil {
 		f.mu.Lock()
-		held := f.tierSet()
+		var ids [maxTiersOnStack]int
+		held := f.appendTiers(ids[:0])
 		f.mu.Unlock()
-		for id := range held {
+		for _, id := range held {
 			t, err := m.tier(id)
 			if err != nil {
 				continue
@@ -866,8 +889,7 @@ func (m *Mux) Stat(path string) (vfs.FileInfo, error) {
 		return vfs.FileInfo{Path: path, Mode: info.Mode}, nil
 	}
 	f := info.File
-	meta := *f.metaSnap.Load()
-	meta.ATime = time.Duration(f.atimeA.Load())
+	meta := f.loadMeta()
 	fi := meta.Info(path)
 	fi.Blocks = f.bltSnap.Load().MappedBytes()
 	return fi, nil
@@ -1014,7 +1036,7 @@ func (m *Mux) Recover() error {
 	// flush.
 	ml := m.meta
 	ml.mu.Lock()
-	ml.pending = nil
+	ml.pending.Reset()
 	ml.reclaim = nil // stale deferred reclaims; the remount scrub recomputes
 	ml.flushedSeq = ml.seq
 	ml.lastErr = nil

@@ -67,7 +67,7 @@ type FS struct {
 	fsbase.FS
 	cfg     Config
 	placer  Placer
-	pending []journal.Record // uncommitted metadata records (group commit)
+	pending fsrec.Batch // uncommitted metadata records (group commit)
 	// pendingFrees holds device runs unmapped by uncommitted operations
 	// (absolute offsets). They return to the placer only after the journal
 	// transaction freeing them commits: released earlier, the next write
@@ -81,8 +81,11 @@ type FS struct {
 	dirty   []pagecache.Key
 	runKeys []pagecache.Key
 	run     [][]byte
-	// scratch is a page image the read and write paths build under Mu.
+	// scratch is a page image the read and write paths build under Mu;
+	// segs and newOps are the write path's hole walk and its new runs.
 	scratch []byte
+	segs    []extent.Segment[int64]
+	newOps  []fsrec.Op
 }
 
 var _ vfs.FileSystem = (*FS)(nil)
@@ -119,8 +122,8 @@ func New(dev *device.Device, cfg Config) (*FS, error) {
 // Reset starts an empty placer, nothing queued, and an empty cache.
 func (fs *FS) Reset() {
 	fs.placer = fs.cfg.NewPlacer(fs.Dev.Capacity() - fs.DataStart)
-	fs.pending = nil
-	fs.pendingFrees = nil
+	fs.pending.Reset()
+	fs.pendingFrees = fs.pendingFrees[:0]
 	fs.cache.InvalidateAll()
 }
 
@@ -131,13 +134,22 @@ func (fs *FS) CacheStats() pagecache.Stats { return fs.cache.Stats() }
 // GroupCommit records are queued, or at Sync. The records are taken either
 // way: a group commit that fails keeps its batch queued, and the next Sync
 // retries it and reports the error, as a failed background commit fails
-// no write call. Caller holds Mu.
+// no write call. The records' payloads are copied into the queue's own
+// arena, since the caller reuses its batch. Caller holds Mu.
 func (fs *FS) Commit(recs []journal.Record) error {
-	fs.pending = append(fs.pending, recs...)
-	if len(fs.pending) >= fs.cfg.GroupCommit {
+	for _, r := range recs {
+		fs.pending.AddRecord(r)
+	}
+	fs.queued()
+	return nil
+}
+
+// queued runs the group commit once GroupCommit records are queued.
+// Caller holds Mu.
+func (fs *FS) queued() {
+	if len(fs.pending.Recs) >= fs.cfg.GroupCommit {
 		_ = fs.flushPending() // on failure the batch stays queued for Sync
 	}
-	return nil
 }
 
 // Sync writes back all dirty pages, commits all pending metadata and
@@ -326,23 +338,23 @@ func (fs *FS) flushCache(file uint64, all bool) error {
 // back and persists before the journal commit, so committed metadata never
 // references data the device does not hold. Caller holds Mu.
 func (fs *FS) flushPending() error {
-	if len(fs.pending) == 0 {
+	if len(fs.pending.Recs) == 0 {
 		return nil
 	}
 	if err := fs.flushCache(0, true); err != nil {
 		return err
 	}
 	fs.Dev.PersistAll() // ordered: data first
-	if err := fs.CommitLog(fs.pending); err != nil {
+	if err := fs.CommitLog(fs.pending.Recs); err != nil {
 		return err
 	}
-	fs.pending = fs.pending[:0]
+	fs.pending.Reset()
 	// The batch is durable; blocks it unmapped are now safe to reuse.
 	for _, r := range fs.pendingFrees {
 		fs.Free(r.DevOff, r.Len)
 		fs.Dev.Discard(r.DevOff, r.Len)
 	}
-	fs.pendingFrees = nil
+	fs.pendingFrees = fs.pendingFrees[:0]
 	return nil
 }
 
@@ -489,8 +501,9 @@ func (fs *FS) Write(ino *fsbase.Inode, inoNum uint64, p []byte, off int64) (int,
 	// Map every hole in the page-aligned cover of [off, off+n).
 	alignedOff := firstPage * PageSize
 	alignedEnd := (lastPage + 1) * PageSize
-	var newOps []fsrec.Op
-	for _, seg := range ino.Ext.Segments(alignedOff, alignedEnd-alignedOff) {
+	newOps := fs.newOps[:0]
+	fs.segs = ino.Ext.AppendSegments(fs.segs[:0], alignedOff, alignedEnd-alignedOff)
+	for _, seg := range fs.segs {
 		if !seg.Hole {
 			continue
 		}
@@ -531,16 +544,14 @@ func (fs *FS) Write(ino *fsbase.Inode, inoNum uint64, p []byte, off int64) (int,
 	}
 	ino.Meta.ModTime = now
 
-	recs := make([]journal.Record, 0, len(newOps)+1)
 	for _, op := range newOps {
 		op.Size = ino.Meta.Size
 		op.MTime = now
-		recs = append(recs, op.Record())
+		fs.pending.Add(op)
 	}
-	recs = append(recs, fsrec.Op{Type: fsrec.OpSizeTime, Ino: inoNum, Size: ino.Meta.Size, MTime: now}.Record())
-	if err := fs.Commit(recs); err != nil {
-		return 0, err
-	}
+	fs.newOps = newOps
+	fs.pending.Add(fsrec.Op{Type: fsrec.OpSizeTime, Ino: inoNum, Size: ino.Meta.Size, MTime: now})
+	fs.queued()
 	return int(n), nil
 }
 

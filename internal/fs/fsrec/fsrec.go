@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"strings"
 	"time"
+	"unsafe"
 
 	"muxfs/internal/journal"
 	"muxfs/internal/vfs"
@@ -43,46 +44,87 @@ type Op struct {
 	CTime time.Duration
 }
 
-// Record encodes the op as a journal record.
-func (op Op) Record() journal.Record {
+// AppendRecord encodes the op as a journal record whose payload — its
+// numeric words or its path bytes — is appended to arena, and returns the
+// record and the grown arena. The arena belongs to the caller, who may
+// reuse it once the record has been committed (journal.Dual.Commit keeps
+// no record), so a reused arena makes records cost no heap.
+func (op Op) AppendRecord(arena []byte) (journal.Record, []byte) {
+	r := journal.Record{Type: op.Type, A: int64(op.Ino)}
+	at := len(arena)
+	le := binary.LittleEndian
 	switch op.Type {
 	case OpCreate, OpMkdir:
-		return journal.Record{Type: op.Type, A: int64(op.Ino), B: int64(op.Mode), Payload: []byte(op.Path)}
+		r.B = int64(op.Mode)
+		arena = append(arena, op.Path...)
 	case OpRemove:
-		return journal.Record{Type: op.Type, Payload: []byte(op.Path)}
+		r.A = 0
+		arena = append(arena, op.Path...)
 	case OpRename:
-		return journal.Record{Type: op.Type, Payload: []byte(op.Path + "\x00" + op.Path2)}
+		r.A = 0
+		arena = append(append(append(arena, op.Path...), 0), op.Path2...)
 	case OpExtent:
-		p := make([]byte, 32)
-		binary.LittleEndian.PutUint64(p[0:8], uint64(op.Delta))
-		binary.LittleEndian.PutUint64(p[8:16], uint64(op.N))
-		binary.LittleEndian.PutUint64(p[16:24], uint64(op.Size))
-		binary.LittleEndian.PutUint64(p[24:32], uint64(op.MTime))
-		return journal.Record{Type: op.Type, A: int64(op.Ino), B: op.Off, Payload: p}
+		r.B = op.Off
+		arena = le.AppendUint64(arena, uint64(op.Delta))
+		arena = le.AppendUint64(arena, uint64(op.N))
+		arena = le.AppendUint64(arena, uint64(op.Size))
+		arena = le.AppendUint64(arena, uint64(op.MTime))
 	case OpSetAttr:
-		p := make([]byte, 40)
-		binary.LittleEndian.PutUint64(p[0:8], uint64(op.Size))
-		binary.LittleEndian.PutUint64(p[8:16], uint64(op.Mode))
-		binary.LittleEndian.PutUint64(p[16:24], uint64(op.MTime))
-		binary.LittleEndian.PutUint64(p[24:32], uint64(op.ATime))
-		binary.LittleEndian.PutUint64(p[32:40], uint64(op.CTime))
-		return journal.Record{Type: op.Type, A: int64(op.Ino), Payload: p}
-	case OpSizeTime:
-		p := make([]byte, 8)
-		binary.LittleEndian.PutUint64(p, uint64(op.MTime))
-		return journal.Record{Type: op.Type, A: int64(op.Ino), B: op.Size, Payload: p}
+		arena = le.AppendUint64(arena, uint64(op.Size))
+		arena = le.AppendUint64(arena, uint64(op.Mode))
+		arena = le.AppendUint64(arena, uint64(op.MTime))
+		arena = le.AppendUint64(arena, uint64(op.ATime))
+		arena = le.AppendUint64(arena, uint64(op.CTime))
+	case OpSizeTime, OpTruncate:
+		r.B = op.Size
+		arena = le.AppendUint64(arena, uint64(op.MTime))
 	case OpPunch:
-		p := make([]byte, 16)
-		binary.LittleEndian.PutUint64(p[0:8], uint64(op.N))
-		binary.LittleEndian.PutUint64(p[8:16], uint64(op.MTime))
-		return journal.Record{Type: op.Type, A: int64(op.Ino), B: op.Off, Payload: p}
-	case OpTruncate:
-		p := make([]byte, 8)
-		binary.LittleEndian.PutUint64(p, uint64(op.MTime))
-		return journal.Record{Type: op.Type, A: int64(op.Ino), B: op.Size, Payload: p}
+		r.B = op.Off
+		arena = le.AppendUint64(arena, uint64(op.N))
+		arena = le.AppendUint64(arena, uint64(op.MTime))
 	default:
 		panic(fmt.Sprintf("fsrec: unknown op type %d", op.Type))
 	}
+	if len(arena) > at {
+		r.Payload = arena[at:len(arena):len(arena)]
+	}
+	return r, arena
+}
+
+// Batch is a reusable list of journal records whose payloads live in an
+// arena the batch owns. Reset keeps both buffers, so a steady stream of
+// batches allocates nothing once they have grown to the largest one. A
+// record's payload is valid until the next Reset.
+type Batch struct {
+	Recs  []journal.Record
+	arena []byte
+}
+
+// Add appends op's record, its payload encoded into the arena.
+func (b *Batch) Add(op Op) {
+	var r journal.Record
+	r, b.arena = op.AppendRecord(b.arena)
+	b.Recs = append(b.Recs, r)
+}
+
+// AddRecord appends a copy of r, its payload copied into the arena.
+func (b *Batch) AddRecord(r journal.Record) {
+	if len(r.Payload) > 0 {
+		at := len(b.arena)
+		b.arena = append(b.arena, r.Payload...)
+		r.Payload = b.arena[at:len(b.arena):len(b.arena)]
+	}
+	b.Recs = append(b.Recs, r)
+}
+
+// Reset empties the batch, keeping its buffers.
+func (b *Batch) Reset() {
+	b.Recs, b.arena = b.Recs[:0], b.arena[:0]
+}
+
+// Bytes is the heap the batch holds: its record list and its arena.
+func (b *Batch) Bytes() int {
+	return cap(b.Recs)*int(unsafe.Sizeof(journal.Record{})) + cap(b.arena)
 }
 
 // Parse decodes a journal record back into an Op.

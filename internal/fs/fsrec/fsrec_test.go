@@ -11,9 +11,15 @@ import (
 	"muxfs/internal/vfs"
 )
 
+// record encodes op into an arena of its own.
+func record(op Op) journal.Record {
+	r, _ := op.AppendRecord(nil)
+	return r
+}
+
 func roundTrip(t *testing.T, op Op) Op {
 	t.Helper()
-	got, err := Parse(op.Record())
+	got, err := Parse(record(op))
 	if err != nil {
 		t.Fatalf("Parse(%+v): %v", op, err)
 	}
@@ -77,10 +83,10 @@ func TestParseRejectsGarbage(t *testing.T) {
 func TestEncodePanicsOnUnknownType(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Record() on unknown type did not panic")
+			t.Fatal("AppendRecord on unknown type did not panic")
 		}
 	}()
-	Op{Type: 99}.Record()
+	Op{Type: 99}.AppendRecord(nil)
 }
 
 // TestQuickRoundTrip fuzzes extent records (the hot record type) through
@@ -88,7 +94,7 @@ func TestEncodePanicsOnUnknownType(t *testing.T) {
 func TestQuickRoundTrip(t *testing.T) {
 	f := func(ino uint64, off, delta, n, size int64, mtime int64) bool {
 		op := Op{Type: OpExtent, Ino: ino, Off: off, Delta: delta, N: n, Size: size, MTime: time.Duration(mtime)}
-		got, err := Parse(op.Record())
+		got, err := Parse(record(op))
 		return err == nil && reflect.DeepEqual(got, op)
 	}
 	cfg := &quick.Config{MaxCount: 500, Rand: rand.New(rand.NewSource(1))}
@@ -102,7 +108,7 @@ func TestQuickRoundTrip(t *testing.T) {
 // re-encode to one that parses back to the same op.
 func FuzzParse(f *testing.F) {
 	for _, op := range sampleOps {
-		r := op.Record()
+		r := record(op)
 		f.Add(r.Type, r.A, r.B, r.Payload)
 	}
 	f.Add(uint8(OpRename), int64(0), int64(0), []byte("no separator"))
@@ -113,7 +119,7 @@ func FuzzParse(f *testing.F) {
 		if err != nil {
 			return
 		}
-		again, err := Parse(op.Record())
+		again, err := Parse(record(op))
 		if err != nil {
 			t.Fatalf("re-encoded %+v does not parse: %v", op, err)
 		}
@@ -121,4 +127,28 @@ func FuzzParse(f *testing.F) {
 			t.Fatalf("round trip changed op:\n in: %+v\nout: %+v", op, again)
 		}
 	})
+}
+
+// A reused batch encodes records without allocating: payloads go into its
+// arena, which Reset keeps, and each record's payload reads back as
+// encoded until the next Reset.
+func TestBatchAllocatesNothing(t *testing.T) {
+	var b Batch
+	mark := []byte{1}
+	fill := func() {
+		b.Reset()
+		for _, op := range sampleOps {
+			b.Add(op)
+		}
+		b.AddRecord(journal.Record{Type: 20, A: 1, B: 2, Payload: mark})
+	}
+	fill()
+	for i, op := range sampleOps {
+		if got, err := Parse(b.Recs[i]); err != nil || !reflect.DeepEqual(got, op) {
+			t.Fatalf("record %d parses as %+v, %v; want %+v", i, got, err, op)
+		}
+	}
+	if a := testing.AllocsPerRun(100, fill); a != 0 {
+		t.Fatalf("refilling a batch: %.1f allocations, want 0", a)
+	}
 }

@@ -58,7 +58,7 @@ type FS struct {
 	// per-op slices.
 	segs []extent.Segment[int64]
 	runs []newRun
-	recs []journal.Record
+	ops  fsrec.Batch
 }
 
 // newRun is a run of pages a write mapped, coalesced for its log record.
@@ -288,16 +288,15 @@ func (fs *FS) Write(ino *fsbase.Inode, inoNum uint64, p []byte, off int64) (int,
 	ino.Meta.ModTime = now
 
 	// One committed transaction covers the new mappings and the size/mtime.
-	recs := fs.recs[:0]
+	fs.ops.Reset()
 	for _, r := range newRuns {
-		recs = append(recs, fsrec.Op{Type: fsrec.OpExtent, Ino: inoNum, Off: r.foff, Delta: r.delta,
-			N: r.length, Size: ino.Meta.Size, MTime: now}.Record())
+		fs.ops.Add(fsrec.Op{Type: fsrec.OpExtent, Ino: inoNum, Off: r.foff, Delta: r.delta,
+			N: r.length, Size: ino.Meta.Size, MTime: now})
 	}
-	if len(recs) == 0 {
-		recs = append(recs, fsrec.Op{Type: fsrec.OpSizeTime, Ino: inoNum, Size: ino.Meta.Size, MTime: now}.Record())
+	if len(fs.ops.Recs) == 0 {
+		fs.ops.Add(fsrec.Op{Type: fsrec.OpSizeTime, Ino: inoNum, Size: ino.Meta.Size, MTime: now})
 	}
-	fs.recs = recs
-	if err := fs.CommitLog(recs); err != nil {
+	if err := fs.CommitLog(fs.ops.Recs); err != nil {
 		return 0, err
 	}
 	return int(n), nil

@@ -5,7 +5,6 @@ import (
 
 	"muxfs/internal/extent"
 	"muxfs/internal/fs/fsrec"
-	"muxfs/internal/journal"
 	"muxfs/internal/vfs"
 )
 
@@ -154,18 +153,17 @@ func (f *file) PunchHole(off, n int64) error {
 func (fs *FS) truncate(ino *Inode, num uint64, size int64) error {
 	fs.Clk.Advance(fs.Costs.MetaOp)
 	now := fs.Clk.Now()
-	recs := fs.recs[:0]
+	fs.ops.Reset()
 	if size < ino.Meta.Size {
-		var err error
-		if recs, err = fs.shrink(ino, num, size, now, recs); err != nil {
+		if err := fs.shrink(ino, num, size, now); err != nil {
 			return err
 		}
 	}
 	ino.Meta.Size = size
 	ino.Meta.ModTime = now
 	ino.Meta.CTime = now
-	fs.recs = append(recs, fsrec.Op{Type: fsrec.OpTruncate, Ino: num, Size: size, MTime: now}.Record())
-	return fs.be.Commit(fs.recs)
+	fs.ops.Add(fsrec.Op{Type: fsrec.OpTruncate, Ino: num, Size: size, MTime: now})
+	return fs.be.Commit(fs.ops.Recs)
 }
 
 // punch implements PunchHole. Caller holds Mu.
@@ -194,31 +192,32 @@ func (fs *FS) punch(ino *Inode, num uint64, off, n int64) error {
 	if err != nil {
 		return err
 	}
-	recs := fs.remap(ino, num, head, ino.Meta.Size, now, fs.recs[:0])
-	recs = fs.remap(ino, num, tail, ino.Meta.Size, now, recs)
+	fs.ops.Reset()
+	fs.remap(ino, num, head, ino.Meta.Size, now)
+	fs.remap(ino, num, tail, ino.Meta.Size, now)
 	fs.freeRange(ino, num, off, end-off)
 	ino.Meta.ModTime = now
 	ino.Meta.CTime = now
-	fs.recs = append(recs, fsrec.Op{Type: fsrec.OpPunch, Ino: num, Off: off, N: end - off, MTime: now}.Record())
-	return fs.be.Commit(fs.recs)
+	fs.ops.Add(fsrec.Op{Type: fsrec.OpPunch, Ino: num, Off: off, N: end - off, MTime: now})
+	return fs.be.Commit(fs.ops.Recs)
 }
 
 // shrink releases every mapping at or past size: whole tail pages are
 // unmapped, and the new boundary page — whose bytes past size must read
 // zero if the file grows back — is rewritten copy-on-write. The remap
-// records are appended to recs and must join the shrink record's
+// records are added to fs.ops and must join the shrink record's
 // transaction. Caller holds Mu and updates ino.Meta.Size afterwards.
-func (fs *FS) shrink(ino *Inode, num uint64, size int64, now time.Duration, recs []journal.Record) ([]journal.Record, error) {
+func (fs *FS) shrink(ino *Inode, num uint64, size int64, now time.Duration) error {
 	if size%PageSize != 0 {
 		zTo := min(size/PageSize*PageSize+PageSize, ino.Meta.Size)
 		e, err := fs.copyEdge(ino, num, size, zTo)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		recs = fs.remap(ino, num, e, size, now, recs)
+		fs.remap(ino, num, e, size, now)
 	}
 	fs.dropTail(ino, num, size)
-	return recs, nil
+	return nil
 }
 
 // edge is a ragged edge page prepared by copyEdge: the page's mapped runs
@@ -271,11 +270,11 @@ func (fs *FS) dropEdge(e edge) {
 }
 
 // remap applies a copyEdge: the page's mapped runs move onto the copy,
-// their old blocks are released, and the remap records are appended to
-// recs. Caller holds Mu.
-func (fs *FS) remap(ino *Inode, num uint64, e edge, size int64, now time.Duration, recs []journal.Record) []journal.Record {
+// their old blocks are released, and the remap records are added to
+// fs.ops. Caller holds Mu.
+func (fs *FS) remap(ino *Inode, num uint64, e edge, size int64, now time.Duration) {
 	if e.segs == nil {
-		return recs
+		return
 	}
 	fs.be.Remapped(num, e.pageStart)
 	delta := e.devOff - e.pageStart
@@ -285,10 +284,9 @@ func (fs *FS) remap(ino *Inode, num uint64, e edge, size int64, now time.Duratio
 		}
 		fs.be.Release(seg.Off+seg.Val, seg.Len)
 		ino.Ext.Insert(seg.Off, seg.Len, delta)
-		recs = append(recs, fsrec.Op{Type: fsrec.OpExtent, Ino: num, Off: seg.Off, Delta: delta,
-			N: seg.Len, Size: size, MTime: now}.Record())
+		fs.ops.Add(fsrec.Op{Type: fsrec.OpExtent, Ino: num, Off: seg.Off, Delta: delta,
+			N: seg.Len, Size: size, MTime: now})
 	}
-	return recs
 }
 
 // freeRange unmaps the whole pages inside [off, off+n) and releases their

@@ -105,7 +105,11 @@ type FS struct {
 	name       string
 	be         Backend
 	recovering bool // replaying: unmapped bytes are freed, not released
-	recs       []journal.Record
+	// ops is the batch an op builds its records in, and snap the buffer a
+	// compaction snapshot stages each record's payload in; both reused
+	// under Mu, so metadata records cost no heap.
+	ops  fsrec.Batch
+	snap []byte
 }
 
 // Mount lays the shared half over dev: a metadata journal in the first
@@ -153,11 +157,12 @@ func (fs *FS) WriteCostHint(n int64) time.Duration {
 	return fs.Costs.WriteOp + p.WriteLatency + time.Duration(n*int64(time.Second)/p.WriteBandwidth)
 }
 
-// commit hands recs to the backend through a reused slice, so an op's
-// records cost no slice of their own. Caller holds Mu.
-func (fs *FS) commit(recs ...journal.Record) error {
-	fs.recs = append(fs.recs[:0], recs...)
-	return fs.be.Commit(fs.recs)
+// commit hands op's record to the backend, encoded into the reused batch.
+// Caller holds Mu.
+func (fs *FS) commit(op fsrec.Op) error {
+	fs.ops.Reset()
+	fs.ops.Add(op)
+	return fs.be.Commit(fs.ops.Recs)
 }
 
 // Create makes and opens a new regular file.
@@ -174,7 +179,7 @@ func (fs *FS) Create(path string) (vfs.File, error) {
 		return nil, vfs.Errf("create", fs.name, path, err)
 	}
 	fs.Inodes[e.Ino] = e.File
-	if err := fs.commit(fsrec.Op{Type: fsrec.OpCreate, Ino: e.Ino, Path: path, Mode: 0o644}.Record()); err != nil {
+	if err := fs.commit(fsrec.Op{Type: fsrec.OpCreate, Ino: e.Ino, Path: path, Mode: 0o644}); err != nil {
 		// Not taken: the file never existed durably.
 		fs.NS.Remove(path)
 		delete(fs.Inodes, e.Ino)
@@ -199,7 +204,9 @@ func (fs *FS) Open(path string) (vfs.File, error) {
 	return &file{fs: fs, path: path, ino: e.Ino}, nil
 }
 
-// Remove deletes a file or empty directory and releases its space.
+// Remove deletes a file or empty directory and releases its space. The
+// file's pages are released only once the remove record is taken: a
+// failed commit puts the entry back, and the file reads as before.
 func (fs *FS) Remove(path string) error {
 	path = vfs.CleanPath(path)
 	fs.Mu.Lock()
@@ -209,10 +216,15 @@ func (fs *FS) Remove(path string) error {
 	if err != nil {
 		return vfs.Errf("remove", fs.name, path, err)
 	}
-	fs.dropInode(e.Ino)
-	if err := fs.commit(fsrec.Op{Type: fsrec.OpRemove, Path: path}.Record()); err != nil {
+	if err := fs.commit(fsrec.Op{Type: fsrec.OpRemove, Path: path}); err != nil {
+		if e.IsDir() {
+			fs.NS.Mkdir(path, e.Mode)
+		} else {
+			fs.NS.CreateFile(path, e.Mode, e.Ino, func(uint64) *Inode { return e.File })
+		}
 		return vfs.Errf("remove", fs.name, path, err)
 	}
+	fs.dropInode(e.Ino)
 	return nil
 }
 
@@ -225,7 +237,7 @@ func (fs *FS) dropInode(num uint64) {
 	}
 }
 
-// Rename moves a file or directory.
+// Rename moves a file or directory; a failed commit moves it back.
 func (fs *FS) Rename(oldPath, newPath string) error {
 	oldPath, newPath = vfs.CleanPath(oldPath), vfs.CleanPath(newPath)
 	fs.Mu.Lock()
@@ -234,7 +246,10 @@ func (fs *FS) Rename(oldPath, newPath string) error {
 	if _, _, err := fs.NS.Rename(oldPath, newPath); err != nil {
 		return vfs.Errf("rename", fs.name, oldPath, err)
 	}
-	if err := fs.commit(fsrec.Op{Type: fsrec.OpRename, Path: oldPath, Path2: newPath}.Record()); err != nil {
+	if err := fs.commit(fsrec.Op{Type: fsrec.OpRename, Path: oldPath, Path2: newPath}); err != nil {
+		// Not taken: rename back. The table refused an existing
+		// destination, so oldPath is free and the reverse move is valid.
+		fs.NS.Rename(newPath, oldPath)
 		return vfs.Errf("rename", fs.name, oldPath, err)
 	}
 	return nil
@@ -250,7 +265,7 @@ func (fs *FS) Mkdir(path string) error {
 	if err != nil {
 		return vfs.Errf("mkdir", fs.name, path, err)
 	}
-	if err := fs.commit(fsrec.Op{Type: fsrec.OpMkdir, Ino: num, Path: path, Mode: vfs.ModeDir | 0o755}.Record()); err != nil {
+	if err := fs.commit(fsrec.Op{Type: fsrec.OpMkdir, Ino: num, Path: path, Mode: vfs.ModeDir | 0o755}); err != nil {
 		fs.NS.Remove(path)
 		return vfs.Errf("mkdir", fs.name, path, err)
 	}
@@ -306,9 +321,9 @@ func (fs *FS) SetAttr(path string, attr vfs.SetAttr) error {
 		return vfs.Errf("setattr", fs.name, path, vfs.ErrIsDir)
 	}
 	ino := e.File
-	recs := fs.recs[:0]
+	fs.ops.Reset()
 	if attr.Size != nil && *attr.Size < ino.Meta.Size {
-		if recs, err = fs.shrink(ino, e.Ino, *attr.Size, fs.Clk.Now(), recs); err != nil {
+		if err := fs.shrink(ino, e.Ino, *attr.Size, fs.Clk.Now()); err != nil {
 			return vfs.Errf("setattr", fs.name, path, err)
 		}
 	}
@@ -318,19 +333,19 @@ func (fs *FS) SetAttr(path string, attr vfs.SetAttr) error {
 	if attr.Mode != nil {
 		fs.NS.SetFileMode(path, ino.Meta.Mode)
 	}
-	fs.recs = append(recs, recSetAttr(e.Ino, &ino.Meta))
-	if err := fs.be.Commit(fs.recs); err != nil {
+	fs.ops.Add(setAttrOp(e.Ino, &ino.Meta))
+	if err := fs.be.Commit(fs.ops.Recs); err != nil {
 		return vfs.Errf("setattr", fs.name, path, err)
 	}
 	return nil
 }
 
-// recSetAttr builds the record of an inode's full attributes.
-func recSetAttr(num uint64, m *Meta) journal.Record {
+// setAttrOp is the op recording an inode's full attributes.
+func setAttrOp(num uint64, m *Meta) fsrec.Op {
 	return fsrec.Op{
 		Type: fsrec.OpSetAttr, Ino: num,
 		Size: m.Size, Mode: m.Mode, MTime: m.ModTime, ATime: m.ATime, CTime: m.CTime,
-	}.Record()
+	}
 }
 
 // Truncate sets the file size by path.

@@ -3,6 +3,7 @@ package fsbase
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -151,7 +152,7 @@ func TestWalkOrders(t *testing.T) {
 	ns.CreateFile("/top", 0o644, 0, echo)
 
 	var all []string
-	ns.WalkAll(func(path string, e Entry[uint64]) { all = append(all, path) })
+	ns.WalkAll(func(path string, e Entry[uint64]) { all = append(all, strings.Clone(path)) })
 	want := []string{"/a", "/a/y", "/a/z", "/b", "/top"}
 	if fmt.Sprint(all) != fmt.Sprint(want) {
 		t.Fatalf("WalkAll = %v, want %v", all, want)

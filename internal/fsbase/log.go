@@ -24,21 +24,28 @@ func (fs *FS) CommitLog(recs []journal.Record) error {
 
 // compact rewrites the journal as a snapshot of the current state. The
 // dual journal makes it crash-atomic: the snapshot commits into the spare
-// half before the superblock flips, so no crash point loses the log.
+// half before the superblock flips, so no crash point loses the log. Each
+// record's payload is staged in fs.snap and encoded onto the snapshot's
+// pages as it is appended, so the snapshot costs no heap per file.
 // Caller holds Mu.
 func (fs *FS) compact() error {
 	err := fs.Log.Compact(func(tx *journal.Tx) {
+		add := func(op fsrec.Op) {
+			var r journal.Record
+			r, fs.snap = op.AppendRecord(fs.snap[:0])
+			tx.Append(r)
+		}
 		fs.NS.WalkAll(func(path string, e Entry[*Inode]) {
 			if e.IsDir() {
-				tx.Append(fsrec.Op{Type: fsrec.OpMkdir, Ino: e.Ino, Path: path, Mode: e.Mode}.Record())
+				add(fsrec.Op{Type: fsrec.OpMkdir, Ino: e.Ino, Path: path, Mode: e.Mode})
 				return
 			}
 			ino := e.File
-			tx.Append(fsrec.Op{Type: fsrec.OpCreate, Ino: e.Ino, Path: path, Mode: ino.Meta.Mode}.Record())
-			tx.Append(recSetAttr(e.Ino, &ino.Meta))
+			add(fsrec.Op{Type: fsrec.OpCreate, Ino: e.Ino, Path: path, Mode: ino.Meta.Mode})
+			add(setAttrOp(e.Ino, &ino.Meta))
 			ino.Ext.Walk(func(off, n, delta int64) bool {
-				tx.Append(fsrec.Op{Type: fsrec.OpExtent, Ino: e.Ino, Off: off, Delta: delta, N: n,
-					Size: ino.Meta.Size, MTime: ino.Meta.ModTime}.Record())
+				add(fsrec.Op{Type: fsrec.OpExtent, Ino: e.Ino, Off: off, Delta: delta, N: n,
+					Size: ino.Meta.Size, MTime: ino.Meta.ModTime})
 				return true
 			})
 		})

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"muxfs/internal/vfs"
 )
@@ -46,6 +47,7 @@ type Namespace[F any] struct {
 	shard   [nsShards]nsShard[F]
 	nextIno atomic.Uint64
 	count   atomic.Int64 // live files + directories, excluding root
+	walk    walkScratch
 }
 
 // nsShards is the shard count. 64 keeps the per-shard collision probability
@@ -145,15 +147,17 @@ func (ns *Namespace[F]) lockAll() func() {
 	}
 }
 
-// rlockAll read-locks every shard in index order.
-func (ns *Namespace[F]) rlockAll() func() {
+// rlockAll read-locks every shard in index order; runlockAll releases
+// them.
+func (ns *Namespace[F]) rlockAll() {
 	for i := range ns.shard {
 		ns.shard[i].mu.RLock()
 	}
-	return func() {
-		for i := len(ns.shard) - 1; i >= 0; i-- {
-			ns.shard[i].mu.RUnlock()
-		}
+}
+
+func (ns *Namespace[F]) runlockAll() {
+	for i := len(ns.shard) - 1; i >= 0; i-- {
+		ns.shard[i].mu.RUnlock()
 	}
 }
 
@@ -450,30 +454,57 @@ func (ns *Namespace[F]) ReadDir(path string) ([]vfs.DirEntry, error) {
 	return out, nil
 }
 
-// WalkAll visits every entry (directories before their children) in lexical
-// order under a full shared lock. Log compaction uses it to re-log the
-// namespace in replayable order.
+// WalkAll visits every entry in lexical order, parents before children,
+// under all shard read locks. path is valid only during fn: it aliases a
+// buffer the walk reuses, so a caller that keeps it copies it
+// (strings.Clone). The walk allocates nothing per entry, so a compaction
+// snapshot costs no heap that grows with the namespace. Walks serialize
+// on their scratch; fn must not walk again.
 func (ns *Namespace[F]) WalkAll(fn func(path string, e Entry[F])) {
-	unlock := ns.rlockAll()
-	defer unlock()
-	var walk func(dir string)
-	walk = func(dir string) {
-		m := ns.shardOf(dir).dirs[dir]
-		names := make([]string, 0, len(m))
-		for name := range m {
-			names = append(names, name)
+	w := &ns.walk
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	ns.rlockAll()
+	defer ns.runlockAll()
+	w.path = append(w.path[:0], '/')
+	ns.walkDir(fn)
+	clear(w.names[:cap(w.names)]) // drop the names of removed entries
+}
+
+// walkScratch is WalkAll's reused state: the path of the entry being
+// visited, and a stack of the sorted child names of every directory on
+// that path.
+type walkScratch struct {
+	mu    sync.Mutex
+	path  []byte
+	names []string
+}
+
+// walkDir visits the children of the directory walk.path names, and their
+// subtrees. Caller holds walk.mu and every shard's read lock.
+func (ns *Namespace[F]) walkDir(fn func(path string, e Entry[F])) {
+	w := &ns.walk
+	dir := unsafe.String(unsafe.SliceData(w.path), len(w.path))
+	m := ns.shardOf(dir).dirs[dir]
+	base, dirLen := len(w.names), len(w.path)
+	for name := range m {
+		w.names = append(w.names, name)
+	}
+	slices.Sort(w.names[base:])
+	for i := base; i < base+len(m); i++ {
+		name := w.names[i]
+		w.path = w.path[:dirLen]
+		if dirLen > 1 {
+			w.path = append(w.path, '/')
 		}
-		slices.Sort(names)
-		for _, name := range names {
-			e := m[name]
-			p := childPath(dir, name)
-			fn(p, e)
-			if e.IsDir() {
-				walk(p)
-			}
+		w.path = append(w.path, name...)
+		e := m[name]
+		fn(unsafe.String(unsafe.SliceData(w.path), len(w.path)), e)
+		if e.IsDir() {
+			ns.walkDir(fn)
 		}
 	}
-	walk("/")
+	w.names, w.path = w.names[:base], w.path[:dirLen]
 }
 
 func childPath(dir, name string) string {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -122,7 +123,7 @@ func TestNamespaceConcurrentRenames(t *testing.T) {
 		t.Fatalf("FileCount = %d, want %d", n, 5+3+steps)
 	}
 	var walked []string
-	ns.WalkAll(func(path string, _ Entry[uint64]) { walked = append(walked, path) })
+	ns.WalkAll(func(path string, _ Entry[uint64]) { walked = append(walked, strings.Clone(path)) })
 	want := []string{"/c"}
 	for i := 0; i < steps; i++ {
 		want = append(want, fmt.Sprintf("/c/n%03d", i))

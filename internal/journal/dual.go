@@ -28,6 +28,7 @@ type Dual struct {
 	// the half-level state.
 	active int
 	halves [2]*Journal
+	sb     [sbSize]byte // the superblock writeSuper encodes, reused
 }
 
 // sbPage is the superblock's reserved space: one device page, so the flip
@@ -93,15 +94,28 @@ func (d *Dual) Replay(apply func(Record) error) (int, error) {
 // appends the full current state to a transaction bound for the spare half,
 // the transaction commits there, and the superblock flips. The old half
 // stays valid until the single-page flip persists, so every crash point
-// recovers either the complete old log or the complete snapshot.
+// recovers either the complete old log or the complete snapshot. The spare
+// half's sequence number is known before the callback runs, so each record
+// encodes onto arena pages as it is appended (Tx): the snapshot costs no
+// heap that grows with its length. Like Commit, Compact relies on the
+// callers' lock discipline: the flip of the active half is not locked.
 func (d *Dual) Compact(snapshot func(*Tx)) error {
 	cur, spare := d.halves[d.active], d.halves[1-d.active]
 	spare.reset(cur.nextSeq())
-	// Only the active half commits, so it owns the one encode buffer.
-	spare.scratch, cur.scratch = cur.scratch, nil
-	var tx Tx
-	snapshot(&tx)
-	if err := spare.Commit(tx.recs); err != nil {
+	// Only the active half commits, so the encoder, whose page chain has
+	// grown to the longest transaction, moves with it. The swap waits out
+	// a Commit in flight on the active half.
+	cur.mu.Lock()
+	spare.mu.Lock()
+	spare.tx, cur.tx = cur.tx, spare.tx
+	spare.tx.begin(spare.seq)
+	spare.mu.Unlock()
+	cur.mu.Unlock()
+	snapshot(&spare.tx)
+	spare.mu.Lock()
+	err := spare.commitTx()
+	spare.mu.Unlock()
+	if err != nil {
 		return fmt.Errorf("journal compaction snapshot: %w", err)
 	}
 	if err := d.writeSuper(1 - d.active); err != nil {
@@ -113,7 +127,7 @@ func (d *Dual) Compact(snapshot func(*Tx)) error {
 
 func (d *Dual) writeSuper(active int) error {
 	seq := d.halves[active].nextSeq()
-	buf := make([]byte, sbSize)
+	buf := d.sb[:]
 	binary.LittleEndian.PutUint32(buf[0:4], sbMagic)
 	buf[4] = byte(active)
 	binary.LittleEndian.PutUint64(buf[5:13], seq)

@@ -5,9 +5,11 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"testing"
 
+	"muxfs/internal/bufpool"
 	"muxfs/internal/device"
 	"muxfs/internal/race"
 	"muxfs/internal/simclock"
@@ -87,20 +89,26 @@ func TestDualCommitAllocatesNothing(t *testing.T) {
 	}
 }
 
-// A compaction snapshot far larger than maxScratch encodes into a buffer
-// the journal does not keep, and the encode buffer follows the active
-// half: afterwards the Dual holds at most maxScratch bytes of encode
-// buffer, however large its snapshots were.
+// A compaction snapshot streams onto arena pages and keeps nothing: after
+// a 1.1 MiB snapshot neither half holds an encoded byte or a page, every
+// page the snapshot took is back on the arena's free list, and the
+// snapshot replays record for record.
 func TestSnapshotScratchAllocationBudget(t *testing.T) {
-	d, dev := newTestDual(t, 8<<20)
-	batch := []Record{{Type: 1, A: 1, Payload: make([]byte, maxScratch*5/8)}}
+	const size = 8 << 20
+	d := newWarmDual(t, size)
+	batch := []Record{{Type: 1, A: 1, Payload: make([]byte, 40<<10)}}
 	if err := d.Commit(batch); err != nil {
 		t.Fatal(err)
 	}
+	mapped0, free0 := bufpool.PageStats()
 	const recs = 2048 // 2048 × (37 + 512) B ≈ 1.1 MiB
+	payload := make([]byte, 512)
 	if err := d.Compact(func(tx *Tx) {
 		for i := 0; i < recs; i++ {
-			tx.Append(Record{Type: 2, A: int64(i), Payload: bytes.Repeat([]byte{byte(i)}, 512)})
+			for j := range payload {
+				payload[j] = byte(i)
+			}
+			tx.Append(Record{Type: 2, A: int64(i), Payload: payload})
 		}
 	}); err != nil {
 		t.Fatal(err)
@@ -108,13 +116,18 @@ func TestSnapshotScratchAllocationBudget(t *testing.T) {
 	if err := d.Commit(batch); err != nil {
 		t.Fatal(err)
 	}
-	if kept := cap(d.halves[0].scratch) + cap(d.halves[1].scratch); kept == 0 || kept > maxScratch {
-		t.Fatalf("Dual keeps %d B of encode buffer after a 1.1 MiB snapshot, want 1..%d", kept, maxScratch)
+	for i, h := range d.halves {
+		if len(h.tx.pages) != 0 || h.tx.n != 0 {
+			t.Fatalf("half %d keeps %d pages (%d B) of encoded transaction after its commit", i, len(h.tx.pages), h.tx.n)
+		}
 	}
-	d2, _ := NewDual(dev, 0, 8<<20)
+	if mapped, free := bufpool.PageStats(); mapped-free != mapped0-free0 {
+		t.Fatalf("arena pages in use %d after the snapshot committed, want %d as before it", mapped-free, mapped0-free0)
+	}
+	d2, _ := NewDual(d.dev, 0, size)
 	n := 0
 	if _, err := d2.Replay(func(r Record) error {
-		if r.Type == 2 && (r.A != int64(n) || len(r.Payload) != 512 || r.Payload[0] != byte(n)) {
+		if r.Type == 2 && (r.A != int64(n) || len(r.Payload) != 512 || r.Payload[0] != byte(n) || r.Payload[511] != byte(n)) {
 			t.Fatalf("snapshot record %d replayed as %+v", n, r)
 		}
 		n++
@@ -124,6 +137,61 @@ func TestSnapshotScratchAllocationBudget(t *testing.T) {
 	}
 	if n != recs+1 {
 		t.Fatalf("replayed %d records, want the %d of the snapshot plus 1", n, recs)
+	}
+}
+
+// snapshotOf returns a Compact callback that appends a namespace-shaped
+// snapshot of files files: per file a create record with its path, an
+// attribute record and an extent record, as novafs and Mux write them.
+// The callback itself allocates nothing.
+func snapshotOf(files int) func(*Tx) {
+	paths := make([][]byte, files)
+	for i := range paths {
+		paths[i] = fmt.Appendf(nil, "/dir%d/file%05d", i%16, i)
+	}
+	attr, ext := make([]byte, 40), make([]byte, 32)
+	return func(tx *Tx) {
+		for i, p := range paths {
+			tx.Append(Record{Type: 1, A: int64(i), B: 0o644, Payload: p})
+			tx.Append(Record{Type: 6, A: int64(i), Payload: attr})
+			tx.Append(Record{Type: 5, A: int64(i), B: 0, Payload: ext})
+		}
+	}
+}
+
+// A snapshot's heap allocations do not grow with its length: Compact at
+// 10,000 files makes as many as at 1,000 (none, once the encoder's page
+// chain has grown), since records encode onto arena pages as they are
+// appended.
+func TestDualCompactAllocationsFlat(t *testing.T) {
+	allocs := func(files int) float64 {
+		d := newWarmDual(t, 8<<20)
+		snap := snapshotOf(files)
+		return testing.AllocsPerRun(4, func() {
+			if err := d.Compact(snap); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(1000), allocs(10000)
+	if small != large || large != 0 {
+		t.Fatalf("Dual.Compact: %.1f allocations at 1,000 files, %.1f at 10,000, want 0 at both", small, large)
+	}
+}
+
+func BenchmarkDualCompact(b *testing.B) {
+	for _, files := range []int{1000, 10000} {
+		b.Run(fmt.Sprintf("files=%d", files), func(b *testing.B) {
+			d := newWarmDual(b, 8<<20)
+			snap := snapshotOf(files)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := d.Compact(snap); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"hash/crc32"
 	"sync"
 
+	"muxfs/internal/bufpool"
 	"muxfs/internal/device"
 )
 
@@ -44,11 +45,6 @@ type Record struct {
 	Payload []byte
 }
 
-// maxScratch caps the encode buffer a Journal keeps between commits. A
-// larger transaction (a compaction snapshot) encodes into a buffer that is
-// dropped after its commit, so one snapshot does not pin its size in heap.
-const maxScratch = 64 << 10
-
 // Journal is a write-ahead log in [start, start+size) of dev. Safe for
 // concurrent Commit calls; the records of one Commit stay contiguous.
 type Journal struct {
@@ -56,10 +52,10 @@ type Journal struct {
 	start int64
 	size  int64
 
-	mu      sync.Mutex
-	head    int64  // next write offset, relative to start
-	seq     uint64 // next transaction sequence number
-	scratch []byte // reused encode buffer, at most maxScratch bytes kept
+	mu   sync.Mutex
+	head int64  // next write offset, relative to start
+	seq  uint64 // next transaction sequence number
+	tx   Tx     // the encoder, reused under mu
 }
 
 // New creates a journal over [start, start+size) of dev. The region is
@@ -68,50 +64,100 @@ func New(dev *device.Device, start, size int64) *Journal {
 	return &Journal{dev: dev, start: start, size: size, seq: 1}
 }
 
-// Tx collects the records of a compaction snapshot (Dual.Compact).
+// Tx is one transaction being encoded. Append encodes each record, CRC
+// included, straight into a chain of arena pages (bufpool.GetPage), so a
+// transaction of any size — a compaction snapshot — holds no record list
+// and no contiguous heap buffer. The chain is written as one device
+// request and the pages go back to the arena after the commit.
 type Tx struct {
-	recs []Record
+	seq   uint64
+	pages [][]byte // arena pages, each full but the last
+	n     int64    // bytes encoded
+	hdr   [headerSize]byte
 }
 
-// Append adds a record to the transaction.
-func (tx *Tx) Append(r Record) { tx.recs = append(tx.recs, r) }
+// Append encodes r into the transaction. r is not retained: its payload
+// may be reused as soon as Append returns.
+func (tx *Tx) Append(r Record) {
+	h := tx.hdr[:] // a field, so the CRC's read of it does not escape
+	le := binary.LittleEndian
+	le.PutUint32(h[0:4], magic)
+	le.PutUint64(h[4:12], tx.seq)
+	h[12] = r.Type
+	le.PutUint64(h[13:21], uint64(r.A))
+	le.PutUint64(h[21:29], uint64(r.B))
+	le.PutUint32(h[29:33], uint32(len(r.Payload)))
+	// The CRC covers seq..b and the payload.
+	le.PutUint32(h[33:37], crc32.Update(crc32.ChecksumIEEE(h[4:29]), crc32.IEEETable, r.Payload))
+	tx.write(h)
+	tx.write(r.Payload)
+}
+
+// write copies b onto the page chain, taking a fresh page whenever the
+// last one is full.
+func (tx *Tx) write(b []byte) {
+	tx.n += int64(len(b))
+	for len(b) > 0 {
+		last := len(tx.pages) - 1
+		if last < 0 || len(tx.pages[last]) == bufpool.PageSize {
+			tx.pages = append(tx.pages, bufpool.GetPage()[:0])
+			last++
+		}
+		p := tx.pages[last]
+		k := copy(p[len(p):bufpool.PageSize], b)
+		tx.pages[last] = p[:len(p)+k]
+		b = b[k:]
+	}
+}
+
+// begin starts an empty transaction with sequence number seq.
+func (tx *Tx) begin(seq uint64) {
+	tx.release()
+	tx.seq = seq
+}
+
+// release returns the transaction's pages to the arena, keeping the chain
+// slice for the next transaction.
+func (tx *Tx) release() {
+	for _, p := range tx.pages {
+		bufpool.PutPage((*[bufpool.PageSize]byte)(p[:bufpool.PageSize]))
+	}
+	clear(tx.pages)
+	tx.pages, tx.n = tx.pages[:0], 0
+}
 
 // Commit durably writes recs as one transaction: all records followed by a
 // commit marker, then a persistence barrier. Either the whole transaction
-// replays after a crash or none of it does. recs is not retained, and a
-// steady stream of small commits allocates nothing: records encode into a
-// buffer reused under j.mu.
+// replays after a crash or none of it does. recs is not retained, and
+// commits allocate nothing: records encode onto arena pages (Tx).
 func (j *Journal) Commit(recs []Record) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-
-	n := headerSize // the commit marker
+	j.tx.begin(j.seq)
 	for _, r := range recs {
-		n += headerSize + len(r.Payload)
+		j.tx.Append(r)
 	}
-	if j.head+int64(n) > j.size {
-		return fmt.Errorf("%w: need %d bytes, %d left", ErrFull, n, j.size-j.head)
-	}
-	buf := j.scratch[:0]
-	if n > cap(buf) {
-		buf = make([]byte, 0, n)
-		if n <= maxScratch {
-			j.scratch = buf
-		}
-	}
-	for _, r := range recs {
-		buf = appendRecord(buf, j.seq, r)
-	}
-	buf = appendRecord(buf, j.seq, Record{Type: commitType})
+	return j.commitTx()
+}
 
+// commitTx appends the commit marker to j.tx and writes the transaction at
+// the head: one write request of the page chain, one persist of its range.
+// The pages go back to the arena whatever the outcome. Caller holds j.mu.
+func (j *Journal) commitTx() error {
+	tx := &j.tx
+	defer tx.release()
+	tx.Append(Record{Type: commitType})
+	if j.head+tx.n > j.size {
+		return fmt.Errorf("%w: need %d bytes, %d left", ErrFull, tx.n, j.size-j.head)
+	}
 	off := j.start + j.head
-	if _, err := j.dev.WriteAt(buf, off); err != nil {
+	if _, err := j.dev.WriteVecAt(tx.pages, off); err != nil {
 		return fmt.Errorf("journal commit: %w", err)
 	}
-	if err := j.dev.Persist(off, int64(len(buf))); err != nil {
+	if err := j.dev.Persist(off, tx.n); err != nil {
 		return fmt.Errorf("journal persist: %w", err)
 	}
-	j.head += int64(len(buf))
+	j.head += tx.n
 	j.seq++
 	return nil
 }
@@ -314,25 +360,3 @@ func (j *Journal) UsedBytes() int64 {
 
 // Size returns the journal region size.
 func (j *Journal) Size() int64 { return j.size }
-
-// appendRecord appends r's header and payload to buf. The header is
-// magic(4) seq(8) type(1) a(8) b(8) plen(4) crc(4); the CRC covers
-// seq..b and the payload.
-func appendRecord(buf []byte, seq uint64, r Record) []byte {
-	h := len(buf)
-	buf = binary.LittleEndian.AppendUint32(buf, magic)
-	buf = binary.LittleEndian.AppendUint64(buf, seq)
-	buf = append(buf, r.Type)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(r.A))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(r.B))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.Payload)))
-	buf = binary.LittleEndian.AppendUint32(buf, recordCRC(buf[h:], r.Payload))
-	return append(buf, r.Payload...)
-}
-
-// recordCRC checksums an encoded header's seq, type, a and b fields plus
-// the payload. It reads the bytes in place: copying the fields to a stack
-// array for crc32.Update would make that array escape to the heap.
-func recordCRC(hdr, payload []byte) uint32 {
-	return crc32.Update(crc32.ChecksumIEEE(hdr[4:29]), crc32.IEEETable, payload)
-}

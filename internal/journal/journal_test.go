@@ -56,7 +56,7 @@ func TestUncommittedTxNotReplayed(t *testing.T) {
 
 	// Hand-write a record without a commit marker (simulating a crash
 	// mid-transaction): encode via the package helper, drop the commit.
-	orphan := appendRecord(nil, 99, Record{Type: 7, A: 7})
+	orphan := encodeRecord(99, Record{Type: 7, A: 7})
 	head := j.UsedBytes()
 	dev.WriteAt(orphan, head)
 	dev.PersistAll()
@@ -81,7 +81,7 @@ func TestCrashDropsUnpersistedCommit(t *testing.T) {
 	// transaction but crash the device before Persist by injecting a write
 	// directly (uncommitted bytes are volatile only if not persisted; Commit
 	// persists, so instead simulate the torn tail with a manual record).
-	torn := appendRecord(nil, 55, Record{Type: 9})
+	torn := encodeRecord(55, Record{Type: 9})
 	torn[len(torn)-1] ^= 0xFF // corrupt the CRC byte region
 	dev.WriteAt(torn, j.UsedBytes())
 	dev.PersistAll()
@@ -176,4 +176,14 @@ func TestCommitSurvivesDeviceCrash(t *testing.T) {
 	if err != nil || n != 1 || len(got) != 1 || got[0].A != 42 {
 		t.Fatalf("committed txn lost in crash: n=%d err=%v got=%+v", n, err, got)
 	}
+}
+
+// encodeRecord returns r encoded as a record of transaction seq, without
+// a commit marker.
+func encodeRecord(seq uint64, r Record) []byte {
+	var tx Tx
+	tx.begin(seq)
+	tx.Append(r)
+	defer tx.release()
+	return bytes.Join(tx.pages, nil)
 }

@@ -69,6 +69,9 @@ type Cache struct {
 
 	lru   *list.List // front = most recent; values are *page
 	pages map[Key]*list.Element
+	// dirty holds the keys of the pages with bytes, so write-back visits
+	// only them, not every cached page.
+	dirty map[Key]struct{}
 
 	hits, misses, evictions int64
 }
@@ -85,6 +88,7 @@ func New(capacityPages int, clk *simclock.Clock, hitCost time.Duration) *Cache {
 		hitCost:  hitCost,
 		lru:      list.New(),
 		pages:    make(map[Key]*list.Element),
+		dirty:    make(map[Key]struct{}),
 	}
 	bufpool.ReleaseOnDrop(c, (*Cache).InvalidateAll)
 	return c
@@ -99,18 +103,20 @@ func (p *page) data() []byte {
 }
 
 // setClean recycles a dirty page's buffer. Caller holds c.mu.
-func (p *page) setClean() {
+func (c *Cache) setClean(p *page) {
 	if p.buf != nil {
 		bufpool.PutPage(p.buf)
 		p.buf = nil
+		delete(c.dirty, p.key)
 	}
 }
 
 // fill makes p dirty with the contents data, zero-extended to PageSize.
 // Caller holds c.mu.
-func (p *page) fill(data []byte) {
+func (c *Cache) fill(p *page, data []byte) {
 	if p.buf == nil {
 		p.buf = bufpool.GetPage()
+		c.dirty[p.key] = struct{}{}
 	}
 	n := copy(p.buf[:], data)
 	clear(p.buf[n:])
@@ -165,7 +171,7 @@ func (c *Cache) Put(k Key, data []byte, dirty bool) (ev Evicted, mustWrite bool)
 
 	if el, ok := c.pages[k]; ok {
 		if p := el.Value.(*page); dirty || p.buf != nil {
-			p.fill(data)
+			c.fill(p, data)
 		}
 		c.lru.MoveToFront(el)
 		return Evicted{}, false
@@ -173,7 +179,7 @@ func (c *Cache) Put(k Key, data []byte, dirty bool) (ev Evicted, mustWrite bool)
 
 	p := &page{key: k}
 	if dirty {
-		p.fill(data)
+		c.fill(p, data)
 	}
 	c.pages[k] = c.lru.PushFront(p)
 
@@ -206,7 +212,7 @@ func (c *Cache) MarkDirty(k Key, data []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.pages[k]; ok {
-		el.Value.(*page).fill(data)
+		c.fill(el.Value.(*page), data)
 	}
 }
 
@@ -216,7 +222,7 @@ func (c *Cache) MarkClean(k Key) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.pages[k]; ok {
-		el.Value.(*page).setClean()
+		c.setClean(el.Value.(*page))
 	}
 }
 
@@ -224,13 +230,14 @@ func (c *Cache) MarkClean(k Key) {
 // every file when all is true — to dst, sorted by (file, page), and returns
 // the extended slice. Write-back uses the sorted order so device writes
 // sequentialize (the elevator effect), and passes its previous result back
-// as dst[:0] so steady-state flushes allocate nothing.
+// as dst[:0] so steady-state flushes allocate nothing. It visits only the
+// dirty pages, however many clean ones are cached.
 func (c *Cache) AppendDirtyPages(dst []Key, file uint64, all bool) []Key {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := len(dst)
-	for k, el := range c.pages {
-		if el.Value.(*page).buf != nil && (all || k.File == file) {
+	for k := range c.dirty {
+		if all || k.File == file {
 			dst = append(dst, k)
 		}
 	}
@@ -246,7 +253,7 @@ func (c *Cache) AppendDirtyPages(dst []Key, file uint64, all bool) []Key {
 // remove unlinks a page and recycles its buffer. Caller holds c.mu.
 func (c *Cache) remove(el *list.Element) {
 	p := el.Value.(*page)
-	p.setClean()
+	c.setClean(p)
 	c.lru.Remove(el)
 	delete(c.pages, p.key)
 }
@@ -284,7 +291,7 @@ func (c *Cache) InvalidateAll() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, el := range c.pages {
-		el.Value.(*page).setClean()
+		c.setClean(el.Value.(*page))
 	}
 	c.lru.Init()
 	c.pages = make(map[Key]*list.Element)

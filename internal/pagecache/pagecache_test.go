@@ -2,7 +2,10 @@ package pagecache
 
 import (
 	"bytes"
+	"cmp"
+	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -327,5 +330,91 @@ func TestDroppedCachesReturnPages(t *testing.T) {
 		if m, _ := bufpool.PageStats(); m-mapped0 > 2*pages {
 			t.Fatalf("after %d dropped caches the arena mapped %d more pages, want <= %d", i+1, m-mapped0, 2*pages)
 		}
+	}
+}
+
+// The dirty set follows every way a page turns dirty or clean — Put,
+// MarkDirty, MarkClean, Evict, the invalidations — so write-back lists
+// exactly the pages that hold bytes, in (file, page) order.
+func TestDirtySetTracksPages(t *testing.T) {
+	c, _ := newTestCache(64)
+	rng := rand.New(rand.NewSource(1))
+	for step := 0; step < 20000; step++ {
+		k := Key{File: uint64(rng.Intn(4)), Page: int64(rng.Intn(40))}
+		switch rng.Intn(8) {
+		case 0, 1:
+			if ev, must := c.Put(k, []byte{byte(step)}, true); must {
+				c.Evict(ev.Key)
+			}
+		case 2, 3:
+			if ev, must := c.Put(k, nil, false); must {
+				c.Evict(ev.Key)
+			}
+		case 4:
+			c.MarkDirty(k, []byte{1})
+		case 5:
+			c.MarkClean(k)
+		case 6:
+			c.InvalidateRange(k.File, k.Page*PageSize, PageSize*int64(1+rng.Intn(3)))
+		case 7:
+			if rng.Intn(50) == 0 {
+				c.InvalidateFile(k.File)
+			}
+		}
+		var want []Key
+		c.mu.Lock()
+		for k, el := range c.pages {
+			if el.Value.(*page).buf != nil {
+				want = append(want, k)
+			}
+		}
+		c.mu.Unlock()
+		slices.SortFunc(want, func(a, b Key) int {
+			if a.File != b.File {
+				return cmp.Compare(a.File, b.File)
+			}
+			return cmp.Compare(a.Page, b.Page)
+		})
+		if got := dirtyKeys(c); !slices.Equal(got, want) {
+			t.Fatalf("step %d: dirty pages %v, want %v", step, got, want)
+		}
+		if got := c.AppendDirtyPages(nil, 2, false); len(got) != countFile(want, 2) {
+			t.Fatalf("step %d: dirty pages of file 2 %v, want %d", step, got, countFile(want, 2))
+		}
+	}
+	c.InvalidateAll()
+	if got := dirtyKeys(c); len(got) != 0 {
+		t.Fatalf("dirty pages after InvalidateAll: %v", got)
+	}
+}
+
+func countFile(keys []Key, file uint64) int {
+	n := 0
+	for _, k := range keys {
+		if k.File == file {
+			n++
+		}
+	}
+	return n
+}
+
+// Write-back's dirty walk with 1 dirty page among 32,768 cached ones (the
+// 128 MiB default cache full of clean pages): it visits the dirty page
+// alone.
+func BenchmarkAppendDirtyPages(b *testing.B) {
+	const pages = 32 << 10
+	c, _ := newTestCache(pages)
+	for i := 0; i < pages; i++ {
+		c.Put(Key{File: uint64(i % 64), Page: int64(i / 64)}, nil, false)
+	}
+	c.MarkDirty(Key{File: 7, Page: 3}, []byte{1})
+	var dst []Key
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst = c.AppendDirtyPages(dst[:0], 0, true)
+	}
+	if len(dst) != 1 {
+		b.Fatalf("%d dirty pages, want 1", len(dst))
 	}
 }

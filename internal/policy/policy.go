@@ -119,7 +119,8 @@ type Policy interface {
 	// Name identifies the policy in logs and benchmark output.
 	Name() string
 	// PlaceWrite picks the tier for newly allocated blocks of a write.
-	// Tiers arrive sorted fastest-first.
+	// Tiers arrive sorted fastest-first. Mux reuses tiers for the next
+	// placement, so a policy must not keep it past the call.
 	PlaceWrite(ctx WriteCtx, tiers []TierInfo) int
 	// PlanMigrations proposes moves given current usage and file heat.
 	// The Policy Runner executes them via the OCC Synchronizer. It reuses
