@@ -2,7 +2,7 @@ GO ?= go
 # JSON is the directory make smoke writes BENCH_<exp>.json results into.
 JSON ?= .
 
-.PHONY: all build vet test race budget stress fuzz smoke check bench clean
+.PHONY: all build vet test race budget stress repeat fuzz smoke check bench clean
 
 all: check
 
@@ -54,6 +54,14 @@ budget:
 stress:
 	$(GO) test -race -count=20 -run 'TestReadFastPathRacesMigration|TestRoutedReadsVsMigration|TestConcurrentMigrationStorm|TestMigrationWorkersEquivalent|TestAddTierConcurrentWithIO|TestGuardConcurrent|TestBufpoolConcurrent|TestPageArenaConcurrent|TestStaleBuffersNeverLeak|TestNamespaceConcurrentRenames' ./internal/core ./internal/guard ./internal/bufpool ./internal/ec ./internal/fsbase
 
+# repeat runs the tests of the short packages three times in a row: the
+# native file systems and their shared metadata layer, the journal, the
+# extent tree, the page cache and the buffer pool. One pass can hide a
+# test that fails only now and then; three cost about 8 s on a 2-core
+# host.
+repeat:
+	$(GO) test -count=3 ./internal/fsbase ./internal/fs/... ./internal/journal ./internal/extent ./internal/pagecache ./internal/bufpool
+
 # fuzz runs each decoder fuzz target for 10 seconds. The muxns frame
 # decoders (internal/muxns; the targets sit with its client in
 # internal/muxrpc): no input may panic a decoder, allocate past a fixed
@@ -77,8 +85,9 @@ smoke:
 # check is the CI gate: compile everything, vet, the full test suite under
 # the race detector (the migration and fan-out engines are concurrent;
 # -race is load-bearing, not optional), the allocation budgets the race
-# build skips, the race stress, then the smoke experiments.
-check: build vet race budget stress smoke
+# build skips, the race stress, the repeated short packages, then the
+# smoke experiments.
+check: build vet race budget stress repeat smoke
 
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$'

@@ -198,8 +198,9 @@ func (r *E11Result) Format(w io.Writer) {
 			row.FsckSerialMs, row.FsckParallelMs, row.FsckSpeedup)
 	}
 	ck := r.Checkpoint
-	fmt.Fprintf(w, "  checkpointing: %d files + %d churn writes — full-history replay %.1f ms vs checkpointed %.1f ms (%.1fx)\n",
-		ck.Files, ck.ChurnWrites, ck.FullLogMs, ck.CheckpointMs, ck.Speedup)
+	fmt.Fprintf(w, "  checkpointing: %d files + %d churn writes — full-history replay %d records, %d B vs checkpointed %d records, %d B (%.1fx, %.1fx); wall %.1f ms vs %.1f ms (%.1fx)\n",
+		ck.Files, ck.ChurnWrites, ck.FullLogRecords, ck.FullLogBytes, ck.CheckpointRecords, ck.CheckpointBytes,
+		ck.RecordRatio, ck.ByteRatio, ck.FullLogMs, ck.CheckpointMs, ck.Speedup)
 }
 
 // WriteJSON writes one experiment's result to <dir>/BENCH_<exp>.json as

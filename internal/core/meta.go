@@ -416,11 +416,13 @@ type replayer struct {
 	// opened before a Remove can still write, so a removed inode's
 	// records can follow its remove record; replay drops them.
 	removed map[uint64]bool
+	n       int // records taken, for RecoveryStats
 }
 
 // replay rebuilds Mux state from the journal in one pass, applying records
-// as they are read. Namespace-structural records (create, mkdir, remove,
-// rename) apply at once, in log order: their cross-file ordering matters.
+// as they are read, and returns the number of records it took.
+// Namespace-structural records (create, mkdir, remove, rename) apply at
+// once, in log order: their cross-file ordering matters.
 // Per-inode records (extents, sizes, attributes, host, replica) buffer in
 // a batch of replayBatch records, which applies on RecoveryWorkers
 // goroutines when it fills, before a remove, and at the end of the log.
@@ -432,22 +434,23 @@ type replayer struct {
 // every file's lock-free snapshots afterward. Replay is tolerant of
 // re-applied records (the compaction snapshot may overlap trailing per-op
 // records), so every case is idempotent.
-func (ml *metaLog) replay(m *Mux) error {
+func (ml *metaLog) replay(m *Mux) (int, error) {
 	rp := &replayer{m: m, removed: map[uint64]bool{}}
 	if _, err := ml.jnl.Replay(rp.record); err != nil {
-		return err
+		return rp.n, err
 	}
 	if err := rp.flush(); err != nil {
-		return err
+		return rp.n, err
 	}
 	if len(rp.recs) > 0 {
-		return fmt.Errorf("mux replay: records for unknown inode %d", rp.recs[0].ino)
+		return rp.n, fmt.Errorf("mux replay: records for unknown inode %d", rp.recs[0].ino)
 	}
-	return nil
+	return rp.n, nil
 }
 
 // record takes one replayed record, valid only during the call.
 func (rp *replayer) record(r journal.Record) error {
+	rp.n++
 	switch r.Type {
 	case opMuxHost, opMuxReplica,
 		fsrec.OpExtent, fsrec.OpSizeTime, fsrec.OpSetAttr, fsrec.OpTruncate, fsrec.OpPunch:
@@ -550,10 +553,10 @@ func (rp *replayer) structural(op fsrec.Op) error {
 	m := rp.m
 	switch op.Type {
 	case fsrec.OpCreate:
-		_, err := m.ns.CreateFile(op.Path, op.Mode, op.Ino, func(ino uint64) *muxFile {
+		_, err := m.ns.CreateFile(op.Path, op.Mode, op.Ino, func(ino uint64) (*muxFile, error) {
 			nf := unpublishedFile(ino, op.Path, 0, -1)
 			m.files.put(ino, nf)
-			return nf
+			return nf, nil
 		})
 		if errors.Is(err, vfs.ErrExist) {
 			return nil // idempotent re-apply
@@ -563,13 +566,13 @@ func (rp *replayer) structural(op fsrec.Op) error {
 		}
 
 	case fsrec.OpMkdir:
-		if _, err := m.ns.Mkdir(op.Path, op.Mode); err != nil && !errors.Is(err, vfs.ErrExist) {
+		if _, err := m.ns.Mkdir(op.Path, op.Mode, nil); err != nil && !errors.Is(err, vfs.ErrExist) {
 			return fmt.Errorf("mux replay mkdir %q: %w", op.Path, err)
 		}
 		m.ns.BumpIno(op.Ino)
 
 	case fsrec.OpRemove:
-		info, err := m.ns.Remove(op.Path)
+		info, err := m.ns.Remove(op.Path, nil)
 		if errors.Is(err, vfs.ErrNotExist) {
 			return nil
 		}
@@ -587,7 +590,7 @@ func (rp *replayer) structural(op fsrec.Op) error {
 		}
 
 	case fsrec.OpRename:
-		_, moved, err := m.ns.Rename(op.Path, op.Path2)
+		_, moved, err := m.ns.Rename(op.Path, op.Path2, nil)
 		if errors.Is(err, vfs.ErrNotExist) {
 			return nil
 		}

@@ -388,14 +388,19 @@ func (m *Mux) SetRecoveryWorkers(n int) {
 
 // RecoveryStats breaks the last Recover into its phases: the tiers'
 // self-recovery (concurrent across tiers unless RecoveryWorkers is 1) and
-// the Mux meta-journal replay (per-inode streams sharded the same way).
+// the Mux meta-journal replay (per-inode streams sharded the same way),
+// with the replay's work: the records it applied and the committed log
+// bytes it read. The counts repeat exactly for one log; the wall times
+// vary with the host.
 type RecoveryStats struct {
 	TierRecover time.Duration
 	Replay      time.Duration
+	Records     int
+	Bytes       int64
 }
 
-// LastRecoveryStats reports the phase wall times of the most recent
-// Recover. Valid once Recover has returned; recovery runs quiesced.
+// LastRecoveryStats reports the phases of the most recent Recover. Valid
+// once Recover has returned; recovery runs quiesced.
 func (m *Mux) LastRecoveryStats() RecoveryStats { return m.recStats }
 
 // AddTier registers a native file system as a tier at runtime (§2.1: "the
@@ -684,11 +689,11 @@ func (m *Mux) Create(path string) (vfs.File, error) {
 		return nil, vfs.Errf("create", m.name, path, ErrNoTiers)
 	}
 	host := -1
-	e, err := m.ns.CreateFile(path, 0o644, 0, func(ino uint64) *muxFile {
+	e, err := m.ns.CreateFile(path, 0o644, 0, func(ino uint64) (*muxFile, error) {
 		host = m.placeNew(policy.WriteCtx{Path: path, Off: 0, N: 0}, 0)
 		nf := newMuxFile(ino, path, m.now(), host)
 		m.files.put(ino, nf)
-		return nf
+		return nf, nil
 	})
 	if err != nil {
 		return nil, vfs.Errf("create", m.name, path, err)
@@ -697,7 +702,7 @@ func (m *Mux) Create(path string) (vfs.File, error) {
 
 	// Create the underlying sparse file on the host tier.
 	if _, err := m.ensureHandle(f, host); err != nil {
-		m.ns.Remove(path)
+		m.ns.Remove(path, nil)
 		m.files.del(f.ino)
 		return nil, vfs.Errf("create", m.name, path, err)
 	}
@@ -723,7 +728,7 @@ func (m *Mux) Remove(path string) error {
 	m.clk.Advance(m.costs.MetaOp)
 	m.telMetaOp(mopRemove)
 
-	info, err := m.ns.Remove(path)
+	info, err := m.ns.Remove(path, nil)
 	if err != nil {
 		return vfs.Errf("remove", m.name, path, err)
 	}
@@ -782,7 +787,7 @@ func (m *Mux) Rename(oldPath, newPath string) error {
 	if err := m.settleReclaim(newPath); err != nil {
 		return vfs.Errf("rename", m.name, oldPath, err)
 	}
-	info, moved, err := m.ns.Rename(oldPath, newPath)
+	info, moved, err := m.ns.Rename(oldPath, newPath, nil)
 	if err != nil {
 		return vfs.Errf("rename", m.name, oldPath, err)
 	}
@@ -854,7 +859,7 @@ func (m *Mux) Mkdir(path string) error {
 	path = vfs.CleanPath(path)
 	m.clk.Advance(m.costs.MetaOp)
 	m.telMetaOp(mopMkdir)
-	ino, err := m.ns.Mkdir(path, 0o755)
+	ino, err := m.ns.Mkdir(path, 0o755, nil)
 	if err != nil {
 		return vfs.Errf("mkdir", m.name, path, err)
 	}
@@ -1022,8 +1027,7 @@ func (m *Mux) Recover() error {
 			return err
 		}
 	}
-	m.recStats.TierRecover = time.Since(tierStart)
-	m.recStats.Replay = 0
+	m.recStats = RecoveryStats{TierRecover: time.Since(tierStart)}
 	if m.meta == nil {
 		return nil
 	}
@@ -1048,7 +1052,8 @@ func (m *Mux) Recover() error {
 	for _, t := range m.tierTab.Load().tiers {
 		t.used.Store(0)
 	}
-	err := m.meta.replay(m)
+	n, err := m.meta.replay(m)
+	m.recStats.Records, m.recStats.Bytes = n, m.meta.jnl.UsedBytes()
 	// Replay built its files unpublished and mutated their state directly;
 	// publish every lock-free snapshot before user ops resume, after a
 	// failed replay too, so the files it did build can be read.

@@ -9,8 +9,6 @@ package blockfs
 
 import (
 	"fmt"
-	"io"
-	"time"
 
 	"muxfs/internal/device"
 	"muxfs/internal/extent"
@@ -130,23 +128,21 @@ func (fs *FS) Reset() {
 // CacheStats exposes page cache counters for benchmark inspection.
 func (fs *FS) CacheStats() pagecache.Stats { return fs.cache.Stats() }
 
-// Commit queues recs for the next group commit, which runs once
-// GroupCommit records are queued, or at Sync. The records are taken either
-// way: a group commit that fails keeps its batch queued, and the next Sync
-// retries it and reports the error, as a failed background commit fails
-// no write call. The records' payloads are copied into the queue's own
-// arena, since the caller reuses its batch. Caller holds Mu.
+// Commit queues recs, their payloads copied, for the next group commit
+// (see Published), or Sync. The records are taken either way: a group
+// commit that fails keeps its batch queued, and the next Sync retries it
+// and reports the error, as a failed background commit fails no write
+// call. Caller holds Mu.
 func (fs *FS) Commit(recs []journal.Record) error {
 	for _, r := range recs {
 		fs.pending.AddRecord(r)
 	}
-	fs.queued()
 	return nil
 }
 
-// queued runs the group commit once GroupCommit records are queued.
+// Published runs the group commit once GroupCommit records are queued.
 // Caller holds Mu.
-func (fs *FS) queued() {
+func (fs *FS) Published() {
 	if len(fs.pending.Recs) >= fs.cfg.GroupCommit {
 		_ = fs.flushPending() // on failure the batch stays queued for Sync
 	}
@@ -264,6 +260,28 @@ func (fs *FS) evict(ev pagecache.Evicted) error {
 	return nil
 }
 
+// pageImage copies page pg's current bytes into buf: the dirty cache
+// copy, else the device bytes at its mapping (free when the page is
+// resident clean, a read on a miss), else zeros for a hole. Caller holds
+// Mu.
+func (fs *FS) pageImage(ino *fsbase.Inode, num uint64, pg int64, buf []byte) error {
+	data, resident := fs.cache.Peek(pagecacheKey(num, pg))
+	if data != nil {
+		copy(buf, data)
+		return nil
+	}
+	if resident {
+		return fs.peekClean(ino, pg, 0, buf)
+	}
+	v, _, mapped := ino.Ext.Lookup(pg * PageSize)
+	if !mapped {
+		clear(buf)
+		return nil
+	}
+	_, err := fs.Dev.ReadAt(buf, pg*PageSize+v)
+	return err
+}
+
 // peekClean copies bytes [pgOff, pgOff+len(dst)) of page pg, resident
 // clean in the cache, off the device at the page's mapping (zeros for a
 // hole). The device holds the only copy of a clean page, so this is the
@@ -345,7 +363,7 @@ func (fs *FS) flushPending() error {
 		return err
 	}
 	fs.Dev.PersistAll() // ordered: data first
-	if err := fs.CommitLog(fs.pending.Recs); err != nil {
+	if err := fs.CommitLog(fs.pending.Recs, true); err != nil {
 		return err
 	}
 	fs.pending.Reset()
@@ -377,31 +395,10 @@ func (fs *FS) allocSpace(n int64) (Run, error) {
 // to a fresh block. The write is volatile: the ordered flush persists it
 // before the remap commits, so the copy is complete whenever the remap is
 // durable. Caller holds Mu.
-func (fs *FS) CopyEdge(num uint64, segs []extent.Segment[int64], pageStart, zFrom, zTo int64) (int64, error) {
-	// Page image: a dirty cache page is newest; otherwise the mapped runs
-	// on the device, read for free when the page is resident clean (the
-	// device holds its only copy).
+func (fs *FS) CopyEdge(ino *fsbase.Inode, num uint64, pageStart, zFrom, zTo int64) (int64, error) {
 	buf := fs.scratch
-	clear(buf)
-	cached, resident := fs.cache.Peek(pagecacheKey(num, pageStart/PageSize))
-	if cached != nil {
-		copy(buf, cached)
-	} else {
-		for _, seg := range segs {
-			if seg.Hole {
-				continue
-			}
-			dst := buf[seg.Off-pageStart : seg.Off-pageStart+seg.Len]
-			var err error
-			if resident {
-				err = fs.Dev.Peek(dst, seg.Off+seg.Val)
-			} else {
-				_, err = fs.Dev.ReadAt(dst, seg.Off+seg.Val)
-			}
-			if err != nil {
-				return 0, err
-			}
-		}
+	if err := fs.pageImage(ino, num, pageStart/PageSize, buf); err != nil {
+		return 0, err
 	}
 	clear(buf[zFrom-pageStart : zTo-pageStart])
 	run, err := fs.allocSpace(PageSize)
@@ -420,21 +417,8 @@ func (fs *FS) CopyEdge(num uint64, segs []extent.Segment[int64], pageStart, zFro
 }
 
 // Read serves a read through the page cache. Caller holds Mu.
-func (fs *FS) Read(ino *fsbase.Inode, inoNum uint64, p []byte, off int64) (int, error) {
-	fs.Clk.Advance(fs.Costs.ReadOp)
-	if off < 0 {
-		return 0, vfs.ErrInvalid
-	}
-	if off >= ino.Meta.Size {
-		return 0, io.EOF
-	}
+func (fs *FS) Read(ino *fsbase.Inode, inoNum uint64, p []byte, off int64) error {
 	n := int64(len(p))
-	short := false
-	if off+n > ino.Meta.Size {
-		n = ino.Meta.Size - off
-		short = true
-	}
-
 	pos := off
 	for pos < off+n {
 		pg := pos / PageSize
@@ -450,7 +434,7 @@ func (fs *FS) Read(ino *fsbase.Inode, inoNum uint64, p []byte, off int64) (int, 
 			if data != nil {
 				copy(dst, data[pgOff:pgOff+chunk])
 			} else if err := fs.peekClean(ino, pg, pgOff, dst); err != nil {
-				return 0, err
+				return err
 			}
 			pos += chunk
 			continue
@@ -469,38 +453,26 @@ func (fs *FS) Read(ino *fsbase.Inode, inoNum uint64, p []byte, off int64) (int, 
 			pageBuf = fs.scratch
 		}
 		if _, err := fs.Dev.ReadAt(pageBuf, pg*PageSize+v); err != nil {
-			return 0, err
+			return err
 		}
 		if ev, mustWrite := fs.cache.Put(key, nil, false); mustWrite {
 			if err := fs.evict(ev); err != nil {
-				return 0, err
+				return err
 			}
 		}
 		copy(dst, pageBuf[pgOff:pgOff+chunk])
 		pos += chunk
 	}
-	ino.Meta.ATime = fs.Clk.Now()
-	if short {
-		return int(n), io.EOF
-	}
-	return int(n), nil
+	return nil
 }
 
 // Write serves a write: allocate backing for holes, write the data
 // into cached pages, queue metadata records. Caller holds Mu.
 func (fs *FS) Write(ino *fsbase.Inode, inoNum uint64, p []byte, off int64) (int, error) {
-	fs.Clk.Advance(fs.Costs.WriteOp)
-	if off < 0 {
-		return 0, vfs.ErrInvalid
-	}
 	n := int64(len(p))
-	firstPage := off / PageSize
-	lastPage := (off + n - 1) / PageSize
-	fs.Clk.Advance(time.Duration(lastPage-firstPage+1) * fs.Costs.PerPage)
-
 	// Map every hole in the page-aligned cover of [off, off+n).
-	alignedOff := firstPage * PageSize
-	alignedEnd := (lastPage + 1) * PageSize
+	alignedOff := off / PageSize * PageSize
+	alignedEnd := (off + n + PageSize - 1) / PageSize * PageSize
 	newOps := fs.newOps[:0]
 	fs.segs = ino.Ext.AppendSegments(fs.segs[:0], alignedOff, alignedEnd-alignedOff)
 	for _, seg := range fs.segs {
@@ -551,7 +523,7 @@ func (fs *FS) Write(ino *fsbase.Inode, inoNum uint64, p []byte, off int64) (int,
 	}
 	fs.newOps = newOps
 	fs.pending.Add(fsrec.Op{Type: fsrec.OpSizeTime, Ino: inoNum, Size: ino.Meta.Size, MTime: now})
-	fs.queued()
+	fs.Published()
 	return int(n), nil
 }
 
@@ -575,15 +547,7 @@ func (fs *FS) cachePages(ino *fsbase.Inode, inoNum uint64, p []byte, off int64) 
 		img := src
 		if len(src) < PageSize {
 			img = fs.scratch
-			var err error
-			if resident {
-				err = fs.peekClean(ino, pgStart/PageSize, 0, img)
-			} else if v, _, mapped := ino.Ext.Lookup(pgStart); mapped {
-				_, err = fs.Dev.ReadAt(img, pgStart+v) // RMW fill
-			} else {
-				clear(img)
-			}
-			if err != nil {
+			if err := fs.pageImage(ino, inoNum, pgStart/PageSize, img); err != nil {
 				return err
 			}
 			copy(img[lo-pgStart:], src)

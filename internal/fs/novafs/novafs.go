@@ -17,7 +17,6 @@ package novafs
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"muxfs/internal/alloc"
@@ -56,13 +55,11 @@ type FS struct {
 
 	// Scratch reused by Read/Write under Mu, so the data path allocates no
 	// per-op slices.
-	segs []extent.Segment[int64]
-	runs []newRun
-	ops  fsrec.Batch
+	segs   []extent.Segment[int64]
+	staged extent.Tree[int64]
+	view   extent.Tree[int64]
+	ops    fsrec.Batch
 }
-
-// newRun is a run of pages a write mapped, coalesced for its log record.
-type newRun struct{ foff, delta, length int64 }
 
 var _ vfs.FileSystem = (*FS)(nil)
 var _ vfs.CrashRecoverer = (*FS)(nil)
@@ -94,7 +91,10 @@ func (fs *FS) page(pmOff int64) int64 { return (pmOff - fs.DataStart) / PageSize
 // Commit makes every op durable before it returns: the log commit is
 // synchronous, like NOVA's per-inode log appends. A failed commit leaves
 // nothing behind.
-func (fs *FS) Commit(recs []journal.Record) error { return fs.CommitLog(recs) }
+func (fs *FS) Commit(recs []journal.Record) error { return fs.CommitLog(recs, false) }
+
+// Published has nothing to do: every op committed before it published.
+func (fs *FS) Published() {}
 
 // Sync is a near no-op: novafs persists data and log records synchronously
 // (NOVA's CLFLUSH-on-write model), so there is no dirty state to flush.
@@ -157,17 +157,15 @@ func (fs *FS) CheckSpace(referenced map[int64]bool) error {
 
 // CopyEdge copies a ragged edge page onto a fresh PM page, zeroed over
 // [zFrom, zTo), and persists it before returning its offset.
-func (fs *FS) CopyEdge(_ uint64, segs []extent.Segment[int64], pageStart, zFrom, zTo int64) (int64, error) {
+func (fs *FS) CopyEdge(ino *fsbase.Inode, _ uint64, pageStart, zFrom, zTo int64) (int64, error) {
 	blk, err := fs.pages.Alloc()
 	if err != nil {
 		return 0, vfs.ErrNoSpace
 	}
 	pm := fs.pmOff(blk)
 	buf := make([]byte, PageSize)
-	for _, seg := range segs {
-		if err == nil && !seg.Hole {
-			_, err = fs.Dev.ReadAt(buf[seg.Off-pageStart:seg.End()-pageStart], seg.Off+seg.Val)
-		}
+	if v, _, mapped := ino.Ext.Lookup(pageStart); mapped {
+		_, err = fs.Dev.ReadAt(buf, pageStart+v)
 	}
 	clear(buf[zFrom-pageStart : zTo-pageStart])
 	if err == nil {
@@ -185,119 +183,80 @@ func (fs *FS) CopyEdge(_ uint64, segs []extent.Segment[int64], pageStart, zFrom,
 
 // Read serves a read with DAX semantics: data comes straight off the PM
 // device, with no DRAM cache in front. Caller holds Mu.
-func (fs *FS) Read(ino *fsbase.Inode, _ uint64, p []byte, off int64) (int, error) {
-	fs.Clk.Advance(fs.Costs.ReadOp)
-	if off < 0 {
-		return 0, vfs.ErrInvalid
-	}
-	if off >= ino.Meta.Size {
-		return 0, io.EOF
-	}
+func (fs *FS) Read(ino *fsbase.Inode, _ uint64, p []byte, off int64) error {
 	n := int64(len(p))
-	short := false
-	if off+n > ino.Meta.Size {
-		n = ino.Meta.Size - off
-		short = true
-	}
 	pagesTouched := (off+n-1)/PageSize - off/PageSize + 1
 	fs.Clk.Advance(time.Duration(pagesTouched) * fs.Costs.PerPage)
 	fs.segs = ino.Ext.AppendSegments(fs.segs[:0], off, n)
 	for _, seg := range fs.segs {
 		dst := p[seg.Off-off : seg.Off-off+seg.Len]
 		if seg.Hole {
-			for i := range dst {
-				dst[i] = 0
-			}
-			continue
-		}
-		if _, err := fs.Dev.ReadAt(dst, seg.Off+seg.Val); err != nil {
-			return 0, err
+			clear(dst)
+		} else if _, err := fs.Dev.ReadAt(dst, seg.Off+seg.Val); err != nil {
+			return err
 		}
 	}
-	ino.Meta.ATime = fs.Clk.Now()
-	if short {
-		return int(n), io.EOF
-	}
-	return int(n), nil
+	return nil
 }
 
-// Write serves a write: allocate missing pages, write in place, persist
-// (DAX + CLFLUSH model), then log new mappings. Caller holds Mu.
+// Write serves a write: stage a fresh page for every hole, write in
+// place and persist (DAX + CLFLUSH model), log the new mappings with the
+// size and mtime, and only then map the staged pages. A failed write
+// frees what it staged; only bytes it overwrote in place remain. Caller
+// holds Mu.
 func (fs *FS) Write(ino *fsbase.Inode, inoNum uint64, p []byte, off int64) (int, error) {
-	fs.Clk.Advance(fs.Costs.WriteOp)
-	if off < 0 {
-		return 0, vfs.ErrInvalid
-	}
 	n := int64(len(p))
-	firstPage := off / PageSize
-	lastPage := (off + n - 1) / PageSize
-	fs.Clk.Advance(time.Duration(lastPage-firstPage+1) * fs.Costs.PerPage)
-
-	// Ensure every touched file page is mapped; remember new runs to log.
-	newRuns := fs.runs[:0]
-	for pg := firstPage; pg <= lastPage; pg++ {
-		foff := pg * PageSize
-		if _, _, ok := ino.Ext.Lookup(foff); ok {
-			continue
-		}
-		blk, err := fs.pages.Alloc()
-		if err != nil {
-			// Roll back pages allocated for this write: every page of
-			// each coalesced run.
-			for _, r := range newRuns {
-				fs.Free(r.foff+r.delta, r.length)
-				ino.Ext.Delete(r.foff, r.length)
-			}
-			return 0, vfs.ErrNoSpace
-		}
-		delta := fs.pmOff(blk) - foff
-		ino.Ext.Insert(foff, PageSize, delta)
-		// Coalesce bookkeeping for the log: extend the previous run when
-		// physically contiguous.
-		if len(newRuns) > 0 {
-			lr := &newRuns[len(newRuns)-1]
-			if lr.foff+lr.length == foff && lr.delta == delta {
-				lr.length += PageSize
-				continue
-			}
-		}
-		newRuns = append(newRuns, newRun{foff, delta, PageSize})
-	}
-	fs.runs = newRuns
-
-	// Write the payload segment by segment and persist each PM run.
-	fs.segs = ino.Ext.AppendSegments(fs.segs[:0], off, n)
+	// fs.staged maps each hole page to a fresh PM page, joining physically
+	// contiguous pages into runs; fs.view is the extent map with those
+	// pages in its holes, each of its runs one device request.
+	var err error
+	fs.staged.Clear()
+	fs.view.Clear()
+	lo, hi := off/PageSize*PageSize, (off+n+PageSize-1)/PageSize*PageSize
+	fs.segs = ino.Ext.AppendSegments(fs.segs[:0], lo, hi-lo)
 	for _, seg := range fs.segs {
-		if seg.Hole {
-			return 0, fmt.Errorf("novafs %s: unmapped page after allocation at %d", fs.Name(), seg.Off)
+		if !seg.Hole {
+			fs.view.Insert(seg.Off, seg.Len, seg.Val)
 		}
-		src := p[seg.Off-off : seg.Off-off+seg.Len]
-		pm := seg.Off + seg.Val
-		if _, err := fs.Dev.WriteAt(src, pm); err != nil {
-			return 0, err
+		for foff := seg.Off; seg.Hole && foff < seg.End() && err == nil; foff += PageSize {
+			if blk, aerr := fs.pages.Alloc(); aerr != nil {
+				err = vfs.ErrNoSpace
+			} else {
+				fs.staged.Insert(foff, PageSize, fs.pmOff(blk)-foff)
+				fs.view.Insert(foff, PageSize, fs.pmOff(blk)-foff)
+			}
 		}
-		if err := fs.Dev.Persist(pm, seg.Len); err != nil {
-			return 0, err
+	}
+	if err == nil {
+		fs.segs = fs.view.AppendSegments(fs.segs[:0], off, n)
+		for _, seg := range fs.segs {
+			pm := seg.Off + seg.Val
+			if _, err = fs.Dev.WriteAt(p[seg.Off-off:seg.End()-off], pm); err == nil {
+				err = fs.Dev.Persist(pm, seg.Len)
+			}
+			if err != nil {
+				break
+			}
 		}
 	}
-
-	now := fs.Clk.Now()
-	if off+n > ino.Meta.Size {
-		ino.Meta.Size = off + n
+	if err == nil {
+		// One committed transaction covers the new mappings and the
+		// size/mtime.
+		now, size := fs.Clk.Now(), max(ino.Meta.Size, off+n)
+		fs.ops.Reset()
+		fs.staged.Walk(func(foff, run, delta int64) bool {
+			fs.ops.Add(fsrec.Op{Type: fsrec.OpExtent, Ino: inoNum, Off: foff, Delta: delta, N: run, Size: size, MTime: now})
+			return true
+		})
+		if len(fs.ops.Recs) == 0 {
+			fs.ops.Add(fsrec.Op{Type: fsrec.OpSizeTime, Ino: inoNum, Size: size, MTime: now})
+		}
+		if err = fs.CommitLog(fs.ops.Recs, false); err == nil {
+			fs.staged.Walk(func(foff, run, delta int64) bool { ino.Ext.Insert(foff, run, delta); return true })
+			ino.Meta.Size, ino.Meta.ModTime = size, now
+			return int(n), nil
+		}
 	}
-	ino.Meta.ModTime = now
-
-	// One committed transaction covers the new mappings and the size/mtime.
-	fs.ops.Reset()
-	for _, r := range newRuns {
-		fs.ops.Add(fsrec.Op{Type: fsrec.OpExtent, Ino: inoNum, Off: r.foff, Delta: r.delta,
-			N: r.length, Size: ino.Meta.Size, MTime: now})
-	}
-	if len(fs.ops.Recs) == 0 {
-		fs.ops.Add(fsrec.Op{Type: fsrec.OpSizeTime, Ino: inoNum, Size: ino.Meta.Size, MTime: now})
-	}
-	if err := fs.CommitLog(fs.ops.Recs); err != nil {
-		return 0, err
-	}
-	return int(n), nil
+	fs.staged.Walk(func(foff, run, delta int64) bool { fs.Release(foff+delta, run); return true })
+	return 0, err
 }

@@ -196,9 +196,9 @@ func TestNoSpace(t *testing.T) {
 	}
 }
 
-// A write that runs out of pages partway rolls back every page it mapped,
-// not only the first page of each contiguous run: afterwards the pages in
-// use are exactly the pages the file maps.
+// A write that runs out of pages partway frees every page it staged, not
+// only the first page of each contiguous run: afterwards the pages in use
+// are exactly the pages the file maps.
 func TestNoSpaceRollbackFreesWholeRuns(t *testing.T) {
 	prof := device.PMProfile("tiny")
 	prof.Capacity = 4 << 20
@@ -283,8 +283,9 @@ func TestCrashTorture(t *testing.T) {
 	}, 12)
 }
 
-// A create, rename or remove that finds the log full commits through the
-// compaction snapshot alone: recovery replays it once and succeeds.
+// A create, rename or remove that finds the log full commits its record
+// after a snapshot of the published state, in the snapshot's transaction:
+// recovery replays it once and succeeds.
 func TestCompactionCommitsOpOnce(t *testing.T) {
 	prof := device.PMProfile("pmem0")
 	prof.Capacity = 16 << 20 // the minimum 1 MiB log

@@ -43,7 +43,7 @@ func TestCheckConsistencyCatchesNamespaceDrift(t *testing.T) {
 		drift func(b *fsbase.FS)
 		want  string
 	}{
-		{"inode without entry", func(b *fsbase.FS) { b.NS.Remove("/d/f") }, "no namespace entry"},
+		{"inode without entry", func(b *fsbase.FS) { b.NS.Remove("/d/f", nil) }, "no namespace entry"},
 		{"entry without inode", func(b *fsbase.FS) {
 			e, _ := b.NS.Lookup("/d/f")
 			delete(b.Inodes, e.Ino)

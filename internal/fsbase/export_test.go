@@ -4,5 +4,5 @@ package fsbase
 func (fs *FS) Compact() error {
 	fs.Mu.Lock()
 	defer fs.Mu.Unlock()
-	return fs.compact()
+	return fs.compact(nil)
 }

@@ -1,6 +1,7 @@
 package fsbase
 
 import (
+	"io"
 	"time"
 
 	"muxfs/internal/extent"
@@ -34,15 +35,31 @@ func (f *file) node() (*Inode, error) {
 // Path returns the path the handle was opened with.
 func (f *file) Path() string { return f.path }
 
-// ReadAt reads through the backend's data path.
+// ReadAt reads through the backend's data path, up to EOF.
 func (f *file) ReadAt(p []byte, off int64) (int, error) {
-	f.fs.Mu.Lock()
-	defer f.fs.Mu.Unlock()
+	fs := f.fs
+	fs.Mu.Lock()
+	defer fs.Mu.Unlock()
 	ino, err := f.node()
 	if err != nil {
-		return 0, vfs.Errf("read", f.fs.name, f.path, err)
+		return 0, vfs.Errf("read", fs.name, f.path, err)
 	}
-	return f.fs.be.Read(ino, f.ino, p, off)
+	fs.Clk.Advance(fs.Costs.ReadOp)
+	if off < 0 {
+		return 0, vfs.ErrInvalid
+	}
+	if off >= ino.Meta.Size {
+		return 0, io.EOF
+	}
+	n := min(len(p), int(ino.Meta.Size-off))
+	if err := fs.be.Read(ino, f.ino, p[:n], off); err != nil {
+		return 0, err
+	}
+	ino.Meta.ATime = fs.Clk.Now()
+	if n < len(p) {
+		return n, io.EOF
+	}
+	return n, nil
 }
 
 // WriteAt writes through the backend's data path.
@@ -50,13 +67,35 @@ func (f *file) WriteAt(p []byte, off int64) (int, error) {
 	if len(p) == 0 {
 		return 0, nil
 	}
+	fs := f.fs
+	fs.Mu.Lock()
+	defer fs.Mu.Unlock()
+	ino, err := f.node()
+	if err != nil {
+		return 0, vfs.Errf("write", fs.name, f.path, err)
+	}
+	fs.Clk.Advance(fs.Costs.WriteOp)
+	if off < 0 {
+		return 0, vfs.ErrInvalid
+	}
+	pages := (off+int64(len(p))-1)/PageSize - off/PageSize + 1
+	fs.Clk.Advance(time.Duration(pages) * fs.Costs.PerPage)
+	return fs.be.Write(ino, f.ino, p, off)
+}
+
+// do runs op on the handle's inode under Mu; an error, the handle's own
+// included, names op and the handle's path.
+func (f *file) do(op string, fn func(ino *Inode) error) error {
 	f.fs.Mu.Lock()
 	defer f.fs.Mu.Unlock()
 	ino, err := f.node()
-	if err != nil {
-		return 0, vfs.Errf("write", f.fs.name, f.path, err)
+	if err == nil {
+		err = fn(ino)
 	}
-	return f.fs.be.Write(ino, f.ino, p, off)
+	if err != nil {
+		return vfs.Errf(op, f.fs.name, f.path, err)
+	}
+	return nil
 }
 
 // Truncate sets the logical size.
@@ -64,30 +103,12 @@ func (f *file) Truncate(size int64) error {
 	if size < 0 {
 		return vfs.Errf("truncate", f.fs.name, f.path, vfs.ErrInvalid)
 	}
-	f.fs.Mu.Lock()
-	defer f.fs.Mu.Unlock()
-	ino, err := f.node()
-	if err == nil {
-		err = f.fs.truncate(ino, f.ino, size)
-	}
-	if err != nil {
-		return vfs.Errf("truncate", f.fs.name, f.path, err)
-	}
-	return nil
+	return f.do("truncate", func(ino *Inode) error { return f.fs.truncate(ino, f.ino, size) })
 }
 
 // Sync makes the file durable.
 func (f *file) Sync() error {
-	f.fs.Mu.Lock()
-	defer f.fs.Mu.Unlock()
-	_, err := f.node()
-	if err == nil {
-		err = f.fs.be.SyncFile(f.ino)
-	}
-	if err != nil {
-		return vfs.Errf("sync", f.fs.name, f.path, err)
-	}
-	return nil
+	return f.do("sync", func(*Inode) error { return f.fs.be.SyncFile(f.ino) })
 }
 
 // Close releases the handle.
@@ -137,86 +158,89 @@ func (f *file) PunchHole(off, n int64) error {
 	if n == 0 {
 		return nil
 	}
-	f.fs.Mu.Lock()
-	defer f.fs.Mu.Unlock()
-	ino, err := f.node()
-	if err == nil {
-		err = f.fs.punch(ino, f.ino, off, n)
-	}
-	if err != nil {
-		return vfs.Errf("punch", f.fs.name, f.path, err)
-	}
-	return nil
+	return f.do("punch", func(ino *Inode) error { return f.fs.punch(ino, f.ino, off, n) })
 }
 
 // truncate implements Truncate. Caller holds Mu.
 func (fs *FS) truncate(ino *Inode, num uint64, size int64) error {
 	fs.Clk.Advance(fs.Costs.MetaOp)
 	now := fs.Clk.Now()
-	fs.ops.Reset()
-	if size < ino.Meta.Size {
-		if err := fs.shrink(ino, num, size, now); err != nil {
-			return err
-		}
+	if err := fs.resize(ino, num, size, now, fsrec.Op{Type: fsrec.OpTruncate, Ino: num, Size: size, MTime: now}); err != nil {
+		return err
 	}
 	ino.Meta.Size = size
 	ino.Meta.ModTime = now
 	ino.Meta.CTime = now
-	fs.ops.Add(fsrec.Op{Type: fsrec.OpTruncate, Ino: num, Size: size, MTime: now})
-	return fs.be.Commit(fs.ops.Recs)
+	fs.be.Published()
+	return nil
 }
 
-// punch implements PunchHole. Caller holds Mu.
+// resize commits rec, an op setting the file's size, and publishes its
+// effect on the mappings: a shrink releases every mapping past size, and
+// a mid-page size first copies the boundary page with its tail zeroed
+// (bytes past size must read zero if the file grows back), whose remap
+// records join rec. Caller holds Mu and publishes the size afterwards.
+func (fs *FS) resize(ino *Inode, num uint64, size int64, now time.Duration, rec fsrec.Op) error {
+	fs.ops.Reset()
+	var cut edge
+	if size < ino.Meta.Size && size%PageSize != 0 {
+		zTo := min(size/PageSize*PageSize+PageSize, ino.Meta.Size)
+		var err error
+		if cut, err = fs.copyEdge(ino, num, size, zTo, size, now); err != nil {
+			return err
+		}
+	}
+	fs.ops.Add(rec)
+	if err := fs.be.Commit(fs.ops.Recs); err != nil {
+		fs.dropEdge(cut)
+		return err
+	}
+	if size < ino.Meta.Size {
+		fs.remap(ino, num, cut)
+		fs.dropTail(ino, num, size)
+	}
+	return nil
+}
+
+// punch implements PunchHole. A punch that reaches EOF in mid-page frees
+// the ragged last page whole, since its bytes past EOF read zero already;
+// its record covers the rounded range, so replay frees the same page.
+// Caller holds Mu.
 func (fs *FS) punch(ino *Inode, num uint64, off, n int64) error {
 	fs.Clk.Advance(fs.Costs.MetaOp)
 	end := min(off+n, ino.Meta.Size)
 	if end <= off {
 		return nil
 	}
+	if end == ino.Meta.Size {
+		end = (end + PageSize - 1) / PageSize * PageSize
+	}
 	now := fs.Clk.Now()
 	// Ragged edges are rewritten copy-on-write (see copyEdge) so the old
-	// bytes stay intact until the punch transaction commits. Both edges are
-	// copied before either is remapped: a failed second copy must leave the
-	// first unapplied, or its old block would be freed with no record.
-	var head, tail edge
-	var err error
+	// bytes stay intact until the punch transaction commits.
+	fs.ops.Reset()
 	firstWhole := (off + PageSize - 1) / PageSize * PageSize
 	lastWhole := end / PageSize * PageSize
-	if firstWhole > lastWhole { // range inside one page
-		head, err = fs.copyEdge(ino, num, off, end)
-	} else if head, err = fs.copyEdge(ino, num, off, firstWhole); err == nil {
-		if tail, err = fs.copyEdge(ino, num, lastWhole, end); err != nil {
-			fs.dropEdge(head)
-		}
+	var tail edge
+	head, err := fs.copyEdge(ino, num, off, min(firstWhole, end), ino.Meta.Size, now)
+	if err == nil && lastWhole >= firstWhole {
+		tail, err = fs.copyEdge(ino, num, lastWhole, end, ino.Meta.Size, now)
+	}
+	if err == nil {
+		fs.ops.Add(fsrec.Op{Type: fsrec.OpPunch, Ino: num, Off: off, N: end - off, MTime: now})
+		err = fs.be.Commit(fs.ops.Recs)
 	}
 	if err != nil {
+		fs.dropEdge(head)
+		fs.dropEdge(tail)
 		return err
 	}
-	fs.ops.Reset()
-	fs.remap(ino, num, head, ino.Meta.Size, now)
-	fs.remap(ino, num, tail, ino.Meta.Size, now)
+	fs.remap(ino, num, head)
+	fs.remap(ino, num, tail)
 	fs.freeRange(ino, num, off, end-off)
 	ino.Meta.ModTime = now
 	ino.Meta.CTime = now
-	fs.ops.Add(fsrec.Op{Type: fsrec.OpPunch, Ino: num, Off: off, N: end - off, MTime: now})
-	return fs.be.Commit(fs.ops.Recs)
-}
-
-// shrink releases every mapping at or past size: whole tail pages are
-// unmapped, and the new boundary page — whose bytes past size must read
-// zero if the file grows back — is rewritten copy-on-write. The remap
-// records are added to fs.ops and must join the shrink record's
-// transaction. Caller holds Mu and updates ino.Meta.Size afterwards.
-func (fs *FS) shrink(ino *Inode, num uint64, size int64, now time.Duration) error {
-	if size%PageSize != 0 {
-		zTo := min(size/PageSize*PageSize+PageSize, ino.Meta.Size)
-		e, err := fs.copyEdge(ino, num, size, zTo)
-		if err != nil {
-			return err
-		}
-		fs.remap(ino, num, e, size, now)
-	}
-	fs.dropTail(ino, num, size)
+	fs.be.Published()
 	return nil
 }
 
@@ -229,15 +253,14 @@ type edge struct {
 	devOff    int64
 }
 
-// copyEdge makes the mapped bytes of [zFrom, zTo) — a range inside one
-// file page — read zero without touching the live block in place: the
-// backend writes the page's image, zeros over the cleared range, to a
-// fresh block, and remap then moves the page onto it. Zeroing in place is
-// not crash-safe: the zeros could reach the device before the truncate or
-// punch record commits, corrupting the old contents if the commit never
-// lands. Until remap runs nothing else has changed, so dropEdge undoes
-// the copy without a trace. Caller holds Mu.
-func (fs *FS) copyEdge(ino *Inode, num uint64, zFrom, zTo int64) (edge, error) {
+// copyEdge stages making the mapped bytes of [zFrom, zTo) — a range
+// inside one file page — read zero without touching the live block in
+// place: the backend writes the page's image, zeros over the cleared
+// range, to a fresh block, and the records remapping the page onto it
+// join fs.ops. Zeroing in place is not crash-safe: the zeros could reach
+// the device before the truncate or punch record commits. remap
+// publishes the copy, dropEdge discards it. Caller holds Mu.
+func (fs *FS) copyEdge(ino *Inode, num uint64, zFrom, zTo, size int64, now time.Duration) (edge, error) {
 	if zTo <= zFrom {
 		return edge{}, nil
 	}
@@ -253,14 +276,21 @@ func (fs *FS) copyEdge(ino *Inode, num uint64, zFrom, zTo int64) (edge, error) {
 	if !touched {
 		return edge{}, nil // holes already read zero
 	}
-	devOff, err := fs.be.CopyEdge(num, segs, pageStart, zFrom, zTo)
+	devOff, err := fs.be.CopyEdge(ino, num, pageStart, zFrom, zTo)
 	if err != nil {
 		return edge{}, err
+	}
+	delta := devOff - pageStart
+	for _, seg := range segs {
+		if !seg.Hole {
+			fs.ops.Add(fsrec.Op{Type: fsrec.OpExtent, Ino: num, Off: seg.Off, Delta: delta,
+				N: seg.Len, Size: size, MTime: now})
+		}
 	}
 	return edge{segs: segs, pageStart: pageStart, devOff: devOff}, nil
 }
 
-// dropEdge undoes a copyEdge that will not be applied: its block is
+// dropEdge discards a copyEdge whose op was dropped: its block is
 // discarded and freed.
 func (fs *FS) dropEdge(e edge) {
 	if e.segs != nil {
@@ -269,23 +299,19 @@ func (fs *FS) dropEdge(e edge) {
 	}
 }
 
-// remap applies a copyEdge: the page's mapped runs move onto the copy,
-// their old blocks are released, and the remap records are added to
-// fs.ops. Caller holds Mu.
-func (fs *FS) remap(ino *Inode, num uint64, e edge, size int64, now time.Duration) {
+// remap publishes a committed copyEdge: the page's mapped runs move onto
+// the copy and their old blocks are released. Caller holds Mu.
+func (fs *FS) remap(ino *Inode, num uint64, e edge) {
 	if e.segs == nil {
 		return
 	}
 	fs.be.Remapped(num, e.pageStart)
 	delta := e.devOff - e.pageStart
 	for _, seg := range e.segs {
-		if seg.Hole {
-			continue
+		if !seg.Hole {
+			fs.be.Release(seg.Off+seg.Val, seg.Len)
+			ino.Ext.Insert(seg.Off, seg.Len, delta)
 		}
-		fs.be.Release(seg.Off+seg.Val, seg.Len)
-		ino.Ext.Insert(seg.Off, seg.Len, delta)
-		fs.ops.Add(fsrec.Op{Type: fsrec.OpExtent, Ino: num, Off: seg.Off, Delta: delta,
-			N: seg.Len, Size: size, MTime: now})
 	}
 }
 

@@ -22,12 +22,10 @@ package fsbase
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
 	"muxfs/internal/device"
-	"muxfs/internal/extent"
 	"muxfs/internal/fs/fsrec"
 	"muxfs/internal/journal"
 	"muxfs/internal/simclock"
@@ -48,23 +46,31 @@ type Costs struct {
 
 // Backend is the half of a native file system the shared layer does not
 // own. FS calls it with Mu held. Device offsets are absolute; every range
-// is whole pages.
+// is whole pages. Every op commits, then publishes: it stages its effect
+// off to the side, hands its records to Commit, and only then makes the
+// effect visible and calls Published; an op whose records are not taken
+// drops what it staged.
 type Backend interface {
-	// Commit hands the records of an op, already applied in memory, to the
-	// journal under the file system's commit policy. It must not retain
-	// recs. An error means the records were not taken and never will be:
-	// Create and Mkdir then undo their namespace insert.
+	// Commit hands the records of an op not yet visible to the journal
+	// under the file system's commit policy. It must not retain recs. An
+	// error means the records were not taken and never will be. It may
+	// run under the namespace's shard locks (see WalkHeld).
 	Commit(recs []journal.Record) error
-	// Read and Write serve the data path of file num.
-	Read(ino *Inode, num uint64, p []byte, off int64) (int, error)
+	// Published follows an op whose records Commit took once its effect
+	// is visible: a group commit runs here, so it sees only published ops.
+	Published()
+	// Read fills p, which lies inside the file's size, from offset off of
+	// file num. Write writes p at off >= 0; FS has charged the per-call
+	// and per-page costs of both.
+	Read(ino *Inode, num uint64, p []byte, off int64) error
 	Write(ino *Inode, num uint64, p []byte, off int64) (int, error)
 	// SyncFile makes file num durable (fsync).
 	SyncFile(num uint64) error
-	// CopyEdge writes a fresh block holding the image of the file page at
-	// pageStart, whose mapped runs are segs, with [zFrom, zTo) zeroed, and
-	// returns its device offset. The copy must be durable by the time the
-	// records remapping the page onto it commit.
-	CopyEdge(num uint64, segs []extent.Segment[int64], pageStart, zFrom, zTo int64) (int64, error)
+	// CopyEdge writes a fresh block holding the image of the page of file
+	// num at pageStart, with [zFrom, zTo) zeroed, and returns its device
+	// offset. The copy must be durable by the time the records remapping
+	// the page onto it commit.
+	CopyEdge(ino *Inode, num uint64, pageStart, zFrom, zTo int64) (int64, error)
 	// Free returns device bytes to the space manager at once, touching no
 	// device data. Replay frees what its records unmap this way.
 	Free(devOff, n int64)
@@ -172,19 +178,17 @@ func (fs *FS) Create(path string) (vfs.File, error) {
 	defer fs.Mu.Unlock()
 	fs.Clk.Advance(fs.Costs.MetaOp)
 	now := fs.Clk.Now()
-	e, err := fs.NS.CreateFile(path, 0o644, 0, func(uint64) *Inode {
-		return &Inode{Meta: Meta{Mode: 0o644, ModTime: now, ATime: now, CTime: now}}
+	e, err := fs.NS.CreateFile(path, 0o644, 0, func(num uint64) (*Inode, error) {
+		if err := fs.commit(fsrec.Op{Type: fsrec.OpCreate, Ino: num, Path: path, Mode: 0o644}); err != nil {
+			return nil, err
+		}
+		return &Inode{Meta: Meta{Mode: 0o644, ModTime: now, ATime: now, CTime: now}}, nil
 	})
 	if err != nil {
 		return nil, vfs.Errf("create", fs.name, path, err)
 	}
 	fs.Inodes[e.Ino] = e.File
-	if err := fs.commit(fsrec.Op{Type: fsrec.OpCreate, Ino: e.Ino, Path: path, Mode: 0o644}); err != nil {
-		// Not taken: the file never existed durably.
-		fs.NS.Remove(path)
-		delete(fs.Inodes, e.Ino)
-		return nil, vfs.Errf("create", fs.name, path, err)
-	}
+	fs.be.Published()
 	return &file{fs: fs, path: path, ino: e.Ino}, nil
 }
 
@@ -204,27 +208,20 @@ func (fs *FS) Open(path string) (vfs.File, error) {
 	return &file{fs: fs, path: path, ino: e.Ino}, nil
 }
 
-// Remove deletes a file or empty directory and releases its space. The
-// file's pages are released only once the remove record is taken: a
-// failed commit puts the entry back, and the file reads as before.
+// Remove deletes a file or empty directory and releases its space.
 func (fs *FS) Remove(path string) error {
 	path = vfs.CleanPath(path)
 	fs.Mu.Lock()
 	defer fs.Mu.Unlock()
 	fs.Clk.Advance(fs.Costs.MetaOp)
-	e, err := fs.NS.Remove(path)
+	e, err := fs.NS.Remove(path, func() error {
+		return fs.commit(fsrec.Op{Type: fsrec.OpRemove, Path: path})
+	})
 	if err != nil {
 		return vfs.Errf("remove", fs.name, path, err)
 	}
-	if err := fs.commit(fsrec.Op{Type: fsrec.OpRemove, Path: path}); err != nil {
-		if e.IsDir() {
-			fs.NS.Mkdir(path, e.Mode)
-		} else {
-			fs.NS.CreateFile(path, e.Mode, e.Ino, func(uint64) *Inode { return e.File })
-		}
-		return vfs.Errf("remove", fs.name, path, err)
-	}
 	fs.dropInode(e.Ino)
+	fs.be.Published()
 	return nil
 }
 
@@ -237,21 +234,19 @@ func (fs *FS) dropInode(num uint64) {
 	}
 }
 
-// Rename moves a file or directory; a failed commit moves it back.
+// Rename moves a file or directory.
 func (fs *FS) Rename(oldPath, newPath string) error {
 	oldPath, newPath = vfs.CleanPath(oldPath), vfs.CleanPath(newPath)
 	fs.Mu.Lock()
 	defer fs.Mu.Unlock()
 	fs.Clk.Advance(fs.Costs.MetaOp)
-	if _, _, err := fs.NS.Rename(oldPath, newPath); err != nil {
+	_, _, err := fs.NS.Rename(oldPath, newPath, func() error {
+		return fs.commit(fsrec.Op{Type: fsrec.OpRename, Path: oldPath, Path2: newPath})
+	})
+	if err != nil {
 		return vfs.Errf("rename", fs.name, oldPath, err)
 	}
-	if err := fs.commit(fsrec.Op{Type: fsrec.OpRename, Path: oldPath, Path2: newPath}); err != nil {
-		// Not taken: rename back. The table refused an existing
-		// destination, so oldPath is free and the reverse move is valid.
-		fs.NS.Rename(newPath, oldPath)
-		return vfs.Errf("rename", fs.name, oldPath, err)
-	}
+	fs.be.Published()
 	return nil
 }
 
@@ -261,14 +256,13 @@ func (fs *FS) Mkdir(path string) error {
 	fs.Mu.Lock()
 	defer fs.Mu.Unlock()
 	fs.Clk.Advance(fs.Costs.MetaOp)
-	num, err := fs.NS.Mkdir(path, 0o755)
+	_, err := fs.NS.Mkdir(path, 0o755, func(num uint64) error {
+		return fs.commit(fsrec.Op{Type: fsrec.OpMkdir, Ino: num, Path: path, Mode: vfs.ModeDir | 0o755})
+	})
 	if err != nil {
 		return vfs.Errf("mkdir", fs.name, path, err)
 	}
-	if err := fs.commit(fsrec.Op{Type: fsrec.OpMkdir, Ino: num, Path: path, Mode: vfs.ModeDir | 0o755}); err != nil {
-		fs.NS.Remove(path)
-		return vfs.Errf("mkdir", fs.name, path, err)
-	}
+	fs.be.Published()
 	return nil
 }
 
@@ -320,23 +314,18 @@ func (fs *FS) SetAttr(path string, attr vfs.SetAttr) error {
 	if e.IsDir() {
 		return vfs.Errf("setattr", fs.name, path, vfs.ErrIsDir)
 	}
-	ino := e.File
-	fs.ops.Reset()
-	if attr.Size != nil && *attr.Size < ino.Meta.Size {
-		if err := fs.shrink(ino, e.Ino, *attr.Size, fs.Clk.Now()); err != nil {
-			return vfs.Errf("setattr", fs.name, path, err)
-		}
-	}
-	if !ino.Meta.Apply(attr, fs.Clk.Now()) {
+	ino, m, now := e.File, e.File.Meta, fs.Clk.Now()
+	if !m.Apply(attr, now) {
 		return nil
 	}
-	if attr.Mode != nil {
-		fs.NS.SetFileMode(path, ino.Meta.Mode)
-	}
-	fs.ops.Add(setAttrOp(e.Ino, &ino.Meta))
-	if err := fs.be.Commit(fs.ops.Recs); err != nil {
+	if err := fs.resize(ino, e.Ino, m.Size, now, setAttrOp(e.Ino, &m)); err != nil {
 		return vfs.Errf("setattr", fs.name, path, err)
 	}
+	ino.Meta = m
+	if attr.Mode != nil {
+		fs.NS.SetFileMode(path, m.Mode)
+	}
+	fs.be.Published()
 	return nil
 }
 
@@ -399,31 +388,17 @@ func (fs *FS) CheckConsistency() error {
 	if err := fs.checkNamespace(); err != nil {
 		return fmt.Errorf("%s: %w", fs.name, err)
 	}
-	type ival struct{ off, end int64 }
-	var ivals []ival
 	referenced := make(map[int64]bool)
-	for num, ino := range fs.Inodes {
-		var err error
-		ino.Ext.Walk(func(off, n, delta int64) bool {
-			dev := off + delta
-			if dev < fs.DataStart || dev+n > fs.Dev.Capacity() {
-				err = fmt.Errorf("%s: ino %d maps [%d,%d) outside the data region", fs.name, num, dev, dev+n)
-				return false
-			}
-			ivals = append(ivals, ival{dev, dev + n})
-			for b := dev / PageSize * PageSize; b < dev+n; b += PageSize {
-				referenced[b] = true
-			}
-			return true
-		})
-		if err != nil {
-			return err
+	runs := fs.deviceRuns()
+	for i, r := range runs {
+		if r.off < fs.DataStart || r.end > fs.Dev.Capacity() {
+			return fmt.Errorf("%s: ino %d maps [%d,%d) outside the data region", fs.name, r.num, r.off, r.end)
 		}
-	}
-	sort.Slice(ivals, func(i, j int) bool { return ivals[i].off < ivals[j].off })
-	for i := 1; i < len(ivals); i++ {
-		if ivals[i].off < ivals[i-1].end {
-			return fmt.Errorf("%s: device bytes [%d,%d) double-referenced", fs.name, ivals[i].off, ivals[i-1].end)
+		if i > 0 && r.off < runs[i-1].end {
+			return fmt.Errorf("%s: device bytes [%d,%d) double-referenced", fs.name, r.off, runs[i-1].end)
+		}
+		for b := r.off; b < r.end; b += PageSize {
+			referenced[b] = true
 		}
 	}
 	if err := fs.be.CheckSpace(referenced); err != nil {

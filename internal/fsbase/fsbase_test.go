@@ -13,7 +13,7 @@ import (
 // echo is the payload constructor of the tests below: each file entry
 // carries its own inode number, so a test can tell the payload followed
 // the entry.
-func echo(ino uint64) uint64 { return ino }
+func echo(ino uint64) (uint64, error) { return ino, nil }
 
 func TestNamespaceBasics(t *testing.T) {
 	ns := NewNamespace[uint64]()
@@ -38,10 +38,10 @@ func TestNamespaceBasics(t *testing.T) {
 	if _, err := ns.CreateFile("/", 0o644, 0, echo); !errors.Is(err, vfs.ErrInvalid) {
 		t.Fatalf("create at root: %v", err)
 	}
-	if _, err := ns.Mkdir("/", vfs.ModeDir|0o755); !errors.Is(err, vfs.ErrInvalid) {
+	if _, err := ns.Mkdir("/", vfs.ModeDir|0o755, nil); !errors.Is(err, vfs.ErrInvalid) {
 		t.Fatalf("mkdir at root: %v", err)
 	}
-	if _, err := ns.Remove("/"); !errors.Is(err, vfs.ErrInvalid) {
+	if _, err := ns.Remove("/", nil); !errors.Is(err, vfs.ErrInvalid) {
 		t.Fatalf("remove root: %v", err)
 	}
 	if _, err := ns.CreateFile("/missing/f", 0o644, 0, echo); !errors.Is(err, vfs.ErrNotExist) {
@@ -85,11 +85,11 @@ func TestNamespaceInoAllocation(t *testing.T) {
 
 func TestNamespaceRenameSemantics(t *testing.T) {
 	ns := NewNamespace[uint64]()
-	ns.Mkdir("/d1", 0o755)
-	ns.Mkdir("/d2", 0o755)
+	ns.Mkdir("/d1", 0o755, nil)
+	ns.Mkdir("/d2", 0o755, nil)
 	f, _ := ns.CreateFile("/d1/f", 0o644, 0, echo)
 
-	e, moved, err := ns.Rename("/d1/f", "/d2/g")
+	e, moved, err := ns.Rename("/d1/f", "/d2/g", nil)
 	if err != nil || e.Ino != f.Ino {
 		t.Fatalf("rename: %+v, %v", e, err)
 	}
@@ -104,9 +104,9 @@ func TestNamespaceRenameSemantics(t *testing.T) {
 	}
 	// Rename a whole directory; children follow, and every file under it
 	// is reported with its new path.
-	ns.Mkdir("/d2/sub", 0o755)
+	ns.Mkdir("/d2/sub", 0o755, nil)
 	child, _ := ns.CreateFile("/d2/sub/child", 0o644, 0, echo)
-	if _, moved, err = ns.Rename("/d2", "/renamed"); err != nil {
+	if _, moved, err = ns.Rename("/d2", "/renamed", nil); err != nil {
 		t.Fatal(err)
 	}
 	got := map[uint64]string{}
@@ -122,20 +122,20 @@ func TestNamespaceRenameSemantics(t *testing.T) {
 	}
 	// A directory cannot move into its own subtree, at any depth.
 	for _, dst := range []string{"/renamed/sub/x", "/renamed/x", "/renamed/sub"} {
-		if _, _, err := ns.Rename("/renamed", dst); !errors.Is(err, vfs.ErrInvalid) {
+		if _, _, err := ns.Rename("/renamed", dst, nil); !errors.Is(err, vfs.ErrInvalid) {
 			t.Fatalf("rename /renamed -> %s: %v, want ErrInvalid", dst, err)
 		}
 	}
 	if _, err := ns.Lookup("/renamed/sub/child"); err != nil {
 		t.Fatal("refused subtree rename changed the tree")
 	}
-	if _, _, err := ns.Rename("/renamed/g", "/d1"); !errors.Is(err, vfs.ErrExist) {
+	if _, _, err := ns.Rename("/renamed/g", "/d1", nil); !errors.Is(err, vfs.ErrExist) {
 		t.Fatalf("rename onto existing dir: %v", err)
 	}
-	if _, _, err := ns.Rename("/renamed/g", "/nowhere/g"); !errors.Is(err, vfs.ErrNotExist) {
+	if _, _, err := ns.Rename("/renamed/g", "/nowhere/g", nil); !errors.Is(err, vfs.ErrNotExist) {
 		t.Fatalf("rename into missing dir: %v", err)
 	}
-	if _, err := ns.Remove("/renamed"); !errors.Is(err, vfs.ErrNotEmpty) {
+	if _, err := ns.Remove("/renamed", nil); !errors.Is(err, vfs.ErrNotEmpty) {
 		t.Fatalf("remove non-empty dir: %v", err)
 	}
 	if ns.FileCount() != 5 {
@@ -145,8 +145,8 @@ func TestNamespaceRenameSemantics(t *testing.T) {
 
 func TestWalkOrders(t *testing.T) {
 	ns := NewNamespace[uint64]()
-	ns.Mkdir("/b", 0o755)
-	ns.Mkdir("/a", 0o755)
+	ns.Mkdir("/b", 0o755, nil)
+	ns.Mkdir("/a", 0o755, nil)
 	ns.CreateFile("/a/z", 0o644, 0, echo)
 	ns.CreateFile("/a/y", 0o644, 0, echo)
 	ns.CreateFile("/top", 0o644, 0, echo)

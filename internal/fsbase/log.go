@@ -9,33 +9,38 @@ import (
 	"muxfs/internal/journal"
 )
 
-// CommitLog writes recs as one committed transaction. Every caller has
-// already applied the records' effect in memory, so when the journal is
-// full the compaction snapshot holds them and is their commit: they are
-// not appended again, which would make replay apply them twice. Caller
-// holds Mu.
-func (fs *FS) CommitLog(recs []journal.Record) error {
+// CommitLog writes recs as one committed transaction. published says
+// whether their effect is visible already, as a group commit's batch's
+// is. A full journal compacts to a snapshot of the published state: it
+// is the commit of published records (appending them again would make
+// replay apply them twice), and an unpublished op's records follow it in
+// its transaction, so a snapshot never stands in for an op that may yet
+// be dropped. Caller holds Mu.
+func (fs *FS) CommitLog(recs []journal.Record, published bool) error {
 	err := fs.Log.Commit(recs)
-	if errors.Is(err, journal.ErrFull) {
-		return fs.compact()
+	if !errors.Is(err, journal.ErrFull) {
+		return err
 	}
-	return err
+	if published {
+		recs = nil
+	}
+	return fs.compact(recs)
 }
 
-// compact rewrites the journal as a snapshot of the current state. The
-// dual journal makes it crash-atomic: the snapshot commits into the spare
-// half before the superblock flips, so no crash point loses the log. Each
-// record's payload is staged in fs.snap and encoded onto the snapshot's
-// pages as it is appended, so the snapshot costs no heap per file.
-// Caller holds Mu.
-func (fs *FS) compact() error {
+// compact rewrites the journal as a snapshot of the published state,
+// followed by tail. The dual journal makes it crash-atomic: the snapshot
+// commits into the spare half before the superblock flips, so no crash
+// point loses the log. Each record's payload is staged in fs.snap and
+// encoded onto the snapshot's pages as it is appended, so the snapshot
+// costs no heap per file. Caller holds Mu.
+func (fs *FS) compact(tail []journal.Record) error {
 	err := fs.Log.Compact(func(tx *journal.Tx) {
 		add := func(op fsrec.Op) {
 			var r journal.Record
 			r, fs.snap = op.AppendRecord(fs.snap[:0])
 			tx.Append(r)
 		}
-		fs.NS.WalkAll(func(path string, e Entry[*Inode]) {
+		fs.NS.WalkHeld(func(path string, e Entry[*Inode]) {
 			if e.IsDir() {
 				add(fsrec.Op{Type: fsrec.OpMkdir, Ino: e.Ino, Path: path, Mode: e.Mode})
 				return
@@ -49,6 +54,9 @@ func (fs *FS) compact() error {
 				return true
 			})
 		})
+		for _, r := range tail {
+			tx.Append(r)
+		}
 	})
 	if err != nil {
 		return fmt.Errorf("%s: journal compaction: %w", fs.name, err)
@@ -65,8 +73,8 @@ func (fs *FS) apply(r journal.Record) error {
 	}
 	switch op.Type {
 	case fsrec.OpCreate:
-		e, err := fs.NS.CreateFile(op.Path, op.Mode, op.Ino, func(uint64) *Inode {
-			return &Inode{Meta: Meta{Mode: op.Mode}}
+		e, err := fs.NS.CreateFile(op.Path, op.Mode, op.Ino, func(uint64) (*Inode, error) {
+			return &Inode{Meta: Meta{Mode: op.Mode}}, nil
 		})
 		if err != nil {
 			return fmt.Errorf("replay create %q: %w", op.Path, err)
@@ -74,20 +82,20 @@ func (fs *FS) apply(r journal.Record) error {
 		fs.Inodes[e.Ino] = e.File
 		return nil
 	case fsrec.OpMkdir:
-		if _, err := fs.NS.Mkdir(op.Path, op.Mode); err != nil {
+		if _, err := fs.NS.Mkdir(op.Path, op.Mode, nil); err != nil {
 			return fmt.Errorf("replay mkdir %q: %w", op.Path, err)
 		}
 		fs.NS.BumpIno(op.Ino)
 		return nil
 	case fsrec.OpRemove:
-		e, err := fs.NS.Remove(op.Path)
+		e, err := fs.NS.Remove(op.Path, nil)
 		if err != nil {
 			return fmt.Errorf("replay remove %q: %w", op.Path, err)
 		}
 		fs.dropInode(e.Ino)
 		return nil
 	case fsrec.OpRename:
-		if _, _, err := fs.NS.Rename(op.Path, op.Path2); err != nil {
+		if _, _, err := fs.NS.Rename(op.Path, op.Path2, nil); err != nil {
 			return fmt.Errorf("replay rename %q->%q: %w", op.Path, op.Path2, err)
 		}
 		return nil
@@ -136,24 +144,35 @@ func (fs *FS) apply(r journal.Record) error {
 // not O(device capacity): a per-page walk made recovery of a near-empty
 // HDD tier the slowest step of a remount. Caller holds Mu.
 func (fs *FS) scrub() {
-	type ival struct{ off, end int64 }
-	var used []ival
-	for _, ino := range fs.Inodes {
-		ino.Ext.Walk(func(off, n, delta int64) bool {
-			dev := off + delta
-			used = append(used, ival{dev / PageSize * PageSize, (dev + n + PageSize - 1) / PageSize * PageSize})
-			return true
-		})
-	}
-	sort.Slice(used, func(i, j int) bool { return used[i].off < used[j].off })
 	pos := fs.DataStart
-	for _, u := range used {
-		if u.off > pos {
-			fs.Dev.Discard(pos, u.off-pos)
+	for _, r := range fs.deviceRuns() {
+		if r.off > pos {
+			fs.Dev.Discard(pos, r.off-pos)
 		}
-		pos = max(pos, u.end)
+		pos = max(pos, r.end)
 	}
 	if c := fs.Dev.Capacity(); c > pos {
 		fs.Dev.Discard(pos, c-pos)
 	}
+}
+
+// devRun is the device range [off, end) a mapping of inode num covers.
+type devRun struct {
+	off, end int64
+	num      uint64
+}
+
+// deviceRuns lists the device pages every extent map references, as
+// ranges in device order. Caller holds Mu.
+func (fs *FS) deviceRuns() []devRun {
+	var runs []devRun
+	for num, ino := range fs.Inodes {
+		ino.Ext.Walk(func(off, n, delta int64) bool {
+			dev := off + delta
+			runs = append(runs, devRun{dev / PageSize * PageSize, (dev + n + PageSize - 1) / PageSize * PageSize, num})
+			return true
+		})
+	}
+	sort.Slice(runs, func(i, j int) bool { return runs[i].off < runs[j].off })
+	return runs
 }

@@ -201,10 +201,11 @@ func (ns *Namespace[F]) Lookup(path string) (Entry[F], error) {
 }
 
 // CreateFile inserts a new regular file. mk builds the payload for the
-// inode and runs under the shard write lock, so the entry is never visible
-// without it. ino 0 allocates a fresh inode; a nonzero ino (replay) is
+// inode and runs under the shard write lock once the insert is validated,
+// so the entry is never visible without it; an error from mk aborts the
+// insert. ino 0 allocates a fresh inode; a nonzero ino (replay) is
 // installed verbatim and bumps the allocator.
-func (ns *Namespace[F]) CreateFile(path string, mode vfs.FileMode, ino uint64, mk func(ino uint64) F) (Entry[F], error) {
+func (ns *Namespace[F]) CreateFile(path string, mode vfs.FileMode, ino uint64, mk func(ino uint64) (F, error)) (Entry[F], error) {
 	dir, name := vfs.ParentPath(path)
 	if name == "" {
 		return Entry[F]{}, vfs.ErrInvalid
@@ -225,15 +226,22 @@ func (ns *Namespace[F]) CreateFile(path string, mode vfs.FileMode, ino uint64, m
 	} else {
 		ns.BumpIno(ino)
 	}
-	e := Entry[F]{Ino: ino, Mode: mode &^ vfs.ModeDir, File: mk(ino)}
+	f, err := mk(ino)
+	if err != nil {
+		s.mu.Unlock()
+		return Entry[F]{}, err
+	}
+	e := Entry[F]{Ino: ino, Mode: mode &^ vfs.ModeDir, File: f}
 	m[name] = e
 	ns.count.Add(1)
 	s.mu.Unlock()
 	return e, nil
 }
 
-// Mkdir inserts a new directory and returns its inode number.
-func (ns *Namespace[F]) Mkdir(path string, mode vfs.FileMode) (uint64, error) {
+// Mkdir inserts a new directory and returns its inode number. commit, if
+// not nil, runs under the shard write locks once the insert is validated;
+// an error from it aborts the insert.
+func (ns *Namespace[F]) Mkdir(path string, mode vfs.FileMode, commit func(ino uint64) error) (uint64, error) {
 	path = vfs.CleanPath(path)
 	dir, name := vfs.ParentPath(path)
 	if name == "" {
@@ -250,6 +258,12 @@ func (ns *Namespace[F]) Mkdir(path string, mode vfs.FileMode) (uint64, error) {
 		return 0, vfs.ErrExist
 	}
 	ino := ns.NextIno()
+	if commit != nil {
+		if err := commit(ino); err != nil {
+			unlock()
+			return 0, err
+		}
+	}
 	pm[name] = Entry[F]{Ino: ino, Mode: mode | vfs.ModeDir}
 	ns.shardOf(path).dirs[path] = map[string]Entry[F]{}
 	ns.count.Add(1)
@@ -258,7 +272,9 @@ func (ns *Namespace[F]) Mkdir(path string, mode vfs.FileMode) (uint64, error) {
 }
 
 // Remove deletes a file or empty directory and returns the removed entry.
-func (ns *Namespace[F]) Remove(path string) (Entry[F], error) {
+// commit, if not nil, runs under the shard write locks once the removal is
+// validated; an error from it aborts the removal.
+func (ns *Namespace[F]) Remove(path string, commit func() error) (Entry[F], error) {
 	path = vfs.CleanPath(path)
 	dir, name := vfs.ParentPath(path)
 	if name == "" {
@@ -277,13 +293,18 @@ func (ns *Namespace[F]) Remove(path string) (Entry[F], error) {
 		unlock()
 		return Entry[F]{}, vfs.ErrNotExist
 	}
-	if e.IsDir() {
-		self := ns.shardOf(path)
-		if len(self.dirs[path]) > 0 {
+	if e.IsDir() && len(ns.shardOf(path).dirs[path]) > 0 {
+		unlock()
+		return Entry[F]{}, vfs.ErrNotEmpty
+	}
+	if commit != nil {
+		if err := commit(); err != nil {
 			unlock()
-			return Entry[F]{}, vfs.ErrNotEmpty
+			return Entry[F]{}, err
 		}
-		delete(self.dirs, path)
+	}
+	if e.IsDir() {
+		delete(ns.shardOf(path).dirs, path)
 	}
 	delete(pm, name)
 	ns.count.Add(-1)
@@ -300,10 +321,12 @@ type Moved[F any] struct {
 // Rename moves oldPath to newPath. The destination must not exist, and a
 // directory cannot move into its own subtree (ErrInvalid). File renames
 // lock the two parent shards in index order; directory renames lock every
-// shard (the move rekeys all directory maps under the old prefix). It
-// returns every regular file the rename moved — the renamed file, or each
-// file under the renamed directory — with its new path.
-func (ns *Namespace[F]) Rename(oldPath, newPath string) (Entry[F], []Moved[F], error) {
+// shard (the move rekeys all directory maps under the old prefix). commit,
+// if not nil, runs under those locks once the move is validated; an error
+// from it aborts the move. Rename returns every regular file it moved —
+// the renamed file, or each file under the renamed directory — with its
+// new path.
+func (ns *Namespace[F]) Rename(oldPath, newPath string, commit func() error) (Entry[F], []Moved[F], error) {
 	oldPath, newPath = vfs.CleanPath(oldPath), vfs.CleanPath(newPath)
 	oldDir, oldName := vfs.ParentPath(oldPath)
 	newDir, newName := vfs.ParentPath(newPath)
@@ -326,7 +349,7 @@ func (ns *Namespace[F]) Rename(oldPath, newPath string) (Entry[F], []Moved[F], e
 		// Directory move: retry from scratch under all shard locks (the
 		// two-shard view cannot rekey child maps in other shards).
 		unlock()
-		return ns.renameDir(oldPath, newPath)
+		return ns.renameDir(oldPath, newPath, commit)
 	}
 	nm := ns.shardOf(newDir).dirs[newDir]
 	if nm == nil {
@@ -337,6 +360,12 @@ func (ns *Namespace[F]) Rename(oldPath, newPath string) (Entry[F], []Moved[F], e
 		unlock()
 		return Entry[F]{}, nil, vfs.ErrExist
 	}
+	if commit != nil {
+		if err := commit(); err != nil {
+			unlock()
+			return Entry[F]{}, nil, err
+		}
+	}
 	delete(om, oldName)
 	nm[newName] = e
 	unlock()
@@ -345,7 +374,7 @@ func (ns *Namespace[F]) Rename(oldPath, newPath string) (Entry[F], []Moved[F], e
 
 // renameDir moves a directory under all shard locks, revalidating from
 // scratch (the caller dropped its locks before escalating).
-func (ns *Namespace[F]) renameDir(oldPath, newPath string) (Entry[F], []Moved[F], error) {
+func (ns *Namespace[F]) renameDir(oldPath, newPath string, commit func() error) (Entry[F], []Moved[F], error) {
 	oldDir, oldName := vfs.ParentPath(oldPath)
 	newDir, newName := vfs.ParentPath(newPath)
 
@@ -363,7 +392,7 @@ func (ns *Namespace[F]) renameDir(oldPath, newPath string) (Entry[F], []Moved[F]
 	if !e.IsDir() {
 		// Raced back into a file; redo as a plain rename.
 		unlock()
-		return ns.Rename(oldPath, newPath)
+		return ns.Rename(oldPath, newPath, commit)
 	}
 	// Moving a directory into its own subtree would orphan it.
 	if newDir == oldPath || strings.HasPrefix(newDir, oldPath+"/") {
@@ -378,6 +407,12 @@ func (ns *Namespace[F]) renameDir(oldPath, newPath string) (Entry[F], []Moved[F]
 	if _, exists := nm[newName]; exists {
 		unlock()
 		return Entry[F]{}, nil, vfs.ErrExist
+	}
+	if commit != nil {
+		if err := commit(); err != nil {
+			unlock()
+			return Entry[F]{}, nil, err
+		}
 	}
 	delete(om, oldName)
 	nm[newName] = e
@@ -460,12 +495,22 @@ func (ns *Namespace[F]) ReadDir(path string) ([]vfs.DirEntry, error) {
 // (strings.Clone). The walk allocates nothing per entry, so a compaction
 // snapshot costs no heap that grows with the namespace. Walks serialize
 // on their scratch; fn must not walk again.
-func (ns *Namespace[F]) WalkAll(fn func(path string, e Entry[F])) {
+func (ns *Namespace[F]) WalkAll(fn func(path string, e Entry[F])) { ns.walkAll(fn, true) }
+
+// WalkHeld is WalkAll without the shard locks, for an owner that keeps
+// every other user out itself, as FS does with Mu: it may run inside the
+// callbacks of CreateFile, Mkdir, Remove and Rename (an FS commit that
+// compacts the journal).
+func (ns *Namespace[F]) WalkHeld(fn func(path string, e Entry[F])) { ns.walkAll(fn, false) }
+
+func (ns *Namespace[F]) walkAll(fn func(path string, e Entry[F]), lock bool) {
 	w := &ns.walk
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	ns.rlockAll()
-	defer ns.runlockAll()
+	if lock {
+		ns.rlockAll()
+		defer ns.runlockAll()
+	}
 	w.path = append(w.path[:0], '/')
 	ns.walkDir(fn)
 	clear(w.names[:cap(w.names)]) // drop the names of removed entries
@@ -481,7 +526,8 @@ type walkScratch struct {
 }
 
 // walkDir visits the children of the directory walk.path names, and their
-// subtrees. Caller holds walk.mu and every shard's read lock.
+// subtrees. Caller holds walk.mu and every shard's read lock (or, for
+// WalkHeld, keeps writers out by its own lock).
 func (ns *Namespace[F]) walkDir(fn func(path string, e Entry[F])) {
 	w := &ns.walk
 	dir := unsafe.String(unsafe.SliceData(w.path), len(w.path))

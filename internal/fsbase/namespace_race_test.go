@@ -21,7 +21,7 @@ func TestNamespaceConcurrentRenames(t *testing.T) {
 	const steps = 200
 	ns := NewNamespace[uint64]()
 	for _, d := range []string{"/p0", "/p1", "/c", "/d0", "/d0/sub"} {
-		if _, err := ns.Mkdir(d, 0o755); err != nil {
+		if _, err := ns.Mkdir(d, 0o755, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -46,7 +46,7 @@ func TestNamespaceConcurrentRenames(t *testing.T) {
 	}
 	run(func() error {
 		for i := 1; i <= steps; i++ {
-			if _, moved, err := ns.Rename(filePath(i-1), filePath(i)); err != nil {
+			if _, moved, err := ns.Rename(filePath(i-1), filePath(i), nil); err != nil {
 				return fmt.Errorf("file rename %d: %w", i, err)
 			} else if len(moved) != 1 || moved[0].File != file.Ino || moved[0].Path != filePath(i) {
 				return fmt.Errorf("file rename %d moved %v", i, moved)
@@ -56,7 +56,7 @@ func TestNamespaceConcurrentRenames(t *testing.T) {
 	})
 	run(func() error {
 		for i := 1; i <= steps; i++ {
-			_, moved, err := ns.Rename(dirPath(i-1), dirPath(i))
+			_, moved, err := ns.Rename(dirPath(i-1), dirPath(i), nil)
 			if err != nil {
 				return fmt.Errorf("dir rename %d: %w", i, err)
 			}

@@ -201,8 +201,8 @@ func (fs *FS) Create(path string) (vfs.File, error) {
 	defer fs.mu.Unlock()
 	fs.clk.Advance(fs.costs.MetaOp)
 	now := fs.now()
-	e, err := fs.ns.CreateFile(path, 0o644, 0, func(uint64) *inode {
-		return &inode{meta: fsbase.Meta{Mode: 0o644, ModTime: now, ATime: now, CTime: now}, path: path}
+	e, err := fs.ns.CreateFile(path, 0o644, 0, func(uint64) (*inode, error) {
+		return &inode{meta: fsbase.Meta{Mode: 0o644, ModTime: now, ATime: now, CTime: now}, path: path}, nil
 	})
 	if err != nil {
 		return nil, vfs.Errf("create", fs.name, path, err)
@@ -233,7 +233,7 @@ func (fs *FS) Remove(path string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	fs.clk.Advance(fs.costs.MetaOp)
-	e, err := fs.ns.Remove(path)
+	e, err := fs.ns.Remove(path, nil)
 	if err != nil {
 		return vfs.Errf("remove", fs.name, path, err)
 	}
@@ -252,7 +252,7 @@ func (fs *FS) Rename(oldPath, newPath string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	fs.clk.Advance(fs.costs.MetaOp)
-	_, moved, err := fs.ns.Rename(oldPath, newPath)
+	_, moved, err := fs.ns.Rename(oldPath, newPath, nil)
 	if err != nil {
 		return vfs.Errf("rename", fs.name, oldPath, err)
 	}
@@ -268,7 +268,7 @@ func (fs *FS) Mkdir(path string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	fs.clk.Advance(fs.costs.MetaOp)
-	if _, err := fs.ns.Mkdir(path, 0o755); err != nil {
+	if _, err := fs.ns.Mkdir(path, 0o755, nil); err != nil {
 		return vfs.Errf("mkdir", fs.name, path, err)
 	}
 	return nil
