@@ -46,13 +46,15 @@ budget:
 # stress repeats the read-vs-migration race tests, the migration-batch
 # worker-equivalence test, the tier add/remove-vs-I/O test, the
 # breaker/gate concurrency test, the buffer pool's and the page arena's
-# parallel Get/Put tests, the stripe tier's stale-buffer test and the
+# parallel Get/Put tests, the stripe tier's stale-buffer test, the
 # shared namespace table's concurrent lookup/create/rename test
-# (TestNamespaceConcurrentRenames) under the race detector. They are
+# (TestNamespaceConcurrentRenames) and the tier write-epoch test (writers
+# on two tiers, policy rounds and Mux.Sync at once, then a crash:
+# TestBarrierEpochsUnderConcurrentWriters) under the race detector. They are
 # timing-dependent: a single pass hides a failure that shows up in a few
 # runs out of twenty, so they run twenty times in a row.
 stress:
-	$(GO) test -race -count=20 -run 'TestReadFastPathRacesMigration|TestRoutedReadsVsMigration|TestConcurrentMigrationStorm|TestMigrationWorkersEquivalent|TestAddTierConcurrentWithIO|TestGuardConcurrent|TestBufpoolConcurrent|TestPageArenaConcurrent|TestStaleBuffersNeverLeak|TestNamespaceConcurrentRenames' ./internal/core ./internal/guard ./internal/bufpool ./internal/ec ./internal/fsbase
+	$(GO) test -race -count=20 -run 'TestReadFastPathRacesMigration|TestRoutedReadsVsMigration|TestConcurrentMigrationStorm|TestMigrationWorkersEquivalent|TestAddTierConcurrentWithIO|TestGuardConcurrent|TestBufpoolConcurrent|TestPageArenaConcurrent|TestStaleBuffersNeverLeak|TestNamespaceConcurrentRenames|TestBarrierEpochsUnderConcurrentWriters' ./internal/core ./internal/guard ./internal/bufpool ./internal/ec ./internal/fsbase
 
 # repeat runs the tests of the short packages three times in a row: the
 # native file systems and their shared metadata layer, the journal, the

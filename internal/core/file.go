@@ -287,14 +287,14 @@ func (m *Mux) ensureHandleLocked(f *muxFile, t *Tier) (vfs.File, error) {
 	if h, ok := f.handles[t.ID]; ok {
 		return h, nil
 	}
-	h, err := t.FS.Open(f.path)
+	h, err := t.fs.Open(f.path)
 	if errors.Is(err, vfs.ErrNotExist) {
 		if mkErr := m.ensureDirs(t, f.path); mkErr != nil {
 			return nil, mkErr
 		}
-		h, err = t.FS.Create(f.path)
+		h, err = t.fs.Create(f.path)
 		if errors.Is(err, vfs.ErrExist) {
-			h, err = t.FS.Open(f.path)
+			h, err = t.fs.Open(f.path)
 		}
 	}
 	if err != nil {
@@ -316,7 +316,7 @@ func (m *Mux) ensureDirs(t *Tier, path string) error {
 	cur := ""
 	for _, seg := range segs {
 		cur += "/" + seg
-		if err := t.FS.Mkdir(cur); err != nil && !errors.Is(err, vfs.ErrExist) {
+		if err := t.fs.Mkdir(cur); err != nil && !errors.Is(err, vfs.ErrExist) {
 			return err
 		}
 	}
@@ -764,7 +764,7 @@ func (m *Mux) metaSyncLocked(f *muxFile) {
 		var ids [maxTiersOnStack]int
 		for _, id := range f.appendTiers(ids[:0]) {
 			if t, err := m.tier(id); err == nil {
-				_ = t.FS.SetAttr(f.path, attr)
+				_ = t.fs.SetAttr(f.path, attr)
 			}
 		}
 		return
@@ -779,7 +779,7 @@ func (m *Mux) metaSyncLocked(f *muxFile) {
 	}
 	// Downward SetAttr on the owner keeps the sparse file's metadata
 	// current without touching the other participating file systems.
-	_ = t.FS.SetAttr(f.path, attr)
+	_ = t.fs.SetAttr(f.path, attr)
 }
 
 // Truncate shrinks or grows the logical size across all tiers.

@@ -102,7 +102,7 @@ func (m *Mux) fsckFile(f *muxFile, rep *FsckReport, perTier map[int]int64) {
 			rep.addf("%s: BLT references removed tier %d", path, rc.tier)
 			continue
 		}
-		h, err := t.FS.Open(path)
+		h, err := t.fs.Open(path)
 		if err != nil {
 			rep.addf("%s: missing on tier %s: %v", path, t.FS.Name(), err)
 			continue

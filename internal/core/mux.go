@@ -87,7 +87,8 @@ func DefaultCosts() Costs {
 // "device profile" tiering policies consume, §2.1). It is also the record of
 // the tier's runtime state: every per-tier mechanism keeps its share here,
 // so one lookup by id reaches the tier's usage counter, health tracker,
-// data-path gate, read-router estimate and telemetry instruments.
+// data-path gate, read-router estimate, write epoch and telemetry
+// instruments.
 type Tier struct {
 	ID   int
 	FS   vfs.FileSystem
@@ -99,6 +100,15 @@ type Tier struct {
 	gate    *guard.Gate  // data-path admission (fanout.go)
 	route   routeStat    // read-router latency estimate (route.go)
 	tel     tierTel      // pre-resolved instruments (telemetry.go)
+
+	// The write epoch the tier barrier reads (epoch.go). fs is FS behind
+	// the booking: core mutates the tier only through it and the handles
+	// it opens, so writes counts every mutating call Mux has sent the
+	// tier. durable is the value of writes the tier's last successful
+	// FS.Sync covered.
+	fs      tierFS
+	writes  atomic.Uint64
+	durable atomic.Uint64
 }
 
 // tierTable is the copy-on-write tier snapshot: AddTier/RemoveTier build a
@@ -287,6 +297,10 @@ type Mux struct {
 	// round before validation — a deterministic window to inject racing
 	// writes.
 	hookAfterCopy func(round int)
+	// hookBeforeReclaim, when set (tests only), runs in a migration batch
+	// after its meta flush and before the source punches — a window to
+	// land a rename between the two.
+	hookBeforeReclaim func()
 }
 
 var _ vfs.FileSystem = (*Mux)(nil)
@@ -425,6 +439,7 @@ func (m *Mux) AddTier(fs vfs.FileSystem, prof device.Profile) int {
 		// Pre-resolved so the data path never takes the registry lock.
 		tel: m.newTierTel(id, prof.Name),
 	}
+	t.fs = tierFS{FileSystem: fs, t: t}
 	tiers := make([]*Tier, id+1)
 	copy(tiers, old.tiers)
 	tiers[id] = t
@@ -751,7 +766,7 @@ func (m *Mux) Remove(path string) error {
 				if err != nil {
 					continue
 				}
-				if rmErr := t.FS.Remove(path); rmErr != nil && !errors.Is(rmErr, vfs.ErrNotExist) {
+				if rmErr := t.fs.Remove(path); rmErr != nil && !errors.Is(rmErr, vfs.ErrNotExist) {
 					return vfs.Errf("remove", m.name, path, rmErr)
 				}
 			}
@@ -822,14 +837,14 @@ func (m *Mux) Rename(oldPath, newPath string) error {
 			if mkErr := m.ensureDirs(t, newPath); mkErr != nil {
 				return vfs.Errf("rename", m.name, newPath, mkErr)
 			}
-			if rnErr := t.FS.Rename(oldPath, newPath); rnErr != nil && !errors.Is(rnErr, vfs.ErrNotExist) {
+			if rnErr := t.fs.Rename(oldPath, newPath); rnErr != nil && !errors.Is(rnErr, vfs.ErrNotExist) {
 				return vfs.Errf("rename", m.name, oldPath, rnErr)
 			}
 		}
 	} else {
 		// Directory: mirror on every tier that has it.
 		for _, t := range m.Tiers() {
-			if rnErr := t.FS.Rename(oldPath, newPath); rnErr != nil && !errors.Is(rnErr, vfs.ErrNotExist) {
+			if rnErr := t.fs.Rename(oldPath, newPath); rnErr != nil && !errors.Is(rnErr, vfs.ErrNotExist) {
 				return vfs.Errf("rename", m.name, oldPath, rnErr)
 			}
 		}
@@ -980,8 +995,9 @@ func (m *Mux) Statfs() (vfs.StatFS, error) {
 	return out, nil
 }
 
-// Sync persists every tier (the tier barrier), then Mux's own metadata —
-// ordered so committed Mux metadata never references data a tier lost.
+// Sync persists every tier Mux has written since its last Sync (the tier
+// barrier), then Mux's own metadata — ordered so committed Mux metadata
+// never references data a tier lost.
 func (m *Mux) Sync() error {
 	m.clk.Advance(m.costs.MetaOp)
 	m.telMetaOp(mopSync)

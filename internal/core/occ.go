@@ -285,17 +285,35 @@ func (m *Mux) endMigration(j *migJob) {
 	j.f.mu.Unlock()
 }
 
-// tierBarrier is step 2, and the first half of Mux.Sync: one FS-level Sync
-// per tier. With a meta journal every tier syncs, because the metaFlush
-// that follows commits every buffered record, not only the batch's;
-// without one only the batch's destination tiers need durable copies.
-// jobs == nil means every tier.
+// tierBarrier is step 2, and the first half of Mux.Sync (jobs == nil): one
+// FS-level Sync per tier that needs one, fastest tier first.
+//
+// With a meta journal, the metaFlush that follows commits every buffered
+// record, not only the batch's, so the barrier must cover every tier a
+// buffered record may reference. It syncs a tier when it is one of the
+// batch's destinations, or when its write epoch moved past the last
+// successful Sync (Tier.writes > Tier.durable). A tier Mux has not written
+// since then is skipped: every call it was sent returned before that Sync
+// began, so the Sync covered it. That is no weaker than syncing every
+// tier, even with concurrent writers. A call is booked after it returns
+// and before any record that references it is buffered, so a record the
+// flush commits refers either to a tier this barrier synced or to calls an
+// earlier successful Sync covered; a record buffered after this barrier
+// read a tier's epoch was no safer under the all-tier barrier, whose Sync
+// of that tier could equally have run before the call. Mux.Sync uses the
+// same rule. Without a journal nothing is committed, and a batch's barrier
+// syncs only its destinations, whose copies the BLT is about to reference.
 func (m *Mux) tierBarrier(jobs []*migJob) error {
-	for _, t := range m.Tiers() {
-		if jobs != nil && m.meta == nil && !slices.ContainsFunc(jobs, func(j *migJob) bool { return j.dst == t.ID }) {
+	for _, t := range m.tierTab.Load().live {
+		need := t.dirty()
+		if jobs != nil {
+			dst := slices.ContainsFunc(jobs, func(j *migJob) bool { return j.dst == t.ID })
+			need = dst || need && m.meta != nil
+		}
+		if !need {
 			continue
 		}
-		if err := t.FS.Sync(); err != nil {
+		if err := t.sync(); err != nil {
 			return err
 		}
 	}
@@ -321,6 +339,9 @@ func (m *Mux) commitStage(jobs []*migJob) {
 			}
 		}
 		return
+	}
+	if m.hookBeforeReclaim != nil {
+		m.hookBeforeReclaim()
 	}
 	for _, j := range jobs {
 		if err := m.reclaimSource(j); err != nil {
@@ -429,7 +450,9 @@ func (m *Mux) repointOnSrc(j *migJob, ranges []vfs.Extent) {
 // Without the ordering, a crash could recover a Block Lookup Table that
 // still references source blocks the punch already destroyed. Ranges the
 // BLT maps back to src since the commit (a truncate then a rewrite placed
-// there) are live again and stay.
+// there) are live again and stay. The source handle is resolved again
+// under f.mu: a rename since the copy closed j.srcH (repath), and the
+// tier file sits, or is about to sit, at the new path.
 func (m *Mux) reclaimSource(j *migJob) error {
 	if len(j.committed) == 0 {
 		return nil
@@ -440,12 +463,29 @@ func (m *Mux) reclaimSource(j *migJob) error {
 	if m.files.get(f.ino) != f {
 		return nil // removed since the commit: its deferred reclaim owns the tier files
 	}
+	srcH, ok := f.handles[j.srcT.ID]
+	if !ok {
+		// Not ensureHandleLocked: mid-rename (repath has run, the tier
+		// renames have not) its create would put an empty tier file at the
+		// new path, and the tier rename would then find that path taken.
+		// A source file not yet at f.path keeps its bytes for the orphan
+		// scrub.
+		h, err := j.srcT.fs.Open(f.path)
+		if errors.Is(err, vfs.ErrNotExist) {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		defer h.Close()
+		srcH = h
+	}
 	for _, c := range j.committed {
 		for _, seg := range f.blt.Segments(c.Off, c.Len) {
 			if !seg.Hole && seg.Val == j.src {
 				continue
 			}
-			if err := j.srcH.PunchHole(seg.Off, seg.Len); err != nil {
+			if err := srcH.PunchHole(seg.Off, seg.Len); err != nil {
 				return err
 			}
 		}

@@ -75,12 +75,14 @@ var (
 
 // recFS wraps one tier, logging into a shared tierLog. failSync fails that
 // many of the next FS-level Syncs (the tier barrier's call); writes to
-// failWrite, when set, fail.
+// failWrite, when set, fail; onSync, when set, runs at the start of every
+// FS-level Sync.
 type recFS struct {
 	vfs.FileSystem
 	log       *tierLog
 	failSync  atomic.Int32
 	failWrite string
+	onSync    func()
 }
 
 type recFile struct {
@@ -99,6 +101,9 @@ func (r *recFS) Create(path string) (vfs.File, error) { return r.wrap(r.FileSyst
 func (r *recFS) Open(path string) (vfs.File, error)   { return r.wrap(r.FileSystem.Open(path)) }
 
 func (r *recFS) Sync() error {
+	if r.onSync != nil {
+		r.onSync()
+	}
 	if r.failSync.Load() > 0 {
 		r.failSync.Add(-1)
 		return errInjectedSync

@@ -159,3 +159,129 @@ func TestDirRenameSurvivesCrash(t *testing.T) {
 		})
 	}
 }
+
+// A rename that lands between a move's commit and its source punch closes
+// the file's downward handles (repath), and the tier file moves to the new
+// path. The punch resolves the source handle again, so the round succeeds
+// and the source range is punched at the new path.
+func TestRenameBetweenMigrationCommitAndPunch(t *testing.T) {
+	r := newRig(t, policy.Pinned{}, true)
+	want := pipePayload(7, 96<<10)
+	writeFile(t, r.m, "/old", want).Close()
+	if err := r.m.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	r.m.SetPolicy(planned(policy.Move{Path: "/old", SrcTier: r.ids.pm, DstTier: r.ids.ssd, Off: 0, N: -1}))
+	renamed := false
+	r.m.hookBeforeReclaim = func() {
+		renamed = true
+		if err := r.m.Rename("/old", "/new"); err != nil {
+			t.Error(err)
+		}
+	}
+	st, err := r.m.RunPolicyOnce()
+	r.m.hookBeforeReclaim = nil
+	if err != nil {
+		t.Fatalf("round failed: %v", err)
+	}
+	if !renamed || st.Executed != 1 || st.BytesMoved != int64(len(want)) {
+		t.Fatalf("renamed %v, round %+v: want the rename and one %d-byte move", renamed, st, len(want))
+	}
+	pm := r.m.tierRec(r.ids.pm).FS
+	fi, err := pm.Stat("/new")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Blocks != 0 {
+		t.Fatalf("PM /new still maps %d bytes: the source was not punched", fi.Blocks)
+	}
+	if _, err := pm.Stat("/old"); err == nil {
+		t.Fatal("PM still holds /old after the rename")
+	}
+	if got := readAll(t, r.m, "/new"); !bytes.Equal(got, want) {
+		t.Fatal("/new reads wrong after the move")
+	}
+	if n, err := r.m.ScrubOrphans(false); err != nil || n != 0 {
+		t.Fatalf("scrub dry-run: %d orphaned bytes, err %v", n, err)
+	}
+}
+
+// A move's source punch can also run inside a rename's window: repath has
+// pointed the file at the new path and closed its handles, but the
+// rename's Sync and tier renames have not run. Here the round's punch runs
+// from inside that Sync. It must not put a tier file at the new path,
+// which would make the tier rename fail after the rename record
+// committed: the rename and the round both succeed, the unpunched source
+// bytes follow the rename, and the orphan scrub reclaims them.
+func TestMigrationPunchInsideRenameSync(t *testing.T) {
+	r, _, fss := newRecRig(t)
+	want := pipePayload(9, 96<<10)
+	writeFile(t, r.m, "/old", want).Close()
+	if err := r.m.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	r.m.SetPolicy(planned(policy.Move{Path: "/old", SrcTier: r.ids.pm, DstTier: r.ids.ssd, Off: 0, N: -1}))
+	committed, proceed := make(chan struct{}), make(chan struct{})
+	r.m.hookBeforeReclaim = func() {
+		close(committed)
+		<-proceed
+	}
+	type result struct {
+		st  MigrationStats
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		st, err := r.m.RunPolicyOnce()
+		done <- result{st, err}
+	}()
+	<-committed
+
+	// Dirty the PM tier so the rename's Sync reaches it, and let the
+	// round punch from inside that Sync.
+	writeFile(t, r.m, "/other", pipePayload(10, 4096)).Close()
+	var round result
+	punched := false
+	fss[r.ids.pm].onSync = func() {
+		if !punched {
+			punched = true
+			close(proceed)
+			round = <-done
+		}
+	}
+	err := r.m.Rename("/old", "/new")
+	fss[r.ids.pm].onSync = nil
+	r.m.hookBeforeReclaim = nil
+	if err != nil {
+		t.Fatalf("rename failed: %v", err)
+	}
+	if !punched {
+		t.Fatal("the rename's Sync never reached the PM tier")
+	}
+	if round.err != nil || round.st.Executed != 1 || round.st.BytesMoved != int64(len(want)) {
+		t.Fatalf("round %+v, err %v: want one %d-byte move", round.st, round.err, len(want))
+	}
+	if got := readAll(t, r.m, "/new"); !bytes.Equal(got, want) {
+		t.Fatal("/new reads wrong after the rename")
+	}
+	pm := r.m.tierRec(r.ids.pm).FS
+	if _, err := pm.Stat("/old"); err == nil {
+		t.Fatal("PM still holds /old after the rename")
+	}
+	if n, err := r.m.ScrubOrphans(true); err != nil || n == 0 {
+		t.Fatalf("scrub: %d orphaned bytes, err %v: want the unpunched source", n, err)
+	}
+	if fi, err := pm.Stat("/new"); err != nil || fi.Blocks != 0 {
+		t.Fatalf("PM /new after the scrub: %+v, err %v: want no blocks", fi, err)
+	}
+	if rep := r.m.Fsck(); !rep.OK() {
+		t.Fatalf("fsck: %v", rep.Problems)
+	}
+	r.m.Crash()
+	if err := r.m.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if got := readAll(t, r.m, "/new"); !bytes.Equal(got, want) {
+		t.Fatal("/new reads wrong after the crash")
+	}
+}

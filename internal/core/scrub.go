@@ -96,7 +96,7 @@ func (m *Mux) completeRenames() (bool, error) {
 			if err := m.ensureDirs(t, fx.new); err != nil {
 				return acted, fmt.Errorf("scrub %s: mkdirs for %s: %w", t.FS.Name(), fx.new, err)
 			}
-			if err := t.FS.Rename(fx.old, fx.new); err != nil && !errors.Is(err, vfs.ErrNotExist) {
+			if err := t.fs.Rename(fx.old, fx.new); err != nil && !errors.Is(err, vfs.ErrNotExist) {
 				return acted, fmt.Errorf("scrub %s: complete rename %s -> %s: %w",
 					t.FS.Name(), fx.old, fx.new, err)
 			}
@@ -150,7 +150,7 @@ func (m *Mux) scrubFile(t *Tier, path string, repair bool) (int64, error) {
 			return 0, eerr
 		}
 		if repair {
-			if rerr := t.FS.Remove(path); rerr != nil && !errors.Is(rerr, vfs.ErrNotExist) {
+			if rerr := t.fs.Remove(path); rerr != nil && !errors.Is(rerr, vfs.ErrNotExist) {
 				return n, fmt.Errorf("scrub %s: remove orphan %s: %w", t.FS.Name(), path, rerr)
 			}
 		}
@@ -189,7 +189,7 @@ func (m *Mux) scrubFile(t *Tier, path string, repair bool) (int64, error) {
 				return true
 			})
 		}
-		h, err := t.FS.Open(path)
+		h, err := t.fs.Open(path)
 		if err != nil {
 			if errors.Is(err, vfs.ErrNotExist) {
 				return 0, nil
@@ -303,7 +303,7 @@ func (m *Mux) verifyMirror(f *muxFile, t *Tier) (int64, error) {
 
 // tierFileBytes sums the backing extents of one tier file.
 func tierFileBytes(t *Tier, path string) (int64, error) {
-	h, err := t.FS.Open(path)
+	h, err := t.fs.Open(path)
 	if err != nil {
 		if errors.Is(err, vfs.ErrNotExist) {
 			return 0, nil
